@@ -34,10 +34,13 @@ func TestClientAnalyzeBatch(t *testing.T) {
 	if !results[1].Reply.Attack {
 		t.Error("attack item missed")
 	}
-	// Token streams ride back per item, so the NTI side can reuse each
-	// item's parse exactly like a single-request reply.
-	if len(results[1].Reply.Tokens) == 0 {
-		t.Error("batch item lost its token stream")
+	// The batch was this connection's first frame, so it latched
+	// no_tokens: no item carries a token stream. Flagless batch frames
+	// still get one per item (TestFlaglessRepliesByteIdentical).
+	for i, r := range results {
+		if len(r.Reply.Tokens) != 0 {
+			t.Errorf("item %d carried tokens to a new client", i)
+		}
 	}
 
 	// Empty batch is a client-side no-op, not a wire request.
@@ -416,19 +419,25 @@ func TestWireBackCompatOldClientFrames(t *testing.T) {
 }
 
 // FuzzBatchFrame drives the batch verb with arbitrary queries, item
-// counts and budgets. The invariant: a well-formed batch frame never
-// panics the server, and the reply carries exactly one response per item
-// (or a whole-batch error for empty/over-cap batches) on a stream that
-// stays healthy.
+// counts, budgets, version pins and raw no_tokens values. The invariant: a
+// well-formed batch frame never panics the server, the reply carries
+// exactly one response per item (or a whole-batch error for empty/over-cap
+// batches) on a stream that stays healthy, and replies carry a token
+// stream exactly when the connection has not latched no_tokens. A
+// mistyped no_tokens value is a malformed frame: the connection ends, and
+// the handler must not wedge.
 func FuzzBatchFrame(f *testing.F) {
-	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(2), int64(0), "")
-	f.Add("", "x", uint8(0), int64(-1), "")
-	f.Add("SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5", "", uint8(7), int64(1<<62), "deadbeefdeadbeef")
-	f.Add("q", "q", uint8(255), int64(1), "\x00\xffgarbage")
-	f.Add("SELECT 1", "SELECT 1", uint8(3), int64(0), "mixed\ncase")
+	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(2), int64(0), "", "")
+	f.Add("", "x", uint8(0), int64(-1), "", "")
+	f.Add("SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5", "", uint8(7), int64(1<<62), "deadbeefdeadbeef", "")
+	f.Add("q", "q", uint8(255), int64(1), "\x00\xffgarbage", "")
+	f.Add("SELECT 1", "SELECT 1", uint8(3), int64(0), "mixed\ncase", "")
+	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(2), int64(0), "", "true")
+	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(2), int64(0), "", "false")
+	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(2), int64(0), "", `"yes"`)
 	analyzer := newAnalyzer()
-	f.Fuzz(func(t *testing.T, q1, q2 string, n uint8, timeoutMs int64, version string) {
-		if len(q1) > 1<<10 || len(q2) > 1<<10 || len(version) > 1<<8 {
+	f.Fuzz(func(t *testing.T, q1, q2 string, n uint8, timeoutMs int64, version, noTokens string) {
+		if len(q1) > 1<<10 || len(q2) > 1<<10 || len(version) > 1<<8 || len(noTokens) > 1<<6 {
 			t.Skip()
 		}
 		srv := NewServer(analyzer, WithMaxBatchItems(64))
@@ -438,12 +447,21 @@ func FuzzBatchFrame(f *testing.F) {
 			defer close(done)
 			srv.ServeConn(serverSide)
 		}()
-		c := NewClient(clientSide)
 		defer func() {
-			_ = c.Close()
-			_ = serverSide.Close()
-			<-done
+			_ = clientSide.Close()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("connection handler wedged")
+			}
 		}()
+		// Writes run beside the reads: the server answers a frame before it
+		// drains the newline behind it.
+		send := func(frame []byte) {
+			go func() { _, _ = clientSide.Write(append(frame, '\n')) }()
+		}
+		dec := json.NewDecoder(bufio.NewReader(clientSide))
+
 		items := make([]wireRequest, int(n)%96)
 		for i := range items {
 			if i%2 == 0 {
@@ -456,23 +474,50 @@ func FuzzBatchFrame(f *testing.F) {
 				items[i] = wireRequest{Query: q2, Version: version}
 			}
 		}
-		resp, err := c.roundTrip(context.Background(), wireRequest{Op: "batch", Batch: items, Version: version})
+		frame, err := json.Marshal(wireRequest{Op: "batch", Batch: items, Version: version})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if noTokens != "" {
+			// Splice the raw value in, so the fuzzer reaches wrong types too.
+			frame = append(frame[:len(frame)-1], `,"no_tokens":`+noTokens+`}`...)
+		}
+		send(frame)
+		var latched bool
+		switch noTokens {
+		case "", "false":
+		case "true":
+			latched = true
+		default:
+			return // possibly malformed: only the no-wedge invariant applies
+		}
+		var resp wireResponse
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatalf("batch of %d items: %v", len(items), err)
+		}
 		switch {
 		case len(items) == 0 || len(items) > 64:
-			if err == nil {
+			if resp.Err == "" {
 				t.Fatalf("batch of %d items accepted, want whole-batch refusal", len(items))
 			}
-		case err != nil:
-			t.Fatalf("well-formed batch of %d failed: %v", len(items), err)
+		case resp.Err != "":
+			t.Fatalf("well-formed batch of %d failed: %v", len(items), resp.Err)
 		case len(resp.Batch) != len(items):
 			t.Fatalf("%d replies for %d items", len(resp.Batch), len(items))
 		}
-		if c.Broken() {
-			t.Fatal("healthy-stream batch broke the connection")
+		for i, item := range resp.Batch {
+			if latched && item.Reply != nil && len(item.Reply.Tokens) != 0 {
+				t.Fatalf("item %d carried tokens on a latched connection", i)
+			}
 		}
-		// The stream survived whatever the batch did.
-		if _, err := c.Analyze("SELECT * FROM records WHERE ID=5 LIMIT 5"); err != nil {
-			t.Fatalf("follow-up request failed: %v", err)
+		// The stream survived whatever the batch did, and the latch holds.
+		send([]byte(`{"query":"SELECT * FROM records WHERE ID=5 LIMIT 5"}`))
+		resp = wireResponse{}
+		if err := dec.Decode(&resp); err != nil || resp.Reply == nil {
+			t.Fatalf("follow-up request failed: %v %+v", err, resp)
+		}
+		if got := len(resp.Reply.Tokens) != 0; got == latched {
+			t.Fatalf("follow-up carried tokens = %v on a connection latched = %v", got, latched)
 		}
 	})
 }

@@ -34,6 +34,10 @@ type Client struct {
 	timeout time.Duration
 	dialect sqltoken.Dialect
 	err     error // sticky; set on the first I/O failure or Close
+	// latched records that an analyze or batch frame carrying no_tokens
+	// has been sent on this connection, so the server already omits the
+	// token stream and later frames need not repeat the flag.
+	latched bool
 }
 
 var _ Transport = (*Client)(nil)
@@ -93,7 +97,9 @@ func (c *Client) Broken() bool {
 }
 
 // roundTrip sends one request and reads its response, marking the
-// connection broken on any I/O error. ctx bounds the exchange: its
+// connection broken on any I/O error. The connection's first analyze or
+// batch frame carries no_tokens, so the server replies without the token
+// stream from then on. ctx bounds the exchange: its
 // deadline (when earlier than the client timeout) becomes the connection
 // deadline, and cancellation slams the connection so a blocked read or
 // write returns immediately. An already-done ctx fails before any I/O and
@@ -141,6 +147,10 @@ func (c *Client) roundTrip(ctx context.Context, req wireRequest) (wireResponse, 
 		}()
 	} else if !deadline.IsZero() {
 		defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
+	}
+	if !c.latched && (req.Op == "" || req.Op == "analyze" || req.Op == "batch") {
+		req.NoTokens = true
+		c.latched = true
 	}
 	if err := c.enc.Encode(req); err != nil {
 		return wireResponse{}, c.broke("send", ctxCause(ctx, err))

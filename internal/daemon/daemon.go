@@ -1,8 +1,13 @@
 // Package daemon implements the PTI daemon of the Joza architecture
 // (Section IV): a separate process that loads the fragment set, parses
 // intercepted queries, runs the PTI analysis (with its caches), and
-// returns both the verdict and the parsed critical-token stream so the
-// in-application NTI component can reuse it.
+// returns the verdict. The paper's daemon also ships the parsed token
+// stream back so the in-application NTI component can skip its own lex;
+// here that stream is sent only to flagless (older) clients. A current
+// client tells the daemon once per connection that it lexes for itself
+// (the no_tokens request field), and each side then lexes only when it
+// needs tokens: the daemon on a PTI cache miss, the client when an input
+// matches the query.
 //
 // Two transports are provided, mirroring the paper's deployment study:
 //
@@ -41,8 +46,9 @@ type AnalysisReply struct {
 	Attack bool `json:"attack"`
 	// Reasons explains the verdict (uncovered critical tokens).
 	Reasons []ReasonJSON `json:"reasons,omitempty"`
-	// Tokens is the full token stream of the query; the application-side
-	// NTI component reuses it instead of re-lexing.
+	// Tokens is the full token stream of the query, sent only to flagless
+	// clients, which reuse it instead of re-lexing. A reply to a
+	// connection that latched no_tokens carries none and omits the key.
 	Tokens []TokenJSON `json:"tokens"`
 	// Trace is the daemon-side decision trace, present when the daemon
 	// sampled this check. A tracing HybridClient merges it into its own
@@ -97,8 +103,13 @@ func fromTokenJSON(t TokenJSON) sqltoken.Token {
 }
 
 // TokenStream converts the reply's token stream back to lexer tokens so
-// the application-side NTI component can reuse the daemon's parse.
+// the application-side NTI component can reuse the daemon's parse. It
+// returns nil for a reply that carries no tokens, so the caller's NTI
+// analyzer lexes for itself.
 func (r *AnalysisReply) TokenStream() []sqltoken.Token {
+	if len(r.Tokens) == 0 {
+		return nil
+	}
 	out := make([]sqltoken.Token, len(r.Tokens))
 	for i, t := range r.Tokens {
 		out[i] = fromTokenJSON(t)
@@ -118,42 +129,42 @@ func (r *AnalysisReply) Result() core.Result {
 	return res
 }
 
-// analyze runs the shared daemon-side analysis for both transports.
-func analyze(analyzer *pti.Cached, query string) *AnalysisReply {
-	reply, _ := analyzeCtx(context.Background(), analyzer, query, nil)
-	return reply
-}
-
 // analyzeCtx is the shared daemon-side analysis with decision tracing and
 // cooperative cancellation. A non-nil span records the lex duration, the
 // cache outcome, the fragment-cover duration and the per-token cover
-// evidence; the daemon always lexes (it returns the token stream to the
-// client), so the lex is timed here rather than lazily. ctx is checked
-// before the lex and through the analyzer's checkpoints, so a request
-// whose wire-propagated budget has expired fails with ctx's error instead
-// of burning daemon time on an abandoned query.
-func analyzeCtx(ctx context.Context, analyzer *pti.Cached, query string, span *trace.Span) (*AnalysisReply, error) {
+// evidence. With withTokens (a flagless wire peer) the query is lexed up
+// front, because its token stream rides the reply; otherwise the analyzer
+// lexes lazily, only on a PTI cache miss. ctx is checked before the lex
+// and through the analyzer's checkpoints, so a request whose
+// wire-propagated budget has expired fails with ctx's error instead of
+// burning daemon time on an abandoned query.
+func analyzeCtx(ctx context.Context, analyzer *pti.Cached, query string, span *trace.Span, withTokens bool) (*AnalysisReply, error) {
 	if ctx.Done() != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	var lexStart time.Time
-	if span.Active() {
-		lexStart = time.Now()
-	}
-	toks := analyzer.Dialect().Lex(query)
-	if span.Active() {
-		span.Lex(time.Since(lexStart))
+	var toks []sqltoken.Token
+	if withTokens {
+		var lexStart time.Time
+		if span.Active() {
+			lexStart = time.Now()
+		}
+		toks = analyzer.Dialect().Lex(query)
+		if span.Active() {
+			span.Lex(time.Since(lexStart))
+		}
 	}
 	res, _, err := analyzer.AnalyzeLazyCtx(ctx, query, toks, span)
 	if err != nil {
 		return nil, err
 	}
 	reply := &AnalysisReply{Attack: res.Attack}
-	reply.Tokens = make([]TokenJSON, len(toks))
-	for i, t := range toks {
-		reply.Tokens[i] = toTokenJSON(t)
+	if withTokens {
+		reply.Tokens = make([]TokenJSON, len(toks))
+		for i, t := range toks {
+			reply.Tokens[i] = toTokenJSON(t)
+		}
 	}
 	for _, reason := range res.Reasons {
 		reply.Reasons = append(reply.Reasons, ReasonJSON{
@@ -216,7 +227,9 @@ type Transport interface {
 	Close() error
 }
 
-// Direct is the in-process transport (the "PHP extension" estimate).
+// Direct is the in-process transport (the "PHP extension" estimate). Its
+// replies carry no token stream: the caller's NTI analyzer lexes for
+// itself, exactly as a current client of the wire transport does.
 type Direct struct {
 	analyzer *pti.Cached
 	profiles *profile.Store
@@ -240,19 +253,19 @@ func (d *Direct) SetProfileRecorder(r *profile.Recorder) { d.recorder = r }
 
 // Analyze implements Transport.
 func (d *Direct) Analyze(query string) (*AnalysisReply, error) {
-	return analyze(d.analyzer, query), nil
+	return analyzeCtx(context.Background(), d.analyzer, query, nil, false)
 }
 
 // AnalyzeContext implements Transport: there is no wire to bound, so ctx
 // only gates the in-process analysis.
 func (d *Direct) AnalyzeContext(ctx context.Context, query string) (*AnalysisReply, error) {
-	return analyzeCtx(ctx, d.analyzer, query, nil)
+	return analyzeCtx(ctx, d.analyzer, query, nil, false)
 }
 
 // AnalyzeSiteContext implements siteTransport: AnalyzeContext plus the
 // query-skeleton profile verdict for site.
 func (d *Direct) AnalyzeSiteContext(ctx context.Context, site, query string) (*AnalysisReply, error) {
-	reply, err := analyzeCtx(ctx, d.analyzer, query, nil)
+	reply, err := analyzeCtx(ctx, d.analyzer, query, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -318,6 +331,15 @@ type wireRequest struct {
 	// unpinned; old servers ignore the field, so versionless traffic
 	// interops byte-identically in both directions.
 	Version string `json:"version,omitempty"`
+	// NoTokens tells the server that this client lexes for itself. The
+	// server latches it for the life of the connection and from then on
+	// omits the token stream from analyze replies, so neither side
+	// encodes, decodes or lexes tokens nobody reads. A client sets it on
+	// the first analyze or batch frame of each connection only, so every
+	// later frame is byte-identical to the flagless protocol. Flagless
+	// peers keep receiving tokens, and old servers ignore the field. The
+	// server reads it from top-level frames only, not from batch items.
+	NoTokens bool `json:"no_tokens,omitempty"`
 }
 
 // RolloutReply answers the two-phase rollout verbs. State is "staged"
@@ -352,6 +374,40 @@ type wireResponse struct {
 	// Rollout answers the "prepare", "commit" and "abort" verbs.
 	Rollout *RolloutReply `json:"rollout,omitempty"`
 	Err     string        `json:"error,omitempty"`
+}
+
+// leanResponse is how the server encodes a wireResponse on a connection
+// that latched no_tokens. Its Reply and Batch fields shadow the embedded
+// ones (encoding/json prefers the shallower of two fields with one name),
+// so every reply encodes exactly as an AnalysisReply does, minus the
+// "tokens" key.
+type leanResponse struct {
+	wireResponse
+	Reply *leanReply     `json:"reply,omitempty"`
+	Batch []leanResponse `json:"batch,omitempty"`
+	reply leanReply      // backs Reply, so wrapping allocates nothing more
+}
+
+// leanReply is an AnalysisReply without its token stream: the nil,
+// omitempty Tokens shadows the embedded field.
+type leanReply struct {
+	*AnalysisReply
+	Tokens []TokenJSON `json:"tokens,omitempty"`
+}
+
+// wrap fills l for the token-free encoding of resp and its batch items.
+func (l *leanResponse) wrap(resp wireResponse) {
+	l.wireResponse = resp
+	if resp.Reply != nil {
+		l.reply.AnalysisReply = resp.Reply
+		l.Reply = &l.reply
+	}
+	if resp.Batch != nil {
+		l.Batch = make([]leanResponse, len(resp.Batch))
+		for i := range resp.Batch {
+			l.Batch[i].wrap(resp.Batch[i])
+		}
+	}
 }
 
 // BatchResult is the client-side outcome of one item of a batch: either a

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"encoding/json"
 	"net"
 	"strings"
 	"sync"
@@ -35,8 +36,9 @@ func TestDirectTransport(t *testing.T) {
 	if reply.Attack {
 		t.Error("benign flagged")
 	}
-	if len(reply.Tokens) == 0 {
-		t.Error("no tokens returned")
+	// Direct replies are token-free: the caller's NTI lexes for itself.
+	if len(reply.Tokens) != 0 || reply.TokenStream() != nil {
+		t.Errorf("direct reply carried tokens: %+v", reply.Tokens)
 	}
 	reply, err = d.Analyze(attackQuery)
 	if err != nil {
@@ -80,10 +82,32 @@ func TestRemoteTransportTCP(t *testing.T) {
 	if !reply.Attack {
 		t.Error("attack missed over TCP")
 	}
-	// Tokens survive the round trip with positions intact.
-	toks := reply.TokenStream()
+	// A current client latched no_tokens on its first frame: the reply
+	// carries no token stream.
+	if len(reply.Tokens) != 0 || reply.TokenStream() != nil {
+		t.Errorf("new client received tokens: %+v", reply.Tokens)
+	}
+
+	// A flagless peer still gets the token stream, and it survives the
+	// round trip with positions intact.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte(`{"query":"` + attackQuery + `"}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	var resp wireResponse
+	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Reply == nil || !resp.Reply.Attack {
+		t.Fatalf("flagless reply = %+v", resp)
+	}
+	toks := resp.Reply.TokenStream()
 	if len(toks) == 0 || toks[0].Text != "SELECT" || toks[0].Start != 0 {
-		t.Errorf("tokens = %+v", toks[:1])
+		t.Errorf("flagless tokens = %+v", toks)
 	}
 }
 
@@ -151,7 +175,7 @@ func TestHybridClient(t *testing.T) {
 		t.Errorf("Authorize benign: %v", err)
 	}
 
-	// Attack detected by both (token stream reused by NTI).
+	// Attack detected by both (NTI lexing the query itself).
 	payload := "-1 UNION SELECT username() "
 	q := strings.TrimSuffix("SELECT * FROM records WHERE ID="+payload, " ") + " LIMIT 5"
 	v, err = h.Check(q, []nti.Input{{Source: "get", Name: "id", Value: strings.TrimSpace(payload)}})

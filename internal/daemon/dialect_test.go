@@ -236,3 +236,24 @@ func TestHybridClientDialect(t *testing.T) {
 		t.Error("attack missed by Postgres hybrid")
 	}
 }
+
+// TestHybridClientRefusesNTIDialectMismatch: the application-side NTI
+// lexes queries itself, so an analyzer built for another dialect than the
+// client's would silently change NTI verdicts. The engine refuses every
+// check of such a client through its failure mode instead, before any
+// round trip.
+func TestHybridClientRefusesNTIDialectMismatch(t *testing.T) {
+	d := NewDirect(newAnalyzer())
+	h := NewHybridClient(d, nti.MustNew(nti.WithDialect(sqltoken.Postgres)), core.PolicyTerminate)
+	defer h.Close()
+	v, err := h.Check(benignQuery, []nti.Input{{Source: "get", Name: "id", Value: "5"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Attack || len(v.PTI.Reasons) == 0 || !strings.Contains(v.PTI.Reasons[0].Detail, "NTI analyzer dialect postgres") {
+		t.Errorf("mismatched NTI dialect: verdict = %+v, want a fail-closed refusal", v)
+	}
+	if got := h.Metrics().OverBudgetChecks; got != 1 {
+		t.Errorf("OverBudgetChecks = %d, want the refusal counted", got)
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"joza/internal/core"
 	"joza/internal/metrics"
 	"joza/internal/nti"
+	"joza/internal/profile"
 )
 
 // TestClientBrokenAfterMidResponseClose injects a connection that dies
@@ -185,15 +186,16 @@ func TestPoolOutageReportsUnavailable(t *testing.T) {
 
 // TestPoolNoCrossTalkUnderFaults hammers a pool from many goroutines
 // while a disruptor closes live connections mid-flight. Every successful
-// reply must belong to the query that asked for it (the reply echoes the
-// query's token stream); transport errors are acceptable, mismatches are
-// not. Run under -race.
+// reply must belong to the request that asked for it: each request names
+// its own call site, and the learning daemon's profile verdict echoes the
+// site back. Transport errors are acceptable, mismatches are not. Run
+// under -race.
 func TestPoolNoCrossTalkUnderFaults(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(newAnalyzer())
+	srv := NewServer(newAnalyzer(), WithProfileRecorder(profile.NewRecorder()))
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 
@@ -221,17 +223,25 @@ func TestPoolNoCrossTalkUnderFaults(t *testing.T) {
 			select {
 			case <-stop:
 				return
-			case <-time.After(3 * time.Millisecond):
+			case <-time.After(time.Millisecond):
 			}
 			mu.Lock()
 			if len(live) > 0 {
-				_ = live[i%len(live)].Close() // mid-flight for someone
+				conn := live[i%len(live)]
+				if i%2 == 0 {
+					_ = conn.Close() // mid-flight for someone
+				} else {
+					// A read timeout leaves the reply in transit: only a
+					// client that retires the connection avoids reading
+					// it as the next request's reply.
+					_ = conn.SetReadDeadline(time.Unix(1, 0))
+				}
 			}
 			mu.Unlock()
 		}
 	}()
 
-	const workers, perWorker = 8, 40
+	const workers, perWorker = 8, 500
 	var wg sync.WaitGroup
 	mismatches := make(chan string, workers*perWorker)
 	for w := 0; w < workers; w++ {
@@ -241,18 +251,11 @@ func TestPoolNoCrossTalkUnderFaults(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				marker := fmt.Sprintf("%d", w*perWorker+i+1000)
 				query := "SELECT * FROM records WHERE ID=" + marker + " LIMIT 5"
-				reply, err := p.Analyze(query)
+				reply, err := p.AnalyzeSiteContext(context.Background(), marker, query)
 				if err != nil {
 					continue // transport faults are expected here
 				}
-				found := false
-				for _, tok := range reply.Tokens {
-					if tok.Text == marker {
-						found = true
-						break
-					}
-				}
-				if !found {
+				if reply.Profile == nil || reply.Profile.Site != marker {
 					mismatches <- marker
 				}
 			}
@@ -263,7 +266,7 @@ func TestPoolNoCrossTalkUnderFaults(t *testing.T) {
 	disruptor.Wait()
 	close(mismatches)
 	for m := range mismatches {
-		t.Errorf("reply for query %s carried another request's tokens", m)
+		t.Errorf("reply for call site %s belonged to another request", m)
 	}
 }
 

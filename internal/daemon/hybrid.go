@@ -45,14 +45,16 @@ func (m DegradeMode) String() string {
 	}
 }
 
-// HybridClient composes the deployed pieces exactly as Figure 5 shows:
-// queries go to the PTI daemon first; the returned token stream feeds the
-// in-application NTI analysis; the query is safe iff both agree. It is a
-// thin front door over the shared internal/engine pipeline — a remote PTI
-// stage (transport plus degradation policy) followed by the standard NTI
-// stage — so metrics, tracing and audit recording are the engine's single
-// post-verdict path, the same operator surface the in-process Guard
-// provides.
+// HybridClient composes the deployed pieces as Figure 5 shows: queries go
+// to the PTI daemon first, then to the in-application NTI analysis, and
+// the query is safe iff both agree. Unlike the paper's daemon, this one
+// sends no token stream back: NTI lexes the query itself, and only when an
+// input matches it, which is far cheaper than shipping every query's
+// tokens over the wire. It is a thin front door over the shared
+// internal/engine pipeline — a remote PTI stage (transport plus
+// degradation policy) followed by the standard NTI stage — so metrics,
+// tracing and audit recording are the engine's single post-verdict path,
+// the same operator surface the in-process Guard provides.
 type HybridClient struct {
 	transport Transport
 	eng       *engine.Engine
@@ -122,7 +124,10 @@ func WithStrictProfiles() HybridOption {
 // (Client.SetDialect, PoolConfig.Dialect) and the daemon's analyzer — a
 // disagreement surfaces as a per-check daemon refusal, resolved by the
 // degradation policy. The NTI analyzer passed to NewHybridClient must be
-// built with nti.WithDialect to match.
+// built with nti.WithDialect to match: it lexes queries itself, so every
+// check of a client whose NTI dialect differs is refused through the
+// engine's failure mode rather than analyzed with the wrong token
+// boundaries.
 func WithDialect(d sqltoken.Dialect) HybridOption {
 	return func(h *HybridClient) { h.dialect = d }
 }
@@ -174,8 +179,9 @@ func NewHybridClient(transport Transport, ntiAnalyzer *nti.Analyzer, policy core
 }
 
 // remotePTIStage is the engine stage for daemon-backed PTI: one transport
-// round trip, the reply's token stream published (lazily decoded) for the
-// NTI stage, and the degradation policy applied to transport failures.
+// round trip and the degradation policy applied to transport failures. It
+// publishes no token stream: the NTI stage lexes under its own dialect,
+// and only when an input matches the query.
 type remotePTIStage struct {
 	transport Transport
 	degrade   DegradeMode
@@ -195,12 +201,10 @@ func (s remotePTIStage) Analyze(ctx context.Context, req engine.Request, st *eng
 	}
 	if err == nil {
 		// Fold the daemon's view of this check into our span: its lex and
-		// cover timings, cache outcome and cover evidence. The token
-		// stream decodes only if the NTI stage actually needs it. The raw
-		// reply is stashed for the profile stage, which converts the
-		// daemon's profile verdict without a second round trip.
+		// cover timings, cache outcome and cover evidence. The raw reply
+		// is stashed for the profile stage, which converts the daemon's
+		// profile verdict without a second round trip.
 		st.Span().Merge(reply.Trace)
-		st.PublishTokenSource(reply.TokenStream)
 		st.SetAux(reply)
 		return reply.Result(), nil
 	}

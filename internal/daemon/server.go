@@ -408,12 +408,15 @@ func (s *Server) track(conn net.Conn) bool {
 
 // ServeConn serves a single established connection until it closes. It is
 // exported so a daemon can be run over a pre-connected pipe (the paper's
-// anonymous-pipe, one-request lifetime mode).
+// anonymous-pipe, one-request lifetime mode). The first frame carrying
+// no_tokens latches the connection token-free: every later analyze reply
+// omits the token stream.
 func (s *Server) ServeConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	lr := &io.LimitedReader{R: conn, N: s.maxRequest}
 	dec := json.NewDecoder(bufio.NewReader(lr))
 	enc := json.NewEncoder(conn)
+	noTokens := false
 	for {
 		if s.draining.Load() {
 			return
@@ -439,14 +442,15 @@ func (s *Server) ServeConn(conn net.Conn) {
 			}
 			return
 		}
+		noTokens = noTokens || req.NoTokens
 		var resp wireResponse
 		switch req.Op {
 		case "", "analyze":
 			s.analyzeOps.Add(1)
-			s.handleAnalyze(req, &resp)
+			s.handleAnalyze(req, &resp, !noTokens)
 		case "batch":
 			s.batchOps.Add(1)
-			s.handleBatch(req, &resp)
+			s.handleBatch(req, &resp, !noTokens)
 		case "stats":
 			s.statsOps.Add(1)
 			st := s.Stats()
@@ -465,7 +469,15 @@ func (s *Server) ServeConn(conn net.Conn) {
 			s.errorOps.Add(1)
 			resp.Err = fmt.Sprintf("unknown op %q", req.Op)
 		}
-		if err := enc.Encode(resp); err != nil {
+		var err error
+		if noTokens {
+			l := new(leanResponse)
+			l.wrap(resp)
+			err = enc.Encode(l)
+		} else {
+			err = enc.Encode(resp)
+		}
+		if err != nil {
 			s.errorOps.Add(1)
 			return
 		}
@@ -494,10 +506,12 @@ func dialectError(wire string, serving sqltoken.Dialect) string {
 }
 
 // handleAnalyze runs one analyze request: dialect validation, admission,
-// the deadline-bounded analysis, and verdict recording. Failures ride back
-// as resp.Err on the still-healthy stream — an overloaded, over-budget or
-// cross-dialect request costs one reply, not the connection.
-func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse) {
+// the deadline-bounded analysis, and verdict recording. withTokens puts
+// the token stream on the reply, for a connection that has not latched
+// no_tokens. Failures ride back as resp.Err on the still-healthy stream —
+// an overloaded, over-budget or cross-dialect request costs one reply,
+// not the connection.
+func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse, withTokens bool) {
 	sv := s.serving.Load()
 	analyzer := sv.Analyzer
 	if msg := dialectError(req.Dialect, analyzer.Dialect()); msg != "" {
@@ -536,7 +550,7 @@ func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse) {
 	defer s.gate.Release()
 	span := s.tracer.Start(req.Query)
 	start := time.Now()
-	reply, err := analyzeCtx(ctx, analyzer, req.Query, span)
+	reply, err := analyzeCtx(ctx, analyzer, req.Query, span, withTokens)
 	if err != nil {
 		if errors.Is(err, core.ErrOverBudget) && ctx.Err() == nil {
 			// The analyzer hit a configured cost budget: distinct from a
@@ -580,7 +594,7 @@ func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse) {
 // (expired budget, shed, over budget) costs only its own slot; siblings
 // and the connection are unaffected. A batch above the item cap is refused
 // whole, on the still-healthy stream.
-func (s *Server) handleBatch(req wireRequest, resp *wireResponse) {
+func (s *Server) handleBatch(req wireRequest, resp *wireResponse, withTokens bool) {
 	if len(req.Batch) == 0 {
 		s.errorOps.Add(1)
 		resp.Err = "empty batch"
@@ -609,7 +623,7 @@ func (s *Server) handleBatch(req wireRequest, resp *wireResponse) {
 		switch item.Op {
 		case "", "analyze":
 			s.analyzeOps.Add(1)
-			s.handleAnalyze(item, &resp.Batch[i])
+			s.handleAnalyze(item, &resp.Batch[i], withTokens)
 		default:
 			// Nested batches and the control verbs have no per-item merge
 			// semantics; refusing them item-locally keeps the rest of the
@@ -664,7 +678,7 @@ func selftest(ctx context.Context, sv *Serving) error {
 	if sv == nil || sv.Analyzer == nil {
 		return errors.New("staged bundle has no analyzer")
 	}
-	if _, err := analyzeCtx(ctx, sv.Analyzer, "SELECT 1", nil); err != nil {
+	if _, err := analyzeCtx(ctx, sv.Analyzer, "SELECT 1", nil, false); err != nil {
 		return fmt.Errorf("probe analysis: %w", err)
 	}
 	if sv.Profiles != nil {

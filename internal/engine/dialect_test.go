@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"joza/internal/core"
+	"joza/internal/fragments"
+	"joza/internal/nti"
+	"joza/internal/pti"
 	"joza/internal/sqltoken"
 )
 
@@ -92,5 +95,35 @@ func TestMismatchCountsOverBudget(t *testing.T) {
 	}
 	if got := e.Collector().Snapshot().OverBudgetChecks; got != 1 {
 		t.Errorf("OverBudgetChecks = %d, want 1", got)
+	}
+}
+
+// TestCheckRefusesAnalyzerDialectMismatch pins that a snapshot whose NTI
+// or PTI handle lexes under another dialect than the snapshot's refuses
+// every check instead of analyzing with the wrong token boundaries: each
+// analyzer lexes queries itself, so the mismatch would otherwise change
+// its verdicts silently.
+func TestCheckRefusesAnalyzerDialectMismatch(t *testing.T) {
+	set := fragments.NewSet([]string{"SELECT 1"})
+	snaps := map[string]*Snapshot{
+		"nti": {NTI: nti.MustNew(nti.WithDialect(sqltoken.Postgres))},
+		"pti": {PTI: pti.NewCached(pti.New(set, pti.WithDialect(sqltoken.SQLite)), pti.CacheNone, 0)},
+	}
+	for name, snap := range snaps {
+		ran := false
+		snap.Analyzers = []Analyzer{Func{StageName: core.AnalyzerPTI, Fn: func(ctx context.Context, req Request, st *State) (core.Result, error) {
+			ran = true
+			return core.Result{Analyzer: core.AnalyzerPTI}, nil
+		}}}
+		v, err := New(snap).Check(context.Background(), Request{Query: "SELECT 1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ran {
+			t.Errorf("%s: stage ran under a mismatched analyzer", name)
+		}
+		if !v.Attack || len(v.PTI.Reasons) == 0 || !strings.Contains(v.PTI.Reasons[0].Detail, strings.ToUpper(name)+" analyzer dialect") {
+			t.Errorf("%s: verdict = %+v, want a fail-closed refusal naming the analyzer", name, v)
+		}
 	}
 }

@@ -70,19 +70,14 @@ type Request struct {
 }
 
 // State is the per-check scratch shared by the stages of one pipeline run:
-// the lazily-produced token stream, the trace span, and flags the
+// the lazily-lexed token stream, the trace span, and flags the
 // post-verdict recording path consumes. A State is owned by exactly one
 // Check call; stages must not retain it.
 type State struct {
 	span *trace.Span
 
-	// tokens is the shared SQL token stream; nil until a stage lexes (or a
-	// tokenSource is realized). tokenSource defers an expensive conversion
-	// (e.g. decoding a daemon reply's token stream) until a later stage
-	// actually asks for tokens.
-	tokens      []sqltoken.Token
-	haveTokens  bool
-	tokenSource func() []sqltoken.Token
+	// tokens is the shared SQL token stream; nil until a stage lexes.
+	tokens []sqltoken.Token
 
 	// aux carries analyzer-family-specific shared state, such as the shell
 	// token stream of the oscmd pipeline.
@@ -97,17 +92,10 @@ type State struct {
 // all Span recording methods are nil-safe).
 func (st *State) Span() *trace.Span { return st.span }
 
-// Tokens returns the shared token stream, realizing a deferred token
-// source if one was published. Nil means no stage has lexed yet: the
-// caller may lex lazily and should then PublishTokens for later stages.
-func (st *State) Tokens() []sqltoken.Token {
-	if !st.haveTokens && st.tokenSource != nil {
-		st.tokens = st.tokenSource()
-		st.haveTokens = true
-		st.tokenSource = nil
-	}
-	return st.tokens
-}
+// Tokens returns the shared token stream. Nil means no stage has lexed
+// yet: the caller may lex lazily and should then PublishTokens for later
+// stages.
+func (st *State) Tokens() []sqltoken.Token { return st.tokens }
 
 // PublishTokens shares a lexed token stream with later stages. Publishing
 // nil is a no-op, so stages can pass through their possibly-empty lex
@@ -117,18 +105,6 @@ func (st *State) PublishTokens(toks []sqltoken.Token) {
 		return
 	}
 	st.tokens = toks
-	st.haveTokens = true
-	st.tokenSource = nil
-}
-
-// PublishTokenSource defers token production until a later stage calls
-// Tokens — used by remote stages whose wire reply carries a token stream
-// that is only worth decoding when an NTI stage will actually run.
-func (st *State) PublishTokenSource(f func() []sqltoken.Token) {
-	if st.haveTokens {
-		return
-	}
-	st.tokenSource = f
 }
 
 // Aux returns the pipeline-family scratch value set by SetAux.
@@ -182,8 +158,9 @@ type Snapshot struct {
 
 	// Dialect is the SQL dialect every analyzer in this snapshot lexes
 	// under. The zero value is sqltoken.MySQL. Requests carrying a
-	// different dialect are refused through the failure mode rather than
-	// analyzed with the wrong token boundaries.
+	// different dialect, and every request to a snapshot whose NTI or PTI
+	// handle was built for a different one, are refused through the
+	// failure mode rather than analyzed with the wrong token boundaries.
 	Dialect sqltoken.Dialect
 
 	// Set is the trusted fragment set behind the PTI stage (may be nil for
@@ -202,6 +179,26 @@ type Snapshot struct {
 	// verdict the snapshot produces so each check is attributable to
 	// exactly one policy generation even across live reloads.
 	Version string
+}
+
+// dialectMismatch reports why a request in dialect d cannot be analyzed
+// under the snapshot, or "" when it can. Analyzing under analyzers built
+// for another dialect would draw the string/code boundary wrong — exactly
+// the syntax-confusion hazard dialects exist to close — so the mismatch
+// is refused like any other unanalyzable request. The typed analyzer
+// handles are held to the snapshot's dialect too: each analyzer lexes the
+// query itself, so one built for a different dialect would silently
+// change its verdicts.
+func (s *Snapshot) dialectMismatch(d sqltoken.Dialect) string {
+	switch {
+	case d != s.Dialect:
+		return fmt.Sprintf("request dialect %s does not match analyzer dialect %s", d, s.Dialect)
+	case s.NTI != nil && s.NTI.Dialect() != s.Dialect:
+		return fmt.Sprintf("NTI analyzer dialect %s does not match snapshot dialect %s", s.NTI.Dialect(), s.Dialect)
+	case s.PTI != nil && s.PTI.Dialect() != s.Dialect:
+		return fmt.Sprintf("PTI analyzer dialect %s does not match snapshot dialect %s", s.PTI.Dialect(), s.Dialect)
+	}
+	return ""
 }
 
 // FailureMode selects how the engine resolves a check whose analysis
@@ -372,13 +369,8 @@ func (e *Engine) Check(ctx context.Context, req Request) (core.Verdict, error) {
 	}
 	attack := false
 	detail := e.overLimits(req)
-	if detail == "" && req.Dialect != snap.Dialect {
-		// Analyzing a request under analyzers built for another dialect
-		// would draw the string/code boundary wrong — exactly the
-		// syntax-confusion hazard dialects exist to close — so the
-		// mismatch is refused like any other unanalyzable request.
-		detail = fmt.Sprintf("request dialect %s does not match analyzer dialect %s",
-			req.Dialect, snap.Dialect)
+	if detail == "" {
+		detail = snap.dialectMismatch(req.Dialect)
 	}
 	if detail != "" {
 		// The request blew a pre-analysis limit: no stage runs at all.

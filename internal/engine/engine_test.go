@@ -169,26 +169,6 @@ func TestStateTokenSharing(t *testing.T) {
 	}
 }
 
-func TestStateTokenSourceDeferred(t *testing.T) {
-	decoded := 0
-	e := New(&Snapshot{Analyzers: []Analyzer{
-		Func{StageName: core.AnalyzerPTI, Fn: func(ctx context.Context, req Request, st *State) (core.Result, error) {
-			st.PublishTokenSource(func() []sqltoken.Token {
-				decoded++
-				return []sqltoken.Token{{Text: "t"}}
-			})
-			return core.Result{}, nil
-		}},
-	}})
-	// No consumer: the source must never be realized.
-	if _, err := e.Check(context.Background(), Request{Query: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if decoded != 0 {
-		t.Errorf("token source decoded %d times without a consumer", decoded)
-	}
-}
-
 func TestAuthorizeReturnsAttackError(t *testing.T) {
 	e := New(&Snapshot{Analyzers: []Analyzer{stage(core.AnalyzerPTI, true)}})
 	err := e.Authorize(context.Background(), Request{Query: "x"})

@@ -260,7 +260,32 @@ func (l *Lab) EvaluateMatrix() (*DetectionMatrix, error) {
 	m := &DetectionMatrix{Store: store}
 	m.ProfileSites = store.Sites()
 	m.ProfileSkeletons = store.Skeletons()
+	for _, class := range []string{ClassBenign, ClassOriginal, ClassNTIMutant, ClassPTIMutant, ClassFragmentRebuilt, ClassSecondOrder} {
+		m.Rows = append(m.Rows, MatrixRow{Class: class})
+	}
+	err = l.forEachMatrixCase(apps.unprotected, st, func(class string, run func(app *webapp.App) (*webapp.Page, error)) error {
+		row := m.Row(class)
+		row.Cases++
+		return apps.probe(&row.Detected, run)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range m.Rows {
+		m.TotalCases += r.Cases
+	}
+	return m, nil
+}
 
+// forEachMatrixCase enumerates the detection-matrix corpus in sweep order,
+// calling visit with each case's class and the request that replays it.
+// Benign rows (every spec's training values, then the second-order
+// route), then per spec its original exploit, NTI-evasion mutant and —
+// when Taintless adapts it into a working exploit — PTI-evasion rewrite,
+// then the two gap classes. unprotected must host the second-order plugin
+// over st: the cases that have to exploit a plain app are validated
+// against it, and st is poisoned around the second-order case.
+func (l *Lab) forEachMatrixCase(unprotected *webapp.App, st *storedState, visit func(class string, run func(app *webapp.App) (*webapp.Page, error)) error) error {
 	specRun := func(s *Spec, payload string) func(app *webapp.App) (*webapp.Page, error) {
 		return func(app *webapp.App) (*webapp.Page, error) {
 			return app.Handle(s.Name, l.Request(s, payload))
@@ -272,35 +297,26 @@ func (l *Lab) EvaluateMatrix() (*DetectionMatrix, error) {
 
 	// Benign row: the training traffic replayed against every technique;
 	// every block is a false positive.
-	benign := MatrixRow{Class: ClassBenign}
 	for _, s := range l.Specs {
 		for _, v := range benignTrainingValues(s) {
-			benign.Cases++
-			if err := apps.probe(&benign.Detected, specRun(s, v)); err != nil {
-				return nil, fmt.Errorf("benign %s: %w", s.Name, err)
+			if err := visit(ClassBenign, specRun(s, v)); err != nil {
+				return fmt.Errorf("benign %s: %w", s.Name, err)
 			}
 		}
 	}
-	benign.Cases++
-	if err := apps.probe(&benign.Detected, soRun); err != nil {
-		return nil, fmt.Errorf("benign %s: %w", secondOrderPlugin, err)
+	if err := visit(ClassBenign, soRun); err != nil {
+		return fmt.Errorf("benign %s: %w", secondOrderPlugin, err)
 	}
-	m.Rows = append(m.Rows, benign)
 
 	// Original exploits and NTI-evasion mutants, all 50 plugins each.
-	original := MatrixRow{Class: ClassOriginal}
-	ntiMut := MatrixRow{Class: ClassNTIMutant}
-	ptiMut := MatrixRow{Class: ClassPTIMutant}
 	tl := evasion.NewTaintless(l.Fragments)
 	for _, s := range l.Specs {
-		original.Cases++
-		if err := apps.probe(&original.Detected, specRun(s, s.Exploit)); err != nil {
-			return nil, fmt.Errorf("original %s: %w", s.Name, err)
+		if err := visit(ClassOriginal, specRun(s, s.Exploit)); err != nil {
+			return fmt.Errorf("original %s: %w", s.Name, err)
 		}
 		mutant, _ := l.ntiMutation(s)
-		ntiMut.Cases++
-		if err := apps.probe(&ntiMut.Detected, specRun(s, mutant)); err != nil {
-			return nil, fmt.Errorf("nti-mutant %s: %w", s.Name, err)
+		if err := visit(ClassNTIMutant, specRun(s, mutant)); err != nil {
+			return fmt.Errorf("nti-mutant %s: %w", s.Name, err)
 		}
 		// PTI-evasion rewrites: only Taintless's working adaptations (the
 		// paper's 13) form attack cases.
@@ -308,71 +324,61 @@ func (l *Lab) EvaluateMatrix() (*DetectionMatrix, error) {
 		if !ok {
 			continue
 		}
-		baseline, err := l.Run(apps.unprotected, s, s.Benign)
+		baseline, err := l.Run(unprotected, s, s.Benign)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		works, err := l.exploitWorks(s, rewrite, l.rewriteFalse(tl, s), baseline)
 		if err != nil {
-			return nil, fmt.Errorf("pti-mutant %s: %w", s.Name, err)
+			return fmt.Errorf("pti-mutant %s: %w", s.Name, err)
 		}
 		if !works {
 			continue
 		}
-		ptiMut.Cases++
-		if err := apps.probe(&ptiMut.Detected, specRun(s, rewrite)); err != nil {
-			return nil, fmt.Errorf("pti-mutant %s: %w", s.Name, err)
+		if err := visit(ClassPTIMutant, specRun(s, rewrite)); err != nil {
+			return fmt.Errorf("pti-mutant %s: %w", s.Name, err)
 		}
 	}
-	m.Rows = append(m.Rows, original, ntiMut, ptiMut)
 
 	// Gap class 1: fragment-rebuilt short payload on the base64 plugin.
-	fr := MatrixRow{Class: ClassFragmentRebuilt, Cases: 1}
 	frSpec := l.SpecByName(fragmentRebuiltPlugin)
 	if frSpec == nil {
-		return nil, fmt.Errorf("missing plugin %s", fragmentRebuiltPlugin)
+		return fmt.Errorf("missing plugin %s", fragmentRebuiltPlugin)
 	}
-	frBaseline, err := l.Run(apps.unprotected, frSpec, frSpec.Benign)
+	frBaseline, err := l.Run(unprotected, frSpec, frSpec.Benign)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	frPage, err := l.Run(apps.unprotected, frSpec, fragmentRebuiltPayload)
+	frPage, err := l.Run(unprotected, frSpec, fragmentRebuiltPayload)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if frPage.DBError || frPage.Rows <= frBaseline.Rows {
-		return nil, fmt.Errorf("fragment-rebuilt payload does not exploit the unprotected app: %+v", frPage)
+		return fmt.Errorf("fragment-rebuilt payload does not exploit the unprotected app: %+v", frPage)
 	}
-	if err := apps.probe(&fr.Detected, specRun(frSpec, fragmentRebuiltPayload)); err != nil {
-		return nil, fmt.Errorf("fragment-rebuilt: %w", err)
+	if err := visit(ClassFragmentRebuilt, specRun(frSpec, fragmentRebuiltPayload)); err != nil {
+		return fmt.Errorf("fragment-rebuilt: %w", err)
 	}
-	m.Rows = append(m.Rows, fr)
 
 	// Gap class 2: second-order-shaped. Poison the stored value and replay
 	// the same harmless request.
-	so := MatrixRow{Class: ClassSecondOrder, Cases: 1}
-	soBaseline, err := apps.unprotected.Handle(secondOrderPlugin, &webapp.Request{Get: map[string]string{"go": "1"}})
+	soBaseline, err := soRun(unprotected)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	st.value = secondOrderPayload
-	soPage, err := soRun(apps.unprotected)
+	defer func() { st.value = secondOrderBenign }()
+	soPage, err := soRun(unprotected)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if soPage.DBError || soPage.Rows <= soBaseline.Rows {
-		return nil, fmt.Errorf("second-order payload does not exploit the unprotected app: %+v", soPage)
+		return fmt.Errorf("second-order payload does not exploit the unprotected app: %+v", soPage)
 	}
-	if err := apps.probe(&so.Detected, soRun); err != nil {
-		return nil, fmt.Errorf("second-order: %w", err)
+	if err := visit(ClassSecondOrder, soRun); err != nil {
+		return fmt.Errorf("second-order: %w", err)
 	}
-	st.value = secondOrderBenign
-	m.Rows = append(m.Rows, so)
-
-	for _, r := range m.Rows {
-		m.TotalCases += r.Cases
-	}
-	return m, nil
+	return nil
 }
 
 // FormatMatrix renders the detection matrix as the Table-IV-style text

@@ -143,11 +143,19 @@ type Plugin struct {
 	Handle Handler
 }
 
+// Checker is the check an App runs before every query: the in-process
+// *joza.Guard, or any other front door with the same call shape, such as
+// a daemon-backed hybrid client. A blocked query comes back as a
+// *joza.AttackError.
+type Checker interface {
+	AuthorizeContextAt(ctx context.Context, site, query string, inputs []joza.Input) error
+}
+
 // App hosts plugins over a shared database, optionally protected by a Joza
 // guard.
 type App struct {
 	db      Querier
-	guard   *joza.Guard
+	guard   Checker
 	plugins map[string]*Plugin
 	// transforms are applied, in order, by Ctx input accessors — the
 	// application-wide input munging (e.g. WordPress magic quotes).
@@ -163,7 +171,16 @@ type AppOption func(*App)
 // WithGuard protects the app with g. A nil guard leaves the app
 // unprotected (the "plain" configuration of the performance evaluation).
 func WithGuard(g *joza.Guard) AppOption {
-	return func(a *App) { a.guard = g }
+	return func(a *App) {
+		if g != nil {
+			a.guard = g
+		}
+	}
+}
+
+// WithChecker protects the app with any Checker.
+func WithChecker(c Checker) AppOption {
+	return func(a *App) { a.guard = c }
 }
 
 // WithTransforms sets the application-wide input transformations applied

@@ -9,7 +9,6 @@ import (
 	"joza/internal/nti"
 	"joza/internal/pti"
 	"joza/internal/sqlparse"
-	"joza/internal/sqltoken"
 )
 
 // Protection is one measured configuration: a PTI transport (nil for the
@@ -262,12 +261,10 @@ func RunRequests(site *Site, reqs []*Request, prot *Protection) (Timing, error) 
 			tm.Queries++
 			if prot != nil && transport != nil {
 				t0 := time.Now()
-				var reply *daemon.AnalysisReply
 				if prot.cache.lookup(ev.Query) {
 					tm.CacheHits++
 				} else {
-					var err error
-					reply, err = transport.Analyze(ev.Query)
+					reply, err := transport.Analyze(ev.Query)
 					if err != nil {
 						requestStop()
 						return tm, fmt.Errorf("pti: %w", err)
@@ -279,14 +276,11 @@ func RunRequests(site *Site, reqs []*Request, prot *Protection) (Timing, error) 
 				}
 				tm.PTI += time.Since(t0)
 				if prot.NTI != nil {
-					// NTI reuses the daemon's token stream when the query
-					// was not answered from the cache (Section IV-D).
+					// The paper's NTI reuses the daemon's token stream
+					// (Section IV-D). Replies here carry none, so NTI lexes
+					// for itself, and only when an input matches the query.
 					t1 := time.Now()
-					var toks []sqltoken.Token
-					if reply != nil {
-						toks = reply.TokenStream()
-					}
-					res := prot.NTI.Analyze(ev.Query, toks, ev.Inputs)
+					res := prot.NTI.Analyze(ev.Query, nil, ev.Inputs)
 					tm.NTI += time.Since(t1)
 					if res.Attack {
 						return tm, fmt.Errorf("benign workload flagged by NTI: %q", ev.Query)

@@ -4,8 +4,8 @@ package joza
 // internal/daemon, so applications outside this module reach them through
 // these re-exports. The deployment mirrors Figure 5 of the paper: a
 // jozad process holds the fragment set and serves PTI analysis; the
-// application runs NTI in process over the daemon's token stream and
-// blocks a query iff either analyzer flags it.
+// application runs NTI in process, lexing the query itself, and blocks a
+// query iff either analyzer flags it.
 
 import (
 	"io"
