@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -66,11 +67,11 @@ func runLexBench(requests int) (*lexBenchResult, error) {
 	const hitQuery = "SELECT * FROM records WHERE ID=1 LIMIT 5"
 	set := fragments.NewSet([]string{"SELECT * FROM records WHERE ID=", " LIMIT 5"})
 	cached := pti.NewCached(pti.New(set), pti.CacheQueryAndStructure, 1024)
-	cached.AnalyzeLazy(hitQuery, nil) // warm
-	allocs := testing.AllocsPerRun(1000, func() { cached.AnalyzeLazy(hitQuery, nil) })
+	cached.AnalyzeLazyCtx(context.Background(), hitQuery, nil, nil) // warm
+	allocs := testing.AllocsPerRun(1000, func() { cached.AnalyzeLazyCtx(context.Background(), hitQuery, nil, nil) })
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		cached.AnalyzeLazy(hitQuery, nil)
+		cached.AnalyzeLazyCtx(context.Background(), hitQuery, nil, nil)
 	}
 	ns := float64(time.Since(start).Nanoseconds()) / float64(iters)
 	res.CacheHit = lexBenchRow{Dialect: cached.Dialect().String(), NsPerOp: ns, AllocsPerOp: allocs}

@@ -24,13 +24,13 @@
 // answer the wire protocol's "traces" verb and attach their span to the
 // reply.
 //
-// Snapshots are versioned: the daemon hashes the unsliced fragment
-// corpus, the profile store, the dialect and the analysis limits into a
-// content-derived version (every shard of one fleet generation reports
-// the same one), stamps it on replies and stats, and serves the
-// two-phase rollout verbs — prepare (rebuild + self-test without
-// swapping), commit, abort — that daemon.ShardedPool.Rollout coordinates
-// fleet-wide.
+// Snapshots are versioned: the daemon hashes the fragment corpus, the
+// profile store, the dialect and the analysis limits into a
+// content-derived version (every replica of one fleet generation reports
+// the same one), stamps it on replies and stats, and serves the two-phase
+// rollout verbs — prepare (rebuild + self-test without swapping), commit,
+// abort — that daemon.ShardedPool.Rollout coordinates fleet-wide. Every
+// daemon of a fleet serves the whole corpus.
 package main
 
 import (
@@ -50,7 +50,6 @@ import (
 	"joza/internal/daemon"
 	"joza/internal/engine"
 	"joza/internal/fragments"
-	"joza/internal/guardrail"
 	"joza/internal/installer"
 	"joza/internal/obs"
 	"joza/internal/profile"
@@ -90,7 +89,6 @@ func run(args []string) error {
 	traceSample := fs.Int("trace-sample", 1, "trace one analyze request in N (0 disables tracing)")
 	traceRing := fs.Int("trace-ring", trace.DefaultRingSize, "capacity of each trace ring buffer")
 	traceSlow := fs.Duration("trace-slow", 0, "also mark benign traces at or above this duration notable (0: attacks only)")
-	shardSpec := fs.String("shard", "", "serve shard i/n of a fleet (e.g. 0/2): keep only the fragment slice the fleet's consistent-hash ring assigns to shard i, so n daemons split the corpus (empty: serve everything)")
 	profilesPath := fs.String("profiles", "", "serve query-skeleton profile verdicts from this store file; with -watch the file is reloaded when it changes (a corrupt file keeps the prior store)")
 	learnPath := fs.String("learn", "", "profile learning mode: record (site, skeleton) pairs for requests that carry a call site and write the store here on shutdown (overrides -profiles)")
 	checkpoint := fs.Duration("checkpoint", 0, "with -learn: atomically persist the learned store at this interval, so a crash loses at most one interval of training (0: write only on graceful drain)")
@@ -99,32 +97,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	shardIdx, shardTotal, err := parseShardSpec(*shardSpec)
-	if err != nil {
-		return err
-	}
 	dialect, err := sqltoken.ParseDialect(*dialectName)
 	if err != nil {
 		return err
-	}
-	// slice keeps the shard's fragment fraction; with no -shard it is the
-	// identity, so the single-daemon path is untouched. The ring here is
-	// the same FNV-1a construction ShardedPool routes with, so a fleet
-	// whose clients key checks the way the corpus is keyed (by fragment
-	// text here; by application for per-app corpora) lands each check on
-	// the shard holding its fragments.
-	slice := func(s *fragments.Set) *fragments.Set { return s }
-	if shardTotal > 1 {
-		ring := guardrail.NewRing(shardTotal, 0)
-		slice = func(s *fragments.Set) *fragments.Set {
-			var keep []string
-			for _, f := range s.Fragments() {
-				if ring.Owner(f) == shardIdx {
-					keep = append(keep, f)
-				}
-			}
-			return fragments.NewSetKeepAll(keep)
-		}
 	}
 
 	var (
@@ -156,42 +131,35 @@ $q = "SELECT * FROM records WHERE ID=$id LIMIT 5";`))
 	if *maxTokens > 0 {
 		ptiOpts = append(ptiOpts, pti.WithMaxTokens(*maxTokens))
 	}
-	newAnalyzer := func(s *fragments.Set) *pti.Cached {
-		return pti.NewCached(pti.New(s, ptiOpts...), mode, *cacheCap)
+	var recorder *profile.Recorder
+	if *learnPath != "" {
+		recorder = profile.NewRecorderDialect(dialect)
+		log.Printf("profile learning: will write %s on shutdown", *learnPath)
 	}
-	// buildServing turns the unsliced corpus into the bundle the daemon
-	// serves whole: the shard's analyzer slice, the profile store, and the
-	// content-derived snapshot version. The version hashes the corpus
-	// BEFORE slicing, so every shard of one fleet generation reports the
-	// same version — the slices differ, the generation does not.
+	// buildSnapshot turns the corpus into the snapshot the daemon serves
+	// whole: the analyzer, the profile store (or the learning recorder),
+	// and the content-derived snapshot version.
 	limitsTag := fmt.Sprintf("q%d:t%d", *maxQueryBytes, *maxTokens)
-	buildServing := func(full *fragments.Set) (*daemon.Serving, int, error) {
-		fresh := slice(full)
-		if fresh.Len() == 0 {
-			if shardTotal > 1 {
-				return nil, 0, fmt.Errorf("shard %d/%d owns no fragments; the corpus is too small to slice %d ways", shardIdx, shardTotal, shardTotal)
-			}
-			return nil, 0, fmt.Errorf("no SQL-bearing fragments found")
+	buildSnapshot := func(corpus *fragments.Set) (*engine.Snapshot, error) {
+		if corpus.Len() == 0 {
+			return nil, fmt.Errorf("no SQL-bearing fragments found")
 		}
-		var store *profile.Store
-		if *learnPath == "" && *profilesPath != "" {
-			var err error
-			store, err = profile.Load(*profilesPath)
+		profiles := engine.ProfileStage{Recorder: recorder}
+		if recorder == nil && *profilesPath != "" {
+			store, err := profile.Load(*profilesPath)
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			// Skeletons only compare within one dialect: refuse a store
 			// trained under another rather than serve verdicts computed
 			// across lexers.
 			if err := store.ForDialect(dialect); err != nil {
-				return nil, 0, fmt.Errorf("%s: %w", *profilesPath, err)
+				return nil, fmt.Errorf("%s: %w", *profilesPath, err)
 			}
+			profiles.Store = store
 		}
-		return &daemon.Serving{
-			Analyzer: newAnalyzer(fresh),
-			Profiles: store,
-			Version:  engine.ComputeVersion(full, store, dialect, limitsTag),
-		}, fresh.Len(), nil
+		analyzer := pti.NewCached(pti.New(corpus, ptiOpts...), mode, *cacheCap)
+		return daemon.NewSnapshot(analyzer, profiles, engine.ComputeVersion(corpus, profiles.Store, dialect, limitsTag)), nil
 	}
 	tracer := trace.New(trace.Config{
 		SampleEvery:   *traceSample,
@@ -204,49 +172,37 @@ $q = "SELECT * FROM records WHERE ID=$id LIMIT 5";`))
 		daemon.WithAdmission(*maxInflight, *admissionWait),
 		daemon.WithTracer(tracer),
 	}
-	var recorder *profile.Recorder
-	if *learnPath != "" {
-		recorder = profile.NewRecorderDialect(dialect)
-		srvOpts = append(srvOpts, daemon.WithProfileRecorder(recorder))
-		log.Printf("profile learning: will write %s on shutdown", *learnPath)
-	}
-	serving, served, err := buildServing(set)
+	snap, err := buildSnapshot(set)
 	if err != nil {
 		return err
 	}
-	if serving.Profiles != nil {
-		log.Printf("profiles loaded: %d sites, %d skeletons", serving.Profiles.Sites(), serving.Profiles.Skeletons())
+	if snap.Profiles != nil {
+		log.Printf("profiles loaded: %d sites, %d skeletons", snap.Profiles.Sites(), snap.Profiles.Skeletons())
 	}
 	srvOpts = append(srvOpts,
-		daemon.WithServing(serving),
-		// prepare rebuilds the whole bundle from the sources of record —
+		daemon.WithSnapshot(snap),
+		// prepare rebuilds the whole snapshot from the sources of record —
 		// re-extracted fragments AND a fresh profile load — so a committed
 		// rollout can never pair fragments from one generation with
 		// profiles from another.
-		daemon.WithReloader(func(ctx context.Context) (*daemon.Serving, error) {
-			full := set
+		daemon.WithReloader(func(ctx context.Context) (*engine.Snapshot, error) {
 			if ins != nil {
 				if _, err := ins.Refresh(); err != nil {
 					return nil, err
 				}
-				full = ins.Set()
+				return buildSnapshot(ins.Set())
 			}
-			sv, _, err := buildServing(full)
-			return sv, err
+			return buildSnapshot(set)
 		}),
 		daemon.WithRolloutHook(testPhaseSleep),
 	)
-	srv := daemon.NewServer(serving.Analyzer, srvOpts...)
+	srv := daemon.NewServer(snap.PTI, srvOpts...)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	if shardTotal > 1 {
-		log.Printf("serving PTI analysis on %s (shard %d/%d, %d fragments, %s, %s, snapshot %s)", ln.Addr(), shardIdx, shardTotal, served, mode, dialect, serving.Version)
-	} else {
-		log.Printf("serving PTI analysis on %s (%d fragments, %s, %s, snapshot %s)", ln.Addr(), served, mode, dialect, serving.Version)
-	}
+	log.Printf("serving PTI analysis on %s (%d fragments, %s, %s, snapshot %s)", ln.Addr(), set.Len(), mode, dialect, snap.Version)
 
 	// draining flips /readyz not-ready ahead of the listener closing, so
 	// load balancers stop routing new connections while the daemon still
@@ -314,19 +270,17 @@ $q = "SELECT * FROM records WHERE ID=$id LIMIT 5";`))
 				}
 				full := set
 				if ins != nil {
-					// Reloads slice too, so a sharded daemon keeps serving
-					// only its fraction of the refreshed corpus.
 					full = ins.Set()
 				}
-				sv, n, err := buildServing(full)
+				next, err := buildSnapshot(full)
 				if err != nil {
 					pending = true
 					log.Printf("reload: %v (keeping prior snapshot)", err)
 					continue
 				}
 				pending = false
-				srv.SetServing(sv)
-				log.Printf("snapshot reloaded: %d fragments, version %s", n, sv.Version)
+				srv.SetSnapshot(next)
+				log.Printf("snapshot reloaded: %d fragments, version %s", full.Len(), next.Version)
 			}
 		}()
 	}
@@ -443,20 +397,6 @@ func testPhaseSleep(phase string) {
 			time.Sleep(d)
 		}
 	}
-}
-
-// parseShardSpec parses "-shard i/n". Empty means unsharded (0, 1).
-func parseShardSpec(s string) (idx, total int, err error) {
-	if s == "" {
-		return 0, 1, nil
-	}
-	if _, err := fmt.Sscanf(s, "%d/%d", &idx, &total); err != nil {
-		return 0, 0, fmt.Errorf("invalid -shard %q: want i/n, e.g. 0/2", s)
-	}
-	if total < 1 || idx < 0 || idx >= total {
-		return 0, 0, fmt.Errorf("invalid -shard %q: want 0 <= i < n", s)
-	}
-	return idx, total, nil
 }
 
 func parseCacheMode(s string) (pti.CacheMode, error) {

@@ -2,18 +2,15 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"joza/internal/daemon"
-	"joza/internal/guardrail"
 	"joza/internal/trace"
 )
 
@@ -25,112 +22,6 @@ func TestParseCacheMode(t *testing.T) {
 	}
 	if _, err := parseCacheMode("bogus"); err == nil {
 		t.Error("bad mode must error")
-	}
-}
-
-func TestParseShardSpec(t *testing.T) {
-	idx, total, err := parseShardSpec("")
-	if err != nil || idx != 0 || total != 1 {
-		t.Fatalf("empty spec = (%d, %d, %v), want (0, 1, nil)", idx, total, err)
-	}
-	idx, total, err = parseShardSpec("1/4")
-	if err != nil || idx != 1 || total != 4 {
-		t.Fatalf("1/4 = (%d, %d, %v), want (1, 4, nil)", idx, total, err)
-	}
-	for _, bad := range []string{"x", "1", "2/2", "-1/2", "0/0", "3/2"} {
-		if _, _, err := parseShardSpec(bad); err == nil {
-			t.Errorf("parseShardSpec(%q) must error", bad)
-		}
-	}
-}
-
-// TestShardedDaemonServesOnlyItsSlice boots two jozad shards of the same
-// corpus and proves the slicing is real and complementary: a query whose
-// fragment the ring assigns to shard 0 is covered (benign) on shard 0 and
-// uncovered (attack) on shard 1, and vice versa.
-func TestShardedDaemonServesOnlyItsSlice(t *testing.T) {
-	// Fully static query strings become whole fragments, so a query equal
-	// to one is completely covered wherever its fragment lives. Pick one
-	// query owned by each ring shard.
-	ring := guardrail.NewRing(2, 0)
-	var queries []string
-	byShard := [2]string{}
-	for i := 0; byShard[0] == "" || byShard[1] == ""; i++ {
-		q := fmt.Sprintf("SELECT col%d FROM table%d WHERE flag=1", i, i)
-		queries = append(queries, q)
-		if s := ring.Owner(q); byShard[s] == "" {
-			byShard[s] = q
-		}
-	}
-	var php strings.Builder
-	php.WriteString("<?php\n")
-	for i, q := range queries {
-		fmt.Fprintf(&php, "$q%d = \"%s\";\n", i, q)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "app.php"), []byte(php.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	boot := func(spec string) (addr string, stop func()) {
-		ready := make(chan string, 1)
-		testReady = func(daemonAddr, _ string) { ready <- daemonAddr }
-		defer func() { testReady = nil }()
-		runErr := make(chan error, 1)
-		go func() {
-			runErr <- run([]string{"-src", dir, "-shard", spec, "-addr", "127.0.0.1:0", "-drain", "5s"})
-		}()
-		select {
-		case addr = <-ready:
-		case err := <-runErr:
-			t.Fatalf("shard %s did not come up: %v", spec, err)
-		case <-time.After(10 * time.Second):
-			t.Fatalf("shard %s did not come up", spec)
-		}
-		return addr, func() {
-			_ = syscall.Kill(os.Getpid(), syscall.SIGTERM)
-			select {
-			case <-runErr:
-			case <-time.After(10 * time.Second):
-				t.Errorf("shard %s did not drain", spec)
-			}
-		}
-	}
-
-	check := func(addr, query string) bool {
-		t.Helper()
-		c, err := daemon.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		reply, err := c.Analyze(query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reply.Attack
-	}
-
-	// Booted one at a time: both instances register SIGTERM on the same
-	// process, so stopping one would stop them both.
-	addr0, stop0 := boot("0/2")
-	q0attack, q1onShard0 := check(addr0, byShard[0]), check(addr0, byShard[1])
-	stop0()
-	addr1, stop1 := boot("1/2")
-	q0onShard1, q1attack := check(addr1, byShard[0]), check(addr1, byShard[1])
-	stop1()
-
-	if q0attack {
-		t.Error("shard 0 flagged its own fragment's query as attack; slice missing its keyspace")
-	}
-	if !q1onShard0 {
-		t.Error("shard 0 covered shard 1's query; slicing did not drop foreign fragments")
-	}
-	if q1attack {
-		t.Error("shard 1 flagged its own fragment's query as attack; slice missing its keyspace")
-	}
-	if !q0onShard1 {
-		t.Error("shard 1 covered shard 0's query; slicing did not drop foreign fragments")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"joza/internal/sqltoken"
+	"joza/internal/trace"
 )
 
 // ErrOverBudget marks an analysis that exceeded a configured cost budget
@@ -76,6 +77,19 @@ type Verdict struct {
 	// runs whole against exactly one snapshot, so the version attributes
 	// the verdict to one policy generation even across live reloads.
 	Version string `json:"version,omitempty"`
+	// Skeleton and ProfileOutcome are the profile stage's evidence: the
+	// query's skeleton and how the call site's profile classified it
+	// ("learned", "seen", "unseen" or "site-unknown"). Both are empty
+	// when the stage did not run.
+	Skeleton       string `json:"skeleton,omitempty"`
+	ProfileOutcome string `json:"profileOutcome,omitempty"`
+	// Trace is the check's finished decision trace, nil when the tracer
+	// did not capture it. A wire front door attaches it to its reply.
+	Trace *trace.Span `json:"-"`
+	// Failed marks a verdict the engine's failure mode resolved: a limit
+	// or dialect mismatch refused the check before any stage, or a stage
+	// panicked or ran over budget.
+	Failed bool `json:"-"`
 }
 
 // DetectedBy returns the analyzers that flagged the query.

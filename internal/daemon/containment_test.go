@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
 	"runtime"
@@ -10,9 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"joza/internal/core"
 	"joza/internal/engine"
 	"joza/internal/fragments"
 	"joza/internal/nti"
+	"joza/internal/profile"
 	"joza/internal/pti"
 )
 
@@ -70,45 +73,112 @@ func TestServerAdmissionSheds(t *testing.T) {
 
 // TestServerRefusesHostileOversizedQuery proves a 4 MB query cannot buy
 // 4 MB worth of analysis: the budgeted analyzer rejects it up front, the
-// reply arrives well inside the client deadline on a healthy stream, and
-// the event is counted as over-budget, not as a timeout.
+// engine resolves the refusal fail-closed into an attack reply that
+// arrives well inside the client deadline on a healthy stream, and the
+// event is counted as over-budget, not as a timeout. The payloads are one
+// long comment token and a many-token IN list, which the cache's
+// structure key and lexer would otherwise chew through before the cap.
 func TestServerRefusesHostileOversizedQuery(t *testing.T) {
+	payloads := map[string]string{
+		"comment": benignQuery + " -- " + strings.Repeat("A", 4<<20),
+		"in-list": "SELECT * FROM records WHERE ID IN (1" + strings.Repeat(",1", 2<<20) + ")",
+	}
+	for name, hostile := range payloads {
+		t.Run(name, func(t *testing.T) {
+			set := fragments.NewSet([]string{"SELECT * FROM records WHERE ID=", " LIMIT 5"})
+			budgeted := pti.NewCached(pti.New(set, pti.WithMaxQueryBytes(1<<20)), pti.CacheQueryAndStructure, 128)
+			srv := NewServer(budgeted, WithMaxRequestBytes(16<<20))
+			clientSide, serverSide := net.Pipe()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				srv.ServeConn(serverSide)
+			}()
+			c := NewClient(clientSide)
+			defer func() {
+				_ = c.Close()
+				<-done
+			}()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			start := time.Now()
+			reply, err := c.AnalyzeContext(ctx, hostile)
+			if err != nil {
+				t.Fatalf("over-budget query: %v, want a fail-closed reply", err)
+			}
+			if !reply.Attack || len(reply.Reasons) != 1 || !strings.Contains(reply.Reasons[0].Detail, "budget") {
+				t.Fatalf("reply = %+v, want a fail-closed attack naming the budget", reply)
+			}
+			if elapsed := time.Since(start); elapsed > 3*time.Second {
+				t.Fatalf("refusal took %s — the budget must reject before the work, not after", elapsed)
+			}
+			if c.Broken() {
+				t.Fatal("over-budget reply broke the connection — it must ride the healthy stream")
+			}
+			st := srv.Stats()
+			if st.OverBudgetChecks != 1 || st.DaemonTimeouts != 0 {
+				t.Fatalf("counters = overBudget %d, timeouts %d; want 1 and 0", st.OverBudgetChecks, st.DaemonTimeouts)
+			}
+			if st.CacheMisses != 0 {
+				t.Fatalf("the oversized query reached the cache (%d misses); the cap must refuse it first", st.CacheMisses)
+			}
+			// The same connection still serves real traffic.
+			reply, err = c.Analyze(benignQuery)
+			if err != nil || reply.Attack {
+				t.Fatalf("after refusal: reply=%+v err=%v", reply, err)
+			}
+		})
+	}
+}
+
+// TestOversizedQueryRunsNoStage sends a many-token oversized query as a
+// raw flagless frame — the peer that gets token streams — carrying a call
+// site, to a server with a profile store and to a learning one. The byte
+// cap must refuse it before any stage runs: a short fail-closed reply with
+// no tokens, no cache lookup, and no skeleton computed or learned.
+func TestOversizedQueryRunsNoStage(t *testing.T) {
+	hostile := "SELECT * FROM records WHERE ID IN (1" + strings.Repeat(",1", 2<<20) + ")"
+	frame, err := json.Marshal(wireRequest{Query: hostile, Site: "plugin:records"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	set := fragments.NewSet([]string{"SELECT * FROM records WHERE ID=", " LIMIT 5"})
-	budgeted := pti.NewCached(pti.New(set, pti.WithMaxQueryBytes(1<<20)), pti.CacheQueryAndStructure, 128)
-	srv := NewServer(budgeted, WithMaxRequestBytes(16<<20))
-	clientSide, serverSide := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.ServeConn(serverSide)
-	}()
-	c := NewClient(clientSide)
-	defer func() {
-		_ = c.Close()
-		<-done
-	}()
-	hostile := benignQuery + " -- " + strings.Repeat("A", 4<<20)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	start := time.Now()
-	_, err := c.AnalyzeContext(ctx, hostile)
-	if err == nil || !strings.Contains(err.Error(), "budget") {
-		t.Fatalf("err = %v, want an over-budget refusal", err)
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("refusal took %s — the budget must reject before the work, not after", elapsed)
-	}
-	if c.Broken() {
-		t.Fatal("over-budget reply broke the connection — it must ride the healthy stream")
-	}
-	st := srv.Stats()
-	if st.OverBudgetChecks != 1 || st.DaemonTimeouts != 0 {
-		t.Fatalf("counters = overBudget %d, timeouts %d; want 1 and 0", st.OverBudgetChecks, st.DaemonTimeouts)
-	}
-	// The same connection still serves real traffic.
-	reply, err := c.Analyze(benignQuery)
-	if err != nil || reply.Attack {
-		t.Fatalf("after refusal: reply=%+v err=%v", reply, err)
+	for _, tc := range []struct {
+		name string
+		rec  *profile.Recorder
+		st   *profile.Store
+	}{
+		{name: "profiled", st: trainedStore()},
+		{name: "learning", rec: profile.NewRecorder()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := pti.NewCached(pti.New(set, pti.WithMaxQueryBytes(1<<20)), pti.CacheQueryAndStructure, 128)
+			snap := NewSnapshot(a, engine.ProfileStage{Store: tc.st, Recorder: tc.rec}, "")
+			srv := NewServer(a, WithSnapshot(snap), WithMaxRequestBytes(16<<20))
+			line := rawConn(t, srv)(string(frame))
+			if len(line) > 1024 {
+				t.Fatalf("reply is %d bytes, want a short refusal", len(line))
+			}
+			var resp wireResponse
+			if err := json.Unmarshal([]byte(line), &resp); err != nil {
+				t.Fatal(err)
+			}
+			r := resp.Reply
+			if r == nil || !r.Attack || len(r.Reasons) != 1 || !strings.Contains(r.Reasons[0].Detail, "budget") {
+				t.Fatalf("reply = %s, want a fail-closed attack naming the budget", line)
+			}
+			if len(r.Tokens) != 0 || r.Profile != nil {
+				t.Fatalf("reply = %s, want no tokens and no profile verdict", line)
+			}
+			if tc.rec != nil {
+				if _, n := tc.rec.Len(); n != 0 {
+					t.Fatalf("the recorder learned %d skeletons from a refused query", n)
+				}
+			}
+			if st := srv.Stats(); st.CacheMisses != 0 || st.OverBudgetChecks != 1 {
+				t.Fatalf("cache misses %d, over-budget checks %d; want 0 and 1", st.CacheMisses, st.OverBudgetChecks)
+			}
+		})
 	}
 }
 
@@ -327,4 +397,88 @@ func TestHybridBreakerInMetricsAndFailureMode(t *testing.T) {
 	if snap.BreakerState != "open" || snap.BreakerTrips != 1 {
 		t.Fatalf("breaker in metrics = %q/%d trips, want open/1", snap.BreakerState, snap.BreakerTrips)
 	}
+}
+
+// TestServerContainsStagePanic: a snapshot whose PTI stage panics answers
+// through the engine's failure mode — a fail-closed attack reply whose
+// reason names the panic — with the panic counted and the connection
+// serving the next request, instead of the daemon process dying.
+func TestServerContainsStagePanic(t *testing.T) {
+	snap := NewSnapshot(newAnalyzer(), engine.ProfileStage{}, "")
+	snap.Analyzers = []engine.Analyzer{engine.Func{
+		StageName: core.AnalyzerPTI,
+		Fn: func(context.Context, engine.Request, *engine.State) (core.Result, error) {
+			panic("corrupt fragment index")
+		},
+	}}
+	srv := NewServer(newAnalyzer(), WithSnapshot(snap))
+	c, stop := spawnOn(t, srv)
+	defer stop()
+	for i := 1; i <= 2; i++ {
+		reply, err := c.Analyze(benignQuery)
+		if err != nil {
+			t.Fatalf("check %d: %v, want a fail-closed reply", i, err)
+		}
+		if !reply.Attack || len(reply.Reasons) != 1 || !strings.Contains(reply.Reasons[0].Detail, "corrupt fragment index") {
+			t.Fatalf("check %d: reply = %+v, want a fail-closed attack naming the panic", i, reply)
+		}
+		if c.Broken() {
+			t.Fatalf("check %d broke the connection", i)
+		}
+		if got := srv.Stats().PanicsRecovered; got != uint64(i) {
+			t.Fatalf("PanicsRecovered = %d after %d checks", got, i)
+		}
+	}
+	// A flagless peer gets the same reply, without a token stream.
+	var resp wireResponse
+	if err := json.Unmarshal([]byte(rawConn(t, srv)(`{"query":"`+benignQuery+`"}`)), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Reply == nil || !resp.Reply.Attack || len(resp.Reply.Tokens) != 0 {
+		t.Fatalf("flagless reply = %+v, want a fail-closed attack with no tokens", resp.Reply)
+	}
+	// Installing a sound snapshot heals the same connection.
+	srv.SetSnapshot(NewSnapshot(newAnalyzer(), engine.ProfileStage{}, ""))
+	if reply, err := c.Analyze(benignQuery); err != nil || reply.Attack {
+		t.Fatalf("after the swap: reply=%+v err=%v", reply, err)
+	}
+}
+
+// TestVersionPinHoldsAcrossCommits races snapshot swaps against pinned
+// requests: every reply must come from the pinned snapshot, and every
+// other outcome must be the version refusal. A commit may land between the
+// handler's pin check and the analysis; the verdict's own version catches
+// that.
+func TestVersionPinHoldsAcrossCommits(t *testing.T) {
+	const pinned, other = "aaaaaaaaaaaaaaaa", "bbbbbbbbbbbbbbbb"
+	a, b := testSnapshot(pinned), testSnapshot(other)
+	srv := NewServer(newAnalyzer(), WithSnapshot(a))
+	stopFlip := make(chan struct{})
+	flipped := make(chan struct{})
+	go func() {
+		defer close(flipped)
+		for i := 0; ; i++ {
+			select {
+			case <-stopFlip:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				srv.SetSnapshot(b)
+			} else {
+				srv.SetSnapshot(a)
+			}
+		}
+	}()
+	send := rawConn(t, srv)
+	frame := `{"query":"` + benignQuery + `","version":"` + pinned + `","no_tokens":true}`
+	refusal := `{"error":"version mismatch: request pinned to snapshot \"` + pinned + `\", daemon serves \"` + other + `\""}` + "\n"
+	answered := `{"reply":{"attack":false,"version":"` + pinned + `"}}` + "\n"
+	for i := 0; i < 2000; i++ {
+		if got := send(frame); got != answered && got != refusal {
+			t.Fatalf("request %d: %s", i, got)
+		}
+	}
+	close(stopFlip)
+	<-flipped
 }

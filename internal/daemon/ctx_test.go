@@ -130,7 +130,7 @@ func TestServerHonorsWireDeadline(t *testing.T) {
 	if reply.Attack {
 		t.Error("benign flagged")
 	}
-	if got := srv.collector.Snapshot().Checks; got != 1 {
+	if got := srv.Stats().Checks; got != 1 {
 		t.Errorf("server recorded %d checks, want 1 (timed-out analyze must not count)", got)
 	}
 }

@@ -9,6 +9,15 @@
 // needs tokens: the daemon on a PTI cache miss, the client when an input
 // matches the query.
 //
+// The daemon runs the same pipeline as the in-process Guard: Server and
+// Direct are wire front doors over an engine.Engine serving one
+// engine.Snapshot (see NewSnapshot) of the PTI and query-skeleton profile
+// stages, so budgets, panic containment, metrics and tracing are the
+// engine's. Analysis failures resolve fail-closed into attack replies.
+// The snapshot swaps whole (SetSnapshot, or the prepare/commit rollout
+// verbs), and a fleet's daemons are replicas that each serve the whole
+// fragment corpus.
+//
 // Two transports are provided, mirroring the paper's deployment study:
 //
 //   - Remote: newline-delimited JSON over a net.Conn (named/anonymous
@@ -29,10 +38,9 @@ package daemon
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"joza/internal/core"
+	"joza/internal/engine"
 	"joza/internal/metrics"
 	"joza/internal/profile"
 	"joza/internal/pti"
@@ -129,50 +137,77 @@ func (r *AnalysisReply) Result() core.Result {
 	return res
 }
 
-// analyzeCtx is the shared daemon-side analysis with decision tracing and
-// cooperative cancellation. A non-nil span records the lex duration, the
-// cache outcome, the fragment-cover duration and the per-token cover
-// evidence. With withTokens (a flagless wire peer) the query is lexed up
-// front, because its token stream rides the reply; otherwise the analyzer
-// lexes lazily, only on a PTI cache miss. ctx is checked before the lex
-// and through the analyzer's checkpoints, so a request whose
-// wire-propagated budget has expired fails with ctx's error instead of
-// burning daemon time on an abandoned query.
-func analyzeCtx(ctx context.Context, analyzer *pti.Cached, query string, span *trace.Span, withTokens bool) (*AnalysisReply, error) {
-	if ctx.Done() != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+// NewSnapshot assembles the engine snapshot a daemon serves: the PTI stage
+// over analyzer, then the profile stage when it holds a store or a
+// learning recorder, labeled with version ("" for unversioned). Server and
+// Direct run every check over such a snapshot with engine.Check, so the
+// daemon shares the in-process Guard's pipeline, containment and
+// recording.
+func NewSnapshot(analyzer *pti.Cached, profiles engine.ProfileStage, version string) *engine.Snapshot {
+	return withProfiles(&engine.Snapshot{
+		Analyzers: []engine.Analyzer{engine.PTIStage{Analyzer: analyzer}},
+		Dialect:   analyzer.Dialect(),
+		Set:       analyzer.Set(),
+		PTI:       analyzer,
+		Version:   version,
+	}, profiles)
+}
+
+// withProfiles returns a copy of snap whose profile stage is profiles: any
+// profile stage snap had is replaced (or dropped, when profiles holds
+// neither a store nor a recorder) and every other stage keeps its place.
+func withProfiles(snap *engine.Snapshot, profiles engine.ProfileStage) *engine.Snapshot {
+	next := *snap
+	next.Analyzers = make([]engine.Analyzer, 0, len(snap.Analyzers)+1)
+	for _, a := range snap.Analyzers {
+		if _, ok := a.(engine.ProfileStage); !ok {
+			next.Analyzers = append(next.Analyzers, a)
 		}
 	}
-	var toks []sqltoken.Token
-	if withTokens {
-		var lexStart time.Time
-		if span.Active() {
-			lexStart = time.Now()
+	if profiles.Store != nil || profiles.Recorder != nil {
+		next.Analyzers = append(next.Analyzers, profiles)
+	}
+	next.Profiles = profiles.Store
+	return &next
+}
+
+// newEngine returns the engine a Server or Direct runs snap on. A query
+// over the analyzer's byte cap is refused before any stage runs — no cache
+// lookup, lex, skeleton or profile learning — as the in-process Guard
+// refuses it. The cap is read once: every snapshot swapped in later is
+// built with the same analyzer options.
+func newEngine(snap *engine.Snapshot, opts ...engine.Option) *engine.Engine {
+	if snap.PTI != nil {
+		opts = append(opts, engine.WithLimits(engine.Limits{MaxQueryBytes: snap.PTI.MaxQueryBytes()}))
+	}
+	return engine.New(snap, opts...)
+}
+
+// replyFor turns the verdict of a check on site into its wire reply; Server
+// and Direct both answer through it. The PTI slot rides Attack and Reasons,
+// together with any attack the profile slot does not account for, so a
+// failed check the engine resolved fail-closed is never answered as safe.
+// The profile stage's evidence rides Profile, and the finished span Trace.
+func replyFor(v core.Verdict, site string) *AnalysisReply {
+	r := &AnalysisReply{
+		Attack:  v.PTI.Attack || (v.Attack && !v.Profile.Attack),
+		Trace:   v.Trace,
+		Version: v.Version,
+	}
+	if len(v.PTI.Reasons) > 0 {
+		r.Reasons = make([]ReasonJSON, len(v.PTI.Reasons))
+		for i, reason := range v.PTI.Reasons {
+			r.Reasons[i] = ReasonJSON{Token: toTokenJSON(reason.Token), Detail: reason.Detail}
 		}
-		toks = analyzer.Dialect().Lex(query)
-		if span.Active() {
-			span.Lex(time.Since(lexStart))
+	}
+	if v.ProfileOutcome != "" || v.Profile.Attack {
+		p := &ProfileReply{Attack: v.Profile.Attack, Outcome: v.ProfileOutcome, Site: site, Skeleton: v.Skeleton}
+		if len(v.Profile.Reasons) > 0 {
+			p.Detail = v.Profile.Reasons[0].Detail
 		}
+		r.Profile = p
 	}
-	res, _, err := analyzer.AnalyzeLazyCtx(ctx, query, toks, span)
-	if err != nil {
-		return nil, err
-	}
-	reply := &AnalysisReply{Attack: res.Attack}
-	if withTokens {
-		reply.Tokens = make([]TokenJSON, len(toks))
-		for i, t := range toks {
-			reply.Tokens[i] = toTokenJSON(t)
-		}
-	}
-	for _, reason := range res.Reasons {
-		reply.Reasons = append(reply.Reasons, ReasonJSON{
-			Token:  toTokenJSON(reason.Token),
-			Detail: reason.Detail,
-		})
-	}
-	return reply, nil
+	return r
 }
 
 // siteTransport is the optional transport extension that carries a
@@ -182,36 +217,6 @@ func analyzeCtx(ctx context.Context, analyzer *pti.Cached, query string, span *t
 // never produce profile verdicts.
 type siteTransport interface {
 	AnalyzeSiteContext(ctx context.Context, site, query string) (*AnalysisReply, error)
-}
-
-// profileReplyFor computes the profile verdict one of the daemon-side
-// transports attaches to an analyze reply: learning mode records and
-// reports "learned"; enforcement classifies the skeleton against the
-// store. Returns nil when there is no site or no profile machinery at all.
-func profileReplyFor(store *profile.Store, rec *profile.Recorder, site, query string) *ProfileReply {
-	if site == "" || (store == nil && rec == nil) {
-		return nil
-	}
-	if rec != nil {
-		sk := rec.Record(site, query)
-		return &ProfileReply{Outcome: "learned", Site: site, Skeleton: sk}
-	}
-	// Skeletons are only comparable when computed under the dialect the
-	// store was trained with (the daemon front door verifies store and
-	// analyzer agree at load time).
-	sk := profile.SkeletonDialect(store.Dialect(), query)
-	p := &ProfileReply{Site: site, Skeleton: sk}
-	switch store.Lookup(site, sk) {
-	case profile.SkeletonSeen:
-		p.Outcome = "seen"
-	case profile.SkeletonUnseen:
-		p.Outcome = "unseen"
-		p.Attack = true
-		p.Detail = fmt.Sprintf("query skeleton never seen from call site %q during training: %s", site, sk)
-	case profile.SiteUnknown:
-		p.Outcome = "site-unknown"
-	}
-	return p
 }
 
 // Transport is the application's view of the PTI analysis, independent of
@@ -227,13 +232,12 @@ type Transport interface {
 	Close() error
 }
 
-// Direct is the in-process transport (the "PHP extension" estimate). Its
-// replies carry no token stream: the caller's NTI analyzer lexes for
-// itself, exactly as a current client of the wire transport does.
+// Direct is the in-process transport (the "PHP extension" estimate): the
+// daemon's pipeline with no wire in between. Its replies carry no token
+// stream: the caller's NTI analyzer lexes for itself, exactly as a current
+// client of the wire transport does.
 type Direct struct {
-	analyzer *pti.Cached
-	profiles *profile.Store
-	recorder *profile.Recorder
+	eng *engine.Engine
 }
 
 var _ Transport = (*Direct)(nil)
@@ -241,36 +245,34 @@ var _ siteTransport = (*Direct)(nil)
 
 // NewDirect returns a Direct transport over analyzer.
 func NewDirect(analyzer *pti.Cached) *Direct {
-	return &Direct{analyzer: analyzer}
+	return &Direct{eng: newEngine(NewSnapshot(analyzer, engine.ProfileStage{}, ""))}
 }
 
 // SetProfiles installs the query-skeleton profile store consulted by
 // AnalyzeSiteContext. Call before serving checks.
-func (d *Direct) SetProfiles(st *profile.Store) { d.profiles = st }
-
-// SetProfileRecorder puts the transport in profile learning mode.
-func (d *Direct) SetProfileRecorder(r *profile.Recorder) { d.recorder = r }
+func (d *Direct) SetProfiles(st *profile.Store) {
+	d.eng.Swap(withProfiles(d.eng.Snapshot(), engine.ProfileStage{Store: st}))
+}
 
 // Analyze implements Transport.
 func (d *Direct) Analyze(query string) (*AnalysisReply, error) {
-	return analyzeCtx(context.Background(), d.analyzer, query, nil, false)
+	return d.AnalyzeSiteContext(context.Background(), "", query)
 }
 
 // AnalyzeContext implements Transport: there is no wire to bound, so ctx
 // only gates the in-process analysis.
 func (d *Direct) AnalyzeContext(ctx context.Context, query string) (*AnalysisReply, error) {
-	return analyzeCtx(ctx, d.analyzer, query, nil, false)
+	return d.AnalyzeSiteContext(ctx, "", query)
 }
 
 // AnalyzeSiteContext implements siteTransport: AnalyzeContext plus the
 // query-skeleton profile verdict for site.
 func (d *Direct) AnalyzeSiteContext(ctx context.Context, site, query string) (*AnalysisReply, error) {
-	reply, err := analyzeCtx(ctx, d.analyzer, query, nil, false)
+	v, err := d.eng.Check(ctx, engine.Request{Query: query, Site: site, Dialect: d.eng.Snapshot().Dialect})
 	if err != nil {
 		return nil, err
 	}
-	reply.Profile = profileReplyFor(d.profiles, d.recorder, site, query)
-	return reply, nil
+	return replyFor(v, site), nil
 }
 
 // Close implements Transport.

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"joza/internal/core"
+	"joza/internal/engine"
 	"joza/internal/metrics"
 	"joza/internal/nti"
 	"joza/internal/profile"
@@ -195,7 +196,8 @@ func TestPoolNoCrossTalkUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(newAnalyzer(), WithProfileRecorder(profile.NewRecorder()))
+	a := newAnalyzer()
+	srv := NewServer(a, WithSnapshot(NewSnapshot(a, engine.ProfileStage{Recorder: profile.NewRecorder()}, "")))
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 

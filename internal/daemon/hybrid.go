@@ -253,7 +253,7 @@ func (s remoteProfileStage) Analyze(ctx context.Context, req engine.Request, st 
 		return res, nil
 	}
 	p := reply.Profile
-	st.Span().SetProfile(p.Site, p.Skeleton, p.Outcome)
+	st.SetProfile(p.Site, p.Skeleton, p.Outcome)
 	switch {
 	case p.Attack:
 		res.Attack = true

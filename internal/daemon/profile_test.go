@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"joza/internal/core"
+	"joza/internal/engine"
 	"joza/internal/nti"
 	"joza/internal/profile"
 )
@@ -67,7 +68,7 @@ func TestServerProfileOutcomes(t *testing.T) {
 
 func TestServerProfileLearning(t *testing.T) {
 	rec := profile.NewRecorder()
-	ln, _ := startServerWithOptions(t, WithProfileRecorder(rec))
+	ln, _ := startServerWithOptions(t, WithSnapshot(NewSnapshot(newAnalyzer(), engine.ProfileStage{Recorder: rec}, "")))
 	c, err := Dial(ln)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +107,7 @@ func TestServerSetProfilesHotSwap(t *testing.T) {
 	if reply.Profile != nil {
 		t.Fatalf("profile verdict before any store: %+v", reply.Profile)
 	}
-	srv.SetProfiles(trainedStore())
+	srv.SetSnapshot(NewSnapshot(newAnalyzer(), engine.ProfileStage{Store: trainedStore()}, ""))
 	reply, err = c.AnalyzeSiteContext(ctx, "plugin:records", attackQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -240,4 +241,27 @@ func startServerWithOptions(t *testing.T, opts ...ServerOption) (string, *Server
 		<-done
 	})
 	return ln.Addr().String(), srv
+}
+
+// TestWithProfilesKeepsOtherStages: WithProfiles swaps only the profile
+// stage of the initial snapshot, so applied after WithSnapshot it keeps
+// the snapshot's other stages and version and replaces its recorder.
+func TestWithProfilesKeepsOtherStages(t *testing.T) {
+	snap := NewSnapshot(newAnalyzer(), engine.ProfileStage{Recorder: profile.NewRecorder()}, "0123456789abcdef")
+	custom := engine.Func{StageName: "custom", Fn: func(context.Context, engine.Request, *engine.State) (core.Result, error) {
+		return core.Result{}, nil
+	}}
+	snap.Analyzers = append([]engine.Analyzer{custom}, snap.Analyzers...)
+	st := trainedStore()
+	srv := NewServer(newAnalyzer(), WithSnapshot(snap), WithProfiles(st))
+	got := srv.eng.Snapshot()
+	if len(got.Analyzers) != 3 || got.Analyzers[0].Name() != "custom" || got.Analyzers[1].Name() != core.AnalyzerPTI {
+		t.Fatalf("stages = %v, want custom, pti, profile", got.Analyzers)
+	}
+	if p, ok := got.Analyzers[2].(engine.ProfileStage); !ok || p.Store != st || p.Recorder != nil {
+		t.Fatalf("profile stage = %+v, want the store alone", got.Analyzers[2])
+	}
+	if got.Profiles != st || got.Version != snap.Version || got.PTI != snap.PTI {
+		t.Fatal("WithProfiles changed more than the profile stage")
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"net"
 	"testing"
 
+	"joza/internal/engine"
 	"joza/internal/fragments"
 	"joza/internal/pti"
 )
@@ -46,7 +47,7 @@ func TestSetAnalyzerHotSwap(t *testing.T) {
 		"SELECT a FROM t WHERE id=",
 		"SELECT b FROM u WHERE id=",
 	})
-	srv.SetAnalyzer(pti.NewCached(pti.New(newSet), pti.CacheNone, 1))
+	srv.SetSnapshot(NewSnapshot(pti.NewCached(pti.New(newSet), pti.CacheNone, 1), engine.ProfileStage{}, ""))
 
 	reply, err = c.Analyze(newPluginQuery)
 	if err != nil {

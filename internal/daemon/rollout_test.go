@@ -11,29 +11,30 @@ import (
 	"testing"
 	"time"
 
+	"joza/internal/engine"
 	"joza/internal/profile"
 	"joza/internal/sqltoken"
 	"joza/internal/trace"
 )
 
-func testServing(version string) *Serving {
-	return &Serving{Analyzer: newAnalyzer(), Version: version}
+func testSnapshot(version string) *engine.Snapshot {
+	return NewSnapshot(newAnalyzer(), engine.ProfileStage{}, version)
 }
 
-func staticReloader(sv *Serving, err error) func(context.Context) (*Serving, error) {
-	return func(context.Context) (*Serving, error) { return sv, err }
+func staticReloader(snap *engine.Snapshot, err error) func(context.Context) (*engine.Snapshot, error) {
+	return func(context.Context) (*engine.Snapshot, error) { return snap, err }
 }
 
 // TestRolloutVerbsSingleDaemon drives the two-phase verbs end to end on
 // one daemon: commit with nothing staged is refused, prepare stages
 // without touching the serving snapshot, a wrong version pin is refused
-// with the staged bundle kept, the right pin swaps it in, and abort is
+// with the staged snapshot kept, the right pin swaps it in, and abort is
 // idempotent. Every refusal rides the healthy stream — the same
 // connection keeps serving.
 func TestRolloutVerbsSingleDaemon(t *testing.T) {
-	next := testServing("bbbbbbbbbbbbbbbb")
+	next := testSnapshot("bbbbbbbbbbbbbbbb")
 	addr, srv, _ := startShardServer(t,
-		WithServing(testServing("aaaaaaaaaaaaaaaa")),
+		WithSnapshot(testSnapshot("aaaaaaaaaaaaaaaa")),
 		WithReloader(staticReloader(next, nil)),
 	)
 	c, err := Dial(addr)
@@ -87,7 +88,7 @@ func TestRolloutVerbsSingleDaemon(t *testing.T) {
 }
 
 // TestPrepareRefusalsKeepServing covers the prepare failure modes: no
-// reloader configured, a reloader error, and a bundle that fails its
+// reloader configured, a reloader error, and a snapshot that fails its
 // self-test (nil analyzer; a profile store trained under another
 // dialect, the corrupt-store case). None of them may disturb the serving
 // snapshot or the connection, and none may leave anything staged.
@@ -106,18 +107,18 @@ func TestPrepareRefusalsKeepServing(t *testing.T) {
 		},
 		{
 			"nil analyzer",
-			[]ServerOption{WithReloader(staticReloader(&Serving{}, nil))},
+			[]ServerOption{WithReloader(staticReloader(&engine.Snapshot{}, nil))},
 			"no analyzer",
 		},
 		{
 			"corrupt store",
-			[]ServerOption{WithReloader(staticReloader(&Serving{Analyzer: newAnalyzer(), Profiles: pgStore}, nil))},
+			[]ServerOption{WithReloader(staticReloader(NewSnapshot(newAnalyzer(), engine.ProfileStage{Store: pgStore}, ""), nil))},
 			"dialect",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := append([]ServerOption{WithServing(testServing("aaaaaaaaaaaaaaaa"))}, tc.opts...)
+			opts := append([]ServerOption{WithSnapshot(testSnapshot("aaaaaaaaaaaaaaaa"))}, tc.opts...)
 			addr, srv, _ := startShardServer(t, opts...)
 			c, err := Dial(addr)
 			if err != nil {
@@ -149,7 +150,7 @@ func TestPrepareRefusalsKeepServing(t *testing.T) {
 // connection then serves an unpinned and a correctly pinned request.
 func TestVersionPinRefusedOnHealthyStream(t *testing.T) {
 	const version = "cccccccccccccccc"
-	addr, _, _ := startShardServer(t, WithServing(testServing(version)))
+	addr, _, _ := startShardServer(t, WithSnapshot(testSnapshot(version)))
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -234,8 +235,8 @@ func TestRolloutConvergesFleet(t *testing.T) {
 	var addrs []string
 	for i := 0; i < 3; i++ {
 		addr, srv, _ := startShardServer(t,
-			WithServing(testServing("aaaaaaaaaaaaaaaa")),
-			WithReloader(staticReloader(testServing(next), nil)),
+			WithSnapshot(testSnapshot("aaaaaaaaaaaaaaaa")),
+			WithReloader(staticReloader(testSnapshot(next), nil)),
 		)
 		addrs = append(addrs, addr)
 		srvs = append(srvs, srv)
@@ -285,12 +286,12 @@ func TestRolloutFailedPrepareAbortsFleet(t *testing.T) {
 	const old = "aaaaaaaaaaaaaaaa"
 	pgStore := profile.NewRecorderDialect(sqltoken.Postgres).Store()
 	addr0, srv0, _ := startShardServer(t,
-		WithServing(testServing(old)),
-		WithReloader(staticReloader(testServing("eeeeeeeeeeeeeeee"), nil)),
+		WithSnapshot(testSnapshot(old)),
+		WithReloader(staticReloader(testSnapshot("eeeeeeeeeeeeeeee"), nil)),
 	)
 	addr1, srv1, _ := startShardServer(t,
-		WithServing(testServing(old)),
-		WithReloader(staticReloader(&Serving{Analyzer: newAnalyzer(), Profiles: pgStore, Version: "eeeeeeeeeeeeeeee"}, nil)),
+		WithSnapshot(testSnapshot(old)),
+		WithReloader(staticReloader(NewSnapshot(newAnalyzer(), engine.ProfileStage{Store: pgStore}, "eeeeeeeeeeeeeeee"), nil)),
 	)
 	sp, err := DialShardedPool([]string{addr0, addr1}, fastShardConfig())
 	if err != nil {
@@ -307,7 +308,7 @@ func TestRolloutFailedPrepareAbortsFleet(t *testing.T) {
 			t.Fatalf("shard %d serves %q after aborted rollout, want %q kept", i, got, old)
 		}
 	}
-	// The healthy shard's staged bundle was discarded, not left to be
+	// The healthy shard's staged snapshot was discarded, not left to be
 	// committed by a later confused coordinator.
 	states := map[string]string{}
 	for _, sh := range report.Shards {
@@ -333,12 +334,12 @@ func TestRolloutFailedPrepareAbortsFleet(t *testing.T) {
 func TestRolloutStagedDivergenceAborts(t *testing.T) {
 	const old = "aaaaaaaaaaaaaaaa"
 	addr0, srv0, _ := startShardServer(t,
-		WithServing(testServing(old)),
-		WithReloader(staticReloader(testServing("ffffffffffffffff"), nil)),
+		WithSnapshot(testSnapshot(old)),
+		WithReloader(staticReloader(testSnapshot("ffffffffffffffff"), nil)),
 	)
 	addr1, srv1, _ := startShardServer(t,
-		WithServing(testServing(old)),
-		WithReloader(staticReloader(testServing("9999999999999999"), nil)),
+		WithSnapshot(testSnapshot(old)),
+		WithReloader(staticReloader(testSnapshot("9999999999999999"), nil)),
 	)
 	sp, err := DialShardedPool([]string{addr0, addr1}, fastShardConfig())
 	if err != nil {
@@ -370,8 +371,8 @@ func TestRolloutStagedDivergenceAborts(t *testing.T) {
 func TestRolloutPartialCommitKeepsCommitted(t *testing.T) {
 	const old, next = "aaaaaaaaaaaaaaaa", "1111111111111111"
 	addr0, srv0, _ := startShardServer(t,
-		WithServing(testServing(old)),
-		WithReloader(staticReloader(testServing(next), nil)),
+		WithSnapshot(testSnapshot(old)),
+		WithReloader(staticReloader(testSnapshot(next), nil)),
 	)
 	var (
 		killOnce sync.Once
@@ -388,8 +389,8 @@ func TestRolloutPartialCommitKeepsCommitted(t *testing.T) {
 		time.Sleep(300 * time.Millisecond)
 	}
 	addr1, s1, _ := startShardServer(t,
-		WithServing(testServing(old)),
-		WithReloader(staticReloader(testServing(next), nil)),
+		WithSnapshot(testSnapshot(old)),
+		WithReloader(staticReloader(testSnapshot(next), nil)),
 		WithRolloutHook(hook),
 	)
 	srv1 = s1
@@ -437,8 +438,8 @@ func TestRolloutPartialCommitKeepsCommitted(t *testing.T) {
 // notable trace span naming both versions.
 func TestSkewWarnCountsAndTracesStaleVerdicts(t *testing.T) {
 	const v1, v2 = "aaaaaaaaaaaaaaaa", "2222222222222222"
-	addr0, srv0, _ := startShardServer(t, WithServing(testServing(v1)))
-	addr1, _, _ := startShardServer(t, WithServing(testServing(v1)))
+	addr0, srv0, _ := startShardServer(t, WithSnapshot(testSnapshot(v1)))
+	addr1, _, _ := startShardServer(t, WithSnapshot(testSnapshot(v1)))
 	tracer := trace.New(trace.Config{SampleEvery: 1, RingSize: 8})
 	sp, err := DialShardedPool([]string{addr0, addr1}, fastShardConfig(), WithSkewTracer(tracer))
 	if err != nil {
@@ -453,7 +454,7 @@ func TestSkewWarnCountsAndTracesStaleVerdicts(t *testing.T) {
 	}
 	// Shard 0 commits the new generation; observing its transition makes
 	// v2 current and shard 1's v1 verdicts stale.
-	srv0.SetServing(testServing(v2))
+	srv0.SetSnapshot(testSnapshot(v2))
 	if _, err := sp.Analyze(qs[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -492,8 +493,8 @@ func TestSkewWarnCountsAndTracesStaleVerdicts(t *testing.T) {
 // per item inside batches — while the current shard's checks flow.
 func TestSkewRefuseMixedRefusesPerCheck(t *testing.T) {
 	const v1, v2 = "aaaaaaaaaaaaaaaa", "3333333333333333"
-	addr0, srv0, _ := startShardServer(t, WithServing(testServing(v1)))
-	addr1, _, _ := startShardServer(t, WithServing(testServing(v1)))
+	addr0, srv0, _ := startShardServer(t, WithSnapshot(testSnapshot(v1)))
+	addr1, _, _ := startShardServer(t, WithSnapshot(testSnapshot(v1)))
 	sp, err := DialShardedPool([]string{addr0, addr1}, fastShardConfig(), WithSkewPolicy(SkewRefuseMixed))
 	if err != nil {
 		t.Fatal(err)
@@ -505,7 +506,7 @@ func TestSkewRefuseMixedRefusesPerCheck(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv0.SetServing(testServing(v2))
+	srv0.SetSnapshot(testSnapshot(v2))
 	if _, err := sp.Analyze(qs[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -530,8 +531,8 @@ func TestSkewRefuseMixedRefusesPerCheck(t *testing.T) {
 // operator action on the client side.
 func TestSkewRefusalEndsOnConvergence(t *testing.T) {
 	const v1, v2 = "aaaaaaaaaaaaaaaa", "4444444444444444"
-	addr0, srv0, _ := startShardServer(t, WithServing(testServing(v1)))
-	addr1, srv1, _ := startShardServer(t, WithServing(testServing(v1)))
+	addr0, srv0, _ := startShardServer(t, WithSnapshot(testSnapshot(v1)))
+	addr1, srv1, _ := startShardServer(t, WithSnapshot(testSnapshot(v1)))
 	sp, err := DialShardedPool([]string{addr0, addr1}, fastShardConfig(), WithSkewPolicy(SkewRefuseMixed))
 	if err != nil {
 		t.Fatal(err)
@@ -543,14 +544,14 @@ func TestSkewRefusalEndsOnConvergence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv0.SetServing(testServing(v2))
+	srv0.SetSnapshot(testSnapshot(v2))
 	if _, err := sp.Analyze(qs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sp.Analyze(qs[1]); !errors.Is(err, ErrVersionSkew) {
 		t.Fatalf("want refusal while lagging, got %v", err)
 	}
-	srv1.SetServing(testServing(v2))
+	srv1.SetSnapshot(testSnapshot(v2))
 	reply, err := sp.Analyze(qs[1])
 	if err != nil {
 		t.Fatalf("converged shard still refused: %v", err)
@@ -569,8 +570,8 @@ func TestSkewRefusalEndsOnConvergence(t *testing.T) {
 // alone (no checks) is enough to observe skew.
 func TestFleetStatsFoldVersions(t *testing.T) {
 	const v1, v2 = "aaaaaaaaaaaaaaaa", "5555555555555555"
-	addr0, srv0, _ := startShardServer(t, WithServing(testServing(v1)))
-	addr1, _, _ := startShardServer(t, WithServing(testServing(v1)))
+	addr0, srv0, _ := startShardServer(t, WithSnapshot(testSnapshot(v1)))
+	addr1, _, _ := startShardServer(t, WithSnapshot(testSnapshot(v1)))
 	sp, err := DialShardedPool([]string{addr0, addr1}, fastShardConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -583,7 +584,7 @@ func TestFleetStatsFoldVersions(t *testing.T) {
 	if st.SnapshotVersion != v1 {
 		t.Fatalf("agreed fleet SnapshotVersion = %q, want %q", st.SnapshotVersion, v1)
 	}
-	srv0.SetServing(testServing(v2))
+	srv0.SetSnapshot(testSnapshot(v2))
 	st, err = sp.Stats()
 	if err != nil {
 		t.Fatal(err)

@@ -12,9 +12,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"joza/internal/core"
+	"joza/internal/engine"
 	"joza/internal/guardrail"
-	"joza/internal/metrics"
 	"joza/internal/profile"
 	"joza/internal/pti"
 	"joza/internal/sqltoken"
@@ -64,45 +63,27 @@ func budgetContext(parent context.Context, timeoutMs int64) (context.Context, co
 // verb, so a wedged source tree cannot park the rollout mutex forever.
 const prepareTimeout = 30 * time.Second
 
-// Serving bundles the analysis state of one daemon generation: the PTI
-// analyzer, the query-skeleton profile store, and the content-derived
-// snapshot version identifying the generation (empty for unversioned
-// deployments). The whole bundle swaps atomically, so a check can never
-// see fragments from one generation and profiles from another.
-type Serving struct {
-	Analyzer *pti.Cached
-	Profiles *profile.Store
-	// Version is the content-derived snapshot version (see
-	// engine.ComputeVersion); a fleet computes it over the unsliced
-	// corpus so every shard of one generation reports the same value.
-	Version string
-}
-
-// Server serves the daemon protocol over a listener. Multiple server
-// instances can share one analyzer (the paper's multiple coexisting
-// daemons).
+// Server serves the daemon protocol over a listener: a wire front door
+// over an engine.Engine whose snapshot holds the PTI and profile stages.
+// Multiple server instances can share one analyzer (the paper's multiple
+// coexisting daemons).
 type Server struct {
-	// serving is the whole analysis generation checks run against;
-	// swapped atomically so in-flight requests finish on the bundle they
-	// loaded. updateMu serializes the copy-on-write of the partial
-	// setters (SetAnalyzer/SetProfiles) against each other and against
-	// commit, so concurrent partial swaps cannot lose each other's half.
-	serving  atomic.Pointer[Serving]
-	updateMu sync.Mutex
+	// eng runs every analysis. Its snapshot is the whole analysis
+	// generation — analyzer, profiles and version — and swaps atomically,
+	// so a check runs whole on the snapshot it loaded.
+	eng  *engine.Engine
+	gate *guardrail.Gate
 
-	collector *metrics.Collector
-	tracer    *trace.Tracer
-	gate      *guardrail.Gate
+	// initial and tracer configure eng while the options apply.
+	initial *engine.Snapshot
+	tracer  *trace.Tracer
 
-	// recorder, when set, puts the daemon in profile learning mode.
-	recorder *profile.Recorder
-
-	// Two-phase rollout state: a prepared-but-not-committed generation,
-	// the callback that loads and builds it, and the test hook observing
-	// phase transitions. rollMu serializes the rollout verbs.
+	// Two-phase rollout state: a prepared-but-not-committed snapshot, the
+	// callback that loads and builds it, and the test hook observing phase
+	// transitions. rollMu serializes the rollout verbs.
 	rollMu      sync.Mutex
-	staged      *Serving
-	reloader    func(ctx context.Context) (*Serving, error)
+	staged      *engine.Snapshot
+	reloader    func(ctx context.Context) (*engine.Snapshot, error)
 	rolloutHook func(phase string)
 
 	readTimeout time.Duration
@@ -177,45 +158,37 @@ func WithAdmission(limit int, maxWait time.Duration) ServerOption {
 }
 
 // WithProfiles loads a query-skeleton profile store: analyze requests
-// that carry a call site get a profile verdict on the reply. Swap later
-// stores with SetProfiles.
+// that carry a call site get a profile verdict on the reply. It replaces
+// only the initial snapshot's profile stage, so it composes with
+// WithSnapshot in either order.
 func WithProfiles(st *profile.Store) ServerOption {
 	return func(s *Server) {
-		sv := *s.serving.Load()
-		sv.Profiles = st
-		s.serving.Store(&sv)
+		s.initial = withProfiles(s.initial, engine.ProfileStage{Store: st})
 	}
 }
 
-// WithServing replaces the initial serving bundle whole — analyzer,
-// profiles and snapshot version together. Owners that version their
-// snapshots construct with this instead of composing WithProfiles onto
-// the NewServer analyzer, so the version labels exactly the state served.
-func WithServing(sv *Serving) ServerOption {
-	return func(s *Server) { s.serving.Store(sv) }
+// WithSnapshot replaces the initial snapshot whole (see NewSnapshot).
+// Owners that version their snapshots construct with this, so the version
+// labels exactly the state served; the NewServer analyzer is then unused,
+// and the byte cap of snap's analyzer applies.
+func WithSnapshot(snap *engine.Snapshot) ServerOption {
+	return func(s *Server) { s.initial = snap }
 }
 
 // WithReloader wires the "prepare" verb to f: prepare calls f to load and
-// build the next generation's bundle alongside the serving one, self-tests
-// it, and stages it for a later "commit". Without a reloader the prepare
-// verb is refused on the healthy stream.
-func WithReloader(f func(ctx context.Context) (*Serving, error)) ServerOption {
+// build the next snapshot alongside the serving one, self-tests it, and
+// stages it for a later "commit". Without a reloader the prepare verb is
+// refused on the healthy stream.
+func WithReloader(f func(ctx context.Context) (*engine.Snapshot, error)) ServerOption {
 	return func(s *Server) { s.reloader = f }
 }
 
 // WithRolloutHook observes rollout phase transitions ("prepare" before
-// the reload starts, "commit" before the staged bundle swaps in). Fault
+// the reload starts, "commit" before the staged snapshot swaps in). Fault
 // injection uses it to widen the crash windows the two-phase protocol
 // must survive.
 func WithRolloutHook(f func(phase string)) ServerOption {
 	return func(s *Server) { s.rolloutHook = f }
-}
-
-// WithProfileRecorder puts the server in profile learning mode: requests
-// with a call site record their skeleton into r and always report
-// "learned". Takes precedence over a loaded store.
-func WithProfileRecorder(r *profile.Recorder) ServerOption {
-	return func(s *Server) { s.recorder = r }
 }
 
 // WithTracer makes the server sample analyze requests into t's trace
@@ -230,25 +203,26 @@ func WithTracer(t *trace.Tracer) ServerOption {
 func NewServer(analyzer *pti.Cached, opts ...ServerOption) *Server {
 	s := &Server{
 		conns:      make(map[net.Conn]struct{}),
-		collector:  metrics.NewCollector(),
+		initial:    NewSnapshot(analyzer, engine.ProfileStage{}, ""),
 		maxRequest: DefaultMaxRequestBytes,
 		maxBatch:   DefaultMaxBatchItems,
 		done:       make(chan struct{}),
 	}
-	s.serving.Store(&Serving{Analyzer: analyzer})
 	for _, o := range opts {
 		o(s)
 	}
+	s.eng = newEngine(s.initial, engine.WithTracer(s.tracer))
+	s.initial = nil
 	return s
 }
 
 // Stats returns the daemon's counter snapshot: checks and attacks served
-// (PTI only — NTI runs application-side), per-op wire activity, the
-// analyzer's cache totals and per-shard activity, and analysis latency
-// quantiles. Counters survive SetAnalyzer swaps; cache fields reflect the
+// (PTI and profiles — NTI runs application-side), per-op wire activity,
+// the analyzer's cache totals and per-shard activity, and analysis latency
+// quantiles. Counters survive snapshot swaps; cache fields reflect the
 // current analyzer.
 func (s *Server) Stats() StatsReply {
-	snap := s.collector.Snapshot()
+	snap := s.eng.Collector().Snapshot()
 	snap.DaemonAnalyzeOps = s.analyzeOps.Load()
 	snap.DaemonBatchOps = s.batchOps.Load()
 	snap.DaemonBatchItems = s.batchItems.Load()
@@ -256,80 +230,26 @@ func (s *Server) Stats() StatsReply {
 	snap.DaemonTracesOps = s.tracesOps.Load()
 	snap.DaemonErrors = s.errorOps.Load()
 	snap.DaemonTimeouts = s.timeouts.Load()
-	sv := s.serving.Load()
-	snap.SnapshotVersion = sv.Version
-	if ps := sv.Profiles; ps != nil {
-		snap.ProfileSites = uint64(ps.Sites())
-		snap.ProfileSkeletons = uint64(ps.Skeletons())
-	} else if s.recorder != nil {
-		sites, skeletons := s.recorder.Len()
-		snap.ProfileSites = uint64(sites)
-		snap.ProfileSkeletons = uint64(skeletons)
-	}
-	analyzer := sv.Analyzer
-	st := analyzer.Stats()
-	snap.CacheQueryHits = st.QueryHits
-	snap.CacheStructureHits = st.StructureHits
-	snap.CacheMisses = st.Misses
-	queryShards, _ := analyzer.ShardStats()
-	if len(queryShards) > 0 {
-		snap.CacheShards = make([]metrics.CacheShard, len(queryShards))
-		for i, sh := range queryShards {
-			snap.CacheShards[i] = metrics.CacheShard{
-				Hits: sh.Hits, Misses: sh.Misses, Entries: sh.Entries,
-			}
-		}
-	}
+	s.eng.Snapshot().FillMetrics(&snap)
 	return snap
 }
 
-// SetAnalyzer atomically swaps the analyzer; in-flight requests finish on
-// the old one. The preprocessing component uses this after the installer
-// detects new or modified application files (Section IV-B). A partial
-// swap changes half a generation, so the serving version resets to
-// unversioned; use SetServing (or the rollout verbs) to install a whole
-// versioned generation.
-func (s *Server) SetAnalyzer(analyzer *pti.Cached) {
-	s.updateMu.Lock()
-	defer s.updateMu.Unlock()
-	sv := *s.serving.Load()
-	sv.Analyzer = analyzer
-	sv.Version = ""
-	s.serving.Store(&sv)
-}
-
-// SetProfiles atomically swaps the query-skeleton profile store;
-// in-flight requests finish on the old one. The reload path uses this
-// exactly like SetAnalyzer, with the same version reset.
-func (s *Server) SetProfiles(st *profile.Store) {
-	s.updateMu.Lock()
-	defer s.updateMu.Unlock()
-	sv := *s.serving.Load()
-	sv.Profiles = st
-	sv.Version = ""
-	s.serving.Store(&sv)
-}
-
-// SetServing atomically swaps the whole serving bundle — analyzer,
-// profiles and version together. Coordinated reload paths (jozad's
-// unified watch loop, the commit verb) use this so checks can never mix
-// halves of two generations.
-func (s *Server) SetServing(sv *Serving) {
-	s.updateMu.Lock()
-	defer s.updateMu.Unlock()
-	s.serving.Store(sv)
-}
+// SetSnapshot atomically swaps the serving snapshot (see NewSnapshot);
+// in-flight requests finish on the old one. Reload paths — jozad's watch
+// loop, the commit verb — install whole generations through it, so a
+// check can never mix halves of two.
+func (s *Server) SetSnapshot(snap *engine.Snapshot) { s.eng.Swap(snap) }
 
 // Version returns the serving snapshot's content-derived version ("" for
 // unversioned state).
-func (s *Server) Version() string { return s.serving.Load().Version }
+func (s *Server) Version() string { return s.eng.Snapshot().Version }
 
-// Ready reports whether the server can answer analyze traffic: a serving
-// bundle is installed and the server is not draining. The obs /readyz
-// probe fronts this — distinct from liveness, it flips false the moment a
-// drain begins, before the server stops accepting.
+// Ready reports whether the server can answer analyze traffic: a snapshot
+// with an analyzer is installed and the server is not draining. The obs
+// /readyz probe fronts this — distinct from liveness, it flips false the
+// moment a drain begins, before the server stops accepting.
 func (s *Server) Ready() bool {
-	return s.serving.Load().Analyzer != nil && !s.draining.Load()
+	return s.eng.Snapshot().PTI != nil && !s.draining.Load()
 }
 
 // Serve accepts connections until Close. Transient Accept failures —
@@ -457,7 +377,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 			resp.Stats = &st
 		case "traces":
 			s.tracesOps.Add(1)
-			d := s.tracer.Dump()
+			d := s.eng.Tracer().Dump()
 			resp.Traces = &d
 		case "prepare":
 			s.handlePrepare(&resp)
@@ -484,49 +404,54 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}
 }
 
-// dialectError resolves a wire request's dialect field against the serving
-// analyzer's: absent means MySQL (the protocol's original implicit
-// dialect), an unknown name or a mismatch returns a non-empty refusal that
-// rides the healthy stream. The daemon never analyzes across dialects —
-// boundary bytes (string escapes, quote kinds, placeholders, comments)
+// parseDialect resolves a wire request's dialect field against the
+// serving snapshot's: absent means MySQL (the protocol's original implicit
+// dialect), and an unknown name or a mismatch returns a non-empty refusal
+// that rides the healthy stream. The daemon never analyzes across dialects
+// — boundary bytes (string escapes, quote kinds, placeholders, comments)
 // mean different things under different dialects, so a cross-dialect
 // verdict would be wrong, not approximate.
-func dialectError(wire string, serving sqltoken.Dialect) string {
+func parseDialect(wire string, serving sqltoken.Dialect) (sqltoken.Dialect, string) {
 	d := sqltoken.MySQL
 	if wire != "" {
 		var err error
 		if d, err = sqltoken.ParseDialect(wire); err != nil {
-			return err.Error()
+			return d, err.Error()
 		}
 	}
 	if d != serving {
-		return fmt.Sprintf("dialect mismatch: request is %s, daemon analyzes %s", d, serving)
+		return d, fmt.Sprintf("dialect mismatch: request is %s, daemon analyzes %s", d, serving)
 	}
-	return ""
+	return d, ""
 }
 
-// handleAnalyze runs one analyze request: dialect validation, admission,
-// the deadline-bounded analysis, and verdict recording. withTokens puts
-// the token stream on the reply, for a connection that has not latched
-// no_tokens. Failures ride back as resp.Err on the still-healthy stream —
-// an overloaded, over-budget or cross-dialect request costs one reply,
-// not the connection.
+// versionError is the refusal of a request pinned to a snapshot version the
+// daemon does not serve.
+func versionError(pinned, serving string) string {
+	return fmt.Sprintf("version mismatch: request pinned to snapshot %q, daemon serves %q", pinned, serving)
+}
+
+// handleAnalyze runs one analyze request: the wire refusals (dialect,
+// version pin), the deadline budget, admission, then engine.Check. The
+// engine owns the rest — budgets, panic containment, profiles, metrics and
+// tracing. withTokens puts the token stream on the reply, for a connection
+// that has not latched no_tokens. Failures ride back as resp.Err on the
+// still-healthy stream — an overloaded, expired or cross-dialect request
+// costs one reply, not the connection.
 func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse, withTokens bool) {
-	sv := s.serving.Load()
-	analyzer := sv.Analyzer
-	if msg := dialectError(req.Dialect, analyzer.Dialect()); msg != "" {
-		s.errorOps.Add(1)
-		resp.Err = msg
-		return
-	}
-	if req.Version != "" && req.Version != sv.Version {
+	snap := s.eng.Snapshot()
+	d, msg := parseDialect(req.Dialect, snap.Dialect)
+	if msg == "" && req.Version != "" && req.Version != snap.Version {
 		// The client pinned the check to a policy generation this daemon
 		// is not serving (mid-rollout skew, or a garbage version from a
 		// corrupted frame). Answering from the wrong generation would be
 		// wrong, not approximate, so the pin is refused on the healthy
 		// stream — per item inside a batch — and the connection lives on.
+		msg = versionError(req.Version, snap.Version)
+	}
+	if msg != "" {
 		s.errorOps.Add(1)
-		resp.Err = fmt.Sprintf("version mismatch: request pinned to snapshot %q, daemon serves %q", req.Version, sv.Version)
+		resp.Err = msg
 		return
 	}
 	// Honor the client's propagated deadline budget: bound the analysis
@@ -539,7 +464,7 @@ func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse, withTokens b
 	defer cancel()
 	if err := s.gate.Acquire(ctx); err != nil {
 		if errors.Is(err, guardrail.ErrOverloaded) {
-			s.collector.RecordShed()
+			s.eng.Collector().RecordShed()
 			resp.Err = "overloaded: " + err.Error()
 		} else {
 			s.timeouts.Add(1)
@@ -548,41 +473,31 @@ func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse, withTokens b
 		return
 	}
 	defer s.gate.Release()
-	span := s.tracer.Start(req.Query)
-	start := time.Now()
-	reply, err := analyzeCtx(ctx, analyzer, req.Query, span, withTokens)
+	v, err := s.eng.Check(ctx, engine.Request{Query: req.Query, Site: req.Site, Dialect: d})
 	if err != nil {
-		if errors.Is(err, core.ErrOverBudget) && ctx.Err() == nil {
-			// The analyzer hit a configured cost budget: distinct from a
-			// deadline, and notable even when the sampler skipped the check.
-			s.collector.RecordOverBudget()
-			if span == nil {
-				span = s.tracer.StartAlways(req.Query)
-			}
-			if span != nil {
-				span.SetOverBudget(err.Error())
-				s.tracer.Finish(span)
-			}
-		} else {
-			// The budget expired mid-analysis: report it like the
-			// client-side deadline it mirrors, with no check recorded.
-			s.timeouts.Add(1)
-		}
+		// The budget expired mid-analysis: report it like the client-side
+		// deadline it mirrors, with no check recorded.
+		s.timeouts.Add(1)
 		resp.Err = err.Error()
 		return
 	}
-	reply.Profile = profileReplyFor(sv.Profiles, s.recorder, req.Site, req.Query)
-	reply.Version = sv.Version
-	profAttack := reply.Profile != nil && reply.Profile.Attack
-	s.collector.RecordCheck(false, reply.Attack, profAttack, time.Since(start))
-	if span != nil {
-		span.SetVerdict(false, reply.Attack, profAttack)
-		if p := reply.Profile; p != nil {
-			span.SetProfile(p.Site, p.Skeleton, p.Outcome)
+	if req.Version != "" && v.Version != req.Version {
+		// A commit landed between the pin check and the analysis: the
+		// verdict carries the version of the snapshot that produced it, so
+		// a pinned request is still never answered from another one.
+		s.errorOps.Add(1)
+		resp.Err = versionError(req.Version, v.Version)
+		return
+	}
+	reply := replyFor(v, req.Site)
+	if withTokens && !v.Failed {
+		// A reply the failure mode produced carries no tokens: the query
+		// may be the oversized one the cap refused unlexed.
+		toks := d.Lex(req.Query)
+		reply.Tokens = make([]TokenJSON, len(toks))
+		for i, t := range toks {
+			reply.Tokens[i] = toTokenJSON(t)
 		}
-		s.tracer.Finish(span)
-		s.collector.ObserveStageDurations(span.LexNs, span.PTICoverNs, span.NTIMatchNs, span.NTIPrefilterNs, span.ProfileNs)
-		reply.Trace = span
 	}
 	resp.Reply = reply
 }
@@ -635,11 +550,11 @@ func (s *Server) handleBatch(req wireRequest, resp *wireResponse, withTokens boo
 }
 
 // handlePrepare runs phase one of the two-phase rollout: load and build
-// the next generation's bundle through the configured reloader, self-test
-// it against the serving process's own machinery, and stage it without
-// touching what is being served. A failed prepare leaves both the serving
-// bundle and any previously staged one intact, and the failure rides the
-// healthy stream. Re-preparing replaces the staged bundle — prepare is
+// the next generation's snapshot through the configured reloader,
+// self-test it, and stage it without touching what is being served. A
+// failed prepare leaves both the serving snapshot and any previously
+// staged one intact, and the failure rides the
+// healthy stream. Re-preparing replaces the staged snapshot — prepare is
 // idempotent from the coordinator's point of view.
 func (s *Server) handlePrepare(resp *wireResponse) {
 	s.rollMu.Lock()
@@ -654,45 +569,51 @@ func (s *Server) handlePrepare(resp *wireResponse) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), prepareTimeout)
 	defer cancel()
-	sv, err := s.reloader(ctx)
+	snap, err := s.reloader(ctx)
 	if err != nil {
 		s.errorOps.Add(1)
 		resp.Err = "prepare: " + err.Error()
 		return
 	}
-	if err := selftest(ctx, sv); err != nil {
+	if err := selftest(ctx, snap); err != nil {
 		s.errorOps.Add(1)
 		resp.Err = "prepare selftest: " + err.Error()
 		return
 	}
-	s.staged = sv
-	resp.Rollout = &RolloutReply{State: "staged", Version: sv.Version}
+	s.staged = snap
+	resp.Rollout = &RolloutReply{State: "staged", Version: snap.Version}
 }
 
-// selftest proves a staged bundle can actually serve before it is
-// reported ready: the analyzer must complete a probe analysis and the
-// profile store must match the analyzer's dialect. Catching a corrupt
-// store or broken analyzer here — while the old generation still serves —
-// is the whole point of the prepare phase.
-func selftest(ctx context.Context, sv *Serving) error {
-	if sv == nil || sv.Analyzer == nil {
-		return errors.New("staged bundle has no analyzer")
+// selftest proves a staged snapshot can actually serve before it is
+// reported ready: a probe check on a throwaway engine over it must complete
+// with no stage panicking or refusing it, and the profile store must match
+// the snapshot's dialect. Catching a corrupt store or broken analyzer here
+// — while the old generation still serves — is the whole point of the
+// prepare phase.
+func selftest(ctx context.Context, snap *engine.Snapshot) error {
+	if snap == nil || snap.PTI == nil {
+		return errors.New("staged snapshot has no analyzer")
 	}
-	if _, err := analyzeCtx(ctx, sv.Analyzer, "SELECT 1", nil, false); err != nil {
-		return fmt.Errorf("probe analysis: %w", err)
-	}
-	if sv.Profiles != nil {
-		if err := sv.Profiles.ForDialect(sv.Analyzer.Dialect()); err != nil {
+	if snap.Profiles != nil {
+		if err := snap.Profiles.ForDialect(snap.Dialect); err != nil {
 			return err
 		}
+	}
+	probe := engine.New(snap)
+	v, err := probe.Check(ctx, engine.Request{Query: "SELECT 1", Dialect: snap.Dialect})
+	if err != nil {
+		return fmt.Errorf("probe analysis: %w", err)
+	}
+	if m := probe.Collector().Snapshot(); m.PanicsRecovered+m.OverBudgetChecks > 0 {
+		return fmt.Errorf("probe analysis failed: %v", v.Reasons())
 	}
 	return nil
 }
 
-// handleCommit runs phase two: swap the staged bundle in as the serving
+// handleCommit runs phase two: swap the staged snapshot in as the serving
 // one. A request may pin the expected version; a pin that does not match
-// the staged bundle is refused on the healthy stream with the staged
-// bundle kept — the coordinator decides whether to re-prepare or abort.
+// the staged snapshot is refused on the healthy stream with the staged
+// snapshot kept — the coordinator decides whether to re-prepare or abort.
 // With nothing staged, commit is refused (a crash-recovered daemon lost
 // its staged state with the process, and the coordinator must re-prepare).
 func (s *Server) handleCommit(req wireRequest, resp *wireResponse) {
@@ -711,13 +632,13 @@ func (s *Server) handleCommit(req wireRequest, resp *wireResponse) {
 	if s.rolloutHook != nil {
 		s.rolloutHook("commit")
 	}
-	sv := s.staged
+	snap := s.staged
 	s.staged = nil
-	s.SetServing(sv)
-	resp.Rollout = &RolloutReply{State: "committed", Version: sv.Version}
+	s.SetSnapshot(snap)
+	resp.Rollout = &RolloutReply{State: "committed", Version: snap.Version}
 }
 
-// handleAbort discards any staged bundle. Idempotent: aborting with
+// handleAbort discards any staged snapshot. Idempotent: aborting with
 // nothing staged succeeds, so a coordinator cleaning up after a partial
 // prepare can abort the whole fleet without tracking who staged what.
 func (s *Server) handleAbort(resp *wireResponse) {

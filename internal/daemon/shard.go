@@ -42,25 +42,22 @@ const (
 const abortTimeout = 5 * time.Second
 
 // ShardedPool is a Transport over a fleet of jozad daemons: a consistent-
-// hash ring routes every check to one shard, each shard is its own Pool
-// with its own connections, retries and circuit breaker, and the control
-// verbs (stats, traces) fan out to the whole fleet and merge. Because both
-// routing and failure isolation are per shard, one dead daemon degrades
-// only the keys it owns — checks routed to its siblings never notice, and
-// the degradation policy of the HybridClient above applies per check.
+// hash ring routes every check to one shard by its query text, each shard
+// is its own Pool with its own connections, retries and circuit breaker,
+// and the control verbs (stats, traces) fan out to the whole fleet and
+// merge. Because both routing and failure isolation are per shard, one
+// dead daemon degrades only the queries it owns — checks routed to its
+// siblings never notice, and the degradation policy of the HybridClient
+// above applies per check.
 //
-// Routing key. By default a check routes by its query text, which spreads
-// load but requires every shard to hold the full fragment corpus (the
-// replicated scale-out jozad runs by default). A fleet whose shards hold
-// fragment slices (jozad -shard i/n) must route each check by the same key
-// the corpus was sliced on — use WithShardKey or AnalyzeKeyContext with a
-// stable key such as the application or tenant name, so a check always
-// lands on the shard holding the fragments that could cover it.
+// Every shard is a replica serving the whole fragment corpus: the PTI rule
+// covers a query's critical tokens against the application's entire
+// fragment set, and a benign query usually needs fragments from all over
+// it, so no slice of the corpus can answer for a slice of the queries.
 type ShardedPool struct {
 	pools []*Pool
 	names []string
 	ring  *guardrail.Ring
-	key   func(query string) string
 
 	skew       SkewPolicy
 	skewTracer *trace.Tracer
@@ -85,7 +82,6 @@ type ShardedPoolOption func(*shardedPoolConfig)
 type shardedPoolConfig struct {
 	names      []string
 	replicas   int
-	key        func(query string) string
 	skew       SkewPolicy
 	skewTracer *trace.Tracer
 }
@@ -101,13 +97,6 @@ func WithShardNames(names []string) ShardedPoolOption {
 // (default guardrail.DefaultRingReplicas).
 func WithRingReplicas(n int) ShardedPoolOption {
 	return func(c *shardedPoolConfig) { c.replicas = n }
-}
-
-// WithShardKey sets the routing-key function applied to each query
-// (default: the query text itself). A fleet of fragment-sliced shards must
-// key by whatever the corpus was sliced on.
-func WithShardKey(fn func(query string) string) ShardedPoolOption {
-	return func(c *shardedPoolConfig) { c.key = fn }
 }
 
 // WithSkewPolicy selects how verdicts from version-skewed shards are
@@ -145,14 +134,10 @@ func NewShardedPool(pools []*Pool, opts ...ShardedPoolOption) (*ShardedPool, err
 	if len(cfg.names) != len(pools) {
 		return nil, fmt.Errorf("daemon: %d shard names for %d shards", len(cfg.names), len(pools))
 	}
-	if cfg.key == nil {
-		cfg.key = func(query string) string { return query }
-	}
 	return &ShardedPool{
 		pools:       pools,
 		names:       cfg.names,
 		ring:        guardrail.NewRing(len(pools), cfg.replicas),
-		key:         cfg.key,
 		skew:        cfg.skew,
 		skewTracer:  cfg.skewTracer,
 		shardVer:    make([]string, len(pools)),
@@ -243,33 +228,17 @@ func (sp *ShardedPool) Analyze(query string) (*AnalysisReply, error) {
 }
 
 // AnalyzeContext implements Transport: the check routes to the shard
-// owning its key (by default the query text) and runs on that shard's pool
-// with that shard's retries and breaker.
+// owning its query text and runs on that shard's pool with that shard's
+// retries and breaker.
 func (sp *ShardedPool) AnalyzeContext(ctx context.Context, query string) (*AnalysisReply, error) {
-	return sp.AnalyzeKeyContext(ctx, sp.key(query), query)
+	return sp.AnalyzeSiteContext(ctx, "", query)
 }
 
-// AnalyzeKeyContext analyzes query on the shard owning key, for callers
-// whose routing key is not the query itself (per-application fragment
-// slices route by application name, multi-tenant fleets by tenant).
-func (sp *ShardedPool) AnalyzeKeyContext(ctx context.Context, key, query string) (*AnalysisReply, error) {
-	s := sp.ring.Owner(key)
-	reply, err := sp.pools[s].AnalyzeContext(ctx, query)
-	if err != nil {
-		return nil, fmt.Errorf("shard %s: %w", sp.names[s], err)
-	}
-	if err := sp.checkSkew(s, query, reply); err != nil {
-		return nil, err
-	}
-	return reply, nil
-}
-
-// AnalyzeSiteContext implements siteTransport: routes by the query (the
-// default routing key) and carries the call site to the owning shard so
-// its daemon runs the query-skeleton profile stage. Profiled fleets must
-// share one profile store (or shard it by the same key).
+// AnalyzeSiteContext implements siteTransport: routes by the query and
+// carries the call site to the owning shard so its daemon runs the
+// query-skeleton profile stage. Profiled fleets share one profile store.
 func (sp *ShardedPool) AnalyzeSiteContext(ctx context.Context, site, query string) (*AnalysisReply, error) {
-	s := sp.ring.Owner(sp.key(query))
+	s := sp.ring.Owner(query)
 	reply, err := sp.pools[s].AnalyzeSiteContext(ctx, site, query)
 	if err != nil {
 		return nil, fmt.Errorf("shard %s: %w", sp.names[s], err)
@@ -292,7 +261,7 @@ func (sp *ShardedPool) AnalyzeBatch(ctx context.Context, queries []string) ([]Ba
 	}
 	groups := make([][]int, len(sp.pools))
 	for i, q := range queries {
-		s := sp.ring.Owner(sp.key(q))
+		s := sp.ring.Owner(q)
 		groups[s] = append(groups[s], i)
 	}
 	out := make([]BatchResult, len(queries))

@@ -6,6 +6,8 @@ import (
 	"net"
 	"strings"
 	"testing"
+
+	"joza/internal/engine"
 )
 
 // TestStatsVerbOverPipe exercises the "stats" wire verb end to end: analyze
@@ -47,7 +49,7 @@ func TestStatsVerbOverPipe(t *testing.T) {
 	}
 }
 
-// TestStatsVerbCountersSurviveSwap pins that SetAnalyzer keeps the request
+// TestStatsVerbCountersSurviveSwap pins that SetSnapshot keeps the request
 // counters while the cache fields follow the new analyzer.
 func TestStatsVerbCountersSurviveSwap(t *testing.T) {
 	srv := NewServer(newAnalyzer())
@@ -59,7 +61,7 @@ func TestStatsVerbCountersSurviveSwap(t *testing.T) {
 	if _, err := c.Analyze(benignQuery); err != nil {
 		t.Fatal(err)
 	}
-	srv.SetAnalyzer(newAnalyzer())
+	srv.SetSnapshot(NewSnapshot(newAnalyzer(), engine.ProfileStage{}, ""))
 	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"joza/internal/core"
+	"joza/internal/engine"
 	"joza/internal/nti"
 	"joza/internal/profile"
 )
@@ -46,9 +47,7 @@ func loadWireGolden(t *testing.T) []wireGolden {
 // every optional field.
 func goldenServer() *Server {
 	a := newAnalyzer()
-	return NewServer(a,
-		WithServing(&Serving{Analyzer: a, Version: "0123456789abcdef"}),
-		WithProfileRecorder(profile.NewRecorder()))
+	return NewServer(a, WithSnapshot(NewSnapshot(a, engine.ProfileStage{Recorder: profile.NewRecorder()}, "0123456789abcdef")))
 }
 
 // rawConn serves one pipe connection from srv and returns a function that

@@ -86,6 +86,10 @@ type State struct {
 	// degraded marks a check served without a remote analyzer's verdict
 	// because its backend was unreachable.
 	degraded bool
+
+	// skeleton and profileOutcome are the profile stage's evidence, copied
+	// onto the verdict.
+	skeleton, profileOutcome string
 }
 
 // Span returns the check's trace span (nil when the check is not sampled;
@@ -119,6 +123,13 @@ func (st *State) SetAux(v any) { st.aux = v }
 func (st *State) MarkDegraded() {
 	st.degraded = true
 	st.span.SetDegraded()
+}
+
+// SetProfile records the profile stage's evidence for the verdict and
+// the span: the call site, the query's skeleton and the lookup outcome.
+func (st *State) SetProfile(site, skeleton, outcome string) {
+	st.skeleton, st.profileOutcome = skeleton, outcome
+	st.span.SetProfile(site, skeleton, outcome)
 }
 
 // reset clears the State for pool reuse.
@@ -199,6 +210,44 @@ func (s *Snapshot) dialectMismatch(d sqltoken.Dialect) string {
 		return fmt.Sprintf("PTI analyzer dialect %s does not match snapshot dialect %s", s.PTI.Dialect(), s.Dialect)
 	}
 	return ""
+}
+
+// FillMetrics fills the snapshot-derived fields of m: the version, the
+// PTI cache totals and query-cache shards, the NTI matcher counters, and
+// the size of the profile store (or of the learning recorder). Every front
+// door's metrics call shares it.
+func (s *Snapshot) FillMetrics(m *metrics.Snapshot) {
+	m.SnapshotVersion = s.Version
+	if s.PTI != nil {
+		st := s.PTI.Stats()
+		m.CacheQueryHits = st.QueryHits
+		m.CacheStructureHits = st.StructureHits
+		m.CacheMisses = st.Misses
+		if shards, _ := s.PTI.ShardStats(); len(shards) > 0 {
+			m.CacheShards = make([]metrics.CacheShard, len(shards))
+			for i, sh := range shards {
+				m.CacheShards[i] = metrics.CacheShard{Hits: sh.Hits, Misses: sh.Misses, Entries: sh.Entries}
+			}
+		}
+	}
+	if s.NTI != nil {
+		st := s.NTI.Stats()
+		m.NTIMatcherCalls = st.MatcherCalls
+		m.NTIMatcherEarlyExits = st.EarlyExits
+		m.NTIPrefilterChecks = st.PrefilterChecks
+		m.NTIPrefilterRejects = st.PrefilterRejects
+	}
+	if s.Profiles != nil {
+		m.ProfileSites = uint64(s.Profiles.Sites())
+		m.ProfileSkeletons = uint64(s.Profiles.Skeletons())
+		return
+	}
+	for _, a := range s.Analyzers {
+		if ps, ok := a.(ProfileStage); ok && ps.Recorder != nil {
+			sites, skeletons := ps.Recorder.Len()
+			m.ProfileSites, m.ProfileSkeletons = uint64(sites), uint64(skeletons)
+		}
+	}
 }
 
 // FailureMode selects how the engine resolves a check whose analysis
@@ -383,6 +432,7 @@ func (e *Engine) Check(ctx context.Context, req Request) (core.Verdict, error) {
 			v.PTI.Reasons = []core.Reason{{Detail: detail + " (fail-closed)"}}
 		}
 		v.Attack = attack
+		v.Failed = true
 		e.record(&v, req, st, sampled, start)
 		st.reset()
 		statePool.Put(st)
@@ -398,11 +448,13 @@ func (e *Engine) Check(ctx context.Context, req Request) (core.Verdict, error) {
 				e.ensureSpan(st, req)
 				st.span.SetPanic(fmt.Sprintf("stage %s: %v\n%s", sp.stage, sp.value, sp.stack))
 				res = e.failureResult(a.Name(), fmt.Sprintf("analyzer %s panicked (%s): %v", sp.stage, e.failMode, sp.value))
+				v.Failed = true
 			case errors.Is(err, core.ErrOverBudget) && ctx.Err() == nil:
 				e.collector.RecordOverBudget()
 				e.ensureSpan(st, req)
 				st.span.SetOverBudget(err.Error())
 				res = e.failureResult(a.Name(), fmt.Sprintf("analysis over budget (%s): %v", e.failMode, err))
+				v.Failed = true
 			default:
 				// Context errors and transport failures the stage's own
 				// degradation policy did not absorb: no verdict.
@@ -422,6 +474,7 @@ func (e *Engine) Check(ctx context.Context, req Request) (core.Verdict, error) {
 		}
 	}
 	v.Attack = attack
+	v.Skeleton, v.ProfileOutcome = st.skeleton, st.profileOutcome
 	e.record(&v, req, st, sampled, start)
 	st.reset()
 	statePool.Put(st)
@@ -443,7 +496,7 @@ func (e *Engine) runStage(ctx context.Context, a Analyzer, req Request, st *Stat
 // "" when it is within them. With zero Limits this is two compares.
 func (e *Engine) overLimits(req Request) string {
 	if e.limits.MaxQueryBytes > 0 && len(req.Query) > e.limits.MaxQueryBytes {
-		return fmt.Sprintf("query %d bytes exceeds limit %d", len(req.Query), e.limits.MaxQueryBytes)
+		return fmt.Sprintf("over budget: query %d bytes exceeds limit %d", len(req.Query), e.limits.MaxQueryBytes)
 	}
 	if e.limits.MaxInputBytes > 0 {
 		total := 0
@@ -451,7 +504,7 @@ func (e *Engine) overLimits(req Request) string {
 			total += len(in.Value)
 		}
 		if total > e.limits.MaxInputBytes {
-			return fmt.Sprintf("inputs %d bytes exceed limit %d", total, e.limits.MaxInputBytes)
+			return fmt.Sprintf("over budget: inputs %d bytes exceed limit %d", total, e.limits.MaxInputBytes)
 		}
 	}
 	return ""
@@ -479,7 +532,8 @@ func (e *Engine) failureResult(name, detail string) core.Result {
 
 // record is the single post-verdict recording path shared by every front
 // door: check counters (and the degraded counter), latency sampling, span
-// completion with per-stage histograms, and the audit log for attacks.
+// completion with per-stage histograms (the finished span rides the
+// verdict), and the audit log for attacks.
 func (e *Engine) record(v *core.Verdict, req Request, st *State, sampled bool, start time.Time) {
 	if st.degraded {
 		e.collector.RecordDegraded()
@@ -492,6 +546,7 @@ func (e *Engine) record(v *core.Verdict, req Request, st *State, sampled bool, s
 	if span := st.span; span != nil {
 		span.SetVerdict(v.NTI.Attack, v.PTI.Attack, v.Profile.Attack)
 		e.tracer.Finish(span)
+		v.Trace = span
 		// Stage histograms are fed only from traced checks so the untraced
 		// hot path never reads the clock per stage.
 		e.collector.ObserveStageDurations(span.LexNs, span.PTICoverNs, span.NTIMatchNs, span.NTIPrefilterNs, span.ProfileNs)

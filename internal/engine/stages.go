@@ -101,8 +101,8 @@ func (s ProfileStage) Analyze(ctx context.Context, req Request, st *State) (core
 		sk := s.Recorder.Record(req.Site, req.Query)
 		if span != nil {
 			span.ProfileTime(time.Since(start))
-			span.SetProfile(req.Site, sk, "learned")
 		}
+		st.SetProfile(req.Site, sk, "learned")
 		return res, nil
 	}
 	// The store records the dialect it was trained under; skeletons are
@@ -127,8 +127,8 @@ func (s ProfileStage) Analyze(ctx context.Context, req Request, st *State) (core
 	}
 	if span != nil {
 		span.ProfileTime(time.Since(start))
-		span.SetProfile(req.Site, sk, outcome)
 	}
+	st.SetProfile(req.Site, sk, outcome)
 	return res, nil
 }
 

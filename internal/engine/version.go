@@ -30,10 +30,9 @@ const VersionLen = 16
 //
 // The hash is order-insensitive over fragments (two sets holding the same
 // texts version identically regardless of extraction order) and treats a
-// nil set or store as empty. Every shard of a fleet must hash the same
-// inputs to get the same version: a fragment-sliced fleet (jozad -shard
-// i/n) hashes the whole unsliced corpus, so all slices of one generation
-// share one fleet version.
+// nil set or store as empty. Every replica of a fleet built from one
+// extraction hashes the same inputs, so the fleet agrees on its version
+// without a coordinator.
 func ComputeVersion(set *fragments.Set, profiles *profile.Store, d sqltoken.Dialect, limitsTag string) string {
 	h := sha256.New()
 	var n [8]byte

@@ -289,23 +289,19 @@ func (a *Analyzer) Threshold() float64 { return a.threshold }
 // of query (callers typically already have it from the PTI daemon; pass
 // nil to lex here).
 func (a *Analyzer) Analyze(query string, toks []sqltoken.Token, inputs []Input) core.Result {
-	return a.AnalyzeTraced(query, toks, inputs, nil)
-}
-
-// AnalyzeTraced is Analyze with decision tracing: when span is non-nil it
-// records per-input match durations and the matched span offsets behind
-// every marking, plus the lazy-lex time if lexing happened here. A nil
-// span adds one pointer check per input and nothing else.
-func (a *Analyzer) AnalyzeTraced(query string, toks []sqltoken.Token, inputs []Input, span *trace.Span) core.Result {
-	res, _ := a.AnalyzeCtx(context.Background(), query, toks, inputs, span)
+	res, _ := a.AnalyzeCtx(context.Background(), query, toks, inputs, nil)
 	return res
 }
 
-// AnalyzeCtx is AnalyzeTraced with cooperative cancellation: ctx is
-// checked between input groups and polled inside the matcher, so a
-// canceled or expired context aborts a long multi-input analysis
-// mid-match with ctx's error. With context.Background() the checks are
-// free and the function never fails.
+// AnalyzeCtx is Analyze with decision tracing and cooperative
+// cancellation. When span is non-nil it records per-input match durations
+// and the matched span offsets behind every marking, plus the lazy-lex
+// time if lexing happened here; a nil span adds one pointer check per
+// input and nothing else. ctx is checked between input groups and polled
+// inside the matcher, so a canceled or expired context aborts a long
+// multi-input analysis mid-match with ctx's error. With
+// context.Background() the checks are free and the function fails only on
+// a configured budget.
 func (a *Analyzer) AnalyzeCtx(ctx context.Context, query string, toks []sqltoken.Token, inputs []Input, span *trace.Span) (core.Result, error) {
 	res := core.Result{Analyzer: core.AnalyzerNTI}
 	if a.maxQueryBytes > 0 && len(query) > a.maxQueryBytes {

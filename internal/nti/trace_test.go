@@ -1,6 +1,7 @@
 package nti
 
 import (
+	"context"
 	"testing"
 
 	"joza/internal/trace"
@@ -25,7 +26,7 @@ func TestAnalyzeTracedRecordsInputEvidence(t *testing.T) {
 		{Source: "get", Name: "page", Value: "zzzzzz-no-match-zzzzzz"},
 	}
 	span := tracedSpan(t, tr, query)
-	res := a.AnalyzeTraced(query, nil, inputs, span)
+	res, _ := a.AnalyzeCtx(context.Background(), query, nil, inputs, span)
 	if !res.Attack {
 		t.Fatal("tautology must be an attack")
 	}
@@ -65,8 +66,11 @@ func TestAnalyzeTracedNilSpanMatchesAnalyze(t *testing.T) {
 	query := "SELECT * FROM records WHERE ID=-1 UNION SELECT 1"
 	inputs := []Input{{Source: "get", Name: "id", Value: "-1 UNION SELECT 1"}}
 	plain := a.Analyze(query, nil, inputs)
-	traced := a.AnalyzeTraced(query, nil, inputs, nil)
+	traced, err := a.AnalyzeCtx(context.Background(), query, nil, inputs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if plain.Attack != traced.Attack || len(plain.Reasons) != len(traced.Reasons) {
-		t.Fatalf("nil-span AnalyzeTraced diverged: %+v vs %+v", plain, traced)
+		t.Fatalf("nil-span AnalyzeCtx diverged: %+v vs %+v", plain, traced)
 	}
 }

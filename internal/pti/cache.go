@@ -2,19 +2,22 @@ package pti
 
 import (
 	"context"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"joza/internal/core"
+	"joza/internal/fragments"
 	"joza/internal/sqlparse"
 	"joza/internal/sqltoken"
 	"joza/internal/trace"
 )
 
 // lru is a minimal thread-safe LRU set of composite (dialect, string) keys
-// mapping to a boolean "safe" verdict. Only safe verdicts are stored by
-// callers, but the value is kept for generality.
+// of safe verdicts, each with the literal values it depends on (nil for
+// none).
 type lru struct {
 	mu    sync.Mutex
 	cap   int
@@ -25,7 +28,7 @@ type lru struct {
 
 type lruEntry struct {
 	key        lruKey
-	safe       bool
+	pins       []valuePin
 	prev, next *lruEntry
 }
 
@@ -36,26 +39,26 @@ func newLRU(capacity int) *lru {
 	return &lru{cap: capacity, items: make(map[lruKey]*lruEntry, capacity)}
 }
 
-func (c *lru) get(key lruKey) (bool, bool) {
+func (c *lru) get(key lruKey) ([]valuePin, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.items[key]
 	if !ok {
-		return false, false
+		return nil, false
 	}
 	c.moveToFront(e)
-	return e.safe, true
+	return e.pins, true
 }
 
-func (c *lru) put(key lruKey, safe bool) {
+func (c *lru) put(key lruKey, pins []valuePin) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.items[key]; ok {
-		e.safe = safe
+		e.pins = pins
 		c.moveToFront(e)
 		return
 	}
-	e := &lruEntry{key: key, safe: safe}
+	e := &lruEntry{key: key, pins: pins}
 	c.items[key] = e
 	c.pushFront(e)
 	if len(c.items) > c.cap {
@@ -182,6 +185,12 @@ func (c *Cached) Mode() CacheMode { return c.mode }
 // dialects against it.
 func (c *Cached) Dialect() sqltoken.Dialect { return c.dialect }
 
+// Set returns the fragment set the wrapped analyzer covers queries with.
+func (c *Cached) Set() *fragments.Set { return c.analyzer.Set() }
+
+// MaxQueryBytes returns the wrapped analyzer's query byte cap (0 for none).
+func (c *Cached) MaxQueryBytes() int { return c.analyzer.maxQueryBytes }
+
 // NumShards returns the shard count of the query cache (0 when caching is
 // disabled).
 func (c *Cached) NumShards() int {
@@ -194,56 +203,57 @@ func (c *Cached) NumShards() int {
 // Analyze returns the PTI result for query, consulting the caches first.
 // toks may be nil; it is only lexed when a full analysis requires it.
 func (c *Cached) Analyze(query string, toks []sqltoken.Token) core.Result {
-	res, _ := c.AnalyzeLazy(query, toks)
+	res, _, _ := c.AnalyzeLazyCtx(context.Background(), query, toks, nil)
 	return res
 }
 
-// AnalyzeLazy is Analyze with lazy lexing: toks may be nil, in which case
-// the query is lexed only on a cache miss — a query-cache hit costs one
-// sharded map lookup and no lexing at all. The second return value is the
-// token stream the analysis used (nil when no lexing happened), so callers
-// that also need tokens for NTI reuse this lex instead of running another.
-func (c *Cached) AnalyzeLazy(query string, toks []sqltoken.Token) (core.Result, []sqltoken.Token) {
-	return c.AnalyzeLazyTraced(query, toks, nil)
-}
-
-// AnalyzeLazyTraced is AnalyzeLazy with decision tracing: when span is
-// non-nil it records the cache outcome (query-hit, structure-hit, miss),
-// the lazy-lex and fragment-cover durations, and the per-token cover
-// evidence from the underlying analyzer. A nil span keeps the hot path
-// identical to AnalyzeLazy: no clock reads, no allocations.
-func (c *Cached) AnalyzeLazyTraced(query string, toks []sqltoken.Token, span *trace.Span) (core.Result, []sqltoken.Token) {
-	res, toks, _ := c.AnalyzeLazyCtx(context.Background(), query, toks, span)
-	return res, toks
-}
-
-// AnalyzeLazyCtx is AnalyzeLazyTraced with cooperative cancellation: an
-// already-canceled or expired ctx fails before any cache lookup, and a
-// cache miss runs the underlying analysis through its checkpoints. Cache
-// hits never fail once past the entry check. With context.Background()
-// the checks are free.
+// AnalyzeLazyCtx analyzes query with lazy lexing, decision tracing and
+// cooperative cancellation. toks may be nil, in which case the query is
+// lexed only when the query cache misses — a query-cache hit costs one
+// sharded map lookup and no lexing at all — and then once, for both the
+// structure key and the cover. The returned token stream is the one the
+// analysis used (nil when no lexing happened), so callers that also need
+// tokens for NTI reuse this lex instead of running another.
+//
+// When span is non-nil it records the cache outcome (query-hit,
+// structure-hit, miss), the lazy-lex and fragment-cover durations, and
+// the per-token cover evidence from the underlying analyzer; a nil span
+// means no clock reads and no allocations. An already-canceled or expired
+// ctx, or a query over the analyzer's byte cap, fails before any cache
+// lookup; a cache miss runs the underlying analysis through its
+// checkpoints. Cache hits never fail once past the entry checks. With
+// context.Background() the checks are free.
 func (c *Cached) AnalyzeLazyCtx(ctx context.Context, query string, toks []sqltoken.Token, span *trace.Span) (core.Result, []sqltoken.Token, error) {
 	if ctx.Done() != nil {
 		if err := ctx.Err(); err != nil {
 			return core.Result{}, nil, err
 		}
 	}
+	// The cap is checked here, not only in the analyzer: a miss would
+	// otherwise compute the structure key and lex the whole oversized
+	// query before the analyzer refused it.
+	if err := c.analyzer.checkQueryBytes(query); err != nil {
+		return core.Result{}, nil, err
+	}
 	if c.queries != nil {
-		if safe, ok := c.queries.get(c.dialect, query); ok && safe {
+		if _, ok := c.queries.get(c.dialect, query); ok {
 			c.queryHits.Add(1)
 			span.SetCacheOutcome(trace.CacheQueryHit)
 			return core.Result{Analyzer: core.AnalyzerPTI}, toks, nil
 		}
 	}
+	// The structure key is injective only while no query byte can forge
+	// its literal markers, so a query carrying a NUL skips the cache.
 	var structKey string
-	if c.structs != nil {
-		structKey = sqlparse.StructureKeyDialect(c.dialect, query)
-		if safe, ok := c.structs.get(c.dialect, structKey); ok && safe {
+	if c.structs != nil && strings.IndexByte(query, 0) < 0 {
+		toks = c.lex(query, toks, span)
+		structKey = sqlparse.StructureKeyTokens(query, toks)
+		if pins, ok := c.structs.get(c.dialect, structKey); ok && pinsHold(pins, toks) {
 			c.structureHits.Add(1)
 			span.SetCacheOutcome(trace.CacheStructureHit)
 			// Promote into the exact-query cache for next time.
 			if c.queries != nil {
-				c.queries.put(c.dialect, query, true)
+				c.queries.put(c.dialect, query, nil)
 			}
 			return core.Result{Analyzer: core.AnalyzerPTI}, toks, nil
 		}
@@ -252,16 +262,7 @@ func (c *Cached) AnalyzeLazyCtx(ctx context.Context, query string, toks []sqltok
 	if c.queries != nil || c.structs != nil {
 		span.SetCacheOutcome(trace.CacheMiss)
 	}
-	if toks == nil {
-		var lexStart time.Time
-		if span.Active() {
-			lexStart = time.Now()
-		}
-		toks = c.dialect.Lex(query)
-		if span.Active() {
-			span.Lex(time.Since(lexStart))
-		}
-	}
+	toks = c.lex(query, toks, span)
 	var coverStart time.Time
 	if span.Active() {
 		coverStart = time.Now()
@@ -275,13 +276,119 @@ func (c *Cached) AnalyzeLazyCtx(ctx context.Context, query string, toks []sqltok
 	}
 	if !res.Attack {
 		if c.queries != nil {
-			c.queries.put(c.dialect, query, true)
+			c.queries.put(c.dialect, query, nil)
 		}
-		if c.structs != nil {
-			c.structs.put(c.dialect, structKey, true)
+		if structKey != "" {
+			c.structs.put(c.dialect, structKey, pinsFor(toks, res.Markings))
 		}
 	}
 	return res, toks, nil
+}
+
+// lex returns toks, lexing query first when toks is nil.
+func (c *Cached) lex(query string, toks []sqltoken.Token, span *trace.Span) []sqltoken.Token {
+	if toks != nil {
+		return toks
+	}
+	var lexStart time.Time
+	if span.Active() {
+		lexStart = time.Now()
+	}
+	toks = c.dialect.Lex(query)
+	if span.Active() {
+		span.Lex(time.Since(lexStart))
+	}
+	return toks
+}
+
+// valuePin requires the tok-th token of a query, a literal, to start with
+// text (prefix), end with it (suffix), or equal it (whole). Queries with
+// one structure key lex to the same token sequence, so a token index names
+// the same literal in each of them.
+type valuePin struct {
+	tok  int
+	side pinSide
+	text string
+}
+
+type pinSide uint8
+
+const (
+	pinWhole pinSide = iota
+	pinPrefix
+	pinSuffix
+)
+
+// pinsFor returns the literal bytes a safe cover marks leans on — " LIMIT
+// 5" covering LIMIT, or "LIKE '%" covering LIKE. The structure key blanks
+// literal values (a string keeps its quote bytes), so the verdict holds
+// only for same-structure queries whose literals carry those bytes; nil
+// when the cover touches no blanked value. A marking reaching into a
+// literal from before pins its prefix, one reaching out of it its suffix,
+// one spanning it the whole. A fragment covering several critical tokens
+// marks each with one span; runs of one span are walked once.
+func pinsFor(toks []sqltoken.Token, marks []core.Marking) []valuePin {
+	var pins []valuePin
+	for j, m := range marks {
+		if j > 0 && marks[j-1].Span == m.Span {
+			continue
+		}
+		first := sort.Search(len(toks), func(i int) bool { return toks[i].End > m.Span.Start })
+		for i := first; i < len(toks) && toks[i].Start < m.Span.End; i++ {
+			t := toks[i]
+			start, end := t.Start, t.End
+			switch t.Kind {
+			case sqltoken.KindNumber:
+			case sqltoken.KindString:
+				start++
+				if !t.Unterminated {
+					end--
+				}
+			default:
+				continue
+			}
+			if m.Span.End <= start || end <= m.Span.Start {
+				continue
+			}
+			pin := valuePin{tok: i, text: t.Text}
+			switch {
+			case m.Span.Start <= t.Start && m.Span.End < t.End:
+				pin.side, pin.text = pinPrefix, t.Text[:m.Span.End-t.Start]
+			case m.Span.Start > t.Start && m.Span.End >= t.End:
+				pin.side, pin.text = pinSuffix, t.Text[m.Span.Start-t.Start:]
+			}
+			// Clone so the entry does not keep the whole query alive.
+			pin.text = strings.Clone(pin.text)
+			pins = append(pins, pin)
+		}
+	}
+	return pins
+}
+
+// pinsHold reports whether a query lexed as toks carries every pinned
+// literal byte.
+func pinsHold(pins []valuePin, toks []sqltoken.Token) bool {
+	for _, p := range pins {
+		if p.tok >= len(toks) {
+			return false
+		}
+		text := toks[p.tok].Text
+		switch p.side {
+		case pinPrefix:
+			if !strings.HasPrefix(text, p.text) {
+				return false
+			}
+		case pinSuffix:
+			if !strings.HasSuffix(text, p.text) {
+				return false
+			}
+		default:
+			if text != p.text {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Stats returns a snapshot of cache counters.

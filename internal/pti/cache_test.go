@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"joza/internal/fragments"
 )
 
 // mk builds a MySQL-dialect lruKey for the plain-LRU unit tests.
@@ -11,12 +13,12 @@ func mk(s string) lruKey { return lruKey{key: s} }
 
 func TestLRUBasics(t *testing.T) {
 	c := newLRU(2)
-	c.put(mk("a"), true)
-	c.put(mk("b"), true)
-	if v, ok := c.get(mk("a")); !ok || !v {
+	c.put(mk("a"), nil)
+	c.put(mk("b"), nil)
+	if _, ok := c.get(mk("a")); !ok {
 		t.Error("a missing")
 	}
-	c.put(mk("c"), true) // evicts b (a was touched)
+	c.put(mk("c"), nil) // evicts b (a was touched)
 	if _, ok := c.get(mk("b")); ok {
 		t.Error("b should be evicted")
 	}
@@ -30,8 +32,9 @@ func TestLRUBasics(t *testing.T) {
 		t.Errorf("len = %d", c.len())
 	}
 	// Overwrite updates value.
-	c.put(mk("a"), false)
-	if v, ok := c.get(mk("a")); !ok || v {
+	pins := []valuePin{{text: "5"}}
+	c.put(mk("a"), pins)
+	if v, ok := c.get(mk("a")); !ok || len(v) != 1 {
 		t.Error("overwrite failed")
 	}
 }
@@ -39,7 +42,7 @@ func TestLRUBasics(t *testing.T) {
 func TestLRUDefaultCapacity(t *testing.T) {
 	c := newLRU(0)
 	for i := 0; i < 2000; i++ {
-		c.put(mk(fmt.Sprintf("k%d", i)), true)
+		c.put(mk(fmt.Sprintf("k%d", i)), nil)
 	}
 	if c.len() != 1024 {
 		t.Errorf("len = %d, want 1024", c.len())
@@ -55,7 +58,7 @@ func TestLRUConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("k%d", (seed+i)%100)
-				c.put(mk(key), true)
+				c.put(mk(key), nil)
 				c.get(mk(key))
 			}
 		}(g)
@@ -177,4 +180,43 @@ func TestCachedConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestStructureCacheHonorsValuePins: the structure key blanks literal
+// values, but a cover may lean on one — " LIMIT 5" covers LIMIT only next
+// to a 5, and "LIKE '%" covers LIKE only before a '%. A safe verdict then
+// carries only to same-structure queries whose literals keep those bytes;
+// a cover that leaves every literal alone carries to all.
+func TestStructureCacheHonorsValuePins(t *testing.T) {
+	set := fragments.NewSet([]string{
+		"SELECT * FROM records WHERE ID=", " LIMIT 5",
+		"SELECT id FROM posts WHERE title LIKE '%", "%' LIMIT 10",
+		"SELECT * FROM users WHERE id=",
+	})
+	oracle := New(set)
+	c := NewCached(New(set), CacheQueryAndStructure, 16)
+	for _, tc := range []struct {
+		query        string
+		attack, sHit bool
+	}{
+		{"SELECT * FROM records WHERE ID=1 LIMIT 5", false, false},
+		{"SELECT * FROM records WHERE ID=22 LIMIT 5", false, true},
+		{"SELECT * FROM records WHERE ID=1 LIMIT 0", true, false},
+		{"SELECT * FROM records WHERE ID=1 LIMIT 55", false, false}, // " LIMIT 5" occurs; the whole-literal pin is conservative
+		{"SELECT id FROM posts WHERE title LIKE '%a%' LIMIT 10", false, false},
+		{"SELECT id FROM posts WHERE title LIKE '%bcd%' LIMIT 10", false, true},
+		{"SELECT id FROM posts WHERE title LIKE 'bcd%' LIMIT 10", true, false},
+		{"SELECT id FROM posts WHERE title LIKE '%bcd' LIMIT 10", true, false},
+		{"SELECT * FROM users WHERE id=1", false, false},
+		{"SELECT * FROM users WHERE id=2", false, true},
+	} {
+		before := c.Stats().StructureHits
+		got := c.Analyze(tc.query, nil)
+		if want := oracle.Analyze(tc.query, nil); got.Attack != want.Attack || got.Attack != tc.attack {
+			t.Errorf("%s: cached attack %v, uncached %v, want %v", tc.query, got.Attack, want.Attack, tc.attack)
+		}
+		if hit := c.Stats().StructureHits > before; hit != tc.sHit {
+			t.Errorf("%s: structure hit %v, want %v", tc.query, hit, tc.sHit)
+		}
+	}
 }

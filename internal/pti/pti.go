@@ -132,30 +132,24 @@ func (a *Analyzer) Set() *fragments.Set { return a.set }
 func (a *Analyzer) Dialect() sqltoken.Dialect { return a.dialect }
 
 // Analyze decides whether query is PTI-safe. toks must be the lex of query;
-// pass nil to lex internally.
+// pass nil to lex internally. Analyze applies no budgets: it has no way to
+// report them (use AnalyzeCtx).
 func (a *Analyzer) Analyze(query string, toks []sqltoken.Token) core.Result {
-	return a.AnalyzeTraced(query, toks, nil)
-}
-
-// AnalyzeTraced is Analyze with decision tracing: when span is non-nil it
-// records, per critical token, which trusted fragment covered it (and
-// where the fragment occurred) or that no fragment did — the evidence
-// behind a PTI verdict. A nil span costs one pointer check per token.
-func (a *Analyzer) AnalyzeTraced(query string, toks []sqltoken.Token, span *trace.Span) core.Result {
 	if toks == nil {
 		toks = a.dialect.Lex(query)
 	}
-	if a.parseFirst {
-		return a.analyzeParseFirst(query, toks, span)
-	}
-	return a.analyzeFullMarking(query, toks, span)
+	return a.analyze(query, toks, nil)
 }
 
-// AnalyzeCtx is AnalyzeTraced with cancellation checkpoints before and
-// after lexing. The cover scan itself is linear in the query and runs to
-// completion; the expensive, checkpointed loop of the hybrid pipeline is
-// NTI's approximate matcher. With context.Background() AnalyzeCtx never
-// fails and adds no work.
+// AnalyzeCtx is Analyze with decision tracing, budgets and cancellation
+// checkpoints before and after lexing. When span is non-nil it records, per
+// critical token, which trusted fragment covered it (and where the fragment
+// occurred) or that no fragment did — the evidence behind a PTI verdict; a
+// nil span costs one pointer check per token. The cover scan itself is
+// linear in the query and runs to completion; the expensive, checkpointed
+// loop of the hybrid pipeline is NTI's approximate matcher. With
+// context.Background() and no budgets AnalyzeCtx never fails and adds no
+// work.
 func (a *Analyzer) AnalyzeCtx(ctx context.Context, query string, toks []sqltoken.Token, span *trace.Span) (core.Result, error) {
 	cancelable := ctx.Done() != nil
 	if cancelable {
@@ -163,9 +157,8 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, query string, toks []sqltoken
 			return core.Result{}, err
 		}
 	}
-	if a.maxQueryBytes > 0 && len(query) > a.maxQueryBytes {
-		return core.Result{}, fmt.Errorf("pti: query %d bytes exceeds cap %d: %w",
-			len(query), a.maxQueryBytes, core.ErrOverBudget)
+	if err := a.checkQueryBytes(query); err != nil {
+		return core.Result{}, err
 	}
 	if toks == nil {
 		toks = a.dialect.Lex(query)
@@ -179,10 +172,24 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, query string, toks []sqltoken
 		return core.Result{}, fmt.Errorf("pti: %d tokens exceeds cap %d: %w",
 			len(toks), a.maxTokens, core.ErrOverBudget)
 	}
-	if a.parseFirst {
-		return a.analyzeParseFirst(query, toks, span), nil
+	return a.analyze(query, toks, span), nil
+}
+
+// checkQueryBytes refuses a query over the byte cap, before any work on it.
+func (a *Analyzer) checkQueryBytes(query string) error {
+	if a.maxQueryBytes > 0 && len(query) > a.maxQueryBytes {
+		return fmt.Errorf("pti: query %d bytes exceeds cap %d: %w",
+			len(query), a.maxQueryBytes, core.ErrOverBudget)
 	}
-	return a.analyzeFullMarking(query, toks, span), nil
+	return nil
+}
+
+// analyze runs the configured cover strategy over a lexed query.
+func (a *Analyzer) analyze(query string, toks []sqltoken.Token, span *trace.Span) core.Result {
+	if a.parseFirst {
+		return a.analyzeParseFirst(query, toks, span)
+	}
+	return a.analyzeFullMarking(query, toks, span)
 }
 
 // analyzeParseFirst verifies coverage of each critical token directly,

@@ -102,21 +102,21 @@ func (s *shardedLRU) shard(k lruKey) *lruShard {
 	return &s.shards[hashKey(k)&s.mask]
 }
 
-func (s *shardedLRU) get(d sqltoken.Dialect, key string) (bool, bool) {
+func (s *shardedLRU) get(d sqltoken.Dialect, key string) ([]valuePin, bool) {
 	k := lruKey{d: d, key: key}
 	sh := s.shard(k)
-	safe, ok := sh.lru.get(k)
+	pins, ok := sh.lru.get(k)
 	if ok {
 		sh.hits.Add(1)
 	} else {
 		sh.misses.Add(1)
 	}
-	return safe, ok
+	return pins, ok
 }
 
-func (s *shardedLRU) put(d sqltoken.Dialect, key string, safe bool) {
+func (s *shardedLRU) put(d sqltoken.Dialect, key string, pins []valuePin) {
 	k := lruKey{d: d, key: key}
-	s.shard(k).lru.put(k, safe)
+	s.shard(k).lru.put(k, pins)
 }
 
 func (s *shardedLRU) len() int {

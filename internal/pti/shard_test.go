@@ -1,6 +1,7 @@
 package pti
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -27,13 +28,13 @@ func TestShardedLRUBasics(t *testing.T) {
 		t.Fatalf("shards = %d", len(s.shards))
 	}
 	for i := 0; i < 32; i++ {
-		s.put(sqltoken.MySQL, fmt.Sprintf("key-%d", i), true)
+		s.put(sqltoken.MySQL, fmt.Sprintf("key-%d", i), nil)
 	}
 	if s.len() != 32 {
 		t.Errorf("len = %d, want 32", s.len())
 	}
 	for i := 0; i < 32; i++ {
-		if safe, ok := s.get(sqltoken.MySQL, fmt.Sprintf("key-%d", i)); !ok || !safe {
+		if _, ok := s.get(sqltoken.MySQL, fmt.Sprintf("key-%d", i)); !ok {
 			t.Errorf("key-%d missing", i)
 		}
 	}
@@ -53,7 +54,7 @@ func TestShardedLRUBasics(t *testing.T) {
 func TestShardedLRUDistributesKeys(t *testing.T) {
 	s := newShardedLRU(4096, 8)
 	for i := 0; i < 4000; i++ {
-		s.put(sqltoken.MySQL, fmt.Sprintf("SELECT * FROM t WHERE id=%d", i), true)
+		s.put(sqltoken.MySQL, fmt.Sprintf("SELECT * FROM t WHERE id=%d", i), nil)
 	}
 	occupied := 0
 	for _, st := range s.stats() {
@@ -71,7 +72,7 @@ func TestShardedLRUCapacitySplit(t *testing.T) {
 	// capacity must keep the total bounded by capacity (+rounding).
 	s := newShardedLRU(64, 8)
 	for i := 0; i < 10000; i++ {
-		s.put(sqltoken.MySQL, fmt.Sprintf("key-%d", i), true)
+		s.put(sqltoken.MySQL, fmt.Sprintf("key-%d", i), nil)
 	}
 	if got := s.len(); got > 64 {
 		t.Errorf("len = %d exceeds total capacity 64", got)
@@ -82,8 +83,8 @@ func TestShardedLRUEvictionPerShard(t *testing.T) {
 	// One-entry shards: any second key hashing to the same shard evicts
 	// the first.
 	s := newShardedLRU(8, 8)
-	s.put(sqltoken.MySQL, "a", true)
-	s.put(sqltoken.MySQL, "b", true)
+	s.put(sqltoken.MySQL, "a", nil)
+	s.put(sqltoken.MySQL, "b", nil)
 	if s.len() > 8 {
 		t.Errorf("len = %d", s.len())
 	}
@@ -103,7 +104,7 @@ func TestShardedLRUConcurrentChurn(t *testing.T) {
 				key := fmt.Sprintf("key-%d", (seed*13+i)%100)
 				d := sqltoken.Dialect(seed % 3)
 				if i%3 == 0 {
-					s.put(d, key, true)
+					s.put(d, key, nil)
 				} else {
 					s.get(d, key)
 				}
@@ -179,19 +180,19 @@ func TestHashKeySpread(t *testing.T) {
 func TestShardedLRUDialectNamespaces(t *testing.T) {
 	s := newShardedLRU(256, 8)
 	key := "SELECT * FROM t WHERE a = $q$x$q$"
-	s.put(sqltoken.MySQL, key, true)
+	s.put(sqltoken.MySQL, key, nil)
 	if _, ok := s.get(sqltoken.Postgres, key); ok {
 		t.Fatal("Postgres lookup served a MySQL-cached verdict")
 	}
 	if _, ok := s.get(sqltoken.SQLite, key); ok {
 		t.Fatal("SQLite lookup served a MySQL-cached verdict")
 	}
-	if safe, ok := s.get(sqltoken.MySQL, key); !ok || !safe {
+	if _, ok := s.get(sqltoken.MySQL, key); !ok {
 		t.Fatal("MySQL entry lost")
 	}
 	// Same string under all three dialects: three independent entries.
-	s.put(sqltoken.Postgres, key, true)
-	s.put(sqltoken.SQLite, key, true)
+	s.put(sqltoken.Postgres, key, nil)
+	s.put(sqltoken.SQLite, key, nil)
 	if got := s.len(); got != 3 {
 		t.Fatalf("len = %d, want 3 independent entries", got)
 	}
@@ -205,7 +206,7 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 	q := "SELECT * FROM records WHERE ID=1 LIMIT 5"
 	c.Analyze(q, nil) // warm
 	if n := testing.AllocsPerRun(200, func() {
-		res, toks := c.AnalyzeLazy(q, nil)
+		res, toks, _ := c.AnalyzeLazyCtx(context.Background(), q, nil, nil)
 		if res.Attack || toks != nil {
 			t.Fatal("expected cached safe verdict without lexing")
 		}

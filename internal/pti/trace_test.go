@@ -1,6 +1,7 @@
 package pti
 
 import (
+	"context"
 	"testing"
 
 	"joza/internal/fragments"
@@ -18,7 +19,7 @@ func TestAnalyzeTracedRecordsCoverEvidence(t *testing.T) {
 	a := New(tracedFragments())
 	tr := trace.New(trace.Config{SampleEvery: 1})
 	span := tr.Start("q")
-	res := a.AnalyzeTraced("SELECT * FROM records WHERE ID=5 LIMIT 5", nil, span)
+	res, _ := a.AnalyzeCtx(context.Background(), "SELECT * FROM records WHERE ID=5 LIMIT 5", nil, span)
 	if res.Attack {
 		t.Fatal("benign query flagged")
 	}
@@ -43,7 +44,7 @@ func TestAnalyzeTracedRecordsUncoveredEvidence(t *testing.T) {
 		a := New(tracedFragments(), opt...)
 		tr := trace.New(trace.Config{SampleEvery: 1})
 		span := tr.Start("q")
-		res := a.AnalyzeTraced("SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5", nil, span)
+		res, _ := a.AnalyzeCtx(context.Background(), "SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5", nil, span)
 		if !res.Attack {
 			t.Fatal("injection not flagged")
 		}
@@ -68,7 +69,7 @@ func TestCachedTracedRecordsOutcomes(t *testing.T) {
 	query := "SELECT * FROM records WHERE ID=7 LIMIT 5"
 
 	miss := tr.Start(query)
-	c.AnalyzeLazyTraced(query, nil, miss)
+	c.AnalyzeLazyCtx(context.Background(), query, nil, miss)
 	if miss.CacheOutcome != trace.CacheMiss {
 		t.Fatalf("first analysis outcome %q, want miss", miss.CacheOutcome)
 	}
@@ -77,7 +78,7 @@ func TestCachedTracedRecordsOutcomes(t *testing.T) {
 	}
 
 	hit := tr.Start(query)
-	c.AnalyzeLazyTraced(query, nil, hit)
+	c.AnalyzeLazyCtx(context.Background(), query, nil, hit)
 	if hit.CacheOutcome != trace.CacheQueryHit {
 		t.Fatalf("repeat outcome %q, want query-hit", hit.CacheOutcome)
 	}
@@ -88,7 +89,7 @@ func TestCachedTracedRecordsOutcomes(t *testing.T) {
 	// Same structure, different literal: structure-hit.
 	variant := "SELECT * FROM records WHERE ID=99 LIMIT 5"
 	sh := tr.Start(variant)
-	c.AnalyzeLazyTraced(variant, nil, sh)
+	c.AnalyzeLazyCtx(context.Background(), variant, nil, sh)
 	if sh.CacheOutcome != trace.CacheStructureHit {
 		t.Fatalf("variant outcome %q, want structure-hit", sh.CacheOutcome)
 	}
@@ -98,7 +99,7 @@ func TestCachedTracedNoCacheMode(t *testing.T) {
 	c := NewCached(New(tracedFragments()), CacheNone, 1)
 	tr := trace.New(trace.Config{SampleEvery: 1})
 	span := tr.Start("q")
-	c.AnalyzeLazyTraced("SELECT * FROM records WHERE ID=7 LIMIT 5", nil, span)
+	c.AnalyzeLazyCtx(context.Background(), "SELECT * FROM records WHERE ID=7 LIMIT 5", nil, span)
 	if span.CacheOutcome != "" {
 		t.Fatalf("cacheless analyzer recorded outcome %q", span.CacheOutcome)
 	}

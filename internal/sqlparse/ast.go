@@ -246,7 +246,12 @@ func StructureKey(query string) string {
 // is data in Postgres and live tokens in MySQL), so callers key caches by
 // (dialect, skeleton), not skeleton alone.
 func StructureKeyDialect(d sqltoken.Dialect, query string) string {
-	toks := d.Lex(query)
+	return StructureKeyTokens(query, d.Lex(query))
+}
+
+// StructureKeyTokens is StructureKeyDialect over an existing lex of query,
+// for callers that need the tokens too.
+func StructureKeyTokens(query string, toks []sqltoken.Token) string {
 	var sb strings.Builder
 	sb.Grow(len(query))
 	pos := 0

@@ -17,14 +17,20 @@ import (
 	"joza/internal/webapp"
 )
 
-// pathDiff is a webapp.Checker that runs every check through two front
-// doors — the in-process Guard and a HybridClient over a daemon Pool — and
-// records any difference between their verdicts. The app proceeds on the
-// Guard's verdict.
+// pathDiff is a webapp.Checker that runs every check through several
+// front doors — the in-process Guard and HybridClients over daemon
+// transports — and records any difference between the Guard's verdict and
+// another path's. The app proceeds on the Guard's verdict.
 type pathDiff struct {
-	guard  *joza.Guard
+	guard *joza.Guard
+	paths []wirePath
+	diffs []string
+}
+
+// wirePath is one named HybridClient path under comparison.
+type wirePath struct {
+	name   string
 	hybrid *daemon.HybridClient
-	diffs  []string
 }
 
 func (d *pathDiff) AuthorizeContextAt(ctx context.Context, site, query string, inputs []joza.Input) error {
@@ -32,12 +38,14 @@ func (d *pathDiff) AuthorizeContextAt(ctx context.Context, site, query string, i
 	if err != nil {
 		return err
 	}
-	got, err := d.hybrid.CheckContextAt(ctx, site, query, inputs)
-	if err != nil {
-		return err
-	}
-	if diff := verdictDiff(want, got); diff != "" && len(d.diffs) < 10 {
-		d.diffs = append(d.diffs, fmt.Sprintf("site %s, query %q: %s", site, query, diff))
+	for _, p := range d.paths {
+		got, err := p.hybrid.CheckContextAt(ctx, site, query, inputs)
+		if err != nil {
+			return fmt.Errorf("%s: %w", p.name, err)
+		}
+		if diff := verdictDiff(want, got); diff != "" && len(d.diffs) < 10 {
+			d.diffs = append(d.diffs, fmt.Sprintf("%s, site %s, query %q: %s", p.name, site, query, diff))
+		}
 	}
 	if want.Attack {
 		return &joza.AttackError{Verdict: want, Policy: d.guard.Policy()}
@@ -75,26 +83,31 @@ func verdictDiff(want, got core.Verdict) string {
 	return ""
 }
 
-// wireHybrid serves srv over in-memory pipes and returns a HybridClient
-// over a two-connection Pool to it, in dialect d.
-func wireHybrid(t *testing.T, srv *daemon.Server, d sqltoken.Dialect) *daemon.HybridClient {
-	t.Helper()
-	pool := daemon.NewPool(func() (net.Conn, error) {
+// pipePool returns a two-connection Pool in dialect d to srv over
+// in-memory pipes.
+func pipePool(srv *daemon.Server, d sqltoken.Dialect) *daemon.Pool {
+	return daemon.NewPool(func() (net.Conn, error) {
 		clientSide, serverSide := net.Pipe()
 		go srv.ServeConn(serverSide)
 		return clientSide, nil
 	}, daemon.PoolConfig{Size: 2, Dialect: d})
-	h := daemon.NewHybridClient(pool, nti.MustNew(nti.WithDialect(d)), core.PolicyTerminate, daemon.WithDialect(d))
+}
+
+// hybridOver returns a HybridClient over transport in dialect d.
+func hybridOver(t *testing.T, transport daemon.Transport, d sqltoken.Dialect) *daemon.HybridClient {
+	t.Helper()
+	h := daemon.NewHybridClient(transport, nti.MustNew(nti.WithDialect(d)), core.PolicyTerminate, daemon.WithDialect(d))
 	t.Cleanup(func() { _ = h.Close() })
 	return h
 }
 
 // TestPathIndependenceDetectionMatrix runs the detection-matrix corpus —
-// 266 benign and 117 attack cases — through the in-process Guard and
-// through HybridClient→Pool→Server with the same fragments and profiles,
-// and requires the same verdict from both on every check. A Postgres
-// slice repeats the corpus, plus the dialect-evasion payloads, with both
-// paths in the Postgres dialect.
+// 266 benign and 117 attack cases — through the in-process Guard, through
+// HybridClient→Pool→Server and, in MySQL, through a HybridClient over a
+// 2-shard replicated ShardedPool, all with the same fragments and
+// profiles, and requires the same verdict from every path on every check.
+// A Postgres slice repeats the corpus, plus the dialect-evasion payloads,
+// with the Guard and the Pool path in the Postgres dialect.
 func TestPathIndependenceDetectionMatrix(t *testing.T) {
 	lab, err := NewLab()
 	if err != nil {
@@ -134,13 +147,32 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		analyzer := pti.NewCached(pti.New(lab.Fragments), pti.CacheQueryAndStructure, 4096)
-		d := &pathDiff{guard: guard, hybrid: wireHybrid(t, daemon.NewServer(analyzer, daemon.WithProfiles(store)), sqltoken.MySQL)}
+		server := func() *daemon.Server {
+			analyzer := pti.NewCached(pti.New(lab.Fragments), pti.CacheQueryAndStructure, 4096)
+			return daemon.NewServer(analyzer, daemon.WithProfiles(store))
+		}
+		// Every shard of the fleet is a replica holding the whole corpus.
+		shards := []*daemon.Server{server(), server()}
+		fleet, err := daemon.NewShardedPool([]*daemon.Pool{pipePool(shards[0], sqltoken.MySQL), pipePool(shards[1], sqltoken.MySQL)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &pathDiff{guard: guard, paths: []wirePath{
+			{"pool", hybridOver(t, pipePool(server(), sqltoken.MySQL), sqltoken.MySQL)},
+			{"2-shard fleet", hybridOver(t, fleet, sqltoken.MySQL)},
+		}}
 		if cases := sweep(t, d); cases != 383 {
 			t.Errorf("swept %d cases, want the matrix's 383", cases)
 		}
-		if m := d.hybrid.Metrics(); m.ProfileAttacks == 0 || m.NTIAttacks == 0 || m.PTIAttacks == 0 {
-			t.Errorf("some analyzer never fired over the wire: %+v", m)
+		for _, p := range d.paths {
+			if m := p.hybrid.Metrics(); m.ProfileAttacks == 0 || m.NTIAttacks == 0 || m.PTIAttacks == 0 {
+				t.Errorf("%s: some analyzer never fired over the wire: %+v", p.name, m)
+			}
+		}
+		for i, srv := range shards {
+			if srv.Stats().DaemonAnalyzeOps == 0 {
+				t.Errorf("fleet shard %d served no checks", i)
+			}
 		}
 		for _, diff := range d.diffs {
 			t.Error(diff)
@@ -153,7 +185,9 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		analyzer := pti.NewCached(pti.New(lab.Fragments, pti.WithDialect(sqltoken.Postgres)), pti.CacheQueryAndStructure, 4096)
-		d := &pathDiff{guard: guard, hybrid: wireHybrid(t, daemon.NewServer(analyzer), sqltoken.Postgres)}
+		d := &pathDiff{guard: guard, paths: []wirePath{
+			{"pool", hybridOver(t, pipePool(daemon.NewServer(analyzer), sqltoken.Postgres), sqltoken.Postgres)},
+		}}
 		if cases := sweep(t, d); cases != 383 {
 			t.Errorf("swept %d cases, want the matrix's 383", cases)
 		}

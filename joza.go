@@ -635,32 +635,7 @@ func (g *Guard) AuthorizeContextAt(ctx context.Context, site, query string, inpu
 // check-latency quantiles. Safe to call concurrently with Check.
 func (g *Guard) Metrics() Metrics {
 	snap := g.eng.Collector().Snapshot()
-	es := g.eng.Snapshot()
-	snap.SnapshotVersion = es.Version
-	if es.PTI != nil {
-		st := es.PTI.Stats()
-		snap.CacheQueryHits = st.QueryHits
-		snap.CacheStructureHits = st.StructureHits
-		snap.CacheMisses = st.Misses
-		queryShards, _ := es.PTI.ShardStats()
-		snap.CacheShards = make([]CacheShardMetrics, len(queryShards))
-		for i, sh := range queryShards {
-			snap.CacheShards[i] = CacheShardMetrics{
-				Hits: sh.Hits, Misses: sh.Misses, Entries: sh.Entries,
-			}
-		}
-	}
-	if es.NTI != nil {
-		st := es.NTI.Stats()
-		snap.NTIMatcherCalls = st.MatcherCalls
-		snap.NTIMatcherEarlyExits = st.EarlyExits
-		snap.NTIPrefilterChecks = st.PrefilterChecks
-		snap.NTIPrefilterRejects = st.PrefilterRejects
-	}
-	if es.Profiles != nil {
-		snap.ProfileSites = uint64(es.Profiles.Sites())
-		snap.ProfileSkeletons = uint64(es.Profiles.Skeletons())
-	}
+	g.eng.Snapshot().FillMetrics(&snap)
 	return snap
 }
 

@@ -45,8 +45,8 @@ type (
 	// jozad daemons, with a per-shard breaker so one dead shard degrades
 	// only its own keyspace.
 	DaemonShardedPool = daemon.ShardedPool
-	// DaemonShardOption configures a DaemonShardedPool (names, routing
-	// key, ring replicas).
+	// DaemonShardOption configures a DaemonShardedPool (names, ring
+	// replicas, skew policy).
 	DaemonShardOption = daemon.ShardedPoolOption
 	// TraceConfig tunes decision tracing (sample rate, ring size, slow
 	// threshold) for a RemoteGuard; the in-process Guard configures the
@@ -98,19 +98,10 @@ func DialDaemonPool(addr string, cfg DaemonPoolConfig) *DaemonPool {
 }
 
 // DialDaemonShardedPool opens one connection pool per fleet address and
-// consistent-hash-routes checks across them. Checks route by query text
-// by default; fragment-sliced fleets (jozad -shard i/n) must route by
-// the same key the fragment set was sliced with — see WithDaemonShardKey.
+// consistent-hash-routes checks across them by query text. Every daemon
+// of the fleet serves the whole fragment corpus.
 func DialDaemonShardedPool(addrs []string, cfg DaemonPoolConfig, opts ...DaemonShardOption) (*DaemonShardedPool, error) {
 	return daemon.DialShardedPool(addrs, cfg, opts...)
-}
-
-// WithDaemonShardKey sets how a DaemonShardedPool derives the routing key
-// from a query (default: the query text itself). A fleet whose shards
-// hold fragment-set slices must route with the same key function the set
-// was sliced by, or checks land on shards missing their fragments.
-func WithDaemonShardKey(fn func(query string) string) DaemonShardOption {
-	return daemon.WithShardKey(fn)
 }
 
 // WithDaemonShardNames labels the shards of a DaemonShardedPool in stats
