@@ -19,6 +19,7 @@ import (
 	"joza/internal/fragments"
 	"joza/internal/minidb"
 	"joza/internal/nti"
+	"joza/internal/profile"
 	"joza/internal/pti"
 	"joza/internal/sqlparse"
 	"joza/internal/sqltoken"
@@ -465,6 +466,28 @@ func BenchmarkLex(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sqltoken.Lex(benchQuery)
 	}
+}
+
+// BenchmarkSkeleton measures the profile stage's skeleton: "lex" is
+// profile.SkeletonDialect, a lex and a fresh string per call; "tokens"
+// builds from an already-published token stream into a reused buffer, as
+// the engine's profile stage does once an earlier stage has lexed.
+func BenchmarkSkeleton(b *testing.B) {
+	q := "SELECT id, author, body FROM comments WHERE post_id IN (4, 8, 15) AND approved = '1' ORDER BY id LIMIT 50"
+	b.Run("lex", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			profile.SkeletonDialect(sqltoken.MySQL, q)
+		}
+	})
+	b.Run("tokens", func(b *testing.B) {
+		toks := sqltoken.MySQL.Lex(q)
+		var buf []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = profile.AppendSkeleton(buf[:0], toks)
+		}
+	})
 }
 
 func BenchmarkParse(b *testing.B) {

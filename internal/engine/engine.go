@@ -90,6 +90,10 @@ type State struct {
 	// skeleton and profileOutcome are the profile stage's evidence, copied
 	// onto the verdict.
 	skeleton, profileOutcome string
+
+	// skeletonBuf is the profile stage's build buffer. It survives reset,
+	// so pooled States build skeletons without allocating.
+	skeletonBuf []byte
 }
 
 // Span returns the check's trace span (nil when the check is not sampled;
@@ -132,9 +136,17 @@ func (st *State) SetProfile(site, skeleton, outcome string) {
 	st.span.SetProfile(site, skeleton, outcome)
 }
 
-// reset clears the State for pool reuse.
+// maxPooledSkeletonBuf bounds the skeleton buffer a pooled State keeps,
+// so one huge query does not pin its buffer in the pool.
+const maxPooledSkeletonBuf = 64 << 10
+
+// reset clears the State for pool reuse, keeping a modest skeleton buffer.
 func (st *State) reset() {
-	*st = State{}
+	buf := st.skeletonBuf[:0]
+	if cap(buf) > maxPooledSkeletonBuf {
+		buf = nil
+	}
+	*st = State{skeletonBuf: buf}
 }
 
 // statePool recycles per-check State values so the steady-state pipeline

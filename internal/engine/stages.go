@@ -71,6 +71,12 @@ func hasInputValues(inputs []nti.Input) bool {
 // training. Requests without a Site skip the stage entirely — call-site
 // identity is the profile key, and the stage cannot say anything without
 // one.
+//
+// The stage builds its skeleton from the token stream an earlier stage
+// published, or lexes and publishes one for later stages, so a check lexes
+// at most once. It shares tokens only when its profiles were computed
+// under the request's dialect; otherwise it lexes under its own and
+// publishes nothing.
 type ProfileStage struct {
 	// Store is the frozen training profile consulted in enforcement.
 	Store *profile.Store
@@ -92,33 +98,54 @@ func (s ProfileStage) Analyze(ctx context.Context, req Request, st *State) (core
 	if req.Site == "" {
 		return res, nil
 	}
+	// Skeletons are only comparable when computed under the dialect the
+	// store was trained (or the recorder records) under; snapshot builders
+	// verify it matches the guard's via ForDialect.
+	d := s.Store.Dialect()
+	if s.Recorder != nil {
+		d = s.Recorder.Dialect()
+	}
 	span := st.Span()
+	toks := st.Tokens()
+	if toks == nil || d != req.Dialect {
+		var lexStart time.Time
+		if span != nil {
+			lexStart = time.Now()
+		}
+		toks = d.Lex(req.Query)
+		if span != nil {
+			span.Lex(time.Since(lexStart))
+		}
+		if d == req.Dialect {
+			st.PublishTokens(toks)
+		}
+	}
 	var start time.Time
 	if span != nil {
 		start = time.Now()
 	}
+	st.skeletonBuf = profile.AppendSkeleton(st.skeletonBuf[:0], toks)
 	if s.Recorder != nil {
-		sk := s.Recorder.Record(req.Site, req.Query)
+		sk := string(st.skeletonBuf)
+		s.Recorder.RecordSkeleton(req.Site, sk)
 		if span != nil {
 			span.ProfileTime(time.Since(start))
 		}
 		st.SetProfile(req.Site, sk, "learned")
 		return res, nil
 	}
-	// The store records the dialect it was trained under; skeletons are
-	// only comparable when computed under the same one (snapshot builders
-	// verify the store matches the guard's dialect via ForDialect).
-	sk := profile.SkeletonDialect(s.Store.Dialect(), req.Query)
-	lookup := s.Store.Lookup(req.Site, sk)
+	lookup, sk := s.Store.LookupBytes(req.Site, st.skeletonBuf)
 	outcome := "seen"
 	switch lookup {
 	case profile.SkeletonUnseen:
 		outcome = "unseen"
+		sk = string(st.skeletonBuf)
 		res.Attack = true
 		res.Reasons = []core.Reason{{Detail: fmt.Sprintf(
 			"query skeleton never seen from call site %q during training: %s", req.Site, sk)}}
 	case profile.SiteUnknown:
 		outcome = "site-unknown"
+		sk = string(st.skeletonBuf)
 		if s.BlockUnknownSites {
 			res.Attack = true
 			res.Reasons = []core.Reason{{Detail: fmt.Sprintf(

@@ -1,17 +1,19 @@
-package profile
+package profile_test
 
 import (
 	"bytes"
 	"strings"
 	"testing"
 
+	"joza/internal/profile"
 	"joza/internal/sqltoken"
 )
 
 // FuzzSkeletonNormalize asserts the invariants enforcement relies on:
-// Skeleton never panics, is deterministic, and is stable under the benign
-// mutations it exists to absorb — added whitespace and changed numeric
-// literals — so profile lookups cannot fragment on parameter drift.
+// Skeleton never panics, is deterministic, matches the frozen seed builder
+// byte for byte in every dialect, and is stable under the benign mutations
+// it exists to absorb — added whitespace and changed numeric literals — so
+// profile lookups cannot fragment on parameter drift.
 func FuzzSkeletonNormalize(f *testing.F) {
 	f.Add("SELECT * FROM posts WHERE id=5")
 	f.Add("SELECT name FROM users WHERE login='alice' AND pass=MD5('x')")
@@ -22,19 +24,30 @@ func FuzzSkeletonNormalize(f *testing.F) {
 	f.Add("`backtick")
 	f.Add("")
 	f.Add("\x00\xff weird bytes 0x1f")
+	// Edge cases of the in-place builder: words whose strings.ToUpper is
+	// ASCII, invalid UTF-8, a quoted `in`, IN-lists of mixed and non-literal
+	// elements, an alias, a word longer than the lexer's stack buffer.
+	f.Add("ſelect * from t where ıd in (1, 2)")
+	f.Add("SELECT \xc3\x28 FROM t WHERE a IN ('\xff', 2)")
+	f.Add("SELECT * FROM t WHERE `in` (1, 2) AND b `in` (3)")
+	f.Add("SELECT * FROM t WHERE a IN (?, :name, 'x')")
+	f.Add("SELECT * FROM t WHERE a IN (1, c) OR b IN () OR c IN (1,) OR d IN (1")
+	f.Add("SELECT a AS alias, b AS `q`, c AS in FROM t")
+	f.Add("SELECT " + strings.Repeat("long_identifier_", 4) + " FROM t WHERE x IN (1)")
 	f.Fuzz(func(t *testing.T, query string) {
-		sk := Skeleton(query)
-		if again := Skeleton(query); again != sk {
+		assertSeedSkeleton(t, query)
+		sk := profile.Skeleton(query)
+		if again := profile.Skeleton(query); again != sk {
 			t.Fatalf("non-deterministic: %q then %q for %q", sk, again, query)
 		}
 		// Leading whitespace never reaches a token.
-		if got := Skeleton(" \t\n" + query); got != sk {
+		if got := profile.Skeleton(" \t\n" + query); got != sk {
 			t.Fatalf("leading whitespace changed skeleton: %q vs %q for %q", got, sk, query)
 		}
 		// Widening existing inter-token gaps (which are whitespace by
 		// construction) must not change the skeleton.
 		if wider := widenGaps(query); wider != query {
-			if got := Skeleton(wider); got != sk {
+			if got := profile.Skeleton(wider); got != sk {
 				t.Fatalf("gap widening changed skeleton: %q vs %q for %q -> %q", got, sk, query, wider)
 			}
 		}
@@ -42,7 +55,7 @@ func FuzzSkeletonNormalize(f *testing.F) {
 		// length keeps lexing identical around it; the skeleton must fold
 		// both to the same marker.
 		if mutated := mutateIntegers(query); mutated != query {
-			if got := Skeleton(mutated); got != sk {
+			if got := profile.Skeleton(mutated); got != sk {
 				t.Fatalf("integer mutation changed skeleton: %q vs %q for %q -> %q", got, sk, query, mutated)
 			}
 		}
@@ -120,21 +133,21 @@ func allDigits(s string) bool {
 // same store, and that canonical form is a fixpoint (bit-identical on a
 // second pass). Parse must never panic on arbitrary bytes.
 func FuzzProfileStore(f *testing.F) {
-	rec := NewRecorder()
+	rec := profile.NewRecorder()
 	rec.Record("plugin:posts", "SELECT * FROM posts WHERE id=5")
 	rec.Record("plugin:login", "SELECT pass FROM users WHERE login='a'")
 	f.Add(rec.Store().Bytes())
-	f.Add([]byte(Header + "\n"))
-	f.Add([]byte(Header + "\n" + `site "a"` + "\n" + `sk "SELECT ?"` + "\n"))
+	f.Add([]byte(profile.Header + "\n"))
+	f.Add([]byte(profile.Header + "\n" + `site "a"` + "\n" + `sk "SELECT ?"` + "\n"))
 	f.Add([]byte("garbage"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := Parse(data)
+		st, err := profile.Parse(data)
 		if err != nil {
 			return // rejected input: only the no-panic property applies
 		}
 		canon := st.Bytes()
-		st2, err := Parse(canon)
+		st2, err := profile.Parse(canon)
 		if err != nil {
 			t.Fatalf("canonical form does not parse: %v\n%q", err, canon)
 		}

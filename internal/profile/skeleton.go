@@ -21,6 +21,7 @@ package profile
 
 import (
 	"strings"
+	"unicode/utf8"
 
 	"joza/internal/sqltoken"
 )
@@ -52,84 +53,109 @@ func Skeleton(query string) string {
 // dialect it was trained under.
 func SkeletonDialect(d sqltoken.Dialect, query string) string {
 	toks := d.Lex(query)
-	if len(toks) == 0 {
-		return ""
-	}
-	parts := make([]string, 0, len(toks))
-	prevKeyword := "" // upper-cased text of the previous keyword token
-	for _, t := range toks {
-		var p string
-		switch t.Kind {
-		case sqltoken.KindNumber, sqltoken.KindPlaceholder:
-			p = valueMarker
-		case sqltoken.KindString:
-			p = stringMarker
-		case sqltoken.KindComment:
-			p = commentMarker
-		case sqltoken.KindKeyword, sqltoken.KindFunction:
-			p = strings.ToUpper(t.Text)
-		case sqltoken.KindIdent, sqltoken.KindBacktick, sqltoken.KindVariable:
-			if prevKeyword == "AS" {
-				// Alias folding: the name after AS is presentation, not
-				// structure — SELECT a AS x and SELECT a AS y are one
-				// skeleton.
-				p = valueMarker
-			} else {
-				p = strings.ToUpper(t.Text)
-			}
-		default:
-			p = t.Text
-		}
-		if t.Kind == sqltoken.KindKeyword {
-			prevKeyword = strings.ToUpper(t.Text)
-		} else {
-			prevKeyword = ""
-		}
-		parts = append(parts, p)
-	}
-	parts = foldInLists(parts)
-	return strings.Join(parts, " ")
+	// Each token adds at most one separator, and a marker rarely outgrows
+	// its literal, so this capacity usually avoids regrowth.
+	return string(AppendSkeleton(make([]byte, 0, len(query)+len(toks)), toks))
 }
 
-// foldInLists rewrites every `IN ( lit , lit , ... )` run — where each
-// element is a folded literal marker — to `IN ( ? )`, so benign IN-list
-// length drift does not fragment profiles. Lists containing anything but
-// literal markers and commas (subqueries, expressions) are left intact:
-// those are structure.
-func foldInLists(parts []string) []string {
-	out := parts[:0]
-	for i := 0; i < len(parts); i++ {
-		out = append(out, parts[i])
-		if parts[i] != "IN" || i+1 >= len(parts) || parts[i+1] != "(" {
-			continue
+// AppendSkeleton appends the skeleton of the token stream toks to dst and
+// returns the extended buffer. Each token contributes one space-separated
+// part: a marker for a literal or comment, the upper-cased text of a word
+// (a value marker for the name after AS), and the raw text of anything
+// else. Every `IN ( lit , lit , ... )` run whose elements are all literal
+// markers folds to `IN ( ? )`, so benign IN-list length drift does not
+// fragment profiles; lists holding anything else (subqueries,
+// expressions) are structure and stay intact. It allocates only to grow
+// dst and to upper-case non-ASCII words.
+func AppendSkeleton(dst []byte, toks []sqltoken.Token) []byte {
+	afterAS := false
+	for i := 0; i < len(toks); i++ {
+		t := toks[i]
+		if i > 0 {
+			dst = append(dst, ' ')
 		}
-		// Scan the parenthesized run: literals separated by commas, closed
-		// by ")". Anything else aborts the fold.
-		j := i + 2
-		elems := 0
-		expectElem := true
-		for ; j < len(parts); j++ {
-			p := parts[j]
-			if expectElem {
-				if p != valueMarker && p != stringMarker {
-					break
-				}
-				elems++
-				expectElem = false
-				continue
-			}
-			if p == ")" {
-				break
-			}
-			if p != "," {
-				break
-			}
-			expectElem = true
+		mark := len(dst)
+		switch p := fixedPart(t); {
+		case p != "":
+			dst = append(dst, p...)
+		case afterAS && t.Kind != sqltoken.KindKeyword && t.Kind != sqltoken.KindFunction:
+			// Alias folding: the name after AS is presentation, not
+			// structure — SELECT a AS x and SELECT a AS y are one
+			// skeleton.
+			dst = append(dst, valueMarker...)
+		default:
+			dst = appendUpper(dst, t.Text)
 		}
-		if j < len(parts) && parts[j] == ")" && elems > 0 && !expectElem {
-			out = append(out, "(", valueMarker, ")")
-			i = j
+		afterAS = t.Kind == sqltoken.KindKeyword && string(dst[mark:]) == "AS"
+		if string(dst[mark:]) == "IN" {
+			if end := inListEnd(toks, i+1); end > 0 {
+				dst = append(dst, " ( "+valueMarker+" )"...)
+				i = end
+			}
 		}
 	}
-	return out
+	return dst
+}
+
+// fixedPart returns the skeleton part of a token whose part depends on
+// neither case nor position: the marker of a literal or comment, or the
+// raw text of an operator, punctuation or invalid byte. It returns "" for
+// the word kinds, which AppendSkeleton upper-cases or alias-folds.
+func fixedPart(t sqltoken.Token) string {
+	switch t.Kind {
+	case sqltoken.KindNumber, sqltoken.KindPlaceholder:
+		return valueMarker
+	case sqltoken.KindString:
+		return stringMarker
+	case sqltoken.KindComment:
+		return commentMarker
+	case sqltoken.KindKeyword, sqltoken.KindFunction, sqltoken.KindIdent, sqltoken.KindBacktick, sqltoken.KindVariable:
+		return ""
+	default:
+		return t.Text
+	}
+}
+
+// inListEnd returns the index of the ")" closing a foldable IN-list whose
+// "(" is toks[open] — one or more literal markers separated by commas —
+// or -1 when the tokens from open do not form one. A word never upper-
+// cases to a marker or to punctuation, and an element is never the name
+// after AS, so the fixed parts decide it.
+func inListEnd(toks []sqltoken.Token, open int) int {
+	if open >= len(toks) || fixedPart(toks[open]) != "(" {
+		return -1
+	}
+	expectElem := true
+	for j := open + 1; j < len(toks); j++ {
+		p := fixedPart(toks[j])
+		switch {
+		case expectElem && (p == valueMarker || p == stringMarker):
+			expectElem = false
+		case !expectElem && p == ")":
+			return j
+		case !expectElem && p == ",":
+			expectElem = true
+		default:
+			return -1
+		}
+	}
+	return -1
+}
+
+// appendUpper appends s upper-cased exactly as strings.ToUpper would,
+// without allocating for ASCII text.
+func appendUpper(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return append(dst, strings.ToUpper(s)...)
+		}
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }

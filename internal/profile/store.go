@@ -32,7 +32,9 @@ const HeaderV2 = "joza-profile v2"
 // fragment set: build (or Parse) a Store, hand it to the snapshot, never
 // mutate it. A nil *Store behaves as empty.
 type Store struct {
-	sites map[string]map[string]struct{}
+	// sites maps each call site to its skeleton set, every skeleton keyed
+	// to itself so a byte-keyed probe can return the stored copy.
+	sites map[string]map[string]string
 	// skeletons is the total skeleton count across sites, for stats.
 	skeletons int
 	// dialect is the SQL dialect the skeletons were computed under. The
@@ -88,6 +90,24 @@ func (s *Store) Lookup(site, skeleton string) Lookup {
 		return SkeletonSeen
 	}
 	return SkeletonUnseen
+}
+
+// LookupBytes classifies a skeleton held in a byte buffer, such as one
+// AppendSkeleton built, against site's profile. For a seen skeleton it
+// also returns the store's own copy, so the caller can keep the skeleton
+// without allocating; otherwise the string is "".
+func (s *Store) LookupBytes(site string, skeleton []byte) (Lookup, string) {
+	if s == nil {
+		return SiteUnknown, ""
+	}
+	sk, ok := s.sites[site]
+	if !ok {
+		return SiteUnknown, ""
+	}
+	if stored, ok := sk[string(skeleton)]; ok {
+		return SkeletonSeen, stored
+	}
+	return SkeletonUnseen, ""
 }
 
 // Sites returns the number of profiled call sites.
@@ -173,9 +193,9 @@ func Parse(data []byte) (*Store, error) {
 	default:
 		return nil, fmt.Errorf("profile: bad header %q (want %q or %q)", sc.Text(), Header, HeaderV2)
 	}
-	st := &Store{sites: make(map[string]map[string]struct{})}
+	st := &Store{sites: make(map[string]map[string]string)}
 	sawDialect := false
-	var cur map[string]struct{}
+	var cur map[string]string
 	line := 1
 	for sc.Scan() {
 		line++
@@ -209,7 +229,7 @@ func Parse(data []byte) (*Store, error) {
 			if _, dup := st.sites[site]; dup {
 				return nil, fmt.Errorf("profile: line %d: duplicate site %q", line, site)
 			}
-			cur = make(map[string]struct{})
+			cur = make(map[string]string)
 			st.sites[site] = cur
 		case strings.HasPrefix(text, "sk "):
 			if cur == nil {
@@ -220,7 +240,7 @@ func Parse(data []byte) (*Store, error) {
 				return nil, fmt.Errorf("profile: line %d: bad skeleton: %v", line, err)
 			}
 			if _, dup := cur[sk]; !dup {
-				cur[sk] = struct{}{}
+				cur[sk] = sk
 				st.skeletons++
 			}
 		case text == "":
@@ -313,11 +333,11 @@ func (r *Recorder) Len() (sites, skeletons int) {
 func (r *Recorder) Store() *Store {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := &Store{sites: make(map[string]map[string]struct{}, len(r.sites)), dialect: r.dialect}
+	st := &Store{sites: make(map[string]map[string]string, len(r.sites)), dialect: r.dialect}
 	for site, m := range r.sites {
-		cp := make(map[string]struct{}, len(m))
+		cp := make(map[string]string, len(m))
 		for sk := range m {
-			cp[sk] = struct{}{}
+			cp[sk] = sk
 		}
 		st.sites[site] = cp
 		st.skeletons += len(m)

@@ -20,6 +20,7 @@ package sqltoken
 
 import (
 	"strings"
+	"unicode/utf8"
 )
 
 // Kind identifies the lexical class of a token.
@@ -358,18 +359,48 @@ func (l *lexer) lexWord() {
 	for l.pos < len(l.src) && l.identByte(l.src[l.pos]) {
 		l.pos++
 	}
-	word := strings.ToUpper(l.src[start:l.pos])
+	function, keyword := l.sp.classify(l.src[start:l.pos])
 	// A known function name directly followed by '(' (optionally with
 	// whitespace) is a function token.
-	if l.sp.functions[word] && l.nextNonSpaceIs('(') {
+	if function && l.nextNonSpaceIs('(') {
 		l.emit(KindFunction, start, l.pos, false)
 		return
 	}
-	if l.sp.keywords[word] {
+	if keyword {
 		l.emit(KindKeyword, start, l.pos, false)
 		return
 	}
 	l.emit(KindIdent, start, l.pos, false)
+}
+
+// wordBufLen bounds the words classify upper-cases on the stack; it
+// exceeds the longest keyword and function name of every dialect.
+const wordBufLen = 32
+
+// classify reports whether word, upper-cased, names a function and a
+// keyword of the dialect. An ASCII word that fits wordBufLen is
+// upper-cased into a stack buffer, which the map probes read without
+// allocating. Any other word takes strings.ToUpper, whose Unicode case
+// mapping can turn a non-ASCII word into a keyword (ſelect is SELECT).
+func (sp *dialectSpec) classify(word string) (function, keyword bool) {
+	if len(word) <= wordBufLen {
+		var buf [wordBufLen]byte
+		ascii := true
+		for i := 0; i < len(word) && ascii; i++ {
+			c := word[i]
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			buf[i] = c
+			ascii = c < utf8.RuneSelf
+		}
+		if ascii {
+			up := buf[:len(word)]
+			return sp.functions[string(up)], sp.keywords[string(up)]
+		}
+	}
+	up := strings.ToUpper(word)
+	return sp.functions[up], sp.keywords[up]
 }
 
 func (l *lexer) nextNonSpaceIs(want byte) bool {

@@ -327,3 +327,58 @@ func TestCriticalTokens(t *testing.T) {
 		t.Fatalf("CriticalTokens = %v, want 4 tokens", texts(crit))
 	}
 }
+
+// TestWordClassificationMatchesToUpper pins that the stack-buffer
+// classifier agrees with strings.ToUpper on the words it does not
+// upper-case itself: non-ASCII words, whose Unicode case mapping can be
+// ASCII (ſ is S, ı is I), and words longer than its buffer.
+func TestWordClassificationMatchesToUpper(t *testing.T) {
+	long := strings.Repeat("concat_", 6)
+	words := []string{
+		"ſelect", "ſELECT", "unıon", "ıf", "ſum", "coalesce", "ın",
+		"\u212Aey",        // KELVIN SIGN, already upper case: not KEY
+		"sel\xffect", "é", // invalid UTF-8 and a plain non-ASCII letter
+		long, strings.ToUpper(long), long + "ſ", strings.Repeat("x", wordBufLen+1),
+	}
+	for _, d := range Dialects() {
+		for _, w := range words {
+			for _, q := range []string{w, w + "(1)"} {
+				up := strings.ToUpper(w)
+				want := KindIdent
+				switch {
+				case q != w && d.spec().functions[up]:
+					want = KindFunction
+				case d.spec().keywords[up]:
+					want = KindKeyword
+				}
+				if got := d.Lex(q)[0].Kind; got != want {
+					t.Errorf("%s: Lex(%q)[0] is %s, want %s", d, q, got, want)
+				}
+			}
+		}
+	}
+	if got := Lex("ſelect")[0].Kind; got != KindKeyword {
+		t.Errorf("ſelect lexes as %s, want keyword", got)
+	}
+	for _, d := range Dialects() {
+		for _, m := range []map[string]bool{d.spec().keywords, d.spec().functions} {
+			for w := range m {
+				if len(w) > wordBufLen {
+					t.Errorf("%s word %s is longer than wordBufLen %d: its classification would allocate", d, w, wordBufLen)
+				}
+			}
+		}
+	}
+}
+
+// TestLexAllocatesOnlyTheTokenSlice pins that lexing an ASCII query
+// allocates once: the token slice. Word classification upper-cases on the
+// stack.
+func TestLexAllocatesOnlyTheTokenSlice(t *testing.T) {
+	q := "select id, title from wp_posts where post_status = 'publish' and id in (1, 2) order by post_date desc limit 10"
+	for _, d := range Dialects() {
+		if allocs := testing.AllocsPerRun(100, func() { d.Lex(q) }); allocs != 1 {
+			t.Errorf("%s: Lex allocates %.1f times, want 1", d, allocs)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 
@@ -275,6 +276,33 @@ func (l *Lab) EvaluateMatrix() (*DetectionMatrix, error) {
 		m.TotalCases += r.Cases
 	}
 	return m, nil
+}
+
+// MatrixQueries returns every query the detection-matrix corpus issues,
+// in sweep order: the cases of EvaluateMatrix replayed through an
+// unprotected app, so tests can hold a query-level property over the whole
+// corpus without running a guard.
+func (l *Lab) MatrixQueries() ([]string, error) {
+	st := &storedState{value: secondOrderBenign}
+	soPlugin := newSecondOrderPlugin(st)
+	unprotected := l.buildApp()
+	unprotected.Install(soPlugin)
+	rec := &queryLog{}
+	app := l.buildApp(webapp.WithChecker(rec))
+	app.Install(soPlugin)
+	err := l.forEachMatrixCase(unprotected, st, func(_ string, run func(app *webapp.App) (*webapp.Page, error)) error {
+		_, err := run(app)
+		return err
+	})
+	return rec.queries, err
+}
+
+// queryLog is a webapp.Checker that records each query and allows it.
+type queryLog struct{ queries []string }
+
+func (q *queryLog) AuthorizeContextAt(_ context.Context, _, query string, _ []joza.Input) error {
+	q.queries = append(q.queries, query)
+	return nil
 }
 
 // forEachMatrixCase enumerates the detection-matrix corpus in sweep order,

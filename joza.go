@@ -469,7 +469,6 @@ func New(opts ...Option) (*Guard, error) {
 				return nil, err
 			}
 			snap.NTI = a
-			snap.Analyzers = append(snap.Analyzers, engine.NTIStage{Analyzer: a})
 		}
 		switch {
 		case cfg.profileRecorder != nil:
@@ -496,6 +495,12 @@ func New(opts ...Option) (*Guard, error) {
 			}
 			snap.Profiles = cfg.profileStore
 			snap.Analyzers = append(snap.Analyzers, engine.ProfileStage{Store: cfg.profileStore, BlockUnknownSites: cfg.profileStrict})
+		}
+		// NTI runs last: it lexes only when an input matches the query, and
+		// then reuses the tokens PTI or the profile stage published. The
+		// verdict is an OR over stages, so the order does not change it.
+		if snap.NTI != nil {
+			snap.Analyzers = append(snap.Analyzers, engine.NTIStage{Analyzer: snap.NTI})
 		}
 		snap.Version = engine.ComputeVersion(set, snap.Profiles, cfg.dialect,
 			fmt.Sprintf("q%d:i%d", cfg.budgets.MaxQueryBytes, cfg.budgets.MaxInputBytes))

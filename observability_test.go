@@ -1,6 +1,7 @@
 package joza_test
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -38,6 +39,34 @@ func TestDisabledTracingZeroAllocs(t *testing.T) {
 				t.Fatalf("Check with tracing disabled allocates %.1f per op, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestSitedCheckAllocatesOnlyTokens extends the zero-alloc check to a
+// sited check: warm, a PTI query-cache hit, and a skeleton the site's
+// profile has seen. The profile stage lexes (the one allocation, the token
+// slice), builds the skeleton in the pooled check state and takes the
+// store's own copy for the verdict. As in the test above, the input
+// carries no value, so NTI has nothing to match.
+func TestSitedCheckAllocatesOnlyTokens(t *testing.T) {
+	const site = "plugin:records"
+	query := "SELECT * FROM records WHERE ID=5 LIMIT 5"
+	rec := joza.NewProfileRecorder()
+	rec.Record(site, query)
+	g := newGuard(t, joza.WithProfileStore(rec.Store()))
+	inputs := []joza.Input{{Source: "get", Name: "id", Value: ""}}
+	ctx := context.Background()
+	if v, err := g.CheckContextAt(ctx, site, query, inputs); err != nil || v.Attack || v.ProfileOutcome != "seen" {
+		t.Fatalf("warm-up check: %+v, %v", v, err)
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		g.CheckContextAt(ctx, site, query, inputs)
+	})
+	if allocs > 1 {
+		t.Fatalf("sited query-cache-hit check allocates %.1f per op, want at most 1 (the token slice)", allocs)
 	}
 }
 
