@@ -25,6 +25,7 @@ import (
 	"joza/internal/sqltoken"
 	"joza/internal/strdist"
 	"joza/internal/testbed"
+	"joza/internal/webapp"
 	"joza/internal/workload"
 )
 
@@ -289,6 +290,41 @@ func BenchmarkAblationParseFirst(b *testing.B) {
 				if a.Analyze(benchSafeQuery, toks).Attack {
 					b.Fatal("benign flagged")
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkPTICover times the uncached parse-first cover over the lab's
+// fragments: the work of a PTI cache miss, which every lab attack is.
+func BenchmarkPTICover(b *testing.B) {
+	lab := benchLab(b)
+	a := pti.New(lab.Fragments)
+	type lexed struct {
+		query string
+		toks  []sqltoken.Token
+	}
+	var benign, attack []lexed
+	for _, s := range lab.Specs {
+		for _, p := range []struct {
+			payload string
+			into    *[]lexed
+		}{{s.Benign, &benign}, {s.Exploit, &attack}} {
+			// The value reaches the query as the plugin sees it.
+			v := webapp.MagicQuotes(webapp.TrimWhitespace(s.TransportValue(p.payload)))
+			q := s.BuildQuery(v)
+			*p.into = append(*p.into, lexed{q, sqltoken.Lex(q)})
+		}
+	}
+	for _, set := range []struct {
+		name    string
+		queries []lexed
+	}{{"benign", benign}, {"attack", attack}} {
+		b.Run(set.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				q := set.queries[i%len(set.queries)]
+				a.Analyze(q.query, q.toks)
 			}
 		})
 	}

@@ -7,22 +7,25 @@
 // least one valid SQL token are retained: a fragment such as "hello world"
 // can never cover a critical token and would only slow matching down.
 //
-// Three matchers are provided:
+// Two matchers implement the Matcher interface, so PTI and benchmarks can
+// swap them:
 //
 //   - NaiveMatcher: the textbook scan the paper describes as O(n·m²) —
 //     every fragment is searched for at every query position. Kept as the
 //     "unoptimized PTI" baseline for Figure 7 and the matcher ablation.
-//   - ACMatcher: an Aho–Corasick automaton that reports all occurrences of
-//     all fragments in a single pass over the query.
-//   - Both are used through the Matcher interface so PTI and benchmarks can
-//     swap them.
+//   - ACMatcher: an Aho–Corasick automaton in flat arrays that reports all
+//     occurrences of all fragments, or the longest fragment ending at each
+//     byte, in a single pass over the query.
 //
 // The MRU type implements the paper's first PTI optimization: a
 // most-recently-used list of fragments that matched recent queries, tried
 // first with a cheap targeted check before falling back to a full scan.
+// PTI uses it only when asked to (pti.WithMRU), for the paper-faithful
+// harness.
 package fragments
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -160,11 +163,15 @@ type Occurrence struct {
 	End   int
 }
 
-// Matcher locates all fragment occurrences in a query.
+// Matcher locates fragment occurrences in a query.
 type Matcher interface {
 	// FindAll returns every occurrence of every fragment in query, in
 	// unspecified order.
 	FindAll(query string) []Occurrence
+	// Longest appends one entry per byte of query to dst and returns the
+	// extended slice: the ID of the longest fragment whose occurrence ends
+	// at that byte, or -1 when none does.
+	Longest(query string, dst []int32) []int32
 }
 
 // NaiveMatcher searches each fragment independently with repeated substring
@@ -183,124 +190,203 @@ func NewNaiveMatcher(set *Set) *NaiveMatcher {
 // FindAll implements Matcher.
 func (nm *NaiveMatcher) FindAll(query string) []Occurrence {
 	var out []Occurrence
+	nm.scan(query, func(id, start int) {
+		out = append(out, Occurrence{FragmentID: id, Start: start, End: start + len(nm.set.frags[id])})
+	})
+	return out
+}
+
+// Longest implements Matcher.
+func (nm *NaiveMatcher) Longest(query string, dst []int32) []int32 {
+	base := len(dst)
+	dst = slices.Grow(dst, len(query))[:base+len(query)]
+	long := dst[base:]
+	for i := range long {
+		long[i] = -1
+	}
+	nm.scan(query, func(id, start int) {
+		f := nm.set.frags[id]
+		last := start + len(f) - 1
+		if long[last] < 0 || len(nm.set.frags[long[last]]) < len(f) {
+			long[last] = int32(id)
+		}
+	})
+	return dst
+}
+
+// scan calls emit with every occurrence of every fragment in query,
+// fragment by fragment.
+func (nm *NaiveMatcher) scan(query string, emit func(id, start int)) {
 	for id, f := range nm.set.frags {
 		for from := 0; ; {
 			i := strings.Index(query[from:], f)
 			if i < 0 {
 				break
 			}
-			start := from + i
-			out = append(out, Occurrence{FragmentID: id, Start: start, End: start + len(f)})
-			from = start + 1
+			emit(id, from+i)
+			from += i + 1
 		}
 	}
-	return out
 }
 
-// ACMatcher is an Aho–Corasick automaton over the fragment set. Building is
-// O(total fragment bytes); FindAll is O(len(query) + matches).
+// ACMatcher is an Aho–Corasick automaton over the fragment set, stored in
+// flat per-node arrays rather than a map per node. Nodes are numbered
+// breadth-first, so the children of node u are the contiguous ids
+// kids[u] to kids[u+1]-1, sorted by label; the root keeps a full 256-entry
+// transition table. Building is O(total fragment bytes) after a sort of
+// the fragments; FindAll is O(len(query) + matches) and Longest is
+// O(len(query)).
 type ACMatcher struct {
-	set   *Set
-	nodes []acNode
-}
-
-type acNode struct {
-	next map[byte]int32
-	fail int32
-	// out lists fragment IDs ending at this node.
-	out []int32
-	// dict is the nearest ancestor-via-fail that has output, enabling
-	// O(matches) enumeration.
-	dict int32
+	set  *Set
+	root [256]int32
+	// label[v] is the byte on the edge into v.
+	label []byte
+	// kids has one entry per node plus a sentinel.
+	kids []int32
+	fail []int32
+	// own[v] is the fragment spelled by the path to v, or -1.
+	own []int32
+	// dict[v] is the nearest node along v's failure chain whose own is a
+	// fragment, or -1; it enumerates matches in O(matches).
+	dict []int32
+	// long[v] is the longest fragment that is a suffix of v's path, or -1.
+	long []int32
 }
 
 var _ Matcher = (*ACMatcher)(nil)
 
 // NewACMatcher builds the automaton for set.
 func NewACMatcher(set *Set) *ACMatcher {
-	m := &ACMatcher{set: set}
-	m.nodes = []acNode{{next: map[byte]int32{}, fail: 0, dict: -1}}
-	// Trie construction.
-	for id, f := range set.frags {
-		cur := int32(0)
-		for i := 0; i < len(f); i++ {
-			c := f[i]
-			nxt, ok := m.nodes[cur].next[c]
-			if !ok {
-				nxt = int32(len(m.nodes))
-				m.nodes = append(m.nodes, acNode{next: map[byte]int32{}, dict: -1})
-				m.nodes[cur].next[c] = nxt
+	frags := set.frags
+	order := make([]int32, len(frags))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(i, j int) bool { return frags[order[i]] < frags[order[j]] })
+
+	// The trie is built one depth at a time. Node v stands for the run
+	// order[spans[v].lo:spans[v].hi] of sorted fragments sharing its path;
+	// a run's fragments group by their next byte into the node's children,
+	// already in byte order.
+	type run struct{ lo, hi int32 }
+	spans := []run{{0, int32(len(order))}}
+	m := &ACMatcher{set: set, label: []byte{0}, own: []int32{-1}}
+	for depth, first := 0, 0; first < len(spans); depth++ {
+		last := len(spans)
+		for u := first; u < last; u++ {
+			lo, hi := spans[u].lo, spans[u].hi
+			// The fragment equal to u's path, if any, sorts first in its run.
+			if lo < hi && len(frags[order[lo]]) == depth {
+				m.own[u] = order[lo]
+				lo++
 			}
-			cur = nxt
+			m.kids = append(m.kids, int32(len(spans)))
+			for lo < hi {
+				c := frags[order[lo]][depth]
+				next := lo + 1
+				for next < hi && frags[order[next]][depth] == c {
+					next++
+				}
+				spans = append(spans, run{lo, next})
+				m.label = append(m.label, c)
+				m.own = append(m.own, -1)
+				lo = next
+			}
 		}
-		m.nodes[cur].out = append(m.nodes[cur].out, int32(id))
+		first = last
 	}
-	// BFS failure links.
-	queue := make([]int32, 0, len(m.nodes))
-	for _, v := range m.nodes[0].next {
-		m.nodes[v].fail = 0
-		queue = append(queue, v)
+	n := len(spans)
+	m.kids = append(m.kids, int32(n))
+
+	m.fail = make([]int32, n)
+	m.dict = make([]int32, n)
+	m.long = make([]int32, n)
+	m.dict[0], m.long[0] = -1, -1
+	for v := m.kids[0]; v < m.kids[1]; v++ {
+		m.root[m.label[v]] = v
 	}
-	for qi := 0; qi < len(queue); qi++ {
-		u := queue[qi]
-		for c, v := range m.nodes[u].next {
-			// Find failure target for v.
-			f := m.nodes[u].fail
-			for {
-				if t, ok := m.nodes[f].next[c]; ok && t != v {
-					m.nodes[v].fail = t
-					break
-				}
-				if f == 0 {
-					m.nodes[v].fail = 0
-					break
-				}
-				f = m.nodes[f].fail
+	// Ids ascend breadth-first, so every node a failure link can reach
+	// is final before its children read it.
+	for u := int32(0); u < int32(n); u++ {
+		for v := m.kids[u]; v < m.kids[u+1]; v++ {
+			if u != 0 {
+				m.fail[v] = m.step(m.fail[u], m.label[v])
 			}
-			fv := m.nodes[v].fail
-			if len(m.nodes[fv].out) > 0 {
-				m.nodes[v].dict = fv
+			f := m.fail[v]
+			if m.own[f] >= 0 {
+				m.dict[v] = f
 			} else {
-				m.nodes[v].dict = m.nodes[fv].dict
+				m.dict[v] = m.dict[f]
 			}
-			queue = append(queue, v)
+			if m.own[v] >= 0 {
+				m.long[v] = m.own[v]
+			} else {
+				m.long[v] = m.long[f]
+			}
 		}
 	}
 	return m
 }
 
-// FindAll implements Matcher.
+// child returns u's child labelled c, or 0 when u has none.
+func (m *ACMatcher) child(u int32, c byte) int32 {
+	lo, hi := m.kids[u], m.kids[u+1]
+	for lo < hi {
+		mid := int32(uint32(lo+hi) >> 1)
+		switch l := m.label[mid]; {
+		case l < c:
+			lo = mid + 1
+		case l > c:
+			hi = mid
+		default:
+			return mid
+		}
+	}
+	return 0
+}
+
+// step is the automaton's transition on byte c from state cur.
+func (m *ACMatcher) step(cur int32, c byte) int32 {
+	for cur != 0 {
+		if v := m.child(cur, c); v != 0 {
+			return v
+		}
+		cur = m.fail[cur]
+	}
+	return m.root[c]
+}
+
+// FindAll implements Matcher. At each end position it reports the longest
+// occurrence first.
 func (m *ACMatcher) FindAll(query string) []Occurrence {
 	var out []Occurrence
 	cur := int32(0)
 	for i := 0; i < len(query); i++ {
-		c := query[i]
-		for {
-			if nxt, ok := m.nodes[cur].next[c]; ok {
-				cur = nxt
-				break
-			}
-			if cur == 0 {
-				break
-			}
-			cur = m.nodes[cur].fail
+		cur = m.step(cur, query[i])
+		n := cur
+		if m.own[n] < 0 {
+			n = m.dict[n]
 		}
-		// Emit matches ending at i via output and dict-suffix chain.
-		for n := cur; n >= 0; n = m.nodes[n].dict {
-			for _, id := range m.nodes[n].out {
-				flen := len(m.set.frags[id])
-				out = append(out, Occurrence{
-					FragmentID: int(id),
-					Start:      i + 1 - flen,
-					End:        i + 1,
-				})
-			}
-			if n == 0 {
-				break
-			}
+		for ; n > 0; n = m.dict[n] {
+			id := m.own[n]
+			out = append(out, Occurrence{
+				FragmentID: int(id),
+				Start:      i + 1 - len(m.set.frags[id]),
+				End:        i + 1,
+			})
 		}
 	}
 	return out
+}
+
+// Longest implements Matcher.
+func (m *ACMatcher) Longest(query string, dst []int32) []int32 {
+	cur := int32(0)
+	for i := 0; i < len(query); i++ {
+		cur = m.step(cur, query[i])
+		dst = append(dst, m.long[cur])
+	}
+	return dst
 }
 
 // MRU is a bounded most-recently-used list of fragment IDs, safe for

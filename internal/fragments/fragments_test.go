@@ -3,6 +3,7 @@ package fragments
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -82,6 +83,38 @@ func TestMatchersAgreeOnHandPicked(t *testing.T) {
 					q, o, s.Fragment(o.FragmentID))
 			}
 		}
+		checkLongest(t, s, q, nm, ac)
+	}
+}
+
+// bruteLongest is Longest's oracle: at every byte, the longest fragment
+// the query prefix ending there ends with.
+func bruteLongest(s *Set, q string) []int32 {
+	out := make([]int32, len(q))
+	for i := range q {
+		out[i] = -1
+		for id, f := range s.frags {
+			if strings.HasSuffix(q[:i+1], f) && (out[i] < 0 || len(f) > len(s.frags[out[i]])) {
+				out[i] = int32(id)
+			}
+		}
+	}
+	return out
+}
+
+// checkLongest requires every matcher's Longest to equal the oracle, also
+// when appending behind existing entries.
+func checkLongest(t *testing.T, s *Set, q string, ms ...Matcher) {
+	t.Helper()
+	want := bruteLongest(s, q)
+	for _, m := range ms {
+		if got := m.Longest(q, nil); !slices.Equal(got, want) {
+			t.Errorf("%T.Longest(%q) = %v, want %v (set %q)", m, q, got, want, s.frags)
+		}
+		got := m.Longest(q, []int32{7})
+		if got[0] != 7 || !slices.Equal(got[1:], want) {
+			t.Errorf("%T.Longest(%q) behind one entry = %v, want [7 %v]", m, q, got, want)
+		}
 	}
 }
 
@@ -110,6 +143,21 @@ func TestMatchersAgreeProperty(t *testing.T) {
 		sortOccs(b)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("iter %d: set=%q query=%q naive=%v ac=%v", iter, texts, q, a, b)
+		}
+		checkLongest(t, s, q, nm, ac)
+	}
+}
+
+func TestLongestIntoPresizedDstDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are asserted only without the race detector")
+	}
+	s := NewSetKeepAll([]string{"he", "she", "his", "hers", "SELECT", "OR"})
+	q := "SELECT x FROM t WHERE a=1 OR b=2 ushers"
+	dst := make([]int32, 0, len(q))
+	for _, m := range []Matcher{NewNaiveMatcher(s), NewACMatcher(s)} {
+		if n := testing.AllocsPerRun(100, func() { dst = m.Longest(q, dst[:0]) }); n != 0 {
+			t.Errorf("%T.Longest allocates %v times per call", m, n)
 		}
 	}
 }

@@ -10,19 +10,25 @@
 // combined: the critical token OR cannot be assembled from fragments "O"
 // and "R".
 //
-// Two of the paper's optimizations are implemented and individually
-// switchable for ablation:
+// The default cover is one Aho–Corasick pass per query: it records the
+// longest fragment ending at each byte, and a backward sweep then gives
+// every critical token the occurrence with the leftmost start that ends at
+// or after it, so the covered set and the markings depend on the query
+// alone. Two of the paper's optimizations are switchable for ablation:
 //
-//   - parse-first: critical tokens are located before matching, and only
-//     their coverage is verified (instead of marking the whole query);
-//   - MRU: fragments that recently covered tokens are tried first with a
-//     targeted window check, exploiting the small SQL working set of web
-//     applications.
+//   - parse-first (on by default): critical tokens are located before
+//     matching, and only their coverage is verified (instead of marking
+//     the whole query);
+//   - MRU (off by default, WithMRU): fragments that recently covered
+//     tokens are tried first with a targeted window check, the paper's
+//     answer to the cost of its per-fragment scan.
 package pti
 
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"joza/internal/core"
 	"joza/internal/fragments"
@@ -60,13 +66,13 @@ func WithNaiveMatcher() Option {
 	return func(a *Analyzer) { a.matcher = fragments.NewNaiveMatcher(a.set) }
 }
 
-// WithoutMRU disables the most-recently-used fragment cache.
-func WithoutMRU() Option {
-	return func(a *Analyzer) { a.mru = nil }
-}
-
-// WithMRUCapacity sets the MRU capacity (default 64).
-func WithMRUCapacity(n int) Option {
+// WithMRU puts a list of the n most recently used covering fragments
+// ahead of the cover table (n < 1 means 64): each critical token first
+// probes those fragments with a window compare, the paper's optimization
+// for its per-fragment scan. Only the paper-faithful Figure 7 and Table V
+// harness enables it. A cover found there depends on the analyzer's
+// history; the table's depends on the query alone.
+func WithMRU(n int) Option {
 	return func(a *Analyzer) { a.mru = fragments.NewMRU(n) }
 }
 
@@ -108,11 +114,11 @@ func WithStrictPolicy() Option {
 	return func(a *Analyzer) { a.critical = sqltoken.Token.CriticalStrict }
 }
 
-// New returns an Analyzer over set with all optimizations enabled.
+// New returns an Analyzer over set: Aho–Corasick matching, parse-first
+// and no MRU.
 func New(set *fragments.Set, opts ...Option) *Analyzer {
 	a := &Analyzer{
 		set:        set,
-		mru:        fragments.NewMRU(64),
 		parseFirst: true,
 		critical:   sqltoken.Token.Critical,
 	}
@@ -192,75 +198,130 @@ func (a *Analyzer) analyze(query string, toks []sqltoken.Token, span *trace.Span
 	return a.analyzeFullMarking(query, toks, span)
 }
 
-// analyzeParseFirst verifies coverage of each critical token directly,
-// trying MRU fragments with a targeted window check before falling back to
-// a single full occurrence scan.
+// analyzeParseFirst checks each critical token against one cover table
+// built by a single matcher pass, probing the MRU first when one is
+// configured.
 func (a *Analyzer) analyzeParseFirst(query string, toks []sqltoken.Token, span *trace.Span) core.Result {
 	res := core.Result{Analyzer: core.AnalyzerPTI}
-	var occs []fragments.Occurrence
-	occsReady := false
+	var tbl coverTable
 	for _, t := range toks {
 		if !a.critical(t) {
 			continue
 		}
-		covered := false
-		if a.mru != nil {
-			for _, id := range a.mru.IDs() {
-				if at, ok := a.set.CoverAt(query, id, t.Start, t.End); ok {
-					covered = true
-					a.mru.Touch(id)
-					res.Markings = append(res.Markings, core.Marking{
-						Span:   sqltoken.Span{Start: at, End: at + len(a.set.Fragment(id))},
-						Source: a.set.Fragment(id),
-					})
-					if span.Active() {
-						span.AddCover(trace.Cover{
-							Token: t.Text, TokenStart: t.Start, TokenEnd: t.End,
-							FragmentID: id, FragStart: at, FragEnd: at + len(a.set.Fragment(id)),
-							MRU: true,
-						})
-					}
-					break
-				}
+		c, ok := a.mruCover(query, t)
+		if !ok {
+			if tbl.buf == nil {
+				tbl = a.newCoverTable(query)
+			}
+			c, ok = tbl.cover(a.set, t)
+			if ok && a.mru != nil {
+				a.mru.Touch(c.FragmentID)
 			}
 		}
-		if !covered {
-			if !occsReady {
-				occs = a.matcher.FindAll(query)
-				occsReady = true
-			}
-			for _, o := range occs {
-				if o.Start <= t.Start && t.End <= o.End {
-					covered = true
-					if a.mru != nil {
-						a.mru.Touch(o.FragmentID)
-					}
-					res.Markings = append(res.Markings, core.Marking{
-						Span:   sqltoken.Span{Start: o.Start, End: o.End},
-						Source: a.set.Fragment(o.FragmentID),
-					})
-					if span.Active() {
-						span.AddCover(trace.Cover{
-							Token: t.Text, TokenStart: t.Start, TokenEnd: t.End,
-							FragmentID: o.FragmentID, FragStart: o.Start, FragEnd: o.End,
-						})
-					}
-					break
-				}
-			}
+		if !ok {
+			res.Reasons = append(res.Reasons, uncovered(t, span))
+			continue
 		}
-		if !covered {
-			res.Reasons = append(res.Reasons, core.Reason{
-				Token:  t,
-				Detail: "critical token not contained in any trusted fragment",
-			})
-			if span.Active() {
-				span.AddUncovered(trace.Uncovered{Token: t.Text, TokenStart: t.Start, TokenEnd: t.End})
-			}
+		res.Markings = append(res.Markings, core.Marking{
+			Span:   sqltoken.Span{Start: c.FragStart, End: c.FragEnd},
+			Source: a.set.Fragment(c.FragmentID),
+		})
+		if span.Active() {
+			c.Token, c.TokenStart, c.TokenEnd = t.Text, t.Start, t.End
+			span.AddCover(c)
 		}
 	}
+	tbl.release()
 	res.Attack = len(res.Reasons) > 0
 	return res
+}
+
+// mruCover probes the MRU fragments for an occurrence containing t.
+func (a *Analyzer) mruCover(query string, t sqltoken.Token) (trace.Cover, bool) {
+	if a.mru == nil {
+		return trace.Cover{}, false
+	}
+	for _, id := range a.mru.IDs() {
+		if at, ok := a.set.CoverAt(query, id, t.Start, t.End); ok {
+			a.mru.Touch(id)
+			return trace.Cover{FragmentID: id, FragStart: at, FragEnd: at + len(a.set.Fragment(id)), MRU: true}, true
+		}
+	}
+	return trace.Cover{}, false
+}
+
+// coverBufs pools cover-table storage. Tables over maxPooledCover bytes
+// are left to the collector so one huge query does not pin its table.
+var coverBufs = sync.Pool{New: func() any { return new([]int32) }}
+
+const maxPooledCover = 64 << 10 // bytes, at 4 per int32 entry
+
+// coverTable answers PTI's question for every critical token of one
+// query. long[i] is the longest fragment ending at byte i and best[i] the
+// last byte of the occurrence with the leftmost start among all that end
+// at or after i, the earlier end on equal starts (-1 for none in either).
+// A token [s,e) lies inside one occurrence exactly when best[e-1] starts
+// at or before s, so the cover depends on the query alone.
+type coverTable struct {
+	buf        *[]int32
+	long, best []int32
+}
+
+// newCoverTable builds query's table from one matcher pass and one
+// backward sweep; release hands its storage back.
+func (a *Analyzer) newCoverTable(query string) coverTable {
+	buf := coverBufs.Get().(*[]int32)
+	n := len(query)
+	b := a.matcher.Longest(query, (*buf)[:0])
+	b = slices.Grow(b, n)[:2*n]
+	*buf = b
+	tbl := coverTable{buf: buf, long: b[:n], best: b[n:]}
+	bestEnd, bestStart := int32(-1), n
+	for i := n - 1; i >= 0; i-- {
+		if id := tbl.long[i]; id >= 0 {
+			if s := i + 1 - len(a.set.Fragment(int(id))); s <= bestStart {
+				bestEnd, bestStart = int32(i), s
+			}
+		}
+		tbl.best[i] = bestEnd
+	}
+	return tbl
+}
+
+// cover returns the occurrence the table assigns to t, if it contains t.
+func (tbl coverTable) cover(set *fragments.Set, t sqltoken.Token) (trace.Cover, bool) {
+	if t.End <= 0 || t.End > len(tbl.best) {
+		return trace.Cover{}, false
+	}
+	last := tbl.best[t.End-1]
+	if last < 0 {
+		return trace.Cover{}, false
+	}
+	id := int(tbl.long[last])
+	end := int(last) + 1
+	start := end - len(set.Fragment(id))
+	if start > t.Start {
+		return trace.Cover{}, false
+	}
+	return trace.Cover{FragmentID: id, FragStart: start, FragEnd: end}, true
+}
+
+// release returns the table's storage to the pool.
+func (tbl coverTable) release() {
+	if tbl.buf != nil && cap(*tbl.buf)*4 <= maxPooledCover {
+		coverBufs.Put(tbl.buf)
+	}
+}
+
+// uncovered records t as a critical token no trusted fragment contains.
+func uncovered(t sqltoken.Token, span *trace.Span) core.Reason {
+	if span.Active() {
+		span.AddUncovered(trace.Uncovered{Token: t.Text, TokenStart: t.Start, TokenEnd: t.End})
+	}
+	return core.Reason{
+		Token:  t,
+		Detail: "critical token not contained in any trusted fragment",
+	}
 }
 
 // analyzeFullMarking computes every fragment occurrence, reports them all
@@ -294,13 +355,7 @@ func (a *Analyzer) analyzeFullMarking(query string, toks []sqltoken.Token, span 
 			}
 		}
 		if !covered {
-			res.Reasons = append(res.Reasons, core.Reason{
-				Token:  t,
-				Detail: "critical token not contained in any trusted fragment",
-			})
-			if span.Active() {
-				span.AddUncovered(trace.Uncovered{Token: t.Text, TokenStart: t.Start, TokenEnd: t.End})
-			}
+			res.Reasons = append(res.Reasons, uncovered(t, span))
 		}
 	}
 	res.Attack = len(res.Reasons) > 0

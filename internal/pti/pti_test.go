@@ -1,10 +1,15 @@
 package pti
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
+	"joza/internal/core"
 	"joza/internal/fragments"
+	"joza/internal/sqltoken"
+	"joza/internal/trace"
 )
 
 // appFragments models the paper's running example: the literal set of the
@@ -115,38 +120,98 @@ func TestStrategiesAgree(t *testing.T) {
 	}
 	variants := []*Analyzer{
 		New(set),
-		New(set, WithoutMRU()),
 		New(set, WithoutParseFirst()),
 		New(set, WithNaiveMatcher()),
-		New(set, WithNaiveMatcher(), WithoutParseFirst(), WithoutMRU()),
-		New(set, WithMRUCapacity(2)),
+		New(set, WithNaiveMatcher(), WithoutParseFirst()),
+		New(set, WithMRU(2)),
+		New(set, WithMRU(64)),
+		New(set, WithNaiveMatcher(), WithMRU(2)),
+		New(set, WithNaiveMatcher(), WithMRU(64)),
 	}
-	for _, q := range queries {
-		want := variants[0].Analyze(q, nil).Attack
-		for i, v := range variants[1:] {
-			if got := v.Analyze(q, nil).Attack; got != want {
-				t.Errorf("query %q: variant %d (%v) = %v, baseline = %v", q, i+1, v, got, want)
+	// Two passes, so the MRU variants also answer from a warm list.
+	for pass := 0; pass < 2; pass++ {
+		for _, q := range queries {
+			want := variants[0].Analyze(q, nil)
+			for i, v := range variants[1:] {
+				if got := v.Analyze(q, nil); got.Attack != want.Attack || !reflect.DeepEqual(got.Reasons, want.Reasons) {
+					t.Errorf("pass %d, query %q: variant %d (%v) = %v %v, baseline = %v %v",
+						pass, q, i+1, v, got.Attack, got.Reasons, want.Attack, want.Reasons)
+				}
 			}
 		}
 	}
 }
 
 func TestMRUWarmPathCovers(t *testing.T) {
-	a := New(appFragments())
+	a := New(appFragments(), WithMRU(64))
 	q := "SELECT * FROM records WHERE ID=7 LIMIT 5"
 	// First analysis populates the MRU; second should use it and still be
 	// correct.
 	if a.Analyze(q, nil).Attack {
 		t.Fatal("cold analysis flagged benign query")
 	}
-	if a.Analyze(q, nil).Attack {
+	span := trace.New(trace.Config{SampleEvery: 1}).Start(q)
+	if res, _ := a.AnalyzeCtx(context.Background(), q, nil, span); res.Attack {
 		t.Fatal("warm analysis flagged benign query")
+	}
+	if len(span.Covers) == 0 {
+		t.Fatal("warm analysis recorded no covers")
+	}
+	for _, c := range span.Covers {
+		if !c.MRU {
+			t.Errorf("warm cover %+v did not come from the MRU", c)
+		}
 	}
 	// After warm-up, an attack must still be caught.
 	res := a.Analyze("SELECT * FROM records WHERE ID=1 OR 1=1", nil)
 	if !res.Attack {
 		t.Error("attack missed after MRU warm-up")
 	}
+}
+
+func TestCoverIsAFunctionOfTheQuery(t *testing.T) {
+	a := New(fragments.NewSet([]string{"FROM records WHERE ID=", "FROM records"}))
+	q := "FROM records WHERE ID=7"
+	first := a.Analyze(q, nil)
+	if first.Attack || len(first.Markings) == 0 {
+		t.Fatalf("first analysis: attack=%v markings=%+v", first.Attack, first.Markings)
+	}
+	if second := a.Analyze(q, nil); !reflect.DeepEqual(second.Markings, first.Markings) {
+		t.Errorf("markings depend on history:\n  first:  %+v\n  second: %+v", first.Markings, second.Markings)
+	}
+}
+
+func TestWarmParseFirstAllocatesOnlyResultGrowth(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	a := New(appFragments())
+	for _, q := range []string{
+		"SELECT * FROM records WHERE ID=5 LIMIT 5",
+		"SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5",
+	} {
+		toks := sqltoken.Lex(q)
+		res, _ := a.AnalyzeCtx(context.Background(), q, toks, nil)
+		want := appendAllocs[core.Marking](len(res.Markings)) + appendAllocs[core.Reason](len(res.Reasons))
+		got := testing.AllocsPerRun(100, func() { a.AnalyzeCtx(context.Background(), q, toks, nil) })
+		if got != want {
+			t.Errorf("query %q: %v allocations per analysis, want %v (growing %d markings and %d reasons)",
+				q, got, want, len(res.Markings), len(res.Reasons))
+		}
+	}
+}
+
+// appendAllocs counts the allocations of appending n values to a nil slice.
+func appendAllocs[T any](n int) float64 {
+	var s []T
+	allocs := 0
+	for i := 0; i < n; i++ {
+		if len(s) == cap(s) {
+			allocs++
+		}
+		s = append(s, *new(T))
+	}
+	return float64(allocs)
 }
 
 func TestPositiveMarkingsReported(t *testing.T) {

@@ -90,8 +90,9 @@ func (c *clientCache) store(query string) {
 
 // PTIVariant selects how the PTI analyzer and its deployment are built.
 // The paper's optimized daemon is the zero value plus Remote and a cache
-// mode: per-fragment scan matching with MRU and parse-first (Aho–Corasick
-// is this reproduction's own ablation, exercised in the benchmarks).
+// mode: per-fragment scan matching with a 64-entry MRU and parse-first
+// (Aho–Corasick is this reproduction's own ablation, exercised in the
+// benchmarks).
 type PTIVariant struct {
 	// AhoCorasick switches from the paper's per-fragment scan to the AC
 	// automaton (ablation).
@@ -121,8 +122,8 @@ func (v PTIVariant) buildAnalyzer(site *Site) *pti.Cached {
 	if v.NoParseFirst {
 		opts = append(opts, pti.WithoutParseFirst())
 	}
-	if v.NoMRU {
-		opts = append(opts, pti.WithoutMRU())
+	if !v.NoMRU {
+		opts = append(opts, pti.WithMRU(64))
 	}
 	return pti.NewCached(pti.New(site.Fragments, opts...), pti.CacheNone, 1)
 }
