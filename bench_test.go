@@ -9,6 +9,7 @@
 package joza_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -351,7 +352,7 @@ func BenchmarkAblationTransports(b *testing.B) {
 	b.Run("direct", func(b *testing.B) {
 		tr := daemon.NewDirect(analyzer)
 		for i := 0; i < b.N; i++ {
-			if _, err := tr.Analyze(benchQuery); err != nil {
+			if _, err := tr.AnalyzeSiteContext(context.Background(), "", benchQuery); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -361,7 +362,7 @@ func BenchmarkAblationTransports(b *testing.B) {
 		defer stop()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := tr.Analyze(benchQuery); err != nil {
+			if _, err := tr.AnalyzeSiteContext(context.Background(), "", benchQuery); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -420,7 +421,7 @@ $q = "SELECT * FROM records WHERE ID=$id LIMIT 5";`)))
 	q := "SELECT * FROM records WHERE ID=5 LIMIT 5"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if guard.Check(q, inputs).Attack {
+		if v, _ := guard.Check(context.Background(), joza.Request{Query: q, Inputs: inputs}); v.Attack {
 			b.Fatal("benign flagged")
 		}
 	}
@@ -446,7 +447,7 @@ $q3 = "SELECT * FROM wp_posts WHERE post_status='publish' ORDER BY post_date DES
 	inputs := []joza.Input{{Source: "get", Name: "id", Value: "5"}}
 	// Warm the query cache so the steady state is the cache-hit path.
 	for _, q := range queries {
-		guard.Check(q, inputs)
+		_, _ = guard.Check(context.Background(), joza.Request{Query: q, Inputs: inputs})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -455,7 +456,7 @@ $q3 = "SELECT * FROM wp_posts WHERE post_status='publish' ORDER BY post_date DES
 		for pb.Next() {
 			q := queries[i&63]
 			i++
-			if guard.Check(q, inputs).Attack {
+			if v, _ := guard.Check(context.Background(), joza.Request{Query: q, Inputs: inputs}); v.Attack {
 				b.Fatal("benign flagged")
 			}
 		}
@@ -482,7 +483,7 @@ $q = "SELECT * FROM records WHERE ID=$id LIMIT 5";`)))
 		queries[i] = fmt.Sprintf("SELECT * FROM records WHERE ID=%d LIMIT 5", i)
 	}
 	for _, q := range queries {
-		guard.Check(q, nil)
+		_, _ = guard.Check(context.Background(), joza.Request{Query: q})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -491,7 +492,7 @@ $q = "SELECT * FROM records WHERE ID=$id LIMIT 5";`)))
 		for pb.Next() {
 			q := queries[i&63]
 			i++
-			if guard.Check(q, nil).Attack {
+			if v, _ := guard.Check(context.Background(), joza.Request{Query: q}); v.Attack {
 				b.Fatal("benign flagged")
 			}
 		}

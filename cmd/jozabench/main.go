@@ -23,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -256,7 +257,7 @@ func runTransportBench(site *workload.Site, requests, workers int) (*transportRe
 			go func(w int) {
 				defer wg.Done()
 				for i := w; i < len(queries); i += workers {
-					if _, err := t.Analyze(queries[i]); err != nil {
+					if _, err := t.AnalyzeSiteContext(context.Background(), "", queries[i]); err != nil {
 						errs <- err
 						return
 					}
@@ -318,7 +319,9 @@ func runGuardMetrics(site *workload.Site, requests int) (*joza.Metrics, error) {
 	reqs = append(reqs, site.GenerateRequests(workload.Search, requests/20)...)
 	for _, req := range reqs {
 		for _, ev := range req.Events {
-			guard.Check(ev.Query, ev.Inputs)
+			// Only the counters matter; an in-process check under
+			// context.Background() cannot fail.
+			_, _ = guard.Check(context.Background(), joza.Request{Query: ev.Query, Inputs: ev.Inputs})
 		}
 	}
 	fmt.Println("guard metrics (read/write/search mix, query+structure cache):")

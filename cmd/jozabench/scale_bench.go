@@ -141,7 +141,7 @@ func runScaleBench(site *workload.Site, requests, workers int, rtt time.Duration
 	}
 	ctx := context.Background()
 	for _, q := range queries[:500] { // warm the daemon cache and the conn
-		if _, err := c.Analyze(q); err != nil {
+		if _, err := c.AnalyzeSiteContext(ctx, "", q); err != nil {
 			c.Close()
 			stop()
 			return nil, err
@@ -248,7 +248,7 @@ func runShardSweep(site *workload.Site, queries []string, shards, conns, workers
 			go func(w int) {
 				defer wg.Done()
 				for i := w; i < n; i += workers {
-					if _, err := sp.Analyze(queries[i%len(queries)]); err != nil {
+					if _, err := sp.AnalyzeSiteContext(context.Background(), "", queries[i%len(queries)]); err != nil {
 						errs <- err
 						return
 					}

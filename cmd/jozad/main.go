@@ -426,7 +426,7 @@ func probe(addr string, dialect sqltoken.Dialect) {
 		"SELECT * FROM records WHERE ID=5 LIMIT 5",
 		"SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5",
 	} {
-		reply, err := c.Analyze(q)
+		reply, err := c.AnalyzeSiteContext(context.Background(), "", q)
 		if err != nil {
 			log.Printf("selftest: %v", err)
 			return

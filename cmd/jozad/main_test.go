@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -61,7 +62,7 @@ func TestSigtermDrainsAndExitsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Analyze("SELECT * FROM records WHERE ID=5 LIMIT 5"); err != nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", "SELECT * FROM records WHERE ID=5 LIMIT 5"); err != nil {
 		t.Fatal(err)
 	}
 	_ = c.Close()
@@ -112,10 +113,10 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Analyze("SELECT * FROM records WHERE ID=5 LIMIT 5"); err != nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", "SELECT * FROM records WHERE ID=5 LIMIT 5"); err != nil {
 		t.Fatal(err)
 	}
-	reply, err := c.Analyze("SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5")
+	reply, err := c.AnalyzeSiteContext(context.Background(), "", "SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ $q2 = "SELECT name FROM users WHERE uid=$uid";`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	reply, err := c.Analyze("SELECT name FROM users WHERE uid=7")
+	reply, err := c.AnalyzeSiteContext(context.Background(), "", "SELECT name FROM users WHERE uid=7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestReadyzFlipsBeforeDrainStopsAccepting(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial during ready-grace: %v", err)
 	}
-	if _, err := c.Analyze("SELECT * FROM records WHERE ID=5 LIMIT 5"); err != nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", "SELECT * FROM records WHERE ID=5 LIMIT 5"); err != nil {
 		t.Fatalf("analyze during ready-grace: %v", err)
 	}
 	_ = c.Close()
@@ -409,7 +409,7 @@ func TestRolloutChaosKillMidPrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Analyze("SELECT * FROM records WHERE ID=5 LIMIT 5"); err != nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", "SELECT * FROM records WHERE ID=5 LIMIT 5"); err != nil {
 		t.Fatalf("survivor shed a check: %v", err)
 	}
 	_ = c.Close()
@@ -477,7 +477,7 @@ func TestRolloutChaosKillMidCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Analyze("SELECT name FROM users WHERE uid=7"); err != nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", "SELECT name FROM users WHERE uid=7"); err != nil {
 		t.Fatalf("committed shard shed a check: %v", err)
 	}
 	_ = c.Close()

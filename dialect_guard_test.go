@@ -1,10 +1,16 @@
 package joza_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"joza"
+	"joza/internal/core"
+	"joza/internal/daemon"
+	"joza/internal/fragments"
+	"joza/internal/nti"
+	"joza/internal/pti"
 )
 
 // TestWithDialectDefaultUnchanged pins the default-stays-MySQL guarantee:
@@ -18,7 +24,7 @@ func TestWithDialectDefaultUnchanged(t *testing.T) {
 	}
 	q := "SELECT * FROM records WHERE ID=5 LIMIT 5"
 	in := []joza.Input{{Source: "get", Name: "id", Value: "5"}}
-	if a, b := plain.Check(q, in), explicit.Check(q, in); a.Attack != b.Attack {
+	if a, b := check(plain, q, in), check(explicit, q, in); a.Attack != b.Attack {
 		t.Errorf("default and explicit-MySQL guards disagree: %v vs %v", a.Attack, b.Attack)
 	}
 }
@@ -53,11 +59,73 @@ $result = pg_query($query);
 		t.Fatal(err)
 	}
 
-	if v := my.Check(q, in); v.Attack {
+	if v := check(my, q, in); v.Attack {
 		t.Errorf("MySQL-dialect guard flagged the smuggle (expected miss: the payload hides inside one string): %+v", v.DetectedBy())
 	}
-	if v := pg.Check(q, in); !v.Attack {
+	if v := check(pg, q, in); !v.Attack {
 		t.Error("Postgres-dialect guard missed the backslash smuggle")
+	}
+}
+
+// TestRequestDialectRule pins the Request.Dialect rule on both SQL front
+// doors, a Postgres Guard and a Postgres RemoteGuard over an in-process
+// daemon: a zero Dialect is analyzed under the door's own dialect (the
+// backslash smuggle only a Postgres lex catches is caught), the door's
+// dialect named explicitly changes nothing, and any other dialect is
+// refused fail-closed with no stage run. Both doors must agree.
+func TestRequestDialectRule(t *testing.T) {
+	frags := joza.FragmentsFromSource(`<?php
+$query = "SELECT * FROM records WHERE name='$name' LIMIT 5";`)
+	guard, err := joza.New(joza.WithFragments(frags), joza.WithDialect(joza.DialectPostgres))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := fragments.NewSetDialect(joza.DialectPostgres, frags)
+	direct := daemon.NewDirect(pti.NewCached(pti.New(set, pti.WithDialect(joza.DialectPostgres)), pti.CacheQueryAndStructure, 64))
+	remote := daemon.NewHybridClient(direct, nti.MustNew(nti.WithDialect(joza.DialectPostgres)),
+		core.PolicyTerminate, daemon.WithDialect(joza.DialectPostgres))
+	defer remote.Close()
+
+	benign := "SELECT * FROM records WHERE name='alice' LIMIT 5"
+	payload := `a' UNION SELECT usename FROM pg_user -- `
+	smuggle := "SELECT * FROM records WHERE name='" + strings.ReplaceAll(payload, `'`, `\'`) + "' LIMIT 5"
+	in := func(v string) []joza.Input { return []joza.Input{{Source: "get", Name: "name", Value: v}} }
+	for _, tc := range []struct {
+		name           string
+		req            joza.Request
+		attack, failed bool
+	}{
+		{"zero dialect, benign", joza.Request{Query: benign, Inputs: in("alice")}, false, false},
+		{"zero dialect, smuggle", joza.Request{Query: smuggle, Inputs: in(payload)}, true, false},
+		{"door dialect, benign", joza.Request{
+			Query:   benign,
+			Inputs:  in("alice"),
+			Dialect: joza.DialectPostgres,
+		}, false, false},
+		{"door dialect, smuggle", joza.Request{
+			Query:   smuggle,
+			Inputs:  in(payload),
+			Dialect: joza.DialectPostgres,
+		}, true, false},
+		{"other dialect", joza.Request{
+			Query:   benign,
+			Inputs:  in("alice"),
+			Dialect: joza.DialectSQLite,
+		}, true, true},
+	} {
+		for _, door := range []struct {
+			name string
+			c    joza.Checker
+		}{{"guard", guard}, {"remote", remote}} {
+			v, err := door.c.Check(context.Background(), tc.req)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", tc.name, door.name, err)
+			}
+			if v.Attack != tc.attack || v.Failed != tc.failed {
+				t.Errorf("%s, %s: attack=%v failed=%v, want attack=%v failed=%v (%v)",
+					tc.name, door.name, v.Attack, v.Failed, tc.attack, tc.failed, v.Reasons())
+			}
+		}
 	}
 }
 
@@ -70,7 +138,7 @@ func TestPostgresGuardBenignTraffic(t *testing.T) {
 		"SELECT * FROM records WHERE ID=5 LIMIT 5",
 		"SELECT * FROM records WHERE ID=$1 LIMIT 5",
 	} {
-		if v := pg.Check(q, []joza.Input{{Source: "get", Name: "id", Value: "5"}}); v.Attack {
+		if v := check(pg, q, []joza.Input{{Source: "get", Name: "id", Value: "5"}}); v.Attack {
 			t.Errorf("benign Postgres query flagged: %q (%v)", q, v.DetectedBy())
 		}
 	}

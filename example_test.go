@@ -1,6 +1,7 @@
 package joza_test
 
 import (
+	"context"
 	"fmt"
 
 	"joza"
@@ -17,12 +18,25 @@ $q = "SELECT * FROM records WHERE ID=$id LIMIT 5";`)
 		return
 	}
 
-	benign := guard.Check("SELECT * FROM records WHERE ID=5 LIMIT 5",
-		[]joza.Input{{Source: "get", Name: "id", Value: "5"}})
+	ctx := context.Background()
+	benign, err := guard.Check(ctx, joza.Request{
+		Query:  "SELECT * FROM records WHERE ID=5 LIMIT 5",
+		Inputs: []joza.Input{{Source: "get", Name: "id", Value: "5"}},
+	})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Println("benign attack:", benign.Attack)
 
-	attack := guard.Check("SELECT * FROM records WHERE ID=-1 OR 1=1 LIMIT 5",
-		[]joza.Input{{Source: "get", Name: "id", Value: "-1 OR 1=1"}})
+	attack, err := guard.Check(ctx, joza.Request{
+		Query:  "SELECT * FROM records WHERE ID=-1 OR 1=1 LIMIT 5",
+		Inputs: []joza.Input{{Source: "get", Name: "id", Value: "-1 OR 1=1"}},
+	})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Println("tautology attack:", attack.Attack)
 	fmt.Println("detected by:", attack.DetectedBy())
 	// Output:
@@ -38,10 +52,11 @@ func ExampleGuard_Authorize() {
 		joza.WithFragments([]string{"SELECT name FROM users WHERE id="}),
 		joza.WithPolicy(joza.PolicyErrorVirtualize),
 	)
-	err := guard.Authorize("SELECT name FROM users WHERE id=1", nil)
+	ctx := context.Background()
+	err := guard.Authorize(ctx, joza.Request{Query: "SELECT name FROM users WHERE id=1"})
 	fmt.Println("benign:", err)
 
-	err = guard.Authorize("SELECT name FROM users WHERE id=1 OR 1=1", nil)
+	err = guard.Authorize(ctx, joza.Request{Query: "SELECT name FROM users WHERE id=1 OR 1=1"})
 	fmt.Println("attack:", err)
 	// Output:
 	// benign: <nil>
@@ -65,8 +80,10 @@ $q = "SELECT * from users where id = $id and password=$password";`)
 // negative taint, '+' for positive taint, 'c' under critical tokens.
 func ExampleRenderVerdict() {
 	guard, _ := joza.New(joza.WithFragments([]string{"SELECT * FROM data WHERE ID="}))
-	v := guard.Check("SELECT * FROM data WHERE ID=-1 OR 1=1",
-		[]joza.Input{{Source: "get", Name: "id", Value: "-1 OR 1=1"}})
+	v, _ := guard.Check(context.Background(), joza.Request{
+		Query:  "SELECT * FROM data WHERE ID=-1 OR 1=1",
+		Inputs: []joza.Input{{Source: "get", Name: "id", Value: "-1 OR 1=1"}},
+	})
 	fmt.Print(joza.RenderVerdict(v))
 	// Output:
 	// SELECT * FROM data WHERE ID=-1 OR 1=1

@@ -31,7 +31,7 @@ $q2b = '%\' LIMIT 10';
 // server bundles the database and the guard behind HTTP handlers.
 type server struct {
 	db    *minidb.DB
-	guard *joza.Guard
+	guard joza.Checker
 }
 
 type ctxKey struct{}
@@ -63,7 +63,7 @@ func requestInputs(r *http.Request) []joza.Input {
 
 // query is the Joza-wrapped database call.
 func (s *server) query(r *http.Request, q string) (*minidb.Result, error) {
-	if err := s.guard.Authorize(q, requestInputs(r)); err != nil {
+	if err := s.guard.Authorize(r.Context(), joza.Request{Query: q, Inputs: requestInputs(r)}); err != nil {
 		return nil, err
 	}
 	return s.db.Exec(q)

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -38,6 +39,7 @@ func run() error {
 	}
 
 	// 3. Check queries as the application would issue them.
+	ctx := context.Background()
 	cases := []struct {
 		label string
 		input string
@@ -49,7 +51,10 @@ func run() error {
 	for _, c := range cases {
 		query := "SELECT * FROM records WHERE ID=" + c.input + " LIMIT 5"
 		inputs := []joza.Input{{Source: "get", Name: "id", Value: c.input}}
-		verdict := guard.Check(query, inputs)
+		verdict, err := guard.Check(ctx, joza.Request{Query: query, Inputs: inputs})
+		if err != nil {
+			return err
+		}
 
 		fmt.Printf("=== %s ===\n", c.label)
 		fmt.Print(joza.RenderVerdict(verdict))
@@ -65,7 +70,7 @@ func run() error {
 	}
 
 	// 4. Authorize integrates with error handling and recovery policies.
-	err = guard.Authorize("SELECT * FROM records WHERE ID=1 OR 1=1 LIMIT 5", nil)
+	err = guard.Authorize(ctx, joza.Request{Query: "SELECT * FROM records WHERE ID=1 OR 1=1 LIMIT 5"})
 	fmt.Printf("Authorize on a stored (second-order) attack: %v\n", err)
 	return nil
 }

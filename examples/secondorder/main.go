@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -41,14 +42,15 @@ func run() error {
 		return err
 	}
 
+	ctx := context.Background()
 	fmt.Println("=== second-order injection ===")
 	// Request 1: the attacker stores a payload. It is inert here (it sits
 	// inside a string literal), so storing it is legitimately allowed.
 	stored := "x' OR 1=1 -- "
 	insert := "INSERT INTO profiles (id, nickname) VALUES (7, '" + escape(stored) + "')"
-	if err := guard.Authorize(insert, []joza.Input{
+	if err := guard.Authorize(ctx, joza.Request{Query: insert, Inputs: []joza.Input{
 		{Source: "post", Name: "nickname", Value: stored},
-	}); err != nil {
+	}}); err != nil {
 		return fmt.Errorf("storing the (inert) payload should be allowed: %w", err)
 	}
 	if _, err := db.Exec(insert); err != nil {
@@ -65,9 +67,12 @@ func run() error {
 	}
 	nickname, _ := row.Rows[0][0].(string)
 	vulnerable := "SELECT id, nickname FROM profiles WHERE nickname='" + nickname + "'"
-	verdict := guard.Check(vulnerable, []joza.Input{
+	verdict, err := guard.Check(ctx, joza.Request{Query: vulnerable, Inputs: []joza.Input{
 		{Source: "get", Name: "page", Value: "profile"},
-	})
+	}})
+	if err != nil {
+		return err
+	}
 	fmt.Printf("request 2: query %q\n", vulnerable)
 	fmt.Printf("  NTI detected: %v (inputs unrelated to payload)\n", verdict.NTI.Attack)
 	fmt.Printf("  PTI detected: %v (OR / -- not program fragments)\n", verdict.PTI.Attack)
@@ -83,11 +88,14 @@ func run() error {
 	q1, q2, q3 := "1 OR 1=1", "R TR", "UE"
 	_ = q1
 	assembled := "SELECT * FROM data WHERE ID=1 OR TRUE"
-	verdict = guard.Check(assembled, []joza.Input{
+	verdict, err = guard.Check(ctx, joza.Request{Query: assembled, Inputs: []joza.Input{
 		{Source: "get", Name: "q1", Value: "1 OR 1=1"},
 		{Source: "get", Name: "q2", Value: q2},
 		{Source: "get", Name: "q3", Value: q3},
-	})
+	}})
+	if err != nil {
+		return err
+	}
 	fmt.Printf("query: %q\n", assembled)
 	fmt.Printf("  NTI detected: %v\n", verdict.NTI.Attack)
 	fmt.Printf("  PTI detected: %v\n", verdict.PTI.Attack)

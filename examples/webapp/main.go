@@ -62,7 +62,7 @@ func run() error {
 	}
 	protected := webapp.NewApp(db,
 		webapp.WithTransforms(webapp.TrimWhitespace, webapp.MagicQuotes),
-		webapp.WithGuard(guard))
+		webapp.WithChecker(guard))
 	protected.Install(plugin)
 
 	show := func(label, payload string) error {

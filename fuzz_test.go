@@ -69,7 +69,7 @@ func FuzzGuardCheck(f *testing.F) {
 	f.Add("SELECT * FROM records WHERE ID=-1 OR 1=1", "-1 OR 1=1")
 	f.Add("", "")
 	f.Fuzz(func(t *testing.T, query, input string) {
-		v := guard.Check(query, []joza.Input{{Source: "get", Name: "x", Value: input}})
+		v := check(guard, query, []joza.Input{{Source: "get", Name: "x", Value: input}})
 		// Verdict must be internally consistent.
 		if v.Attack != (v.NTI.Attack || v.PTI.Attack) {
 			t.Fatal("verdict inconsistent with component results")

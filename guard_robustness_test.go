@@ -27,7 +27,7 @@ $q2b = "'";`)))
 func TestGuardNeverPanics(t *testing.T) {
 	g := robustGuard(t)
 	f := func(query, a, b string) bool {
-		_ = g.Check(query, []joza.Input{
+		_ = check(g, query, []joza.Input{
 			{Source: "get", Name: "a", Value: a},
 			{Source: "post", Name: "b", Value: b},
 		})
@@ -52,14 +52,14 @@ func TestGuardConcurrent(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				id := rng.Intn(100)
 				q := fmt.Sprintf("SELECT * FROM records WHERE ID=%d LIMIT 5", id)
-				v := g.Check(q, []joza.Input{{Source: "get", Name: "id", Value: fmt.Sprint(id)}})
+				v := check(g, q, []joza.Input{{Source: "get", Name: "id", Value: fmt.Sprint(id)}})
 				if v.Attack {
 					errs <- fmt.Errorf("benign flagged: %s", q)
 					return
 				}
 				payload := fmt.Sprintf("%d OR 1=1", id)
 				atk := "SELECT * FROM records WHERE ID=" + payload + " LIMIT 5"
-				v = g.Check(atk, []joza.Input{{Source: "get", Name: "id", Value: payload}})
+				v = check(g, atk, []joza.Input{{Source: "get", Name: "id", Value: payload}})
 				if !v.Attack {
 					errs <- fmt.Errorf("attack missed: %s", atk)
 					return
@@ -81,11 +81,11 @@ func TestGuardAttackSurvivesCacheWarmth(t *testing.T) {
 	g := robustGuard(t)
 	for i := 0; i < 200; i++ {
 		q := fmt.Sprintf("SELECT * FROM records WHERE ID=%d LIMIT 5", i)
-		if g.Check(q, nil).Attack {
+		if check(g, q, nil).Attack {
 			t.Fatalf("benign flagged: %s", q)
 		}
 		atk := fmt.Sprintf("SELECT * FROM records WHERE ID=%d OR 1=1 LIMIT 5", i)
-		if !g.Check(atk, nil).Attack {
+		if !check(g, atk, nil).Attack {
 			t.Fatalf("attack certified by warm cache: %s", atk)
 		}
 	}
@@ -95,12 +95,12 @@ func TestGuardAttackSurvivesCacheWarmth(t *testing.T) {
 func TestGuardQuotedContext(t *testing.T) {
 	g := robustGuard(t)
 	benign := "SELECT name, email FROM people WHERE name='alice'"
-	if v := g.Check(benign, []joza.Input{{Source: "get", Name: "n", Value: "alice"}}); v.Attack {
+	if v := check(g, benign, []joza.Input{{Source: "get", Name: "n", Value: "alice"}}); v.Attack {
 		t.Errorf("benign quoted query flagged: %v", v.Reasons())
 	}
 	payload := "x' UNION SELECT name, email FROM people -- "
 	atk := "SELECT name, email FROM people WHERE name='" + payload + "'"
-	if v := g.Check(atk, []joza.Input{{Source: "get", Name: "n", Value: payload}}); !v.Attack {
+	if v := check(g, atk, []joza.Input{{Source: "get", Name: "n", Value: payload}}); !v.Attack {
 		t.Error("quoted-context injection missed")
 	}
 }

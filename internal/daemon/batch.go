@@ -10,7 +10,7 @@ import (
 
 // This file implements the client side of the wire protocol's "batch"
 // verb: explicit AnalyzeBatch calls on Client and Pool, and the opt-in
-// micro-batcher that transparently coalesces concurrent AnalyzeContext
+// micro-batcher that transparently coalesces concurrent AnalyzeSiteContext
 // calls into batch frames (see PoolConfig.BatchSize). Batching amortizes
 // the per-frame round trip — the dominant cost of the remote deployment
 // once the analysis itself is cache-hit microseconds — across N checks.
@@ -82,7 +82,7 @@ func (p *Pool) AnalyzeBatch(ctx context.Context, queries []string) ([]BatchResul
 	return batchResults(resp, len(queries))
 }
 
-// batcher coalesces concurrent single-query AnalyzeContext calls into
+// batcher coalesces concurrent single-query AnalyzeSiteContext calls into
 // batch frames: a call joins the forming batch and the batch flushes when
 // it reaches size or when the oldest call has lingered for the configured
 // window. One frame then carries every coalesced check, so N concurrent

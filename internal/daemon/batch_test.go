@@ -64,7 +64,7 @@ func TestPoolAnalyzeBatch(t *testing.T) {
 }
 
 // TestMicroBatcherCoalesces proves BatchSize actually batches: concurrent
-// AnalyzeContext calls must reach the server inside "batch" frames, not as
+// AnalyzeSiteContext calls must reach the server inside "batch" frames, not as
 // individual analyze requests.
 func TestMicroBatcherCoalesces(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -101,7 +101,7 @@ func TestMicroBatcherCoalesces(t *testing.T) {
 			if i%2 == 1 {
 				q = attackQuery
 			}
-			reply, err := p.AnalyzeContext(context.Background(), q)
+			reply, err := p.AnalyzeSiteContext(context.Background(), "", q)
 			if err != nil {
 				errs[i] = err
 				return
@@ -144,7 +144,7 @@ func TestMicroBatcherLingerFlushesPartialBatch(t *testing.T) {
 	})
 	defer p.Close()
 	start := time.Now()
-	reply, err := p.AnalyzeContext(context.Background(), benignQuery)
+	reply, err := p.AnalyzeSiteContext(context.Background(), "", benignQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +170,11 @@ func TestMicroBatcherAbandonedCaller(t *testing.T) {
 	defer p.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.AnalyzeContext(ctx, benignQuery); !errors.Is(err, context.Canceled) {
+	if _, err := p.AnalyzeSiteContext(ctx, "", benignQuery); !errors.Is(err, context.Canceled) {
 		t.Fatalf("abandoned caller got %v, want context.Canceled", err)
 	}
 	// The batcher still flushes the abandoned item and stays usable.
-	reply, err := p.AnalyzeContext(context.Background(), benignQuery)
+	reply, err := p.AnalyzeSiteContext(context.Background(), "", benignQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestBatchPoisonedItemIsolated(t *testing.T) {
 		t.Errorf("healthy sibling 2 = %+v", resp.Batch[2])
 	}
 	// The stream survived: a follow-up single request works.
-	reply, err := c.Analyze(benignQuery)
+	reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
 	if err != nil {
 		t.Fatalf("connection unhealthy after poisoned batch item: %v", err)
 	}

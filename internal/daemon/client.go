@@ -209,29 +209,11 @@ func (c *Client) broke(stage string, cause error) error {
 	return fmt.Errorf("daemon %s: %w", stage, cause)
 }
 
-// Analyze implements Transport.
-func (c *Client) Analyze(query string) (*AnalysisReply, error) {
-	return c.AnalyzeContext(context.Background(), query)
-}
-
-// AnalyzeContext implements Transport: the round trip observes ctx, and
-// the remaining deadline budget rides in the request so the server
-// abandons work the client will no longer wait for.
-func (c *Client) AnalyzeContext(ctx context.Context, query string) (*AnalysisReply, error) {
-	resp, err := c.roundTrip(ctx, withTimeoutBudget(ctx, wireRequest{Query: query, Dialect: c.wireDialect()}))
-	if err != nil {
-		return nil, err
-	}
-	if resp.Reply == nil {
-		return nil, errors.New("daemon: analyze verb returned no payload")
-	}
-	return resp.Reply, nil
-}
-
-// AnalyzeSiteContext implements siteTransport: AnalyzeContext with the
-// call-site identity riding in the request so the server runs the
-// query-skeleton profile stage. Old servers ignore the field and reply
-// without a profile verdict.
+// AnalyzeSiteContext implements Transport: the round trip observes ctx,
+// and the remaining deadline budget rides in the request so the server
+// abandons work the client will no longer wait for. A non-empty site
+// rides in the request too; old servers ignore it and reply without a
+// profile verdict.
 func (c *Client) AnalyzeSiteContext(ctx context.Context, site, query string) (*AnalysisReply, error) {
 	resp, err := c.roundTrip(ctx, withTimeoutBudget(ctx, wireRequest{Query: query, Site: site, Dialect: c.wireDialect()}))
 	if err != nil {

@@ -51,7 +51,7 @@ func TestServerAdmissionSheds(t *testing.T) {
 	}()
 	c := NewClient(clientSide)
 	c.SetTimeout(5 * time.Second)
-	_, err := c.Analyze(benignQuery)
+	_, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
 	if err == nil || !strings.Contains(err.Error(), "overloaded") {
 		t.Fatalf("err = %v, want overloaded", err)
 	}
@@ -63,7 +63,7 @@ func TestServerAdmissionSheds(t *testing.T) {
 	}
 	// Releasing the slot restores service on the same connection.
 	srv.gate.Release()
-	reply, err := c.Analyze(benignQuery)
+	reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
 	if err != nil || reply.Attack {
 		t.Fatalf("after release: reply=%+v err=%v", reply, err)
 	}
@@ -102,7 +102,7 @@ func TestServerRefusesHostileOversizedQuery(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			start := time.Now()
-			reply, err := c.AnalyzeContext(ctx, hostile)
+			reply, err := c.AnalyzeSiteContext(ctx, "", hostile)
 			if err != nil {
 				t.Fatalf("over-budget query: %v, want a fail-closed reply", err)
 			}
@@ -123,7 +123,7 @@ func TestServerRefusesHostileOversizedQuery(t *testing.T) {
 				t.Fatalf("the oversized query reached the cache (%d misses); the cap must refuse it first", st.CacheMisses)
 			}
 			// The same connection still serves real traffic.
-			reply, err = c.Analyze(benignQuery)
+			reply, err = c.AnalyzeSiteContext(context.Background(), "", benignQuery)
 			if err != nil || reply.Attack {
 				t.Fatalf("after refusal: reply=%+v err=%v", reply, err)
 			}
@@ -201,7 +201,7 @@ func TestServerAdmissionShedHonorsRequestBudget(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.AnalyzeContext(ctx, benignQuery)
+	_, err := c.AnalyzeSiteContext(ctx, "", benignQuery)
 	if err == nil {
 		t.Fatal("expected an error with the slot held")
 	}
@@ -225,7 +225,7 @@ func TestServerShutdownDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Analyze(benignQuery); err != nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 		t.Fatal(err)
 	}
 	// The connection now sits idle in the server's read loop; Shutdown
@@ -239,7 +239,7 @@ func TestServerShutdownDrains(t *testing.T) {
 	if err := <-serveDone; !errors.Is(err, net.ErrClosed) {
 		t.Fatalf("Serve returned %v, want net.ErrClosed", err)
 	}
-	if _, err := c.Analyze(benignQuery); err == nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err == nil {
 		t.Fatal("drained server still answered")
 	}
 	// Shutdown after Shutdown (and Close after Shutdown) are no-ops.
@@ -273,7 +273,7 @@ func TestServerShutdownWaitsForInFlight(t *testing.T) {
 	c := NewClient(clientSide)
 	replied := make(chan error, 1)
 	go func() {
-		_, err := c.Analyze(benignQuery)
+		_, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
 		replied <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the request reach the gate
@@ -317,7 +317,7 @@ func TestPoolBreakerTripsAndRecovers(t *testing.T) {
 	})
 	defer p.Close()
 	for i := 0; i < 2; i++ {
-		if _, err := p.Analyze(benignQuery); !errors.Is(err, ErrUnavailable) {
+		if _, err := p.AnalyzeSiteContext(context.Background(), "", benignQuery); !errors.Is(err, ErrUnavailable) {
 			t.Fatalf("request %d: err = %v, want ErrUnavailable", i, err)
 		}
 	}
@@ -326,7 +326,7 @@ func TestPoolBreakerTripsAndRecovers(t *testing.T) {
 	}
 	// While open, requests short-circuit: no new dial attempts.
 	dials := p.Dials()
-	if _, err := p.Analyze(benignQuery); !errors.Is(err, ErrUnavailable) {
+	if _, err := p.AnalyzeSiteContext(context.Background(), "", benignQuery); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("open-breaker err = %v, want ErrUnavailable", err)
 	}
 	if p.Dials() != dials {
@@ -339,7 +339,7 @@ func TestPoolBreakerTripsAndRecovers(t *testing.T) {
 	// closes the breaker.
 	d.down.Store(false)
 	time.Sleep(250 * time.Millisecond)
-	reply, err := p.Analyze(benignQuery)
+	reply, err := p.AnalyzeSiteContext(context.Background(), "", benignQuery)
 	if err != nil || reply.Attack {
 		t.Fatalf("probe: reply=%+v err=%v", reply, err)
 	}
@@ -363,12 +363,12 @@ func TestPoolBreakerHalfOpenProbeLeaksNothing(t *testing.T) {
 		BreakerCooldown:  10 * time.Millisecond,
 	})
 	for i := 0; i < 5; i++ {
-		_, _ = p.Analyze(benignQuery)
+		_, _ = p.AnalyzeSiteContext(context.Background(), "", benignQuery)
 		time.Sleep(15 * time.Millisecond) // let the breaker probe each round
 	}
 	d.down.Store(false)
 	time.Sleep(15 * time.Millisecond)
-	if _, err := p.Analyze(benignQuery); err != nil {
+	if _, err := p.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 		t.Fatalf("after heal: %v", err)
 	}
 	if err := p.Close(); err != nil {
@@ -386,7 +386,10 @@ func TestHybridBreakerInMetricsAndFailureMode(t *testing.T) {
 	if got := h.eng.FailureMode(); got != engine.FailOpen {
 		t.Fatalf("engine failure mode = %v, want fail-open to follow DegradeFailOpen", got)
 	}
-	v, err := h.Check(benignQuery, []nti.Input{{Source: "get", Name: "id", Value: "5"}})
+	v, err := h.Check(context.Background(), engine.Request{
+		Query:  benignQuery,
+		Inputs: []nti.Input{{Source: "get", Name: "id", Value: "5"}},
+	})
 	if err != nil || v.Attack {
 		t.Fatalf("degraded check: v=%+v err=%v", v, err)
 	}
@@ -415,7 +418,7 @@ func TestServerContainsStagePanic(t *testing.T) {
 	c, stop := spawnOn(t, srv)
 	defer stop()
 	for i := 1; i <= 2; i++ {
-		reply, err := c.Analyze(benignQuery)
+		reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
 		if err != nil {
 			t.Fatalf("check %d: %v, want a fail-closed reply", i, err)
 		}
@@ -439,7 +442,7 @@ func TestServerContainsStagePanic(t *testing.T) {
 	}
 	// Installing a sound snapshot heals the same connection.
 	srv.SetSnapshot(NewSnapshot(newAnalyzer(), engine.ProfileStage{}, ""))
-	if reply, err := c.Analyze(benignQuery); err != nil || reply.Attack {
+	if reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil || reply.Attack {
 		t.Fatalf("after the swap: reply=%+v err=%v", reply, err)
 	}
 }

@@ -3,6 +3,7 @@ package daemon
 import (
 	"context"
 	"errors"
+	"joza/internal/engine"
 	"net"
 	"strings"
 	"sync"
@@ -41,7 +42,7 @@ func TestClientPreCanceledLeavesConnHealthy(t *testing.T) {
 	defer stop()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.AnalyzeContext(ctx, benignQuery); !errors.Is(err, context.Canceled) {
+	if _, err := c.AnalyzeSiteContext(ctx, "", benignQuery); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if c.Broken() {
@@ -49,7 +50,7 @@ func TestClientPreCanceledLeavesConnHealthy(t *testing.T) {
 	}
 	// The same connection still serves requests: no bytes were written, so
 	// the stream stayed in sync.
-	reply, err := c.Analyze(benignQuery)
+	reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestClientCancelMidRoundTripSurfacesCtxError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.AnalyzeContext(ctx, benignQuery)
+		_, err := c.AnalyzeSiteContext(ctx, "", benignQuery)
 		errc <- err
 	}()
 	// Let the request get in flight, then abandon it.
@@ -87,7 +88,7 @@ func TestClientDeadlineSurfacesCtxError(t *testing.T) {
 	c := NewClient(stallConn(t))
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := c.AnalyzeContext(ctx, benignQuery)
+	_, err := c.AnalyzeSiteContext(ctx, "", benignQuery)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -123,7 +124,7 @@ func TestServerHonorsWireDeadline(t *testing.T) {
 		t.Errorf("DaemonTimeouts = %d, want 1", got)
 	}
 	// A request with budget to spare sails through on the same connection.
-	reply, err := c.AnalyzeContext(context.Background(), benignQuery)
+	reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestPoolCanceledWhileSlotsBusy(t *testing.T) {
 	firstCtx, cancelFirst := context.WithCancel(context.Background())
 	firstErr := make(chan error, 1)
 	go func() {
-		_, err := p.AnalyzeContext(firstCtx, benignQuery)
+		_, err := p.AnalyzeSiteContext(firstCtx, "", benignQuery)
 		firstErr <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the first request claim the slot
@@ -192,7 +193,7 @@ func TestPoolCanceledWhileSlotsBusy(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if _, err := p.AnalyzeContext(ctx, benignQuery); !errors.Is(err, context.Canceled) {
+	if _, err := p.AnalyzeSiteContext(ctx, "", benignQuery); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -215,7 +216,7 @@ func TestHybridCheckContextPreCanceled(t *testing.T) {
 	defer h.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := h.CheckContext(ctx, benignQuery, nil)
+	_, err := h.Check(ctx, engine.Request{Query: benignQuery})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -223,7 +224,7 @@ func TestHybridCheckContextPreCanceled(t *testing.T) {
 		t.Errorf("canceled check recorded %d checks", n)
 	}
 	// The transport stays healthy for the next check.
-	v, err := h.CheckContext(context.Background(), benignQuery, nil)
+	v, err := h.Check(context.Background(), engine.Request{Query: benignQuery})
 	if err != nil {
 		t.Fatal(err)
 	}

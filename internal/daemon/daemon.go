@@ -210,24 +210,16 @@ func replyFor(v core.Verdict, site string) *AnalysisReply {
 	return r
 }
 
-// siteTransport is the optional transport extension that carries a
-// call-site identity with the analyze request, so the daemon can run the
-// query-skeleton profile stage. Kept separate from Transport so existing
-// third-party transports keep compiling; transports without it simply
-// never produce profile verdicts.
-type siteTransport interface {
-	AnalyzeSiteContext(ctx context.Context, site, query string) (*AnalysisReply, error)
-}
-
 // Transport is the application's view of the PTI analysis, independent of
 // deployment.
 type Transport interface {
-	// Analyze returns the PTI reply for query, without a deadline.
-	Analyze(query string) (*AnalysisReply, error)
-	// AnalyzeContext is Analyze bounded by ctx: a wire transport forwards
-	// the remaining deadline budget in the request so the server honors
-	// it, and a canceled ctx aborts the round trip with ctx's error.
-	AnalyzeContext(ctx context.Context, query string) (*AnalysisReply, error)
+	// AnalyzeSiteContext returns the daemon's reply for query issued from
+	// call site site. A non-empty site makes the daemon run its
+	// query-skeleton profile stage; an empty one is left off the wire. A
+	// wire transport forwards ctx's remaining deadline budget in the
+	// request so the server honors it, and a canceled ctx aborts the round
+	// trip with ctx's error.
+	AnalyzeSiteContext(ctx context.Context, site, query string) (*AnalysisReply, error)
 	// Close releases the transport.
 	Close() error
 }
@@ -241,7 +233,6 @@ type Direct struct {
 }
 
 var _ Transport = (*Direct)(nil)
-var _ siteTransport = (*Direct)(nil)
 
 // NewDirect returns a Direct transport over analyzer.
 func NewDirect(analyzer *pti.Cached) *Direct {
@@ -254,19 +245,8 @@ func (d *Direct) SetProfiles(st *profile.Store) {
 	d.eng.Swap(withProfiles(d.eng.Snapshot(), engine.ProfileStage{Store: st}))
 }
 
-// Analyze implements Transport.
-func (d *Direct) Analyze(query string) (*AnalysisReply, error) {
-	return d.AnalyzeSiteContext(context.Background(), "", query)
-}
-
-// AnalyzeContext implements Transport: there is no wire to bound, so ctx
-// only gates the in-process analysis.
-func (d *Direct) AnalyzeContext(ctx context.Context, query string) (*AnalysisReply, error) {
-	return d.AnalyzeSiteContext(ctx, "", query)
-}
-
-// AnalyzeSiteContext implements siteTransport: AnalyzeContext plus the
-// query-skeleton profile verdict for site.
+// AnalyzeSiteContext implements Transport: there is no wire to bound, so
+// ctx only gates the in-process analysis.
 func (d *Direct) AnalyzeSiteContext(ctx context.Context, site, query string) (*AnalysisReply, error) {
 	v, err := d.eng.Check(ctx, engine.Request{Query: query, Site: site, Dialect: d.eng.Snapshot().Dialect})
 	if err != nil {

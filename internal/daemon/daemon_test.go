@@ -1,7 +1,9 @@
 package daemon
 
 import (
+	"context"
 	"encoding/json"
+	"joza/internal/engine"
 	"net"
 	"strings"
 	"sync"
@@ -29,7 +31,7 @@ const (
 func TestDirectTransport(t *testing.T) {
 	d := NewDirect(newAnalyzer())
 	defer d.Close()
-	reply, err := d.Analyze(benignQuery)
+	reply, err := d.AnalyzeSiteContext(context.Background(), "", benignQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func TestDirectTransport(t *testing.T) {
 	if len(reply.Tokens) != 0 || reply.TokenStream() != nil {
 		t.Errorf("direct reply carried tokens: %+v", reply.Tokens)
 	}
-	reply, err = d.Analyze(attackQuery)
+	reply, err = d.AnalyzeSiteContext(context.Background(), "", attackQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func TestRemoteTransportTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	reply, err := c.Analyze(attackQuery)
+	reply, err := c.AnalyzeSiteContext(context.Background(), "", attackQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,14 +116,14 @@ func TestRemoteTransportTCP(t *testing.T) {
 func TestSpawnPipe(t *testing.T) {
 	c, stop := SpawnPipe(newAnalyzer())
 	defer stop()
-	reply, err := c.Analyze(benignQuery)
+	reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reply.Attack {
 		t.Error("benign flagged over pipe")
 	}
-	reply, err = c.Analyze(attackQuery)
+	reply, err = c.AnalyzeSiteContext(context.Background(), "", attackQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +144,12 @@ func TestTransportsAgree(t *testing.T) {
 	}
 	defer remote.Close()
 	for _, q := range queries {
-		want, err := direct.Analyze(q)
+		want, err := direct.AnalyzeSiteContext(context.Background(), "", q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, tr := range map[string]Transport{"pipe": pipe, "tcp": remote} {
-			got, err := tr.Analyze(q)
+			got, err := tr.AnalyzeSiteContext(context.Background(), "", q)
 			if err != nil {
 				t.Fatalf("%s %q: %v", name, q, err)
 			}
@@ -164,28 +166,34 @@ func TestHybridClient(t *testing.T) {
 	h := NewHybridClient(c, nti.MustNew(), core.PolicyTerminate)
 
 	// Benign.
-	v, err := h.Check(benignQuery, []nti.Input{{Source: "get", Name: "id", Value: "5"}})
+	v, err := h.Check(context.Background(), engine.Request{
+		Query:  benignQuery,
+		Inputs: []nti.Input{{Source: "get", Name: "id", Value: "5"}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Attack {
 		t.Errorf("benign flagged: %v", v.Reasons())
 	}
-	if err := h.Authorize(benignQuery, nil); err != nil {
+	if err := h.Authorize(context.Background(), engine.Request{Query: benignQuery}); err != nil {
 		t.Errorf("Authorize benign: %v", err)
 	}
 
 	// Attack detected by both (NTI lexing the query itself).
 	payload := "-1 UNION SELECT username() "
 	q := strings.TrimSuffix("SELECT * FROM records WHERE ID="+payload, " ") + " LIMIT 5"
-	v, err = h.Check(q, []nti.Input{{Source: "get", Name: "id", Value: strings.TrimSpace(payload)}})
+	v, err = h.Check(context.Background(), engine.Request{
+		Query:  q,
+		Inputs: []nti.Input{{Source: "get", Name: "id", Value: strings.TrimSpace(payload)}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v.NTI.Attack || !v.PTI.Attack {
 		t.Errorf("detected by %v, want both", v.DetectedBy())
 	}
-	err = h.Authorize(q, nil)
+	err = h.Authorize(context.Background(), engine.Request{Query: q})
 	if err == nil {
 		t.Fatal("Authorize allowed attack")
 	}
@@ -198,7 +206,7 @@ func TestHybridClient(t *testing.T) {
 func TestHybridClientNTIDisabled(t *testing.T) {
 	d := NewDirect(newAnalyzer())
 	h := NewHybridClient(d, nil, core.PolicyErrorVirtualize)
-	v, err := h.Check(attackQuery, nil)
+	v, err := h.Check(context.Background(), engine.Request{Query: attackQuery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +222,7 @@ func TestHybridClientTransportError(t *testing.T) {
 	c, stop := SpawnPipe(newAnalyzer())
 	stop() // closed transport
 	h := NewHybridClient(c, nti.MustNew(), core.PolicyTerminate)
-	if _, err := h.Check(benignQuery, nil); err == nil {
+	if _, err := h.Check(context.Background(), engine.Request{Query: benignQuery}); err == nil {
 		t.Error("want transport error")
 	}
 }
@@ -234,7 +242,7 @@ func TestServerConcurrentClients(t *testing.T) {
 			}
 			defer c.Close()
 			for i := 0; i < 50; i++ {
-				reply, err := c.Analyze(attackQuery)
+				reply, err := c.AnalyzeSiteContext(context.Background(), "", attackQuery)
 				if err != nil {
 					errs <- err
 					return
@@ -280,10 +288,10 @@ func TestDialError(t *testing.T) {
 func TestDaemonCachesSpeedSecondRequest(t *testing.T) {
 	analyzer := newAnalyzer()
 	d := NewDirect(analyzer)
-	if _, err := d.Analyze(benignQuery); err != nil {
+	if _, err := d.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Analyze(benignQuery); err != nil {
+	if _, err := d.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 		t.Fatal(err)
 	}
 	if analyzer.Stats().QueryHits == 0 {

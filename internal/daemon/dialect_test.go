@@ -2,7 +2,9 @@ package daemon
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"joza/internal/engine"
 	"net"
 	"strings"
 	"testing"
@@ -43,14 +45,14 @@ func TestClientDialectMismatchRidesHealthyStream(t *testing.T) {
 	c, stop := SpawnPipe(newAnalyzer())
 	defer stop()
 	c.SetDialect(sqltoken.Postgres)
-	if _, err := c.Analyze(benignQuery); err == nil || !strings.Contains(err.Error(), "dialect mismatch") {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err == nil || !strings.Contains(err.Error(), "dialect mismatch") {
 		t.Fatalf("cross-dialect analyze error = %v, want dialect mismatch", err)
 	}
 	if c.Broken() {
 		t.Fatal("dialect refusal broke the connection")
 	}
 	c.SetDialect(sqltoken.MySQL)
-	reply, err := c.Analyze(benignQuery)
+	reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +79,12 @@ func TestPostgresDaemonEndToEnd(t *testing.T) {
 	}()
 
 	// Default client: absent dialect means MySQL, which this daemon refuses.
-	if _, err := c.Analyze(benignQuery); err == nil || !strings.Contains(err.Error(), "dialect mismatch") {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err == nil || !strings.Contains(err.Error(), "dialect mismatch") {
 		t.Fatalf("MySQL request to Postgres daemon: err = %v", err)
 	}
 
 	c.SetDialect(sqltoken.Postgres)
-	reply, err := c.Analyze("SELECT * FROM records WHERE ID=$1 LIMIT 5")
+	reply, err := c.AnalyzeSiteContext(context.Background(), "", "SELECT * FROM records WHERE ID=$1 LIMIT 5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +175,7 @@ func TestPoolDialect(t *testing.T) {
 	pool := NewPool(func() (net.Conn, error) { return net.Dial("tcp", addr) },
 		PoolConfig{Size: 1, Dialect: sqltoken.Postgres})
 	defer pool.Close()
-	if _, err := pool.Analyze("SELECT * FROM records WHERE ID=$1 LIMIT 5"); err != nil {
+	if _, err := pool.AnalyzeSiteContext(context.Background(), "", "SELECT * FROM records WHERE ID=$1 LIMIT 5"); err != nil {
 		t.Fatalf("matched pool analyze: %v", err)
 	}
 	results, err := pool.AnalyzeBatch(t.Context(), []string{benignQuery, benignQuery})
@@ -190,7 +192,7 @@ func TestPoolDialect(t *testing.T) {
 	crossed := NewPool(func() (net.Conn, error) { return net.Dial("tcp", myAddr) },
 		PoolConfig{Size: 1, Dialect: sqltoken.Postgres})
 	defer crossed.Close()
-	if _, err := crossed.Analyze(benignQuery); err == nil || !strings.Contains(err.Error(), "dialect mismatch") {
+	if _, err := crossed.AnalyzeSiteContext(context.Background(), "", benignQuery); err == nil || !strings.Contains(err.Error(), "dialect mismatch") {
 		t.Fatalf("cross-dialect pool analyze err = %v", err)
 	}
 	if crossed.Dials() != 1 {
@@ -220,15 +222,20 @@ func TestHybridClientDialect(t *testing.T) {
 	h := NewHybridClient(c, nti.MustNew(nti.WithDialect(sqltoken.Postgres)), core.PolicyTerminate,
 		WithDialect(sqltoken.Postgres))
 	defer h.Close()
-	v, err := h.Check("SELECT * FROM records WHERE ID=$1 LIMIT 5",
-		[]nti.Input{{Source: "get", Name: "id", Value: "5"}})
+	v, err := h.Check(context.Background(), engine.Request{
+		Query:  "SELECT * FROM records WHERE ID=$1 LIMIT 5",
+		Inputs: []nti.Input{{Source: "get", Name: "id", Value: "5"}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Attack {
 		t.Errorf("benign Postgres check flagged: %v", v.Reasons())
 	}
-	v, err = h.Check(attackQuery, []nti.Input{{Source: "get", Name: "id", Value: "-1 UNION SELECT username()"}})
+	v, err = h.Check(context.Background(), engine.Request{
+		Query:  attackQuery,
+		Inputs: []nti.Input{{Source: "get", Name: "id", Value: "-1 UNION SELECT username()"}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +253,10 @@ func TestHybridClientRefusesNTIDialectMismatch(t *testing.T) {
 	d := NewDirect(newAnalyzer())
 	h := NewHybridClient(d, nti.MustNew(nti.WithDialect(sqltoken.Postgres)), core.PolicyTerminate)
 	defer h.Close()
-	v, err := h.Check(benignQuery, []nti.Input{{Source: "get", Name: "id", Value: "5"}})
+	v, err := h.Check(context.Background(), engine.Request{
+		Query:  benignQuery,
+		Inputs: []nti.Input{{Source: "get", Name: "id", Value: "5"}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

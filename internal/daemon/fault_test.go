@@ -38,10 +38,10 @@ func TestClientBrokenAfterMidResponseClose(t *testing.T) {
 		_ = serverSide.Close()
 	}()
 	c := NewClient(clientSide)
-	if _, err := c.Analyze(benignQuery); err == nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err == nil {
 		t.Fatal("truncated response must error")
 	}
-	if _, err := c.Analyze(benignQuery); !errors.Is(err, ErrBroken) {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); !errors.Is(err, ErrBroken) {
 		t.Fatalf("client after mid-response close: err = %v, want ErrBroken", err)
 	}
 	if !c.Broken() {
@@ -65,10 +65,10 @@ func TestClientPartialWriteBreaksConnection(t *testing.T) {
 		}
 	}()
 	c := NewClient(fc)
-	if _, err := c.Analyze(benignQuery); err == nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err == nil {
 		t.Fatal("partial write must error")
 	}
-	if _, err := c.Analyze(benignQuery); !errors.Is(err, ErrBroken) {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); !errors.Is(err, ErrBroken) {
 		t.Fatalf("second call: err = %v, want ErrBroken", err)
 	}
 	_ = serverSide.Close()
@@ -113,10 +113,10 @@ func TestClientTimeoutNeverYieldsStaleReply(t *testing.T) {
 	}()
 	c := NewClient(clientSide)
 	c.SetTimeout(30 * time.Millisecond)
-	if _, err := c.Analyze("request one"); err == nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", "request one"); err == nil {
 		t.Fatal("want deadline error on stalled response")
 	}
-	reply, err := c.Analyze("request two")
+	reply, err := c.AnalyzeSiteContext(context.Background(), "", "request two")
 	if err == nil {
 		t.Fatalf("desynced client returned a reply (stale Attack=%v)", reply.Attack)
 	}
@@ -146,7 +146,7 @@ func TestPoolReconnectsAfterServerRestart(t *testing.T) {
 	}, PoolConfig{Size: 2, Timeout: time.Second, BackoffMin: time.Millisecond, BackoffMax: 5 * time.Millisecond})
 	defer p.Close()
 
-	if reply, err := p.Analyze(attackQuery); err != nil || !reply.Attack {
+	if reply, err := p.AnalyzeSiteContext(context.Background(), "", attackQuery); err != nil || !reply.Attack {
 		t.Fatalf("first request: reply=%+v err=%v", reply, err)
 	}
 	dialsBefore := p.Dials()
@@ -157,7 +157,7 @@ func TestPoolReconnectsAfterServerRestart(t *testing.T) {
 	defer srvB.Close()
 	target.Store(addrB)
 
-	reply, err := p.Analyze(attackQuery)
+	reply, err := p.AnalyzeSiteContext(context.Background(), "", attackQuery)
 	if err != nil {
 		t.Fatalf("request after restart: %v", err)
 	}
@@ -177,7 +177,7 @@ func TestPoolOutageReportsUnavailable(t *testing.T) {
 	}, PoolConfig{Size: 1, Timeout: 100 * time.Millisecond, MaxAttempts: 3,
 		BackoffMin: time.Millisecond, BackoffMax: 2 * time.Millisecond})
 	defer p.Close()
-	if _, err := p.Analyze(benignQuery); !errors.Is(err, ErrUnavailable) {
+	if _, err := p.AnalyzeSiteContext(context.Background(), "", benignQuery); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
 	if p.Exhausted() != 1 {
@@ -285,8 +285,10 @@ func TestHybridDegradeFailOpen(t *testing.T) {
 		WithDegradeMode(DegradeFailOpen), WithCollector(collector))
 
 	payload := "-1 UNION SELECT username()"
-	v, err := h.Check("SELECT * FROM records WHERE ID="+payload+" LIMIT 5",
-		[]nti.Input{{Source: "get", Name: "id", Value: payload}})
+	v, err := h.Check(context.Background(), engine.Request{
+		Query:  "SELECT * FROM records WHERE ID=" + payload + " LIMIT 5",
+		Inputs: []nti.Input{{Source: "get", Name: "id", Value: payload}},
+	})
 	if err != nil {
 		t.Fatalf("fail-open must not error: %v", err)
 	}
@@ -297,7 +299,10 @@ func TestHybridDegradeFailOpen(t *testing.T) {
 		t.Errorf("NTI must still catch the attack: detected by %v", v.DetectedBy())
 	}
 	// A benign query passes NTI-only screening.
-	v, err = h.Check(benignQuery, []nti.Input{{Source: "get", Name: "id", Value: "5"}})
+	v, err = h.Check(context.Background(), engine.Request{
+		Query:  benignQuery,
+		Inputs: []nti.Input{{Source: "get", Name: "id", Value: "5"}},
+	})
 	if err != nil || v.Attack {
 		t.Errorf("benign fail-open check: v=%+v err=%v", v, err)
 	}
@@ -324,7 +329,7 @@ func TestHybridDegradeFailClosed(t *testing.T) {
 	h := NewHybridClient(c, nti.MustNew(), core.PolicyTerminate,
 		WithDegradeMode(DegradeFailClosed), WithCollector(collector), WithAuditLog(&auditBuf))
 
-	v, err := h.Check(benignQuery, nil)
+	v, err := h.Check(context.Background(), engine.Request{Query: benignQuery})
 	if err != nil {
 		t.Fatalf("fail-closed must synthesize a verdict, not error: %v", err)
 	}
@@ -334,7 +339,7 @@ func TestHybridDegradeFailClosed(t *testing.T) {
 	if len(v.PTI.Reasons) == 0 || !strings.Contains(v.PTI.Reasons[0].Detail, "fail-closed") {
 		t.Errorf("reasons = %v", v.PTI.Reasons)
 	}
-	if err := h.Authorize(benignQuery, nil); err == nil {
+	if err := h.Authorize(context.Background(), engine.Request{Query: benignQuery}); err == nil {
 		t.Error("Authorize must block under fail-closed outage")
 	}
 	if collector.Snapshot().DegradedChecks == 0 {
@@ -351,7 +356,7 @@ func TestHybridDegradeErrorDefault(t *testing.T) {
 	c, stopDaemon := SpawnPipe(newAnalyzer())
 	stopDaemon()
 	h := NewHybridClient(c, nti.MustNew(), core.PolicyTerminate)
-	if _, err := h.Check(benignQuery, nil); err == nil {
+	if _, err := h.Check(context.Background(), engine.Request{Query: benignQuery}); err == nil {
 		t.Error("default degrade mode must propagate transport errors")
 	}
 }
@@ -363,10 +368,10 @@ func TestHybridRecordsMetricsAndAudit(t *testing.T) {
 	defer stopDaemon()
 	var auditBuf syncBuffer
 	h := NewHybridClient(c, nti.MustNew(), core.PolicyTerminate, WithAuditLog(&auditBuf))
-	if _, err := h.Check(benignQuery, nil); err != nil {
+	if _, err := h.Check(context.Background(), engine.Request{Query: benignQuery}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Check(attackQuery, nil); err != nil {
+	if _, err := h.Check(context.Background(), engine.Request{Query: attackQuery}); err != nil {
 		t.Fatal(err)
 	}
 	snap := h.Metrics()
@@ -430,7 +435,7 @@ func TestServerAcceptRetriesTemporaryErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	reply, err := c.Analyze(attackQuery)
+	reply, err := c.AnalyzeSiteContext(context.Background(), "", attackQuery)
 	if err != nil {
 		t.Fatalf("daemon died on transient accept errors: %v", err)
 	}
@@ -487,13 +492,13 @@ func TestServerMaxRequestBytes(t *testing.T) {
 	c, stop := spawnOnServer(t, srv)
 	defer stop()
 	huge := strings.Repeat("A", 64<<10)
-	if _, err := c.Analyze(huge); err == nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", huge); err == nil {
 		t.Fatal("oversized request must break the connection")
 	}
 	// Within the cap still works on a fresh connection.
 	c2, stop2 := spawnOnServer(t, srv)
 	defer stop2()
-	if _, err := c2.Analyze(benignQuery); err != nil {
+	if _, err := c2.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 		t.Fatalf("normal request after oversized one: %v", err)
 	}
 }
@@ -505,7 +510,7 @@ func TestServerPerOpCounters(t *testing.T) {
 	c, stop := spawnOnServer(t, srv)
 	defer stop()
 	for i := 0; i < 3; i++ {
-		if _, err := c.Analyze(benignQuery); err != nil {
+		if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -119,11 +119,11 @@ func WithStrictProfiles() HybridOption {
 }
 
 // WithDialect sets the SQL dialect the hybrid's checks run under (default
-// MySQL). It stamps every engine request so the pipeline's dialect
-// backstop holds, and should match the transport's configured dialect
-// (Client.SetDialect, PoolConfig.Dialect) and the daemon's analyzer — a
-// disagreement surfaces as a per-check daemon refusal, resolved by the
-// degradation policy. The NTI analyzer passed to NewHybridClient must be
+// MySQL). It stamps every request that names no dialect, so the
+// pipeline's dialect backstop holds, and should match the transport's
+// configured dialect (Client.SetDialect, PoolConfig.Dialect) and the
+// daemon's analyzer — a disagreement surfaces as a per-check daemon
+// refusal, resolved by the degradation policy. The NTI analyzer passed to NewHybridClient must be
 // built with nti.WithDialect to match: it lexes queries itself, so every
 // check of a client whose NTI dialect differs is refused through the
 // engine's failure mode rather than analyzed with the wrong token
@@ -192,13 +192,7 @@ func (s remotePTIStage) Name() string { return core.AnalyzerPTI }
 
 // Analyze implements engine.Analyzer.
 func (s remotePTIStage) Analyze(ctx context.Context, req engine.Request, st *engine.State) (core.Result, error) {
-	var reply *AnalysisReply
-	var err error
-	if stx, ok := s.transport.(siteTransport); ok && req.Site != "" {
-		reply, err = stx.AnalyzeSiteContext(ctx, req.Site, req.Query)
-	} else {
-		reply, err = s.transport.AnalyzeContext(ctx, req.Query)
-	}
+	reply, err := s.transport.AnalyzeSiteContext(ctx, req.Site, req.Query)
 	if err == nil {
 		// Fold the daemon's view of this check into our span: its lex and
 		// cover timings, cache outcome and cover evidence. The raw reply
@@ -270,31 +264,31 @@ func (s remoteProfileStage) Analyze(ctx context.Context, req engine.Request, st 
 	return res, nil
 }
 
-// CheckContext returns the hybrid verdict for query given the request's
-// inputs, bounded by ctx: the deadline rides to the daemon in the wire
-// request, cancellation aborts a blocked round trip and the NTI matcher
-// mid-analysis, and ctx's error comes back with no verdict recorded.
+// Check returns the hybrid verdict for req, bounded by ctx: the deadline
+// rides to the daemon in the wire request, cancellation aborts a blocked
+// round trip and the NTI matcher mid-analysis, and ctx's error comes back
+// with no verdict recorded. req.Site rides to the daemon too, whose
+// query-skeleton profile verdict becomes the third analyzer vote. A zero
+// req.Dialect means the client's own dialect; any other the client was
+// not built for is refused through the engine's failure mode.
+//
 // When the transport fails (and ctx is still live), the configured
 // DegradeMode decides: propagate the error, fail closed (synthesize an
 // attack verdict), or fail open (serve the NTI-only verdict). Degraded
 // checks are counted in the collector's DegradedChecks.
-func (h *HybridClient) CheckContext(ctx context.Context, query string, inputs []nti.Input) (core.Verdict, error) {
-	return h.eng.Check(ctx, engine.Request{Query: query, Inputs: inputs, Dialect: h.dialect})
+func (h *HybridClient) Check(ctx context.Context, req engine.Request) (core.Verdict, error) {
+	return h.eng.Check(ctx, req.OrDialect(h.dialect))
 }
 
-// Check is the context-free compatibility wrapper around CheckContext; it
-// can still fail when the transport does and DegradeError is configured.
-func (h *HybridClient) Check(query string, inputs []nti.Input) (core.Verdict, error) {
-	return h.eng.Check(context.Background(), engine.Request{Query: query, Inputs: inputs, Dialect: h.dialect})
+// Authorize returns nil for a safe req, an *core.AttackError for an
+// attack, or the error Check would return.
+func (h *HybridClient) Authorize(ctx context.Context, req engine.Request) error {
+	return h.eng.Authorize(ctx, req.OrDialect(h.dialect))
 }
 
-// CheckContextAt is CheckContext with a call-site identity: the site rides
-// to the daemon in the wire request, and the daemon's query-skeleton
-// profile verdict becomes the third analyzer vote. Requires a transport
-// with site support (Client, Pool, ShardedPool, Direct); others analyze
-// without the profile stage.
+// CheckContextAt is Check with the request spelled out positionally.
 func (h *HybridClient) CheckContextAt(ctx context.Context, site, query string, inputs []nti.Input) (core.Verdict, error) {
-	return h.eng.Check(ctx, engine.Request{Query: query, Inputs: inputs, Site: site, Dialect: h.dialect})
+	return h.Check(ctx, engine.Request{Site: site, Query: query, Inputs: inputs})
 }
 
 // Metrics returns a snapshot of the client's counters: checks, attacks
@@ -327,24 +321,6 @@ func (h *HybridClient) Traces() trace.Dump { return h.tracer.Dump() }
 // Tracer exposes the client's tracer so callers can share it with an
 // observability server (nil without WithTracing).
 func (h *HybridClient) Tracer() *trace.Tracer { return h.tracer }
-
-// AuthorizeContext returns nil for safe queries, an *core.AttackError for
-// attacks, and ctx's error when the check was canceled.
-func (h *HybridClient) AuthorizeContext(ctx context.Context, query string, inputs []nti.Input) error {
-	return h.eng.Authorize(ctx, engine.Request{Query: query, Inputs: inputs, Dialect: h.dialect})
-}
-
-// Authorize returns nil for safe queries and an *core.AttackError
-// otherwise.
-func (h *HybridClient) Authorize(query string, inputs []nti.Input) error {
-	return h.eng.Authorize(context.Background(), engine.Request{Query: query, Inputs: inputs, Dialect: h.dialect})
-}
-
-// AuthorizeContextAt is AuthorizeContext with a call-site identity (see
-// CheckContextAt).
-func (h *HybridClient) AuthorizeContextAt(ctx context.Context, site, query string, inputs []nti.Input) error {
-	return h.eng.Authorize(ctx, engine.Request{Query: query, Inputs: inputs, Site: site, Dialect: h.dialect})
-}
 
 // Close flushes the audit logger (a no-op for synchronous loggers) and
 // releases the underlying transport.

@@ -56,10 +56,10 @@ type PoolConfig struct {
 	// (default 1s).
 	BreakerCooldown time.Duration
 	// BatchSize opts into the client-side micro-batcher: concurrent
-	// AnalyzeContext calls are coalesced into one "batch" wire frame of up
-	// to this many items, amortizing the round trip across them. Values
-	// below 2 (the default) leave every call its own round trip. Requires
-	// a server that speaks the "batch" verb.
+	// AnalyzeSiteContext calls are coalesced into one "batch" wire frame
+	// of up to this many items, amortizing the round trip across them.
+	// Values below 2 (the default) leave every call its own round trip.
+	// Requires a server that speaks the "batch" verb.
 	BatchSize int
 	// BatchLinger is how long the first call in a forming batch waits for
 	// companions before a partial batch is flushed (default 500µs). Only
@@ -116,7 +116,7 @@ type Pool struct {
 	once    sync.Once
 	breaker *guardrail.Breaker
 	// batch is the opt-in micro-batcher (nil unless cfg.BatchSize >= 2);
-	// when set, AnalyzeContext coalesces through it.
+	// when set, AnalyzeSiteContext coalesces through it.
 	batch *batcher
 
 	dials     atomic.Uint64
@@ -265,25 +265,13 @@ func jitter(d time.Duration) time.Duration {
 	return half + rand.N(half)
 }
 
-// Analyze implements Transport.
-func (p *Pool) Analyze(query string) (*AnalysisReply, error) {
-	return p.AnalyzeContext(context.Background(), query)
-}
-
-// AnalyzeContext implements Transport: ctx bounds slot acquisition, the
-// round trip and retry backoff, and the remaining deadline budget is
-// forwarded to the server in the request. With BatchSize configured, the
-// call instead joins the micro-batcher: concurrent calls coalesce into one
-// batch frame, ctx still bounds this caller's wait, and the item's budget
+// AnalyzeSiteContext implements Transport: ctx bounds slot acquisition,
+// the round trip and retry backoff, and the remaining deadline budget is
+// forwarded to the server in the request, with the call site. With
+// BatchSize configured, the call instead joins the micro-batcher:
+// concurrent calls coalesce into one batch frame (the site rides in the
+// batch item), ctx still bounds this caller's wait, and the item's budget
 // still rides to the server.
-func (p *Pool) AnalyzeContext(ctx context.Context, query string) (*AnalysisReply, error) {
-	return p.analyzeReq(ctx, withTimeoutBudget(ctx, wireRequest{Query: query, Dialect: wireDialect(p.cfg.Dialect)}))
-}
-
-// AnalyzeSiteContext implements siteTransport: AnalyzeContext with the
-// call-site identity in the request so the server runs the query-skeleton
-// profile stage. Site-carrying requests coalesce through the micro-batcher
-// like any other — the site rides in the batch item.
 func (p *Pool) AnalyzeSiteContext(ctx context.Context, site, query string) (*AnalysisReply, error) {
 	return p.analyzeReq(ctx, withTimeoutBudget(ctx, wireRequest{Query: query, Site: site, Dialect: wireDialect(p.cfg.Dialect)}))
 }

@@ -57,7 +57,7 @@ func TestServerProfileOutcomes(t *testing.T) {
 	}
 
 	// Requests without a site carry no profile verdict at all.
-	reply, err = c.AnalyzeContext(ctx, benignQuery)
+	reply, err = c.AnalyzeSiteContext(ctx, "", benignQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,9 +202,9 @@ func TestHybridClientProfileStage(t *testing.T) {
 	if v.Profile.Attack {
 		t.Errorf("unknown site flagged without strict mode: %+v", v.Profile)
 	}
-	// ...and AuthorizeContextAt blocks on the profile verdict.
-	if err := h.AuthorizeContextAt(ctx, "plugin:records", rebuilt, nil); err == nil {
-		t.Error("AuthorizeContextAt allowed an unseen skeleton")
+	// ...and Authorize blocks on the profile verdict.
+	if err := h.Authorize(ctx, engine.Request{Site: "plugin:records", Query: rebuilt}); err == nil {
+		t.Error("Authorize allowed an unseen skeleton")
 	}
 	_ = h.Close()
 

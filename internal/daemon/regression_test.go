@@ -65,7 +65,7 @@ func TestClientCancelAfterReplyKeepsConnHealthy(t *testing.T) {
 	// First request: the reply arrives, the wrapper cancels ctx, and the
 	// AfterFunc fires after the decode already succeeded. The call itself
 	// must succeed — no bytes were lost.
-	reply, err := c.AnalyzeContext(ctx, benignQuery)
+	reply, err := c.AnalyzeSiteContext(ctx, "", benignQuery)
 	if err != nil {
 		t.Fatalf("first analyze: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestClientCancelAfterReplyKeepsConnHealthy(t *testing.T) {
 	// Second request on the same connection: with the poisoned deadline
 	// left in place this fails immediately with an i/o timeout and marks
 	// the connection broken.
-	reply, err = c.AnalyzeContext(context.Background(), benignQuery)
+	reply, err = c.AnalyzeSiteContext(context.Background(), "", benignQuery)
 	if err != nil {
 		t.Fatalf("second analyze after post-reply cancellation: %v (connection poisoned by stale deadline)", err)
 	}

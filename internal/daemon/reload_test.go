@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"context"
 	"net"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestSetAnalyzerHotSwap(t *testing.T) {
 
 	// A query from a newly installed plugin is initially untrusted.
 	newPluginQuery := "SELECT b FROM u WHERE id=5"
-	reply, err := c.Analyze(newPluginQuery)
+	reply, err := c.AnalyzeSiteContext(context.Background(), "", newPluginQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestSetAnalyzerHotSwap(t *testing.T) {
 	})
 	srv.SetSnapshot(NewSnapshot(pti.NewCached(pti.New(newSet), pti.CacheNone, 1), engine.ProfileStage{}, ""))
 
-	reply, err = c.Analyze(newPluginQuery)
+	reply, err = c.AnalyzeSiteContext(context.Background(), "", newPluginQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestSetAnalyzerHotSwap(t *testing.T) {
 		t.Error("query should be trusted after fragment reload")
 	}
 	// The original application's queries keep working.
-	reply, err = c.Analyze("SELECT a FROM t WHERE id=1")
+	reply, err = c.AnalyzeSiteContext(context.Background(), "", "SELECT a FROM t WHERE id=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestServerRejectsGarbageBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Analyze(benignQuery); err != nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 		t.Fatalf("server wedged after garbage client: %v", err)
 	}
 }

@@ -70,7 +70,7 @@ func TestRolloutVerbsSingleDaemon(t *testing.T) {
 	if got := srv.Version(); got != next.Version {
 		t.Fatalf("serving version after commit = %q, want %q", got, next.Version)
 	}
-	reply, err := c.Analyze(benignQuery)
+	reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestPrepareRefusalsKeepServing(t *testing.T) {
 			if _, err := c.Commit(ctx, ""); err == nil || !strings.Contains(err.Error(), "nothing staged") {
 				t.Fatalf("failed prepare left state staged: commit returned %v", err)
 			}
-			if _, err := c.Analyze(benignQuery); err != nil {
+			if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 				t.Fatalf("connection unhealthy after refusals: %v", err)
 			}
 		})
@@ -268,7 +268,7 @@ func TestRolloutConvergesFleet(t *testing.T) {
 		t.Fatalf("CurrentVersion = %q, want %q", got, next)
 	}
 	for _, q := range queriesForShards(t, sp) {
-		reply, err := sp.Analyze(q)
+		reply, err := sp.AnalyzeSiteContext(context.Background(), "", q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +321,7 @@ func TestRolloutFailedPrepareAbortsFleet(t *testing.T) {
 		t.Fatalf("corrupt shard state = %q, want failed", states[addr1])
 	}
 	for _, q := range queriesForShards(t, sp) {
-		if _, err := sp.Analyze(q); err != nil {
+		if _, err := sp.AnalyzeSiteContext(context.Background(), "", q); err != nil {
 			t.Fatalf("fleet shed a check after contained abort: %v", err)
 		}
 	}
@@ -426,7 +426,7 @@ func TestRolloutPartialCommitKeepsCommitted(t *testing.T) {
 		if sp.Owner(q) != 0 {
 			continue
 		}
-		if _, err := sp.Analyze(q); err != nil {
+		if _, err := sp.AnalyzeSiteContext(context.Background(), "", q); err != nil {
 			t.Fatalf("survivor shed a check after partial commit: %v", err)
 		}
 	}
@@ -448,20 +448,20 @@ func TestSkewWarnCountsAndTracesStaleVerdicts(t *testing.T) {
 	defer sp.Close()
 	qs := queriesForShards(t, sp)
 	for _, q := range qs {
-		if _, err := sp.Analyze(q); err != nil {
+		if _, err := sp.AnalyzeSiteContext(context.Background(), "", q); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Shard 0 commits the new generation; observing its transition makes
 	// v2 current and shard 1's v1 verdicts stale.
 	srv0.SetSnapshot(testSnapshot(v2))
-	if _, err := sp.Analyze(qs[0]); err != nil {
+	if _, err := sp.AnalyzeSiteContext(context.Background(), "", qs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if got := sp.CurrentVersion(); got != v2 {
 		t.Fatalf("CurrentVersion after transition = %q, want %q", got, v2)
 	}
-	reply, err := sp.Analyze(qs[1])
+	reply, err := sp.AnalyzeSiteContext(context.Background(), "", qs[1])
 	if err != nil {
 		t.Fatalf("SkewWarn must serve the stale verdict: %v", err)
 	}
@@ -502,15 +502,15 @@ func TestSkewRefuseMixedRefusesPerCheck(t *testing.T) {
 	defer sp.Close()
 	qs := queriesForShards(t, sp)
 	for _, q := range qs {
-		if _, err := sp.Analyze(q); err != nil {
+		if _, err := sp.AnalyzeSiteContext(context.Background(), "", q); err != nil {
 			t.Fatal(err)
 		}
 	}
 	srv0.SetSnapshot(testSnapshot(v2))
-	if _, err := sp.Analyze(qs[0]); err != nil {
+	if _, err := sp.AnalyzeSiteContext(context.Background(), "", qs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sp.Analyze(qs[1]); !errors.Is(err, ErrVersionSkew) {
+	if _, err := sp.AnalyzeSiteContext(context.Background(), "", qs[1]); !errors.Is(err, ErrVersionSkew) {
 		t.Fatalf("stale shard check: got %v, want ErrVersionSkew", err)
 	}
 	// Batches refuse exactly the stale items.
@@ -540,19 +540,19 @@ func TestSkewRefusalEndsOnConvergence(t *testing.T) {
 	defer sp.Close()
 	qs := queriesForShards(t, sp)
 	for _, q := range qs {
-		if _, err := sp.Analyze(q); err != nil {
+		if _, err := sp.AnalyzeSiteContext(context.Background(), "", q); err != nil {
 			t.Fatal(err)
 		}
 	}
 	srv0.SetSnapshot(testSnapshot(v2))
-	if _, err := sp.Analyze(qs[0]); err != nil {
+	if _, err := sp.AnalyzeSiteContext(context.Background(), "", qs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sp.Analyze(qs[1]); !errors.Is(err, ErrVersionSkew) {
+	if _, err := sp.AnalyzeSiteContext(context.Background(), "", qs[1]); !errors.Is(err, ErrVersionSkew) {
 		t.Fatalf("want refusal while lagging, got %v", err)
 	}
 	srv1.SetSnapshot(testSnapshot(v2))
-	reply, err := sp.Analyze(qs[1])
+	reply, err := sp.AnalyzeSiteContext(context.Background(), "", qs[1])
 	if err != nil {
 		t.Fatalf("converged shard still refused: %v", err)
 	}

@@ -222,21 +222,11 @@ func (sp *ShardedPool) checkSkew(s int, query string, reply *AnalysisReply) erro
 	return nil
 }
 
-// Analyze implements Transport.
-func (sp *ShardedPool) Analyze(query string) (*AnalysisReply, error) {
-	return sp.AnalyzeContext(context.Background(), query)
-}
-
-// AnalyzeContext implements Transport: the check routes to the shard
+// AnalyzeSiteContext implements Transport: the check routes to the shard
 // owning its query text and runs on that shard's pool with that shard's
-// retries and breaker.
-func (sp *ShardedPool) AnalyzeContext(ctx context.Context, query string) (*AnalysisReply, error) {
-	return sp.AnalyzeSiteContext(ctx, "", query)
-}
-
-// AnalyzeSiteContext implements siteTransport: routes by the query and
-// carries the call site to the owning shard so its daemon runs the
-// query-skeleton profile stage. Profiled fleets share one profile store.
+// retries and breaker; the call site rides along so the shard's daemon
+// runs the query-skeleton profile stage. Profiled fleets share one
+// profile store.
 func (sp *ShardedPool) AnalyzeSiteContext(ctx context.Context, site, query string) (*AnalysisReply, error) {
 	s := sp.ring.Owner(query)
 	reply, err := sp.pools[s].AnalyzeSiteContext(ctx, site, query)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"joza/internal/engine"
 	"net"
 	"strings"
 	"testing"
@@ -84,7 +85,7 @@ func TestShardedPoolRoutesAndAnalyzes(t *testing.T) {
 
 	perShard := queriesForShards(t, sp)
 	for s, q := range perShard {
-		reply, err := sp.Analyze(q)
+		reply, err := sp.AnalyzeSiteContext(context.Background(), "", q)
 		if err != nil {
 			t.Fatalf("shard %d query: %v", s, err)
 		}
@@ -92,7 +93,7 @@ func TestShardedPoolRoutesAndAnalyzes(t *testing.T) {
 			t.Errorf("shard %d flagged benign query", s)
 		}
 	}
-	reply, err := sp.AnalyzeContext(context.Background(), attackQuery)
+	reply, err := sp.AnalyzeSiteContext(context.Background(), "", attackQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,13 +159,13 @@ func TestShardedPoolDeadShardDegradesOnlyItsKeyspace(t *testing.T) {
 
 	// Single checks: the dead shard's keyspace errors as unavailable, the
 	// survivor's keyspace is untouched.
-	if _, err := sp.Analyze(perShard[0]); !errors.Is(err, ErrUnavailable) {
+	if _, err := sp.AnalyzeSiteContext(context.Background(), "", perShard[0]); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("dead-shard check = %v, want ErrUnavailable", err)
 	}
-	if !strings.Contains(fmt.Sprint(sp.Analyze(perShard[0])), addr0) {
+	if !strings.Contains(fmt.Sprint(sp.AnalyzeSiteContext(context.Background(), "", perShard[0])), addr0) {
 		t.Error("dead-shard error does not name the shard")
 	}
-	reply, err := sp.Analyze(perShard[1])
+	reply, err := sp.AnalyzeSiteContext(context.Background(), "", perShard[1])
 	if err != nil {
 		t.Fatalf("surviving shard's keyspace failed: %v", err)
 	}
@@ -204,7 +205,7 @@ func TestShardedPoolBreakerPerShard(t *testing.T) {
 	perShard := queriesForShards(t, sp)
 	kill0()
 	for i := 0; i < 4; i++ {
-		_, _ = sp.Analyze(perShard[0])
+		_, _ = sp.AnalyzeSiteContext(context.Background(), "", perShard[0])
 	}
 	health := sp.ShardStats()
 	if len(health) != 2 {
@@ -219,7 +220,7 @@ func TestShardedPoolBreakerPerShard(t *testing.T) {
 	if health[1].BreakerState != "closed" {
 		t.Errorf("healthy shard breaker %q, want closed", health[1].BreakerState)
 	}
-	if _, err := sp.Analyze(perShard[1]); err != nil {
+	if _, err := sp.AnalyzeSiteContext(context.Background(), "", perShard[1]); err != nil {
 		t.Fatalf("healthy shard dragged down: %v", err)
 	}
 }
@@ -234,11 +235,11 @@ func TestShardedPoolStatsMerge(t *testing.T) {
 	defer sp.Close()
 	perShard := queriesForShards(t, sp)
 	for i := 0; i < 3; i++ {
-		if _, err := sp.Analyze(perShard[0]); err != nil {
+		if _, err := sp.AnalyzeSiteContext(context.Background(), "", perShard[0]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := sp.Analyze(perShard[1]); err != nil {
+	if _, err := sp.AnalyzeSiteContext(context.Background(), "", perShard[1]); err != nil {
 		t.Fatal(err)
 	}
 	st, err := sp.Stats()
@@ -292,7 +293,7 @@ func TestShardedPoolTracesMerge(t *testing.T) {
 	defer sp.Close()
 	perShard := queriesForShards(t, sp)
 	for _, q := range perShard {
-		if _, err := sp.Analyze(q); err != nil {
+		if _, err := sp.AnalyzeSiteContext(context.Background(), "", q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -330,7 +331,7 @@ func TestHybridClientShardedMetrics(t *testing.T) {
 	}
 	h := NewHybridClient(sp, nti.MustNew(), core.PolicyTerminate)
 	defer h.Close()
-	if _, err := h.Check(benignQuery, nil); err != nil {
+	if _, err := h.Check(context.Background(), engine.Request{Query: benignQuery}); err != nil {
 		t.Fatal(err)
 	}
 	snap := h.Metrics()

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"net"
 	"strings"
@@ -17,11 +18,11 @@ func TestStatsVerbOverPipe(t *testing.T) {
 	c, stop := SpawnPipe(newAnalyzer())
 	defer stop()
 	for i := 0; i < 3; i++ {
-		if _, err := c.Analyze(benignQuery); err != nil {
+		if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Analyze(attackQuery); err != nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", attackQuery); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Stats()
@@ -55,10 +56,10 @@ func TestStatsVerbCountersSurviveSwap(t *testing.T) {
 	srv := NewServer(newAnalyzer())
 	c, stop := spawnOn(t, srv)
 	defer stop()
-	if _, err := c.Analyze(benignQuery); err != nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Analyze(benignQuery); err != nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 		t.Fatal(err)
 	}
 	srv.SetSnapshot(NewSnapshot(newAnalyzer(), engine.ProfileStage{}, ""))

@@ -1,6 +1,8 @@
 package daemon
 
 import (
+	"context"
+	"joza/internal/engine"
 	"net"
 	"strings"
 	"testing"
@@ -30,10 +32,10 @@ func TestTracesVerb(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Analyze(benignQuery); err != nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Analyze(attackQuery); err != nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", attackQuery); err != nil {
 		t.Fatal(err)
 	}
 	d, err := c.Traces()
@@ -77,7 +79,7 @@ func TestAnalyzeReplyCarriesTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	reply, err := c.Analyze(benignQuery)
+	reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestAnalyzeReplyCarriesTrace(t *testing.T) {
 	}
 
 	// Repeat: the daemon's query cache hits, and the trace says so.
-	reply, err = c.Analyze(benignQuery)
+	reply, err = c.AnalyzeSiteContext(context.Background(), "", benignQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestUntracedServerOmitsReplyTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	reply, err := c.Analyze(benignQuery)
+	reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +130,7 @@ func TestHybridClientMergesDaemonTrace(t *testing.T) {
 	defer h.Close()
 
 	inputs := []nti.Input{{Source: "get", Name: "id", Value: "-1 UNION SELECT username()"}}
-	v, err := h.Check(attackQuery, inputs)
+	v, err := h.Check(context.Background(), engine.Request{Query: attackQuery, Inputs: inputs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +172,7 @@ func TestHybridClientTraceDegraded(t *testing.T) {
 	h := NewHybridClient(NewClient(clientSide), nti.MustNew(), 0,
 		WithDegradeMode(DegradeFailOpen),
 		WithTracing(trace.Config{SampleEvery: 1, RingSize: 8}))
-	v, err := h.Check(benignQuery, nil)
+	v, err := h.Check(context.Background(), engine.Request{Query: benignQuery})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,7 +165,7 @@ func TestClientFramesSetNoTokensOnce(t *testing.T) {
 	const q = `{"query":"` + benignQuery + `"`
 
 	c, frames := frameRecorder(t, `{"reply":{"attack":false},"batch":[{"reply":{"attack":false}}]}`)
-	if _, err := c.Analyze(benignQuery); err != nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.AnalyzeSiteContext(ctx, "s", benignQuery); err != nil {
@@ -187,7 +187,7 @@ func TestClientFramesSetNoTokensOnce(t *testing.T) {
 	if _, err := c.AnalyzeBatch(ctx, []string{benignQuery}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Analyze(benignQuery); err != nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 		t.Fatal(err)
 	}
 	want = []string{`{"op":"batch","batch":[` + q + `}],"no_tokens":true}`, q + `}`}
@@ -200,7 +200,7 @@ func TestClientFramesSetNoTokensOnce(t *testing.T) {
 	if _, err := c.Stats(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Analyze(benignQuery); err != nil {
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 		t.Fatal(err)
 	}
 	want = []string{`{"op":"stats"}`, q + `,"no_tokens":true}`}
@@ -266,11 +266,11 @@ func TestNewClientOldServerSameVerdicts(t *testing.T) {
 		{"", nil},
 	}
 	for _, c := range cases {
-		want, err := current.Check(c.query, c.inputs)
+		want, err := current.Check(context.Background(), engine.Request{Query: c.query, Inputs: c.inputs})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := old.Check(c.query, c.inputs)
+		got, err := old.Check(context.Background(), engine.Request{Query: c.query, Inputs: c.inputs})
 		if err != nil {
 			t.Fatal(err)
 		}

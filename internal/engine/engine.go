@@ -69,6 +69,17 @@ type Request struct {
 	Dialect sqltoken.Dialect
 }
 
+// OrDialect returns r with a zero Dialect replaced by d. Front doors
+// apply their own dialect this way, so a caller that names none is
+// analyzed under the door's dialect while a caller naming a different one
+// meets the dialect backstop in Check.
+func (r Request) OrDialect(d sqltoken.Dialect) Request {
+	if r.Dialect == 0 {
+		r.Dialect = d
+	}
+	return r
+}
+
 // State is the per-check scratch shared by the stages of one pipeline run:
 // the lazily-lexed token stream, the trace span, and flags the
 // post-verdict recording path consumes. A State is owned by exactly one

@@ -204,7 +204,7 @@ func (b *RemoteBackend) Close() error {
 
 // Proxy is a Joza-guarded minidb wire server.
 type Proxy struct {
-	guard   *joza.Guard
+	guard   joza.Checker
 	backend Backend
 	gate    *guardrail.Gate
 
@@ -237,9 +237,10 @@ func WithAdmission(limit int, maxWait time.Duration) Option {
 	return func(p *Proxy) { p.gate = guardrail.NewGate(limit, maxWait) }
 }
 
-// New returns a proxy that checks queries with guard before handing them
+// New returns a proxy that checks queries with guard — an in-process
+// *joza.Guard or a daemon-backed *joza.RemoteGuard — before handing them
 // to backend.
-func New(guard *joza.Guard, backend Backend, opts ...Option) *Proxy {
+func New(guard joza.Checker, backend Backend, opts ...Option) *Proxy {
 	p := &Proxy{
 		guard:   guard,
 		backend: backend,
@@ -427,7 +428,7 @@ func (p *Proxy) process(ctx context.Context, req *minidb.Request) *minidb.Respon
 	for i, in := range req.Inputs {
 		inputs[i] = joza.Input{Source: in.Source, Name: in.Name, Value: in.Value}
 	}
-	if err := p.guard.AuthorizeContextAt(ctx, req.Site, req.Query, inputs); err != nil {
+	if err := p.guard.Authorize(ctx, joza.Request{Site: req.Site, Query: req.Query, Inputs: inputs}); err != nil {
 		var ae *joza.AttackError
 		if !errors.As(err, &ae) {
 			// The check was canceled (client disconnect, shutdown): the
@@ -438,7 +439,7 @@ func (p *Proxy) process(ctx context.Context, req *minidb.Request) *minidb.Respon
 		p.mu.Lock()
 		p.blockedCount++
 		p.mu.Unlock()
-		if p.guard.Policy() == joza.PolicyErrorVirtualize {
+		if ae.Policy == joza.PolicyErrorVirtualize {
 			// Error virtualization: look like an ordinary failed query.
 			return &minidb.Response{Error: "query failed"}
 		}

@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"net"
+	"reflect"
 	"testing"
 
 	"joza"
+	"joza/internal/daemon"
+	"joza/internal/fragments"
 	"joza/internal/minidb"
+	"joza/internal/pti"
 )
 
 const appSource = `<?php
@@ -104,6 +108,39 @@ func TestProxyBlocksSecondOrderWithoutInputs(t *testing.T) {
 	_, err = c.Query("SELECT id, title FROM posts WHERE id=1 OR 1=1 -- LIMIT 5")
 	if !errors.Is(err, minidb.ErrBlocked) {
 		t.Fatalf("err = %v, want ErrBlocked", err)
+	}
+}
+
+// TestProxyFrontDoorsAgree fronts the same database with a proxy over an
+// in-process Guard and a proxy over a RemoteGuard on an in-process
+// daemon: benign, injected, second-order and failing queries must get
+// identical responses from both.
+func TestProxyFrontDoorsAgree(t *testing.T) {
+	frags := joza.FragmentsFromSource(appSource)
+	direct := daemon.NewDirect(pti.NewCached(pti.New(fragments.NewSet(frags)), pti.CacheQueryAndStructure, 64))
+	remote := joza.NewRemoteGuard(direct)
+	defer remote.Close()
+	db := newDB(t)
+	local := New(newGuard(t), LocalBackend{DB: db})
+	viaDaemon := New(remote, LocalBackend{DB: db})
+	in := func(v string) []minidb.WireInput { return []minidb.WireInput{{Source: "get", Name: "id", Value: v}} }
+	for _, req := range []minidb.Request{
+		{Query: "SELECT id, title FROM posts WHERE id=1 LIMIT 5", Inputs: in("1")},
+		{Query: "SELECT id, title FROM posts WHERE id=-1 OR 1=1 LIMIT 5", Inputs: in("-1 OR 1=1")},
+		{Query: "SELECT id, title FROM posts WHERE id=-1 UNION SELECT title, title FROM posts", Inputs: in("-1 UNION SELECT title, title FROM posts")},
+		{Query: "SELECT id, title FROM posts WHERE id=1 OR 1=1 -- LIMIT 5"},
+		{Query: "SELECT id, title FROM missing WHERE id=1", Inputs: in("1")},
+	} {
+		want := local.process(context.Background(), &req)
+		got := viaDaemon.process(context.Background(), &req)
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%q: Guard proxy answered %+v, RemoteGuard proxy %+v", req.Query, want, got)
+		}
+	}
+	lb, lp := local.Stats()
+	rb, rp := viaDaemon.Stats()
+	if lb != rb || lp != rp || lb != 3 || lp != 2 {
+		t.Errorf("blocked/passed: Guard proxy %d/%d, RemoteGuard proxy %d/%d, want 3/2 on both", lb, lp, rb, rp)
 	}
 }
 

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"context"
 	"fmt"
 
 	"joza"
@@ -43,7 +44,9 @@ type guardDetector struct {
 func (guardDetector) Name() string { return "joza-hybrid" }
 
 func (d guardDetector) Detect(query string, inputs []nti.Input) bool {
-	return d.guard.Check(query, inputs).Attack
+	// An in-process check under context.Background() cannot fail.
+	v, _ := d.guard.Check(context.Background(), joza.Request{Query: query, Inputs: inputs})
+	return v.Attack
 }
 
 // proseCorpus contains benign inputs that merely talk about SQL — the

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"context"
 	"fmt"
 
 	"joza"
@@ -113,8 +114,11 @@ func (l *Lab) EvaluateDialectEvasion() (*DialectEvasionResult, error) {
 	rows := map[string]*DialectEvasionRow{}
 	for _, c := range dialectEvasionPayloads() {
 		inputs := []joza.Input{{Source: "get", Name: "p", Value: c.Payload}}
-		c.MySQLAttack = l.Guard.Check(c.Query, inputs).Attack
-		c.PostgresAttack = pg.Check(c.Query, inputs).Attack
+		// In-process checks under context.Background() cannot fail.
+		req := joza.Request{Query: c.Query, Inputs: inputs}
+		mv, _ := l.Guard.Check(context.Background(), req)
+		pv, _ := pg.Check(context.Background(), req)
+		c.MySQLAttack, c.PostgresAttack = mv.Attack, pv.Attack
 		if c.MySQLAttack {
 			return nil, fmt.Errorf("%s: payload %q is not an evasion: the MySQL guard already flags it", c.Class, c.Payload)
 		}
@@ -141,7 +145,7 @@ func (l *Lab) EvaluateDialectEvasion() (*DialectEvasionResult, error) {
 	// (MySQL) hybrid: the dialect refactor must not add a single false
 	// positive to the 266-case corpus the matrix golden gates.
 	st := &storedState{value: secondOrderBenign}
-	app := l.buildApp(webapp.WithGuard(l.Guard))
+	app := l.buildApp(webapp.WithChecker(l.Guard))
 	app.Install(newSecondOrderPlugin(st))
 	for _, s := range l.Specs {
 		for _, v := range benignTrainingValues(s) {

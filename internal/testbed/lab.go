@@ -112,9 +112,9 @@ func NewLab() (*Lab, error) {
 	if err != nil {
 		return nil, fmt.Errorf("build PTI guard: %w", err)
 	}
-	lab.Protected = build(webapp.WithGuard(lab.Guard))
-	lab.NTIOnly = build(webapp.WithGuard(ntiGuard))
-	lab.PTIOnly = build(webapp.WithGuard(ptiGuard))
+	lab.Protected = build(webapp.WithChecker(lab.Guard))
+	lab.NTIOnly = build(webapp.WithChecker(ntiGuard))
+	lab.PTIOnly = build(webapp.WithChecker(ptiGuard))
 	return lab, nil
 }
 
@@ -246,7 +246,7 @@ func buildCaseApps(cs *CaseStudy, db *minidb.DB, plugin *webapp.Plugin, transfor
 		return err
 	}
 	mk := func(g *joza.Guard) *webapp.App {
-		app := webapp.NewApp(db, webapp.WithTransforms(transforms...), webapp.WithGuard(g))
+		app := webapp.NewApp(db, webapp.WithTransforms(transforms...), webapp.WithChecker(g))
 		app.Install(plugin)
 		return app
 	}

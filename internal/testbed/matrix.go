@@ -149,7 +149,7 @@ func (l *Lab) trainProfiles(st *storedState) (*joza.ProfileStore, *webapp.Plugin
 		return nil, nil, fmt.Errorf("build learning guard: %w", err)
 	}
 	soPlugin := newSecondOrderPlugin(st)
-	app := l.buildApp(webapp.WithGuard(gLearn))
+	app := l.buildApp(webapp.WithChecker(gLearn))
 	app.Install(soPlugin)
 	for _, s := range l.Specs {
 		for _, v := range benignTrainingValues(s) {
@@ -212,11 +212,11 @@ func (l *Lab) buildMatrixApps(store *joza.ProfileStore, soPlugin *webapp.Plugin)
 	}
 	return &matrixApps{
 		unprotected:   mk(),
-		nti:           mk(webapp.WithGuard(ntiG)),
-		pti:           mk(webapp.WithGuard(ptiG)),
-		profile:       mk(webapp.WithGuard(profileG)),
-		hybrid:        mk(webapp.WithGuard(hybridG)),
-		hybridProfile: mk(webapp.WithGuard(hybridProfileG)),
+		nti:           mk(webapp.WithChecker(ntiG)),
+		pti:           mk(webapp.WithChecker(ptiG)),
+		profile:       mk(webapp.WithChecker(profileG)),
+		hybrid:        mk(webapp.WithChecker(hybridG)),
+		hybridProfile: mk(webapp.WithChecker(hybridProfileG)),
 	}, nil
 }
 
@@ -297,12 +297,17 @@ func (l *Lab) MatrixQueries() ([]string, error) {
 	return rec.queries, err
 }
 
-// queryLog is a webapp.Checker that records each query and allows it.
+// queryLog is a joza.Checker that records each query and allows it.
 type queryLog struct{ queries []string }
 
-func (q *queryLog) AuthorizeContextAt(_ context.Context, _, query string, _ []joza.Input) error {
-	q.queries = append(q.queries, query)
-	return nil
+func (q *queryLog) Check(_ context.Context, req joza.Request) (joza.Verdict, error) {
+	q.queries = append(q.queries, req.Query)
+	return joza.Verdict{Query: req.Query}, nil
+}
+
+func (q *queryLog) Authorize(ctx context.Context, req joza.Request) error {
+	_, err := q.Check(ctx, req)
+	return err
 }
 
 // forEachMatrixCase enumerates the detection-matrix corpus in sweep order,

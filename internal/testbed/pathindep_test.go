@@ -17,40 +17,44 @@ import (
 	"joza/internal/webapp"
 )
 
-// pathDiff is a webapp.Checker that runs every check through several
-// front doors — the in-process Guard and HybridClients over daemon
-// transports — and records any difference between the Guard's verdict and
-// another path's. The app proceeds on the Guard's verdict.
+// pathDiff is a joza.Checker that runs every check through several
+// front doors — the in-process Guard first, then HybridClients over daemon
+// transports — and records any difference between the first path's
+// verdict and another's. The app proceeds on the first path's verdict.
 type pathDiff struct {
-	guard *joza.Guard
-	paths []wirePath
+	paths []namedChecker
 	diffs []string
 }
 
-// wirePath is one named HybridClient path under comparison.
-type wirePath struct {
-	name   string
-	hybrid *daemon.HybridClient
+// namedChecker is one front door under comparison.
+type namedChecker struct {
+	name string
+	joza.Checker
 }
 
-func (d *pathDiff) AuthorizeContextAt(ctx context.Context, site, query string, inputs []joza.Input) error {
-	want, err := d.guard.CheckContextAt(ctx, site, query, inputs)
+func (d *pathDiff) Check(ctx context.Context, req joza.Request) (joza.Verdict, error) {
+	want, err := d.paths[0].Check(ctx, req)
 	if err != nil {
-		return err
+		return want, err
 	}
-	for _, p := range d.paths {
-		got, err := p.hybrid.CheckContextAt(ctx, site, query, inputs)
+	for _, p := range d.paths[1:] {
+		got, err := p.Check(ctx, req)
 		if err != nil {
-			return fmt.Errorf("%s: %w", p.name, err)
+			return want, fmt.Errorf("%s: %w", p.name, err)
 		}
 		if diff := verdictDiff(want, got); diff != "" && len(d.diffs) < 10 {
-			d.diffs = append(d.diffs, fmt.Sprintf("%s, site %s, query %q: %s", p.name, site, query, diff))
+			d.diffs = append(d.diffs, fmt.Sprintf("%s, site %s, query %q: %s", p.name, req.Site, req.Query, diff))
 		}
 	}
-	if want.Attack {
-		return &joza.AttackError{Verdict: want, Policy: d.guard.Policy()}
+	return want, nil
+}
+
+func (d *pathDiff) Authorize(ctx context.Context, req joza.Request) error {
+	v, err := d.Check(ctx, req)
+	if err == nil && v.Attack {
+		err = &joza.AttackError{Verdict: v, Policy: joza.PolicyTerminate}
 	}
-	return nil
+	return err
 }
 
 // verdictDiff compares the parts of a verdict that must not depend on the
@@ -84,13 +88,13 @@ func verdictDiff(want, got core.Verdict) string {
 }
 
 // pipePool returns a two-connection Pool in dialect d to srv over
-// in-memory pipes.
-func pipePool(srv *daemon.Server, d sqltoken.Dialect) *daemon.Pool {
+// in-memory pipes; batch > 1 turns on its micro-batcher.
+func pipePool(srv *daemon.Server, d sqltoken.Dialect, batch int) *daemon.Pool {
 	return daemon.NewPool(func() (net.Conn, error) {
 		clientSide, serverSide := net.Pipe()
 		go srv.ServeConn(serverSide)
 		return clientSide, nil
-	}, daemon.PoolConfig{Size: 2, Dialect: d})
+	}, daemon.PoolConfig{Size: 2, Dialect: d, BatchSize: batch})
 }
 
 // hybridOver returns a HybridClient over transport in dialect d.
@@ -104,8 +108,9 @@ func hybridOver(t *testing.T, transport daemon.Transport, d sqltoken.Dialect) *d
 // TestPathIndependenceDetectionMatrix runs the detection-matrix corpus —
 // 266 benign and 117 attack cases — through the in-process Guard, through
 // HybridClient→Pool→Server and, in MySQL, through a HybridClient over a
-// 2-shard replicated ShardedPool, all with the same fragments and
-// profiles, and requires the same verdict from every path on every check.
+// micro-batching Pool (the "batch" verb) and one over a 2-shard
+// replicated ShardedPool, all with the same fragments and profiles, and
+// requires the same verdict from every path on every check.
 // A Postgres slice repeats the corpus, plus the dialect-evasion payloads,
 // with the Guard and the Pool path in the Postgres dialect.
 func TestPathIndependenceDetectionMatrix(t *testing.T) {
@@ -153,26 +158,34 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 		}
 		// Every shard of the fleet is a replica holding the whole corpus.
 		shards := []*daemon.Server{server(), server()}
-		fleet, err := daemon.NewShardedPool([]*daemon.Pool{pipePool(shards[0], sqltoken.MySQL), pipePool(shards[1], sqltoken.MySQL)})
+		fleet, err := daemon.NewShardedPool([]*daemon.Pool{pipePool(shards[0], sqltoken.MySQL, 0), pipePool(shards[1], sqltoken.MySQL, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := &pathDiff{guard: guard, paths: []wirePath{
-			{"pool", hybridOver(t, pipePool(server(), sqltoken.MySQL), sqltoken.MySQL)},
+		batching := server()
+		d := &pathDiff{paths: []namedChecker{
+			{"guard", guard},
+			{"pool", hybridOver(t, pipePool(server(), sqltoken.MySQL, 0), sqltoken.MySQL)},
+			{"micro-batching pool", hybridOver(t, pipePool(batching, sqltoken.MySQL, 4), sqltoken.MySQL)},
 			{"2-shard fleet", hybridOver(t, fleet, sqltoken.MySQL)},
 		}}
 		if cases := sweep(t, d); cases != 383 {
 			t.Errorf("swept %d cases, want the matrix's 383", cases)
 		}
 		for _, p := range d.paths {
-			if m := p.hybrid.Metrics(); m.ProfileAttacks == 0 || m.NTIAttacks == 0 || m.PTIAttacks == 0 {
-				t.Errorf("%s: some analyzer never fired over the wire: %+v", p.name, m)
+			m := p.Checker.(interface{ Metrics() joza.Metrics }).Metrics()
+			if m.ProfileAttacks == 0 || m.NTIAttacks == 0 || m.PTIAttacks == 0 {
+				t.Errorf("%s: some analyzer never fired: %+v", p.name, m)
 			}
 		}
 		for i, srv := range shards {
 			if srv.Stats().DaemonAnalyzeOps == 0 {
 				t.Errorf("fleet shard %d served no checks", i)
 			}
+		}
+		if st := batching.Stats(); st.DaemonBatchOps == 0 || st.DaemonBatchItems != st.DaemonAnalyzeOps {
+			t.Errorf("micro-batching pool: %d batch frames carried %d of %d checks, want every check batched",
+				st.DaemonBatchOps, st.DaemonBatchItems, st.DaemonAnalyzeOps)
 		}
 		for _, diff := range d.diffs {
 			t.Error(diff)
@@ -185,15 +198,16 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		analyzer := pti.NewCached(pti.New(lab.Fragments, pti.WithDialect(sqltoken.Postgres)), pti.CacheQueryAndStructure, 4096)
-		d := &pathDiff{guard: guard, paths: []wirePath{
-			{"pool", hybridOver(t, pipePool(daemon.NewServer(analyzer), sqltoken.Postgres), sqltoken.Postgres)},
+		d := &pathDiff{paths: []namedChecker{
+			{"guard", guard},
+			{"pool", hybridOver(t, pipePool(daemon.NewServer(analyzer), sqltoken.Postgres, 0), sqltoken.Postgres)},
 		}}
 		if cases := sweep(t, d); cases != 383 {
 			t.Errorf("swept %d cases, want the matrix's 383", cases)
 		}
 		for _, c := range dialectEvasionPayloads() {
 			inputs := []joza.Input{{Source: "get", Name: "p", Value: c.Payload}}
-			if err := d.AuthorizeContextAt(context.Background(), "", c.Query, inputs); err == nil {
+			if err := d.Authorize(context.Background(), joza.Request{Query: c.Query, Inputs: inputs}); err == nil {
 				t.Errorf("%s: payload %q passed the Postgres guard", c.Class, c.Payload)
 			}
 		}

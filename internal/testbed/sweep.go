@@ -37,7 +37,7 @@ func (l *Lab) ThresholdSweep(thresholds []float64) ([]SweepRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		app := l.buildApp(webapp.WithGuard(guard))
+		app := l.buildApp(webapp.WithChecker(guard))
 		row := SweepRow{Threshold: th, Total: len(l.Specs)}
 		for _, s := range l.Specs {
 			benign, err := app.Handle(s.Name, l.Request(s, s.Benign))

@@ -20,7 +20,7 @@ func newHTTPApp(t *testing.T) *App {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app := NewApp(db, WithTransforms(TrimWhitespace, MagicQuotes), WithGuard(g))
+	app := NewApp(db, WithTransforms(TrimWhitespace, MagicQuotes), WithChecker(g))
 	app.Install(listPlugin(), &Plugin{
 		Name: "echo-cookie",
 		Handle: func(c *Ctx) (string, error) {

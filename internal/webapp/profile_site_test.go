@@ -33,7 +33,7 @@ $alt = " OR id=";
 	}
 
 	newApp := func(g *joza.Guard) *App {
-		app := NewApp(db, WithGuard(g))
+		app := NewApp(db, WithChecker(g))
 		app.Install(evasive)
 		return app
 	}

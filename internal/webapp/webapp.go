@@ -143,19 +143,11 @@ type Plugin struct {
 	Handle Handler
 }
 
-// Checker is the check an App runs before every query: the in-process
-// *joza.Guard, or any other front door with the same call shape, such as
-// a daemon-backed hybrid client. A blocked query comes back as a
-// *joza.AttackError.
-type Checker interface {
-	AuthorizeContextAt(ctx context.Context, site, query string, inputs []joza.Input) error
-}
-
 // App hosts plugins over a shared database, optionally protected by a Joza
 // guard.
 type App struct {
 	db      Querier
-	guard   Checker
+	guard   joza.Checker
 	plugins map[string]*Plugin
 	// transforms are applied, in order, by Ctx input accessors — the
 	// application-wide input munging (e.g. WordPress magic quotes).
@@ -168,18 +160,10 @@ type App struct {
 // AppOption configures an App.
 type AppOption func(*App)
 
-// WithGuard protects the app with g. A nil guard leaves the app
-// unprotected (the "plain" configuration of the performance evaluation).
-func WithGuard(g *joza.Guard) AppOption {
-	return func(a *App) {
-		if g != nil {
-			a.guard = g
-		}
-	}
-}
-
-// WithChecker protects the app with any Checker.
-func WithChecker(c Checker) AppOption {
+// WithChecker protects the app with c: an in-process *joza.Guard, or a
+// daemon-backed *joza.RemoteGuard. Without it the app is unprotected (the
+// "plain" configuration of the performance evaluation).
+func WithChecker(c joza.Checker) AppOption {
 	return func(a *App) { a.guard = c }
 }
 
@@ -341,7 +325,7 @@ func (c *Ctx) RawGet(name string) string { return c.req.Get[name] }
 func (c *Ctx) Query(q string) (*minidb.Result, error) {
 	c.page.Queries++
 	if g := c.app.guard; g != nil {
-		if err := g.AuthorizeContextAt(c.ctx, c.site, q, c.rawInputs); err != nil {
+		if err := g.Authorize(c.ctx, joza.Request{Site: c.site, Query: q, Inputs: c.rawInputs}); err != nil {
 			var ae *joza.AttackError
 			if !errors.As(err, &ae) {
 				// The check was canceled or timed out: the query was

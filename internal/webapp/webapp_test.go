@@ -47,7 +47,7 @@ func protectedApp(t *testing.T, opts ...AppOption) *App {
 		t.Fatal(err)
 	}
 	// Rebuild with guard, preserving any supplied options.
-	app2 := NewApp(db, append(opts, WithGuard(g))...)
+	app2 := NewApp(db, append(opts, WithChecker(g))...)
 	app2.Install(listPlugin())
 	return app2
 }
@@ -91,7 +91,7 @@ func TestAttackErrorVirtualization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app = NewApp(db, WithGuard(g))
+	app = NewApp(db, WithChecker(g))
 	app.Install(listPlugin())
 	page, err := app.Handle("list", &Request{Get: map[string]string{"id": "-1 OR 1=1"}})
 	if err != nil {
@@ -305,7 +305,7 @@ func TestMagicQuotesEvasionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app := NewApp(db, WithTransforms(MagicQuotes), WithGuard(g))
+	app := NewApp(db, WithTransforms(MagicQuotes), WithChecker(g))
 	app.Install(listPlugin())
 
 	payload := "-1 OR 1=1 /*''''''''*/"

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -265,7 +266,7 @@ func RunRequests(site *Site, reqs []*Request, prot *Protection) (Timing, error) 
 				if prot.cache.lookup(ev.Query) {
 					tm.CacheHits++
 				} else {
-					reply, err := transport.Analyze(ev.Query)
+					reply, err := transport.AnalyzeSiteContext(context.Background(), "", ev.Query)
 					if err != nil {
 						requestStop()
 						return tm, fmt.Errorf("pti: %w", err)

@@ -23,15 +23,18 @@
 //
 //	frags, _ := joza.FragmentsFromDir("/var/www/app")
 //	guard, _ := joza.New(joza.WithFragments(frags))
-//	verdict := guard.Check(query, []joza.Input{
-//		{Source: "get", Name: "id", Value: rawID},
+//	verdict, err := guard.Check(ctx, joza.Request{
+//		Site:   "search.php",
+//		Query:  query,
+//		Inputs: []joza.Input{{Source: "get", Name: "id", Value: rawID}},
 //	})
-//	if verdict.Attack {
+//	if err != nil || verdict.Attack {
 //		// block the query
 //	}
 //
-// Use Guard.Authorize to get policy-aware error behaviour instead of a raw
-// verdict.
+// Use Authorize to get policy-aware error behaviour instead of a raw
+// verdict. Guard and RemoteGuard both implement Checker, so code written
+// against Checker runs unchanged in process or against a PTI daemon.
 package joza
 
 import (
@@ -103,7 +106,26 @@ type (
 	// dialect mis-draws the string/code boundary attackers exploit. The
 	// zero value is DialectMySQL.
 	Dialect = sqltoken.Dialect
+	// Request is one check: the query, the raw inputs of the application
+	// request that issued it, the call site (keying the optional profile
+	// stage; empty skips it) and the SQL dialect. A zero Dialect means the
+	// checking front door's own dialect; a different one is refused
+	// fail-closed rather than analyzed under the wrong token boundaries.
+	Request = engine.Request
 )
+
+// Checker is the one check every SQL front door offers: Guard in process,
+// RemoteGuard over a PTI daemon. Both give the same verdict for the same
+// Request.
+type Checker interface {
+	// Check returns the hybrid verdict for req, or an error (with no
+	// verdict) when ctx ended or a daemon outage was not degraded.
+	Check(ctx context.Context, req Request) (Verdict, error)
+	// Authorize returns nil when req is safe, an *AttackError carrying
+	// the verdict and the door's policy when it is not, or the error
+	// Check would return.
+	Authorize(ctx context.Context, req Request) error
+}
 
 // SQL dialects, re-exported.
 const (
@@ -279,8 +301,7 @@ func WithoutPTI() Option {
 // WithProfileStore enables the query-skeleton profile stage in
 // enforcement mode over st: a query whose normalized skeleton was never
 // seen from its call site during training is flagged as the third
-// analyzer vote. Only checks that carry a call site (CheckContextAt,
-// AuthorizeContextAt) consult it.
+// analyzer vote. Only checks whose Request carries a Site consult it.
 func WithProfileStore(st *ProfileStore) Option {
 	return func(c *config) { c.profileStore = st }
 }
@@ -596,43 +617,36 @@ func (g *Guard) Policy() Policy { return g.policy }
 // Dialect returns the SQL dialect the Guard tokenizes under.
 func (g *Guard) Dialect() Dialect { return g.dialect }
 
-// CheckContext analyzes query against the request's captured inputs and
-// returns the hybrid verdict. PTI runs first (it also supplies the token
-// stream), then NTI, matching the Joza architecture; the query is an
-// attack if either flags it.
+// Check analyzes req.Query against req.Inputs and returns the hybrid
+// verdict: PTI first, then the profile stage (when configured and
+// req.Site is set), then NTI; the query is an attack if any flags it.
 //
 // The query is lexed lazily: a PTI query-cache hit on a request with no
-// usable NTI inputs performs no lexing at all, and when both analyzers
+// usable NTI inputs performs no lexing at all, and when several stages
 // need tokens the lex runs once and is shared.
 //
-// ctx threads through every analyzer, with cancellation checkpoints
-// inside the NTI approximate matcher's DP loop, so a canceled or expired
-// context aborts a long analysis promptly and returns its error with no
-// verdict recorded.
-func (g *Guard) CheckContext(ctx context.Context, query string, inputs []Input) (Verdict, error) {
-	return g.eng.Check(ctx, engine.Request{Query: query, Inputs: inputs, Dialect: g.dialect})
+// A zero req.Dialect means the Guard's own dialect; any other dialect
+// the Guard was not built for is refused through the failure mode, never
+// re-lexed. ctx threads through every analyzer, with cancellation
+// checkpoints inside the NTI approximate matcher's DP loop, so a canceled
+// or expired context aborts a long analysis promptly and returns its
+// error with no verdict recorded.
+func (g *Guard) Check(ctx context.Context, req Request) (Verdict, error) {
+	return g.eng.Check(ctx, req.OrDialect(g.dialect))
 }
 
-// Check is the context-free compatibility wrapper around CheckContext: it
-// analyzes under context.Background(), on which the pipeline cannot fail.
-// Use CheckContext to bound a check with a deadline or cancel it.
-func (g *Guard) Check(query string, inputs []Input) Verdict {
-	v, _ := g.eng.Check(context.Background(), engine.Request{Query: query, Inputs: inputs, Dialect: g.dialect})
-	return v
+// Authorize checks req and returns nil when the query is safe, an
+// *AttackError carrying the verdict and the Guard's policy when it is
+// not, or ctx's error when the check was canceled.
+func (g *Guard) Authorize(ctx context.Context, req Request) error {
+	return g.eng.Authorize(ctx, req.OrDialect(g.dialect))
 }
 
-// CheckContextAt is CheckContext with a call-site identity: site keys the
-// query-skeleton profile stage (learning records under it, enforcement
-// looks the skeleton up under it). Without a configured profile stage the
-// site is ignored.
+// CheckContextAt is Check with the request spelled out positionally:
+// site keys the query-skeleton profile stage, and the Guard's dialect
+// applies.
 func (g *Guard) CheckContextAt(ctx context.Context, site, query string, inputs []Input) (Verdict, error) {
-	return g.eng.Check(ctx, engine.Request{Query: query, Inputs: inputs, Site: site, Dialect: g.dialect})
-}
-
-// AuthorizeContextAt is AuthorizeContext with a call-site identity (see
-// CheckContextAt).
-func (g *Guard) AuthorizeContextAt(ctx context.Context, site, query string, inputs []Input) error {
-	return g.eng.Authorize(ctx, engine.Request{Query: query, Inputs: inputs, Site: site, Dialect: g.dialect})
+	return g.Check(ctx, Request{Site: site, Query: query, Inputs: inputs})
 }
 
 // Metrics returns a snapshot of the Guard's counters: checks and attacks,
@@ -681,19 +695,6 @@ func (g *Guard) AuditDropped() uint64 {
 		return 0
 	}
 	return g.audit.Dropped()
-}
-
-// AuthorizeContext checks the query under ctx and returns nil when it is
-// safe, an *AttackError carrying the verdict and the Guard's policy when
-// it is not, or ctx's error when the check was canceled.
-func (g *Guard) AuthorizeContext(ctx context.Context, query string, inputs []Input) error {
-	return g.eng.Authorize(ctx, engine.Request{Query: query, Inputs: inputs, Dialect: g.dialect})
-}
-
-// Authorize is the context-free compatibility wrapper around
-// AuthorizeContext.
-func (g *Guard) Authorize(query string, inputs []Input) error {
-	return g.eng.Authorize(context.Background(), engine.Request{Query: query, Inputs: inputs, Dialect: g.dialect})
 }
 
 // PTICacheStats returns PTI cache counters (zero value when PTI is

@@ -1,6 +1,7 @@
 package joza_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -24,14 +25,20 @@ func newGuard(t *testing.T, opts ...joza.Option) *joza.Guard {
 	return g
 }
 
+// check runs g.Check under context.Background(), on which an in-process
+// Guard's pipeline cannot fail.
+func check(g *joza.Guard, query string, inputs []joza.Input) joza.Verdict {
+	v, _ := g.Check(context.Background(), joza.Request{Query: query, Inputs: inputs})
+	return v
+}
+
 func TestBenignQuerySafe(t *testing.T) {
 	g := newGuard(t)
-	v := g.Check("SELECT * FROM records WHERE ID=5 LIMIT 5",
-		[]joza.Input{{Source: "get", Name: "id", Value: "5"}})
+	v := check(g, "SELECT * FROM records WHERE ID=5 LIMIT 5", []joza.Input{{Source: "get", Name: "id", Value: "5"}})
 	if v.Attack {
 		t.Errorf("benign query flagged: NTI=%v PTI=%v", v.NTI.Reasons, v.PTI.Reasons)
 	}
-	if err := g.Authorize("SELECT * FROM records WHERE ID=5 LIMIT 5", nil); err != nil {
+	if err := g.Authorize(context.Background(), joza.Request{Query: "SELECT * FROM records WHERE ID=5 LIMIT 5"}); err != nil {
 		t.Errorf("Authorize: %v", err)
 	}
 }
@@ -40,7 +47,7 @@ func TestAttackDetectedByBoth(t *testing.T) {
 	g := newGuard(t)
 	payload := "-1 UNION SELECT username, password FROM users"
 	q := "SELECT * FROM records WHERE ID=" + payload + " LIMIT 5"
-	v := g.Check(q, []joza.Input{{Source: "get", Name: "id", Value: payload}})
+	v := check(g, q, []joza.Input{{Source: "get", Name: "id", Value: payload}})
 	if !v.Attack {
 		t.Fatal("attack missed")
 	}
@@ -57,7 +64,7 @@ func TestNTIEvasionCaughtByPTI(t *testing.T) {
 	rawPayload := `-1 OR 1=1 /*''''''''*/`
 	transformed := strings.ReplaceAll(rawPayload, `'`, `\'`)
 	q := "SELECT * FROM records WHERE ID=" + transformed + " LIMIT 5"
-	v := g.Check(q, []joza.Input{{Source: "get", Name: "id", Value: rawPayload}})
+	v := check(g, q, []joza.Input{{Source: "get", Name: "id", Value: rawPayload}})
 	if v.NTI.Attack {
 		t.Error("NTI unexpectedly caught the evasion (threshold must be exceeded)")
 	}
@@ -84,7 +91,7 @@ $one = "1";
 	}
 	payload := "1 OR 1=1"
 	q := "SELECT * FROM records WHERE ID=" + payload + " LIMIT 5"
-	v := g.Check(q, []joza.Input{{Source: "get", Name: "id", Value: payload}})
+	v := check(g, q, []joza.Input{{Source: "get", Name: "id", Value: payload}})
 	if v.PTI.Attack {
 		t.Errorf("PTI unexpectedly caught vocabulary attack: %v", v.PTI.Reasons)
 	}
@@ -100,7 +107,10 @@ func TestAuthorizePolicies(t *testing.T) {
 	g := newGuard(t, joza.WithPolicy(joza.PolicyErrorVirtualize))
 	payload := "-1 OR 1=1"
 	q := "SELECT * FROM records WHERE ID=" + payload
-	err := g.Authorize(q, []joza.Input{{Source: "get", Name: "id", Value: payload}})
+	err := g.Authorize(context.Background(), joza.Request{
+		Query:  q,
+		Inputs: []joza.Input{{Source: "get", Name: "id", Value: payload}},
+	})
 	if err == nil {
 		t.Fatal("Authorize allowed an attack")
 	}
@@ -137,13 +147,13 @@ func TestAnalyzerIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := ntiOnly.Check(q, in)
+	v := check(ntiOnly, q, in)
 	if !v.NTI.Attack || v.PTI.Attack {
 		t.Errorf("NTI-only: %+v", v.DetectedBy())
 	}
 
 	ptiOnly := newGuard(t, joza.WithoutNTI())
-	v = ptiOnly.Check(q, in)
+	v = check(ptiOnly, q, in)
 	if !v.PTI.Attack || v.NTI.Attack {
 		t.Errorf("PTI-only: %+v", v.DetectedBy())
 	}
@@ -169,8 +179,8 @@ func TestFragmentsFromDirError(t *testing.T) {
 func TestCacheStats(t *testing.T) {
 	g := newGuard(t, joza.WithCacheMode(joza.CacheQuery, 16))
 	q := "SELECT * FROM records WHERE ID=5 LIMIT 5"
-	g.Check(q, nil)
-	g.Check(q, nil)
+	check(g, q, nil)
+	check(g, q, nil)
 	if st := g.PTICacheStats(); st.QueryHits != 1 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -184,7 +194,7 @@ func TestRenderVerdict(t *testing.T) {
 	g := newGuard(t)
 	payload := "-1 OR 1=1"
 	q := "SELECT * FROM records WHERE ID=" + payload + " LIMIT 5"
-	v := g.Check(q, []joza.Input{{Source: "get", Name: "id", Value: payload}})
+	v := check(g, q, []joza.Input{{Source: "get", Name: "id", Value: payload}})
 	out := joza.RenderVerdict(v)
 	lines := strings.Split(out, "\n")
 	if len(lines) < 3 || lines[0] != q {
@@ -204,7 +214,7 @@ func TestSecondOrderAttack(t *testing.T) {
 	// NTI misses, PTI catches — the hybrid still blocks.
 	g := newGuard(t)
 	q := "SELECT * FROM records WHERE ID=1 OR 1=1 -- LIMIT 5"
-	v := g.Check(q, []joza.Input{{Source: "get", Name: "page", Value: "home"}})
+	v := check(g, q, []joza.Input{{Source: "get", Name: "page", Value: "home"}})
 	if v.NTI.Attack {
 		t.Error("NTI should miss second-order attacks")
 	}
@@ -218,7 +228,7 @@ func TestMixedSourcePayloadConstruction(t *testing.T) {
 	// combine markings; PTI flags the foreign tokens.
 	g := newGuard(t)
 	q := "SELECT * FROM records WHERE ID=1 OR TRUE LIMIT 5"
-	v := g.Check(q, []joza.Input{
+	v := check(g, q, []joza.Input{
 		{Source: "get", Name: "q1", Value: "1 OR 1=1"},
 		{Source: "get", Name: "q2", Value: "R TR"},
 		{Source: "get", Name: "q3", Value: "UE"},

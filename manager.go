@@ -3,7 +3,6 @@ package joza
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"joza/internal/installer"
 )
@@ -17,12 +16,12 @@ import (
 // finish on the snapshot they started with.
 //
 // Metrics counters, the tracer and the observability listener belong to
-// the engine and survive fragment-set swaps. Guard() returns a fresh
-// Guard handle after each successful Refresh (the handles share the one
-// engine), so callers can detect swaps by pointer comparison.
+// the engine and survive fragment-set swaps. Guard() returns the same
+// Guard for the Manager's lifetime; SnapshotVersion tells which
+// generation is serving.
 type Manager struct {
 	ins   *installer.Installer
-	guard atomic.Pointer[Guard]
+	guard *Guard
 
 	// mu serializes Refresh; pending records that the source tree changed
 	// but the rebuild failed, so the next Refresh retries instead of
@@ -48,13 +47,12 @@ func NewManager(dir string, exts []string, opts ...Option) (*Manager, error) {
 	if err != nil {
 		return nil, fmt.Errorf("joza: rebuild guard: %w", err)
 	}
-	m := &Manager{ins: ins}
-	m.guard.Store(g)
-	return m, nil
+	return &Manager{ins: ins, guard: g}, nil
 }
 
-// Guard returns the current Guard.
-func (m *Manager) Guard() *Guard { return m.guard.Load() }
+// Guard returns the Manager's Guard, which always checks against the
+// current snapshot.
+func (m *Manager) Guard() *Guard { return m.guard }
 
 // FileCount returns the number of tracked source files.
 func (m *Manager) FileCount() int { return m.ins.FileCount() }
@@ -62,12 +60,12 @@ func (m *Manager) FileCount() int { return m.ins.FileCount() }
 // Metrics returns the current metrics snapshot. Check counters are shared
 // across rebuilds; cache and matcher counters reflect the current
 // snapshot's analyzers.
-func (m *Manager) Metrics() Metrics { return m.Guard().Metrics() }
+func (m *Manager) Metrics() Metrics { return m.guard.Metrics() }
 
 // SnapshotVersion returns the content-derived version of the analysis
 // snapshot currently serving checks (it changes on every Refresh that
 // swaps in new content). See Guard.SnapshotVersion.
-func (m *Manager) SnapshotVersion() string { return m.Guard().SnapshotVersion() }
+func (m *Manager) SnapshotVersion() string { return m.guard.SnapshotVersion() }
 
 // Refresh rescans the source tree; when files were added, modified or
 // removed — or an earlier rebuild failed and is still owed — it rebuilds
@@ -89,14 +87,9 @@ func (m *Manager) Refresh() (bool, error) {
 		return false, nil
 	}
 	m.pending = true
-	g := m.guard.Load()
-	if err := g.swapFragmentSet(m.ins.Set()); err != nil {
+	if err := m.guard.swapFragmentSet(m.ins.Set()); err != nil {
 		return false, fmt.Errorf("joza: rebuild guard: %w", err)
 	}
-	// Publish a fresh handle over the same engine so callers comparing
-	// Guard pointers observe the swap.
-	fresh := *g
-	m.guard.Store(&fresh)
 	m.pending = false
 	return true, nil
 }

@@ -21,15 +21,13 @@ func TestAuditLogRecordsBlockedQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Benign: nothing logged.
-	g.Check("SELECT * FROM records WHERE ID=5 LIMIT 5",
-		[]joza.Input{{Source: "get", Name: "id", Value: "5"}})
+	check(g, "SELECT * FROM records WHERE ID=5 LIMIT 5", []joza.Input{{Source: "get", Name: "id", Value: "5"}})
 	if buf.Len() != 0 {
 		t.Fatalf("benign query logged: %s", buf.String())
 	}
 	// Attack: one JSON line.
 	payload := "-1 OR 1=1"
-	g.Check("SELECT * FROM records WHERE ID="+payload+" LIMIT 5",
-		[]joza.Input{{Source: "get", Name: "id", Value: payload}})
+	check(g, "SELECT * FROM records WHERE ID="+payload+" LIMIT 5", []joza.Input{{Source: "get", Name: "id", Value: payload}})
 	line := strings.TrimSpace(buf.String())
 	if line == "" {
 		t.Fatal("attack not logged")
@@ -76,7 +74,7 @@ func TestAuditLogConcurrentLines(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 50; i++ {
-				g.Check("SELECT * FROM records WHERE ID=1 OR 1=1", nil)
+				check(g, "SELECT * FROM records WHERE ID=1 OR 1=1", nil)
 			}
 		}()
 	}
@@ -114,17 +112,17 @@ $q = 'SELECT id, title FROM posts WHERE id=';`), 0o644); err != nil {
 	if m.FileCount() != 1 {
 		t.Errorf("files = %d", m.FileCount())
 	}
-	g := m.Guard()
-	if g.Check("SELECT id, title FROM posts WHERE id=5", nil).Attack {
+	oldVersion := m.SnapshotVersion()
+	if check(m.Guard(), "SELECT id, title FROM posts WHERE id=5", nil).Attack {
 		t.Fatal("benign flagged")
 	}
 	// A query from a not-yet-installed plugin is untrusted.
 	pluginQuery := "SELECT id, name FROM gallery WHERE album=2"
-	if !m.Guard().Check(pluginQuery, nil).Attack {
+	if !check(m.Guard(), pluginQuery, nil).Attack {
 		t.Fatal("unknown query should be flagged before plugin install")
 	}
 
-	// Install the plugin; Refresh swaps the Guard.
+	// Install the plugin; Refresh swaps the snapshot.
 	if err := os.WriteFile(filepath.Join(dir, "gallery.php"), []byte(`<?php
 $q = 'SELECT id, name FROM gallery WHERE album=';`), 0o644); err != nil {
 		t.Fatal(err)
@@ -136,10 +134,10 @@ $q = 'SELECT id, name FROM gallery WHERE album=';`), 0o644); err != nil {
 	if !swapped {
 		t.Fatal("Refresh did not swap")
 	}
-	if m.Guard() == g {
-		t.Error("Guard not replaced")
+	if m.SnapshotVersion() == oldVersion {
+		t.Error("snapshot not replaced")
 	}
-	if m.Guard().Check(pluginQuery, nil).Attack {
+	if check(m.Guard(), pluginQuery, nil).Attack {
 		t.Error("plugin query still flagged after refresh")
 	}
 	// No change → no swap.
@@ -151,7 +149,7 @@ $q = 'SELECT id, name FROM gallery WHERE album=';`), 0o644); err != nil {
 		t.Error("spurious swap")
 	}
 	// Attacks are still attacks on the new guard.
-	if !m.Guard().Check("SELECT id, name FROM gallery WHERE album=2 OR 1=1", nil).Attack {
+	if !check(m.Guard(), "SELECT id, name FROM gallery WHERE album=2 OR 1=1", nil).Attack {
 		t.Error("attack missed after refresh")
 	}
 }
@@ -184,7 +182,7 @@ $q = 'SELECT x FROM t WHERE id=';`), 0o644); err != nil {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Guard().Check("SELECT x FROM t WHERE id=1", nil).Attack {
+	if check(m.Guard(), "SELECT x FROM t WHERE id=1", nil).Attack {
 		t.Error("benign flagged with custom extension")
 	}
 }

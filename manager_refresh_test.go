@@ -28,8 +28,8 @@ func TestRefreshRetriesFailedRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldGuard := m.Guard()
-	if oldGuard.FragmentCount() == 0 {
+	oldVersion := m.SnapshotVersion()
+	if m.Guard().FragmentCount() == 0 {
 		t.Fatal("initial guard has no fragments")
 	}
 
@@ -41,8 +41,8 @@ func TestRefreshRetriesFailedRebuild(t *testing.T) {
 	if _, err := m.Refresh(); err == nil {
 		t.Fatal("Refresh must surface the rebuild failure")
 	}
-	if m.Guard() != oldGuard {
-		t.Fatal("failed rebuild must keep the old guard in service")
+	if m.SnapshotVersion() != oldVersion {
+		t.Fatal("failed rebuild must keep the old snapshot in service")
 	}
 
 	// No further tree change: the pending rebuild must be retried (and
@@ -62,8 +62,8 @@ func TestRefreshRetriesFailedRebuild(t *testing.T) {
 	if !changed {
 		t.Fatal("recovery refresh must report a swap")
 	}
-	if m.Guard() == oldGuard {
-		t.Fatal("guard not swapped after recovery")
+	if m.SnapshotVersion() == oldVersion {
+		t.Fatal("snapshot not swapped after recovery")
 	}
 	if m.Guard().FragmentCount() == 0 {
 		t.Fatal("recovered guard has no fragments")
@@ -131,14 +131,14 @@ func TestConcurrentCheckAndRefresh(t *testing.T) {
 				id := (seed*31 + i) % 200
 				q := fmt.Sprintf("SELECT * FROM records WHERE ID=%d LIMIT 5", id)
 				in := []joza.Input{{Source: "get", Name: "id", Value: fmt.Sprint(id)}}
-				if m.Guard().Check(q, in).Attack {
+				if check(m.Guard(), q, in).Attack {
 					t.Errorf("benign flagged: %s", q)
 					return
 				}
 				if i%50 == seed%50 {
 					atk := fmt.Sprintf("SELECT * FROM records WHERE ID=-1 OR %d=%d LIMIT 5", id, id)
 					payload := fmt.Sprintf("-1 OR %d=%d", id, id)
-					if !m.Guard().Check(atk, []joza.Input{{Source: "get", Name: "id", Value: payload}}).Attack {
+					if !check(m.Guard(), atk, []joza.Input{{Source: "get", Name: "id", Value: payload}}).Attack {
 						t.Errorf("attack missed: %s", atk)
 						return
 					}

@@ -27,13 +27,13 @@ func TestGuardMetricsCounts(t *testing.T) {
 	benign := "SELECT * FROM records WHERE ID=5 LIMIT 5"
 	in := []joza.Input{{Source: "get", Name: "id", Value: "5"}}
 	for i := 0; i < 3; i++ {
-		if g.Check(benign, in).Attack {
+		if check(g, benign, in).Attack {
 			t.Fatal("benign flagged")
 		}
 	}
 	attack := "SELECT * FROM records WHERE ID=-1 OR 1=1 LIMIT 5"
 	atkIn := []joza.Input{{Source: "get", Name: "id", Value: "-1 OR 1=1"}}
-	if !g.Check(attack, atkIn).Attack {
+	if !check(g, attack, atkIn).Attack {
 		t.Fatal("attack missed")
 	}
 	snap := g.Metrics()
@@ -64,7 +64,7 @@ func TestGuardMetricsCounts(t *testing.T) {
 
 func TestGuardMetricsJSONRoundTrip(t *testing.T) {
 	g := metricsGuard(t)
-	g.Check("SELECT * FROM records WHERE ID=5 LIMIT 5", nil)
+	check(g, "SELECT * FROM records WHERE ID=5 LIMIT 5", nil)
 	data, err := json.Marshal(g.Metrics())
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestGuardMetricsDisabledAnalyzers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Check("SELECT 1", []joza.Input{{Source: "get", Name: "q", Value: "zzz"}})
+	check(g, "SELECT 1", []joza.Input{{Source: "get", Name: "q", Value: "zzz"}})
 	snap := g.Metrics()
 	if snap.Checks != 1 {
 		t.Errorf("checks = %d", snap.Checks)
@@ -107,13 +107,13 @@ func TestManagerMetricsSurviveRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := "SELECT * FROM records WHERE ID=5 LIMIT 5"
-	m.Guard().Check(q, nil)
-	m.Guard().Check(q, nil)
+	check(m.Guard(), q, nil)
+	check(m.Guard(), q, nil)
 	writeApp(refreshSrc + "\n" + `$q2 = "SELECT name FROM users WHERE uid=";`)
 	if changed, err := m.Refresh(); err != nil || !changed {
 		t.Fatalf("refresh = (%v, %v)", changed, err)
 	}
-	m.Guard().Check(q, nil)
+	check(m.Guard(), q, nil)
 	if got := m.Metrics().Checks; got != 3 {
 		t.Errorf("checks after rebuild = %d, want 3 (counters must survive the swap)", got)
 	}
@@ -124,8 +124,7 @@ func TestAuditRecordEmptyArraysNotNull(t *testing.T) {
 	// must encode as [] rather than null.
 	var buf bytes.Buffer
 	g := metricsGuard(t, joza.WithAuditLog(&buf))
-	if !g.Check("SELECT * FROM records WHERE ID=-1 OR 1=1 LIMIT 5",
-		[]joza.Input{{Source: "get", Name: "id", Value: "-1 OR 1=1"}}).Attack {
+	if !check(g, "SELECT * FROM records WHERE ID=-1 OR 1=1 LIMIT 5", []joza.Input{{Source: "get", Name: "id", Value: "-1 OR 1=1"}}).Attack {
 		t.Fatal("attack missed")
 	}
 	line := strings.TrimSpace(buf.String())

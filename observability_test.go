@@ -31,9 +31,11 @@ func TestDisabledTracingZeroAllocs(t *testing.T) {
 			g := newGuard(t, tc.opts...)
 			query := "SELECT * FROM records WHERE ID=5 LIMIT 5"
 			inputs := []joza.Input{{Source: "get", Name: "id", Value: ""}}
-			g.Check(query, inputs) // warm the PTI cache
+			req := joza.Request{Query: query, Inputs: inputs}
+			ctx := context.Background()
+			g.Check(ctx, req) // warm the PTI cache
 			allocs := testing.AllocsPerRun(200, func() {
-				g.Check(query, inputs)
+				g.Check(ctx, req)
 			})
 			if allocs != 0 {
 				t.Fatalf("Check with tracing disabled allocates %.1f per op, want 0", allocs)
@@ -68,11 +70,18 @@ func TestSitedCheckAllocatesOnlyTokens(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("sited query-cache-hit check allocates %.1f per op, want at most 1 (the token slice)", allocs)
 	}
+	req := joza.Request{Site: site, Query: query, Inputs: inputs}
+	allocs = testing.AllocsPerRun(200, func() {
+		g.Check(ctx, req)
+	})
+	if allocs > 1 {
+		t.Fatalf("sited query-cache-hit Check(Request) allocates %.1f per op, want at most 1 (the token slice)", allocs)
+	}
 }
 
 func TestGuardTracesDisabled(t *testing.T) {
 	g := newGuard(t)
-	g.Check("SELECT * FROM records WHERE ID=5 LIMIT 5", nil)
+	check(g, "SELECT * FROM records WHERE ID=5 LIMIT 5", nil)
 	d := g.Traces()
 	if d.Started != 0 || len(d.Recent) != 0 || len(d.Notable) != 0 {
 		t.Fatalf("guard without observability recorded traces: %+v", d)
@@ -92,8 +101,8 @@ func TestGuardTracingRecordsEvidence(t *testing.T) {
 	}))
 	benign := "SELECT * FROM records WHERE ID=5 LIMIT 5"
 	attack := "SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5"
-	g.Check(benign, []joza.Input{{Source: "get", Name: "id", Value: "5"}})
-	v := g.Check(attack, []joza.Input{{Source: "get", Name: "id", Value: "-1 UNION SELECT username()"}})
+	check(g, benign, []joza.Input{{Source: "get", Name: "id", Value: "5"}})
+	v := check(g, attack, []joza.Input{{Source: "get", Name: "id", Value: "-1 UNION SELECT username()"}})
 	if !v.Attack {
 		t.Fatal("attack not flagged")
 	}
@@ -132,7 +141,7 @@ func TestGuardTraceSampling(t *testing.T) {
 		TraceSampleEvery: 4,
 	}))
 	for i := 0; i < 8; i++ {
-		g.Check("SELECT * FROM records WHERE ID=5 LIMIT 5", nil)
+		check(g, "SELECT * FROM records WHERE ID=5 LIMIT 5", nil)
 	}
 	d := g.Traces()
 	if d.Started != 2 {
@@ -146,7 +155,7 @@ func TestGuardTracingOffWithListener(t *testing.T) {
 		TraceSampleEvery: -1,
 	}))
 	defer g.Close()
-	g.Check("SELECT * FROM records WHERE ID=5 LIMIT 5", nil)
+	check(g, "SELECT * FROM records WHERE ID=5 LIMIT 5", nil)
 	if d := g.Traces(); len(d.Recent) != 0 {
 		t.Fatal("negative TraceSampleEvery must disable tracing")
 	}
@@ -164,10 +173,8 @@ func TestGuardObservabilityEndpoints(t *testing.T) {
 	}))
 	defer g.Close()
 	base := "http://" + g.ObservabilityAddr()
-	g.Check("SELECT * FROM records WHERE ID=5 LIMIT 5",
-		[]joza.Input{{Source: "get", Name: "id", Value: "5"}})
-	g.Check("SELECT * FROM records WHERE ID=-1 OR 1=1 LIMIT 5",
-		[]joza.Input{{Source: "get", Name: "id", Value: "-1 OR 1=1"}})
+	check(g, "SELECT * FROM records WHERE ID=5 LIMIT 5", []joza.Input{{Source: "get", Name: "id", Value: "5"}})
+	check(g, "SELECT * FROM records WHERE ID=-1 OR 1=1 LIMIT 5", []joza.Input{{Source: "get", Name: "id", Value: "-1 OR 1=1"}})
 
 	get := func(path string) (int, string) {
 		t.Helper()

@@ -85,7 +85,7 @@ func TestProfileLearningThenEnforcement(t *testing.T) {
 	}
 
 	// ...and a check without a site skips the stage entirely.
-	v = g.Check("SELECT * FROM records WHERE ID=5 LIMIT 5", nil)
+	v = check(g, "SELECT * FROM records WHERE ID=5 LIMIT 5", nil)
 	if v.Profile.Attack {
 		t.Errorf("siteless check flagged by profile stage: %+v", v.Profile)
 	}
@@ -189,12 +189,12 @@ func TestManagerRefreshCorruptProfileSticky(t *testing.T) {
 	if err := os.WriteFile(appFile, []byte(demoSource+"\n$x = 1;\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	before := m.Guard()
+	before := m.SnapshotVersion()
 	if _, err := m.Refresh(); err == nil {
 		t.Fatal("Refresh with corrupt profile file must fail")
 	}
-	if m.Guard() != before {
-		t.Fatal("failed rebuild swapped the guard")
+	if m.SnapshotVersion() != before {
+		t.Fatal("failed rebuild swapped the snapshot")
 	}
 	if v, _ := m.Guard().CheckContextAt(ctx, "plugin:records", attack, nil); !v.Profile.Attack {
 		t.Error("prior snapshot stopped enforcing after failed rebuild")

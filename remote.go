@@ -62,6 +62,12 @@ type (
 	ShardRollout = daemon.ShardRollout
 )
 
+// Both SQL front doors answer the same Checker.
+var (
+	_ Checker = (*Guard)(nil)
+	_ Checker = (*RemoteGuard)(nil)
+)
+
 // Skew policies for mixed-version rollout windows, re-exported.
 const (
 	// SkewWarn serves stale verdicts but counts and (optionally) traces
@@ -157,8 +163,7 @@ func WithRemoteTracing(cfg TraceConfig) RemoteGuardOption {
 
 // WithRemoteStrictProfiles escalates a daemon profile verdict of
 // "site-unknown" (a call site with no training profile) to an attack.
-// Only meaningful for checks issued with a call site (CheckContextAt)
-// against a daemon serving profiles (jozad -profiles).
+// Only meaningful for checks whose Request carries a Site, against a daemon serving profiles (jozad -profiles).
 func WithRemoteStrictProfiles() RemoteGuardOption {
 	return daemon.WithStrictProfiles()
 }

@@ -6,6 +6,7 @@ package joza_test
 // can reach.
 
 import (
+	"context"
 	"errors"
 	"net"
 	"strings"
@@ -48,8 +49,10 @@ func TestRemoteGuardOverPool(t *testing.T) {
 	g := joza.NewRemoteGuard(pool)
 	defer g.Close()
 
-	v, err := g.Check("SELECT * FROM records WHERE ID=5 LIMIT 5",
-		[]joza.Input{{Source: "get", Name: "id", Value: "5"}})
+	v, err := g.Check(context.Background(), joza.Request{
+		Query:  "SELECT * FROM records WHERE ID=5 LIMIT 5",
+		Inputs: []joza.Input{{Source: "get", Name: "id", Value: "5"}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +60,10 @@ func TestRemoteGuardOverPool(t *testing.T) {
 		t.Errorf("benign flagged: %v", v.Reasons())
 	}
 	payload := "-1 UNION SELECT username()"
-	v, err = g.Check("SELECT * FROM records WHERE ID="+payload+" LIMIT 5",
-		[]joza.Input{{Source: "get", Name: "id", Value: payload}})
+	v, err = g.Check(context.Background(), joza.Request{
+		Query:  "SELECT * FROM records WHERE ID=" + payload + " LIMIT 5",
+		Inputs: []joza.Input{{Source: "get", Name: "id", Value: payload}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +89,10 @@ func TestRemoteGuardFailOpenOutage(t *testing.T) {
 	defer g.Close()
 
 	payload := "-1 UNION SELECT username()"
-	v, err := g.Check("SELECT * FROM records WHERE ID="+payload+" LIMIT 5",
-		[]joza.Input{{Source: "get", Name: "id", Value: payload}})
+	v, err := g.Check(context.Background(), joza.Request{
+		Query:  "SELECT * FROM records WHERE ID=" + payload + " LIMIT 5",
+		Inputs: []joza.Input{{Source: "get", Name: "id", Value: payload}},
+	})
 	if err != nil {
 		t.Fatalf("fail-open must not surface the outage: %v", err)
 	}
@@ -109,7 +116,7 @@ func TestRemoteGuardDialDaemonSingleConn(t *testing.T) {
 	g := joza.NewRemoteGuard(c, joza.WithoutRemoteNTI(),
 		joza.WithRemotePolicy(joza.PolicyErrorVirtualize))
 	defer g.Close()
-	err = g.Authorize("SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5", nil)
+	err = g.Authorize(context.Background(), joza.Request{Query: "SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5"})
 	if err == nil {
 		t.Fatal("attack authorized")
 	}

@@ -20,7 +20,7 @@ func TestPragmaticPolicyAllowsFieldNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := "SELECT id, title FROM posts ORDER BY views LIMIT 10"
-	v := g.Check(q, []joza.Input{{Source: "get", Name: "sort", Value: "views"}})
+	v := check(g, q, []joza.Input{{Source: "get", Name: "sort", Value: "views"}})
 	if v.Attack {
 		t.Errorf("pragmatic policy must allow input-supplied field names: %v", v.Reasons())
 	}
@@ -35,7 +35,7 @@ func TestStrictPolicyFlagsFieldNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := "SELECT id, title FROM posts ORDER BY views LIMIT 10"
-	v := g.Check(q, []joza.Input{{Source: "get", Name: "sort", Value: "views"}})
+	v := check(g, q, []joza.Input{{Source: "get", Name: "sort", Value: "views"}})
 	if !v.Attack {
 		t.Fatal("strict policy must flag input-supplied field names")
 	}
@@ -71,7 +71,7 @@ func TestStrictPolicyStillAllowsProgramIdentifiers(t *testing.T) {
 	// occurs at position 0 and covers only its own span, so the trailing
 	// "id" is uncovered — but identifiers uncovered by fragments are only
 	// attacks under strict policy, and here PTI is strict. Expect attack.
-	v := g.Check(q, nil)
+	v := check(g, q, nil)
 	if !v.PTI.Attack {
 		t.Error("strict PTI must flag identifiers outside fragments")
 	}
@@ -84,7 +84,7 @@ func TestStrictPolicyStillAllowsProgramIdentifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v = g2.Check("SELECT id, title FROM posts ORDER BY views LIMIT 10", nil)
+	v = check(g2, "SELECT id, title FROM posts ORDER BY views LIMIT 10", nil)
 	if v.Attack {
 		t.Errorf("fully program-originated query flagged under strict policy: %v", v.Reasons())
 	}
@@ -111,10 +111,10 @@ $q2 = 'SELECT username, password FROM users WHERE id=';
 	}
 	q := "SELECT id, title FROM posts ORDER BY secretcol"
 	inputs := []joza.Input{{Source: "get", Name: "sort", Value: "secretcol"}}
-	if pragmatic.Check(q, inputs).Attack {
+	if check(pragmatic, q, inputs).Attack {
 		t.Error("pragmatic policy should permit the field name")
 	}
-	if !strict.Check(q, inputs).Attack {
+	if !check(strict, q, inputs).Attack {
 		t.Error("strict policy should flag the field name")
 	}
 }

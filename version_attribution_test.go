@@ -12,7 +12,7 @@ import (
 )
 
 // TestVerdictVersionAttributionUnderConcurrentRefresh hammers
-// Guard.CheckContext from many goroutines while Manager.Refresh swaps
+// Guard.Check from many goroutines while Manager.Refresh swaps
 // snapshots underneath them, on a Guard carrying the full versioned state
 // (fragments, a profile store, a non-default dialect). Run under -race it
 // proves two things at once: the hot path is data-race free across swaps,
@@ -68,7 +68,7 @@ func TestVerdictVersionAttributionUnderConcurrentRefresh(t *testing.T) {
 				id := (seed*37 + i) % 200
 				q := fmt.Sprintf("SELECT * FROM records WHERE ID=%d LIMIT 5", id)
 				in := []joza.Input{{Source: "get", Name: "id", Value: fmt.Sprint(id)}}
-				v, err := m.Guard().CheckContext(ctx, q, in)
+				v, err := m.Guard().Check(ctx, joza.Request{Query: q, Inputs: in})
 				if err != nil {
 					t.Errorf("check: %v", err)
 					return
