@@ -11,10 +11,12 @@ package joza_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
 	"joza"
+	"joza/internal/audit"
 	"joza/internal/daemon"
 	"joza/internal/evasion"
 	"joza/internal/fragments"
@@ -497,6 +499,29 @@ $q = "SELECT * FROM records WHERE ID=$id LIMIT 5";`)))
 			}
 		}
 	})
+}
+
+// BenchmarkAuditLog measures the evidence cost of one blocked query: the
+// audit line for a lab attack's hybrid verdict (NTI and PTI reasons, an
+// input key), encoded and written to io.Discard.
+func BenchmarkAuditLog(b *testing.B) {
+	lab := benchLab(b)
+	guard, err := joza.New(joza.WithFragmentSet(lab.Fragments))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := lab.Specs[0]
+	inputs := []joza.Input{{Source: "get", Name: s.Param, Value: s.Exploit}}
+	v, err := guard.Check(context.Background(), joza.Request{Query: s.BuildQuery(s.Exploit), Inputs: inputs})
+	if err != nil || !v.NTI.Attack || !v.PTI.Attack {
+		b.Fatalf("lab attack verdict lacks NTI and PTI evidence: %+v, %v", v, err)
+	}
+	l := audit.NewLogger(io.Discard)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Log(&v, joza.PolicyTerminate, inputs)
+	}
 }
 
 func BenchmarkLex(b *testing.B) {

@@ -5,7 +5,6 @@
 package audit
 
 import (
-	"encoding/json"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -37,23 +36,45 @@ type Record struct {
 // Logger writes audit records to a writer. The policy is log-only-attacks:
 // Log returns before building (or allocating) anything when the verdict is
 // clean, so a Logger on the hot path costs one branch per benign check.
+// An attack's line is appended straight from the verdict into a pooled
+// buffer; its bytes are exactly what encoding/json writes for the Record.
 //
 // A Logger from NewLogger writes synchronously under a mutex. A Logger
-// from NewAsyncLogger hands pre-marshaled records to a background writer
+// from NewAsyncLogger hands the encoded line to a background writer
 // through a bounded queue: a slow or wedged sink never stalls a check —
-// records that cannot be queued are dropped and counted instead.
+// lines that cannot be queued are dropped and counted instead.
 type Logger struct {
 	mu  sync.Mutex
 	w   io.Writer
 	now func() time.Time
 
-	// Async mode (nil queue = synchronous).
-	queue    chan []byte
+	// Async mode (nil queue = synchronous). A queued buffer belongs to
+	// the writer until it is written, then goes back to the pool.
+	queue    chan *lineBuf
 	done     chan struct{}
 	finished chan struct{}
 	closed   atomic.Bool
 	once     sync.Once
 	dropped  atomic.Uint64
+}
+
+// lineBuf holds one audit line while it is built and written, and the
+// scratch a reason renders into before it is escaped into the line.
+type lineBuf struct {
+	line, scratch []byte
+}
+
+var linePool = sync.Pool{New: func() any { return new(lineBuf) }}
+
+// maxPooledLine bounds the buffers kept for reuse, so one huge blocked
+// query does not pin its line's memory in the pool.
+const maxPooledLine = 64 << 10
+
+func putLine(b *lineBuf) {
+	if cap(b.line) > maxPooledLine || cap(b.scratch) > maxPooledLine {
+		return
+	}
+	linePool.Put(b)
 }
 
 // NewLogger returns a Logger writing one JSON line per record to w.
@@ -79,7 +100,7 @@ func NewAsyncLogger(w io.Writer, depth int) *Logger {
 	l := &Logger{
 		w:        w,
 		now:      time.Now,
-		queue:    make(chan []byte, depth),
+		queue:    make(chan *lineBuf, depth),
 		done:     make(chan struct{}),
 		finished: make(chan struct{}),
 	}
@@ -93,13 +114,13 @@ func (l *Logger) run() {
 	defer close(l.finished)
 	for {
 		select {
-		case data := <-l.queue:
-			l.write(data)
+		case b := <-l.queue:
+			l.write(b)
 		case <-l.done:
 			for {
 				select {
-				case data := <-l.queue:
-					l.write(data)
+				case b := <-l.queue:
+					l.write(b)
 				default:
 					return
 				}
@@ -108,10 +129,12 @@ func (l *Logger) run() {
 	}
 }
 
-func (l *Logger) write(data []byte) {
+// write hands b's line to the sink and b back to the pool.
+func (l *Logger) write(b *lineBuf) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_, _ = l.w.Write(data)
+	_, _ = l.w.Write(b.line)
+	putLine(b)
 }
 
 // Log writes one record for an attack verdict; clean verdicts return
@@ -119,47 +142,83 @@ func (l *Logger) write(data []byte) {
 // write exactly once and swallow failures (auditing must never take the
 // application down); async loggers enqueue without blocking and count
 // records the full queue forced them to drop.
-func (l *Logger) Log(v core.Verdict, policy core.Policy, inputs []nti.Input) {
+func (l *Logger) Log(v *core.Verdict, policy core.Policy, inputs []nti.Input) {
 	if !v.Attack {
 		return
 	}
-	rec := Record{
-		Time:       l.now().UTC().Format("2006-01-02T15:04:05.000Z07:00"),
-		Query:      v.Query,
-		DetectedBy: v.DetectedBy(),
-		Policy:     policy.String(),
-		// Marshal absent slices as [] rather than null so JSON-lines
-		// consumers can always index into arrays.
-		Reasons: []string{},
-	}
-	if rec.DetectedBy == nil {
-		rec.DetectedBy = []string{}
-	}
-	for _, r := range v.Reasons() {
-		rec.Reasons = append(rec.Reasons, r.String())
-	}
-	for _, in := range inputs {
-		rec.InputKeys = append(rec.InputKeys, in.Key())
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	data = append(data, '\n')
-	if l.queue == nil {
-		l.write(data)
-		return
-	}
-	if l.closed.Load() {
+	if l.queue != nil && l.closed.Load() {
 		l.dropped.Add(1)
+		return
+	}
+	b := linePool.Get().(*lineBuf)
+	b.appendRecord(l.now(), v, policy, inputs)
+	if l.queue == nil {
+		l.write(b)
 		return
 	}
 	select {
-	case l.queue <- data:
+	case l.queue <- b:
 	default:
 		l.dropped.Add(1)
+		putLine(b)
 	}
 }
+
+// appendRecord encodes the Record of an attack verdict into b.line, as
+// encoding/json would with the Record's field order and tags, plus the
+// trailing newline. detectedBy and reasons are written straight from the
+// verdict's analyzer results, and are [] (never null) when empty.
+func (b *lineBuf) appendRecord(now time.Time, v *core.Verdict, policy core.Policy, inputs []nti.Input) {
+	dst := append(b.line[:0], `{"time":"`...)
+	dst = now.UTC().AppendFormat(dst, timeLayout)
+	dst = append(dst, `","query":`...)
+	dst = appendString(dst, v.Query)
+	results := [...]struct {
+		name string
+		res  *core.Result
+	}{{core.AnalyzerNTI, &v.NTI}, {core.AnalyzerPTI, &v.PTI}, {core.AnalyzerProfile, &v.Profile}}
+	dst = append(dst, `,"detectedBy":[`...)
+	for _, r := range results {
+		if r.res.Attack {
+			dst = appendString(listSep(dst), r.name)
+		}
+	}
+	dst = append(dst, `],"reasons":[`...)
+	for _, r := range results {
+		for i := range r.res.Reasons {
+			b.scratch = r.res.Reasons[i].AppendText(b.scratch[:0])
+			dst = appendString(listSep(dst), b.scratch)
+		}
+	}
+	dst = append(dst, `],"policy":`...)
+	dst = appendString(dst, policy.String())
+	if len(inputs) > 0 {
+		dst = append(dst, `,"inputKeys":[`...)
+		for _, in := range inputs {
+			// A key is "source:name"; escaping the halves around the ASCII
+			// colon equals escaping the joined key.
+			dst = append(listSep(dst), '"')
+			dst = appendEscaped(dst, in.Source)
+			dst = append(dst, ':')
+			dst = appendEscaped(dst, in.Name)
+			dst = append(dst, '"')
+		}
+		dst = append(dst, ']')
+	}
+	b.line = append(dst, "}\n"...)
+}
+
+// listSep appends the comma before a JSON array element, unless dst ends
+// at the array's opening bracket.
+func listSep(dst []byte) []byte {
+	if dst[len(dst)-1] == '[' {
+		return dst
+	}
+	return append(dst, ',')
+}
+
+// timeLayout is the Record's Time format: RFC 3339, millisecond precision.
+const timeLayout = "2006-01-02T15:04:05.000Z07:00"
 
 // Dropped returns how many records the async queue discarded because the
 // sink could not keep up. Always zero for synchronous loggers.

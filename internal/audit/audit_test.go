@@ -20,7 +20,7 @@ import (
 func TestEmptySlicesMarshalAsArrays(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf)
-	l.Log(core.Verdict{Query: "SELECT 1", Attack: true}, core.PolicyTerminate, nil)
+	l.Log(&core.Verdict{Query: "SELECT 1", Attack: true}, core.PolicyTerminate, nil)
 	line := strings.TrimSpace(buf.String())
 	var raw map[string]json.RawMessage
 	if err := json.Unmarshal([]byte(line), &raw); err != nil {
@@ -42,13 +42,13 @@ func TestEmptySlicesMarshalAsArrays(t *testing.T) {
 func TestCleanVerdictShortCircuits(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf)
-	l.Log(core.Verdict{Query: "SELECT 1"}, core.PolicyTerminate,
+	l.Log(&core.Verdict{Query: "SELECT 1"}, core.PolicyTerminate,
 		[]nti.Input{{Source: "get", Name: "id", Value: "1"}})
 	if buf.Len() != 0 {
 		t.Fatalf("clean verdict produced audit output: %q", buf.String())
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		l.Log(core.Verdict{Query: "SELECT 1"}, core.PolicyTerminate, nil)
+		l.Log(&core.Verdict{Query: "SELECT 1"}, core.PolicyTerminate, nil)
 	}); n != 0 {
 		t.Fatalf("clean verdict allocates %v times per Log", n)
 	}
@@ -58,7 +58,7 @@ func TestAsyncLoggerFlushOnClose(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewAsyncLogger(&buf, 64)
 	for i := 0; i < 10; i++ {
-		l.Log(core.Verdict{Query: "SELECT 1", Attack: true}, core.PolicyTerminate, nil)
+		l.Log(&core.Verdict{Query: "SELECT 1", Attack: true}, core.PolicyTerminate, nil)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -71,7 +71,7 @@ func TestAsyncLoggerFlushOnClose(t *testing.T) {
 		t.Fatalf("Dropped = %d, want 0", l.Dropped())
 	}
 	// Logging after Close drops and counts rather than blocking or writing.
-	l.Log(core.Verdict{Query: "SELECT 1", Attack: true}, core.PolicyTerminate, nil)
+	l.Log(&core.Verdict{Query: "SELECT 1", Attack: true}, core.PolicyTerminate, nil)
 	if l.Dropped() != 1 {
 		t.Fatalf("post-Close Dropped = %d, want 1", l.Dropped())
 	}
@@ -99,7 +99,7 @@ func TestAsyncLoggerWedgedSinkDropsInsteadOfBlocking(t *testing.T) {
 		// Queue depth 2 plus one record stuck in the writer; everything
 		// beyond that must drop without stalling this goroutine.
 		for i := 0; i < 20; i++ {
-			l.Log(core.Verdict{Query: "SELECT 1", Attack: true}, core.PolicyTerminate, nil)
+			l.Log(&core.Verdict{Query: "SELECT 1", Attack: true}, core.PolicyTerminate, nil)
 		}
 	}()
 	select {
@@ -124,7 +124,7 @@ func TestAsyncLoggerConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				l.Log(core.Verdict{Query: "SELECT 1", Attack: true}, core.PolicyTerminate, nil)
+				l.Log(&core.Verdict{Query: "SELECT 1", Attack: true}, core.PolicyTerminate, nil)
 			}
 		}()
 	}

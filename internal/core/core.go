@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"joza/internal/sqltoken"
@@ -41,17 +42,96 @@ type Marking struct {
 	Distance int
 }
 
+// ReasonKind says which evidence a Reason carries, and so how its detail
+// renders. The zero kind is fixed text, so a Reason literal with only a
+// Detail keeps meaning what it says.
+type ReasonKind uint8
+
+// Reason kinds.
+const (
+	// ReasonFixed carries its explanation verbatim in Detail: PTI's
+	// uncovered critical token, fail-closed verdicts, and reasons received
+	// over the wire.
+	ReasonFixed ReasonKind = iota
+	// ReasonNTI is a critical token inside a negatively tainted span:
+	// Input names the matching input(s), Distance is the match's edit
+	// distance and Width the marked span's length in bytes.
+	ReasonNTI
+	// ReasonUnseen is a query whose Skeleton the call site Site never
+	// issued during training.
+	ReasonUnseen
+	// ReasonSiteUnknown is a query from a call site Site with no training
+	// profile, flagged in strict mode.
+	ReasonSiteUnknown
+)
+
 // Reason explains why an analyzer flagged a query: a critical token that is
-// negatively tainted (NTI) or not positively tainted (PTI).
+// negatively tainted (NTI) or not positively tainted (PTI), or a query
+// shape its call site never issued (profile). It keeps the evidence
+// structured and renders text only when asked, so building a verdict
+// formats nothing.
 type Reason struct {
-	Token  sqltoken.Token
+	Token sqltoken.Token
+	Kind  ReasonKind
+	// Detail is the explanation of a ReasonFixed reason; other kinds leave
+	// it empty and render theirs from the fields below (see DetailText).
 	Detail string
+	// Input, Distance and Width are a ReasonNTI reason's evidence.
+	Input           string
+	Distance, Width int
+	// Site and Skeleton are a profile reason's evidence.
+	Site, Skeleton string
 }
 
 // String renders the reason for logs and reports.
-func (r Reason) String() string {
-	return fmt.Sprintf("%s token %q at %d..%d: %s",
-		r.Token.Kind, r.Token.Text, r.Token.Start, r.Token.End, r.Detail)
+func (r Reason) String() string { return string(r.AppendText(nil)) }
+
+// AppendText appends the String form of the reason to dst:
+// `<kind> token "<text>" at <start>..<end>: <detail>`.
+func (r Reason) AppendText(dst []byte) []byte {
+	dst = append(dst, r.Token.Kind.String()...)
+	dst = append(dst, " token "...)
+	dst = strconv.AppendQuote(dst, r.Token.Text)
+	dst = append(dst, " at "...)
+	dst = strconv.AppendInt(dst, int64(r.Token.Start), 10)
+	dst = append(dst, ".."...)
+	dst = strconv.AppendInt(dst, int64(r.Token.End), 10)
+	dst = append(dst, ": "...)
+	return r.appendDetail(dst)
+}
+
+// DetailText returns the reason's explanation without the token prefix:
+// Detail for a fixed reason, the rendered evidence for the others. Wire
+// replies carry this, never the raw Detail field.
+func (r Reason) DetailText() string {
+	if r.Kind == ReasonFixed {
+		return r.Detail
+	}
+	return string(r.appendDetail(nil))
+}
+
+func (r Reason) appendDetail(dst []byte) []byte {
+	switch r.Kind {
+	case ReasonNTI:
+		dst = append(dst, "negatively tainted by input "...)
+		dst = append(dst, r.Input...)
+		dst = append(dst, " (distance "...)
+		dst = strconv.AppendInt(dst, int64(r.Distance), 10)
+		dst = append(dst, " over "...)
+		dst = strconv.AppendInt(dst, int64(r.Width), 10)
+		return append(dst, " bytes)"...)
+	case ReasonUnseen:
+		dst = append(dst, "query skeleton never seen from call site "...)
+		dst = strconv.AppendQuote(dst, r.Site)
+		dst = append(dst, " during training: "...)
+		return append(dst, r.Skeleton...)
+	case ReasonSiteUnknown:
+		dst = append(dst, "call site "...)
+		dst = strconv.AppendQuote(dst, r.Site)
+		return append(dst, " has no training profile (strict mode)"...)
+	default:
+		return append(dst, r.Detail...)
+	}
 }
 
 // Result is the outcome of one analyzer on one query.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -113,5 +114,51 @@ func TestRenderMarkingsClampsOutOfRange(t *testing.T) {
 	lines := strings.Split(out, "\n")
 	if lines[1] != "--" || lines[2] != " c" {
 		t.Errorf("clamped render = %q", out)
+	}
+}
+
+// legacyText is how a reason rendered before reasons were structured:
+// fmt over the token and a detail formatted when the reason was built.
+func legacyText(r Reason) string {
+	detail := r.Detail
+	switch r.Kind {
+	case ReasonNTI:
+		detail = fmt.Sprintf("negatively tainted by input %s (distance %d over %d bytes)", r.Input, r.Distance, r.Width)
+	case ReasonUnseen:
+		detail = fmt.Sprintf("query skeleton never seen from call site %q during training: %s", r.Site, r.Skeleton)
+	case ReasonSiteUnknown:
+		detail = fmt.Sprintf("call site %q has no training profile (strict mode)", r.Site)
+	}
+	return fmt.Sprintf("%s token %q at %d..%d: %s",
+		r.Token.Kind, r.Token.Text, r.Token.Start, r.Token.End, detail)
+}
+
+// TestReasonTextMatchesLegacyFormat pins String, AppendText and
+// DetailText for every reason kind to the fmt rendering they replace,
+// including token text that needs quoting and bytes that are not UTF-8.
+func TestReasonTextMatchesLegacyFormat(t *testing.T) {
+	tok := sqltoken.Token{Kind: sqltoken.KindKeyword, Text: "OR", Start: 39, End: 41}
+	odd := sqltoken.Token{Kind: sqltoken.KindComment, Text: "/*\\'\"\x00\xff é*/", Start: -1, End: 1 << 40}
+	for _, r := range []Reason{
+		{},
+		{Token: tok, Detail: "critical token not contained in any trusted fragment"},
+		{Token: odd, Detail: "analyzer PTI panicked (fail-closed): \xfe"},
+		{Token: tok, Kind: ReasonNTI, Input: "get:cat", Distance: 0, Width: 8},
+		{Token: odd, Kind: ReasonNTI, Input: "header:a,b,get:\"x\"\xff", Distance: 3, Width: 21},
+		{Kind: ReasonUnseen, Site: "plugin:a-to-z", Skeleton: "SELECT ID FROM T WHERE ID = ? OR ? = ?"},
+		{Kind: ReasonUnseen, Site: "s\"\n\xff", Skeleton: "\x01<&>"},
+		{Kind: ReasonSiteUnknown, Site: "plugin:unknown"},
+		{Kind: ReasonSiteUnknown, Site: "\t "},
+	} {
+		want := legacyText(r)
+		if got := r.String(); got != want {
+			t.Errorf("String() = %q\n          want %q", got, want)
+		}
+		if got := string(r.AppendText([]byte("prefix|"))); got != "prefix|"+want {
+			t.Errorf("AppendText = %q, want the prefix then %q", got, want)
+		}
+		if got, want := r.DetailText(), want[strings.Index(want, ": ")+2:]; got != want {
+			t.Errorf("DetailText() = %q, want %q", got, want)
+		}
 	}
 }

@@ -197,13 +197,13 @@ func replyFor(v core.Verdict, site string) *AnalysisReply {
 	if len(v.PTI.Reasons) > 0 {
 		r.Reasons = make([]ReasonJSON, len(v.PTI.Reasons))
 		for i, reason := range v.PTI.Reasons {
-			r.Reasons[i] = ReasonJSON{Token: toTokenJSON(reason.Token), Detail: reason.Detail}
+			r.Reasons[i] = ReasonJSON{Token: toTokenJSON(reason.Token), Detail: reason.DetailText()}
 		}
 	}
 	if v.ProfileOutcome != "" || v.Profile.Attack {
 		p := &ProfileReply{Attack: v.Profile.Attack, Outcome: v.ProfileOutcome, Site: site, Skeleton: v.Skeleton}
 		if len(v.Profile.Reasons) > 0 {
-			p.Detail = v.Profile.Reasons[0].Detail
+			p.Detail = v.Profile.Reasons[0].DetailText()
 		}
 		r.Profile = p
 	}

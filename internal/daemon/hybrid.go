@@ -249,6 +249,12 @@ func (s remoteProfileStage) Analyze(ctx context.Context, req engine.Request, st 
 	p := reply.Profile
 	st.SetProfile(p.Site, p.Skeleton, p.Outcome)
 	switch {
+	case p.Attack && p.Outcome == "unseen":
+		// The daemon's detail is this reason rendered; rebuilding it from
+		// the reply's own evidence keeps the verdict equal to the
+		// in-process one.
+		res.Attack = true
+		res.Reasons = []core.Reason{{Kind: core.ReasonUnseen, Site: p.Site, Skeleton: p.Skeleton}}
 	case p.Attack:
 		res.Attack = true
 		detail := p.Detail
@@ -258,8 +264,7 @@ func (s remoteProfileStage) Analyze(ctx context.Context, req engine.Request, st 
 		res.Reasons = []core.Reason{{Detail: detail}}
 	case s.strict && p.Outcome == "site-unknown":
 		res.Attack = true
-		res.Reasons = []core.Reason{{Detail: fmt.Sprintf(
-			"call site %q has no training profile (strict mode)", p.Site)}}
+		res.Reasons = []core.Reason{{Kind: core.ReasonSiteUnknown, Site: p.Site}}
 	}
 	return res, nil
 }

@@ -575,7 +575,7 @@ func (e *Engine) record(v *core.Verdict, req Request, st *State, sampled bool, s
 		e.collector.ObserveStageDurations(span.LexNs, span.PTICoverNs, span.NTIMatchNs, span.NTIPrefilterNs, span.ProfileNs)
 	}
 	if v.Attack && e.auditLog != nil {
-		e.auditLog.Log(*v, e.policy, req.Inputs)
+		e.auditLog.Log(v, e.policy, req.Inputs)
 	}
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"joza/internal/core"
@@ -141,15 +140,13 @@ func (s ProfileStage) Analyze(ctx context.Context, req Request, st *State) (core
 		outcome = "unseen"
 		sk = string(st.skeletonBuf)
 		res.Attack = true
-		res.Reasons = []core.Reason{{Detail: fmt.Sprintf(
-			"query skeleton never seen from call site %q during training: %s", req.Site, sk)}}
+		res.Reasons = []core.Reason{{Kind: core.ReasonUnseen, Site: req.Site, Skeleton: sk}}
 	case profile.SiteUnknown:
 		outcome = "site-unknown"
 		sk = string(st.skeletonBuf)
 		if s.BlockUnknownSites {
 			res.Attack = true
-			res.Reasons = []core.Reason{{Detail: fmt.Sprintf(
-				"call site %q has no training profile (strict mode)", req.Site)}}
+			res.Reasons = []core.Reason{{Kind: core.ReasonSiteUnknown, Site: req.Site}}
 		}
 	}
 	if span != nil {

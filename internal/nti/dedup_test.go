@@ -154,20 +154,86 @@ func TestDedupCommaBearingName(t *testing.T) {
 	// cookie names) used to split into bogus keys when attribution was a
 	// comma-joined string, so "header:a,b" looked like it already
 	// contained "header:a" and dedup dropped the real key.
-	groups := dedupInputs([]Input{
+	inputs := []Input{
 		{Source: "header", Name: "a,b", Value: "v1"},
 		{Source: "header", Name: "a", Value: "v1"},
 		{Source: "header", Name: "a,b", Value: "v1"}, // repeat: must not duplicate
-	})
+	}
+	groups, next := dedupInputs(nil, nil, inputs)
 	if len(groups) != 1 {
 		t.Fatalf("groups = %d, want 1", len(groups))
 	}
 	want := []string{"header:a,b", "header:a"}
-	if !slices.Equal(groups[0].keys, want) {
-		t.Fatalf("keys = %q, want %q", groups[0].keys, want)
+	if got := groupKeys(&groups[0], inputs, next); !slices.Equal(got, want) {
+		t.Fatalf("keys = %q, want %q", got, want)
 	}
-	if got := groups[0].sourceLabel(); got != "header:a,b,header:a" {
+	if got := groups[0].sourceLabel(inputs, next); got != "header:a,b,header:a" {
 		t.Errorf("sourceLabel = %q", got)
+	}
+}
+
+// groupKeys renders the key of every input in g, in attribution order.
+func groupKeys(g *inputGroup, inputs []Input, next []int) []string {
+	var keys []string
+	for i := g.first; ; i = next[i] {
+		keys = append(keys, inputs[i].Key())
+		if i == g.last {
+			return keys
+		}
+	}
+}
+
+func TestDedupKeysCompareRendered(t *testing.T) {
+	// Keys compare as rendered "source:name" strings: ("a:b", "c") and
+	// ("a", "b:c") are one key, ("a", "bc") and ("ab", "c") are not.
+	inputs := []Input{
+		{Source: "a:b", Name: "c", Value: "v"},
+		{Source: "a", Name: "b:c", Value: "v"},
+		{Source: "a", Name: "bc", Value: "v"},
+		{Source: "ab", Name: "c", Value: "v"},
+		{Source: "a", Name: "bc", Value: "v"},
+	}
+	groups, next := dedupInputs(nil, nil, inputs)
+	if len(groups) != 1 {
+		t.Fatalf("groups = %d, want 1", len(groups))
+	}
+	want := []string{"a:b:c", "a:bc", "ab:c"}
+	if got := groupKeys(&groups[0], inputs, next); !slices.Equal(got, want) {
+		t.Fatalf("keys = %q, want %q", got, want)
+	}
+	for _, a := range inputs {
+		for _, b := range inputs {
+			if got, want := sameKey(a, b), a.Key() == b.Key(); got != want {
+				t.Errorf("sameKey(%q, %q) = %v, want %v", a.Key(), b.Key(), got, want)
+			}
+		}
+	}
+}
+
+func TestDedupManyInputsUseTheIndex(t *testing.T) {
+	// More inputs than the stack buffers hold: grouping by the value
+	// index must agree with the scan.
+	var inputs []Input
+	for i := 0; i < 20; i++ {
+		inputs = append(inputs, Input{Source: "get", Name: strings.Repeat("n", i+1), Value: []string{"x", "y", "", "z"}[i%4]})
+	}
+	groups, next := dedupInputs(nil, nil, inputs)
+	if len(groups) != 3 {
+		t.Fatalf("groups = %d, want 3", len(groups))
+	}
+	for gi, g := range groups {
+		keys := groupKeys(&g, inputs, next)
+		if len(keys) != 5 {
+			t.Errorf("group %d (%q) has keys %q, want 5", gi, g.value, keys)
+		}
+		for i := g.first; ; i = next[i] {
+			if inputs[i].Value != g.value {
+				t.Errorf("group %q holds input %d with value %q", g.value, i, inputs[i].Value)
+			}
+			if i == g.last {
+				break
+			}
+		}
 	}
 }
 

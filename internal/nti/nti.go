@@ -44,7 +44,7 @@ const DefaultThreshold = 0.20
 // maxExactRegions caps how many coalesced exact-occurrence regions one
 // input may mark. A pathological pair (a tiny input scattered through a
 // huge query) otherwise manufactures unbounded markings and an unbounded
-// attackReasons scan; past the cap the remaining occurrences go unmarked,
+// appendAttackReasons scan; past the cap the remaining occurrences go unmarked,
 // which only ever suppresses markings that repeat ones already recorded.
 const maxExactRegions = 512
 
@@ -309,21 +309,12 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, query string, toks []sqltoken
 			len(query), a.maxQueryBytes, core.ErrOverBudget)
 	}
 	cancelable := ctx.Done() != nil
-	// Single-input requests (the common hot path) need no grouping state.
+	// A few inputs (the common hot path) group in these stack buffers.
 	var (
-		single     [1]inputGroup
-		singleKeys [1]string
+		groupBuf [scanInputs]inputGroup
+		nextBuf  [scanInputs]int
 	)
-	groups := single[:0]
-	if len(inputs) == 1 {
-		if in := inputs[0]; in.Value != "" {
-			singleKeys[0] = in.Key()
-			single[0] = inputGroup{value: in.Value, keys: singleKeys[:1]}
-			groups = single[:1]
-		}
-	} else {
-		groups = dedupInputs(inputs)
-	}
+	groups, next := dedupInputs(groupBuf[:0], nextBuf[:0], inputs)
 	st := checkState{timed: span.Active()}
 	defer st.release()
 	for gi := range groups {
@@ -342,10 +333,14 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, query string, toks []sqltoken
 		if err != nil {
 			return core.Result{Analyzer: core.AnalyzerNTI}, err
 		}
+		// The attribution is rendered only when a marking or a timed
+		// trace shows it: a benign check never builds it.
+		var label string
 		if st.timed {
+			label = g.sourceLabel(inputs, next)
 			im := trace.InputMatch{
 				Index:             gi,
-				Source:            g.sourceLabel(),
+				Source:            label,
 				MatchNs:           int64(time.Since(matchStart)),
 				Matched:           len(spans) > 0,
 				PrefilterRejected: st.rejected,
@@ -370,15 +365,17 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, query string, toks []sqltoken
 				span.Lex(time.Since(lexStart))
 			}
 		}
-		src := g.sourceLabel()
+		if label == "" {
+			label = g.sourceLabel(inputs, next)
+		}
 		for _, sp := range spans {
 			m := core.Marking{
 				Span:     sqltoken.Span{Start: sp.Start, End: sp.End},
-				Source:   src,
+				Source:   label,
 				Distance: sp.Distance,
 			}
 			res.Markings = append(res.Markings, m)
-			res.Reasons = append(res.Reasons, attackReasons(toks, m, a.critical)...)
+			res.Reasons = appendAttackReasons(res.Reasons, toks, m, a.critical)
 		}
 	}
 	if st.timed && st.prefilterNs > 0 {
@@ -388,45 +385,128 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, query string, toks []sqltoken
 	return res, nil
 }
 
-// inputGroup is one distinct raw value and the keys of every input that
-// carried it. Keys stay discrete — a parameter name may itself contain a
-// comma — and are only joined for rendering.
+// scanInputs is the most inputs dedupInputs groups by scanning the groups
+// so far; more get a value index, so a request carrying thousands of
+// inputs costs linear time, not quadratic. AnalyzeCtx holds that many
+// groups on its stack.
+const scanInputs = 8
+
+// inputGroup is one distinct raw value and the inputs that carried it, by
+// index into the analyzed inputs: first, then along the next chain
+// dedupInputs returns, ending at last. Keys stay discrete — a parameter
+// name may itself contain a comma — and are only joined for rendering.
 type inputGroup struct {
-	value string
-	keys  []string
+	value       string
+	first, last int
 }
 
-// sourceLabel renders the group's attribution for markings and traces.
-func (g *inputGroup) sourceLabel() string {
-	if len(g.keys) == 1 {
-		return g.keys[0]
+// sourceLabel renders the group's attribution for markings and traces:
+// the "source:name" key of each member, comma-joined.
+func (g *inputGroup) sourceLabel(inputs []Input, next []int) string {
+	if g.first == g.last {
+		return inputs[g.first].Key()
 	}
-	return strings.Join(g.keys, ",")
+	n := -1
+	for i := g.first; ; i = next[i] {
+		n += len(inputs[i].Source) + len(inputs[i].Name) + 2
+		if i == g.last {
+			break
+		}
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for i := g.first; ; i = next[i] {
+		if i != g.first {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(inputs[i].Source)
+		sb.WriteByte(':')
+		sb.WriteString(inputs[i].Name)
+		if i == g.last {
+			break
+		}
+	}
+	return sb.String()
 }
 
-// dedupInputs groups inputs by raw value, preserving first-seen order. A
-// value mirrored across channels (the same payload in GET and a cookie,
-// say) pays the quadratic matcher once, and its marking attributes every
-// source key instead of emitting duplicate markings and duplicate attack
-// reasons.
-func dedupInputs(inputs []Input) []inputGroup {
-	groups := make([]inputGroup, 0, len(inputs))
-	index := make(map[string]int, len(inputs))
-	for _, in := range inputs {
+// dedupInputs groups inputs by raw value, preserving first-seen order, and
+// appends the groups to groups. next[i] is the index of the input after i
+// in i's group; a chain ends at its group's last. A value mirrored across
+// channels (the same payload in GET and a cookie, say) pays the quadratic
+// matcher once, and its marking attributes every source key instead of
+// emitting duplicate markings and duplicate attack reasons. An input whose
+// key renders like one already in its group is left out of it.
+func dedupInputs(groups []inputGroup, next []int, inputs []Input) ([]inputGroup, []int) {
+	next = slices.Grow(next[:0], len(inputs))[:len(inputs)]
+	var index map[string]int
+	if len(inputs) > scanInputs {
+		index = make(map[string]int, len(inputs))
+	}
+	for i, in := range inputs {
 		if in.Value == "" {
 			continue
 		}
-		key := in.Key()
-		if i, ok := index[in.Value]; ok {
-			if !slices.Contains(groups[i].keys, key) {
-				groups[i].keys = append(groups[i].keys, key)
+		gi, ok := index[in.Value]
+		if index == nil {
+			gi = slices.IndexFunc(groups, func(g inputGroup) bool { return g.value == in.Value })
+			ok = gi >= 0
+		}
+		if !ok {
+			if index != nil {
+				index[in.Value] = len(groups)
 			}
+			groups = append(groups, inputGroup{value: in.Value, first: i, last: i})
 			continue
 		}
-		index[in.Value] = len(groups)
-		groups = append(groups, inputGroup{value: in.Value, keys: []string{key}})
+		g := &groups[gi]
+		if !g.hasKey(inputs, next, in) {
+			next[g.last], g.last = i, i
+		}
 	}
-	return groups
+	return groups, next
+}
+
+// hasKey reports whether a member of g has the same "source:name" key as
+// in. Keys compare as rendered strings, so ("a:b", "c") and ("a", "b:c")
+// are one key.
+func (g *inputGroup) hasKey(inputs []Input, next []int, in Input) bool {
+	for i := g.first; ; i = next[i] {
+		if sameKey(inputs[i], in) {
+			return true
+		}
+		if i == g.last {
+			return false
+		}
+	}
+}
+
+// sameKey reports whether a.Key() == b.Key() without building either.
+func sameKey(a, b Input) bool {
+	if a.Source == b.Source {
+		return a.Name == b.Name
+	}
+	n := len(a.Source) + 1 + len(a.Name)
+	if n != len(b.Source)+1+len(b.Name) {
+		return false
+	}
+	for i := 0; i < n; i++ {
+		if keyByte(a, i) != keyByte(b, i) {
+			return false
+		}
+	}
+	return true
+}
+
+// keyByte returns byte i of in.Key().
+func keyByte(in Input, i int) byte {
+	switch {
+	case i < len(in.Source):
+		return in.Source[i]
+	case i == len(in.Source):
+		return ':'
+	default:
+		return in.Name[i-len(in.Source)-1]
+	}
 }
 
 // matchInput returns the spans of query that value matches under the
@@ -511,24 +591,23 @@ func (a *Analyzer) matchInput(ctx context.Context, value, query string, st *chec
 	return nil, nil
 }
 
-// attackReasons returns a reason per critical token fully contained in the
-// marking, provided the marking covers at least one whole SQL token.
-func attackReasons(toks []sqltoken.Token, m core.Marking, critical func(sqltoken.Token) bool) []core.Reason {
+// appendAttackReasons appends to dst a reason per critical token fully
+// contained in the marking, provided the marking covers at least one whole
+// SQL token.
+func appendAttackReasons(dst []core.Reason, toks []sqltoken.Token, m core.Marking, critical func(sqltoken.Token) bool) []core.Reason {
 	if !sqltoken.CoversWholeToken(toks, m.Span.Start, m.Span.End) {
-		return nil
+		return dst
 	}
-	var out []core.Reason
 	for _, t := range toks {
-		if !critical(t) {
-			continue
-		}
-		if m.Span.Contains(t.Span()) {
-			out = append(out, core.Reason{
-				Token: t,
-				Detail: fmt.Sprintf("negatively tainted by input %s (distance %d over %d bytes)",
-					m.Source, m.Distance, m.Span.Len()),
+		if critical(t) && m.Span.Contains(t.Span()) {
+			dst = append(dst, core.Reason{
+				Token:    t,
+				Kind:     core.ReasonNTI,
+				Input:    m.Source,
+				Distance: m.Distance,
+				Width:    m.Span.Len(),
 			})
 		}
 	}
-	return out
+	return dst
 }
