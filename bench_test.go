@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 
@@ -333,19 +334,83 @@ func BenchmarkPTICover(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationNTIMatchers times the approximate matchers per pair
+// shape at NTI's default threshold: naive (the textbook baseline, on the
+// verbatim pair only — it is far too slow for the others), sellers (the
+// threshold-banded DP behind nti.WithSellersMatcher) and bitparallel (the
+// default engine). The threshold engines also report cells/op, the DP
+// cells they charge against their budget.
+//
+//   - verbatim: the input occurs in the query. NTI's exact fast path
+//     settles this before any matcher runs; it stays as the paper's
+//     ablation shape.
+//   - near-miss: a lab quote-stuffing evasion (84 bytes) inside its
+//     magic-quoted query, the pair lab-attack's matcher calls are made of.
+//     It is not found: its ratio is 0.226.
+//   - comment: a 240-byte comment with apostrophes inside its
+//     magic-quoted INSERT, a multi-word input that is found.
 func BenchmarkAblationNTIMatchers(b *testing.B) {
-	input := "security update notes for the morning release"
-	query := "SELECT id, title FROM posts WHERE title LIKE '%" + input + "%' LIMIT 10"
-	b.Run("sellers", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			strdist.SubstringMatch(input, query)
+	verbatim := "security update notes for the morning release"
+	evade := evasion.QuoteStuffing("-1 UNION SELECT username, password FROM users", nti.DefaultThreshold)
+	comment := strings.Repeat("it's a blog update, isn't it? ", 8)
+	pairs := []struct{ name, input, query string }{
+		{"verbatim", verbatim, "SELECT id, title FROM posts WHERE title LIKE '%" + verbatim + "%' LIMIT 10"},
+		{"near-miss", evade, "SELECT id, name FROM events WHERE id=" + webapp.MagicQuotes(evade)},
+		{"comment", comment, "INSERT INTO comments (post_id, author, body) VALUES (7, 'lorem', '" + webapp.MagicQuotes(comment) + "')"},
+	}
+	engines := []struct {
+		name  string
+		match func(ctx context.Context, input, query string, threshold float64, maxCells int) (strdist.Match, bool, bool, error)
+	}{
+		{"sellers", strdist.SubstringMatchThresholdBudgetCtx},
+		{"bitparallel", strdist.BitParallelThresholdBudgetCtx},
+	}
+	ctx := context.Background()
+	for _, p := range pairs {
+		b.Run(p.name, func(b *testing.B) {
+			if p.name == "verbatim" {
+				b.Run("naive", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						strdist.NaiveSubstringMatch(p.input, p.query)
+					}
+				})
+			}
+			for _, e := range engines {
+				b.Run(e.name, func(b *testing.B) {
+					run := func(maxCells int) error {
+						_, _, _, err := e.match(ctx, p.input, p.query, nti.DefaultThreshold, maxCells)
+						return err
+					}
+					cells := dpCells(run)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := run(0); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(cells), "cells/op")
+				})
+			}
+		})
+	}
+}
+
+// dpCells returns the smallest DP-cell budget under which run completes:
+// the cells the matcher charges for its pair.
+func dpCells(run func(maxCells int) error) int {
+	hi := 1
+	for run(hi) != nil {
+		hi *= 2
+	}
+	lo := hi/2 + 1
+	for lo < hi {
+		if mid := (lo + hi) / 2; run(mid) == nil {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			strdist.NaiveSubstringMatch(input, query)
-		}
-	})
+	}
+	return hi
 }
 
 func BenchmarkAblationTransports(b *testing.B) {

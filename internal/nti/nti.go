@@ -16,9 +16,12 @@
 // Section VI "skip implausible comparisons" optimizations): a q-gram
 // prefilter (prefilter.go) rejects most input×query pairs in O(n), and
 // the default matcher is the bit-parallel engine
-// (strdist.BitParallelThresholdBudgetCtx), which settles survivors at 64
-// DP cells per word before falling back to the cell-at-a-time Sellers DP
-// only for actual span extraction.
+// (strdist.BitParallelThresholdBudgetCtx). Its Myers scan finds the best
+// distance over the whole query and a reverse pass bounds the longest
+// span at that distance, 64 DP cells per word; that decides misses and
+// near-misses (evasions padded just past the threshold) outright. Only
+// pairs that may match run the cell-at-a-time Sellers DP, and only on
+// the window of query columns that can hold the match.
 package nti
 
 import (
@@ -95,8 +98,9 @@ func (f funcMatcher) MatchThreshold(ctx context.Context, input, query string, th
 // budgetBlind marks matchers that cannot enforce a DP cell budget.
 func (funcMatcher) budgetBlind() {}
 
-// bitParallelMatcher is the default engine: a Myers bit-parallel reject
-// scan with Sellers span extraction on hits.
+// bitParallelMatcher is the default engine: a Myers bit-parallel scan
+// and reverse pass that reject misses and near-misses, with Sellers span
+// extraction inside a window for the pairs left.
 type bitParallelMatcher struct{}
 
 func (bitParallelMatcher) MatchThreshold(ctx context.Context, input, query string, threshold float64, maxCells int) (strdist.Match, bool, bool, error) {

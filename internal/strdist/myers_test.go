@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -60,9 +61,170 @@ func TestBitParallelEquivalenceRandom(t *testing.T) {
 	}
 }
 
+// Lab near-miss evasions: a payload stuffed past the threshold, as the
+// lab's request carries it (the input) and as its query holds it after
+// magic quotes. None is found at NTI's 0.2 threshold.
+const (
+	// evasion.QuoteStuffing("-1 UNION SELECT username, password FROM users", 0.2)
+	nearMissLong      = "-1 UNION SELECT username, password FROM users /*''''''''''''''''''''''''''''''''''*/"
+	nearMissLongQuery = `SELECT id, name FROM events WHERE id=-1 UNION SELECT username, password FROM users /*\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'*/`
+)
+
+// matcherShapes are the pair shapes that take different paths through
+// the bit-parallel engine; FuzzMatcherEquivalence and FuzzAnchoredReverse
+// are seeded with them too.
+var matcherShapes = []struct {
+	name, input, query string
+	found              bool
+	// ties is how many end columns reach the minimum last-row distance d*
+	// within the scan's cap (0: a scan miss).
+	ties int
+	// clipped marks a first tied end j whose window [j−n−d*, j] starts
+	// before the query.
+	clipped bool
+}{
+	{name: "quote stuffing, two-word input", input: nearMissLong, query: nearMissLongQuery, ties: 3},
+	{
+		// evasion.QuoteStuffing("-1 UNION SELECT user(), version()", 0.2):
+		// exactly one word.
+		name:  "quote stuffing, one-word input",
+		input: "-1 UNION SELECT user(), version() /*''''''''''''''''''''''''''*/",
+		query: `SELECT id, views FROM posts WHERE id=-1 UNION SELECT user(), version() /*\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'\'*/`,
+		ties:  3,
+	},
+	{
+		// evasion.WhitespacePadding("alice' AND LENGTH(version())>3 -- -", 0.2),
+		// trimmed by the application: the scan alone rejects it.
+		name:  "whitespace padding",
+		input: "alice' AND LENGTH(version())>3 -- -                ",
+		query: "SELECT id, stars FROM ratings WHERE voter='alice' AND LENGTH(version())>3 -- -'",
+	},
+	{
+		name:  "ends tied far apart",
+		input: "admin'--",
+		query: `SELECT id FROM users WHERE a='admin\'--' OR b='admin\'--'`,
+		found: true,
+		ties:  2,
+	},
+	{
+		name:    "many tied ends",
+		input:   "abcdef",
+		query:   strings.Repeat("abcdeX", 12),
+		found:   true,
+		ties:    24,
+		clipped: true,
+	},
+	{
+		name:    "window clipped at column 0",
+		input:   "' OR 1=1 --",
+		query:   "' OR 1=1 - LIMIT 1",
+		found:   true,
+		ties:    2,
+		clipped: true,
+	},
+	{
+		name:  "exact occurrences (d*=0), caught earlier by NTI's fast path",
+		input: "OR 1=1",
+		query: "SELECT * FROM t WHERE a=1 OR 1=1 AND b=2 OR 1=1",
+		found: true,
+		ties:  2,
+	},
+}
+
+// TestBitParallelShapes pins each shape (its ties and window, from the
+// cell-by-cell DP) and checks the engine agrees with the Sellers DP on
+// the decision and, when found, bit-identically on the match.
+func TestBitParallelShapes(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range matcherShapes {
+		t.Run(c.name, func(t *testing.T) {
+			n := len(c.input)
+			row := sellersLastRow(c.input, c.query)
+			d := slices.Min(row[1:])
+			ties := 0
+			if d <= MaxQualifyingDistance(n, 0.2, len(c.query)) {
+				for _, v := range row {
+					if v == d {
+						ties++
+					}
+				}
+			}
+			if ties != c.ties {
+				t.Fatalf("%d end columns at d*=%d, want %d", ties, d, c.ties)
+			}
+			if clipped := ties > 0 && slices.Index(row, d) < n+d; clipped != c.clipped {
+				t.Fatalf("first window clipped = %v, want %v", clipped, c.clipped)
+			}
+			want, wantFound, _, err := SubstringMatchThresholdBudgetCtx(ctx, c.input, c.query, 0.2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotFound, _, err := BitParallelThresholdBudgetCtx(ctx, c.input, c.query, 0.2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotFound != c.found || wantFound != c.found {
+				t.Fatalf("found: bitparallel %v, sellers %v, want %v", gotFound, wantFound, c.found)
+			}
+			if c.found && got != want {
+				t.Fatalf("bitparallel %+v, sellers %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestBitParallelNearMissCharge pins the budget charge of a pair the
+// reverse pass rejects: n cells per scanned column over the whole query,
+// n per reverse-pass column, and no DP. The pair succeeds under exactly
+// that budget and fails one cell below it.
+func TestBitParallelNearMissCharge(t *testing.T) {
+	input, query := nearMissLong, nearMissLongQuery
+	n, mq := len(input), len(query)
+	row := sellersLastRow(input, query)
+	d := slices.Min(row[1:])
+	first, last := slices.Index(row, d), len(row)-1
+	for row[last] != d {
+		last--
+	}
+	charge := n*mq + n*min(last, last-first+n+d)
+	ctx := context.Background()
+	if _, found, pruned, err := BitParallelThresholdBudgetCtx(ctx, input, query, 0.2, charge); err != nil || found || !pruned {
+		t.Fatalf("budget %d: found=%v pruned=%v err=%v, want a pruned miss", charge, found, pruned, err)
+	}
+	if _, _, _, err := BitParallelThresholdBudgetCtx(ctx, input, query, 0.2, charge-1); !errors.Is(err, ErrBudget) {
+		t.Fatalf("budget %d: err=%v, want ErrBudget", charge-1, err)
+	}
+}
+
+// sellersLastRow is the search-mode DP's last row, dp[n][j] for every
+// query column j, computed cell by cell.
+func sellersLastRow(input, query string) []int {
+	n := len(input)
+	prev := make([]int, n+1)
+	cur := make([]int, n+1)
+	for i := range prev {
+		prev[i] = i
+	}
+	row := make([]int, len(query)+1)
+	row[0] = n
+	for j := 1; j <= len(query); j++ {
+		cur[0] = 0
+		for i := 1; i <= n; i++ {
+			cost := 1
+			if input[i-1] == query[j-1] {
+				cost = 0
+			}
+			cur[i] = min3(prev[i-1]+cost, prev[i]+1, cur[i-1]+1)
+		}
+		row[j] = cur[n]
+		prev, cur = cur, prev
+	}
+	return row
+}
+
 // TestMyersScanMatchesLastRow drives the scan against the naive DP's
-// last row on exhaustive small cases: the scan must hit exactly when
-// some column's last-row value is within the cap.
+// last row on exhaustive small cases: the scan must report exactly the
+// minimum last-row value within the cap and the columns that reach it.
 func TestMyersScanMatchesLastRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 3000; trial++ {
@@ -71,41 +233,27 @@ func TestMyersScanMatchesLastRow(t *testing.T) {
 		input := randomText(rng, n)
 		query := randomText(rng, m)
 		k := rng.Intn(n + 1)
-		// Reference: Sellers DP last row via the plain matcher machinery.
-		want := false
-		prev := make([]int, n+1)
-		cur := make([]int, n+1)
-		for i := 0; i <= n; i++ {
-			prev[i] = i
-		}
-		for j := 1; j <= m; j++ {
-			cur[0] = 0
-			for i := 1; i <= n; i++ {
-				cost := 1
-				if input[i-1] == query[j-1] {
-					cost = 0
-				}
-				cur[i] = min3(prev[i-1]+cost, prev[i]+1, cur[i-1]+1)
+		// Reference: Sellers DP last row, cell by cell.
+		want := scanEnds{best: k}
+		for j, v := range sellersLastRow(input, query)[1:] {
+			if v <= want.best {
+				want.add(v, j+1)
 			}
-			if cur[n] <= k {
-				want = true
-			}
-			prev, cur = cur, prev
 		}
-		got, _, err := myersScan64(context.Background(), input, query, k, 0)
-		if err != nil {
+		got := scanEnds{best: k}
+		if err := myersScan64(context.Background(), input, query, nil, &got); err != nil {
 			t.Fatalf("scan error: %v", err)
 		}
 		if got != want {
-			t.Fatalf("scan64 mismatch: input=%q query=%q k=%d got=%v want=%v", input, query, k, got, want)
+			t.Fatalf("scan64 mismatch: input=%q query=%q k=%d got=%+v want=%+v", input, query, k, got, want)
 		}
 		// The block variant must agree even when a single word would do.
-		gotB, _, err := myersScanBlocks(context.Background(), input, query, k, 0)
-		if err != nil {
+		gotB := scanEnds{best: k}
+		if err := myersScanBlocks(context.Background(), input, query, nil, &gotB); err != nil {
 			t.Fatalf("block scan error: %v", err)
 		}
 		if gotB != want {
-			t.Fatalf("scanBlocks mismatch: input=%q query=%q k=%d got=%v want=%v", input, query, k, gotB, want)
+			t.Fatalf("scanBlocks mismatch: input=%q query=%q k=%d got=%+v want=%+v", input, query, k, gotB, want)
 		}
 	}
 }
@@ -118,20 +266,20 @@ func TestMyersScanBlocksLongInput(t *testing.T) {
 		n := 65 + rng.Intn(200)
 		input := randomText(rng, n)
 		query := randomText(rng, 40) + input + randomText(rng, 40)
-		hit, _, err := myersScanBlocks(context.Background(), input, query, 0, 0)
-		if err != nil {
+		hit := scanEnds{best: 0}
+		if err := myersScanBlocks(context.Background(), input, query, nil, &hit); err != nil {
 			t.Fatal(err)
 		}
-		if !hit {
-			t.Fatalf("exact occurrence not found at k=0 (n=%d)", n)
+		if hit.last == 0 || hit.first != 40+n {
+			t.Fatalf("exact occurrence not found at k=0 (n=%d): %+v", n, hit)
 		}
 		// A disjoint-alphabet input can't come within any sane cap.
 		miss := strings.Repeat("#", n)
-		hit, _, err = myersScanBlocks(context.Background(), miss, query, n/5, 0)
-		if err != nil {
+		hit = scanEnds{best: n / 5}
+		if err := myersScanBlocks(context.Background(), miss, query, nil, &hit); err != nil {
 			t.Fatal(err)
 		}
-		if hit {
+		if hit.last != 0 {
 			t.Fatalf("disjoint input reported within distance %d", n/5)
 		}
 	}

@@ -310,6 +310,43 @@ func SubstringMatchThresholdBudgetCtx(ctx context.Context, input, query string, 
 		// bytes unmatched.
 		return Match{Distance: n}, false, true, nil
 	}
+	bud := newCellBudget(maxCells)
+	best, haveCand, pruned, err := sellersBand(ctx, input, query, kMax, bud)
+	if err != nil {
+		return Match{}, false, pruned, err
+	}
+	return best, haveCand && best.Ratio() < threshold, pruned, nil
+}
+
+// cellBudget is the DP-cell allowance the stages of one match share. A
+// nil *cellBudget is unlimited.
+type cellBudget struct{ left int }
+
+// newCellBudget returns the allowance for maxCells (<= 0: unlimited).
+func newCellBudget(maxCells int) *cellBudget {
+	if maxCells <= 0 {
+		return nil
+	}
+	return &cellBudget{left: maxCells}
+}
+
+// spend charges cells and reports whether the allowance still holds.
+func (b *cellBudget) spend(cells int) bool {
+	if b == nil {
+		return true
+	}
+	b.left -= cells
+	return b.left >= 0
+}
+
+// sellersBand is the banded Sellers DP behind
+// SubstringMatchThresholdBudgetCtx, for kMax < len(input) and a non-empty
+// query. best is the best candidate within the cap by better's
+// tie-break (haveCand false if none). Each column charges its band width
+// against bud.
+func sellersBand(ctx context.Context, input, query string, kMax int, bud *cellBudget) (best Match, haveCand, pruned bool, err error) {
+	n := len(input)
+	mq := len(query)
 	done := ctx.Done()
 	inf := kMax + 1
 	w := n + 1
@@ -330,9 +367,7 @@ func SubstringMatchThresholdBudgetCtx(ctx context.Context, input, query string, 
 	// lac is the last active cell: the deepest row whose value is within
 	// the cap. Rows beyond lac+1 are never computed.
 	lac := kMax
-	best := Match{Start: 0, End: 0, Distance: n}
-	haveCand := false
-	cells := 0
+	best = Match{Start: 0, End: 0, Distance: n}
 	for j := 1; j <= mq; j++ {
 		if done != nil && j&ctxCheckMask == 0 {
 			select {
@@ -349,10 +384,8 @@ func SubstringMatchThresholdBudgetCtx(ctx context.Context, input, query string, 
 		} else {
 			pruned = true
 		}
-		if maxCells > 0 {
-			if cells += lim; cells > maxCells {
-				return Match{}, false, pruned, ErrBudget
-			}
+		if !bud.spend(lim) {
+			return Match{}, false, pruned, ErrBudget
 		}
 		qc := query[j-1]
 		for i := 1; i <= lim; i++ {
@@ -398,7 +431,7 @@ func SubstringMatchThresholdBudgetCtx(ctx context.Context, input, query string, 
 			}
 		}
 	}
-	return best, haveCand && best.Ratio() < threshold, pruned, nil
+	return best, haveCand, pruned, nil
 }
 
 // NaiveSubstringMatch is the unoptimized O(n²·m²)-flavoured matcher: per
