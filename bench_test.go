@@ -9,9 +9,11 @@
 package joza_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -424,16 +426,47 @@ func BenchmarkAblationTransports(b *testing.B) {
 			}
 		}
 	})
-	b.Run("pipe-daemon", func(b *testing.B) {
-		tr, stop := daemon.SpawnPipe(analyzer)
-		defer stop()
-		b.ResetTimer()
+	run := func(b *testing.B, tr daemon.Transport) {
 		for i := 0; i < b.N; i++ {
 			if _, err := tr.AnalyzeSiteContext(context.Background(), "", benchQuery); err != nil {
 				b.Fatal(err)
 			}
 		}
+	}
+	// pipe-daemon negotiates binary frames; pipe-daemon-json is the same
+	// pipe to a server that ignores the request (an older daemon), so the
+	// connection stays on JSON.
+	b.Run("pipe-daemon", func(b *testing.B) {
+		tr, stop := daemon.SpawnPipe(analyzer)
+		defer stop()
+		b.ResetTimer()
+		run(b, tr)
 	})
+	b.Run("pipe-daemon-json", func(b *testing.B) {
+		clientSide, serverSide := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			daemon.NewServer(analyzer).ServeConn(jsonOnlyConn{serverSide})
+		}()
+		tr := daemon.NewClient(clientSide)
+		defer func() {
+			_ = tr.Close()
+			<-done
+		}()
+		b.ResetTimer()
+		run(b, tr)
+	})
+}
+
+// jsonOnlyConn cuts the binary flag from every client frame before the
+// server reads it, so the server never acknowledges binary frames.
+// net.Pipe delivers each client frame in one Read.
+type jsonOnlyConn struct{ net.Conn }
+
+func (c jsonOnlyConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	return copy(p, bytes.ReplaceAll(p[:n], []byte(`,"binary":true`), nil)), err
 }
 
 func BenchmarkAblationCacheModes(b *testing.B) {

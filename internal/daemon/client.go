@@ -2,10 +2,12 @@ package daemon
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -29,15 +31,20 @@ var ErrBroken = errors.New("daemon: connection broken")
 type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn
+	br      *bufio.Reader
 	enc     *json.Encoder
 	dec     *json.Decoder
 	timeout time.Duration
 	dialect sqltoken.Dialect
 	err     error // sticky; set on the first I/O failure or Close
 	// latched records that an analyze or batch frame carrying no_tokens
-	// has been sent on this connection, so the server already omits the
-	// token stream and later frames need not repeat the flag.
+	// and binary has been sent on this connection, so the server already
+	// omits the token stream and later frames need not repeat the flags.
 	latched bool
+	// binary records the server's acknowledgement: every later frame is a
+	// binary frame, built in out and read from br into in.
+	binary  bool
+	in, out []byte
 }
 
 var _ Transport = (*Client)(nil)
@@ -54,10 +61,12 @@ func Dial(addr string) (*Client, error) {
 // NewClient wraps an established connection (e.g. one side of net.Pipe,
 // the analogue of the paper's anonymous pipes).
 func NewClient(conn net.Conn) *Client {
+	br := bufio.NewReader(conn)
 	return &Client{
 		conn: conn,
+		br:   br,
 		enc:  json.NewEncoder(conn),
-		dec:  json.NewDecoder(bufio.NewReader(conn)),
+		dec:  json.NewDecoder(br),
 	}
 }
 
@@ -98,8 +107,9 @@ func (c *Client) Broken() bool {
 
 // roundTrip sends one request and reads its response, marking the
 // connection broken on any I/O error. The connection's first analyze or
-// batch frame carries no_tokens, so the server replies without the token
-// stream from then on. ctx bounds the exchange: its
+// batch frame carries no_tokens and binary, so the server replies without
+// the token stream from then on, and a server that acknowledges binary
+// switches both ends to binary frames. ctx bounds the exchange: its
 // deadline (when earlier than the client timeout) becomes the connection
 // deadline, and cancellation slams the connection so a blocked read or
 // write returns immediately. An already-done ctx fails before any I/O and
@@ -148,8 +158,29 @@ func (c *Client) roundTrip(ctx context.Context, req wireRequest) (wireResponse, 
 	} else if !deadline.IsZero() {
 		defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
 	}
+	var resp wireResponse
+	var err error
+	if c.binary {
+		resp, err = c.binaryRoundTrip(ctx, &req)
+	} else {
+		resp, err = c.jsonRoundTrip(ctx, req)
+	}
+	if err != nil {
+		return wireResponse{}, err
+	}
+	if resp.Err != "" {
+		return wireResponse{}, fmt.Errorf("daemon: %s", resp.Err)
+	}
+	return resp, nil
+}
+
+// jsonRoundTrip sends req as one JSON frame and reads the JSON reply,
+// asking for binary frames on the connection's first analyze or batch
+// frame and switching to them when the reply acknowledges that. Must be
+// called with mu held.
+func (c *Client) jsonRoundTrip(ctx context.Context, req wireRequest) (wireResponse, error) {
 	if !c.latched && (req.Op == "" || req.Op == "analyze" || req.Op == "batch") {
-		req.NoTokens = true
+		req.NoTokens, req.Binary = true, true
 		c.latched = true
 	}
 	if err := c.enc.Encode(req); err != nil {
@@ -159,8 +190,53 @@ func (c *Client) roundTrip(ctx context.Context, req wireRequest) (wireResponse, 
 	if err := c.dec.Decode(&resp); err != nil {
 		return wireResponse{}, c.broke("recv", ctxCause(ctx, err))
 	}
-	if resp.Err != "" {
-		return wireResponse{}, fmt.Errorf("daemon: %s", resp.Err)
+	if resp.Binary {
+		// The server has switched. It sends nothing unasked, so the
+		// decoder can hold nothing past the acknowledgement but its
+		// newline, which the first binary read skips if it is still on
+		// the wire.
+		if rest, _ := io.ReadAll(c.dec.Buffered()); len(bytes.TrimSpace(rest)) != 0 {
+			return wireResponse{}, c.broke("recv", errors.New("unexpected bytes behind the binary acknowledgement"))
+		}
+		c.binary = true
+		c.enc, c.dec = nil, nil // the JSON codec is done with this connection
+	}
+	return resp, nil
+}
+
+// binaryRoundTrip sends req as one binary frame and reads its reply frame,
+// which must be of the same kind. Must be called with mu held.
+func (c *Client) binaryRoundTrip(ctx context.Context, req *wireRequest) (wireResponse, error) {
+	kind := requestKind(req)
+	c.out = beginFrame(c.out)
+	switch kind {
+	case frameAnalyze:
+		c.out = appendRequest(c.out, req)
+	case frameBatch:
+		c.out = appendBatchRequest(c.out, req)
+	default:
+		b, err := json.Marshal(*req)
+		if err != nil {
+			return wireResponse{}, err
+		}
+		c.out = append(c.out, b...)
+	}
+	if _, err := c.conn.Write(finishFrame(c.out, kind)); err != nil {
+		return wireResponse{}, c.broke("send", ctxCause(ctx, err))
+	}
+	got, n, err := readFrameHead(c.br)
+	if err == nil && got != kind {
+		err = errFrame
+	}
+	if err == nil {
+		c.in, err = readBody(c.br, c.in, n)
+	}
+	if err != nil {
+		return wireResponse{}, c.broke("recv", ctxCause(ctx, err))
+	}
+	resp, err := parseResponse(kind, c.in, req)
+	if err != nil {
+		return wireResponse{}, c.broke("recv", err)
 	}
 	return resp, nil
 }

@@ -7,7 +7,10 @@
 // client tells the daemon once per connection that it lexes for itself
 // (the no_tokens request field), and each side then lexes only when it
 // needs tokens: the daemon on a PTI cache miss, the client when an input
-// matches the query.
+// matches the query. On the same first frame it asks for binary frames
+// (the binary field); a server that acknowledges it switches the
+// connection from JSON to length-prefixed binary frames that carry only
+// what the peer uses (codec.go).
 //
 // The daemon runs the same pipeline as the in-process Guard: Server and
 // Direct are wire front doors over an engine.Engine serving one
@@ -21,7 +24,9 @@
 // Two transports are provided, mirroring the paper's deployment study:
 //
 //   - Remote: newline-delimited JSON over a net.Conn (named/anonymous
-//     pipes in the paper; TCP or in-memory pipes here). This is the
+//     pipes in the paper; TCP or in-memory pipes here), switched to
+//     binary frames after a one-frame handshake with a current server.
+//     This is the
 //     easy-to-deploy user-level daemon. A single connection is a Client;
 //     production deployments use a Pool, which multiplexes concurrent
 //     requests over several connections, bounds each round trip with a
@@ -322,6 +327,14 @@ type wireRequest struct {
 	// peers keep receiving tokens, and old servers ignore the field. The
 	// server reads it from top-level frames only, not from batch items.
 	NoTokens bool `json:"no_tokens,omitempty"`
+	// Binary asks the server to switch the connection to binary frames
+	// (codec.go). A client sets it beside NoTokens, on the same first
+	// frame; a server that acknowledges it answers that frame in JSON with
+	// wireResponse.Binary set, and both ends then speak only binary
+	// frames, which never carry tokens. Old servers ignore the field and
+	// send no acknowledgement, so the connection stays JSON. Like
+	// NoTokens, it is read from top-level frames only.
+	Binary bool `json:"binary,omitempty"`
 }
 
 // RolloutReply answers the two-phase rollout verbs. State is "staged"
@@ -356,6 +369,9 @@ type wireResponse struct {
 	// Rollout answers the "prepare", "commit" and "abort" verbs.
 	Rollout *RolloutReply `json:"rollout,omitempty"`
 	Err     string        `json:"error,omitempty"`
+	// Binary acknowledges a request's Binary flag: every later frame on
+	// the connection, both ways, is a binary frame.
+	Binary bool `json:"binary,omitempty"`
 }
 
 // leanResponse is how the server encodes a wireResponse on a connection

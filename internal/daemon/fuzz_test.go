@@ -1,8 +1,11 @@
 package daemon
 
 import (
+	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -48,6 +51,62 @@ func FuzzServerWire(f *testing.F) {
 		_ = clientSide.SetWriteDeadline(time.Now().Add(2 * time.Second))
 		_, _ = clientSide.Write(data)
 		_ = clientSide.Close()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("connection handler wedged on fuzz input")
+		}
+	})
+}
+
+// FuzzBinaryFrame negotiates binary frames with a real handshake, then
+// throws arbitrary bytes at the binary decoder: no input may panic the
+// server or wedge the connection handler, and a first frame declaring a
+// body over the request cap ends the connection without the client
+// closing it. Each input also drives the request codec's round trip.
+func FuzzBinaryFrame(f *testing.F) {
+	const limit = 1 << 12
+	frame := func(kind byte, body []byte) []byte {
+		return finishFrame(append(beginFrame(nil), body...), kind)
+	}
+	analyze := frame(frameAnalyze, appendRequest(nil, &wireRequest{Query: "SELECT * FROM records WHERE ID=5 LIMIT 5", Site: "s"}))
+	f.Add(analyze)
+	f.Add(append([]byte{'\n'}, analyze...))
+	f.Add(append(append([]byte{}, analyze...), analyze...))
+	f.Add(frame(frameAnalyze, appendRequest(nil, &wireRequest{Query: "SELECT 1", Dialect: "postgres", Version: "zzz", TimeoutMs: -1})))
+	f.Add(frame(frameBatch, appendBatchRequest(nil, &wireRequest{Version: "v", Batch: []wireRequest{{Query: "SELECT 1"}, {Query: "x", Site: "s"}}})))
+	f.Add(frame(frameBatch, appendBatchRequest(nil, &wireRequest{})))
+	f.Add(frame(frameJSON, []byte(`{"op":"stats"}`)))
+	f.Add(frame(frameJSON, []byte(`{"op":"batch","batch":[{"query":"SELECT 1"}]}`)))
+	f.Add(frame(frameJSON, []byte(`{"op":`)))
+	f.Add(binary.AppendUvarint([]byte{frameAnalyze}, limit+1))
+	f.Add([]byte{frameAnalyze, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Add([]byte{frameBatch, 3, 0, 0, 0xff})
+	f.Add([]byte{0x7f, 0})
+	f.Add([]byte{'\n', '\n', frameAnalyze, 2, 0, 0})
+	analyzer := newAnalyzer()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req := wireRequest{Query: string(data), Site: string(data[len(data)/2:]), TimeoutMs: int64(len(data)) - 3}
+		if got, err := parseRequest(frameAnalyze, appendRequest(nil, &req)); err != nil || !reflect.DeepEqual(got, req) {
+			t.Fatalf("request round trip: %+v, %v", got, err)
+		}
+
+		conn, br, done := handshake(t, NewServer(analyzer, WithMaxRequestBytes(limit)))
+		// Drain replies so the synchronous pipe never blocks the server.
+		go func() { _, _ = io.Copy(io.Discard, br) }()
+		_ = conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
+		_, _ = conn.Write(data)
+		head := bytes.TrimPrefix(data, []byte{'\n'})
+		if len(head) > 1 {
+			if n, k := binary.Uvarint(head[1:]); k > 0 && n > limit {
+				select {
+				case <-done:
+				case <-time.After(5 * time.Second):
+					t.Fatal("a frame over the cap did not end the connection")
+				}
+			}
+		}
+		_ = conn.Close()
 		select {
 		case <-done:
 		case <-time.After(5 * time.Second):

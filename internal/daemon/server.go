@@ -2,16 +2,20 @@ package daemon
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"joza/internal/core"
 	"joza/internal/engine"
 	"joza/internal/guardrail"
 	"joza/internal/profile"
@@ -330,65 +334,28 @@ func (s *Server) track(conn net.Conn) bool {
 // exported so a daemon can be run over a pre-connected pipe (the paper's
 // anonymous-pipe, one-request lifetime mode). The first frame carrying
 // no_tokens latches the connection token-free: every later analyze reply
-// omits the token stream.
+// omits the token stream. A frame carrying binary is answered in JSON with
+// the acknowledgement, and the connection then speaks binary frames.
 func (s *Server) ServeConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	lr := &io.LimitedReader{R: conn, N: s.maxRequest}
-	dec := json.NewDecoder(bufio.NewReader(lr))
+	br := bufio.NewReader(lr)
+	dec := json.NewDecoder(br)
 	enc := json.NewEncoder(conn)
 	noTokens := false
-	for {
-		if s.draining.Load() {
-			return
-		}
+	for s.awaitRequest(conn) {
 		// Reset the per-request byte budget. The buffered reader may hold
 		// bytes already admitted under an earlier budget; the limit bounds
 		// what one request can pull off the wire, not exact accounting.
 		lr.N = s.maxRequest
-		if s.readTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout))
-			// Re-check after arming the deadline: Shutdown slams every
-			// connection's read deadline, and this one may just have been
-			// overwritten by the line above.
-			if s.draining.Load() {
-				return
-			}
-		}
 		var req wireRequest
 		if err := dec.Decode(&req); err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				s.timeouts.Add(1)
-			}
+			s.readFailed(err)
 			return
 		}
-		noTokens = noTokens || req.NoTokens
-		var resp wireResponse
-		switch req.Op {
-		case "", "analyze":
-			s.analyzeOps.Add(1)
-			s.handleAnalyze(req, &resp, !noTokens)
-		case "batch":
-			s.batchOps.Add(1)
-			s.handleBatch(req, &resp, !noTokens)
-		case "stats":
-			s.statsOps.Add(1)
-			st := s.Stats()
-			resp.Stats = &st
-		case "traces":
-			s.tracesOps.Add(1)
-			d := s.eng.Tracer().Dump()
-			resp.Traces = &d
-		case "prepare":
-			s.handlePrepare(&resp)
-		case "commit":
-			s.handleCommit(req, &resp)
-		case "abort":
-			s.handleAbort(&resp)
-		default:
-			s.errorOps.Add(1)
-			resp.Err = fmt.Sprintf("unknown op %q", req.Op)
-		}
+		noTokens = noTokens || req.NoTokens || req.Binary
+		resp := s.dispatch(req, !noTokens)
+		resp.Binary = req.Binary
 		var err error
 		if noTokens {
 			l := new(leanResponse)
@@ -398,6 +365,135 @@ func (s *Server) ServeConn(conn net.Conn) {
 			err = enc.Encode(resp)
 		}
 		if err != nil {
+			s.errorOps.Add(1)
+			return
+		}
+		if req.Binary {
+			// A client waits for the acknowledgement before its first
+			// binary frame, so the JSON decoder can hold nothing past the
+			// handshake frame but its newline.
+			if rest, _ := io.ReadAll(dec.Buffered()); len(bytes.TrimSpace(rest)) == 0 {
+				s.serveBinary(conn, lr, br)
+			}
+			return
+		}
+	}
+}
+
+// awaitRequest prepares conn for the next request: false when the server
+// is draining, and the read deadline armed otherwise.
+func (s *Server) awaitRequest(conn net.Conn) bool {
+	if s.draining.Load() {
+		return false
+	}
+	if s.readTimeout > 0 {
+		_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout))
+		// Re-check after arming the deadline: Shutdown slams every
+		// connection's read deadline, and this one may just have been
+		// overwritten by the line above.
+		return !s.draining.Load()
+	}
+	return true
+}
+
+// readFailed counts a request read that ended the connection.
+func (s *Server) readFailed(err error) {
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		s.timeouts.Add(1)
+	}
+}
+
+// dispatch answers one JSON request; withTokens puts the token stream on
+// analyze replies.
+func (s *Server) dispatch(req wireRequest, withTokens bool) wireResponse {
+	var resp wireResponse
+	switch req.Op {
+	case "", "analyze":
+		s.analyzeOps.Add(1)
+		s.handleAnalyze(req, &resp, withTokens)
+	case "batch":
+		s.batchOps.Add(1)
+		s.handleBatch(req, &resp, withTokens)
+	case "stats":
+		s.statsOps.Add(1)
+		st := s.Stats()
+		resp.Stats = &st
+	case "traces":
+		s.tracesOps.Add(1)
+		d := s.eng.Tracer().Dump()
+		resp.Traces = &d
+	case "prepare":
+		s.handlePrepare(&resp)
+	case "commit":
+		s.handleCommit(req, &resp)
+	case "abort":
+		s.handleAbort(&resp)
+	default:
+		s.errorOps.Add(1)
+		resp.Err = fmt.Sprintf("unknown op %q", req.Op)
+	}
+	return resp
+}
+
+// serveBinary serves conn after the binary handshake, reading frames from
+// the connection's buffered reader br. The declared body length is checked
+// against the request cap before any of the body is read. Analyze and
+// batch responses are appended straight from the verdicts into one
+// per-connection buffer and sent with one Write; a malformed or oversized
+// frame ends the connection.
+func (s *Server) serveBinary(conn net.Conn, lr *io.LimitedReader, br *bufio.Reader) {
+	var in, out []byte
+	budget := s.maxRequest + frameHead + 1 // the body, its head and one skipped newline
+	if budget < s.maxRequest {
+		budget = math.MaxInt64
+	}
+	for s.awaitRequest(conn) {
+		lr.N = budget
+		kind, n, err := readFrameHead(br)
+		if err != nil {
+			s.readFailed(err)
+			return
+		}
+		if n > uint64(s.maxRequest) {
+			return
+		}
+		if in, err = readBody(br, in, n); err != nil {
+			s.readFailed(err)
+			return
+		}
+		out = beginFrame(out)
+		switch kind {
+		case frameAnalyze, frameBatch:
+			req, err := parseRequest(kind, in)
+			if err != nil {
+				return
+			}
+			if kind == frameAnalyze {
+				s.analyzeOps.Add(1)
+				v, msg := s.analyze(req)
+				out = appendVerdictResponse(out, &v, msg)
+			} else {
+				s.batchOps.Add(1)
+				out = s.appendBatch(out, req)
+			}
+		case frameJSON:
+			var req wireRequest
+			if json.Unmarshal(in, &req) != nil {
+				return
+			}
+			var l leanResponse
+			l.wrap(s.dispatch(req, false))
+			b, err := json.Marshal(&l)
+			if err != nil {
+				s.errorOps.Add(1)
+				return
+			}
+			out = append(out, b...)
+		default:
+			return
+		}
+		if _, err := conn.Write(finishFrame(out, kind)); err != nil {
 			s.errorOps.Add(1)
 			return
 		}
@@ -431,14 +527,13 @@ func versionError(pinned, serving string) string {
 	return fmt.Sprintf("version mismatch: request pinned to snapshot %q, daemon serves %q", pinned, serving)
 }
 
-// handleAnalyze runs one analyze request: the wire refusals (dialect,
-// version pin), the deadline budget, admission, then engine.Check. The
-// engine owns the rest — budgets, panic containment, profiles, metrics and
-// tracing. withTokens puts the token stream on the reply, for a connection
-// that has not latched no_tokens. Failures ride back as resp.Err on the
+// analyze runs one analyze request: the wire refusals (dialect, version
+// pin), the deadline budget, admission, then engine.Check. The engine owns
+// the rest — budgets, panic containment, profiles, metrics and tracing.
+// A failure returns a non-empty refusal, which rides back on the
 // still-healthy stream — an overloaded, expired or cross-dialect request
 // costs one reply, not the connection.
-func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse, withTokens bool) {
+func (s *Server) analyze(req wireRequest) (core.Verdict, string) {
 	snap := s.eng.Snapshot()
 	d, msg := parseDialect(req.Dialect, snap.Dialect)
 	if msg == "" && req.Version != "" && req.Version != snap.Version {
@@ -451,8 +546,7 @@ func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse, withTokens b
 	}
 	if msg != "" {
 		s.errorOps.Add(1)
-		resp.Err = msg
-		return
+		return core.Verdict{}, msg
 	}
 	// Honor the client's propagated deadline budget: bound the analysis
 	// with a matching context so server-side work the client has stopped
@@ -465,12 +559,10 @@ func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse, withTokens b
 	if err := s.gate.Acquire(ctx); err != nil {
 		if errors.Is(err, guardrail.ErrOverloaded) {
 			s.eng.Collector().RecordShed()
-			resp.Err = "overloaded: " + err.Error()
-		} else {
-			s.timeouts.Add(1)
-			resp.Err = err.Error()
+			return core.Verdict{}, "overloaded: " + err.Error()
 		}
-		return
+		s.timeouts.Add(1)
+		return core.Verdict{}, err.Error()
 	}
 	defer s.gate.Release()
 	v, err := s.eng.Check(ctx, engine.Request{Query: req.Query, Site: req.Site, Dialect: d})
@@ -478,21 +570,33 @@ func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse, withTokens b
 		// The budget expired mid-analysis: report it like the client-side
 		// deadline it mirrors, with no check recorded.
 		s.timeouts.Add(1)
-		resp.Err = err.Error()
-		return
+		return core.Verdict{}, err.Error()
 	}
 	if req.Version != "" && v.Version != req.Version {
 		// A commit landed between the pin check and the analysis: the
 		// verdict carries the version of the snapshot that produced it, so
 		// a pinned request is still never answered from another one.
 		s.errorOps.Add(1)
-		resp.Err = versionError(req.Version, v.Version)
+		return core.Verdict{}, versionError(req.Version, v.Version)
+	}
+	return v, ""
+}
+
+// handleAnalyze answers one JSON analyze request. withTokens puts the
+// token stream on the reply, for a connection that has not latched
+// no_tokens.
+func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse, withTokens bool) {
+	v, msg := s.analyze(req)
+	if msg != "" {
+		resp.Err = msg
 		return
 	}
 	reply := replyFor(v, req.Site)
 	if withTokens && !v.Failed {
 		// A reply the failure mode produced carries no tokens: the query
-		// may be the oversized one the cap refused unlexed.
+		// may be the oversized one the cap refused unlexed. The analysis
+		// accepted the request's dialect, so it parses.
+		d, _ := parseDialect(req.Dialect, sqltoken.MySQL)
 		toks := d.Lex(req.Query)
 		reply.Tokens = make([]TokenJSON, len(toks))
 		for i, t := range toks {
@@ -502,39 +606,45 @@ func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse, withTokens b
 	resp.Reply = reply
 }
 
-// handleBatch runs one "batch" request: every item is an analyze request
-// handled exactly as a standalone one — admission charged per item, the
-// item's own TimeoutMs bounding its analysis, failures recorded per item —
-// and the reply carries one response per item in order. One poisoned item
-// (expired budget, shed, over budget) costs only its own slot; siblings
-// and the connection are unaffected. A batch above the item cap is refused
-// whole, on the still-healthy stream.
-func (s *Server) handleBatch(req wireRequest, resp *wireResponse, withTokens bool) {
+// admitBatch refuses a batch request that is empty or above the item cap,
+// and otherwise defaults the frame's dialect and version pin onto its
+// items, so a client stamps one field per frame instead of one per item;
+// an item can still name its own (and be refused individually).
+func (s *Server) admitBatch(req wireRequest) string {
 	if len(req.Batch) == 0 {
 		s.errorOps.Add(1)
-		resp.Err = "empty batch"
-		return
+		return "empty batch"
 	}
 	if len(req.Batch) > s.maxBatch {
 		s.errorOps.Add(1)
-		resp.Err = fmt.Sprintf("batch of %d items exceeds the %d-item cap", len(req.Batch), s.maxBatch)
-		return
+		return fmt.Sprintf("batch of %d items exceeds the %d-item cap", len(req.Batch), s.maxBatch)
 	}
 	s.batchItems.Add(uint64(len(req.Batch)))
-	resp.Batch = make([]wireResponse, len(req.Batch))
 	for i := range req.Batch {
-		item := req.Batch[i]
+		item := &req.Batch[i]
 		if item.Dialect == "" {
-			// The batch frame's dialect is the default for its items, so a
-			// client stamps one field per frame instead of one per item; an
-			// item can still name its own (and be refused individually).
 			item.Dialect = req.Dialect
 		}
 		if item.Version == "" {
-			// Likewise the frame's version pin defaults onto its items, and
-			// a mismatched pin refuses only the item carrying it.
 			item.Version = req.Version
 		}
+	}
+	return ""
+}
+
+// handleBatch runs one JSON "batch" request: every item is an analyze
+// request handled exactly as a standalone one — admission charged per
+// item, the item's own TimeoutMs bounding its analysis, failures recorded
+// per item — and the reply carries one response per item in order. One
+// poisoned item (expired budget, shed, over budget) costs only its own
+// slot; siblings and the connection are unaffected. A batch above the item
+// cap is refused whole, on the still-healthy stream.
+func (s *Server) handleBatch(req wireRequest, resp *wireResponse, withTokens bool) {
+	if resp.Err = s.admitBatch(req); resp.Err != "" {
+		return
+	}
+	resp.Batch = make([]wireResponse, len(req.Batch))
+	for i, item := range req.Batch {
 		switch item.Op {
 		case "", "analyze":
 			s.analyzeOps.Add(1)
@@ -547,6 +657,22 @@ func (s *Server) handleBatch(req wireRequest, resp *wireResponse, withTokens boo
 			resp.Batch[i].Err = fmt.Sprintf("op %q not allowed in a batch", item.Op)
 		}
 	}
+}
+
+// appendBatch appends the binary response to a batch frame, whose items
+// are all analyze requests: the item count and one response per item, or
+// a zero count and the whole-batch refusal.
+func (s *Server) appendBatch(dst []byte, req wireRequest) []byte {
+	if msg := s.admitBatch(req); msg != "" {
+		return appendString(append(dst, 0), msg)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(req.Batch)))
+	for _, item := range req.Batch {
+		s.analyzeOps.Add(1)
+		v, msg := s.analyze(item)
+		dst = appendVerdictResponse(dst, &v, msg)
+	}
+	return dst
 }
 
 // handlePrepare runs phase one of the two-phase rollout: load and build

@@ -158,8 +158,9 @@ func frameRecorder(t *testing.T, reply string) (*Client, func() []string) {
 
 // TestClientFramesSetNoTokensOnce pins the client side of the contract:
 // a connection's first analyze or batch frame is the flagless frame plus
-// "no_tokens":true, and every other frame is byte-identical to the
-// flagless protocol.
+// "no_tokens":true and "binary":true, and every other frame to a server
+// that never acknowledges binary is byte-identical to the flagless
+// protocol.
 func TestClientFramesSetNoTokensOnce(t *testing.T) {
 	ctx := context.Background()
 	const q = `{"query":"` + benignQuery + `"`
@@ -175,7 +176,7 @@ func TestClientFramesSetNoTokensOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		q + `,"no_tokens":true}`,
+		q + `,"no_tokens":true,"binary":true}`,
 		q + `,"site":"s"}`,
 		`{"op":"batch","batch":[` + q + `}]}`,
 	}
@@ -190,7 +191,7 @@ func TestClientFramesSetNoTokensOnce(t *testing.T) {
 	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 		t.Fatal(err)
 	}
-	want = []string{`{"op":"batch","batch":[` + q + `}],"no_tokens":true}`, q + `}`}
+	want = []string{`{"op":"batch","batch":[` + q + `}],"no_tokens":true,"binary":true}`, q + `}`}
 	if got := frames(); !reflect.DeepEqual(got, want) {
 		t.Errorf("batch-first frames\n got: %q\nwant: %q", got, want)
 	}
@@ -203,21 +204,23 @@ func TestClientFramesSetNoTokensOnce(t *testing.T) {
 	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 		t.Fatal(err)
 	}
-	want = []string{`{"op":"stats"}`, q + `,"no_tokens":true}`}
+	want = []string{`{"op":"stats"}`, q + `,"no_tokens":true,"binary":true}`}
 	if got := frames(); !reflect.DeepEqual(got, want) {
 		t.Errorf("stats-first frames\n got: %q\nwant: %q", got, want)
 	}
 }
 
 // oldServerConn is the server side of a connection to a daemon that
-// predates no_tokens: the flag is cut from every frame before the server
-// reads it, so the server ignores it exactly as an old one would and
-// always sends tokens. net.Pipe delivers each client frame in one Read.
+// predates no_tokens and binary frames: both flags are cut from every
+// frame before the server reads it, so the server ignores them exactly as
+// an old one would, stays on JSON and always sends tokens. net.Pipe
+// delivers each client frame in one Read.
 type oldServerConn struct{ net.Conn }
 
 func (c oldServerConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	return copy(p, bytes.ReplaceAll(p[:n], []byte(`,"no_tokens":true`), nil)), err
+	b := bytes.ReplaceAll(p[:n], []byte(`,"no_tokens":true`), nil)
+	return copy(p, bytes.ReplaceAll(b, []byte(`,"binary":true`), nil)), err
 }
 
 // countingConn counts the replies read through it that carried a

@@ -1,11 +1,13 @@
 package testbed
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"reflect"
+	"sync"
 	"testing"
 
 	"joza"
@@ -88,13 +90,59 @@ func verdictDiff(want, got core.Verdict) string {
 }
 
 // pipePool returns a two-connection Pool in dialect d to srv over
-// in-memory pipes; batch > 1 turns on its micro-batcher.
-func pipePool(srv *daemon.Server, d sqltoken.Dialect, batch int) *daemon.Pool {
+// in-memory pipes; batch > 1 turns on its micro-batcher, and a non-nil
+// wrap wraps the server end of each pipe.
+func pipePool(srv *daemon.Server, d sqltoken.Dialect, batch int, wrap func(net.Conn) net.Conn) *daemon.Pool {
 	return daemon.NewPool(func() (net.Conn, error) {
 		clientSide, serverSide := net.Pipe()
+		if wrap != nil {
+			serverSide = wrap(serverSide)
+		}
 		go srv.ServeConn(serverSide)
 		return clientSide, nil
 	}, daemon.PoolConfig{Size: 2, Dialect: d, BatchSize: batch})
+}
+
+// frameKinds counts the frames clients write to the server ends of pipes
+// by their first byte: '{' opens a JSON frame, and a binary frame starts
+// with its kind (1 is analyze, DESIGN §8.3). net.Pipe delivers each
+// client frame in one Read.
+type frameKinds struct {
+	mu sync.Mutex
+	n  map[byte]int
+}
+
+func (k *frameKinds) wrap(c net.Conn) net.Conn { return kindConn{c, k} }
+
+func (k *frameKinds) count(b byte) int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.n[b]
+}
+
+type kindConn struct {
+	net.Conn
+	k *frameKinds
+}
+
+func (c kindConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.k.mu.Lock()
+		c.k.n[p[0]]++
+		c.k.mu.Unlock()
+	}
+	return n, err
+}
+
+// jsonOnlyConn cuts the binary flag from every client frame before the
+// server reads it, as a server that predates binary frames ignores it, so
+// the connection stays on JSON.
+type jsonOnlyConn struct{ net.Conn }
+
+func (c jsonOnlyConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	return copy(p, bytes.ReplaceAll(p[:n], []byte(`,"binary":true`), nil)), err
 }
 
 // hybridOver returns a HybridClient over transport in dialect d.
@@ -158,15 +206,19 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 		}
 		// Every shard of the fleet is a replica holding the whole corpus.
 		shards := []*daemon.Server{server(), server()}
-		fleet, err := daemon.NewShardedPool([]*daemon.Pool{pipePool(shards[0], sqltoken.MySQL, 0), pipePool(shards[1], sqltoken.MySQL, 0)})
+		fleet, err := daemon.NewShardedPool([]*daemon.Pool{pipePool(shards[0], sqltoken.MySQL, 0, nil), pipePool(shards[1], sqltoken.MySQL, 0, nil)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		batching := server()
+		binaryKinds := &frameKinds{n: map[byte]int{}}
+		jsonKinds := &frameKinds{n: map[byte]int{}}
+		jsonOnly := func(c net.Conn) net.Conn { return jsonOnlyConn{jsonKinds.wrap(c)} }
 		d := &pathDiff{paths: []namedChecker{
 			{"guard", guard},
-			{"pool", hybridOver(t, pipePool(server(), sqltoken.MySQL, 0), sqltoken.MySQL)},
-			{"micro-batching pool", hybridOver(t, pipePool(batching, sqltoken.MySQL, 4), sqltoken.MySQL)},
+			{"pool", hybridOver(t, pipePool(server(), sqltoken.MySQL, 0, binaryKinds.wrap), sqltoken.MySQL)},
+			{"JSON-only pool", hybridOver(t, pipePool(server(), sqltoken.MySQL, 0, jsonOnly), sqltoken.MySQL)},
+			{"micro-batching pool", hybridOver(t, pipePool(batching, sqltoken.MySQL, 4, nil), sqltoken.MySQL)},
 			{"2-shard fleet", hybridOver(t, fleet, sqltoken.MySQL)},
 		}}
 		if cases := sweep(t, d); cases != 383 {
@@ -182,6 +234,16 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 			if srv.Stats().DaemonAnalyzeOps == 0 {
 				t.Errorf("fleet shard %d served no checks", i)
 			}
+		}
+		// The pool negotiated binary frames: one JSON handshake frame per
+		// connection, then binary analyze frames. The JSON-only pool sent
+		// the same checks and never left JSON.
+		onlyJSON := jsonKinds.count('{')
+		if n := jsonKinds.count(1); n != 0 || onlyJSON < 383 {
+			t.Errorf("JSON-only pool: %d JSON and %d binary analyze frames, want JSON only", onlyJSON, n)
+		}
+		if json, bin := binaryKinds.count('{'), binaryKinds.count(1); json > 2 || json+bin != onlyJSON {
+			t.Errorf("pool: %d JSON and %d binary analyze frames, want at most 2 handshakes and %d frames in all", json, bin, onlyJSON)
 		}
 		if st := batching.Stats(); st.DaemonBatchOps == 0 || st.DaemonBatchItems != st.DaemonAnalyzeOps {
 			t.Errorf("micro-batching pool: %d batch frames carried %d of %d checks, want every check batched",
@@ -200,7 +262,7 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 		analyzer := pti.NewCached(pti.New(lab.Fragments, pti.WithDialect(sqltoken.Postgres)), pti.CacheQueryAndStructure, 4096)
 		d := &pathDiff{paths: []namedChecker{
 			{"guard", guard},
-			{"pool", hybridOver(t, pipePool(daemon.NewServer(analyzer), sqltoken.Postgres, 0), sqltoken.Postgres)},
+			{"pool", hybridOver(t, pipePool(daemon.NewServer(analyzer), sqltoken.Postgres, 0, nil), sqltoken.Postgres)},
 		}}
 		if cases := sweep(t, d); cases != 383 {
 			t.Errorf("swept %d cases, want the matrix's 383", cases)
