@@ -622,10 +622,24 @@ func BenchmarkAuditLog(b *testing.B) {
 	}
 }
 
+// BenchmarkLex measures the lexer: "fresh" is Lex, a new token slice per
+// call; "append" lexes into a reused buffer, as the engine's stages do
+// into the check State's pooled storage.
 func BenchmarkLex(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sqltoken.Lex(benchQuery)
-	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sqltoken.Lex(benchQuery)
+		}
+	})
+	b.Run("append", func(b *testing.B) {
+		buf := sqltoken.MySQL.AppendLex(nil, benchQuery)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf = sqltoken.MySQL.AppendLex(buf[:0], benchQuery)
+		}
+	})
 }
 
 // BenchmarkSkeleton measures the profile stage's skeleton: "lex" is

@@ -12,13 +12,18 @@ import (
 )
 
 // lexBenchResult is the outcome of the -lex micro-benchmark: the raw lexer
-// cost per dialect, and the cached analyze fast path that must not lex (or
-// allocate) at all. The cache-hit row is an assertion, not just a
-// measurement — dialect dispatch lives on the lexer's hot path, and the
-// whole point of the dialect-parameterized core is that the default
-// deployment pays nothing for it.
+// cost per dialect, fresh and appended into a reused buffer, and the
+// cached analyze fast path that must not lex (or allocate) at all. The
+// append and cache-hit rows are assertions, not just measurements: the
+// engine lexes every check into its pooled storage, so an allocation
+// there is paid per check, and the whole point of the
+// dialect-parameterized core is that the default deployment pays nothing
+// for dialect dispatch.
 type lexBenchResult struct {
 	Rows []lexBenchRow `json:"rows"`
+	// Append lexes into a reused buffer (Dialect.AppendLex), as the
+	// engine's stages do; AllocsPerOp must be zero.
+	Append []lexBenchRow `json:"append"`
 	// CacheHit is the warm query-cache Analyze path: the verdict comes from
 	// the cache, no lex runs, and AllocsPerOp must be zero.
 	CacheHit lexBenchRow `json:"cacheHit"`
@@ -36,10 +41,11 @@ type lexBenchRow struct {
 // keywords — every character class whose handling the dialect governs.
 const lexBenchQuery = "SELECT id, name FROM records WHERE name='joza' AND id=? ORDER BY id -- trailing\n LIMIT 5"
 
-// runLexBench measures the per-dialect lexer and asserts the cached
-// analyze fast path stays allocation-free under dialect dispatch. A
-// non-zero cache-hit allocation count is an error: it means the dialect
-// refactor put an allocation (e.g. a composite-key build) on the hot path.
+// runLexBench measures the per-dialect lexer and asserts that appending
+// into a reused buffer and the cached analyze fast path stay
+// allocation-free under dialect dispatch. A non-zero allocation count on
+// either is an error: it means an allocation (a token slice, a
+// composite-key build) landed on the per-check hot path.
 func runLexBench(requests int) (*lexBenchResult, error) {
 	iters := requests * 100
 	if iters < 10000 {
@@ -59,6 +65,20 @@ func runLexBench(requests int) (*lexBenchResult, error) {
 			Dialect: d.String(), NsPerOp: ns, AllocsPerOp: allocs, Tokens: len(toks),
 		})
 		fmt.Printf("  %-8s lex: %7.0f ns/op  %4.1f allocs/op  (%d tokens)\n", d, ns, allocs, len(toks))
+
+		start = time.Now()
+		for i := 0; i < iters; i++ {
+			toks = d.AppendLex(toks[:0], lexBenchQuery)
+		}
+		ns = float64(time.Since(start).Nanoseconds()) / float64(iters)
+		allocs = testing.AllocsPerRun(1000, func() { toks = d.AppendLex(toks[:0], lexBenchQuery) })
+		res.Append = append(res.Append, lexBenchRow{
+			Dialect: d.String(), NsPerOp: ns, AllocsPerOp: allocs, Tokens: len(toks),
+		})
+		fmt.Printf("  %-8s append-lex (reused buffer): %7.0f ns/op  %4.1f allocs/op\n", d, ns, allocs)
+		if allocs != 0 {
+			return nil, fmt.Errorf("%s: lexing into a reused buffer allocates (%.1f allocs/op); the per-check lex must stay zero-alloc", d, allocs)
+		}
 	}
 
 	// The cached fast path: a warm query cache answers without lexing, and

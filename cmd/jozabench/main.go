@@ -88,7 +88,7 @@ func run(args []string) error {
 	transport := fs.Bool("transport", false, "compare one shared daemon connection against a connection pool under concurrency")
 	poolSize := fs.Int("pool", 8, "with -transport: pool size and worker count")
 	ntiBench := fs.Bool("nti", false, "benchmark the NTI matcher before/after the bit-parallel engine and prefilter")
-	lexBench := fs.Bool("lex", false, "benchmark the dialect-dispatched lexer and assert the cached analyze fast path stays zero-alloc")
+	lexBench := fs.Bool("lex", false, "benchmark the dialect-dispatched lexer and assert the reused-buffer lex and the cached analyze fast path stay zero-alloc")
 	scale := fs.Bool("scale", false, "sweep wire batch sizes and 1/2/4-shard fleets")
 	rtt := fs.Duration("rtt", 3*time.Millisecond, "with -scale: simulated per-frame network RTT for the shard sweep (0 disables)")
 	diff := fs.String("diff", "", "compare this previous -json report against a second report given as a positional argument; warn-only")

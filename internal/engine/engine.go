@@ -36,6 +36,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"joza/internal/audit"
 	"joza/internal/core"
@@ -89,6 +90,13 @@ type State struct {
 
 	// tokens is the shared SQL token stream; nil until a stage lexes.
 	tokens []sqltoken.Token
+
+	// tokBuf is the storage the stages lex the request into; its length
+	// is the number of tokens last written, which reset zeroes. It
+	// survives reset, so pooled States lex without allocating. Stages lex
+	// into it only while tokens is nil, so a published stream is never
+	// overwritten, and only a lex is ever published from it.
+	tokBuf []sqltoken.Token
 
 	// aux carries analyzer-family-specific shared state, such as the shell
 	// token stream of the oscmd pipeline.
@@ -148,16 +156,29 @@ func (st *State) SetProfile(site, skeleton, outcome string) {
 }
 
 // maxPooledSkeletonBuf bounds the skeleton buffer a pooled State keeps,
-// so one huge query does not pin its buffer in the pool.
-const maxPooledSkeletonBuf = 64 << 10
+// so one huge query does not pin its buffer in the pool; maxPooledTokens
+// bounds its token storage to the same number of bytes (about 1.3k
+// tokens).
+const (
+	maxPooledSkeletonBuf = 64 << 10
+	maxPooledTokens      = maxPooledSkeletonBuf / int(unsafe.Sizeof(sqltoken.Token{}))
+)
 
-// reset clears the State for pool reuse, keeping a modest skeleton buffer.
+// reset clears the State for pool reuse, keeping a modest skeleton buffer
+// and token storage. The tokens written are zeroed, so a pooled State
+// pins no query text; only that prefix is, so the cost follows the query
+// just lexed and not the storage's capacity.
 func (st *State) reset() {
 	buf := st.skeletonBuf[:0]
 	if cap(buf) > maxPooledSkeletonBuf {
 		buf = nil
 	}
-	*st = State{skeletonBuf: buf}
+	toks := st.tokBuf
+	if cap(toks) > maxPooledTokens {
+		toks = nil
+	}
+	clear(toks)
+	*st = State{skeletonBuf: buf, tokBuf: toks[:0]}
 }
 
 // statePool recycles per-check State values so the steady-state pipeline

@@ -11,9 +11,10 @@ import (
 )
 
 // PTIStage runs cached positive taint inference. It publishes the lex it
-// produces (on cache misses) so a following NTI stage reuses the token
-// stream instead of lexing again; cache hits publish nothing and the NTI
-// stage lexes lazily only if an input actually matches the query.
+// produces (on cache misses, into the State's token storage) so a
+// following NTI stage reuses the token stream instead of lexing again;
+// cache hits publish nothing and the NTI stage lexes lazily only if an
+// input actually matches the query.
 type PTIStage struct {
 	Analyzer *pti.Cached
 }
@@ -23,7 +24,7 @@ func (s PTIStage) Name() string { return core.AnalyzerPTI }
 
 // Analyze implements Analyzer.
 func (s PTIStage) Analyze(ctx context.Context, req Request, st *State) (core.Result, error) {
-	res, toks, err := s.Analyzer.AnalyzeLazyCtx(ctx, req.Query, st.Tokens(), st.Span())
+	res, toks, err := s.Analyzer.AnalyzeBuf(ctx, req.Query, st.tokens, &st.tokBuf, st.span)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -33,7 +34,8 @@ func (s PTIStage) Analyze(ctx context.Context, req Request, st *State) (core.Res
 
 // NTIStage runs negative taint inference over the request's inputs,
 // reusing the token stream published by an earlier stage (and lexing
-// lazily inside the analyzer only when an input matches the query).
+// lazily inside the analyzer, into the State's token storage, only when
+// an input matches the query).
 type NTIStage struct {
 	Analyzer *nti.Analyzer
 }
@@ -49,7 +51,7 @@ func (s NTIStage) Analyze(ctx context.Context, req Request, st *State) (core.Res
 		// free.
 		return core.Result{Analyzer: core.AnalyzerNTI}, nil
 	}
-	return s.Analyzer.AnalyzeCtx(ctx, req.Query, st.Tokens(), req.Inputs, st.Span())
+	return s.Analyzer.AnalyzeBuf(ctx, req.Query, st.tokens, &st.tokBuf, req.Inputs, st.span)
 }
 
 // hasInputValues reports whether any captured input carries a non-empty
@@ -72,10 +74,10 @@ func hasInputValues(inputs []nti.Input) bool {
 // one.
 //
 // The stage builds its skeleton from the token stream an earlier stage
-// published, or lexes and publishes one for later stages, so a check lexes
-// at most once. It shares tokens only when its profiles were computed
-// under the request's dialect; otherwise it lexes under its own and
-// publishes nothing.
+// published, or lexes into the State's token storage and publishes one
+// for later stages, so a check lexes at most once. It shares tokens only
+// when its profiles were computed under the request's dialect; otherwise
+// it lexes a fresh slice under its own and publishes nothing.
 type ProfileStage struct {
 	// Store is the frozen training profile consulted in enforcement.
 	Store *profile.Store
@@ -111,12 +113,16 @@ func (s ProfileStage) Analyze(ctx context.Context, req Request, st *State) (core
 		if span != nil {
 			lexStart = time.Now()
 		}
-		toks = d.Lex(req.Query)
+		if d == req.Dialect {
+			st.tokBuf = d.AppendLex(st.tokBuf[:0], req.Query)
+			toks = st.tokBuf
+			st.PublishTokens(toks)
+		} else {
+			// The storage may hold the published request-dialect stream.
+			toks = d.Lex(req.Query)
+		}
 		if span != nil {
 			span.Lex(time.Since(lexStart))
-		}
-		if d == req.Dialect {
-			st.PublishTokens(toks)
 		}
 	}
 	var start time.Time

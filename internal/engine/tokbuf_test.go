@@ -1,0 +1,109 @@
+package engine
+
+import (
+	"context"
+	"strings"
+	"testing"
+
+	"joza/internal/fragments"
+	"joza/internal/nti"
+	"joza/internal/profile"
+	"joza/internal/pti"
+	"joza/internal/sqltoken"
+)
+
+// pooledStates runs check, then takes States from the pool, hands each to
+// see and puts them back. A pool hands the State a check released to the
+// same goroutine's next Get unless the goroutine moved to another P in
+// between, so the round repeats until see reports the State it wanted.
+func pooledStates(t *testing.T, check func(), see func(st *State) bool) {
+	t.Helper()
+	for i := 0; i < 50; i++ {
+		check()
+		st := statePool.Get().(*State)
+		found := see(st)
+		statePool.Put(st)
+		if found {
+			return
+		}
+	}
+	t.Fatal("no pooled State came back from the check")
+}
+
+// TestPooledStateHoldsNoQueryText checks every stage that lexes into the
+// State's token storage: a PTI cache miss, the profile stage and NTI's
+// lazy lex. The State the check releases keeps the storage but no token
+// text, so a pooled State pins no query.
+func TestPooledStateHoldsNoQueryText(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	const query = "SELECT id, title FROM posts WHERE id = 42 AND title = 'secret' LIMIT 5"
+	set := fragments.NewSet([]string{"SELECT id, title FROM posts WHERE id = ", " AND title = ", " LIMIT 5"})
+	inputs := []nti.Input{{Source: "get", Name: "id", Value: "42"}}
+	lexed := len(sqltoken.MySQL.Lex(query))
+	for _, tc := range []struct {
+		name   string
+		stage  Analyzer
+		site   string
+		inputs []nti.Input
+	}{
+		{"pti miss", PTIStage{Analyzer: pti.NewCached(pti.New(set), pti.CacheNone, 0)}, "", nil},
+		{"profile", ProfileStage{Recorder: profile.NewRecorder()}, "plugin:posts", nil},
+		{"nti lazy lex", NTIStage{Analyzer: nti.MustNew()}, "", inputs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(&Snapshot{Analyzers: []Analyzer{tc.stage}})
+			req := Request{Query: query, Site: tc.site, Inputs: tc.inputs}
+			check := func() {
+				if _, err := e.Check(context.Background(), req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pooledStates(t, check, func(st *State) bool {
+				if len(st.tokBuf) != 0 || st.tokens != nil {
+					t.Fatalf("pooled State holds %d tokens, published %d", len(st.tokBuf), len(st.tokens))
+				}
+				storage := st.tokBuf[:cap(st.tokBuf)]
+				for i, tok := range storage {
+					if tok.Text != "" {
+						t.Fatalf("pooled token storage %d holds %q", i, tok.Text)
+					}
+				}
+				return len(storage) >= lexed
+			})
+		})
+	}
+}
+
+// TestOversizedTokenStorageIsNotPooled lexes a query past the pooled cap:
+// its storage is dropped on release instead of pinned in the pool.
+func TestOversizedTokenStorageIsNotPooled(t *testing.T) {
+	query := "SELECT 1" + strings.Repeat(", 1", maxPooledTokens)
+	if n := len(sqltoken.MySQL.Lex(query)); n <= maxPooledTokens {
+		t.Fatalf("query lexes to %d tokens, want more than %d", n, maxPooledTokens)
+	}
+	st := &State{tokBuf: sqltoken.MySQL.AppendLex(nil, query)}
+	st.reset()
+	if st.tokBuf != nil {
+		t.Fatalf("reset kept %d-token storage, cap is %d", cap(st.tokBuf), maxPooledTokens)
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	rec := profile.NewRecorder()
+	e := New(&Snapshot{Analyzers: []Analyzer{ProfileStage{Recorder: rec}}})
+	req := Request{Query: query, Site: "plugin:big"}
+	check := func() {
+		if _, err := e.Check(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pooledStates(t, check, func(st *State) bool {
+		if cap(st.tokBuf) > maxPooledTokens {
+			t.Fatalf("pooled State kept %d-token storage, cap is %d", cap(st.tokBuf), maxPooledTokens)
+		}
+		// The skeleton buffer proves this State served the check.
+		return len(st.skeletonBuf) == 0 && cap(st.skeletonBuf) > 0
+	})
+}

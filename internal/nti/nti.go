@@ -297,16 +297,25 @@ func (a *Analyzer) Analyze(query string, toks []sqltoken.Token, inputs []Input) 
 	return res
 }
 
-// AnalyzeCtx is Analyze with decision tracing and cooperative
-// cancellation. When span is non-nil it records per-input match durations
-// and the matched span offsets behind every marking, plus the lazy-lex
-// time if lexing happened here; a nil span adds one pointer check per
-// input and nothing else. ctx is checked between input groups and polled
-// inside the matcher, so a canceled or expired context aborts a long
-// multi-input analysis mid-match with ctx's error. With
-// context.Background() the checks are free and the function fails only on
-// a configured budget.
+// AnalyzeCtx is AnalyzeBuf lexing into a fresh slice.
 func (a *Analyzer) AnalyzeCtx(ctx context.Context, query string, toks []sqltoken.Token, inputs []Input, span *trace.Span) (core.Result, error) {
+	var buf []sqltoken.Token
+	return a.AnalyzeBuf(ctx, query, toks, &buf, inputs, span)
+}
+
+// AnalyzeBuf is Analyze with caller-owned lex storage, decision tracing
+// and cooperative cancellation. When toks is nil the query is lexed only
+// once an input matches it; buf (not nil) is the storage that lex appends
+// to ((*buf)[:0]), and the stream is left in *buf, so storage reused
+// across checks lexes without allocating. When span is non-nil it
+// records per-input match durations and the matched span offsets behind
+// every marking, plus the lazy-lex time if lexing happened here; a nil
+// span adds one pointer check per input and nothing else. ctx is checked
+// between input groups and polled inside the matcher, so a canceled or
+// expired context aborts a long multi-input analysis mid-match with ctx's
+// error. With context.Background() the checks are free and the function
+// fails only on a configured budget.
+func (a *Analyzer) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.Token, buf *[]sqltoken.Token, inputs []Input, span *trace.Span) (core.Result, error) {
 	res := core.Result{Analyzer: core.AnalyzerNTI}
 	if a.maxQueryBytes > 0 && len(query) > a.maxQueryBytes {
 		return res, fmt.Errorf("nti: query %d bytes exceeds cap %d: %w",
@@ -364,7 +373,8 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, query string, toks []sqltoken
 			if st.timed {
 				lexStart = time.Now()
 			}
-			toks = a.dialect.Lex(query)
+			toks = a.dialect.AppendLex((*buf)[:0], query)
+			*buf = toks
 			if st.timed {
 				span.Lex(time.Since(lexStart))
 			}

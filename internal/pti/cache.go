@@ -207,13 +207,26 @@ func (c *Cached) Analyze(query string, toks []sqltoken.Token) core.Result {
 	return res
 }
 
-// AnalyzeLazyCtx analyzes query with lazy lexing, decision tracing and
+// AnalyzeLazyCtx is AnalyzeBuf lexing into a fresh slice.
+func (c *Cached) AnalyzeLazyCtx(ctx context.Context, query string, toks []sqltoken.Token, span *trace.Span) (core.Result, []sqltoken.Token, error) {
+	var buf []sqltoken.Token
+	return c.AnalyzeBuf(ctx, query, toks, &buf, span)
+}
+
+// AnalyzeBuf analyzes query with lazy lexing, decision tracing and
 // cooperative cancellation. toks may be nil, in which case the query is
 // lexed only when the query cache misses — a query-cache hit costs one
 // sharded map lookup and no lexing at all — and then once, for both the
 // structure key and the cover. The returned token stream is the one the
 // analysis used (nil when no lexing happened), so callers that also need
 // tokens for NTI reuse this lex instead of running another.
+//
+// buf is the caller's token storage (not nil): a lex appends to
+// (*buf)[:0] and leaves its stream in *buf, also when the analysis then
+// fails, so storage reused across checks lexes without allocating and the
+// caller always knows which tokens it holds. A query-cache hit leaves *buf
+// alone and returns toks as given: storage that was not lexed into is
+// never handed back as a lex.
 //
 // When span is non-nil it records the cache outcome (query-hit,
 // structure-hit, miss), the lazy-lex and fragment-cover durations, and
@@ -223,7 +236,7 @@ func (c *Cached) Analyze(query string, toks []sqltoken.Token) core.Result {
 // lookup; a cache miss runs the underlying analysis through its
 // checkpoints. Cache hits never fail once past the entry checks. With
 // context.Background() the checks are free.
-func (c *Cached) AnalyzeLazyCtx(ctx context.Context, query string, toks []sqltoken.Token, span *trace.Span) (core.Result, []sqltoken.Token, error) {
+func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.Token, buf *[]sqltoken.Token, span *trace.Span) (core.Result, []sqltoken.Token, error) {
 	if ctx.Done() != nil {
 		if err := ctx.Err(); err != nil {
 			return core.Result{}, nil, err
@@ -246,7 +259,7 @@ func (c *Cached) AnalyzeLazyCtx(ctx context.Context, query string, toks []sqltok
 	// its literal markers, so a query carrying a NUL skips the cache.
 	var structKey string
 	if c.structs != nil && strings.IndexByte(query, 0) < 0 {
-		toks = c.lex(query, toks, span)
+		toks = c.lex(query, toks, buf, span)
 		structKey = sqlparse.StructureKeyTokens(query, toks)
 		if pins, ok := c.structs.get(c.dialect, structKey); ok && pinsHold(pins, toks) {
 			c.structureHits.Add(1)
@@ -262,7 +275,7 @@ func (c *Cached) AnalyzeLazyCtx(ctx context.Context, query string, toks []sqltok
 	if c.queries != nil || c.structs != nil {
 		span.SetCacheOutcome(trace.CacheMiss)
 	}
-	toks = c.lex(query, toks, span)
+	toks = c.lex(query, toks, buf, span)
 	var coverStart time.Time
 	if span.Active() {
 		coverStart = time.Now()
@@ -285,8 +298,9 @@ func (c *Cached) AnalyzeLazyCtx(ctx context.Context, query string, toks []sqltok
 	return res, toks, nil
 }
 
-// lex returns toks, lexing query first when toks is nil.
-func (c *Cached) lex(query string, toks []sqltoken.Token, span *trace.Span) []sqltoken.Token {
+// lex returns toks, lexing query into *buf (see AnalyzeBuf) first when
+// toks is nil.
+func (c *Cached) lex(query string, toks []sqltoken.Token, buf *[]sqltoken.Token, span *trace.Span) []sqltoken.Token {
 	if toks != nil {
 		return toks
 	}
@@ -294,7 +308,8 @@ func (c *Cached) lex(query string, toks []sqltoken.Token, span *trace.Span) []sq
 	if span.Active() {
 		lexStart = time.Now()
 	}
-	toks = c.dialect.Lex(query)
+	toks = c.dialect.AppendLex((*buf)[:0], query)
+	*buf = toks
 	if span.Active() {
 		span.Lex(time.Since(lexStart))
 	}

@@ -1,11 +1,14 @@
 package pti
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"joza/internal/fragments"
+	"joza/internal/sqltoken"
 )
 
 // mk builds a MySQL-dialect lruKey for the plain-LRU unit tests.
@@ -85,6 +88,32 @@ func TestCachedQueryCache(t *testing.T) {
 	}
 	if c.Mode() != CacheQuery {
 		t.Error("Mode")
+	}
+}
+
+// TestAnalyzeBufLexesOnlyOnMiss pins the storage contract of AnalyzeBuf:
+// a miss lexes into the caller's storage and returns that stream, and a
+// query-cache hit leaves the storage as it was and returns no tokens, so
+// storage holding another query's lex is never handed back as this one's.
+func TestAnalyzeBufLexesOnlyOnMiss(t *testing.T) {
+	c := NewCached(New(appFragments()), CacheQuery, 16)
+	q := "SELECT * FROM records WHERE ID=5 LIMIT 5"
+	var buf []sqltoken.Token
+	res, toks, err := c.AnalyzeBuf(context.Background(), q, nil, &buf, nil)
+	if err != nil || res.Attack {
+		t.Fatalf("miss: %+v, %v", res, err)
+	}
+	if want := sqltoken.Lex(q); !reflect.DeepEqual(toks, want) || !reflect.DeepEqual(buf, want) {
+		t.Fatalf("miss returned %v and left %v in storage, want %v in both", toks, buf, want)
+	}
+	const other = "SELECT 1"
+	buf = sqltoken.Lex(other)
+	res, toks, err = c.AnalyzeBuf(context.Background(), q, nil, &buf, nil)
+	if err != nil || res.Attack || c.Stats().QueryHits != 1 {
+		t.Fatalf("hit: %+v, %v, %+v", res, err, c.Stats())
+	}
+	if toks != nil || !reflect.DeepEqual(buf, sqltoken.Lex(other)) {
+		t.Fatalf("hit returned %v and left %v in storage, want nil and the storage untouched", toks, buf)
 	}
 }
 

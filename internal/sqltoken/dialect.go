@@ -158,7 +158,19 @@ func (d Dialect) spec() *dialectSpec {
 // input produces Unterminated or KindInvalid tokens, because a defense must
 // be able to reason about queries an attacker deliberately malformed.
 func (d Dialect) Lex(query string) []Token {
-	lx := lexer{src: query, sp: d.spec()}
+	return d.AppendLex(nil, query)
+}
+
+// AppendLex appends the tokens of query under d to dst and returns the
+// extended slice, so a caller holding a buffer (a pooled per-check state,
+// say) lexes without allocating once the buffer is big enough. With a
+// zero-capacity dst it sizes one new slice for the query, as Lex does.
+// The result is never nil, so nil can mean "not lexed".
+func (d Dialect) AppendLex(dst []Token, query string) []Token {
+	if cap(dst) == 0 {
+		dst = make([]Token, 0, len(query)/4+4)
+	}
+	lx := lexer{src: query, sp: d.spec(), toks: dst}
 	return lx.run()
 }
 

@@ -9,8 +9,10 @@ import (
 // the lexer's structural contract: it never panics, every token's span
 // reproduces its text, spans are ordered and exactly tile the input (the
 // only bytes outside tokens are whitespace), and re-lexing is
-// deterministic. The CI fuzz-smoke job runs this for 30s per push; the
-// seeds below cover every dialect-sensitive construct.
+// deterministic. AppendLex into a dirty buffer must equal Lex: one buffer
+// still holds the previous input's tokens, another is too small for the
+// query. The CI fuzz-smoke job runs this for 30s per push; the seeds below
+// cover every dialect-sensitive construct.
 func FuzzLexDialects(f *testing.F) {
 	seeds := []string{
 		"",
@@ -28,8 +30,11 @@ func FuzzLexDialects(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	// prev carries each dialect's tokens from one input to the next, so
+	// the buffer AppendLex overwrites is dirty with another query's lex.
+	prev := make([][]Token, len(Dialects()))
 	f.Fuzz(func(t *testing.T, q string) {
-		for _, d := range Dialects() {
+		for di, d := range Dialects() {
 			toks := d.Lex(q)
 			prevEnd := 0
 			for i, tok := range toks {
@@ -55,6 +60,15 @@ func FuzzLexDialects(f *testing.F) {
 			}
 			if again := d.Lex(q); !reflect.DeepEqual(toks, again) {
 				t.Fatalf("%s: re-lex is not deterministic", d)
+			}
+			got := d.AppendLex(prev[di][:0], q)
+			if !reflect.DeepEqual(got, toks) {
+				t.Fatalf("%s: AppendLex into the previous input's buffer = %v, Lex = %v", d, got, toks)
+			}
+			prev[di] = got
+			small := []Token{{Kind: KindInvalid, Text: "stale", Start: 7, End: 12, Unterminated: true}}
+			if got := d.AppendLex(small[:0], q); !reflect.DeepEqual(got, toks) {
+				t.Fatalf("%s: AppendLex into a one-token buffer = %v, Lex = %v", d, got, toks)
 			}
 		}
 	})

@@ -145,7 +145,6 @@ type lexer struct {
 }
 
 func (l *lexer) run() []Token {
-	l.toks = make([]Token, 0, len(l.src)/4+4)
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {

@@ -1,6 +1,7 @@
 package sqltoken
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -379,6 +380,22 @@ func TestLexAllocatesOnlyTheTokenSlice(t *testing.T) {
 	for _, d := range Dialects() {
 		if allocs := testing.AllocsPerRun(100, func() { d.Lex(q) }); allocs != 1 {
 			t.Errorf("%s: Lex allocates %.1f times, want 1", d, allocs)
+		}
+	}
+}
+
+// TestAppendLexIntoPresizedBufferDoesNotAllocate pins the pooled-buffer
+// lex: once the buffer holds the query's tokens, lexing into it again
+// allocates nothing, and it yields the same tokens as Lex.
+func TestAppendLexIntoPresizedBufferDoesNotAllocate(t *testing.T) {
+	q := "select id, title from wp_posts where post_status = 'publish' and id in (1, 2) order by post_date desc limit 10"
+	for _, d := range Dialects() {
+		buf := d.AppendLex(nil, q)
+		if allocs := testing.AllocsPerRun(100, func() { buf = d.AppendLex(buf[:0], q) }); allocs != 0 {
+			t.Errorf("%s: AppendLex into a presized buffer allocates %.1f times, want 0", d, allocs)
+		}
+		if want := d.Lex(q); !reflect.DeepEqual(buf, want) {
+			t.Errorf("%s: AppendLex = %v, want %v", d, buf, want)
 		}
 	}
 }

@@ -172,27 +172,9 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// sweep replays the whole corpus through d and returns the case count.
 	sweep := func(t *testing.T, d *pathDiff) int {
 		t.Helper()
-		unprotected := lab.buildApp()
-		unprotected.Install(soPlugin)
-		app := lab.buildApp(webapp.WithChecker(d))
-		app.Install(soPlugin)
-		cases := 0
-		err := lab.forEachMatrixCase(unprotected, st, func(class string, run func(app *webapp.App) (*webapp.Page, error)) error {
-			cases++
-			_, err := run(app)
-			var ae *joza.AttackError
-			if errors.As(err, &ae) {
-				err = nil // a blocked query fails its page; the verdicts were compared
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cases
+		return sweepMatrix(t, lab, st, soPlugin, d)
 	}
 
 	t.Run("mysql", func(t *testing.T) {
@@ -277,4 +259,99 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 			t.Error(diff)
 		}
 	})
+}
+
+// sweepMatrix replays the whole detection-matrix corpus through an app
+// guarded by c and returns the case count. A blocked query fails its page,
+// which is not an error here: c saw the check.
+func sweepMatrix(t *testing.T, lab *Lab, st *storedState, soPlugin *webapp.Plugin, c joza.Checker) int {
+	t.Helper()
+	unprotected := lab.buildApp()
+	unprotected.Install(soPlugin)
+	app := lab.buildApp(webapp.WithChecker(c))
+	app.Install(soPlugin)
+	cases := 0
+	err := lab.forEachMatrixCase(unprotected, st, func(class string, run func(app *webapp.App) (*webapp.Page, error)) error {
+		cases++
+		_, err := run(app)
+		var ae *joza.AttackError
+		if errors.As(err, &ae) {
+			err = nil
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cases
+}
+
+// recordingChecker passes checks to a Checker and keeps each request and
+// verdict in order.
+type recordingChecker struct {
+	joza.Checker
+	reqs     []joza.Request
+	verdicts []joza.Verdict
+}
+
+func (r *recordingChecker) Check(ctx context.Context, req joza.Request) (joza.Verdict, error) {
+	v, err := r.Checker.Check(ctx, req)
+	if err == nil {
+		r.reqs = append(r.reqs, req)
+		r.verdicts = append(r.verdicts, v)
+	}
+	return v, err
+}
+
+func (r *recordingChecker) Authorize(ctx context.Context, req joza.Request) error {
+	v, err := r.Check(ctx, req)
+	if err == nil && v.Attack {
+		err = &joza.AttackError{Verdict: v, Policy: joza.PolicyTerminate}
+	}
+	return err
+}
+
+// TestVerdictsIndependentOfCheckOrder runs the detection-matrix corpus
+// through one Guard in order, then replays its checks through the same
+// Guard in reverse. Each check lexes into the pooled storage the previous
+// one left, often for a longer query, so a token left over from another
+// check would change a verdict. The second pass runs warm, so PTI's cover
+// markings, which a cache hit does not recompute, are left out; every
+// other field must be equal.
+func TestVerdictsIndependentOfCheckOrder(t *testing.T) {
+	lab, err := NewLab()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &storedState{value: secondOrderBenign}
+	store, soPlugin, err := lab.trainProfiles(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	guard, err := joza.New(joza.WithFragmentSet(lab.Fragments), joza.WithProfileStore(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingChecker{Checker: guard}
+	if cases := sweepMatrix(t, lab, st, soPlugin, rec); cases != 383 {
+		t.Errorf("swept %d cases, want the matrix's 383", cases)
+	}
+	attacks := 0
+	for i := len(rec.reqs) - 1; i >= 0; i-- {
+		got, err := guard.Check(context.Background(), rec.reqs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rec.verdicts[i]
+		if want.Attack {
+			attacks++
+		}
+		want.PTI.Markings, got.PTI.Markings = nil, nil
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("check %d (site %s, query %q):\n  in order: %+v\n  reversed: %+v", i, rec.reqs[i].Site, rec.reqs[i].Query, want, got)
+		}
+	}
+	if attacks == 0 || attacks == len(rec.reqs) {
+		t.Errorf("%d of %d checks were attacks, want both kinds", attacks, len(rec.reqs))
+	}
 }

@@ -46,10 +46,10 @@ func TestDisabledTracingZeroAllocs(t *testing.T) {
 
 // TestSitedCheckAllocatesOnlyTokens extends the zero-alloc check to a
 // sited check: warm, a PTI query-cache hit, and a skeleton the site's
-// profile has seen. The profile stage lexes (the one allocation, the token
-// slice), builds the skeleton in the pooled check state and takes the
-// store's own copy for the verdict. As in the test above, the input
-// carries no value, so NTI has nothing to match.
+// profile has seen. The profile stage lexes into the pooled check state's
+// token storage, builds the skeleton in its buffer and takes the store's
+// own copy for the verdict, so the check allocates nothing. As in the test
+// above, the input carries no value, so NTI has nothing to match.
 func TestSitedCheckAllocatesOnlyTokens(t *testing.T) {
 	const site = "plugin:records"
 	query := "SELECT * FROM records WHERE ID=5 LIMIT 5"
@@ -67,15 +67,15 @@ func TestSitedCheckAllocatesOnlyTokens(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		g.CheckContextAt(ctx, site, query, inputs)
 	})
-	if allocs > 1 {
-		t.Fatalf("sited query-cache-hit check allocates %.1f per op, want at most 1 (the token slice)", allocs)
+	if allocs != 0 {
+		t.Fatalf("sited query-cache-hit check allocates %.1f per op, want 0", allocs)
 	}
 	req := joza.Request{Site: site, Query: query, Inputs: inputs}
 	allocs = testing.AllocsPerRun(200, func() {
 		g.Check(ctx, req)
 	})
-	if allocs > 1 {
-		t.Fatalf("sited query-cache-hit Check(Request) allocates %.1f per op, want at most 1 (the token slice)", allocs)
+	if allocs != 0 {
+		t.Fatalf("sited query-cache-hit Check(Request) allocates %.1f per op, want 0", allocs)
 	}
 }
 
