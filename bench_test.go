@@ -511,19 +511,44 @@ func BenchmarkAblationTaintless(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Core micro-benchmarks.
 
+// BenchmarkGuardCheck measures one warm in-process check of a benign
+// query whose input occurs in it. "unsited" names no call site, so the profile stage never runs; "sited"
+// adds a trained profile and a Site, so a warm check runs PTI from the
+// query cache, the profile stage from the entry's skeleton memo, and NTI
+// over an input matching only digits: all three without a lex.
 func BenchmarkGuardCheck(b *testing.B) {
-	guard, err := joza.New(joza.WithFragments(joza.FragmentsFromSource(`<?php
-$q = "SELECT * FROM records WHERE ID=$id LIMIT 5";`)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	inputs := []joza.Input{{Source: "get", Name: "id", Value: "5"}}
+	const site = "plugin:records"
 	q := "SELECT * FROM records WHERE ID=5 LIMIT 5"
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if v, _ := guard.Check(context.Background(), joza.Request{Query: q, Inputs: inputs}); v.Attack {
-			b.Fatal("benign flagged")
-		}
+	inputs := []joza.Input{{Source: "get", Name: "id", Value: "5"}}
+	rec := joza.NewProfileRecorder()
+	rec.Record(site, q)
+	for _, bc := range []struct {
+		name string
+		site string
+		opts []joza.Option
+	}{
+		{"unsited", "", nil},
+		{"sited", site, []joza.Option{joza.WithProfileStore(rec.Store())}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			guard, err := joza.New(append([]joza.Option{joza.WithFragments(joza.FragmentsFromSource(`<?php
+$q = "SELECT * FROM records WHERE ID=$id LIMIT 5";`))}, bc.opts...)...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			req := joza.Request{Site: bc.site, Query: q, Inputs: inputs}
+			// Warm the query cache and, on the first hit, the memo.
+			for i := 0; i < 2; i++ {
+				_, _ = guard.Check(context.Background(), req)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if v, _ := guard.Check(context.Background(), req); v.Attack {
+					b.Fatal("benign flagged")
+				}
+			}
+		})
 	}
 }
 

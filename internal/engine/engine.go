@@ -113,6 +113,11 @@ type State struct {
 	// skeletonBuf is the profile stage's build buffer. It survives reset,
 	// so pooled States build skeletons without allocating.
 	skeletonBuf []byte
+
+	// memo is the skeleton memo of the PTI query-cache entry this check
+	// hit; zero on a miss, a structure-cache hit, or without a PTI stage.
+	// reset clears it, so a pooled State pins no cache entry.
+	memo pti.SkeletonMemo
 }
 
 // Span returns the check's trace span (nil when the check is not sampled;

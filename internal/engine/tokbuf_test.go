@@ -40,7 +40,8 @@ func TestPooledStateHoldsNoQueryText(t *testing.T) {
 	}
 	const query = "SELECT id, title FROM posts WHERE id = 42 AND title = 'secret' LIMIT 5"
 	set := fragments.NewSet([]string{"SELECT id, title FROM posts WHERE id = ", " AND title = ", " LIMIT 5"})
-	inputs := []nti.Input{{Source: "get", Name: "id", Value: "42"}}
+	// A digits-only match needs no lex, so the input matches the literal.
+	inputs := []nti.Input{{Source: "get", Name: "title", Value: "secret"}}
 	lexed := len(sqltoken.MySQL.Lex(query))
 	for _, tc := range []struct {
 		name   string
@@ -74,6 +75,32 @@ func TestPooledStateHoldsNoQueryText(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestPooledStateHoldsNoMemo checks that a State released by a check
+// that took a skeleton memo on a query-cache hit keeps no handle on the
+// cache entry.
+func TestPooledStateHoldsNoMemo(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	const site, query = "plugin:posts", "SELECT * FROM posts WHERE id=7 LIMIT 5"
+	rec := profile.NewRecorder()
+	rec.Record(site, query)
+	cached := pti.NewCached(pti.New(fragments.NewSet(memoFragments)), pti.CacheQuery, 16)
+	e := New(&Snapshot{PTI: cached, Analyzers: []Analyzer{PTIStage{Analyzer: cached}, ProfileStage{Store: rec.Store()}}})
+	check := func() {
+		if v, err := e.Check(context.Background(), Request{Query: query, Site: site}); err != nil || v.ProfileOutcome != "seen" {
+			t.Fatalf("check: %+v, %v", v, err)
+		}
+	}
+	check() // the miss; later checks hit and take the memo
+	pooledStates(t, check, func(st *State) bool {
+		if st.memo != (pti.SkeletonMemo{}) {
+			t.Fatal("pooled State holds a skeleton memo")
+		}
+		return cap(st.tokBuf) > 0
+	})
 }
 
 // TestOversizedTokenStorageIsNotPooled lexes a query past the pooled cap:

@@ -145,6 +145,10 @@ type Analyzer struct {
 	// dialect governs internal lexing when callers pass nil tokens; the
 	// zero value is sqltoken.MySQL, preserving historical behavior.
 	dialect sqltoken.Dialect
+	// inert is the dialect's inert-byte set when the policy never counts
+	// a number as critical, so a match made only of inert bytes cannot
+	// yield a reason and needs no lex; nil otherwise.
+	inert *[256]bool
 
 	matcherCalls     atomic.Uint64
 	earlyExits       atomic.Uint64
@@ -267,6 +271,9 @@ func New(opts ...Option) (*Analyzer, error) {
 	for _, o := range opts {
 		o(a)
 	}
+	if !a.critical(sqltoken.Token{Kind: sqltoken.KindNumber}) {
+		a.inert = a.dialect.InertBytes()
+	}
 	if a.dpCellBudget > 0 {
 		if _, blind := a.match.(interface{ budgetBlind() }); blind {
 			return nil, fmt.Errorf("nti: WithDPCellBudget(%d) cannot be enforced through a budget-blind MatcherFunc; use WithMatcherEngine or drop the budget", a.dpCellBudget)
@@ -305,9 +312,12 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, query string, toks []sqltoken
 
 // AnalyzeBuf is Analyze with caller-owned lex storage, decision tracing
 // and cooperative cancellation. When toks is nil the query is lexed only
-// once an input matches it; buf (not nil) is the storage that lex appends
-// to ((*buf)[:0]), and the stream is left in *buf, so storage reused
-// across checks lexes without allocating. When span is non-nil it
+// once an input matches it somewhere a critical token could lie: spans
+// made only of the dialect's inert bytes (the digits; see
+// sqltoken.Dialect.InertBytes) are marked without a lex, since they can
+// contain no critical token and so yield no reason. buf (not nil) is the storage that lex
+// appends to ((*buf)[:0]), and the stream is left in *buf, so storage
+// reused across checks lexes without allocating. When span is non-nil it
 // records per-input match durations and the matched span offsets behind
 // every marking, plus the lazy-lex time if lexing happened here; a nil
 // span adds one pointer check per input and nothing else. ctx is checked
@@ -366,9 +376,11 @@ func (a *Analyzer) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken
 		if len(spans) == 0 {
 			continue
 		}
-		if toks == nil {
+		if toks == nil && !inertSpans(a.inert, query, spans) {
 			// Lex lazily: requests whose inputs never match the query
-			// (and requests with no inputs at all) skip the lexer.
+			// (and requests with no inputs at all) skip the lexer, and so
+			// do inputs matching only inert spans, whose markings
+			// appendAttackReasons passes over without tokens.
 			var lexStart time.Time
 			if st.timed {
 				lexStart = time.Now()
@@ -605,9 +617,26 @@ func (a *Analyzer) matchInput(ctx context.Context, value, query string, st *chec
 	return nil, nil
 }
 
+// inertSpans reports whether every byte of query under spans is in the
+// inert set (false for a nil set). A critical token contained in such a
+// span would be made only of inert bytes, and no such token is critical.
+func inertSpans(inert *[256]bool, query string, spans []strdist.Match) bool {
+	if inert == nil {
+		return false
+	}
+	for _, sp := range spans {
+		for i := sp.Start; i < sp.End; i++ {
+			if !inert[query[i]] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // appendAttackReasons appends to dst a reason per critical token fully
 // contained in the marking, provided the marking covers at least one whole
-// SQL token.
+// SQL token. With nil toks (an unlexed query) it appends nothing.
 func appendAttackReasons(dst []core.Reason, toks []sqltoken.Token, m core.Marking, critical func(sqltoken.Token) bool) []core.Reason {
 	if !sqltoken.CoversWholeToken(toks, m.Span.Start, m.Span.End) {
 		return dst

@@ -5,24 +5,29 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestCheckContextPreCanceled(t *testing.T) {
 	g := appGuard()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := g.CheckContext(ctx, "nslookup example.com", inputsOf("example.com"))
+	_, err := g.Check(ctx, "nslookup example.com", inputsOf("example.com"))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
+// TestCheckContextMatchesCheck: a live deadline bounds the check without
+// changing its verdict.
 func TestCheckContextMatchesCheck(t *testing.T) {
 	g := appGuard()
 	payload := "example.com; cat /etc/passwd"
 	cmd := "nslookup -timeout=2 " + payload
-	want := g.Check(cmd, inputsOf(payload))
-	got, err := g.CheckContext(context.Background(), cmd, inputsOf(payload))
+	want := check(t, g, cmd, inputsOf(payload))
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	got, err := g.Check(ctx, cmd, inputsOf(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +44,7 @@ func TestCheckContextCanceledMidNTI(t *testing.T) {
 	cmd := "nslookup -timeout=2 " + payload
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := g.CheckContext(ctx, cmd, inputsOf("zzz"+payload[:50]))
+	_, err := g.Check(ctx, cmd, inputsOf("zzz"+payload[:50]))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -294,18 +294,10 @@ func containsShellToken(s string) bool {
 func (g *Guard) FragmentCount() int { return len(g.fragments) }
 
 // Check analyzes a command line against the request's raw inputs and
-// returns the hybrid verdict. It is the context-free compatibility
-// wrapper around CheckContext; with a background context the pipeline
-// cannot fail, so no error is returned.
-func (g *Guard) Check(cmd string, inputs []nti.Input) core.Verdict {
-	v, _ := g.CheckContext(context.Background(), cmd, inputs)
-	return v
-}
-
-// CheckContext analyzes a command line bounded by ctx: cancellation
-// aborts the NTI matcher mid-analysis and ctx's error comes back with
-// no verdict recorded.
-func (g *Guard) CheckContext(ctx context.Context, cmd string, inputs []nti.Input) (core.Verdict, error) {
+// returns the hybrid verdict, bounded by ctx: cancellation aborts the NTI
+// matcher mid-analysis and ctx's error comes back with no verdict
+// recorded. Under context.Background() it cannot fail.
+func (g *Guard) Check(ctx context.Context, cmd string, inputs []nti.Input) (core.Verdict, error) {
 	return g.eng.Check(ctx, engine.Request{Query: cmd, Inputs: inputs})
 }
 

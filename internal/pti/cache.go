@@ -15,50 +15,64 @@ import (
 	"joza/internal/trace"
 )
 
-// lru is a minimal thread-safe LRU set of composite (dialect, string) keys
-// of safe verdicts, each with the literal values it depends on (nil for
-// none).
-type lru struct {
+// lru is a minimal thread-safe LRU map from composite (dialect, string)
+// keys to a value of type V. The query cache holds V = string, the
+// entry's skeleton memo ("" until one is set); the structure cache holds
+// V = []valuePin, the literal values a verdict depends on (nil for none).
+type lru[V any] struct {
 	mu    sync.Mutex
 	cap   int
-	items map[lruKey]*lruEntry
-	head  *lruEntry // most recent
-	tail  *lruEntry // least recent
+	items map[lruKey]*lruEntry[V]
+	head  *lruEntry[V] // most recent
+	tail  *lruEntry[V] // least recent
 }
 
-type lruEntry struct {
+// lruEntry is one cached key. Both instantiations fill the 64-byte size
+// class. Every field is read and written under the owning lru's mutex.
+type lruEntry[V any] struct {
 	key        lruKey
-	pins       []valuePin
-	prev, next *lruEntry
+	val        V
+	prev, next *lruEntry[V]
 }
 
-func newLRU(capacity int) *lru {
+// lruRef names an entry of a shard, so a later write to its value can
+// take the shard's lock. A ref to an evicted entry stays safe to write:
+// the entry is unreachable from the cache, and the write is lost.
+type lruRef[V any] struct {
+	c *lru[V]
+	e *lruEntry[V]
+}
+
+func newLRU[V any](capacity int) *lru[V] {
 	if capacity < 1 {
 		capacity = 1024
 	}
-	return &lru{cap: capacity, items: make(map[lruKey]*lruEntry, capacity)}
+	return &lru[V]{cap: capacity, items: make(map[lruKey]*lruEntry[V], capacity)}
 }
 
-func (c *lru) get(key lruKey) ([]valuePin, bool) {
+// get returns key's value and a ref to its entry, and marks it most
+// recent.
+func (c *lru[V]) get(key lruKey) (V, lruRef[V], bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.items[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, lruRef[V]{}, false
 	}
 	c.moveToFront(e)
-	return e.pins, true
+	return e.val, lruRef[V]{c: c, e: e}, true
 }
 
-func (c *lru) put(key lruKey, pins []valuePin) {
+func (c *lru[V]) put(key lruKey, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.items[key]; ok {
-		e.pins = pins
+		e.val = val
 		c.moveToFront(e)
 		return
 	}
-	e := &lruEntry{key: key, pins: pins}
+	e := &lruEntry[V]{key: key, val: val}
 	c.items[key] = e
 	c.pushFront(e)
 	if len(c.items) > c.cap {
@@ -68,13 +82,13 @@ func (c *lru) put(key lruKey, pins []valuePin) {
 	}
 }
 
-func (c *lru) len() int {
+func (c *lru[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.items)
 }
 
-func (c *lru) pushFront(e *lruEntry) {
+func (c *lru[V]) pushFront(e *lruEntry[V]) {
 	e.prev = nil
 	e.next = c.head
 	if c.head != nil {
@@ -86,7 +100,7 @@ func (c *lru) pushFront(e *lruEntry) {
 	}
 }
 
-func (c *lru) unlink(e *lruEntry) {
+func (c *lru[V]) unlink(e *lruEntry[V]) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -100,12 +114,41 @@ func (c *lru) unlink(e *lruEntry) {
 	e.prev, e.next = nil, nil
 }
 
-func (c *lru) moveToFront(e *lruEntry) {
+func (c *lru[V]) moveToFront(e *lruEntry[V]) {
 	if c.head == e {
 		return
 	}
 	c.unlink(e)
 	c.pushFront(e)
+}
+
+// SkeletonMemo is the query-skeleton memo of one query-cache entry, which
+// AnalyzeBuf hands out on a query-cache hit. The skeleton is a function
+// of the entry's key, (dialect, query) — profile.SkeletonDialect — so a
+// warm sited check can look its skeleton up without lexing. The zero
+// value holds no entry: Skeleton returns "" and Set does nothing.
+type SkeletonMemo struct {
+	ref      lruRef[string]
+	skeleton string
+}
+
+// Skeleton returns the memoized skeleton, read under the shard's lock at
+// the hit; "" when the entry held none.
+func (m *SkeletonMemo) Skeleton() string { return m.skeleton }
+
+// Set memoizes skeleton on the entry unless it already holds one. The
+// caller must pass the entry's skeleton: the profile skeleton of the hit
+// query under the cache's dialect.
+func (m *SkeletonMemo) Set(skeleton string) {
+	if m.ref.e == nil || m.skeleton != "" {
+		return
+	}
+	m.ref.c.mu.Lock()
+	if m.ref.e.val == "" {
+		m.ref.e.val = skeleton
+	}
+	m.ref.c.mu.Unlock()
+	m.skeleton = skeleton
 }
 
 // CacheMode selects which PTI caches a Cached analyzer uses, matching the
@@ -156,8 +199,8 @@ type Cached struct {
 	analyzer *Analyzer
 	mode     CacheMode
 	dialect  sqltoken.Dialect
-	queries  *shardedLRU
-	structs  *shardedLRU
+	queries  *shardedLRU[string]
+	structs  *shardedLRU[[]valuePin]
 
 	queryHits     atomic.Uint64
 	structureHits atomic.Uint64
@@ -169,10 +212,10 @@ func NewCached(analyzer *Analyzer, mode CacheMode, capacity int) *Cached {
 	c := &Cached{analyzer: analyzer, mode: mode, dialect: analyzer.Dialect()}
 	nShards := defaultShardCount()
 	if mode == CacheQuery || mode == CacheQueryAndStructure {
-		c.queries = newShardedLRU(capacity, nShards)
+		c.queries = newShardedLRU[string](capacity, nShards)
 	}
 	if mode == CacheQueryAndStructure {
-		c.structs = newShardedLRU(capacity, nShards)
+		c.structs = newShardedLRU[[]valuePin](capacity, nShards)
 	}
 	return c
 }
@@ -210,7 +253,7 @@ func (c *Cached) Analyze(query string, toks []sqltoken.Token) core.Result {
 // AnalyzeLazyCtx is AnalyzeBuf lexing into a fresh slice.
 func (c *Cached) AnalyzeLazyCtx(ctx context.Context, query string, toks []sqltoken.Token, span *trace.Span) (core.Result, []sqltoken.Token, error) {
 	var buf []sqltoken.Token
-	return c.AnalyzeBuf(ctx, query, toks, &buf, span)
+	return c.AnalyzeBuf(ctx, query, toks, &buf, nil, span)
 }
 
 // AnalyzeBuf analyzes query with lazy lexing, decision tracing and
@@ -228,6 +271,10 @@ func (c *Cached) AnalyzeLazyCtx(ctx context.Context, query string, toks []sqltok
 // alone and returns toks as given: storage that was not lexed into is
 // never handed back as a lex.
 //
+// memo, when not nil, receives the hit entry's SkeletonMemo on a
+// query-cache hit and is left alone otherwise: a structure-cache hit or a
+// miss has no entry for the query, and a put never memoizes.
+//
 // When span is non-nil it records the cache outcome (query-hit,
 // structure-hit, miss), the lazy-lex and fragment-cover durations, and
 // the per-token cover evidence from the underlying analyzer; a nil span
@@ -236,7 +283,7 @@ func (c *Cached) AnalyzeLazyCtx(ctx context.Context, query string, toks []sqltok
 // lookup; a cache miss runs the underlying analysis through its
 // checkpoints. Cache hits never fail once past the entry checks. With
 // context.Background() the checks are free.
-func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.Token, buf *[]sqltoken.Token, span *trace.Span) (core.Result, []sqltoken.Token, error) {
+func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.Token, buf *[]sqltoken.Token, memo *SkeletonMemo, span *trace.Span) (core.Result, []sqltoken.Token, error) {
 	if ctx.Done() != nil {
 		if err := ctx.Err(); err != nil {
 			return core.Result{}, nil, err
@@ -249,7 +296,10 @@ func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.T
 		return core.Result{}, nil, err
 	}
 	if c.queries != nil {
-		if _, ok := c.queries.get(c.dialect, query); ok {
+		if sk, ref, ok := c.queries.get(c.dialect, query); ok {
+			if memo != nil {
+				*memo = SkeletonMemo{ref: ref, skeleton: sk}
+			}
 			c.queryHits.Add(1)
 			span.SetCacheOutcome(trace.CacheQueryHit)
 			return core.Result{Analyzer: core.AnalyzerPTI}, toks, nil
@@ -261,12 +311,12 @@ func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.T
 	if c.structs != nil && strings.IndexByte(query, 0) < 0 {
 		toks = c.lex(query, toks, buf, span)
 		structKey = sqlparse.StructureKeyTokens(query, toks)
-		if pins, ok := c.structs.get(c.dialect, structKey); ok && pinsHold(pins, toks) {
+		if pins, _, ok := c.structs.get(c.dialect, structKey); ok && pinsHold(pins, toks) {
 			c.structureHits.Add(1)
 			span.SetCacheOutcome(trace.CacheStructureHit)
 			// Promote into the exact-query cache for next time.
 			if c.queries != nil {
-				c.queries.put(c.dialect, query, nil)
+				c.queries.put(c.dialect, query, "")
 			}
 			return core.Result{Analyzer: core.AnalyzerPTI}, toks, nil
 		}
@@ -289,7 +339,7 @@ func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.T
 	}
 	if !res.Attack {
 		if c.queries != nil {
-			c.queries.put(c.dialect, query, nil)
+			c.queries.put(c.dialect, query, "")
 		}
 		if structKey != "" {
 			c.structs.put(c.dialect, structKey, pinsFor(toks, res.Markings))

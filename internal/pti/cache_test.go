@@ -15,20 +15,20 @@ import (
 func mk(s string) lruKey { return lruKey{key: s} }
 
 func TestLRUBasics(t *testing.T) {
-	c := newLRU(2)
+	c := newLRU[[]valuePin](2)
 	c.put(mk("a"), nil)
 	c.put(mk("b"), nil)
-	if _, ok := c.get(mk("a")); !ok {
+	if _, _, ok := c.get(mk("a")); !ok {
 		t.Error("a missing")
 	}
 	c.put(mk("c"), nil) // evicts b (a was touched)
-	if _, ok := c.get(mk("b")); ok {
+	if _, _, ok := c.get(mk("b")); ok {
 		t.Error("b should be evicted")
 	}
-	if _, ok := c.get(mk("a")); !ok {
+	if _, _, ok := c.get(mk("a")); !ok {
 		t.Error("a should remain")
 	}
-	if _, ok := c.get(mk("c")); !ok {
+	if _, _, ok := c.get(mk("c")); !ok {
 		t.Error("c should remain")
 	}
 	if c.len() != 2 {
@@ -37,13 +37,13 @@ func TestLRUBasics(t *testing.T) {
 	// Overwrite updates value.
 	pins := []valuePin{{text: "5"}}
 	c.put(mk("a"), pins)
-	if v, ok := c.get(mk("a")); !ok || len(v) != 1 {
+	if v, _, ok := c.get(mk("a")); !ok || len(v) != 1 {
 		t.Error("overwrite failed")
 	}
 }
 
 func TestLRUDefaultCapacity(t *testing.T) {
-	c := newLRU(0)
+	c := newLRU[[]valuePin](0)
 	for i := 0; i < 2000; i++ {
 		c.put(mk(fmt.Sprintf("k%d", i)), nil)
 	}
@@ -53,7 +53,7 @@ func TestLRUDefaultCapacity(t *testing.T) {
 }
 
 func TestLRUConcurrent(t *testing.T) {
-	c := newLRU(64)
+	c := newLRU[[]valuePin](64)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -99,7 +99,7 @@ func TestAnalyzeBufLexesOnlyOnMiss(t *testing.T) {
 	c := NewCached(New(appFragments()), CacheQuery, 16)
 	q := "SELECT * FROM records WHERE ID=5 LIMIT 5"
 	var buf []sqltoken.Token
-	res, toks, err := c.AnalyzeBuf(context.Background(), q, nil, &buf, nil)
+	res, toks, err := c.AnalyzeBuf(context.Background(), q, nil, &buf, nil, nil)
 	if err != nil || res.Attack {
 		t.Fatalf("miss: %+v, %v", res, err)
 	}
@@ -108,7 +108,7 @@ func TestAnalyzeBufLexesOnlyOnMiss(t *testing.T) {
 	}
 	const other = "SELECT 1"
 	buf = sqltoken.Lex(other)
-	res, toks, err = c.AnalyzeBuf(context.Background(), q, nil, &buf, nil)
+	res, toks, err = c.AnalyzeBuf(context.Background(), q, nil, &buf, nil, nil)
 	if err != nil || res.Attack || c.Stats().QueryHits != 1 {
 		t.Fatalf("hit: %+v, %v, %+v", res, err, c.Stats())
 	}

@@ -1,12 +1,14 @@
 package pti
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 
 	"joza/internal/core"
 	"joza/internal/fragments"
+	"joza/internal/profile"
 	"joza/internal/sqltoken"
 )
 
@@ -28,6 +30,11 @@ var fuzzFragments = []string{
 // skip work, never change an answer. DESIGN §6 records the bug class this
 // guards against — a case-folding structure key let a covered lowercase
 // query certify its uncovered uppercase twin as safe.
+//
+// The skeleton memo rides along as the profile stage drives it: only a
+// query-cache hit hands one out, a memo served on a hit must equal
+// profile.SkeletonDialect of the query, and an empty one is filled with
+// it. The small capacity puts evictions between fill and read.
 func FuzzCacheSoundness(f *testing.F) {
 	f.Add(uint8(0), "select * from records where id=1\nSELECT * FROM records WHERE ID=1\nSELECT * FROM RECORDS WHERE ID=1")
 	f.Add(uint8(0), "SELECT * FROM records WHERE ID=5 LIMIT 5\nSELECT * FROM records WHERE ID=-1 UNION SELECT 1 LIMIT 5\nSELECT * FROM records WHERE ID=6 LIMIT 5")
@@ -47,13 +54,25 @@ func FuzzCacheSoundness(f *testing.F) {
 		for _, mode := range modes {
 			// A small capacity makes eviction part of every sequence.
 			c := NewCached(New(set, WithDialect(d)), mode, 4)
+			var buf []sqltoken.Token
 			for pass := 0; pass < 2; pass++ {
 				for _, q := range queries {
-					got, want := c.Analyze(q, nil), oracle.Analyze(q, nil)
-					if got.Attack != want.Attack || !reflect.DeepEqual(got.Reasons, want.Reasons) {
-						t.Fatalf("%s %s pass %d, query %q: cached attack=%v reasons=%v, uncached attack=%v reasons=%v",
-							d, mode, pass, q, got.Attack, got.Reasons, want.Attack, want.Reasons)
+					var memo SkeletonMemo
+					hits := c.Stats().QueryHits
+					got, _, err := c.AnalyzeBuf(context.Background(), q, nil, &buf, &memo, nil)
+					want := oracle.Analyze(q, nil)
+					if err != nil || got.Attack != want.Attack || !reflect.DeepEqual(got.Reasons, want.Reasons) {
+						t.Fatalf("%s %s pass %d, query %q: cached attack=%v reasons=%v err=%v, uncached attack=%v reasons=%v",
+							d, mode, pass, q, got.Attack, got.Reasons, err, want.Attack, want.Reasons)
 					}
+					if hit := c.Stats().QueryHits > hits; hit != (memo.ref.e != nil) {
+						t.Fatalf("%s %s query %q: query-cache hit %v, memo handed %v", d, mode, q, hit, memo.ref.e != nil)
+					}
+					sk := profile.SkeletonDialect(d, q)
+					if served := memo.Skeleton(); served != "" && served != sk {
+						t.Fatalf("%s %s query %q: memo served %q, skeleton is %q", d, mode, q, served, sk)
+					}
+					memo.Set(sk)
 				}
 			}
 		}

@@ -28,15 +28,15 @@ type lruKey struct {
 // queries stop serializing on one mutex. N is GOMAXPROCS rounded up to a
 // power of two (at least minShards, so sharding is exercised even on small
 // machines), fixed at construction.
-type shardedLRU struct {
-	shards []lruShard
+type shardedLRU[V any] struct {
+	shards []lruShard[V]
 	mask   uint64
 }
 
 // lruShard is one shard: its own lock (inside lru) plus lock-free hit and
 // miss counters.
-type lruShard struct {
-	lru    lru
+type lruShard[V any] struct {
+	lru    lru[V]
 	hits   atomic.Uint64
 	misses atomic.Uint64
 	// pad the shard to its own cache line region to avoid false sharing
@@ -68,7 +68,7 @@ func defaultShardCount() int {
 
 // newShardedLRU builds a sharded cache with total capacity split evenly
 // across nShards shards (nShards must be a power of two).
-func newShardedLRU(capacity, nShards int) *shardedLRU {
+func newShardedLRU[V any](capacity, nShards int) *shardedLRU[V] {
 	if capacity < 1 {
 		capacity = 1024
 	}
@@ -76,13 +76,13 @@ func newShardedLRU(capacity, nShards int) *shardedLRU {
 	if perShard < 1 {
 		perShard = 1
 	}
-	s := &shardedLRU{
-		shards: make([]lruShard, nShards),
+	s := &shardedLRU[V]{
+		shards: make([]lruShard[V], nShards),
 		mask:   uint64(nShards - 1),
 	}
 	for i := range s.shards {
 		s.shards[i].lru.cap = perShard
-		s.shards[i].lru.items = make(map[lruKey]*lruEntry, perShard)
+		s.shards[i].lru.items = make(map[lruKey]*lruEntry[V], perShard)
 	}
 	return s
 }
@@ -98,28 +98,28 @@ func hashKey(k lruKey) uint64 {
 	return maphash.String(shardSeed, k.key) ^ (uint64(k.d)+1)*0x9e3779b97f4a7c15
 }
 
-func (s *shardedLRU) shard(k lruKey) *lruShard {
+func (s *shardedLRU[V]) shard(k lruKey) *lruShard[V] {
 	return &s.shards[hashKey(k)&s.mask]
 }
 
-func (s *shardedLRU) get(d sqltoken.Dialect, key string) ([]valuePin, bool) {
+func (s *shardedLRU[V]) get(d sqltoken.Dialect, key string) (V, lruRef[V], bool) {
 	k := lruKey{d: d, key: key}
 	sh := s.shard(k)
-	pins, ok := sh.lru.get(k)
+	val, ref, ok := sh.lru.get(k)
 	if ok {
 		sh.hits.Add(1)
 	} else {
 		sh.misses.Add(1)
 	}
-	return pins, ok
+	return val, ref, ok
 }
 
-func (s *shardedLRU) put(d sqltoken.Dialect, key string, pins []valuePin) {
+func (s *shardedLRU[V]) put(d sqltoken.Dialect, key string, val V) {
 	k := lruKey{d: d, key: key}
-	s.shard(k).lru.put(k, pins)
+	s.shard(k).lru.put(k, val)
 }
 
-func (s *shardedLRU) len() int {
+func (s *shardedLRU[V]) len() int {
 	total := 0
 	for i := range s.shards {
 		total += s.shards[i].lru.len()
@@ -135,7 +135,7 @@ type ShardStat struct {
 }
 
 // stats returns one ShardStat per shard.
-func (s *shardedLRU) stats() []ShardStat {
+func (s *shardedLRU[V]) stats() []ShardStat {
 	out := make([]ShardStat, len(s.shards))
 	for i := range s.shards {
 		out[i] = ShardStat{

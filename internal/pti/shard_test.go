@@ -23,7 +23,7 @@ func TestShardedLRUBasics(t *testing.T) {
 	// Per-shard capacity (32) is at least the number of inserted keys, so
 	// no eviction can occur no matter how the seeded hash distributes the
 	// keys across shards — the assertions below are seed-independent.
-	s := newShardedLRU(256, 8)
+	s := newShardedLRU[[]valuePin](256, 8)
 	if len(s.shards) != 8 {
 		t.Fatalf("shards = %d", len(s.shards))
 	}
@@ -34,11 +34,11 @@ func TestShardedLRUBasics(t *testing.T) {
 		t.Errorf("len = %d, want 32", s.len())
 	}
 	for i := 0; i < 32; i++ {
-		if _, ok := s.get(sqltoken.MySQL, fmt.Sprintf("key-%d", i)); !ok {
+		if _, _, ok := s.get(sqltoken.MySQL, fmt.Sprintf("key-%d", i)); !ok {
 			t.Errorf("key-%d missing", i)
 		}
 	}
-	if _, ok := s.get(sqltoken.MySQL, "absent"); ok {
+	if _, _, ok := s.get(sqltoken.MySQL, "absent"); ok {
 		t.Error("absent key found")
 	}
 	var hits, misses uint64
@@ -52,7 +52,7 @@ func TestShardedLRUBasics(t *testing.T) {
 }
 
 func TestShardedLRUDistributesKeys(t *testing.T) {
-	s := newShardedLRU(4096, 8)
+	s := newShardedLRU[[]valuePin](4096, 8)
 	for i := 0; i < 4000; i++ {
 		s.put(sqltoken.MySQL, fmt.Sprintf("SELECT * FROM t WHERE id=%d", i), nil)
 	}
@@ -70,7 +70,7 @@ func TestShardedLRUDistributesKeys(t *testing.T) {
 func TestShardedLRUCapacitySplit(t *testing.T) {
 	// Total capacity is split across shards; inserting far more keys than
 	// capacity must keep the total bounded by capacity (+rounding).
-	s := newShardedLRU(64, 8)
+	s := newShardedLRU[[]valuePin](64, 8)
 	for i := 0; i < 10000; i++ {
 		s.put(sqltoken.MySQL, fmt.Sprintf("key-%d", i), nil)
 	}
@@ -82,7 +82,7 @@ func TestShardedLRUCapacitySplit(t *testing.T) {
 func TestShardedLRUEvictionPerShard(t *testing.T) {
 	// One-entry shards: any second key hashing to the same shard evicts
 	// the first.
-	s := newShardedLRU(8, 8)
+	s := newShardedLRU[[]valuePin](8, 8)
 	s.put(sqltoken.MySQL, "a", nil)
 	s.put(sqltoken.MySQL, "b", nil)
 	if s.len() > 8 {
@@ -94,7 +94,7 @@ func TestShardedLRUConcurrentChurn(t *testing.T) {
 	// Tiny capacity forces constant eviction while goroutines hammer
 	// overlapping key ranges; run under -race this exercises promote and
 	// evict under contention.
-	s := newShardedLRU(32, 8)
+	s := newShardedLRU[[]valuePin](32, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -178,16 +178,16 @@ func TestHashKeySpread(t *testing.T) {
 // under another, so one process hosting guards for several database
 // backends can never serve a cross-dialect cached verdict.
 func TestShardedLRUDialectNamespaces(t *testing.T) {
-	s := newShardedLRU(256, 8)
+	s := newShardedLRU[[]valuePin](256, 8)
 	key := "SELECT * FROM t WHERE a = $q$x$q$"
 	s.put(sqltoken.MySQL, key, nil)
-	if _, ok := s.get(sqltoken.Postgres, key); ok {
+	if _, _, ok := s.get(sqltoken.Postgres, key); ok {
 		t.Fatal("Postgres lookup served a MySQL-cached verdict")
 	}
-	if _, ok := s.get(sqltoken.SQLite, key); ok {
+	if _, _, ok := s.get(sqltoken.SQLite, key); ok {
 		t.Fatal("SQLite lookup served a MySQL-cached verdict")
 	}
-	if _, ok := s.get(sqltoken.MySQL, key); !ok {
+	if _, _, ok := s.get(sqltoken.MySQL, key); !ok {
 		t.Fatal("MySQL entry lost")
 	}
 	// Same string under all three dialects: three independent entries.

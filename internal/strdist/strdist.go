@@ -536,59 +536,3 @@ func backtrackStart(d [][]int, input, query string, i, j int) int {
 	}
 	return 0
 }
-
-// BoundedLevenshtein returns the edit distance between a and b, or bound+1
-// if the distance exceeds bound. The Ukkonen band cut-off makes rejecting
-// distant strings cheap, which NTI uses to prune implausible comparisons.
-func BoundedLevenshtein(a, b string, bound int) int {
-	if bound < 0 {
-		return 0
-	}
-	la, lb := len(a), len(b)
-	if la-lb > bound || lb-la > bound {
-		return bound + 1
-	}
-	if la == 0 {
-		return lb
-	}
-	if lb == 0 {
-		return la
-	}
-	tok, buf := getRows(2 * (lb + 1))
-	defer putRows(tok)
-	prev := buf[: lb+1 : lb+1]
-	cur := buf[lb+1:]
-	for j := 0; j <= lb; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		cur[0] = i
-		rowMin := cur[0]
-		ai := a[i-1]
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if ai == b[j-1] {
-				cost = 0
-			}
-			m := prev[j-1] + cost
-			if d := prev[j] + 1; d < m {
-				m = d
-			}
-			if d := cur[j-1] + 1; d < m {
-				m = d
-			}
-			cur[j] = m
-			if m < rowMin {
-				rowMin = m
-			}
-		}
-		if rowMin > bound {
-			return bound + 1
-		}
-		prev, cur = cur, prev
-	}
-	if prev[lb] > bound {
-		return bound + 1
-	}
-	return prev[lb]
-}

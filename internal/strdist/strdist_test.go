@@ -216,44 +216,6 @@ func TestSubstringMatchPrefersLongerOnTies(t *testing.T) {
 	}
 }
 
-func TestBoundedLevenshtein(t *testing.T) {
-	tests := []struct {
-		a, b  string
-		bound int
-		want  int
-	}{
-		{"kitten", "sitting", 10, 3},
-		{"kitten", "sitting", 3, 3},
-		{"kitten", "sitting", 2, 3}, // exceeds: bound+1
-		{"abc", "abc", 0, 0},
-		{"abc", "xyz", 1, 2},       // cut off at bound+1
-		{"aaaa", "bbbbbbbb", 2, 3}, // length gap alone exceeds bound
-		{"", "abc", 5, 3},
-		{"abc", "", 5, 3},
-	}
-	for _, tt := range tests {
-		if got := BoundedLevenshtein(tt.a, tt.b, tt.bound); got != tt.want {
-			t.Errorf("BoundedLevenshtein(%q, %q, %d) = %d, want %d",
-				tt.a, tt.b, tt.bound, got, tt.want)
-		}
-	}
-}
-
-func TestBoundedLevenshteinAgreesWithFull(t *testing.T) {
-	f := func(a, b string, bound uint8) bool {
-		bd := int(bound % 16)
-		full := Levenshtein(a, b)
-		got := BoundedLevenshtein(a, b, bd)
-		if full <= bd {
-			return got == full
-		}
-		return got == bd+1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSubstringMatchWhitespacePaddingAttack(t *testing.T) {
 	// NTI evasion via whitespace trimming: the attacker pads the input with
 	// spaces which the application strips. The query then contains the
