@@ -95,7 +95,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	}
 	for _, site := range []string{"", "plugin:a"} {
 		for _, v := range verdicts {
-			want := wireResponse{Reply: replyFor(v, site)}
+			want := wireResponse{Reply: replyFor(&v, site)}
 			got, err := parseResponse(frameAnalyze, appendVerdictResponse(nil, &v, ""), &wireRequest{Site: site})
 			if err != nil || !reflect.DeepEqual(got, want) {
 				t.Errorf("site %q verdict %+v:\n got %+v (err %v)\nwant %+v", site, v, got.Reply, err, want.Reply)

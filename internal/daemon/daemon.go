@@ -193,7 +193,7 @@ func newEngine(snap *engine.Snapshot, opts ...engine.Option) *engine.Engine {
 // together with any attack the profile slot does not account for, so a
 // failed check the engine resolved fail-closed is never answered as safe.
 // The profile stage's evidence rides Profile, and the finished span Trace.
-func replyFor(v core.Verdict, site string) *AnalysisReply {
+func replyFor(v *core.Verdict, site string) *AnalysisReply {
 	r := &AnalysisReply{
 		Attack:  v.PTI.Attack || (v.Attack && !v.Profile.Attack),
 		Trace:   v.Trace,
@@ -253,11 +253,11 @@ func (d *Direct) SetProfiles(st *profile.Store) {
 // AnalyzeSiteContext implements Transport: there is no wire to bound, so
 // ctx only gates the in-process analysis.
 func (d *Direct) AnalyzeSiteContext(ctx context.Context, site, query string) (*AnalysisReply, error) {
-	v, err := d.eng.Check(ctx, engine.Request{Query: query, Site: site, Dialect: d.eng.Snapshot().Dialect})
-	if err != nil {
+	var v core.Verdict
+	if err := d.eng.CheckInto(ctx, engine.Request{Query: query, Site: site, Dialect: d.eng.Snapshot().Dialect}, &v); err != nil {
 		return nil, err
 	}
-	return replyFor(v, site), nil
+	return replyFor(&v, site), nil
 }
 
 // Close implements Transport.

@@ -191,7 +191,7 @@ type remotePTIStage struct {
 func (s remotePTIStage) Name() string { return core.AnalyzerPTI }
 
 // Analyze implements engine.Analyzer.
-func (s remotePTIStage) Analyze(ctx context.Context, req engine.Request, st *engine.State) (core.Result, error) {
+func (s remotePTIStage) Analyze(ctx context.Context, req *engine.Request, st *engine.State, res *core.Result) error {
 	reply, err := s.transport.AnalyzeSiteContext(ctx, req.Site, req.Query)
 	if err == nil {
 		// Fold the daemon's view of this check into our span: its lex and
@@ -200,28 +200,27 @@ func (s remotePTIStage) Analyze(ctx context.Context, req engine.Request, st *eng
 		// profile verdict without a second round trip.
 		st.Span().Merge(reply.Trace)
 		st.SetAux(reply)
-		return reply.Result(), nil
+		*res = reply.Result()
+		return nil
 	}
 	if cerr := ctx.Err(); cerr != nil {
 		// The caller gave up; that is a cancellation, not a daemon
 		// outage, so the degradation policy does not apply.
-		return core.Result{}, cerr
+		return cerr
 	}
 	switch s.degrade {
 	case DegradeFailOpen:
 		st.MarkDegraded()
-		return core.Result{Analyzer: core.AnalyzerPTI}, nil
+		return nil
 	case DegradeFailClosed:
 		st.MarkDegraded()
-		return core.Result{
-			Analyzer: core.AnalyzerPTI,
-			Attack:   true,
-			Reasons: []core.Reason{{
-				Detail: fmt.Sprintf("PTI daemon unavailable (fail-closed): %v", err),
-			}},
-		}, nil
+		res.Attack = true
+		res.Reasons = []core.Reason{{
+			Detail: fmt.Sprintf("PTI daemon unavailable (fail-closed): %v", err),
+		}}
+		return nil
 	default:
-		return core.Result{}, fmt.Errorf("pti analysis: %w", err)
+		return fmt.Errorf("pti analysis: %w", err)
 	}
 }
 
@@ -240,11 +239,10 @@ type remoteProfileStage struct {
 func (s remoteProfileStage) Name() string { return core.AnalyzerProfile }
 
 // Analyze implements engine.Analyzer.
-func (s remoteProfileStage) Analyze(ctx context.Context, req engine.Request, st *engine.State) (core.Result, error) {
-	res := core.Result{Analyzer: core.AnalyzerProfile}
+func (s remoteProfileStage) Analyze(ctx context.Context, req *engine.Request, st *engine.State, res *core.Result) error {
 	reply, ok := st.Aux().(*AnalysisReply)
 	if !ok || reply == nil || reply.Profile == nil {
-		return res, nil
+		return nil
 	}
 	p := reply.Profile
 	st.SetProfile(p.Site, p.Skeleton, p.Outcome)
@@ -266,7 +264,7 @@ func (s remoteProfileStage) Analyze(ctx context.Context, req engine.Request, st 
 		res.Attack = true
 		res.Reasons = []core.Reason{{Kind: core.ReasonSiteUnknown, Site: p.Site}}
 	}
-	return res, nil
+	return nil
 }
 
 // Check returns the hybrid verdict for req, bounded by ctx: the deadline
@@ -281,8 +279,9 @@ func (s remoteProfileStage) Analyze(ctx context.Context, req engine.Request, st 
 // DegradeMode decides: propagate the error, fail closed (synthesize an
 // attack verdict), or fail open (serve the NTI-only verdict). Degraded
 // checks are counted in the collector's DegradedChecks.
-func (h *HybridClient) Check(ctx context.Context, req engine.Request) (core.Verdict, error) {
-	return h.eng.Check(ctx, req.OrDialect(h.dialect))
+func (h *HybridClient) Check(ctx context.Context, req engine.Request) (v core.Verdict, err error) {
+	err = h.eng.CheckInto(ctx, req.OrDialect(h.dialect), &v)
+	return v, err
 }
 
 // Authorize returns nil for a safe req, an *core.AttackError for an
@@ -291,9 +290,12 @@ func (h *HybridClient) Authorize(ctx context.Context, req engine.Request) error 
 	return h.eng.Authorize(ctx, req.OrDialect(h.dialect))
 }
 
-// CheckContextAt is Check with the request spelled out positionally.
-func (h *HybridClient) CheckContextAt(ctx context.Context, site, query string, inputs []nti.Input) (core.Verdict, error) {
-	return h.Check(ctx, engine.Request{Site: site, Query: query, Inputs: inputs})
+// CheckContextAt is Check with the request spelled out positionally. It
+// calls the engine itself: each wrapper returning a Verdict would copy it
+// once more.
+func (h *HybridClient) CheckContextAt(ctx context.Context, site, query string, inputs []nti.Input) (v core.Verdict, err error) {
+	err = h.eng.CheckInto(ctx, engine.Request{Site: site, Query: query, Inputs: inputs, Dialect: h.dialect}, &v)
+	return v, err
 }
 
 // Metrics returns a snapshot of the client's counters: checks, attacks

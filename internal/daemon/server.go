@@ -471,7 +471,8 @@ func (s *Server) serveBinary(conn net.Conn, lr *io.LimitedReader, br *bufio.Read
 			}
 			if kind == frameAnalyze {
 				s.analyzeOps.Add(1)
-				v, msg := s.analyze(req)
+				var v core.Verdict
+				msg := s.analyze(req, &v)
 				out = appendVerdictResponse(out, &v, msg)
 			} else {
 				s.batchOps.Add(1)
@@ -527,13 +528,14 @@ func versionError(pinned, serving string) string {
 	return fmt.Sprintf("version mismatch: request pinned to snapshot %q, daemon serves %q", pinned, serving)
 }
 
-// analyze runs one analyze request: the wire refusals (dialect, version
-// pin), the deadline budget, admission, then engine.Check. The engine owns
-// the rest — budgets, panic containment, profiles, metrics and tracing.
-// A failure returns a non-empty refusal, which rides back on the
-// still-healthy stream — an overloaded, expired or cross-dialect request
-// costs one reply, not the connection.
-func (s *Server) analyze(req wireRequest) (core.Verdict, string) {
+// analyze runs one analyze request into *v: the wire refusals (dialect,
+// version pin), the deadline budget, admission, then the engine check.
+// The engine owns the rest — budgets, panic containment, profiles,
+// metrics and tracing. A failure returns a non-empty refusal, which rides
+// back on the still-healthy stream — an overloaded, expired or
+// cross-dialect request costs one reply, not the connection — and leaves
+// *v meaningless.
+func (s *Server) analyze(req wireRequest, v *core.Verdict) string {
 	snap := s.eng.Snapshot()
 	d, msg := parseDialect(req.Dialect, snap.Dialect)
 	if msg == "" && req.Version != "" && req.Version != snap.Version {
@@ -546,7 +548,7 @@ func (s *Server) analyze(req wireRequest) (core.Verdict, string) {
 	}
 	if msg != "" {
 		s.errorOps.Add(1)
-		return core.Verdict{}, msg
+		return msg
 	}
 	// Honor the client's propagated deadline budget: bound the analysis
 	// with a matching context so server-side work the client has stopped
@@ -559,39 +561,38 @@ func (s *Server) analyze(req wireRequest) (core.Verdict, string) {
 	if err := s.gate.Acquire(ctx); err != nil {
 		if errors.Is(err, guardrail.ErrOverloaded) {
 			s.eng.Collector().RecordShed()
-			return core.Verdict{}, "overloaded: " + err.Error()
+			return "overloaded: " + err.Error()
 		}
 		s.timeouts.Add(1)
-		return core.Verdict{}, err.Error()
+		return err.Error()
 	}
 	defer s.gate.Release()
-	v, err := s.eng.Check(ctx, engine.Request{Query: req.Query, Site: req.Site, Dialect: d})
-	if err != nil {
+	if err := s.eng.CheckInto(ctx, engine.Request{Query: req.Query, Site: req.Site, Dialect: d}, v); err != nil {
 		// The budget expired mid-analysis: report it like the client-side
 		// deadline it mirrors, with no check recorded.
 		s.timeouts.Add(1)
-		return core.Verdict{}, err.Error()
+		return err.Error()
 	}
 	if req.Version != "" && v.Version != req.Version {
 		// A commit landed between the pin check and the analysis: the
 		// verdict carries the version of the snapshot that produced it, so
 		// a pinned request is still never answered from another one.
 		s.errorOps.Add(1)
-		return core.Verdict{}, versionError(req.Version, v.Version)
+		return versionError(req.Version, v.Version)
 	}
-	return v, ""
+	return ""
 }
 
 // handleAnalyze answers one JSON analyze request. withTokens puts the
 // token stream on the reply, for a connection that has not latched
 // no_tokens.
 func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse, withTokens bool) {
-	v, msg := s.analyze(req)
-	if msg != "" {
+	var v core.Verdict
+	if msg := s.analyze(req, &v); msg != "" {
 		resp.Err = msg
 		return
 	}
-	reply := replyFor(v, req.Site)
+	reply := replyFor(&v, req.Site)
 	if withTokens && !v.Failed {
 		// A reply the failure mode produced carries no tokens: the query
 		// may be the oversized one the cap refused unlexed. The analysis
@@ -669,7 +670,8 @@ func (s *Server) appendBatch(dst []byte, req wireRequest) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(req.Batch)))
 	for _, item := range req.Batch {
 		s.analyzeOps.Add(1)
-		v, msg := s.analyze(item)
+		var v core.Verdict
+		msg := s.analyze(item, &v)
 		dst = appendVerdictResponse(dst, &v, msg)
 	}
 	return dst

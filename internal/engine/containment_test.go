@@ -226,3 +226,27 @@ func TestPanicContainmentConcurrent(t *testing.T) {
 		t.Fatalf("Checks = %d, want %d", snap.Checks, 8*200)
 	}
 }
+
+func TestLongChangedInputResolvesThroughFailureMode(t *testing.T) {
+	// An input past NTI's approximate-matching cap that occurs in the
+	// query only escaped must not pass unmarked: fail-closed flags it,
+	// fail-open serves the other stages' verdict, and both count it.
+	value := strings.Repeat("it's a long comment body with plain words in it, padded to a hundred bytes by this filler text ", 50)
+	req := Request{
+		Query:  "INSERT INTO comments (body) VALUES ('" + strings.ReplaceAll(value, "'", `\'`) + "')",
+		Inputs: []nti.Input{{Source: "post", Name: "body", Value: value}},
+	}
+	for _, mode := range []FailureMode{FailClosed, FailOpen} {
+		e := New(&Snapshot{Analyzers: []Analyzer{NTIStage{Analyzer: nti.MustNew()}}}, WithFailureMode(mode))
+		v, err := e.Check(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s: Check: %v", mode, err)
+		}
+		if v.Attack != (mode == FailClosed) {
+			t.Fatalf("%s: attack = %v", mode, v.Attack)
+		}
+		if e.Collector().Snapshot().OverBudgetChecks != 1 {
+			t.Fatalf("%s: long changed input not counted as over budget", mode)
+		}
+	}
+}

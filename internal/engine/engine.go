@@ -82,10 +82,19 @@ func (r Request) OrDialect(d sqltoken.Dialect) Request {
 }
 
 // State is the per-check scratch shared by the stages of one pipeline run:
-// the lazily-lexed token stream, the trace span, and flags the
-// post-verdict recording path consumes. A State is owned by exactly one
-// Check call; stages must not retain it.
+// the request and the verdict being built, the lazily-lexed token stream,
+// the trace span, and flags the post-verdict recording path consumes. A
+// State is owned by exactly one Check call; stages must not retain it.
 type State struct {
+	// req is the request under analysis and v the verdict the stages
+	// write into. Both live here rather than on Check's stack: a pointer
+	// handed to an interface method escapes, so a verdict on the stack
+	// would move to the heap. scratch is the result slot of a stage whose
+	// name has no place on the verdict.
+	req     Request
+	v       core.Verdict
+	scratch core.Result
+
 	span *trace.Span
 
 	// tokens is the shared SQL token stream; nil until a stage lexes.
@@ -194,18 +203,23 @@ var statePool = sync.Pool{New: func() any { return new(State) }}
 // Analyzer is one pluggable stage of the pipeline.
 //
 // A stage analyzes the request, may consume and publish shared state (the
-// token stream, the trace span), and returns its per-analyzer Result. An
-// error aborts the pipeline: no verdict is recorded and Check returns the
-// error — stages surface ctx.Err() when canceled, and transport-backed
-// stages surface backend failures their degradation policy does not
-// absorb.
+// token stream, the trace span), and writes its per-analyzer Result into
+// res, which is its slot on the verdict being built. An error aborts the
+// pipeline: no verdict is recorded and Check returns the error — stages
+// surface ctx.Err() when canceled, and transport-backed stages surface
+// backend failures their degradation policy does not absorb. Whatever a
+// stage wrote before failing is discarded: a contained failure replaces
+// the slot with the failure mode's result.
 type Analyzer interface {
-	// Name slots the stage's Result into the Verdict: core.AnalyzerNTI or
-	// core.AnalyzerPTI. Unknown names contribute to the hybrid attack
-	// decision but occupy no Verdict slot.
+	// Name slots the stage's Result into the Verdict: core.AnalyzerNTI,
+	// core.AnalyzerPTI or core.AnalyzerProfile. Unknown names contribute
+	// to the hybrid attack decision but occupy no Verdict slot.
 	Name() string
-	// Analyze examines the request. st is never nil; ctx is never nil.
-	Analyze(ctx context.Context, req Request, st *State) (core.Result, error)
+	// Analyze examines *req and fills *res, which holds
+	// core.Result{Analyzer: Name()} when the stage starts. ctx, req, st and
+	// res are never nil; the stage must not modify *req or retain any of
+	// the pointers.
+	Analyze(ctx context.Context, req *Request, st *State, res *core.Result) error
 }
 
 // Snapshot is the immutable analysis state one check runs over: the stage
@@ -443,29 +457,49 @@ func (e *Engine) FailureMode() FailureMode { return e.failMode }
 // FailureMode — fail-closed synthesizes an attack verdict for that stage,
 // fail-open serves the remaining stages' verdict — with the event counted
 // in the collector and captured in a notable trace span.
-func (e *Engine) Check(ctx context.Context, req Request) (core.Verdict, error) {
+func (e *Engine) Check(ctx context.Context, req Request) (v core.Verdict, err error) {
+	err = e.CheckInto(ctx, req, &v)
+	return v, err
+}
+
+// CheckInto is Check writing the verdict into *v, which it leaves alone
+// when it returns an error. The verdict is built in the pooled State and
+// copied out once, into *v: a front door returning a Verdict passes its
+// own result, where Check's result would be copied once more.
+func (e *Engine) CheckInto(ctx context.Context, req Request, v *core.Verdict) error {
 	if err := ctx.Err(); err != nil {
-		return core.Verdict{}, err
+		return err
 	}
+	st := statePool.Get().(*State)
+	st.req = req
+	err := e.check(ctx, st)
+	if err == nil {
+		*v = st.v
+	}
+	st.reset()
+	statePool.Put(st)
+	return err
+}
+
+// check runs the pipeline over st.req and builds the verdict in st.v. An
+// error means no verdict: it is a context error or a stage failure the
+// failure mode does not contain, and nothing was recorded.
+func (e *Engine) check(ctx context.Context, st *State) error {
+	req, v := &st.req, &st.v
 	snap := e.snap.Load()
-	span := e.tracer.Start(req.Query)
+	st.span = e.tracer.Start(req.Query)
 	var start time.Time
 	sampled := e.collector.SampleLatency()
 	if sampled {
 		start = time.Now()
 	}
-	st := statePool.Get().(*State)
-	st.span = span
 	// Pre-fill the per-analyzer slots so pipelines with a disabled or
 	// absent stage still report a labeled empty Result, exactly as the
 	// hand-rolled front doors did.
-	v := core.Verdict{
-		Query:   req.Query,
-		NTI:     core.Result{Analyzer: core.AnalyzerNTI},
-		PTI:     core.Result{Analyzer: core.AnalyzerPTI},
-		Version: snap.Version,
-	}
-	attack := false
+	v.Query = req.Query
+	v.NTI.Analyzer = core.AnalyzerNTI
+	v.PTI.Analyzer = core.AnalyzerPTI
+	v.Version = snap.Version
 	detail := e.overLimits(req)
 	if detail == "" {
 		detail = snap.dialectMismatch(req.Dialect)
@@ -473,77 +507,78 @@ func (e *Engine) Check(ctx context.Context, req Request) (core.Verdict, error) {
 	if detail != "" {
 		// The request blew a pre-analysis limit: no stage runs at all.
 		e.collector.RecordOverBudget()
-		e.ensureSpan(st, req)
+		e.ensureSpan(st)
 		st.span.SetOverBudget(detail)
 		if e.failMode == FailClosed {
-			attack = true
+			v.Attack = true
 			v.PTI.Attack = true
 			v.PTI.Reasons = []core.Reason{{Detail: detail + " (fail-closed)"}}
 		}
-		v.Attack = attack
 		v.Failed = true
-		e.record(&v, req, st, sampled, start)
-		st.reset()
-		statePool.Put(st)
-		return v, nil
+		e.record(st, sampled, start)
+		return nil
 	}
 	for _, a := range snap.Analyzers {
-		res, err := e.runStage(ctx, a, req, st)
-		if err != nil {
+		name := a.Name()
+		res := st.slot(name)
+		*res = core.Result{Analyzer: name}
+		if err := e.runStage(ctx, a, st, res); err != nil {
 			var sp *stagePanic
 			switch {
 			case errors.As(err, &sp):
 				e.collector.RecordPanic()
-				e.ensureSpan(st, req)
+				e.ensureSpan(st)
 				st.span.SetPanic(fmt.Sprintf("stage %s: %v\n%s", sp.stage, sp.value, sp.stack))
-				res = e.failureResult(a.Name(), fmt.Sprintf("analyzer %s panicked (%s): %v", sp.stage, e.failMode, sp.value))
+				*res = e.failureResult(name, fmt.Sprintf("analyzer %s panicked (%s): %v", sp.stage, e.failMode, sp.value))
 				v.Failed = true
 			case errors.Is(err, core.ErrOverBudget) && ctx.Err() == nil:
 				e.collector.RecordOverBudget()
-				e.ensureSpan(st, req)
+				e.ensureSpan(st)
 				st.span.SetOverBudget(err.Error())
-				res = e.failureResult(a.Name(), fmt.Sprintf("analysis over budget (%s): %v", e.failMode, err))
+				*res = e.failureResult(name, fmt.Sprintf("analysis over budget (%s): %v", e.failMode, err))
 				v.Failed = true
 			default:
 				// Context errors and transport failures the stage's own
 				// degradation policy did not absorb: no verdict.
-				st.reset()
-				statePool.Put(st)
-				return core.Verdict{}, err
+				return err
 			}
 		}
-		attack = attack || res.Attack
-		switch a.Name() {
-		case core.AnalyzerNTI:
-			v.NTI = res
-		case core.AnalyzerPTI:
-			v.PTI = res
-		case core.AnalyzerProfile:
-			v.Profile = res
-		}
+		v.Attack = v.Attack || res.Attack
 	}
-	v.Attack = attack
 	v.Skeleton, v.ProfileOutcome = st.skeleton, st.profileOutcome
-	e.record(&v, req, st, sampled, start)
-	st.reset()
-	statePool.Put(st)
-	return v, nil
+	e.record(st, sampled, start)
+	return nil
+}
+
+// slot returns where the stage named name writes its Result: its slot on
+// the verdict, or the scratch result for a name the verdict has no slot
+// for.
+func (st *State) slot(name string) *core.Result {
+	switch name {
+	case core.AnalyzerNTI:
+		return &st.v.NTI
+	case core.AnalyzerPTI:
+		return &st.v.PTI
+	case core.AnalyzerProfile:
+		return &st.v.Profile
+	}
+	return &st.scratch
 }
 
 // runStage executes one analyzer with panic isolation: a panicking stage
 // surfaces as a *stagePanic error instead of unwinding the server.
-func (e *Engine) runStage(ctx context.Context, a Analyzer, req Request, st *State) (res core.Result, err error) {
+func (e *Engine) runStage(ctx context.Context, a Analyzer, st *State, res *core.Result) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &stagePanic{stage: a.Name(), value: r, stack: debug.Stack()}
 		}
 	}()
-	return a.Analyze(ctx, req, st)
+	return a.Analyze(ctx, &st.req, st, res)
 }
 
 // overLimits reports why req exceeds the engine's pre-analysis limits, or
 // "" when it is within them. With zero Limits this is two compares.
-func (e *Engine) overLimits(req Request) string {
+func (e *Engine) overLimits(req *Request) string {
 	if e.limits.MaxQueryBytes > 0 && len(req.Query) > e.limits.MaxQueryBytes {
 		return fmt.Sprintf("over budget: query %d bytes exceeds limit %d", len(req.Query), e.limits.MaxQueryBytes)
 	}
@@ -561,9 +596,9 @@ func (e *Engine) overLimits(req Request) string {
 
 // ensureSpan forces a trace span onto a check the sampler skipped, so
 // exceptional events are always captured (no-op when tracing is off).
-func (e *Engine) ensureSpan(st *State, req Request) {
+func (e *Engine) ensureSpan(st *State) {
 	if st.span == nil {
-		st.span = e.tracer.StartAlways(req.Query)
+		st.span = e.tracer.StartAlways(st.req.Query)
 	}
 }
 
@@ -583,7 +618,8 @@ func (e *Engine) failureResult(name, detail string) core.Result {
 // door: check counters (and the degraded counter), latency sampling, span
 // completion with per-stage histograms (the finished span rides the
 // verdict), and the audit log for attacks.
-func (e *Engine) record(v *core.Verdict, req Request, st *State, sampled bool, start time.Time) {
+func (e *Engine) record(st *State, sampled bool, start time.Time) {
+	v := &st.v
 	if st.degraded {
 		e.collector.RecordDegraded()
 	}
@@ -601,7 +637,7 @@ func (e *Engine) record(v *core.Verdict, req Request, st *State, sampled bool, s
 		e.collector.ObserveStageDurations(span.LexNs, span.PTICoverNs, span.NTIMatchNs, span.NTIPrefilterNs, span.ProfileNs)
 	}
 	if v.Attack && e.auditLog != nil {
-		e.auditLog.Log(v, e.policy, req.Inputs)
+		e.auditLog.Log(v, e.policy, st.req.Inputs)
 	}
 }
 

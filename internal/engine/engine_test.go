@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"joza/internal/core"
@@ -186,14 +187,126 @@ func TestNTIStageSkipsWithoutInputValues(t *testing.T) {
 	// The NTI stage must not touch the analyzer when every input is empty;
 	// a nil analyzer would panic if it did.
 	s := NTIStage{Analyzer: nil}
-	res, err := s.Analyze(context.Background(), Request{
+	res := core.Result{Analyzer: core.AnalyzerNTI}
+	err := s.Analyze(context.Background(), &Request{
 		Query:  "SELECT 1",
 		Inputs: []nti.Input{{Source: "get", Name: "id", Value: ""}},
-	}, &State{})
+	}, &State{}, &res)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Attack || res.Analyzer != core.AnalyzerNTI {
 		t.Errorf("res = %+v", res)
+	}
+}
+
+// writer is a stage that writes a marking and a reason into its slot,
+// then fails as fail says: by panicking, or with the error it returns.
+type writer struct {
+	name string
+	fail func() error
+}
+
+func (w writer) Name() string { return w.name }
+
+func (w writer) Analyze(ctx context.Context, req *Request, st *State, res *core.Result) error {
+	res.Attack = true
+	res.Markings = append(res.Markings, core.Marking{Source: "get:x"})
+	res.Reasons = append(res.Reasons, core.Reason{Detail: "partial"})
+	return w.fail()
+}
+
+// TestFailedStageLeavesOnlyTheFailureResult checks that a stage that
+// wrote into its slot and then panicked or ran over budget leaves only
+// the failure mode's result there: no marking or reason it wrote
+// survives, under either mode.
+func TestFailedStageLeavesOnlyTheFailureResult(t *testing.T) {
+	for _, fc := range []struct {
+		name string
+		fail func() error
+	}{
+		{"panic", func() error { panic("injected fault") }},
+		{"over budget", func() error { return core.ErrOverBudget }},
+	} {
+		for _, mode := range []FailureMode{FailClosed, FailOpen} {
+			for _, name := range []string{core.AnalyzerNTI, core.AnalyzerPTI, core.AnalyzerProfile} {
+				t.Run(fc.name+"/"+mode.String()+"/"+name, func(t *testing.T) {
+					e := New(&Snapshot{Analyzers: []Analyzer{writer{name: name, fail: fc.fail}}}, WithFailureMode(mode))
+					v, err := e.Check(context.Background(), Request{Query: "SELECT 1"})
+					if err != nil {
+						t.Fatal(err)
+					}
+					res := map[string]core.Result{core.AnalyzerNTI: v.NTI, core.AnalyzerPTI: v.PTI, core.AnalyzerProfile: v.Profile}[name]
+					if res.Analyzer != name || len(res.Markings) != 0 || !v.Failed {
+						t.Fatalf("slot = %+v, failed %v", res, v.Failed)
+					}
+					wantReasons := 0
+					if mode == FailClosed {
+						wantReasons = 1
+					}
+					if res.Attack != (mode == FailClosed) || v.Attack != res.Attack || len(res.Reasons) != wantReasons {
+						t.Fatalf("%s slot = %+v, verdict attack %v", mode, res, v.Attack)
+					}
+					if wantReasons == 1 && res.Reasons[0].Detail == "partial" {
+						t.Fatal("the failed stage's own reason survived")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestContextErrorAfterWriteYieldsZeroVerdict checks that a stage that
+// wrote into its slot and then returned a context error yields the zero
+// Verdict from Check, leaves CheckInto's destination alone, and records
+// nothing.
+func TestContextErrorAfterWriteYieldsZeroVerdict(t *testing.T) {
+	newEngine := func() (*Engine, context.Context) {
+		ctx, cancel := context.WithCancel(context.Background())
+		return New(&Snapshot{Analyzers: []Analyzer{writer{name: core.AnalyzerNTI, fail: func() error {
+			cancel()
+			return ctx.Err()
+		}}}}), ctx
+	}
+	e, ctx := newEngine()
+	v, err := e.Check(ctx, Request{Query: "SELECT 1"})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if !reflect.DeepEqual(v, core.Verdict{}) {
+		t.Fatalf("verdict = %+v, want the zero Verdict", v)
+	}
+	if n := e.Collector().Snapshot().Checks; n != 0 {
+		t.Errorf("canceled check recorded %d checks", n)
+	}
+	e, ctx = newEngine()
+	v = core.Verdict{Query: "kept"}
+	if err := e.CheckInto(ctx, Request{Query: "SELECT 1"}, &v); !errors.Is(err, context.Canceled) {
+		t.Fatalf("CheckInto err = %v, want context.Canceled", err)
+	}
+	if !reflect.DeepEqual(v, core.Verdict{Query: "kept"}) {
+		t.Fatalf("CheckInto wrote %+v on an error", v)
+	}
+}
+
+// TestUnknownStageWritesScratch checks that a stage whose name has no
+// verdict slot writes a scratch result: its attack counts, nothing it
+// wrote reaches a slot, and the next such stage starts from a clean
+// result.
+func TestUnknownStageWritesScratch(t *testing.T) {
+	var seen core.Result
+	e := New(&Snapshot{Analyzers: []Analyzer{
+		writer{name: "shell", fail: func() error { return nil }},
+		Func{StageName: "other", Fn: func(ctx context.Context, req Request, st *State) (core.Result, error) {
+			seen = st.scratch
+			return core.Result{}, nil
+		}},
+	}})
+	v, err := e.Check(context.Background(), Request{Query: "SELECT 1"})
+	if err != nil || !v.Attack || v.NTI.Attack || v.PTI.Attack || v.Profile.Attack {
+		t.Fatalf("verdict = %+v, %v", v, err)
+	}
+	if !reflect.DeepEqual(seen, core.Result{Analyzer: "other"}) {
+		t.Fatalf("second unknown stage started from %+v", seen)
 	}
 }

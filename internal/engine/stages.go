@@ -27,19 +27,19 @@ type PTIStage struct {
 func (s PTIStage) Name() string { return core.AnalyzerPTI }
 
 // Analyze implements Analyzer.
-func (s PTIStage) Analyze(ctx context.Context, req Request, st *State) (core.Result, error) {
+func (s PTIStage) Analyze(ctx context.Context, req *Request, st *State, res *core.Result) error {
 	// The cache keys its entries by its own dialect; a memo is only the
 	// request's skeleton when that is the request's.
 	var memo *pti.SkeletonMemo
 	if s.Analyzer.Dialect() == req.Dialect {
 		memo = &st.memo
 	}
-	res, toks, err := s.Analyzer.AnalyzeBuf(ctx, req.Query, st.tokens, &st.tokBuf, memo, st.span)
+	toks, err := s.Analyzer.AnalyzeBuf(ctx, req.Query, st.tokens, &st.tokBuf, memo, st.span, res)
 	if err != nil {
-		return core.Result{}, err
+		return err
 	}
 	st.PublishTokens(toks)
-	return res, nil
+	return nil
 }
 
 // NTIStage runs negative taint inference over the request's inputs,
@@ -56,14 +56,14 @@ type NTIStage struct {
 func (s NTIStage) Name() string { return core.AnalyzerNTI }
 
 // Analyze implements Analyzer.
-func (s NTIStage) Analyze(ctx context.Context, req Request, st *State) (core.Result, error) {
+func (s NTIStage) Analyze(ctx context.Context, req *Request, st *State, res *core.Result) error {
 	if !hasInputValues(req.Inputs) {
 		// No non-empty inputs: nothing can be negatively tainted, and
 		// skipping the analyzer keeps the warm no-input path allocation
 		// free.
-		return core.Result{Analyzer: core.AnalyzerNTI}, nil
+		return nil
 	}
-	return s.Analyzer.AnalyzeBuf(ctx, req.Query, st.tokens, &st.tokBuf, req.Inputs, st.span)
+	return s.Analyzer.AnalyzeBuf(ctx, req.Query, st.tokens, &st.tokBuf, req.Inputs, st.span, res)
 }
 
 // hasInputValues reports whether any captured input carries a non-empty
@@ -112,10 +112,9 @@ type ProfileStage struct {
 func (s ProfileStage) Name() string { return core.AnalyzerProfile }
 
 // Analyze implements Analyzer.
-func (s ProfileStage) Analyze(ctx context.Context, req Request, st *State) (core.Result, error) {
-	res := core.Result{Analyzer: core.AnalyzerProfile}
+func (s ProfileStage) Analyze(ctx context.Context, req *Request, st *State, res *core.Result) error {
 	if req.Site == "" {
-		return res, nil
+		return nil
 	}
 	// Skeletons are only comparable when computed under the dialect the
 	// store was trained (or the recorder records) under; snapshot builders
@@ -150,7 +149,7 @@ func (s ProfileStage) Analyze(ctx context.Context, req Request, st *State) (core
 				span.ProfileTime(time.Since(start))
 			}
 			st.SetProfile(req.Site, sk, "learned")
-			return res, nil
+			return nil
 		}
 		// A seen skeleton comes back as the store's own copy; any other
 		// is copied once, for the verdict and the memo alike.
@@ -179,14 +178,14 @@ func (s ProfileStage) Analyze(ctx context.Context, req Request, st *State) (core
 		span.ProfileTime(time.Since(start))
 	}
 	st.SetProfile(req.Site, sk, outcome)
-	return res, nil
+	return nil
 }
 
 // profileTokens returns the query's tokens under d, the profile's
 // dialect: the stream an earlier stage published when d is the request's,
 // else a lex, timed in the span. A request-dialect lex goes into the
 // State's token storage and is published for later stages.
-func profileTokens(req Request, d sqltoken.Dialect, st *State) []sqltoken.Token {
+func profileTokens(req *Request, d sqltoken.Dialect, st *State) []sqltoken.Token {
 	toks := st.Tokens()
 	if toks != nil && d == req.Dialect {
 		return toks
@@ -211,10 +210,11 @@ func profileTokens(req Request, d sqltoken.Dialect, st *State) []sqltoken.Token 
 }
 
 // Func adapts a plain function into a pipeline stage, for baselines and
-// tests.
+// tests. Its result replaces the stage's slot whole.
 type Func struct {
-	// StageName slots the result into the Verdict (core.AnalyzerNTI or
-	// core.AnalyzerPTI); other names only feed the attack decision.
+	// StageName slots the result into the Verdict (core.AnalyzerNTI,
+	// core.AnalyzerPTI or core.AnalyzerProfile); other names only feed the
+	// attack decision.
 	StageName string
 	Fn        func(ctx context.Context, req Request, st *State) (core.Result, error)
 }
@@ -223,6 +223,8 @@ type Func struct {
 func (f Func) Name() string { return f.StageName }
 
 // Analyze implements Analyzer.
-func (f Func) Analyze(ctx context.Context, req Request, st *State) (core.Result, error) {
-	return f.Fn(ctx, req, st)
+func (f Func) Analyze(ctx context.Context, req *Request, st *State, res *core.Result) error {
+	r, err := f.Fn(ctx, *req, st)
+	*res = r
+	return err
 }

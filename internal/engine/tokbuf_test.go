@@ -2,9 +2,11 @@ package engine
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
+	"joza/internal/core"
 	"joza/internal/fragments"
 	"joza/internal/nti"
 	"joza/internal/profile"
@@ -33,7 +35,8 @@ func pooledStates(t *testing.T, check func(), see func(st *State) bool) {
 // TestPooledStateHoldsNoQueryText checks every stage that lexes into the
 // State's token storage: a PTI cache miss, the profile stage and NTI's
 // lazy lex. The State the check releases keeps the storage but no token
-// text, so a pooled State pins no query.
+// text, and holds no request, verdict or scratch result, so a pooled
+// State pins no query.
 func TestPooledStateHoldsNoQueryText(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -52,6 +55,10 @@ func TestPooledStateHoldsNoQueryText(t *testing.T) {
 		{"pti miss", PTIStage{Analyzer: pti.NewCached(pti.New(set), pti.CacheNone, 0)}, "", nil},
 		{"profile", ProfileStage{Recorder: profile.NewRecorder()}, "plugin:posts", nil},
 		{"nti lazy lex", NTIStage{Analyzer: nti.MustNew()}, "", inputs},
+		{"unknown stage", Func{StageName: "shell", Fn: func(ctx context.Context, req Request, st *State) (core.Result, error) {
+			st.tokBuf = sqltoken.MySQL.AppendLex(st.tokBuf[:0], req.Query)
+			return core.Result{Analyzer: "shell", Reasons: []core.Reason{{Detail: req.Query}}}, nil
+		}}, "", inputs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := New(&Snapshot{Analyzers: []Analyzer{tc.stage}})
@@ -62,6 +69,9 @@ func TestPooledStateHoldsNoQueryText(t *testing.T) {
 				}
 			}
 			pooledStates(t, check, func(st *State) bool {
+				if !reflect.DeepEqual(st.req, Request{}) || !reflect.DeepEqual(st.v, core.Verdict{}) || !reflect.DeepEqual(st.scratch, core.Result{}) {
+					t.Fatalf("pooled State holds request %+v, verdict %+v, scratch %+v", st.req, st.v, st.scratch)
+				}
 				if len(st.tokBuf) != 0 || st.tokens != nil {
 					t.Fatalf("pooled State holds %d tokens, published %d", len(st.tokBuf), len(st.tokens))
 				}

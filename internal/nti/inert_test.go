@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"joza/internal/core"
 	"joza/internal/sqltoken"
 )
 
@@ -17,14 +18,15 @@ func TestInertMatchSkipsLex(t *testing.T) {
 	const other = "SELECT 1"
 	a := MustNew()
 	buf := sqltoken.Lex(other)
-	res, err := a.AnalyzeBuf(context.Background(), q, nil, &buf, []Input{{Source: "get", Name: "id", Value: "42"}}, nil)
+	var res core.Result
+	err := a.AnalyzeBuf(context.Background(), q, nil, &buf, []Input{{Source: "get", Name: "id", Value: "42"}}, nil, &res)
 	if err != nil || res.Attack || len(res.Markings) != 1 || res.Markings[0].Source != "get:id" {
 		t.Fatalf("digit input: %+v, %v", res, err)
 	}
 	if !reflect.DeepEqual(buf, sqltoken.Lex(other)) {
 		t.Fatalf("digit input lexed the query into the storage: %v", buf)
 	}
-	res, err = a.AnalyzeBuf(context.Background(), q, nil, &buf, []Input{{Source: "get", Name: "id", Value: "42 OR 1=1"}}, nil)
+	err = a.AnalyzeBuf(context.Background(), q, nil, &buf, []Input{{Source: "get", Name: "id", Value: "42 OR 1=1"}}, nil, &res)
 	if err != nil || !res.Attack {
 		t.Fatalf("injected input: %+v, %v", res, err)
 	}
@@ -64,8 +66,9 @@ func FuzzInertSkip(f *testing.F) {
 		ctx := context.Background()
 		for _, toks := range [][]sqltoken.Token{nil, d.Lex(query)} {
 			var bufSkip, bufLex []sqltoken.Token
-			got, err1 := skip.AnalyzeBuf(ctx, query, toks, &bufSkip, inputs, nil)
-			want, err2 := lex.AnalyzeBuf(ctx, query, toks, &bufLex, inputs, nil)
+			var got, want core.Result
+			err1 := skip.AnalyzeBuf(ctx, query, toks, &bufSkip, inputs, nil, &got)
+			err2 := lex.AnalyzeBuf(ctx, query, toks, &bufLex, inputs, nil, &want)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%s: errors %v / %v", d, err1, err2)
 			}

@@ -51,6 +51,15 @@ const DefaultThreshold = 0.20
 // which only ever suppresses markings that repeat ones already recorded.
 const maxExactRegions = 512
 
+// maxApproxInputLen is the longest input the approximate matcher is run
+// on. Its cost grows with len(query)·len(input), so a longer input that
+// occurs in the query only changed (escaped, say) and passes the
+// prefilter fails the analysis with core.ErrOverBudget, and the engine's
+// failure mode decides the check. Skipping it instead would let a payload
+// through unmarked. Exact occurrences of any length are still marked by
+// the fast path.
+const maxApproxInputLen = 4096
+
 // Input is one captured application input value.
 type Input struct {
 	// Source is the input channel: "get", "post", "cookie", "header", ...
@@ -124,12 +133,6 @@ type Analyzer struct {
 	match Matcher
 	// prefilter enables the q-gram reject stage ahead of the matcher.
 	prefilter bool
-	// maxInputLen caps the input size fed to the quadratic matcher; longer
-	// inputs are only checked with the exact-substring fast path. This is
-	// one of the "skip implausible comparisons" optimizations: an input
-	// much longer than any plausible match window cannot produce a ratio
-	// under threshold unless it appears nearly verbatim.
-	maxInputLen int
 	// critical decides which tokens an attack may not touch; the default
 	// is the paper's pragmatic policy (identifiers allowed).
 	critical func(sqltoken.Token) bool
@@ -215,13 +218,6 @@ func WithoutPrefilter() Option {
 	return func(a *Analyzer) { a.prefilter = false }
 }
 
-// WithMaxInputLen sets the input-size cap for approximate matching; inputs
-// longer than n bytes only use the exact-match fast path. Zero disables the
-// cap.
-func WithMaxInputLen(n int) Option {
-	return func(a *Analyzer) { a.maxInputLen = n }
-}
-
 // WithMaxQueryBytes caps the query size the analyzer accepts: AnalyzeCtx
 // fails a longer query with an error wrapping core.ErrOverBudget, which
 // the engine resolves through its failure mode. Zero (the default)
@@ -262,11 +258,10 @@ func WithStrictPolicy() Option {
 // layer.
 func New(opts ...Option) (*Analyzer, error) {
 	a := &Analyzer{
-		threshold:   DefaultThreshold,
-		match:       bitParallelMatcher{},
-		prefilter:   true,
-		maxInputLen: 4096,
-		critical:    sqltoken.Token.Critical,
+		threshold: DefaultThreshold,
+		match:     bitParallelMatcher{},
+		prefilter: true,
+		critical:  sqltoken.Token.Critical,
 	}
 	for _, o := range opts {
 		o(a)
@@ -304,31 +299,37 @@ func (a *Analyzer) Analyze(query string, toks []sqltoken.Token, inputs []Input) 
 	return res
 }
 
-// AnalyzeCtx is AnalyzeBuf lexing into a fresh slice.
+// AnalyzeCtx is AnalyzeBuf lexing into a fresh slice and returning the
+// result.
 func (a *Analyzer) AnalyzeCtx(ctx context.Context, query string, toks []sqltoken.Token, inputs []Input, span *trace.Span) (core.Result, error) {
-	var buf []sqltoken.Token
-	return a.AnalyzeBuf(ctx, query, toks, &buf, inputs, span)
+	var (
+		buf []sqltoken.Token
+		res core.Result
+	)
+	err := a.AnalyzeBuf(ctx, query, toks, &buf, inputs, span, &res)
+	return res, err
 }
 
 // AnalyzeBuf is Analyze with caller-owned lex storage, decision tracing
-// and cooperative cancellation. When toks is nil the query is lexed only
-// once an input matches it somewhere a critical token could lie: spans
-// made only of the dialect's inert bytes (the digits; see
+// and cooperative cancellation, writing the result into *res (not nil);
+// on an error *res holds an empty NTI result. When toks is nil the query
+// is lexed only once an input matches it somewhere a critical token could
+// lie: spans made only of the dialect's inert bytes (the digits; see
 // sqltoken.Dialect.InertBytes) are marked without a lex, since they can
-// contain no critical token and so yield no reason. buf (not nil) is the storage that lex
-// appends to ((*buf)[:0]), and the stream is left in *buf, so storage
-// reused across checks lexes without allocating. When span is non-nil it
-// records per-input match durations and the matched span offsets behind
-// every marking, plus the lazy-lex time if lexing happened here; a nil
-// span adds one pointer check per input and nothing else. ctx is checked
-// between input groups and polled inside the matcher, so a canceled or
-// expired context aborts a long multi-input analysis mid-match with ctx's
-// error. With context.Background() the checks are free and the function
-// fails only on a configured budget.
-func (a *Analyzer) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.Token, buf *[]sqltoken.Token, inputs []Input, span *trace.Span) (core.Result, error) {
-	res := core.Result{Analyzer: core.AnalyzerNTI}
+// contain no critical token and so yield no reason. buf (not nil) is the
+// storage that lex appends to ((*buf)[:0]), and the stream is left in
+// *buf, so storage reused across checks lexes without allocating. When
+// span is non-nil it records per-input match durations and the matched
+// span offsets behind every marking, plus the lazy-lex time if lexing
+// happened here; a nil span adds one pointer check per input and nothing
+// else. ctx is checked between input groups and polled inside the
+// matcher, so a canceled or expired context aborts a long multi-input
+// analysis mid-match with ctx's error. With context.Background() the
+// checks are free and the function fails only on a configured budget.
+func (a *Analyzer) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.Token, buf *[]sqltoken.Token, inputs []Input, span *trace.Span, res *core.Result) error {
+	*res = core.Result{Analyzer: core.AnalyzerNTI}
 	if a.maxQueryBytes > 0 && len(query) > a.maxQueryBytes {
-		return res, fmt.Errorf("nti: query %d bytes exceeds cap %d: %w",
+		return fmt.Errorf("nti: query %d bytes exceeds cap %d: %w",
 			len(query), a.maxQueryBytes, core.ErrOverBudget)
 	}
 	cancelable := ctx.Done() != nil
@@ -344,7 +345,8 @@ func (a *Analyzer) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken
 		g := &groups[gi]
 		if cancelable {
 			if err := ctx.Err(); err != nil {
-				return core.Result{Analyzer: core.AnalyzerNTI}, err
+				*res = core.Result{Analyzer: core.AnalyzerNTI}
+				return err
 			}
 		}
 		var matchStart time.Time
@@ -354,7 +356,8 @@ func (a *Analyzer) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken
 		st.rejected = false
 		spans, err := a.matchInput(ctx, g.value, query, &st)
 		if err != nil {
-			return core.Result{Analyzer: core.AnalyzerNTI}, err
+			*res = core.Result{Analyzer: core.AnalyzerNTI}
+			return err
 		}
 		// The attribution is rendered only when a marking or a timed
 		// trace shows it: a benign check never builds it.
@@ -408,7 +411,7 @@ func (a *Analyzer) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken
 		span.NTIPrefilter(time.Duration(st.prefilterNs))
 	}
 	res.Attack = len(res.Reasons) > 0
-	return res, nil
+	return nil
 }
 
 // scanInputs is the most inputs dedupInputs groups by scanning the groups
@@ -536,10 +539,12 @@ func keyByte(in Input, i int) byte {
 }
 
 // matchInput returns the spans of query that value matches under the
-// threshold. Exact occurrences are marked as coalesced covered regions;
+// threshold, built in st's span storage: they are valid until the next
+// call. Exact occurrences are marked as coalesced covered regions;
 // otherwise the single best approximate match is considered. The fast
 // path charges its probed bytes against the DP cell budget, the prefilter
-// is O(n), and the matcher observes ctx and the budget itself.
+// is O(n), the matcher observes ctx and the budget itself, and an input
+// past maxApproxInputLen never reaches it.
 func (a *Analyzer) matchInput(ctx context.Context, value, query string, st *checkState) ([]strdist.Match, error) {
 	// Fast path: every exact occurrence is a zero-distance match.
 	// Overlapping or adjacent occurrences coalesce into one region — a
@@ -547,7 +552,7 @@ func (a *Analyzer) matchInput(ctx context.Context, value, query string, st *chec
 	// one marking per position.
 	if idx := strings.Index(query, value); idx >= 0 {
 		budget := a.dpCellBudget
-		out := []strdist.Match{{Start: idx, End: idx + len(value)}}
+		out := append(st.spans[:0], strdist.Match{Start: idx, End: idx + len(value)})
 		for from := idx; ; {
 			nxt := strings.Index(query[from+1:], value)
 			if nxt < 0 {
@@ -570,9 +575,6 @@ func (a *Analyzer) matchInput(ctx context.Context, value, query string, st *chec
 			out = append(out, strdist.Match{Start: from, End: from + len(value)})
 		}
 		return out, nil
-	}
-	if a.maxInputLen > 0 && len(value) > a.maxInputLen {
-		return nil, nil
 	}
 	// Pruning heuristic: if even a full-length match of the whole query
 	// cannot get the ratio under threshold (input much longer than query),
@@ -599,6 +601,10 @@ func (a *Analyzer) matchInput(ctx context.Context, value, query string, st *chec
 			return nil, nil
 		}
 	}
+	if len(value) > maxApproxInputLen {
+		return nil, fmt.Errorf("nti: %d-byte input exceeds the %d-byte approximate-matching cap: %w",
+			len(value), maxApproxInputLen, core.ErrOverBudget)
+	}
 	a.matcherCalls.Add(1)
 	m, found, pruned, err := a.match.MatchThreshold(ctx, value, query, a.threshold, a.dpCellBudget)
 	if err != nil {
@@ -612,7 +618,7 @@ func (a *Analyzer) matchInput(ctx context.Context, value, query string, st *chec
 		a.earlyExits.Add(1)
 	}
 	if found {
-		return []strdist.Match{m}, nil
+		return append(st.spans[:0], m), nil
 	}
 	return nil, nil
 }

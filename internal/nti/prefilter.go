@@ -120,9 +120,13 @@ func (s *gramSet) hasAtLeast(value string, need int) bool {
 }
 
 // checkState is the per-AnalyzeCtx scratch shared across that check's
-// matchInput calls: the lazily-built query gram set plus trace
-// bookkeeping. release must run before the check returns.
+// matchInput calls: the span storage, the lazily-built query gram set and
+// trace bookkeeping. release must run before the check returns.
 type checkState struct {
+	// spans holds the spans of the input being matched, so the common
+	// few-span match keeps them on the check's stack; markings and traces
+	// copy them out.
+	spans [4]strdist.Match
 	grams *gramSet
 	built bool
 	// timed mirrors span.Active() so the prefilter only pays for clocks on

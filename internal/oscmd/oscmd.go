@@ -297,13 +297,14 @@ func (g *Guard) FragmentCount() int { return len(g.fragments) }
 // returns the hybrid verdict, bounded by ctx: cancellation aborts the NTI
 // matcher mid-analysis and ctx's error comes back with no verdict
 // recorded. Under context.Background() it cannot fail.
-func (g *Guard) Check(ctx context.Context, cmd string, inputs []nti.Input) (core.Verdict, error) {
-	return g.eng.Check(ctx, engine.Request{Query: cmd, Inputs: inputs})
+func (g *Guard) Check(ctx context.Context, cmd string, inputs []nti.Input) (v core.Verdict, err error) {
+	err = g.eng.CheckInto(ctx, engine.Request{Query: cmd, Inputs: inputs}, &v)
+	return v, err
 }
 
 // shellTokens returns the check's lexed token stream, lexing on first
 // use and sharing it across stages through the engine state's aux slot.
-func shellTokens(req engine.Request, st *engine.State) []Token {
+func shellTokens(req *engine.Request, st *engine.State) []Token {
 	if toks, ok := st.Aux().([]Token); ok {
 		return toks
 	}
@@ -319,13 +320,14 @@ type shellPTIStage struct{ g *Guard }
 func (s shellPTIStage) Name() string { return core.AnalyzerPTI }
 
 // Analyze implements engine.Analyzer.
-func (s shellPTIStage) Analyze(ctx context.Context, req engine.Request, st *engine.State) (core.Result, error) {
+func (s shellPTIStage) Analyze(ctx context.Context, req *engine.Request, st *engine.State, res *core.Result) error {
 	if ctx.Done() != nil {
 		if err := ctx.Err(); err != nil {
-			return core.Result{}, err
+			return err
 		}
 	}
-	return s.g.analyzePTI(req.Query, shellTokens(req, st)), nil
+	*res = s.g.analyzePTI(req.Query, shellTokens(req, st))
+	return nil
 }
 
 // shellNTIStage is the engine stage for shell negative taint inference.
@@ -335,8 +337,10 @@ type shellNTIStage struct{ g *Guard }
 func (s shellNTIStage) Name() string { return core.AnalyzerNTI }
 
 // Analyze implements engine.Analyzer.
-func (s shellNTIStage) Analyze(ctx context.Context, req engine.Request, st *engine.State) (core.Result, error) {
-	return s.g.analyzeNTI(ctx, req.Query, shellTokens(req, st), req.Inputs)
+func (s shellNTIStage) Analyze(ctx context.Context, req *engine.Request, st *engine.State, res *core.Result) error {
+	r, err := s.g.analyzeNTI(ctx, req.Query, shellTokens(req, st), req.Inputs)
+	*res = r
+	return err
 }
 
 // analyzePTI requires every critical token to sit inside a single trusted

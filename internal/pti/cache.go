@@ -19,20 +19,31 @@ import (
 // keys to a value of type V. The query cache holds V = string, the
 // entry's skeleton memo ("" until one is set); the structure cache holds
 // V = []valuePin, the literal values a verdict depends on (nil for none).
+//
+// The map is keyed by the key's hash (lruKey.h), computed once by the
+// caller. The entries whose keys share a hash hang off its bucket along
+// their chain links, and a probe walks the chain comparing whole keys, so
+// a collision costs a compare, never a wrong hit.
 type lru[V any] struct {
 	mu    sync.Mutex
 	cap   int
-	items map[lruKey]*lruEntry[V]
-	head  *lruEntry[V] // most recent
-	tail  *lruEntry[V] // least recent
+	n     int                     // entries
+	items map[uint64]*lruEntry[V] // bucket heads by key hash
+	head  *lruEntry[V]            // most recent
+	tail  *lruEntry[V]            // least recent
 }
 
-// lruEntry is one cached key. Both instantiations fill the 64-byte size
-// class. Every field is read and written under the owning lru's mutex.
+// lruEntry is one cached key. The query cache's entry (V = string) fills
+// the 64-byte size class exactly: key 24 B, value 16 B, prev/next 16 B,
+// chain 8 B; the structure cache's (V = []valuePin) takes 72 B of the
+// 80-byte class. Every field is read and written under the owning lru's
+// mutex.
 type lruEntry[V any] struct {
 	key        lruKey
 	val        V
 	prev, next *lruEntry[V]
+	// chain is the next entry in the bucket of this entry's key hash.
+	chain *lruEntry[V]
 }
 
 // lruRef names an entry of a shard, so a later write to its value can
@@ -43,20 +54,32 @@ type lruRef[V any] struct {
 	e *lruEntry[V]
 }
 
-func newLRU[V any](capacity int) *lru[V] {
+// init readies an empty lru holding at most capacity entries (1024 when
+// capacity < 1).
+func (c *lru[V]) init(capacity int) {
 	if capacity < 1 {
 		capacity = 1024
 	}
-	return &lru[V]{cap: capacity, items: make(map[lruKey]*lruEntry[V], capacity)}
+	c.cap = capacity
+	c.items = make(map[uint64]*lruEntry[V], capacity)
 }
 
-// get returns key's value and a ref to its entry, and marks it most
+// find returns the entry of k, or nil.
+func (c *lru[V]) find(k lruKey) *lruEntry[V] {
+	e := c.items[k.h]
+	for e != nil && e.key != k {
+		e = e.chain
+	}
+	return e
+}
+
+// get returns the value of k and a ref to its entry, and marks it most
 // recent.
-func (c *lru[V]) get(key lruKey) (V, lruRef[V], bool) {
+func (c *lru[V]) get(k lruKey) (V, lruRef[V], bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.items[key]
-	if !ok {
+	e := c.find(k)
+	if e == nil {
 		var zero V
 		return zero, lruRef[V]{}, false
 	}
@@ -64,28 +87,49 @@ func (c *lru[V]) get(key lruKey) (V, lruRef[V], bool) {
 	return e.val, lruRef[V]{c: c, e: e}, true
 }
 
-func (c *lru[V]) put(key lruKey, val V) {
+// put sets the value of k and marks it most recent, evicting the least
+// recent entry when the cache is over capacity.
+func (c *lru[V]) put(k lruKey, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.items[key]; ok {
+	if e := c.find(k); e != nil {
 		e.val = val
 		c.moveToFront(e)
 		return
 	}
-	e := &lruEntry[V]{key: key, val: val}
-	c.items[key] = e
+	e := &lruEntry[V]{key: k, val: val, chain: c.items[k.h]}
+	c.items[k.h] = e
 	c.pushFront(e)
-	if len(c.items) > c.cap {
+	if c.n++; c.n > c.cap {
 		evict := c.tail
 		c.unlink(evict)
-		delete(c.items, evict.key)
+		c.unchain(evict)
+		c.n--
 	}
+}
+
+// unchain removes e from the bucket of its key's hash.
+func (c *lru[V]) unchain(e *lruEntry[V]) {
+	h := e.key.h
+	if p := c.items[h]; p == e {
+		if e.chain == nil {
+			delete(c.items, h)
+		} else {
+			c.items[h] = e.chain
+		}
+	} else {
+		for p.chain != e {
+			p = p.chain
+		}
+		p.chain = e.chain
+	}
+	e.chain = nil
 }
 
 func (c *lru[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.items)
+	return c.n
 }
 
 func (c *lru[V]) pushFront(e *lruEntry[V]) {
@@ -250,19 +294,25 @@ func (c *Cached) Analyze(query string, toks []sqltoken.Token) core.Result {
 	return res
 }
 
-// AnalyzeLazyCtx is AnalyzeBuf lexing into a fresh slice.
+// AnalyzeLazyCtx is AnalyzeBuf lexing into a fresh slice and returning
+// the result.
 func (c *Cached) AnalyzeLazyCtx(ctx context.Context, query string, toks []sqltoken.Token, span *trace.Span) (core.Result, []sqltoken.Token, error) {
-	var buf []sqltoken.Token
-	return c.AnalyzeBuf(ctx, query, toks, &buf, nil, span)
+	var (
+		buf []sqltoken.Token
+		res core.Result
+	)
+	toks, err := c.AnalyzeBuf(ctx, query, toks, &buf, nil, span, &res)
+	return res, toks, err
 }
 
 // AnalyzeBuf analyzes query with lazy lexing, decision tracing and
-// cooperative cancellation. toks may be nil, in which case the query is
-// lexed only when the query cache misses — a query-cache hit costs one
-// sharded map lookup and no lexing at all — and then once, for both the
-// structure key and the cover. The returned token stream is the one the
-// analysis used (nil when no lexing happened), so callers that also need
-// tokens for NTI reuse this lex instead of running another.
+// cooperative cancellation, and writes the result into *res (not nil),
+// which holds the zero Result on an error. toks may be nil, in which case
+// the query is lexed only when the query cache misses — a query-cache hit
+// costs one sharded map lookup and no lexing at all — and then once, for
+// both the structure key and the cover. The returned token stream is the
+// one the analysis used (nil when no lexing happened), so callers that
+// also need tokens for NTI reuse this lex instead of running another.
 //
 // buf is the caller's token storage (not nil): a lex appends to
 // (*buf)[:0] and leaves its stream in *buf, also when the analysis then
@@ -283,17 +333,18 @@ func (c *Cached) AnalyzeLazyCtx(ctx context.Context, query string, toks []sqltok
 // lookup; a cache miss runs the underlying analysis through its
 // checkpoints. Cache hits never fail once past the entry checks. With
 // context.Background() the checks are free.
-func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.Token, buf *[]sqltoken.Token, memo *SkeletonMemo, span *trace.Span) (core.Result, []sqltoken.Token, error) {
+func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.Token, buf *[]sqltoken.Token, memo *SkeletonMemo, span *trace.Span, res *core.Result) ([]sqltoken.Token, error) {
+	*res = core.Result{}
 	if ctx.Done() != nil {
 		if err := ctx.Err(); err != nil {
-			return core.Result{}, nil, err
+			return nil, err
 		}
 	}
 	// The cap is checked here, not only in the analyzer: a miss would
 	// otherwise compute the structure key and lex the whole oversized
 	// query before the analyzer refused it.
 	if err := c.analyzer.checkQueryBytes(query); err != nil {
-		return core.Result{}, nil, err
+		return nil, err
 	}
 	if c.queries != nil {
 		if sk, ref, ok := c.queries.get(c.dialect, query); ok {
@@ -302,7 +353,8 @@ func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.T
 			}
 			c.queryHits.Add(1)
 			span.SetCacheOutcome(trace.CacheQueryHit)
-			return core.Result{Analyzer: core.AnalyzerPTI}, toks, nil
+			res.Analyzer = core.AnalyzerPTI
+			return toks, nil
 		}
 	}
 	// The structure key is injective only while no query byte can forge
@@ -318,7 +370,8 @@ func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.T
 			if c.queries != nil {
 				c.queries.put(c.dialect, query, "")
 			}
-			return core.Result{Analyzer: core.AnalyzerPTI}, toks, nil
+			res.Analyzer = core.AnalyzerPTI
+			return toks, nil
 		}
 	}
 	c.misses.Add(1)
@@ -330,10 +383,11 @@ func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.T
 	if span.Active() {
 		coverStart = time.Now()
 	}
-	res, err := c.analyzer.AnalyzeCtx(ctx, query, toks, span)
+	r, err := c.analyzer.AnalyzeCtx(ctx, query, toks, span)
 	if err != nil {
-		return core.Result{}, nil, err
+		return nil, err
 	}
+	*res = r
 	if span.Active() {
 		span.PTICover(time.Since(coverStart))
 	}
@@ -345,7 +399,7 @@ func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.T
 			c.structs.put(c.dialect, structKey, pinsFor(toks, res.Markings))
 		}
 	}
-	return res, toks, nil
+	return toks, nil
 }
 
 // lex returns toks, lexing query into *buf (see AnalyzeBuf) first when

@@ -7,15 +7,23 @@ import (
 	"sync"
 	"testing"
 
+	"joza/internal/core"
 	"joza/internal/fragments"
 	"joza/internal/sqltoken"
 )
 
 // mk builds a MySQL-dialect lruKey for the plain-LRU unit tests.
-func mk(s string) lruKey { return lruKey{key: s} }
+func mk(s string) lruKey { return makeKey(sqltoken.MySQL, s) }
+
+// newTestLRU builds a plain lru.
+func newTestLRU[V any](capacity int) *lru[V] {
+	c := new(lru[V])
+	c.init(capacity)
+	return c
+}
 
 func TestLRUBasics(t *testing.T) {
-	c := newLRU[[]valuePin](2)
+	c := newTestLRU[[]valuePin](2)
 	c.put(mk("a"), nil)
 	c.put(mk("b"), nil)
 	if _, _, ok := c.get(mk("a")); !ok {
@@ -43,7 +51,7 @@ func TestLRUBasics(t *testing.T) {
 }
 
 func TestLRUDefaultCapacity(t *testing.T) {
-	c := newLRU[[]valuePin](0)
+	c := newTestLRU[[]valuePin](0)
 	for i := 0; i < 2000; i++ {
 		c.put(mk(fmt.Sprintf("k%d", i)), nil)
 	}
@@ -53,16 +61,16 @@ func TestLRUDefaultCapacity(t *testing.T) {
 }
 
 func TestLRUConcurrent(t *testing.T) {
-	c := newLRU[[]valuePin](64)
+	c := newTestLRU[[]valuePin](64)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				key := fmt.Sprintf("k%d", (seed+i)%100)
-				c.put(mk(key), nil)
-				c.get(mk(key))
+				key := mk(fmt.Sprintf("k%d", (seed+i)%100))
+				c.put(key, nil)
+				c.get(key)
 			}
 		}(g)
 	}
@@ -99,7 +107,8 @@ func TestAnalyzeBufLexesOnlyOnMiss(t *testing.T) {
 	c := NewCached(New(appFragments()), CacheQuery, 16)
 	q := "SELECT * FROM records WHERE ID=5 LIMIT 5"
 	var buf []sqltoken.Token
-	res, toks, err := c.AnalyzeBuf(context.Background(), q, nil, &buf, nil, nil)
+	var res core.Result
+	toks, err := c.AnalyzeBuf(context.Background(), q, nil, &buf, nil, nil, &res)
 	if err != nil || res.Attack {
 		t.Fatalf("miss: %+v, %v", res, err)
 	}
@@ -108,7 +117,7 @@ func TestAnalyzeBufLexesOnlyOnMiss(t *testing.T) {
 	}
 	const other = "SELECT 1"
 	buf = sqltoken.Lex(other)
-	res, toks, err = c.AnalyzeBuf(context.Background(), q, nil, &buf, nil, nil)
+	toks, err = c.AnalyzeBuf(context.Background(), q, nil, &buf, nil, nil, &res)
 	if err != nil || res.Attack || c.Stats().QueryHits != 1 {
 		t.Fatalf("hit: %+v, %v, %+v", res, err, c.Stats())
 	}

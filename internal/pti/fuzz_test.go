@@ -59,7 +59,8 @@ func FuzzCacheSoundness(f *testing.F) {
 				for _, q := range queries {
 					var memo SkeletonMemo
 					hits := c.Stats().QueryHits
-					got, _, err := c.AnalyzeBuf(context.Background(), q, nil, &buf, &memo, nil)
+					var got core.Result
+					_, err := c.AnalyzeBuf(context.Background(), q, nil, &buf, &memo, nil, &got)
 					want := oracle.Analyze(q, nil)
 					if err != nil || got.Attack != want.Attack || !reflect.DeepEqual(got.Reasons, want.Reasons) {
 						t.Fatalf("%s %s pass %d, query %q: cached attack=%v reasons=%v err=%v, uncached attack=%v reasons=%v",

@@ -15,12 +15,26 @@ import (
 // cached under one dialect to a query arriving under another — the same
 // bytes can lex to a different string/code boundary per dialect.
 //
+// h carries both the key's hash and its dialect: the string's maphash
+// with the dialect in the low byte (see makeKey). It is computed once per
+// probe, picks the shard and keys the shard's map, and it is what an
+// evicted entry is unlinked by, so nothing hashes a key twice. Two keys
+// are equal exactly when their dialects and strings are: the dialect is
+// the low byte, and equal strings hash alike. Comparing h first also
+// rejects a colliding entry before its string is read.
+//
 // A struct key keeps the lookup allocation-free: concatenating the dialect
 // into the string would allocate on every hit-path probe, regressing the
 // zero-alloc cached fast path.
 type lruKey struct {
-	d   sqltoken.Dialect
+	h   uint64
 	key string
+}
+
+// makeKey returns the key of s under dialect d. Every sqltoken dialect
+// fits the low byte (TestDialectsFitKeyByte).
+func makeKey(d sqltoken.Dialect, s string) lruKey {
+	return lruKey{h: maphash.String(shardSeed, s)&^0xff | uint64(uint8(d)), key: s}
 }
 
 // shardedLRU spreads an LRU cache over N independently locked shards,
@@ -81,29 +95,24 @@ func newShardedLRU[V any](capacity, nShards int) *shardedLRU[V] {
 		mask:   uint64(nShards - 1),
 	}
 	for i := range s.shards {
-		s.shards[i].lru.cap = perShard
-		s.shards[i].lru.items = make(map[lruKey]*lruEntry[V], perShard)
+		s.shards[i].lru.init(perShard)
 	}
 	return s
 }
 
-// shardSeed is the process-wide seed for shard selection. maphash uses the
-// hardware-accelerated runtime string hash, so picking a shard costs a few
-// nanoseconds even for long query keys and never allocates.
+// shardSeed is the process-wide seed of the key hash. maphash uses the hardware-accelerated
+// runtime string hash, so hashing costs a few nanoseconds even for long
+// query keys and never allocates.
 var shardSeed = maphash.MakeSeed()
 
-// hashKey mixes the dialect into the string hash with a golden-ratio
-// multiply so the same query text lands on independent shards per dialect.
-func hashKey(k lruKey) uint64 {
-	return maphash.String(shardSeed, k.key) ^ (uint64(k.d)+1)*0x9e3779b97f4a7c15
-}
-
+// shard returns the shard of k, picked by the hash bits above the
+// dialect byte.
 func (s *shardedLRU[V]) shard(k lruKey) *lruShard[V] {
-	return &s.shards[hashKey(k)&s.mask]
+	return &s.shards[(k.h>>8)&s.mask]
 }
 
 func (s *shardedLRU[V]) get(d sqltoken.Dialect, key string) (V, lruRef[V], bool) {
-	k := lruKey{d: d, key: key}
+	k := makeKey(d, key)
 	sh := s.shard(k)
 	val, ref, ok := sh.lru.get(k)
 	if ok {
@@ -115,7 +124,7 @@ func (s *shardedLRU[V]) get(d sqltoken.Dialect, key string) (V, lruRef[V], bool)
 }
 
 func (s *shardedLRU[V]) put(d sqltoken.Dialect, key string, val V) {
-	k := lruKey{d: d, key: key}
+	k := makeKey(d, key)
 	s.shard(k).lru.put(k, val)
 }
 

@@ -631,8 +631,9 @@ func (g *Guard) Dialect() Dialect { return g.dialect }
 // checkpoints inside the NTI approximate matcher's DP loop, so a canceled
 // or expired context aborts a long analysis promptly and returns its
 // error with no verdict recorded.
-func (g *Guard) Check(ctx context.Context, req Request) (Verdict, error) {
-	return g.eng.Check(ctx, req.OrDialect(g.dialect))
+func (g *Guard) Check(ctx context.Context, req Request) (v Verdict, err error) {
+	err = g.eng.CheckInto(ctx, req.OrDialect(g.dialect), &v)
+	return v, err
 }
 
 // Authorize checks req and returns nil when the query is safe, an
@@ -644,9 +645,11 @@ func (g *Guard) Authorize(ctx context.Context, req Request) error {
 
 // CheckContextAt is Check with the request spelled out positionally:
 // site keys the query-skeleton profile stage, and the Guard's dialect
-// applies.
-func (g *Guard) CheckContextAt(ctx context.Context, site, query string, inputs []Input) (Verdict, error) {
-	return g.Check(ctx, Request{Site: site, Query: query, Inputs: inputs})
+// applies. It calls the engine itself: each wrapper returning a Verdict
+// would copy it once more.
+func (g *Guard) CheckContextAt(ctx context.Context, site, query string, inputs []Input) (v Verdict, err error) {
+	err = g.eng.CheckInto(ctx, Request{Site: site, Query: query, Inputs: inputs, Dialect: g.dialect}, &v)
+	return v, err
 }
 
 // Metrics returns a snapshot of the Guard's counters: checks and attacks,
