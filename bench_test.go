@@ -625,8 +625,10 @@ $q = "SELECT * FROM records WHERE ID=$id LIMIT 5";`)))
 }
 
 // BenchmarkAuditLog measures the evidence cost of one blocked query: the
-// audit line for a lab attack's hybrid verdict (NTI and PTI reasons, an
-// input key), encoded and written to io.Discard.
+// audit line for an attack verdict, encoded and written to io.Discard.
+// "first" is the first lab spec's exploit (NTI and PTI reasons, an input
+// key); "heaviest" is the lab-attack corpus record with the most reasons,
+// under trained profiles: many PTI reasons plus a profile "unseen" one.
 func BenchmarkAuditLog(b *testing.B) {
 	lab := benchLab(b)
 	guard, err := joza.New(joza.WithFragmentSet(lab.Fragments))
@@ -639,12 +641,57 @@ func BenchmarkAuditLog(b *testing.B) {
 	if err != nil || !v.NTI.Attack || !v.PTI.Attack {
 		b.Fatalf("lab attack verdict lacks NTI and PTI evidence: %+v, %v", v, err)
 	}
+	b.Run("first", func(b *testing.B) { benchAuditLine(b, &v, inputs) })
+	hv, hin := heaviestLabAttack(b, lab)
+	b.Run("heaviest", func(b *testing.B) { benchAuditLine(b, &hv, hin) })
+}
+
+func benchAuditLine(b *testing.B, v *joza.Verdict, inputs []joza.Input) {
 	l := audit.NewLogger(io.Discard)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Log(&v, joza.PolicyTerminate, inputs)
+		l.Log(v, joza.PolicyTerminate, inputs)
 	}
+	b.ReportMetric(float64(len(v.Reasons())), "reasons/line")
+}
+
+// heaviestLabAttack checks every lab exploit and its evasion mutants as
+// the lab-attack workload sends them, through the webapp's input handling
+// and under trained profiles, and returns the blocked verdict with the
+// most reasons among those with a profile "unseen" reason.
+func heaviestLabAttack(b *testing.B, lab *testbed.Lab) (joza.Verdict, []joza.Input) {
+	b.Helper()
+	store, err := lab.TrainProfiles()
+	if err != nil {
+		b.Fatal(err)
+	}
+	guard, err := joza.New(joza.WithFragmentSet(lab.Fragments), joza.WithProfileStore(store))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var (
+		best   joza.Verdict
+		inputs []joza.Input
+	)
+	for _, s := range lab.Specs {
+		for _, payload := range []string{s.Exploit, evasion.WhitespacePadding(s.Exploit, nti.DefaultThreshold), evasion.QuoteStuffing(s.Exploit, nti.DefaultThreshold)} {
+			req := lab.Request(s, payload)
+			value := webapp.MagicQuotes(webapp.TrimWhitespace(req.Get[s.Param]))
+			in := req.Inputs()
+			v, err := guard.Check(context.Background(), joza.Request{Query: s.BuildQuery(value), Inputs: in, Site: "plugin:" + s.Name})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if v.Attack && v.ProfileOutcome == "unseen" && len(v.Reasons()) > len(best.Reasons()) {
+				best, inputs = v, in
+			}
+		}
+	}
+	if len(best.PTI.Reasons) == 0 {
+		b.Fatal("no lab attack carries PTI reasons and a profile unseen reason")
+	}
+	return best, inputs
 }
 
 // BenchmarkLex measures the lexer: "fresh" is Lex, a new token slice per

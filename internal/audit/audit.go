@@ -6,6 +6,7 @@ package audit
 
 import (
 	"io"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +22,8 @@ type Record struct {
 	Time string `json:"time"`
 	// Query is the blocked statement.
 	Query string `json:"query"`
-	// DetectedBy lists the analyzers that fired ("NTI", "PTI").
+	// DetectedBy lists the analyzers that fired ("NTI", "PTI",
+	// "profile"), in that order.
 	DetectedBy []string `json:"detectedBy"`
 	// Reasons are human-readable explanations (token + why).
 	Reasons []string `json:"reasons"`
@@ -58,8 +60,9 @@ type Logger struct {
 	dropped  atomic.Uint64
 }
 
-// lineBuf holds one audit line while it is built and written, and the
-// scratch a reason renders into before it is escaped into the line.
+// lineBuf holds one audit line while it is built and written. It is the
+// core.TextEscaper reasons render through, straight into the line; scratch
+// holds a quoted text that needs escaping after strconv.
 type lineBuf struct {
 	line, scratch []byte
 }
@@ -170,7 +173,7 @@ func (l *Logger) Log(v *core.Verdict, policy core.Policy, inputs []nti.Input) {
 // verdict's analyzer results, and are [] (never null) when empty.
 func (b *lineBuf) appendRecord(now time.Time, v *core.Verdict, policy core.Policy, inputs []nti.Input) {
 	dst := append(b.line[:0], `{"time":"`...)
-	dst = now.UTC().AppendFormat(dst, timeLayout)
+	dst = appendTime(dst, now)
 	dst = append(dst, `","query":`...)
 	dst = appendString(dst, v.Query)
 	results := [...]struct {
@@ -186,8 +189,9 @@ func (b *lineBuf) appendRecord(now time.Time, v *core.Verdict, policy core.Polic
 	dst = append(dst, `],"reasons":[`...)
 	for _, r := range results {
 		for i := range r.res.Reasons {
-			b.scratch = r.res.Reasons[i].AppendText(b.scratch[:0])
-			dst = appendString(listSep(dst), b.scratch)
+			dst = append(listSep(dst), '"')
+			dst = r.res.Reasons[i].AppendTextTo(dst, b)
+			dst = append(dst, '"')
 		}
 	}
 	dst = append(dst, `],"policy":`...)
@@ -206,6 +210,69 @@ func (b *lineBuf) appendRecord(now time.Time, v *core.Verdict, policy core.Polic
 		dst = append(dst, ']')
 	}
 	b.line = append(dst, "}\n"...)
+}
+
+// AppendEscaped appends s JSON-escaped.
+func (b *lineBuf) AppendEscaped(dst []byte, s string) []byte { return appendEscaped(dst, s) }
+
+// AppendQuoted appends strconv.Quote(s), JSON-escaped, without a strconv
+// call when s is printable ASCII: text that neither changes (all but '"',
+// '\\', '<', '>', '&' and DEL) is copied through, and only '"', '\\'
+// (backslash-escaped twice) and '<', '>', '&' (as \u00XX) are rewritten.
+// Any other byte sends s through strconv and appendEscaped.
+func (b *lineBuf) AppendQuoted(dst []byte, s string) []byte {
+	mark := len(dst)
+	dst = append(dst, '\\', '"')
+	start := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if safe[c] && c != 0x7f { // strconv.Quote writes DEL as \x7f
+			continue
+		}
+		if c < ' ' || c > '~' {
+			b.scratch = strconv.AppendQuote(b.scratch[:0], s)
+			return appendEscaped(dst[:mark], b.scratch)
+		}
+		dst = append(dst, s[start:i]...)
+		if c == '"' || c == '\\' {
+			dst = append(dst, '\\', '\\', '\\', c)
+		} else {
+			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+		}
+		start = i + 1
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '\\', '"')
+}
+
+// appendTime appends t in UTC in timeLayout, writing the fixed-width
+// digits directly for the years time.AppendFormat writes in four digits.
+func appendTime(dst []byte, t time.Time) []byte {
+	t = t.UTC()
+	year, month, day := t.Date()
+	if year < 0 || year > 9999 {
+		return t.AppendFormat(dst, timeLayout)
+	}
+	hour, minute, sec := t.Clock()
+	dst = appendDigits(dst, year, 4)
+	dst = appendDigits(append(dst, '-'), int(month), 2)
+	dst = appendDigits(append(dst, '-'), day, 2)
+	dst = appendDigits(append(dst, 'T'), hour, 2)
+	dst = appendDigits(append(dst, ':'), minute, 2)
+	dst = appendDigits(append(dst, ':'), sec, 2)
+	dst = appendDigits(append(dst, '.'), t.Nanosecond()/1e6, 3)
+	return append(dst, 'Z')
+}
+
+// appendDigits appends n, 0 <= n < 10^width, as width decimal digits,
+// zero-padded.
+func appendDigits(dst []byte, n, width int) []byte {
+	dst = append(dst, "0000"[:width]...)
+	for i := len(dst) - 1; n > 0; i-- {
+		dst[i] += byte(n % 10)
+		n /= 10
+	}
+	return dst
 }
 
 // listSep appends the comma before a JSON array element, unless dst ends

@@ -74,6 +74,30 @@ func attackVerdict(query, tokText, detail, source, name string) *core.Verdict {
 	}
 }
 
+// manyReasonsVerdict builds a verdict with several reasons of every kind.
+// Token texts are tokText behind 0 to 9 safe bytes and repeated, so each
+// of its bytes lands on every offset of appendEscaped's 8-byte scan; PTI
+// reasons repeat one detail, as PTI's own do.
+func manyReasonsVerdict(query, tokText, detail, source, name string) *core.Verdict {
+	v := &core.Verdict{Query: query, Attack: true,
+		NTI:     core.Result{Analyzer: core.AnalyzerNTI, Attack: true},
+		PTI:     core.Result{Analyzer: core.AnalyzerPTI, Attack: true},
+		Profile: core.Result{Analyzer: core.AnalyzerProfile, Attack: true},
+	}
+	for i := 0; i < 10; i++ {
+		text := strings.Repeat("SELECT *"[:i%9]+tokText, 1+i%3)
+		tok := sqltoken.Token{Kind: sqltoken.Kind(i), Text: text, Start: i, End: i + len(text)}
+		v.NTI.Reasons = append(v.NTI.Reasons, core.Reason{Token: tok, Kind: core.ReasonNTI, Input: source + ":" + name, Distance: i, Width: len(text)})
+		v.PTI.Reasons = append(v.PTI.Reasons, core.Reason{Token: tok, Detail: detail})
+		if i%5 == 0 {
+			v.Profile.Reasons = append(v.Profile.Reasons,
+				core.Reason{Token: tok, Kind: core.ReasonUnseen, Site: text, Skeleton: query},
+				core.Reason{Token: tok, Kind: core.ReasonSiteUnknown, Site: name + text})
+		}
+	}
+	return v
+}
+
 var fixedNow = time.Date(2015, 6, 22, 1, 2, 3, 456789000, time.FixedZone("CEST", 2*3600))
 
 func encodeLine(v *core.Verdict, policy core.Policy, inputs []nti.Input) []byte {
@@ -89,13 +113,21 @@ func FuzzAuditLine(f *testing.F) {
 	f.Add("<script>&amp;</script>", "\u2028\u2029", "\b\f\n\r\t\x00\x1f\x7f", "cookie", "a,b")
 	f.Add("\xff\xfe\xe2\x80", "\xe2\x80\xa8x", "é\xc3", "hea\xe2\x80:der", "\xa8n\"\\")
 	f.Add("", "", "", "", "")
+	f.Add("UNION SELECT\x7f", "a\x7fb", "critical token not contained in any trusted fragment", "post", "q")
+	f.Add(`x\"y`, `OR"1"\'`, `\\"<>&`, "get", "id")
+	f.Add("SELECT\u2028", "12345678<>&\u2028", "\xffdetail\xe2\x80\xa8", "get\x7f", "\xc3")
+	f.Add("0123456789abcdef", "01234567\xc3\x28", "abcdefgh\x01", "a", "b")
 	f.Fuzz(func(t *testing.T, query, tokText, detail, source, name string) {
-		v := attackVerdict(query, tokText, detail, source, name)
 		inputs := []nti.Input{{Source: source, Name: name, Value: query}, {Source: name, Name: source}}
-		for _, in := range [][]nti.Input{nil, inputs} {
-			want := referenceLine(fixedNow, v, core.PolicyErrorVirtualize, in)
-			if got := encodeLine(v, core.PolicyErrorVirtualize, in); !bytes.Equal(got, want) {
-				t.Fatalf("encoder and encoding/json disagree\n got: %q\nwant: %q", got, want)
+		for _, v := range []*core.Verdict{
+			attackVerdict(query, tokText, detail, source, name),
+			manyReasonsVerdict(query, tokText, detail, source, name),
+		} {
+			for _, in := range [][]nti.Input{nil, inputs} {
+				want := referenceLine(fixedNow, v, core.PolicyErrorVirtualize, in)
+				if got := encodeLine(v, core.PolicyErrorVirtualize, in); !bytes.Equal(got, want) {
+					t.Fatalf("encoder and encoding/json disagree\n got: %q\nwant: %q", got, want)
+				}
 			}
 		}
 	})
@@ -103,7 +135,8 @@ func FuzzAuditLine(f *testing.F) {
 
 // TestAuditLineMatchesEncodingJSON runs the fuzz seeds plus every single
 // byte and a few runes at each free-text position, so the escape table is
-// pinned without running the fuzzer.
+// pinned without running the fuzzer; in the multi-reason verdicts each
+// byte also lands on every offset of the 8-byte scan.
 func TestAuditLineMatchesEncodingJSON(t *testing.T) {
 	var texts []string
 	for c := 0; c < 256; c++ {
@@ -117,6 +150,8 @@ func TestAuditLineMatchesEncodingJSON(t *testing.T) {
 			attackVerdict("q", "x", s, "get", "id"),
 			attackVerdict("q", "x", "d", s, "id"),
 			attackVerdict("q", "x", "d", "get", s),
+			manyReasonsVerdict("q", s, "critical token not contained in any trusted fragment", "get", "id"),
+			manyReasonsVerdict(s, "x", s, s, s),
 		} {
 			inputs := []nti.Input{{Source: v.Profile.Reasons[1].Site, Name: v.Profile.Reasons[0].Site}}
 			want := referenceLine(fixedNow, v, core.PolicyTerminate, inputs)
@@ -130,6 +165,39 @@ func TestAuditLineMatchesEncodingJSON(t *testing.T) {
 	if got, want := encodeLine(empty, core.PolicyTerminate, nil), referenceLine(fixedNow, empty, core.PolicyTerminate, nil); !bytes.Equal(got, want) {
 		t.Fatalf("empty verdict\n got: %q\nwant: %q", got, want)
 	}
+}
+
+// TestAppendTimeMatchesAppendFormat compares the fixed-width timestamp
+// with time.AppendFormat for every year 0–9999 in several zones, at
+// instants whose UTC date or clock differs from the local one, and for
+// years outside that range, which fall back to AppendFormat.
+func TestAppendTimeMatchesAppendFormat(t *testing.T) {
+	zones := []*time.Location{
+		time.UTC,
+		time.FixedZone("CEST", 2*3600),
+		time.FixedZone("west", -11*3600-30*60),
+		time.FixedZone("east", 14*3600),
+	}
+	check := func(tm time.Time) {
+		t.Helper()
+		want := tm.UTC().AppendFormat([]byte("x"), timeLayout)
+		if got := appendTime([]byte("x"), tm); !bytes.Equal(got, want) {
+			t.Fatalf("%v: appendTime = %q, want %q", tm, got, want)
+		}
+	}
+	for year := 0; year <= 9999; year++ {
+		zone := zones[year%len(zones)]
+		check(time.Date(year, time.Month(1+year%12), 1+year%28, year%24, year%60, year%60, (year*7919)%1e9, zone))
+		check(time.Date(year, time.December, 31, 23, 59, 59, 999999999, zone))
+		check(time.Date(year, time.January, 1, 0, 0, 0, 999000, zone))
+	}
+	for _, year := range []int{-1, -10000, 10000, 292277026} {
+		for _, zone := range zones {
+			check(time.Date(year, time.June, 15, 12, 30, 45, 123456789, zone))
+		}
+	}
+	check(time.Time{})
+	check(time.Unix(0, 0))
 }
 
 // slowWriter collects lines, pausing on each write so an async logger's
@@ -223,5 +291,36 @@ func TestLogAllocatesNothingWhenWarm(t *testing.T) {
 	l.Log(v, core.PolicyTerminate, inputs)
 	if n := testing.AllocsPerRun(200, func() { l.Log(v, core.PolicyTerminate, inputs) }); n != 0 {
 		t.Fatalf("warm Log allocates %.1f times per attack, want 0", n)
+	}
+}
+
+// TestSafeWordMatchesTable checks the word-at-a-time scan against the
+// byte table for every byte in every lane of a safe word, and for every
+// pair of bytes in every pair of lanes, where a borrow out of one lane
+// could hide or invent the other.
+func TestSafeWordMatchesTable(t *testing.T) {
+	const base = "abcdefgh"
+	word := func(s []byte) uint64 { return load64(s, 0) }
+	for lane := 0; lane < 8; lane++ {
+		for c := 0; c < 256; c++ {
+			s := []byte(base)
+			s[lane] = byte(c)
+			if got := safeWord(word(s)); got != safe[c] {
+				t.Fatalf("byte %#x in lane %d: safeWord = %v, want %v", c, lane, got, safe[c])
+			}
+		}
+	}
+	for lo := 0; lo < 8; lo++ {
+		for hi := lo + 1; hi < 8; hi++ {
+			for c := 0; c < 256; c++ {
+				for d := 0; d < 256; d++ {
+					s := []byte(base)
+					s[lo], s[hi] = byte(c), byte(d)
+					if got, want := safeWord(word(s)), safe[c] && safe[d]; got != want {
+						t.Fatalf("bytes %#x, %#x in lanes %d, %d: safeWord = %v, want %v", c, d, lo, hi, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -18,6 +18,12 @@ func appendString[S string | []byte](dst []byte, s S) []byte {
 func appendEscaped[S string | []byte](dst []byte, s S) []byte {
 	start := 0
 	for i := 0; i < len(s); {
+		for i+8 <= len(s) && safeWord(load64(s, i)) {
+			i += 8
+		}
+		if i == len(s) {
+			break
+		}
 		c := s[i]
 		if safe[c] {
 			i++
@@ -67,6 +73,36 @@ func appendEscaped[S string | []byte](dst []byte, s S) []byte {
 }
 
 const hex = "0123456789abcdef"
+
+// Byte-lane constants for safeWord: every byte 0x01, and every byte 0x80.
+const (
+	lanes    = 0x0101010101010101
+	laneHigh = 0x8080808080808080
+)
+
+// safeWord reports whether all eight bytes of w are in safe, so
+// appendEscaped skips a safe run a word at a time: no byte is below 0x20
+// or from 0x80 up, and none is '"', '\\', '<', '>' or '&'. Each test sets
+// a lane's high bit for a byte it flags; borrows can flag extra lanes
+// only above a flagged one, so the answer for the word is exact.
+func safeWord(w uint64) bool {
+	bad := w | (w - 0x20*lanes) // from 0x80, or below 0x20
+	bad |= laneIs(w, '"') | laneIs(w, '\\') | laneIs(w, '<') | laneIs(w, '>') | laneIs(w, '&')
+	return bad&laneHigh == 0
+}
+
+// laneIs sets the high bit of the lanes of w holding byte c.
+func laneIs(w, c uint64) uint64 {
+	x := w ^ (c * lanes)
+	return (x - lanes) &^ x
+}
+
+// load64 reads s[i:i+8] as a little-endian word.
+func load64[S string | []byte](s S, i int) uint64 {
+	s = s[i : i+8]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
 
 // safe marks the bytes appendEscaped copies through unchanged: printable
 // ASCII except '"', '\\', '<', '>' and '&' — encoding/json's htmlSafeSet.

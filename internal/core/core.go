@@ -88,16 +88,42 @@ func (r Reason) String() string { return string(r.AppendText(nil)) }
 
 // AppendText appends the String form of the reason to dst:
 // `<kind> token "<text>" at <start>..<end>: <detail>`.
-func (r Reason) AppendText(dst []byte) []byte {
+func (r Reason) AppendText(dst []byte) []byte { return r.AppendTextTo(dst, plainText{}) }
+
+// TextEscaper writes the variable parts of a reason's text for
+// AppendTextTo, so an output format (the audit log's JSON strings)
+// escapes only those parts while the reason renders in one pass.
+// AppendEscaped appends verbatim text: an input label, a skeleton, a
+// detail. AppendQuoted appends text as the Go string literal
+// strconv.AppendQuote writes: a token text, a call site. Every other byte
+// of the text is a fixed segment, a kind name or a decimal number, all of
+// them printable ASCII other than '"', '\', '<', '>' and '&', which need
+// no escaping in any format Joza writes.
+type TextEscaper interface {
+	AppendEscaped(dst []byte, s string) []byte
+	AppendQuoted(dst []byte, s string) []byte
+}
+
+// plainText is the identity TextEscaper: the text as String renders it.
+type plainText struct{}
+
+func (plainText) AppendEscaped(dst []byte, s string) []byte { return append(dst, s...) }
+
+func (plainText) AppendQuoted(dst []byte, s string) []byte { return strconv.AppendQuote(dst, s) }
+
+// AppendTextTo is AppendText with the variable parts written through esc.
+// It is the one definition of a reason's text. It takes the 136-byte
+// Reason by pointer, so an encoder rendering many reasons copies none.
+func (r *Reason) AppendTextTo(dst []byte, esc TextEscaper) []byte {
 	dst = append(dst, r.Token.Kind.String()...)
 	dst = append(dst, " token "...)
-	dst = strconv.AppendQuote(dst, r.Token.Text)
+	dst = esc.AppendQuoted(dst, r.Token.Text)
 	dst = append(dst, " at "...)
 	dst = strconv.AppendInt(dst, int64(r.Token.Start), 10)
 	dst = append(dst, ".."...)
 	dst = strconv.AppendInt(dst, int64(r.Token.End), 10)
 	dst = append(dst, ": "...)
-	return r.appendDetail(dst)
+	return r.appendDetail(dst, esc)
 }
 
 // DetailText returns the reason's explanation without the token prefix:
@@ -107,14 +133,14 @@ func (r Reason) DetailText() string {
 	if r.Kind == ReasonFixed {
 		return r.Detail
 	}
-	return string(r.appendDetail(nil))
+	return string(r.appendDetail(nil, plainText{}))
 }
 
-func (r Reason) appendDetail(dst []byte) []byte {
+func (r *Reason) appendDetail(dst []byte, esc TextEscaper) []byte {
 	switch r.Kind {
 	case ReasonNTI:
 		dst = append(dst, "negatively tainted by input "...)
-		dst = append(dst, r.Input...)
+		dst = esc.AppendEscaped(dst, r.Input)
 		dst = append(dst, " (distance "...)
 		dst = strconv.AppendInt(dst, int64(r.Distance), 10)
 		dst = append(dst, " over "...)
@@ -122,16 +148,29 @@ func (r Reason) appendDetail(dst []byte) []byte {
 		return append(dst, " bytes)"...)
 	case ReasonUnseen:
 		dst = append(dst, "query skeleton never seen from call site "...)
-		dst = strconv.AppendQuote(dst, r.Site)
+		dst = esc.AppendQuoted(dst, r.Site)
 		dst = append(dst, " during training: "...)
-		return append(dst, r.Skeleton...)
+		return esc.AppendEscaped(dst, r.Skeleton)
 	case ReasonSiteUnknown:
 		dst = append(dst, "call site "...)
-		dst = strconv.AppendQuote(dst, r.Site)
+		dst = esc.AppendQuoted(dst, r.Site)
 		return append(dst, " has no training profile (strict mode)"...)
 	default:
-		return append(dst, r.Detail...)
+		return esc.AppendEscaped(dst, r.Detail)
 	}
+}
+
+// ExactCopy returns a copy of s whose capacity equals its length, or nil
+// when s is empty. Analyzers gather evidence in reused scratch and keep
+// it at its exact size with one allocation, instead of growing a slice
+// one append at a time.
+func ExactCopy[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }
 
 // Result is the outcome of one analyzer on one query.

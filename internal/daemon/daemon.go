@@ -133,11 +133,11 @@ func (r *AnalysisReply) TokenStream() []sqltoken.Token {
 // Result converts the reply into a core PTI result.
 func (r *AnalysisReply) Result() core.Result {
 	res := core.Result{Analyzer: core.AnalyzerPTI, Attack: r.Attack}
-	for _, rj := range r.Reasons {
-		res.Reasons = append(res.Reasons, core.Reason{
-			Token:  fromTokenJSON(rj.Token),
-			Detail: rj.Detail,
-		})
+	if len(r.Reasons) > 0 {
+		res.Reasons = make([]core.Reason, len(r.Reasons))
+		for i, rj := range r.Reasons {
+			res.Reasons[i] = core.Reason{Token: fromTokenJSON(rj.Token), Detail: rj.Detail}
+		}
 	}
 	return res
 }

@@ -62,3 +62,51 @@ func TestBenignChecksAllocateNothing(t *testing.T) {
 		})
 	}
 }
+
+// TestEvidenceSlicesExactSize: an NTI result's reasons are nil when there
+// are none and have capacity equal to length otherwise, also when several
+// markings from several inputs contribute them; a warm attack check
+// allocates its reasons once.
+func TestEvidenceSlicesExactSize(t *testing.T) {
+	const q = "SELECT * FROM posts WHERE id=-1 UNION SELECT user_pass FROM users WHERE 1=1 OR 2=2"
+	a := MustNew()
+	for _, tc := range []struct {
+		name    string
+		inputs  []Input
+		reasons int
+		// allocs of a warm check: a label per input, the markings grown
+		// one append at a time, and one exact-size reason slice.
+		allocs float64
+	}{
+		{"no inputs", nil, 0, 0},
+		{"benign match", []Input{{Source: "get", Name: "table", Value: "posts"}}, 0, 2},
+		{"one attack input", []Input{{Source: "get", Name: "id", Value: "-1 UNION SELECT user_pass FROM users"}}, 4, 3},
+		{"two attack inputs", []Input{
+			{Source: "get", Name: "id", Value: "-1 UNION SELECT user_pass FROM users"},
+			{Source: "get", Name: "w", Value: "1=1 OR 2=2"},
+		}, 7, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := a.Analyze(q, nil, tc.inputs)
+			if len(res.Reasons) != tc.reasons || res.Attack != (tc.reasons > 0) {
+				t.Fatalf("got %d reasons (attack %v), want %d: %+v", len(res.Reasons), res.Attack, tc.reasons, res.Reasons)
+			}
+			if tc.reasons == 0 && res.Reasons != nil {
+				t.Fatalf("empty reasons are not nil")
+			}
+			if cap(res.Reasons) != len(res.Reasons) {
+				t.Fatalf("reasons len %d cap %d", len(res.Reasons), cap(res.Reasons))
+			}
+			if raceEnabled {
+				return
+			}
+			toks := a.Dialect().Lex(q)
+			buf := toks
+			if n := testing.AllocsPerRun(100, func() {
+				_ = a.AnalyzeBuf(context.Background(), q, toks, &buf, tc.inputs, nil, &res)
+			}); n != tc.allocs {
+				t.Fatalf("warm check allocates %.1f times, want %.1f", n, tc.allocs)
+			}
+		})
+	}
+}

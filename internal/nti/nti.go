@@ -47,7 +47,7 @@ const DefaultThreshold = 0.20
 // maxExactRegions caps how many coalesced exact-occurrence regions one
 // input may mark. A pathological pair (a tiny input scattered through a
 // huge query) otherwise manufactures unbounded markings and an unbounded
-// appendAttackReasons scan; past the cap the remaining occurrences go unmarked,
+// addAttackReasons scan; past the cap the remaining occurrences go unmarked,
 // which only ever suppresses markings that repeat ones already recorded.
 const maxExactRegions = 512
 
@@ -383,7 +383,7 @@ func (a *Analyzer) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken
 			// Lex lazily: requests whose inputs never match the query
 			// (and requests with no inputs at all) skip the lexer, and so
 			// do inputs matching only inert spans, whose markings
-			// appendAttackReasons passes over without tokens.
+			// addAttackReasons passes over without tokens.
 			var lexStart time.Time
 			if st.timed {
 				lexStart = time.Now()
@@ -404,11 +404,14 @@ func (a *Analyzer) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken
 				Distance: sp.Distance,
 			}
 			res.Markings = append(res.Markings, m)
-			res.Reasons = appendAttackReasons(res.Reasons, toks, m, a.critical)
+			st.addAttackReasons(toks, m, a.critical)
 		}
 	}
 	if st.timed && st.prefilterNs > 0 {
 		span.NTIPrefilter(time.Duration(st.prefilterNs))
+	}
+	if st.reasons != nil {
+		res.Reasons = core.ExactCopy(*st.reasons)
 	}
 	res.Attack = len(res.Reasons) > 0
 	return nil
@@ -640,16 +643,21 @@ func inertSpans(inert *[256]bool, query string, spans []strdist.Match) bool {
 	return true
 }
 
-// appendAttackReasons appends to dst a reason per critical token fully
-// contained in the marking, provided the marking covers at least one whole
-// SQL token. With nil toks (an unlexed query) it appends nothing.
-func appendAttackReasons(dst []core.Reason, toks []sqltoken.Token, m core.Marking, critical func(sqltoken.Token) bool) []core.Reason {
+// addAttackReasons adds to the check's reasons one per critical token
+// fully contained in the marking, provided the marking covers at least
+// one whole SQL token. With nil toks (an unlexed query) it adds nothing.
+// The reason scratch is taken from its pool at the first reason, so a
+// marking without one costs only the token scan.
+func (st *checkState) addAttackReasons(toks []sqltoken.Token, m core.Marking, critical func(sqltoken.Token) bool) {
 	if !sqltoken.CoversWholeToken(toks, m.Span.Start, m.Span.End) {
-		return dst
+		return
 	}
 	for _, t := range toks {
 		if critical(t) && m.Span.Contains(t.Span()) {
-			dst = append(dst, core.Reason{
+			if st.reasons == nil {
+				st.reasons = reasonBufs.Get().(*[]core.Reason)
+			}
+			*st.reasons = append(*st.reasons, core.Reason{
 				Token:    t,
 				Kind:     core.ReasonNTI,
 				Input:    m.Source,
@@ -658,5 +666,4 @@ func appendAttackReasons(dst []core.Reason, toks []sqltoken.Token, m core.Markin
 			})
 		}
 	}
-	return dst
 }

@@ -19,6 +19,7 @@ package nti
 import (
 	"sync"
 
+	"joza/internal/core"
 	"joza/internal/strdist"
 )
 
@@ -120,8 +121,9 @@ func (s *gramSet) hasAtLeast(value string, need int) bool {
 }
 
 // checkState is the per-AnalyzeCtx scratch shared across that check's
-// matchInput calls: the span storage, the lazily-built query gram set and
-// trace bookkeeping. release must run before the check returns.
+// matchInput calls: the span storage, the lazily-built query gram set,
+// the lazily-taken reason scratch and trace bookkeeping. release must run
+// before the check returns.
 type checkState struct {
 	// spans holds the spans of the input being matched, so the common
 	// few-span match keeps them on the check's stack; markings and traces
@@ -129,6 +131,9 @@ type checkState struct {
 	spans [4]strdist.Match
 	grams *gramSet
 	built bool
+	// reasons gathers the check's attack reasons, which leave it at their
+	// exact size; nil until the first reason.
+	reasons *[]core.Reason
 	// timed mirrors span.Active() so the prefilter only pays for clocks on
 	// traced checks.
 	timed bool
@@ -155,7 +160,21 @@ func (st *checkState) release() {
 		st.grams = nil
 		st.built = false
 	}
+	if st.reasons != nil {
+		// The reasons hold query text: clear them before pooling.
+		clear(*st.reasons)
+		if *st.reasons = (*st.reasons)[:0]; cap(*st.reasons) <= maxPooledReasons {
+			reasonBufs.Put(st.reasons)
+		}
+		st.reasons = nil
+	}
 }
+
+// reasonBufs pools checkState's reason scratch; scratch grown past
+// maxPooledReasons is left to the collector.
+var reasonBufs = sync.Pool{New: func() any { return new([]core.Reason) }}
+
+const maxPooledReasons = 1024
 
 // prefilterReject reports whether value provably cannot produce a
 // qualifying match anywhere in query. Callers have already ruled out

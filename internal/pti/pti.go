@@ -200,9 +200,11 @@ func (a *Analyzer) analyze(query string, toks []sqltoken.Token, span *trace.Span
 
 // analyzeParseFirst checks each critical token against one cover table
 // built by a single matcher pass, probing the MRU first when one is
-// configured.
+// configured. Markings and reasons gather in pooled scratch and leave it
+// at their exact size.
 func (a *Analyzer) analyzeParseFirst(query string, toks []sqltoken.Token, span *trace.Span) core.Result {
-	res := core.Result{Analyzer: core.AnalyzerPTI}
+	sc := parseScratches.Get().(*parseScratch)
+	defer sc.release()
 	var tbl coverTable
 	for _, t := range toks {
 		if !a.critical(t) {
@@ -210,8 +212,8 @@ func (a *Analyzer) analyzeParseFirst(query string, toks []sqltoken.Token, span *
 		}
 		c, ok := a.mruCover(query, t)
 		if !ok {
-			if tbl.buf == nil {
-				tbl = a.newCoverTable(query)
+			if tbl.long == nil {
+				tbl = a.newCoverTable(query, &sc.cover)
 			}
 			c, ok = tbl.cover(a.set, t)
 			if ok && a.mru != nil {
@@ -219,10 +221,10 @@ func (a *Analyzer) analyzeParseFirst(query string, toks []sqltoken.Token, span *
 			}
 		}
 		if !ok {
-			res.Reasons = append(res.Reasons, uncovered(t, span))
+			sc.reasons = append(sc.reasons, uncovered(t, span))
 			continue
 		}
-		res.Markings = append(res.Markings, core.Marking{
+		sc.markings = append(sc.markings, core.Marking{
 			Span:   sqltoken.Span{Start: c.FragStart, End: c.FragEnd},
 			Source: a.set.Fragment(c.FragmentID),
 		})
@@ -231,9 +233,42 @@ func (a *Analyzer) analyzeParseFirst(query string, toks []sqltoken.Token, span *
 			span.AddCover(c)
 		}
 	}
-	tbl.release()
-	res.Attack = len(res.Reasons) > 0
-	return res
+	return core.Result{
+		Analyzer: core.AnalyzerPTI,
+		Attack:   len(sc.reasons) > 0,
+		Markings: core.ExactCopy(sc.markings),
+		Reasons:  core.ExactCopy(sc.reasons),
+	}
+}
+
+// parseScratch is analyzeParseFirst's pooled working storage: the cover
+// table's entries and the evidence gathered before it is copied out.
+type parseScratch struct {
+	cover    []int32
+	markings []core.Marking
+	reasons  []core.Reason
+}
+
+var parseScratches = sync.Pool{New: func() any { return new(parseScratch) }}
+
+// maxPooledCover and maxPooledEvidence bound the storage a pooled
+// parseScratch keeps, so one huge query does not pin its table or its
+// evidence.
+const (
+	maxPooledCover    = 64 << 10 // bytes, at 4 per int32 entry
+	maxPooledEvidence = 1024     // markings or reasons
+)
+
+// release clears the evidence, which holds query text, and returns sc to
+// the pool.
+func (sc *parseScratch) release() {
+	clear(sc.markings)
+	clear(sc.reasons)
+	sc.markings, sc.reasons = sc.markings[:0], sc.reasons[:0]
+	if cap(sc.cover)*4 > maxPooledCover || cap(sc.markings) > maxPooledEvidence || cap(sc.reasons) > maxPooledEvidence {
+		return
+	}
+	parseScratches.Put(sc)
 }
 
 // mruCover probes the MRU fragments for an occurrence containing t.
@@ -250,12 +285,6 @@ func (a *Analyzer) mruCover(query string, t sqltoken.Token) (trace.Cover, bool) 
 	return trace.Cover{}, false
 }
 
-// coverBufs pools cover-table storage. Tables over maxPooledCover bytes
-// are left to the collector so one huge query does not pin its table.
-var coverBufs = sync.Pool{New: func() any { return new([]int32) }}
-
-const maxPooledCover = 64 << 10 // bytes, at 4 per int32 entry
-
 // coverTable answers PTI's question for every critical token of one
 // query. long[i] is the longest fragment ending at byte i and best[i] the
 // last byte of the occurrence with the leftmost start among all that end
@@ -263,19 +292,18 @@ const maxPooledCover = 64 << 10 // bytes, at 4 per int32 entry
 // A token [s,e) lies inside one occurrence exactly when best[e-1] starts
 // at or before s, so the cover depends on the query alone.
 type coverTable struct {
-	buf        *[]int32
 	long, best []int32
 }
 
 // newCoverTable builds query's table from one matcher pass and one
-// backward sweep; release hands its storage back.
-func (a *Analyzer) newCoverTable(query string) coverTable {
-	buf := coverBufs.Get().(*[]int32)
+// backward sweep, in the storage *buf (not nil), which it leaves there
+// for reuse.
+func (a *Analyzer) newCoverTable(query string, buf *[]int32) coverTable {
 	n := len(query)
 	b := a.matcher.Longest(query, (*buf)[:0])
 	b = slices.Grow(b, n)[:2*n]
 	*buf = b
-	tbl := coverTable{buf: buf, long: b[:n], best: b[n:]}
+	tbl := coverTable{long: b[:n], best: b[n:]}
 	bestEnd, bestStart := int32(-1), n
 	for i := n - 1; i >= 0; i-- {
 		if id := tbl.long[i]; id >= 0 {
@@ -304,13 +332,6 @@ func (tbl coverTable) cover(set *fragments.Set, t sqltoken.Token) (trace.Cover, 
 		return trace.Cover{}, false
 	}
 	return trace.Cover{FragmentID: id, FragStart: start, FragEnd: end}, true
-}
-
-// release returns the table's storage to the pool.
-func (tbl coverTable) release() {
-	if tbl.buf != nil && cap(*tbl.buf)*4 <= maxPooledCover {
-		coverBufs.Put(tbl.buf)
-	}
 }
 
 // uncovered records t as a critical token no trusted fragment contains.

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"joza/internal/core"
 	"joza/internal/fragments"
 	"joza/internal/sqltoken"
 	"joza/internal/trace"
@@ -181,6 +180,9 @@ func TestCoverIsAFunctionOfTheQuery(t *testing.T) {
 	}
 }
 
+// TestWarmParseFirstAllocatesOnlyResultGrowth: with its scratch pooled, a
+// parse-first analysis allocates only its result's evidence, one exact-size
+// slice each for markings and reasons when there are any.
 func TestWarmParseFirstAllocatesOnlyResultGrowth(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -192,26 +194,56 @@ func TestWarmParseFirstAllocatesOnlyResultGrowth(t *testing.T) {
 	} {
 		toks := sqltoken.Lex(q)
 		res, _ := a.AnalyzeCtx(context.Background(), q, toks, nil)
-		want := appendAllocs[core.Marking](len(res.Markings)) + appendAllocs[core.Reason](len(res.Reasons))
+		want := exactAllocs(len(res.Markings)) + exactAllocs(len(res.Reasons))
 		got := testing.AllocsPerRun(100, func() { a.AnalyzeCtx(context.Background(), q, toks, nil) })
 		if got != want {
-			t.Errorf("query %q: %v allocations per analysis, want %v (growing %d markings and %d reasons)",
+			t.Errorf("query %q: %v allocations per analysis, want %v (%d markings and %d reasons)",
 				q, got, want, len(res.Markings), len(res.Reasons))
 		}
 	}
 }
 
-// appendAllocs counts the allocations of appending n values to a nil slice.
-func appendAllocs[T any](n int) float64 {
-	var s []T
-	allocs := 0
-	for i := 0; i < n; i++ {
-		if len(s) == cap(s) {
-			allocs++
-		}
-		s = append(s, *new(T))
+// exactAllocs counts the allocations of an exact-size slice of n values.
+func exactAllocs(n int) float64 {
+	if n == 0 {
+		return 0
 	}
-	return float64(allocs)
+	return 1
+}
+
+// TestEvidenceSlicesExactSize: parse-first's markings and reasons are nil
+// when there are none and have capacity equal to length otherwise, in
+// each cover mode, for benign and attack queries.
+func TestEvidenceSlicesExactSize(t *testing.T) {
+	for _, a := range []*Analyzer{New(appFragments()), New(appFragments(), WithMRU(2))} {
+		for _, q := range []string{
+			"",
+			"records",
+			"SELECT * FROM records WHERE ID=5 LIMIT 5",
+			"SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5",
+			"UNION SELECT",
+		} {
+			res := a.Analyze(q, nil)
+			for _, c := range []struct {
+				name     string
+				len, cap int
+				isNil    bool
+			}{
+				{"markings", len(res.Markings), cap(res.Markings), res.Markings == nil},
+				{"reasons", len(res.Reasons), cap(res.Reasons), res.Reasons == nil},
+			} {
+				if c.len == 0 && !c.isNil {
+					t.Errorf("%v %q: empty %s are not nil", a, q, c.name)
+				}
+				if c.len != c.cap {
+					t.Errorf("%v %q: %s len %d cap %d", a, q, c.name, c.len, c.cap)
+				}
+			}
+			if q == "UNION SELECT" && (res.Reasons == nil || res.Markings != nil) {
+				t.Errorf("%q: want reasons and no markings, got %+v", q, res)
+			}
+		}
+	}
 }
 
 func TestPositiveMarkingsReported(t *testing.T) {

@@ -45,7 +45,9 @@ const (
 	KindInvalid
 )
 
-var kindNames = map[Kind]string{
+// kindNames is indexed by Kind, so naming a token in a rendered reason
+// costs an index, not a map probe.
+var kindNames = [...]string{
 	KindKeyword:     "keyword",
 	KindIdent:       "ident",
 	KindNumber:      "number",
@@ -62,10 +64,10 @@ var kindNames = map[Kind]string{
 
 // String returns a human-readable name for the kind.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k < KindKeyword || int(k) >= len(kindNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return kindNames[k]
 }
 
 // Span is a half-open byte range [Start, End) within a query string.

@@ -315,9 +315,34 @@ func TestLexCaseInsensitiveKeywords(t *testing.T) {
 	}
 }
 
+// TestKindString pins every kind's name, which audit lines and wire
+// reasons carry, and "unknown" for values outside the kinds.
 func TestKindString(t *testing.T) {
-	if KindKeyword.String() != "keyword" || Kind(999).String() != "unknown" {
-		t.Error("Kind.String mismatch")
+	want := map[Kind]string{
+		KindKeyword:     "keyword",
+		KindIdent:       "ident",
+		KindNumber:      "number",
+		KindString:      "string",
+		KindOperator:    "operator",
+		KindPunct:       "punct",
+		KindComment:     "comment",
+		KindPlaceholder: "placeholder",
+		KindBacktick:    "backtick",
+		KindFunction:    "function",
+		KindVariable:    "variable",
+		KindInvalid:     "invalid",
+	}
+	for k := Kind(-2); k <= KindInvalid+2; k++ {
+		name, ok := want[k]
+		if !ok {
+			name = "unknown"
+		}
+		if got := k.String(); got != name {
+			t.Errorf("Kind(%d).String() = %q, want %q", int(k), got, name)
+		}
+	}
+	if Kind(999).String() != "unknown" {
+		t.Error("Kind(999) is not unknown")
 	}
 }
 
