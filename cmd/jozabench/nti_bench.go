@@ -124,12 +124,12 @@ func runNTIBench(checks int, seed int64) (*ntiBenchResult, error) {
 		for i := range sets {
 			sets[i] = ntiBenchInputs(rng, shape)
 		}
-		sellers := nti.MustNew(nti.WithSellersMatcher(), nti.WithoutPrefilter())
+		sellers := nti.New(nti.WithSellersMatcher(), nti.WithoutPrefilter())
 		before, err := driveNTI(sellers, sets)
 		if err != nil {
 			return nil, err
 		}
-		bitpar := nti.MustNew()
+		bitpar := nti.New()
 		after, err := driveNTI(bitpar, sets)
 		if err != nil {
 			return nil, err

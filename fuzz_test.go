@@ -1,6 +1,7 @@
 package joza_test
 
 import (
+	"errors"
 	"testing"
 
 	"joza"
@@ -40,6 +41,8 @@ func FuzzLex(f *testing.F) {
 	})
 }
 
+// FuzzParse parses and keys every input under every dialect: no panic,
+// and a syntax error's position lies within the query.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"SELECT a, b FROM t WHERE a=1 AND b LIKE '%x%' ORDER BY a LIMIT 5",
@@ -48,12 +51,25 @@ func FuzzParse(f *testing.F) {
 		"SELECT * FROM a JOIN b ON a.id=b.id LEFT JOIN c ON c.x=a.id",
 		"SELECT 1 UNION ALL SELECT 2",
 		"((((",
+		// Broken heads, stacked statements and dialect-specific quoting.
+		"SELECT FROM WHERE; DROP TABLE users",
+		")) OR (( SELECT secret FROM vault",
+		"SELECT 1; SELECT 2; SELECT 3",
+		"insert into t (a,b) values (1,'x'); garbage",
+		`' UNION SELECT usename FROM pg_user -- `,
+		"$q$ SELECT $q$ ; \x00\xff",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		_, _ = sqlparse.Parse(s) // must not panic
-		_ = sqlparse.StructureKey(s)
+		for _, d := range sqltoken.Dialects() {
+			_, err := sqlparse.ParseDialect(d, s)
+			var se *sqlparse.SyntaxError
+			if errors.As(err, &se) && (se.Pos < 0 || se.Pos > len(s)) {
+				t.Fatalf("%s: syntax error at byte %d of a %d-byte query", d, se.Pos, len(s))
+			}
+			_ = sqlparse.StructureKeyDialect(d, s)
+		}
 	})
 }
 

@@ -35,8 +35,8 @@ func TestClientAnalyzeBatch(t *testing.T) {
 		t.Error("attack item missed")
 	}
 	// The batch was this connection's first frame, so it latched
-	// no_tokens: no item carries a token stream. Flagless batch frames
-	// still get one per item (TestFlaglessRepliesByteIdentical).
+	// no_tokens: no item carries a token stream. A flagless batch frame
+	// is refused whole (TestFlaglessFramesRefused).
 	for i, r := range results {
 		if len(r.Reply.Tokens) != 0 {
 			t.Errorf("item %d carried tokens to a new client", i)
@@ -183,6 +183,44 @@ func TestMicroBatcherAbandonedCaller(t *testing.T) {
 	}
 }
 
+// TestMicroBatcherClampsToServerCap: a BatchSize above the server's item
+// cap is clamped to it, so a full batch is never refused whole and no
+// coalesced call fails.
+func TestMicroBatcherClampsToServerCap(t *testing.T) {
+	srv := NewServer(newAnalyzer())
+	p := NewPool(func() (net.Conn, error) {
+		clientSide, serverSide := net.Pipe()
+		go srv.ServeConn(serverSide)
+		return clientSide, nil
+	}, PoolConfig{
+		Size:        1,
+		Timeout:     30 * time.Second,
+		BatchSize:   MaxBatchItems + 10,
+		BatchLinger: 500 * time.Millisecond,
+	})
+	defer p.Close()
+	const calls = MaxBatchItems + 1
+	var wg sync.WaitGroup
+	var failed sync.Map
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := p.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
+				failed.Store(i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	failed.Range(func(i, err any) bool {
+		t.Errorf("call %v: %v", i, err)
+		return false
+	})
+	if st := srv.Stats(); st.DaemonErrors != 0 || st.DaemonBatchItems != calls {
+		t.Errorf("server saw %d errors and %d batch items, want 0 and %d", st.DaemonErrors, st.DaemonBatchItems, calls)
+	}
+}
+
 // TestBatchPoisonedItemIsolated: one item with an expired budget fails
 // alone; its siblings carry replies and the connection stays healthy.
 func TestBatchPoisonedItemIsolated(t *testing.T) {
@@ -225,7 +263,7 @@ func TestBatchPoisonedItemIsolated(t *testing.T) {
 // refused whole, and the connection survives.
 func TestBatchItemCapRefusedOnHealthyStream(t *testing.T) {
 	clientSide, serverSide := net.Pipe()
-	srv := NewServer(newAnalyzer(), WithMaxBatchItems(2))
+	srv := NewServer(newAnalyzer())
 	serveDone := make(chan struct{})
 	go func() {
 		defer close(serveDone)
@@ -237,7 +275,11 @@ func TestBatchItemCapRefusedOnHealthyStream(t *testing.T) {
 		_ = serverSide.Close()
 		<-serveDone
 	}()
-	_, err := c.AnalyzeBatch(context.Background(), []string{benignQuery, benignQuery, benignQuery})
+	over := make([]string, MaxBatchItems+1)
+	for i := range over {
+		over[i] = benignQuery
+	}
+	_, err := c.AnalyzeBatch(context.Background(), over)
 	if err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("over-cap batch error = %v, want item-cap refusal", err)
 	}
@@ -246,7 +288,7 @@ func TestBatchItemCapRefusedOnHealthyStream(t *testing.T) {
 	}
 	results, err := c.AnalyzeBatch(context.Background(), []string{benignQuery, attackQuery})
 	if err != nil {
-		t.Fatalf("batch at the cap after a refusal: %v", err)
+		t.Fatalf("batch under the cap after a refusal: %v", err)
 	}
 	if results[0].Err != nil || results[1].Err != nil || !results[1].Reply.Attack {
 		t.Fatalf("results = %+v", results)
@@ -359,10 +401,10 @@ func TestBatchOversizedFrameBreaksConn(t *testing.T) {
 	}
 }
 
-// TestWireBackCompatOldClientFrames: frames an old single-request client
-// sends — no op, no batch field — must keep working against the new
-// server, and a new client's single-request frames must stay byte-
-// compatible (no new keys) with old servers.
+// TestWireBackCompatOldClientFrames: single-request frame shapes — no
+// op, no batch field — keep working against the new server once the
+// connection has latched no_tokens, and a new client's single-request
+// frames must stay byte-compatible (no new keys) with old servers.
 func TestWireBackCompatOldClientFrames(t *testing.T) {
 	clientSide, serverSide := net.Pipe()
 	srv := NewServer(newAnalyzer())
@@ -390,7 +432,7 @@ func TestWireBackCompatOldClientFrames(t *testing.T) {
 		return resp
 	}
 
-	resp := send(`{"query":"` + benignQuery + `"}`)
+	resp := send(`{"query":"` + benignQuery + `","no_tokens":true}`)
 	if resp["error"] != nil || resp["reply"] == nil {
 		t.Fatalf("old-style analyze frame = %v", resp)
 	}
@@ -420,19 +462,19 @@ func TestWireBackCompatOldClientFrames(t *testing.T) {
 
 // FuzzBatchFrame drives the batch verb with arbitrary queries, item
 // counts, budgets, version pins and raw no_tokens values. The invariant: a
-// well-formed batch frame never panics the server, the reply carries
-// exactly one response per item (or a whole-batch error for empty/over-cap
-// batches) on a stream that stays healthy, and replies carry a token
-// stream exactly when the connection has not latched no_tokens. A
-// mistyped no_tokens value is a malformed frame: the connection ends, and
-// the handler must not wedge.
+// well-formed batch frame never panics the server; on a connection that
+// has not latched no_tokens it is refused whole, and otherwise the reply
+// carries exactly one response per item (or a whole-batch error for
+// empty/over-cap batches); no reply carries a token stream; and the stream
+// stays healthy. A mistyped no_tokens value is a malformed frame: the
+// connection ends, and the handler must not wedge.
 func FuzzBatchFrame(f *testing.F) {
-	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(2), int64(0), "", "")
-	f.Add("", "x", uint8(0), int64(-1), "", "")
-	f.Add("SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5", "", uint8(7), int64(1<<62), "deadbeefdeadbeef", "")
-	f.Add("q", "q", uint8(255), int64(1), "\x00\xffgarbage", "")
-	f.Add("SELECT 1", "SELECT 1", uint8(3), int64(0), "mixed\ncase", "")
 	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(2), int64(0), "", "true")
+	f.Add("", "x", uint8(0), int64(-1), "", "true")
+	f.Add("SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5", "", uint8(7), int64(1<<62), "deadbeefdeadbeef", "true")
+	f.Add("q", "q", uint8(255), int64(1), "\x00\xffgarbage", "true")
+	f.Add("SELECT 1", "SELECT 1", uint8(3), int64(0), "mixed\ncase", "true")
+	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(2), int64(0), "", "")
 	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(2), int64(0), "", "false")
 	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(2), int64(0), "", `"yes"`)
 	analyzer := newAnalyzer()
@@ -440,7 +482,7 @@ func FuzzBatchFrame(f *testing.F) {
 		if len(q1) > 1<<10 || len(q2) > 1<<10 || len(version) > 1<<8 || len(noTokens) > 1<<6 {
 			t.Skip()
 		}
-		srv := NewServer(analyzer, WithMaxBatchItems(64))
+		srv := NewServer(analyzer)
 		clientSide, serverSide := net.Pipe()
 		done := make(chan struct{})
 		go func() {
@@ -462,7 +504,11 @@ func FuzzBatchFrame(f *testing.F) {
 		}
 		dec := json.NewDecoder(bufio.NewReader(clientSide))
 
-		items := make([]wireRequest, int(n)%96)
+		size := int(n) % 96
+		if n == 255 {
+			size = MaxBatchItems + 1 // one item over the cap
+		}
+		items := make([]wireRequest, size)
 		for i := range items {
 			if i%2 == 0 {
 				items[i] = wireRequest{Query: q1, TimeoutMs: timeoutMs}
@@ -491,12 +537,19 @@ func FuzzBatchFrame(f *testing.F) {
 		default:
 			return // possibly malformed: only the no-wedge invariant applies
 		}
+		if len(frame) > DefaultMaxRequestBytes {
+			return // over the request cap, which ends the connection
+		}
 		var resp wireResponse
 		if err := dec.Decode(&resp); err != nil {
 			t.Fatalf("batch of %d items: %v", len(items), err)
 		}
 		switch {
-		case len(items) == 0 || len(items) > 64:
+		case !latched:
+			if resp.Err != errUnlatched || resp.Batch != nil {
+				t.Fatalf("unlatched batch answered %+v, want the latch refusal", resp)
+			}
+		case len(items) == 0 || len(items) > MaxBatchItems:
 			if resp.Err == "" {
 				t.Fatalf("batch of %d items accepted, want whole-batch refusal", len(items))
 			}
@@ -506,18 +559,21 @@ func FuzzBatchFrame(f *testing.F) {
 			t.Fatalf("%d replies for %d items", len(resp.Batch), len(items))
 		}
 		for i, item := range resp.Batch {
-			if latched && item.Reply != nil && len(item.Reply.Tokens) != 0 {
-				t.Fatalf("item %d carried tokens on a latched connection", i)
+			if item.Reply != nil && len(item.Reply.Tokens) != 0 {
+				t.Fatalf("item %d carried tokens", i)
 			}
 		}
 		// The stream survived whatever the batch did, and the latch holds.
 		send([]byte(`{"query":"SELECT * FROM records WHERE ID=5 LIMIT 5"}`))
 		resp = wireResponse{}
-		if err := dec.Decode(&resp); err != nil || resp.Reply == nil {
-			t.Fatalf("follow-up request failed: %v %+v", err, resp)
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatalf("follow-up request failed: %v", err)
 		}
-		if got := len(resp.Reply.Tokens) != 0; got == latched {
-			t.Fatalf("follow-up carried tokens = %v on a connection latched = %v", got, latched)
+		if latched && (resp.Reply == nil || len(resp.Reply.Tokens) != 0) {
+			t.Fatalf("follow-up on a latched connection = %+v, want a token-free reply", resp)
+		}
+		if !latched && resp.Err != errUnlatched {
+			t.Fatalf("follow-up on an unlatched connection = %+v, want the latch refusal", resp)
 		}
 	})
 }

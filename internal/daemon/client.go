@@ -39,7 +39,7 @@ type Client struct {
 	err     error // sticky; set on the first I/O failure or Close
 	// latched records that an analyze or batch frame carrying no_tokens
 	// and binary has been sent on this connection, so the server already
-	// omits the token stream and later frames need not repeat the flags.
+	// serves its analyze frames and later frames need not repeat the flags.
 	latched bool
 	// binary records the server's acknowledgement: every later frame is a
 	// binary frame, built in out and read from br into in.
@@ -107,8 +107,8 @@ func (c *Client) Broken() bool {
 
 // roundTrip sends one request and reads its response, marking the
 // connection broken on any I/O error. The connection's first analyze or
-// batch frame carries no_tokens and binary, so the server replies without
-// the token stream from then on, and a server that acknowledges binary
+// batch frame carries no_tokens and binary, which a current server
+// requires before it analyzes, and a server that acknowledges binary
 // switches both ends to binary frames. ctx bounds the exchange: its
 // deadline (when earlier than the client timeout) becomes the connection
 // deadline, and cancellation slams the connection so a blocked read or

@@ -132,13 +132,13 @@ func TestServerRefusesHostileOversizedQuery(t *testing.T) {
 }
 
 // TestOversizedQueryRunsNoStage sends a many-token oversized query as a
-// raw flagless frame — the peer that gets token streams — carrying a call
-// site, to a server with a profile store and to a learning one. The byte
+// raw JSON frame carrying a call site, to a server with a profile store
+// and to a learning one. The byte
 // cap must refuse it before any stage runs: a short fail-closed reply with
 // no tokens, no cache lookup, and no skeleton computed or learned.
 func TestOversizedQueryRunsNoStage(t *testing.T) {
 	hostile := "SELECT * FROM records WHERE ID IN (1" + strings.Repeat(",1", 2<<20) + ")"
-	frame, err := json.Marshal(wireRequest{Query: hostile, Site: "plugin:records"})
+	frame, err := json.Marshal(wireRequest{Query: hostile, Site: "plugin:records", NoTokens: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,13 +432,13 @@ func TestServerContainsStagePanic(t *testing.T) {
 			t.Fatalf("PanicsRecovered = %d after %d checks", got, i)
 		}
 	}
-	// A flagless peer gets the same reply, without a token stream.
+	// A raw JSON peer gets the same reply, without a token stream.
 	var resp wireResponse
-	if err := json.Unmarshal([]byte(rawConn(t, srv)(`{"query":"`+benignQuery+`"}`)), &resp); err != nil {
+	if err := json.Unmarshal([]byte(rawConn(t, srv)(`{"query":"`+benignQuery+`","no_tokens":true}`)), &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Reply == nil || !resp.Reply.Attack || len(resp.Reply.Tokens) != 0 {
-		t.Fatalf("flagless reply = %+v, want a fail-closed attack with no tokens", resp.Reply)
+		t.Fatalf("raw JSON reply = %+v, want a fail-closed attack with no tokens", resp.Reply)
 	}
 	// Installing a sound snapshot heals the same connection.
 	srv.SetSnapshot(NewSnapshot(newAnalyzer(), engine.ProfileStage{}, ""))

@@ -3,14 +3,15 @@
 // intercepted queries, runs the PTI analysis (with its caches), and
 // returns the verdict. The paper's daemon also ships the parsed token
 // stream back so the in-application NTI component can skip its own lex;
-// here that stream is sent only to flagless (older) clients. A current
-// client tells the daemon once per connection that it lexes for itself
-// (the no_tokens request field), and each side then lexes only when it
-// needs tokens: the daemon on a PTI cache miss, the client when an input
-// matches the query. On the same first frame it asks for binary frames
-// (the binary field); a server that acknowledges it switches the
-// connection from JSON to length-prefixed binary frames that carry only
-// what the peer uses (codec.go).
+// this one never does. A client tells the daemon once per connection that
+// it lexes for itself (the no_tokens request field), and each side then
+// lexes only when it needs tokens: the daemon on a PTI cache miss, the
+// client when an input matches the query. An analyze or batch frame on a
+// connection that has not done so is refused on the healthy stream. On
+// the same first frame a client asks for binary frames (the binary
+// field); a server that acknowledges it switches the connection from JSON
+// to length-prefixed binary frames that carry only what the peer uses
+// (codec.go).
 //
 // The daemon runs the same pipeline as the in-process Guard: Server and
 // Direct are wire front doors over an engine.Engine serving one
@@ -59,10 +60,12 @@ type AnalysisReply struct {
 	Attack bool `json:"attack"`
 	// Reasons explains the verdict (uncovered critical tokens).
 	Reasons []ReasonJSON `json:"reasons,omitempty"`
-	// Tokens is the full token stream of the query, sent only to flagless
-	// clients, which reuse it instead of re-lexing. A reply to a
-	// connection that latched no_tokens carries none and omits the key.
-	Tokens []TokenJSON `json:"tokens"`
+	// Tokens is the query's token stream as a daemon predating the
+	// no_tokens latch sent it. A current daemon never fills it, so the key
+	// is absent from its replies. The field and TokenStream stay only
+	// because the jozasuite replay binds them; they go when that replay
+	// is retargeted.
+	Tokens []TokenJSON `json:"tokens,omitempty"`
 	// Trace is the daemon-side decision trace, present when the daemon
 	// sampled this check. A tracing HybridClient merges it into its own
 	// span so one trace shows both sides of the wire.
@@ -115,10 +118,9 @@ func fromTokenJSON(t TokenJSON) sqltoken.Token {
 	return sqltoken.Token{Kind: sqltoken.Kind(t.Kind), Text: t.Text, Start: t.Start, End: t.End}
 }
 
-// TokenStream converts the reply's token stream back to lexer tokens so
-// the application-side NTI component can reuse the daemon's parse. It
-// returns nil for a reply that carries no tokens, so the caller's NTI
-// analyzer lexes for itself.
+// TokenStream converts the reply's token stream back to lexer tokens. It
+// returns nil for a reply that carries none, which is every reply of a
+// current daemon, so the caller's NTI analyzer lexes for itself.
 func (r *AnalysisReply) TokenStream() []sqltoken.Token {
 	if len(r.Tokens) == 0 {
 		return nil
@@ -319,21 +321,22 @@ type wireRequest struct {
 	// interops byte-identically in both directions.
 	Version string `json:"version,omitempty"`
 	// NoTokens tells the server that this client lexes for itself. The
-	// server latches it for the life of the connection and from then on
-	// omits the token stream from analyze replies, so neither side
-	// encodes, decodes or lexes tokens nobody reads. A client sets it on
-	// the first analyze or batch frame of each connection only, so every
-	// later frame is byte-identical to the flagless protocol. Flagless
-	// peers keep receiving tokens, and old servers ignore the field. The
-	// server reads it from top-level frames only, not from batch items.
+	// server latches it for the life of the connection and serves analyze
+	// and batch frames only once it has: it sends no token stream, and a
+	// peer that expects one would run NTI over no tokens and never flag,
+	// so an unlatched frame is refused instead. A client sets it on the
+	// first analyze or batch frame of each connection only, so every later
+	// frame is byte-identical to the flagless protocol; old servers ignore
+	// the field. The server reads it from top-level frames only, not from
+	// batch items.
 	NoTokens bool `json:"no_tokens,omitempty"`
 	// Binary asks the server to switch the connection to binary frames
 	// (codec.go). A client sets it beside NoTokens, on the same first
 	// frame; a server that acknowledges it answers that frame in JSON with
 	// wireResponse.Binary set, and both ends then speak only binary
-	// frames, which never carry tokens. Old servers ignore the field and
-	// send no acknowledgement, so the connection stays JSON. Like
-	// NoTokens, it is read from top-level frames only.
+	// frames. Old servers ignore the field and send no acknowledgement, so
+	// the connection stays JSON. It latches the connection as NoTokens
+	// does, and like NoTokens it is read from top-level frames only.
 	Binary bool `json:"binary,omitempty"`
 }
 
@@ -358,54 +361,22 @@ func wireDialect(d sqltoken.Dialect) string {
 	return d.String()
 }
 
+// wireResponse is one JSON reply frame. Reply and Batch come last: the
+// handshake acknowledgement has always been encoded before them.
 type wireResponse struct {
-	Reply  *AnalysisReply `json:"reply,omitempty"`
-	Stats  *StatsReply    `json:"stats,omitempty"`
-	Traces *TracesReply   `json:"traces,omitempty"`
-	// Batch answers a "batch" request with exactly one response per item,
-	// in item order. A per-item failure sets that item's Err and leaves
-	// its siblings intact.
-	Batch []wireResponse `json:"batch,omitempty"`
+	Stats  *StatsReply  `json:"stats,omitempty"`
+	Traces *TracesReply `json:"traces,omitempty"`
 	// Rollout answers the "prepare", "commit" and "abort" verbs.
 	Rollout *RolloutReply `json:"rollout,omitempty"`
 	Err     string        `json:"error,omitempty"`
 	// Binary acknowledges a request's Binary flag: every later frame on
 	// the connection, both ways, is a binary frame.
-	Binary bool `json:"binary,omitempty"`
-}
-
-// leanResponse is how the server encodes a wireResponse on a connection
-// that latched no_tokens. Its Reply and Batch fields shadow the embedded
-// ones (encoding/json prefers the shallower of two fields with one name),
-// so every reply encodes exactly as an AnalysisReply does, minus the
-// "tokens" key.
-type leanResponse struct {
-	wireResponse
-	Reply *leanReply     `json:"reply,omitempty"`
-	Batch []leanResponse `json:"batch,omitempty"`
-	reply leanReply      // backs Reply, so wrapping allocates nothing more
-}
-
-// leanReply is an AnalysisReply without its token stream: the nil,
-// omitempty Tokens shadows the embedded field.
-type leanReply struct {
-	*AnalysisReply
-	Tokens []TokenJSON `json:"tokens,omitempty"`
-}
-
-// wrap fills l for the token-free encoding of resp and its batch items.
-func (l *leanResponse) wrap(resp wireResponse) {
-	l.wireResponse = resp
-	if resp.Reply != nil {
-		l.reply.AnalysisReply = resp.Reply
-		l.Reply = &l.reply
-	}
-	if resp.Batch != nil {
-		l.Batch = make([]leanResponse, len(resp.Batch))
-		for i := range resp.Batch {
-			l.Batch[i].wrap(resp.Batch[i])
-		}
-	}
+	Binary bool           `json:"binary,omitempty"`
+	Reply  *AnalysisReply `json:"reply,omitempty"`
+	// Batch answers a "batch" request with exactly one response per item,
+	// in item order. A per-item failure sets that item's Err and leaves
+	// its siblings intact.
+	Batch []wireResponse `json:"batch,omitempty"`
 }
 
 // BatchResult is the client-side outcome of one item of a batch: either a

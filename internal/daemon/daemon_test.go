@@ -90,26 +90,25 @@ func TestRemoteTransportTCP(t *testing.T) {
 		t.Errorf("new client received tokens: %+v", reply.Tokens)
 	}
 
-	// A flagless peer still gets the token stream, and it survives the
-	// round trip with positions intact.
+	// A raw JSON peer that latches no_tokens gets the same verdict, its
+	// evidence positions intact over the round trip, and no token stream.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte(`{"query":"` + attackQuery + `"}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"query":"` + attackQuery + `","no_tokens":true}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	var resp wireResponse
 	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Reply == nil || !resp.Reply.Attack {
-		t.Fatalf("flagless reply = %+v", resp)
+	if resp.Reply == nil || !resp.Reply.Attack || len(resp.Reply.Tokens) != 0 {
+		t.Fatalf("raw JSON reply = %+v", resp)
 	}
-	toks := resp.Reply.TokenStream()
-	if len(toks) == 0 || toks[0].Text != "SELECT" || toks[0].Start != 0 {
-		t.Errorf("flagless tokens = %+v", toks)
+	if r := resp.Reply.Reasons; len(r) == 0 || r[0].Token.Text != "-" || r[0].Token.Start != strings.Index(attackQuery, "-") {
+		t.Errorf("raw JSON reasons = %+v", r)
 	}
 }
 

@@ -128,7 +128,7 @@ func TestWireDialectRawFrames(t *testing.T) {
 
 	// An old client's frame has no dialect field at all: it means MySQL and
 	// analyzes normally on a MySQL daemon.
-	if resp := roundTrip(map[string]any{"query": benignQuery}); resp.Err != "" || resp.Reply == nil {
+	if resp := roundTrip(map[string]any{"query": benignQuery, "no_tokens": true}); resp.Err != "" || resp.Reply == nil {
 		t.Fatalf("old-client frame refused: %+v", resp)
 	}
 	// Unknown dialect names are refused per request.

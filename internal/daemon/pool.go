@@ -58,8 +58,12 @@ type PoolConfig struct {
 	// BatchSize opts into the client-side micro-batcher: concurrent
 	// AnalyzeSiteContext calls are coalesced into one "batch" wire frame
 	// of up to this many items, amortizing the round trip across them.
-	// Values below 2 (the default) leave every call its own round trip.
-	// Requires a server that speaks the "batch" verb.
+	// Values below 2 (the default) leave every call its own round trip,
+	// and values above MaxBatchItems are clamped to it, so no batch has
+	// more items than a server accepts. The clamp does not bound a
+	// batch's encoded size: a full batch of long queries can still
+	// exceed the server's request byte cap. Requires a server that speaks
+	// the "batch" verb.
 	BatchSize int
 	// BatchLinger is how long the first call in a forming batch waits for
 	// companions before a partial batch is flushed (default 500µs). Only
@@ -95,6 +99,9 @@ func (cfg PoolConfig) withDefaults() PoolConfig {
 	}
 	if cfg.BackoffMax < cfg.BackoffMin {
 		cfg.BackoffMax = cfg.BackoffMin
+	}
+	if cfg.BatchSize > MaxBatchItems {
+		cfg.BatchSize = MaxBatchItems
 	}
 	return cfg
 }

@@ -169,7 +169,7 @@ func TestVersionPinRefusedOnHealthyStream(t *testing.T) {
 		return resp
 	}
 
-	resp := send(`{"op":"analyze","query":"` + benignQuery + `","version":"bogus"}`)
+	resp := send(`{"op":"analyze","query":"` + benignQuery + `","version":"bogus","no_tokens":true}`)
 	if !strings.Contains(resp.Err, "version mismatch") {
 		t.Fatalf("pinned to bogus version: err = %q, want version mismatch", resp.Err)
 	}
@@ -211,12 +211,15 @@ func TestVersionlessWireInteropByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte(`{"query":"` + benignQuery + `"}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"query":"` + benignQuery + `","no_tokens":true}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	line, err := bufio.NewReader(conn).ReadString('\n')
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(line, `"reply"`) {
+		t.Fatalf("analyze frame answered without a reply: %s", line)
 	}
 	for _, field := range []string{`"version"`, `"rollout"`} {
 		if strings.Contains(line, field) {

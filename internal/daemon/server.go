@@ -29,11 +29,18 @@ import (
 // dropped rather than letting it balloon the daemon's memory.
 const DefaultMaxRequestBytes = 1 << 20
 
-// DefaultMaxBatchItems caps how many items one "batch" request may carry.
-// The frame-size limit already bounds total bytes; this bounds the number
-// of admission passes and analyses a single frame can demand. An oversized
-// batch is refused with a whole-batch error on a healthy stream.
-const DefaultMaxBatchItems = 4096
+// MaxBatchItems caps how many items one "batch" request may carry. The
+// frame-size limit already bounds total bytes; this bounds the number of
+// admission passes and analyses a single frame can demand. An oversized
+// batch is refused with a whole-batch error on a healthy stream, and a
+// Pool never coalesces more calls than this into one batch.
+const MaxBatchItems = 4096
+
+// errUnlatched refuses an analyze or batch frame on a connection that has
+// not latched no_tokens. This daemon sends no token stream, and a peer
+// that expects one would run NTI over no tokens and never flag; the
+// refusal lets its degrade policy decide instead.
+const errUnlatched = `no_tokens latch missing: this daemon sends no token stream; send "no_tokens":true on the connection's first analyze or batch frame and lex the query yourself`
 
 // Bounds for the capped exponential backoff Serve applies to transient
 // Accept failures (EMFILE, ECONNABORTED, ...).
@@ -92,7 +99,6 @@ type Server struct {
 
 	readTimeout time.Duration
 	maxRequest  int64
-	maxBatch    int
 
 	// Per-op wire counters, reported through Stats.
 	analyzeOps atomic.Uint64
@@ -136,17 +142,6 @@ func WithMaxRequestBytes(n int64) ServerOption {
 	return func(s *Server) {
 		if n > 0 {
 			s.maxRequest = n
-		}
-	}
-}
-
-// WithMaxBatchItems caps the item count of one "batch" request (default
-// DefaultMaxBatchItems). Larger batches are refused with a whole-batch
-// error on a healthy stream rather than analyzed.
-func WithMaxBatchItems(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxBatch = n
 		}
 	}
 }
@@ -209,7 +204,6 @@ func NewServer(analyzer *pti.Cached, opts ...ServerOption) *Server {
 		conns:      make(map[net.Conn]struct{}),
 		initial:    NewSnapshot(analyzer, engine.ProfileStage{}, ""),
 		maxRequest: DefaultMaxRequestBytes,
-		maxBatch:   DefaultMaxBatchItems,
 		done:       make(chan struct{}),
 	}
 	for _, o := range opts {
@@ -332,17 +326,18 @@ func (s *Server) track(conn net.Conn) bool {
 
 // ServeConn serves a single established connection until it closes. It is
 // exported so a daemon can be run over a pre-connected pipe (the paper's
-// anonymous-pipe, one-request lifetime mode). The first frame carrying
-// no_tokens latches the connection token-free: every later analyze reply
-// omits the token stream. A frame carrying binary is answered in JSON with
-// the acknowledgement, and the connection then speaks binary frames.
+// anonymous-pipe, one-request lifetime mode). Analyze and batch frames are
+// served once a frame carrying no_tokens or binary has latched the
+// connection, and refused before. A frame carrying binary is answered in
+// JSON with the acknowledgement, and the connection then speaks binary
+// frames.
 func (s *Server) ServeConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	lr := &io.LimitedReader{R: conn, N: s.maxRequest}
 	br := bufio.NewReader(lr)
 	dec := json.NewDecoder(br)
 	enc := json.NewEncoder(conn)
-	noTokens := false
+	latched := false
 	for s.awaitRequest(conn) {
 		// Reset the per-request byte budget. The buffered reader may hold
 		// bytes already admitted under an earlier budget; the limit bounds
@@ -353,18 +348,10 @@ func (s *Server) ServeConn(conn net.Conn) {
 			s.readFailed(err)
 			return
 		}
-		noTokens = noTokens || req.NoTokens || req.Binary
-		resp := s.dispatch(req, !noTokens)
+		latched = latched || req.NoTokens || req.Binary
+		resp := s.dispatch(req, latched)
 		resp.Binary = req.Binary
-		var err error
-		if noTokens {
-			l := new(leanResponse)
-			l.wrap(resp)
-			err = enc.Encode(l)
-		} else {
-			err = enc.Encode(resp)
-		}
-		if err != nil {
+		if err := enc.Encode(resp); err != nil {
 			s.errorOps.Add(1)
 			return
 		}
@@ -404,17 +391,23 @@ func (s *Server) readFailed(err error) {
 	}
 }
 
-// dispatch answers one JSON request; withTokens puts the token stream on
-// analyze replies.
-func (s *Server) dispatch(req wireRequest, withTokens bool) wireResponse {
+// dispatch answers one JSON request; latched reports whether the
+// connection has latched no_tokens, without which analyze and batch
+// frames are refused.
+func (s *Server) dispatch(req wireRequest, latched bool) wireResponse {
 	var resp wireResponse
+	if !latched && (req.Op == "" || req.Op == "analyze" || req.Op == "batch") {
+		s.errorOps.Add(1)
+		resp.Err = errUnlatched
+		return resp
+	}
 	switch req.Op {
 	case "", "analyze":
 		s.analyzeOps.Add(1)
-		s.handleAnalyze(req, &resp, withTokens)
+		s.handleAnalyze(req, &resp)
 	case "batch":
 		s.batchOps.Add(1)
-		s.handleBatch(req, &resp, withTokens)
+		s.handleBatch(req, &resp)
 	case "stats":
 		s.statsOps.Add(1)
 		st := s.Stats()
@@ -483,9 +476,7 @@ func (s *Server) serveBinary(conn net.Conn, lr *io.LimitedReader, br *bufio.Read
 			if json.Unmarshal(in, &req) != nil {
 				return
 			}
-			var l leanResponse
-			l.wrap(s.dispatch(req, false))
-			b, err := json.Marshal(&l)
+			b, err := json.Marshal(s.dispatch(req, true))
 			if err != nil {
 				s.errorOps.Add(1)
 				return
@@ -583,28 +574,14 @@ func (s *Server) analyze(req wireRequest, v *core.Verdict) string {
 	return ""
 }
 
-// handleAnalyze answers one JSON analyze request. withTokens puts the
-// token stream on the reply, for a connection that has not latched
-// no_tokens.
-func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse, withTokens bool) {
+// handleAnalyze answers one JSON analyze request.
+func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse) {
 	var v core.Verdict
 	if msg := s.analyze(req, &v); msg != "" {
 		resp.Err = msg
 		return
 	}
-	reply := replyFor(&v, req.Site)
-	if withTokens && !v.Failed {
-		// A reply the failure mode produced carries no tokens: the query
-		// may be the oversized one the cap refused unlexed. The analysis
-		// accepted the request's dialect, so it parses.
-		d, _ := parseDialect(req.Dialect, sqltoken.MySQL)
-		toks := d.Lex(req.Query)
-		reply.Tokens = make([]TokenJSON, len(toks))
-		for i, t := range toks {
-			reply.Tokens[i] = toTokenJSON(t)
-		}
-	}
-	resp.Reply = reply
+	resp.Reply = replyFor(&v, req.Site)
 }
 
 // admitBatch refuses a batch request that is empty or above the item cap,
@@ -616,9 +593,9 @@ func (s *Server) admitBatch(req wireRequest) string {
 		s.errorOps.Add(1)
 		return "empty batch"
 	}
-	if len(req.Batch) > s.maxBatch {
+	if len(req.Batch) > MaxBatchItems {
 		s.errorOps.Add(1)
-		return fmt.Sprintf("batch of %d items exceeds the %d-item cap", len(req.Batch), s.maxBatch)
+		return fmt.Sprintf("batch of %d items exceeds the %d-item cap", len(req.Batch), MaxBatchItems)
 	}
 	s.batchItems.Add(uint64(len(req.Batch)))
 	for i := range req.Batch {
@@ -640,7 +617,7 @@ func (s *Server) admitBatch(req wireRequest) string {
 // poisoned item (expired budget, shed, over budget) costs only its own
 // slot; siblings and the connection are unaffected. A batch above the item
 // cap is refused whole, on the still-healthy stream.
-func (s *Server) handleBatch(req wireRequest, resp *wireResponse, withTokens bool) {
+func (s *Server) handleBatch(req wireRequest, resp *wireResponse) {
 	if resp.Err = s.admitBatch(req); resp.Err != "" {
 		return
 	}
@@ -649,7 +626,7 @@ func (s *Server) handleBatch(req wireRequest, resp *wireResponse, withTokens boo
 		switch item.Op {
 		case "", "analyze":
 			s.analyzeOps.Add(1)
-			s.handleAnalyze(item, &resp.Batch[i], withTokens)
+			s.handleAnalyze(item, &resp.Batch[i])
 		default:
 			// Nested batches and the control verbs have no per-item merge
 			// semantics; refusing them item-locally keeps the rest of the

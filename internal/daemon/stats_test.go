@@ -120,7 +120,7 @@ func TestUnknownOpRejected(t *testing.T) {
 		t.Errorf("error = %q, want unknown op", resp.Err)
 	}
 	// The connection survives: a normal analyze still works.
-	if err := enc.Encode(wireRequest{Query: benignQuery}); err != nil {
+	if err := enc.Encode(wireRequest{Query: benignQuery, NoTokens: true}); err != nil {
 		t.Fatal(err)
 	}
 	resp = wireResponse{}

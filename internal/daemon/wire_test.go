@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"net"
 	"os"
 	"reflect"
@@ -19,7 +20,9 @@ import (
 )
 
 // wireGolden is a frame and the reply line a server answered it with
-// before the no_tokens field existed.
+// before the no_tokens field existed, token stream included. A current
+// server refuses the frame as it stands, and answers it on a latched
+// connection with the recorded reply minus its "tokens" member.
 type wireGolden struct{ frame, reply string }
 
 // loadWireGolden reads testdata/flagless_replies.jsonl: alternating frame
@@ -87,14 +90,19 @@ func rawConn(t *testing.T, srv *Server) func(frame string) string {
 // queries contain no ']' inside a token text.
 var tokensMember = regexp.MustCompile(`,"tokens":\[[^\]]*\]`)
 
-// TestFlaglessRepliesByteIdentical pins the legacy contract: a peer that
-// never sends no_tokens gets exactly the reply bytes it always got,
-// token stream included.
+// refusalLine is the reply to an analyze or batch frame on a connection
+// that has not latched no_tokens.
+const refusalLine = `{"error":"no_tokens latch missing: this daemon sends no token stream; send \"no_tokens\":true on the connection's first analyze or batch frame and lex the query yourself"}` + "\n"
+
+// TestFlaglessRepliesByteIdentical pins the refusal a peer that never
+// sends no_tokens now gets: each recorded flagless frame, the version
+// mismatch and the batch included, is answered with the same error line
+// naming the latch, and the stream stays healthy for the next frame.
 func TestFlaglessRepliesByteIdentical(t *testing.T) {
 	send := rawConn(t, goldenServer())
 	for _, g := range loadWireGolden(t) {
-		if got := send(g.frame); got != g.reply {
-			t.Errorf("frame %s\n got: %s\nwant: %s", g.frame, got, g.reply)
+		if got := send(g.frame); got != refusalLine {
+			t.Errorf("frame %s\n got: %s\nwant: %s", g.frame, got, refusalLine)
 		}
 	}
 }
@@ -102,7 +110,8 @@ func TestFlaglessRepliesByteIdentical(t *testing.T) {
 // TestNoTokensLatchesForConnection: the first frame carrying no_tokens
 // latches the connection, and every reply from then on — that frame's
 // included, flagless later frames and batch items too — is the legacy
-// reply minus its "tokens" member, byte for byte.
+// reply minus its "tokens" member, byte for byte. The latch is per
+// connection.
 func TestNoTokensLatchesForConnection(t *testing.T) {
 	golden := loadWireGolden(t)
 	send := rawConn(t, goldenServer())
@@ -116,10 +125,96 @@ func TestNoTokensLatchesForConnection(t *testing.T) {
 			t.Errorf("frame %s after the latch\n got: %s\nwant: %s", g.frame, got, want)
 		}
 	}
-	// A separate connection has not latched: it still gets tokens.
+	// A separate connection has not latched: it is refused.
 	other := rawConn(t, goldenServer())
-	if got := other(golden[0].frame); got != golden[0].reply {
+	if got := other(golden[0].frame); got != refusalLine {
 		t.Errorf("latch leaked across connections: %s", got)
+	}
+}
+
+// TestFlaglessFramesRefused: before the latch, the control verbs are
+// served and analyze and batch frames are refused on the healthy stream,
+// each refusal counted as an error; the same connection then serves a
+// latched frame.
+func TestFlaglessFramesRefused(t *testing.T) {
+	srv := goldenServer()
+	send := rawConn(t, srv)
+	decode := func(line string) wireResponse {
+		t.Helper()
+		var resp wireResponse
+		if err := json.Unmarshal([]byte(line), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	if resp := decode(send(`{"op":"stats"}`)); resp.Stats == nil {
+		t.Errorf("stats before the latch = %+v", resp)
+	}
+	if resp := decode(send(`{"op":"traces"}`)); resp.Traces == nil {
+		t.Errorf("traces before the latch = %+v", resp)
+	}
+	// No reloader and nothing staged: prepare and commit answer with their
+	// own refusals, not the latch's.
+	for _, verb := range []string{"prepare", "commit"} {
+		if resp := decode(send(`{"op":"` + verb + `"}`)); !strings.HasPrefix(resp.Err, verb+":") {
+			t.Errorf("%s before the latch = %+v", verb, resp)
+		}
+	}
+	if resp := decode(send(`{"op":"abort"}`)); resp.Rollout == nil || resp.Rollout.State != "aborted" {
+		t.Errorf("abort before the latch = %+v", resp)
+	}
+	errs := srv.Stats().DaemonErrors
+	for _, frame := range []string{
+		`{"query":"` + benignQuery + `"}`,
+		`{"op":"batch","batch":[{"query":"` + benignQuery + `"}]}`,
+	} {
+		if got := send(frame); got != refusalLine {
+			t.Errorf("flagless %s\n got: %s\nwant: %s", frame, got, refusalLine)
+		}
+	}
+	st := srv.Stats()
+	if got := st.DaemonErrors - errs; got != 2 {
+		t.Errorf("errorOps counted %d refusals, want 2", got)
+	}
+	if st.DaemonAnalyzeOps != 0 || st.DaemonBatchOps != 0 || st.Checks != 0 {
+		t.Errorf("refused frames were analyzed: %+v", st)
+	}
+	resp := decode(send(`{"query":"` + attackQuery + `","no_tokens":true}`))
+	if resp.Reply == nil || !resp.Reply.Attack || resp.Reply.Tokens != nil {
+		t.Errorf("latched frame after the refusals = %+v", resp)
+	}
+}
+
+// TestHandshakeAckBytes pins the JSON reply that acknowledges binary
+// frames, for a reply, a refusal and a batch: the acknowledgement comes
+// first, and the reply carries no token stream.
+func TestHandshakeAckBytes(t *testing.T) {
+	const reason = `"detail":"critical token not contained in any trusted fragment"}`
+	for _, c := range []struct{ frame, want string }{{
+		`{"query":"` + attackQuery + `","site":"plugin:x","no_tokens":true,"binary":true}`,
+		`{"binary":true,"reply":{"attack":true,"reasons":[` +
+			`{"token":{"kind":5,"text":"-","start":31,"end":32},` + reason + `,` +
+			`{"token":{"kind":1,"text":"UNION","start":34,"end":39},` + reason + `,` +
+			`{"token":{"kind":1,"text":"SELECT","start":40,"end":46},` + reason + `,` +
+			`{"token":{"kind":10,"text":"username","start":47,"end":55},` + reason + `,` +
+			`{"token":{"kind":6,"text":"(","start":55,"end":56},` + reason + `,` +
+			`{"token":{"kind":6,"text":")","start":56,"end":57},` + reason + `],` +
+			`"profile":{"outcome":"learned","site":"plugin:x","skeleton":"SELECT * FROM RECORDS WHERE ID = - ? UNION SELECT USERNAME ( ) LIMIT ?"},` +
+			`"version":"0123456789abcdef"}}`,
+	}, {
+		`{"query":"SELECT 1","dialect":"postgres","no_tokens":true,"binary":true}`,
+		`{"error":"dialect mismatch: request is postgres, daemon analyzes mysql","binary":true}`,
+	}, {
+		`{"op":"batch","batch":[{"query":"` + benignQuery + `","site":"s"},{"query":"SELECT 1","version":"x"}],"no_tokens":true,"binary":true}`,
+		`{"binary":true,"batch":[` +
+			`{"reply":{"attack":false,"profile":{"outcome":"learned","site":"s","skeleton":"SELECT * FROM RECORDS WHERE ID = ? LIMIT ?"},"version":"0123456789abcdef"}},` +
+			`{"error":"version mismatch: request pinned to snapshot \"x\", daemon serves \"0123456789abcdef\""}]}`,
+	}} {
+		// Each on its own connection: after the acknowledgement the
+		// connection speaks binary frames.
+		if got := rawConn(t, goldenServer())(c.frame); got != c.want+"\n" {
+			t.Errorf("frame %s\n got: %s\nwant: %s", c.frame, got, c.want)
+		}
 	}
 }
 
@@ -211,16 +306,26 @@ func TestClientFramesSetNoTokensOnce(t *testing.T) {
 }
 
 // oldServerConn is the server side of a connection to a daemon that
-// predates no_tokens and binary frames: both flags are cut from every
-// frame before the server reads it, so the server ignores them exactly as
-// an old one would, stays on JSON and always sends tokens. net.Pipe
-// delivers each client frame in one Read.
+// predates no_tokens and binary frames. The binary flag is cut from every
+// frame before the server reads it, so the server never acknowledges it
+// and stays on JSON, and every reply gains a token stream, as an old
+// server always sent one. The stream is a fixed one, not the query's lex:
+// a current client lexes for itself and must ignore it, whatever it
+// holds. net.Pipe delivers each client frame in one Read, and the server
+// writes each reply in one Write.
 type oldServerConn struct{ net.Conn }
 
 func (c oldServerConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	b := bytes.ReplaceAll(p[:n], []byte(`,"no_tokens":true`), nil)
-	return copy(p, bytes.ReplaceAll(b, []byte(`,"binary":true`), nil)), err
+	return copy(p, bytes.ReplaceAll(p[:n], []byte(`,"binary":true`), nil)), err
+}
+
+func (c oldServerConn) Write(p []byte) (int, error) {
+	withTokens := bytes.ReplaceAll(p, []byte(`"reply":{`), []byte(`"reply":{"tokens":[{"kind":1,"text":"SELECT","start":0,"end":6}],`))
+	if _, err := c.Conn.Write(withTokens); err != nil {
+		return 0, err
+	}
+	return len(p), nil
 }
 
 // countingConn counts the replies read through it that carried a

@@ -4,8 +4,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"joza/internal/strdist"
 )
 
 func TestDedupMirroredInputsSingleMarking(t *testing.T) {
@@ -74,11 +72,7 @@ func TestDedupDistinctValuesKeptSeparate(t *testing.T) {
 func TestDedupMatcherRunsOncePerValue(t *testing.T) {
 	// A non-verbatim payload (so the approximate matcher actually runs)
 	// mirrored under three keys must cost one matcher invocation.
-	calls := 0
-	a := MustNew(WithMatcher(func(input, query string) strdist.Match {
-		calls++
-		return strdist.SubstringMatch(input, query)
-	}))
+	a := MustNew()
 	payload := "-1 OR 1=2"
 	q := "SELECT * FROM t WHERE id=-1 OR 1=1"
 	res := a.Analyze(q, nil, []Input{
@@ -88,9 +82,6 @@ func TestDedupMatcherRunsOncePerValue(t *testing.T) {
 	})
 	if !res.Attack {
 		t.Fatal("attack not detected")
-	}
-	if calls != 1 {
-		t.Errorf("matcher ran %d times, want 1", calls)
 	}
 	if st := a.Stats(); st.MatcherCalls != 1 {
 		t.Errorf("MatcherCalls = %d, want 1", st.MatcherCalls)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"joza/internal/core"
-	"joza/internal/strdist"
 )
 
 func TestExactOccurrencesCoalesceIntoRegions(t *testing.T) {
@@ -71,46 +70,6 @@ func TestExactScanChargesBudget(t *testing.T) {
 		[]Input{{Source: "get", Name: "v", Value: "x"}}, nil)
 	if !errors.Is(err, core.ErrOverBudget) {
 		t.Fatalf("err = %v, want core.ErrOverBudget", err)
-	}
-}
-
-func TestBudgetBlindMatcherFailsConstruction(t *testing.T) {
-	// A bare MatcherFunc cannot observe the DP cell budget; combining the
-	// two must fail construction rather than silently void containment.
-	for _, opts := range [][]Option{
-		{WithDPCellBudget(100), WithMatcher(strdist.NaiveSubstringMatch)},
-		{WithMatcher(strdist.NaiveSubstringMatch), WithDPCellBudget(100)},
-	} {
-		if _, err := New(opts...); err == nil {
-			t.Error("construction with budget-blind matcher must fail")
-		}
-	}
-	// Budget with the built-in engines is fine.
-	if _, err := New(WithDPCellBudget(100)); err != nil {
-		t.Errorf("default engine with budget: %v", err)
-	}
-	if _, err := New(WithDPCellBudget(100), WithSellersMatcher()); err != nil {
-		t.Errorf("sellers engine with budget: %v", err)
-	}
-}
-
-func TestMatcherFuncObservesCtx(t *testing.T) {
-	// The MatcherFunc wrapper checks ctx at the call boundary: a canceled
-	// context must fail instead of running the wrapped function.
-	ran := false
-	a := MustNew(WithMatcher(func(input, query string) strdist.Match {
-		ran = true
-		return strdist.SubstringMatch(input, query)
-	}), WithoutPrefilter())
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := a.AnalyzeCtx(ctx, "SELECT * FROM t WHERE id=-1 OR 1=1", nil,
-		inputs("id", "-1 OR 1=2"), nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran {
-		t.Error("wrapped matcher ran despite canceled ctx")
 	}
 }
 

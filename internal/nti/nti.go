@@ -74,63 +74,13 @@ type Input struct {
 // Key returns the "source:name" identifier used in markings.
 func (in Input) Key() string { return in.Source + ":" + in.Name }
 
-// Matcher is the pluggable approximate-matching engine. MatchThreshold
-// must honor ctx cancellation, charge its work against maxCells DP cells
-// when maxCells is positive (failing with an error wrapping
-// strdist.ErrBudget), and use the package's strict-inequality ratio
-// semantics: found means the best match's Ratio() is strictly below
-// threshold. pruned reports that the comparison was abandoned early as
-// hopeless.
-type Matcher interface {
-	MatchThreshold(ctx context.Context, input, query string, threshold float64, maxCells int) (m strdist.Match, found, pruned bool, err error)
-}
-
-// MatcherFunc adapts a bare best-match function (no ctx, no budget) to
-// the Matcher interface; benchmarks use it to measure the naive
-// algorithm. The wrapper checks ctx before running — coarse, since the
-// wrapped function cannot be interrupted — and is budget-blind: New
-// rejects it when combined with WithDPCellBudget, because the budget
-// could not be enforced.
-type MatcherFunc func(input, query string) strdist.Match
-
-// funcMatcher wraps a MatcherFunc as a Matcher.
-type funcMatcher struct{ fn MatcherFunc }
-
-func (f funcMatcher) MatchThreshold(ctx context.Context, input, query string, threshold float64, _ int) (strdist.Match, bool, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return strdist.Match{}, false, false, err
-	}
-	m := f.fn(input, query)
-	return m, m.Ratio() < threshold, false, nil
-}
-
-// budgetBlind marks matchers that cannot enforce a DP cell budget.
-func (funcMatcher) budgetBlind() {}
-
-// bitParallelMatcher is the default engine: a Myers bit-parallel scan
-// and reverse pass that reject misses and near-misses, with Sellers span
-// extraction inside a window for the pairs left.
-type bitParallelMatcher struct{}
-
-func (bitParallelMatcher) MatchThreshold(ctx context.Context, input, query string, threshold float64, maxCells int) (strdist.Match, bool, bool, error) {
-	return strdist.BitParallelThresholdBudgetCtx(ctx, input, query, threshold, maxCells)
-}
-
-// sellersMatcher is the cell-at-a-time threshold-banded Sellers DP — the
-// engine predating the bit-parallel one, kept selectable for ablations
-// and differential tests.
-type sellersMatcher struct{}
-
-func (sellersMatcher) MatchThreshold(ctx context.Context, input, query string, threshold float64, maxCells int) (strdist.Match, bool, bool, error) {
-	return strdist.SubstringMatchThresholdBudgetCtx(ctx, input, query, threshold, maxCells)
-}
-
 // Analyzer runs negative taint inference. The zero value is not usable;
 // construct with New.
 type Analyzer struct {
 	threshold float64
-	// match is the approximate-matching engine; bit-parallel by default.
-	match Matcher
+	// sellers selects the cell-at-a-time Sellers DP instead of the
+	// default bit-parallel engine (WithSellersMatcher).
+	sellers bool
 	// prefilter enables the q-gram reject stage ahead of the matcher.
 	prefilter bool
 	// critical decides which tokens an attack may not touch; the default
@@ -191,25 +141,11 @@ func WithThreshold(t float64) Option {
 	return func(a *Analyzer) { a.threshold = t }
 }
 
-// WithMatcher replaces the approximate matcher with a bare best-match
-// function (benchmarks use this to measure the naive algorithm). The
-// function cannot observe budgets; combining it with WithDPCellBudget
-// fails construction.
-func WithMatcher(m MatcherFunc) Option {
-	return func(a *Analyzer) { a.match = funcMatcher{fn: m} }
-}
-
-// WithMatcherEngine replaces the approximate matcher with a full
-// ctx+budget-aware engine.
-func WithMatcherEngine(m Matcher) Option {
-	return func(a *Analyzer) { a.match = m }
-}
-
 // WithSellersMatcher selects the cell-at-a-time banded Sellers engine
 // instead of the default bit-parallel one (ablations, differential
 // tests, before/after benchmarks).
 func WithSellersMatcher() Option {
-	return func(a *Analyzer) { a.match = sellersMatcher{} }
+	return func(a *Analyzer) { a.sellers = true }
 }
 
 // WithoutPrefilter disables the q-gram prefilter, sending every surviving
@@ -252,14 +188,10 @@ func WithStrictPolicy() Option {
 }
 
 // New returns an Analyzer with the default threshold, the q-gram
-// prefilter, and the bit-parallel matching engine. It fails when options
-// conflict — today that means a DP cell budget combined with a
-// budget-blind MatcherFunc, which would silently void the containment
-// layer.
-func New(opts ...Option) (*Analyzer, error) {
+// prefilter, and the bit-parallel matching engine.
+func New(opts ...Option) *Analyzer {
 	a := &Analyzer{
 		threshold: DefaultThreshold,
-		match:     bitParallelMatcher{},
 		prefilter: true,
 		critical:  sqltoken.Token.Critical,
 	}
@@ -269,23 +201,12 @@ func New(opts ...Option) (*Analyzer, error) {
 	if !a.critical(sqltoken.Token{Kind: sqltoken.KindNumber}) {
 		a.inert = a.dialect.InertBytes()
 	}
-	if a.dpCellBudget > 0 {
-		if _, blind := a.match.(interface{ budgetBlind() }); blind {
-			return nil, fmt.Errorf("nti: WithDPCellBudget(%d) cannot be enforced through a budget-blind MatcherFunc; use WithMatcherEngine or drop the budget", a.dpCellBudget)
-		}
-	}
-	return a, nil
-}
-
-// MustNew is New for configurations known valid at compile time; it
-// panics on a construction error.
-func MustNew(opts ...Option) *Analyzer {
-	a, err := New(opts...)
-	if err != nil {
-		panic(err)
-	}
 	return a
 }
+
+// MustNew is New. It remains because the benchmark suite's replay
+// (jozasuite) builds its analyzers through it.
+func MustNew(opts ...Option) *Analyzer { return New(opts...) }
 
 // Threshold returns the configured difference-ratio threshold.
 func (a *Analyzer) Threshold() float64 { return a.threshold }
@@ -609,7 +530,11 @@ func (a *Analyzer) matchInput(ctx context.Context, value, query string, st *chec
 			len(value), maxApproxInputLen, core.ErrOverBudget)
 	}
 	a.matcherCalls.Add(1)
-	m, found, pruned, err := a.match.MatchThreshold(ctx, value, query, a.threshold, a.dpCellBudget)
+	match := strdist.BitParallelThresholdBudgetCtx
+	if a.sellers {
+		match = strdist.SubstringMatchThresholdBudgetCtx
+	}
+	m, found, pruned, err := match(ctx, value, query, a.threshold, a.dpCellBudget)
 	if err != nil {
 		if errors.Is(err, strdist.ErrBudget) {
 			return nil, fmt.Errorf("nti: input match against %d-byte query: %w",

@@ -44,10 +44,10 @@ func (b LocalBackend) Execute(_ context.Context, req *minidb.Request) *minidb.Re
 	return minidb.ExecuteRequest(b.DB, req)
 }
 
-// Defaults for RemoteBackend's connection pool.
+// RemoteBackend's default pool size, and the bound on one upstream dial.
 const (
-	defaultRemotePoolSize    = 4
-	defaultRemoteDialTimeout = 2 * time.Second
+	defaultRemotePoolSize = 4
+	remoteDialTimeout     = 2 * time.Second
 )
 
 // upstreamConn pairs a wire client with its raw connection so Execute can
@@ -64,8 +64,7 @@ type upstreamConn struct {
 // an upstream restart is discarded so the next request redials instead of
 // poisoning the backend.
 type RemoteBackend struct {
-	addr        string
-	dialTimeout time.Duration
+	addr string
 	// slots holds the pool's connections; a nil entry is an empty slot
 	// dialed on first use or after its connection broke.
 	slots chan *upstreamConn
@@ -90,21 +89,11 @@ func WithPoolSize(n int) RemoteOption {
 	}
 }
 
-// WithDialTimeout bounds one upstream dial (default 2s).
-func WithDialTimeout(d time.Duration) RemoteOption {
-	return func(b *RemoteBackend) {
-		if d > 0 {
-			b.dialTimeout = d
-		}
-	}
-}
-
 // NewRemoteBackend returns a pooled backend that lazily connects to addr.
 func NewRemoteBackend(addr string, opts ...RemoteOption) *RemoteBackend {
 	b := &RemoteBackend{
-		addr:        addr,
-		dialTimeout: defaultRemoteDialTimeout,
-		done:        make(chan struct{}),
+		addr: addr,
+		done: make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(b)
@@ -143,7 +132,7 @@ func (b *RemoteBackend) Execute(ctx context.Context, req *minidb.Request) *minid
 	defer func() { b.slots <- slot }()
 	for attempt := 0; ; attempt++ {
 		if slot == nil {
-			conn, err := net.DialTimeout("tcp", b.addr, b.dialTimeout)
+			conn, err := net.DialTimeout("tcp", b.addr, remoteDialTimeout)
 			if err != nil {
 				return &minidb.Response{Error: fmt.Sprintf("upstream unavailable: %v", err)}
 			}

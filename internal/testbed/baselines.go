@@ -80,7 +80,7 @@ func (l *Lab) EvaluateBaselines() ([]BaselineRow, error) {
 	detectors := []baseline.Detector{
 		baseline.NewRegexWAF(),
 		baseline.Candid{},
-		baseline.NTIDetector{Analyzer: nti.MustNew()},
+		baseline.NTIDetector{Analyzer: nti.New()},
 		ptiDetector{analyzer: pti.New(l.Fragments)},
 		guardDetector{guard: l.Guard},
 	}

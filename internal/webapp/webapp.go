@@ -117,17 +117,6 @@ type Page struct {
 	Queries int
 }
 
-// Querier abstracts the database connection: a local *minidb.DB or a wire
-// client (possibly through a Joza proxy).
-type Querier interface {
-	Query(q string) (*minidb.Result, error)
-}
-
-// dbQuerier adapts *minidb.DB to Querier.
-type dbQuerier struct{ db *minidb.DB }
-
-func (d dbQuerier) Query(q string) (*minidb.Result, error) { return d.db.Exec(q) }
-
 // Handler is plugin code: it reads inputs from the Ctx, issues queries via
 // Ctx.Query, and returns the page body.
 type Handler func(c *Ctx) (string, error)
@@ -146,7 +135,7 @@ type Plugin struct {
 // App hosts plugins over a shared database, optionally protected by a Joza
 // guard.
 type App struct {
-	db      Querier
+	db      *minidb.DB
 	guard   joza.Checker
 	plugins map[string]*Plugin
 	// transforms are applied, in order, by Ctx input accessors — the
@@ -180,17 +169,7 @@ func WithCoreSource(src string) AppOption {
 
 // NewApp creates an App over db.
 func NewApp(db *minidb.DB, opts ...AppOption) *App {
-	a := &App{db: dbQuerier{db: db}, plugins: make(map[string]*Plugin)}
-	for _, o := range opts {
-		o(a)
-	}
-	return a
-}
-
-// NewAppWithQuerier creates an App over an arbitrary query transport (used
-// with the wire client / proxy deployments).
-func NewAppWithQuerier(q Querier, opts ...AppOption) *App {
-	a := &App{db: q, plugins: make(map[string]*Plugin)}
+	a := &App{db: db, plugins: make(map[string]*Plugin)}
 	for _, o := range opts {
 		o(a)
 	}
@@ -339,7 +318,7 @@ func (c *Ctx) Query(q string) (*minidb.Result, error) {
 			return nil, err
 		}
 	}
-	res, err := c.app.db.Query(q)
+	res, err := c.app.db.Exec(q)
 	if err != nil {
 		return nil, err
 	}

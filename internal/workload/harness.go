@@ -160,7 +160,7 @@ func NewProtection(name string, site *Site, v PTIVariant, withNTI bool) (prot *P
 		}
 	}
 	if withNTI {
-		p.NTI = nti.MustNew()
+		p.NTI = nti.New()
 	}
 	return p, stop
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"joza/internal/pti"
 )
@@ -243,27 +244,33 @@ func TestNewSiteDefaults(t *testing.T) {
 
 func TestSpawnPerRequestVariant(t *testing.T) {
 	site := newSite(t)
-	prot, stop := NewProtection("spawn", site,
+	spawn, stop := NewProtection("spawn", site,
 		PTIVariant{SpawnPerRequest: true, Cache: pti.CacheNone}, false)
 	defer stop()
-	reqs := site.GenerateRequests(Read, 10)
-	tm, err := RunRequests(site, reqs, prot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tm.PTI == 0 {
-		t.Error("spawn-per-request must record PTI-side time")
-	}
 	// Compare against the long-lived daemon: spawning per request costs
 	// strictly more PTI time for the same work.
 	longLived, stop2 := NewProtection("daemon", site,
 		PTIVariant{Remote: true, Cache: pti.CacheNone}, false)
 	defer stop2()
-	tm2, err := RunRequests(site, reqs, longLived)
-	if err != nil {
-		t.Fatal(err)
+	reqs := site.GenerateRequests(Read, 10)
+	// Each side runs three times, alternating, and keeps its fastest run,
+	// so one scheduler stall cannot decide the comparison.
+	var best [2]time.Duration
+	for i := 0; i < 3; i++ {
+		for side, prot := range []*Protection{spawn, longLived} {
+			tm, err := RunRequests(site, reqs, prot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if side == 0 && tm.PTI == 0 {
+				t.Fatal("spawn-per-request must record PTI-side time")
+			}
+			if i == 0 || tm.PTI < best[side] {
+				best[side] = tm.PTI
+			}
+		}
 	}
-	if tm.PTI <= tm2.PTI/2 {
-		t.Errorf("spawn-per-request PTI %v unexpectedly cheaper than long-lived %v", tm.PTI, tm2.PTI)
+	if best[0] <= best[1]/2 {
+		t.Errorf("spawn-per-request PTI %v unexpectedly cheaper than long-lived %v", best[0], best[1])
 	}
 }

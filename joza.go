@@ -485,11 +485,7 @@ func New(opts ...Option) (*Guard, error) {
 		}
 		if !cfg.disableNTI {
 			ntiOpts := append([]nti.Option{nti.WithThreshold(cfg.threshold)}, cfg.ntiOptions...)
-			a, err := nti.New(ntiOpts...)
-			if err != nil {
-				return nil, err
-			}
-			snap.NTI = a
+			snap.NTI = nti.New(ntiOpts...)
 		}
 		switch {
 		case cfg.profileRecorder != nil:

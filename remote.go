@@ -128,7 +128,7 @@ func WithDaemonSkewPolicy(p SkewPolicy) DaemonShardOption {
 // transport with the default NTI analyzer and terminate policy; options
 // adjust the degradation mode, policy, metrics collector and audit log.
 func NewRemoteGuard(transport DaemonTransport, opts ...RemoteGuardOption) *RemoteGuard {
-	return daemon.NewHybridClient(transport, nti.MustNew(), core.PolicyTerminate, opts...)
+	return daemon.NewHybridClient(transport, nti.New(), core.PolicyTerminate, opts...)
 }
 
 // WithRemoteDegradeMode sets what a RemoteGuard does when the daemon is
