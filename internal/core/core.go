@@ -31,15 +31,37 @@ const (
 	AnalyzerHybrid  = "hybrid"
 )
 
-// Marking is one inferred taint annotation over a span of the query.
+// Marking is one inferred taint annotation over a span of the query. It
+// keeps an NTI input's source and name apart, so marking a matched input
+// builds no string; Label renders the attribution when one is shown.
 type Marking struct {
 	Span sqltoken.Span
-	// Source identifies the origin of the marking: for NTI the input that
-	// matched (e.g. "get:id"), for PTI the trusted fragment text.
-	Source string
-	// Distance is the edit distance of the match for NTI markings; zero
-	// for PTI markings (fragment occurrences are exact).
-	Distance int
+	// Source and Name identify the origin of the marking. For an NTI
+	// marking of one named input they are the input's channel and
+	// parameter name ("get", "id"). Otherwise Name is empty and Source is
+	// the whole label: the comma-joined "source:name" keys of a value
+	// mirrored across inputs, the key of an input with an empty name, or,
+	// for PTI, the trusted fragment text.
+	Source, Name string
+}
+
+// InputMarking returns the marking of span by the input named name from
+// channel source: the pair kept apart, or for an empty name (which a
+// split pair could not tell from a whole label) the rendered key.
+func InputMarking(span sqltoken.Span, source, name string) Marking {
+	if name == "" {
+		return Marking{Span: span, Source: source + ":"}
+	}
+	return Marking{Span: span, Source: source, Name: name}
+}
+
+// Label renders the marking's origin: "source:name" for one named input,
+// Source itself otherwise.
+func (m *Marking) Label() string {
+	if m.Name == "" {
+		return m.Source
+	}
+	return m.Source + ":" + m.Name
 }
 
 // ReasonKind says which evidence a Reason carries, and so how its detail

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"joza/internal/sqltoken"
 )
@@ -159,6 +160,38 @@ func TestReasonTextMatchesLegacyFormat(t *testing.T) {
 		}
 		if got, want := r.DetailText(), want[strings.Index(want, ": ")+2:]; got != want {
 			t.Errorf("DetailText() = %q, want %q", got, want)
+		}
+	}
+}
+
+// TestMarkingSize pins Marking at 48 bytes: a span and two strings.
+func TestMarkingSize(t *testing.T) {
+	if n := unsafe.Sizeof(Marking{}); n > 48 {
+		t.Fatalf("Marking is %d bytes, want at most 48", n)
+	}
+}
+
+// TestMarkingLabel: a named input's marking keeps source and name apart
+// and renders "source:name"; an input with an empty name, whose split
+// pair would read as a whole label, keeps the rendered key; a whole label
+// renders as itself.
+func TestMarkingLabel(t *testing.T) {
+	span := sqltoken.Span{Start: 1, End: 3}
+	for _, tc := range []struct {
+		m            Marking
+		source, name string
+		label        string
+	}{
+		{InputMarking(span, "get", "id"), "get", "id", "get:id"},
+		{InputMarking(span, "a:b", "c,d"), "a:b", "c,d", "a:b:c,d"},
+		{InputMarking(span, "get", ""), "get:", "", "get:"},
+		{InputMarking(span, "", ""), ":", "", ":"},
+		{InputMarking(span, "", "x"), "", "x", ":x"},
+		{Marking{Span: span, Source: "header:x,get:x"}, "header:x,get:x", "", "header:x,get:x"},
+		{Marking{Span: span, Source: "SELECT * FROM t"}, "SELECT * FROM t", "", "SELECT * FROM t"},
+	} {
+		if tc.m.Span != span || tc.m.Source != tc.source || tc.m.Name != tc.name || tc.m.Label() != tc.label {
+			t.Errorf("marking %+v labelled %q, want source %q, name %q, label %q", tc.m, tc.m.Label(), tc.source, tc.name, tc.label)
 		}
 	}
 }

@@ -84,9 +84,10 @@ func (p *Pool) AnalyzeBatch(ctx context.Context, queries []string) ([]BatchResul
 
 // batcher coalesces concurrent single-query AnalyzeSiteContext calls into
 // batch frames: a call joins the forming batch and the batch flushes when
-// it reaches size or when the oldest call has lingered for the configured
-// window. One frame then carries every coalesced check, so N concurrent
-// callers pay one round trip between them instead of N.
+// it reaches size, before it would outgrow maxBatchBytes, or when the
+// oldest call has lingered for the configured window. One frame then
+// carries every coalesced check, so N concurrent callers pay one round
+// trip between them instead of N.
 type batcher struct {
 	pool   *Pool
 	size   int
@@ -94,7 +95,34 @@ type batcher struct {
 
 	mu      sync.Mutex
 	pending []*batchCall
+	bytes   int // the pending items' batchItemBytes
 	timer   *time.Timer
+}
+
+// maxBatchBytes bounds the items of one micro-batch, so its frame stays
+// within the DefaultMaxRequestBytes a server accepts: a larger frame would
+// break the connection and fail every coalesced call. The rest of the
+// request cap is room for the frame's own fields.
+const maxBatchBytes = DefaultMaxRequestBytes - 256
+
+// batchItemBytes bounds the bytes req takes as a batch item in either
+// frame encoding. A binary item is smaller than its JSON form, which
+// spends at most 96 bytes on field names, punctuation and the timeout,
+// and escapes a byte into at most six (\u00XX).
+func batchItemBytes(req *wireRequest) int {
+	return 96 + escapedBytes(req.Query) + escapedBytes(req.Site) + escapedBytes(req.Dialect) + escapedBytes(req.Version)
+}
+
+// escapedBytes bounds the JSON-escaped length of s: one byte per printable
+// ASCII byte JSON writes verbatim, six per other byte.
+func escapedBytes(s string) int {
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			n += 5
+		}
+	}
+	return n
 }
 
 // batchCall is one caller waiting inside a forming batch. done is buffered
@@ -118,28 +146,38 @@ func newBatcher(p *Pool, size int, linger time.Duration) *batcher {
 }
 
 // analyze enqueues one analyze request (already stamped with its deadline
-// budget, and possibly carrying a call site) into the forming batch and
-// waits for its slot's outcome. The call that fills the batch flushes it
-// inline; the first call into an empty batch arms the linger timer that
-// flushes a partial batch. A caller whose ctx ends while waiting returns
-// ctx's error; its query may still be analyzed server-side (its stamped
-// budget bounds that work), and its slot's result is discarded.
-func (b *batcher) analyze(ctx context.Context, req wireRequest) (*AnalysisReply, error) {
+// budget, and possibly carrying a call site) of itemBytes bytes
+// (batchItemBytes, at most maxBatchBytes) into the forming batch and waits
+// for its slot's outcome. A call that would push the batch past
+// maxBatchBytes flushes it first and starts the next; the call that fills
+// the batch flushes it inline; the first call into an empty batch arms
+// the linger timer that flushes a partial batch. A caller whose ctx ends
+// while waiting returns ctx's error; its query may still be analyzed
+// server-side (its stamped budget bounds that work), and its slot's
+// result is discarded.
+func (b *batcher) analyze(ctx context.Context, req wireRequest, itemBytes int) (*AnalysisReply, error) {
 	call := &batchCall{
 		req:  req,
 		done: make(chan batchOut, 1),
 	}
+	var spilled, full []*batchCall
 	b.mu.Lock()
+	if b.bytes+itemBytes > maxBatchBytes {
+		spilled = b.take()
+	}
 	b.pending = append(b.pending, call)
+	b.bytes += itemBytes
 	if len(b.pending) >= b.size {
-		batch := b.take()
-		b.mu.Unlock()
-		b.flush(batch)
-	} else {
-		if len(b.pending) == 1 {
-			b.timer = time.AfterFunc(b.linger, b.flushPending)
-		}
-		b.mu.Unlock()
+		full = b.take()
+	} else if len(b.pending) == 1 {
+		b.timer = time.AfterFunc(b.linger, b.flushPending)
+	}
+	b.mu.Unlock()
+	if len(spilled) > 0 {
+		b.flush(spilled)
+	}
+	if full != nil {
+		b.flush(full)
 	}
 	select {
 	case out := <-call.done:
@@ -153,7 +191,7 @@ func (b *batcher) analyze(ctx context.Context, req wireRequest) (*AnalysisReply,
 // called with mu held.
 func (b *batcher) take() []*batchCall {
 	batch := b.pending
-	b.pending = nil
+	b.pending, b.bytes = nil, 0
 	if b.timer != nil {
 		b.timer.Stop()
 		b.timer = nil

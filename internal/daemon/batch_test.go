@@ -188,36 +188,107 @@ func TestMicroBatcherAbandonedCaller(t *testing.T) {
 // coalesced call fails.
 func TestMicroBatcherClampsToServerCap(t *testing.T) {
 	srv := NewServer(newAnalyzer())
-	p := NewPool(func() (net.Conn, error) {
+	p := pipePool(srv, MaxBatchItems+10)
+	defer p.Close()
+	const calls = MaxBatchItems + 1
+	queries := make([]string, calls)
+	for i := range queries {
+		queries[i] = benignQuery
+	}
+	for i, err := range concurrentChecks(p, queries) {
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if st := srv.Stats(); st.DaemonErrors != 0 || st.DaemonBatchItems != calls {
+		t.Errorf("server saw %d errors and %d batch items, want 0 and %d", st.DaemonErrors, st.DaemonBatchItems, calls)
+	}
+}
+
+// pipePool returns a pool of one connection to srv over net.Pipe, with
+// the micro-batcher coalescing up to batchSize calls.
+func pipePool(srv *Server, batchSize int) *Pool {
+	return NewPool(func() (net.Conn, error) {
 		clientSide, serverSide := net.Pipe()
 		go srv.ServeConn(serverSide)
 		return clientSide, nil
 	}, PoolConfig{
 		Size:        1,
 		Timeout:     30 * time.Second,
-		BatchSize:   MaxBatchItems + 10,
+		BatchSize:   batchSize,
 		BatchLinger: 500 * time.Millisecond,
 	})
-	defer p.Close()
-	const calls = MaxBatchItems + 1
+}
+
+// concurrentChecks runs one AnalyzeSiteContext call per query at once
+// through p and returns each call's error.
+func concurrentChecks(p *Pool, queries []string) []error {
+	errs := make([]error, len(queries))
 	var wg sync.WaitGroup
-	var failed sync.Map
-	for i := 0; i < calls; i++ {
+	for i, q := range queries {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, q string) {
 			defer wg.Done()
-			if _, err := p.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
-				failed.Store(i, err)
-			}
-		}(i)
+			_, errs[i] = p.AnalyzeSiteContext(context.Background(), "", q)
+		}(i, q)
 	}
 	wg.Wait()
-	failed.Range(func(i, err any) bool {
-		t.Errorf("call %v: %v", i, err)
-		return false
-	})
-	if st := srv.Stats(); st.DaemonErrors != 0 || st.DaemonBatchItems != calls {
-		t.Errorf("server saw %d errors and %d batch items, want 0 and %d", st.DaemonErrors, st.DaemonBatchItems, calls)
+	return errs
+}
+
+// longBenignQuery returns a benign query of n bytes (n > 39): a number
+// of n-39 digits between the two trusted fragments.
+func longBenignQuery(n int) string {
+	return "SELECT * FROM records WHERE ID=" + strings.Repeat("5", n-39) + " LIMIT 5"
+}
+
+// TestMicroBatcherBoundsFrameBytes: a full batch of 4096 310-byte queries
+// would be a frame over the server's 1 MiB request cap, which breaks the
+// connection and used to fail every coalesced call. The batcher flushes
+// before a batch outgrows the cap, so every call succeeds.
+func TestMicroBatcherBoundsFrameBytes(t *testing.T) {
+	srv := NewServer(newAnalyzer())
+	p := pipePool(srv, 4096)
+	defer p.Close()
+	q := longBenignQuery(310)
+	if len(q) != 310 || 4096*len(q) <= DefaultMaxRequestBytes {
+		t.Fatalf("query of %d bytes does not overfill a 4096-item batch", len(q))
+	}
+	queries := make([]string, 4096)
+	for i := range queries {
+		queries[i] = q
+	}
+	for i, err := range concurrentChecks(p, queries) {
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if st := srv.Stats(); st.DaemonErrors != 0 || st.DaemonBatchItems != 4096 || st.DaemonBatchOps < 2 {
+		t.Errorf("server saw %d errors, %d batch items in %d batches, want 0 and 4096 in 2 or more",
+			st.DaemonErrors, st.DaemonBatchItems, st.DaemonBatchOps)
+	}
+}
+
+// TestMicroBatcherSendsOverCapQueryAlone: a query too large for any frame
+// the server accepts goes out on its own, so it fails alone and its small
+// neighbours, coalesced meanwhile, all get their verdicts.
+func TestMicroBatcherSendsOverCapQueryAlone(t *testing.T) {
+	srv := NewServer(newAnalyzer())
+	p := pipePool(srv, 64)
+	defer p.Close()
+	queries := make([]string, 65)
+	for i := range queries {
+		queries[i] = benignQuery
+	}
+	const big = 32
+	queries[big] = longBenignQuery(DefaultMaxRequestBytes + 1)
+	for i, err := range concurrentChecks(p, queries) {
+		if (err != nil) != (i == big) {
+			t.Errorf("call %d (%d bytes): error %v", i, len(queries[i]), err)
+		}
+	}
+	if st := srv.Stats(); st.DaemonBatchItems != 64 {
+		t.Errorf("server saw %d batch items, want the 64 small calls", st.DaemonBatchItems)
 	}
 }
 

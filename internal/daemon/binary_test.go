@@ -329,3 +329,23 @@ func TestBinaryHybridVerdictsMatchJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestParseResponseAllocations pins the decode of an analyze reply: one
+// object for the reply, one that holds a reply and its profile together,
+// plus one string per non-empty text field the reply keeps.
+func TestParseResponseAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		v      core.Verdict
+		allocs float64
+	}{
+		{"no profile", core.Verdict{}, 1},
+		{"profile, skeleton", core.Verdict{ProfileOutcome: "seen", Skeleton: "SELECT * FROM t WHERE id = ?"}, 2},
+	} {
+		body := appendVerdictResponse(nil, &tc.v, "")
+		req := &wireRequest{Site: "plugin:a"}
+		if n := testing.AllocsPerRun(100, func() { _, _ = parseResponse(frameAnalyze, body, req) }); n != tc.allocs {
+			t.Errorf("%s: parseResponse allocates %.1f times, want %.1f", tc.name, n, tc.allocs)
+		}
+	}
+}

@@ -333,7 +333,19 @@ func (r *bodyReader) response(site string) wireResponse {
 	if flags&^(respAttack|respProfile|respProfileAttack|respTrace) != 0 {
 		r.fail()
 	}
-	reply := &AnalysisReply{Attack: flags&respAttack != 0, Version: r.str()}
+	var reply *AnalysisReply
+	if flags&respProfile != 0 {
+		// One object holds the reply and its profile.
+		both := new(struct {
+			reply   AnalysisReply
+			profile ProfileReply
+		})
+		reply = &both.reply
+		reply.Profile = &both.profile
+	} else {
+		reply = new(AnalysisReply)
+	}
+	reply.Attack, reply.Version = flags&respAttack != 0, r.str()
 	if n := r.count(5); n > 0 {
 		reply.Reasons = make([]ReasonJSON, n)
 		for i := range reply.Reasons {
@@ -348,8 +360,8 @@ func (r *bodyReader) response(site string) wireResponse {
 			}
 		}
 	}
-	if flags&respProfile != 0 {
-		p := &ProfileReply{Attack: flags&respProfileAttack != 0, Site: site}
+	if p := reply.Profile; p != nil {
+		p.Attack, p.Site = flags&respProfileAttack != 0, site
 		if o := r.u8(); int(o) < len(profileOutcomes) {
 			p.Outcome = profileOutcomes[o]
 		} else if o == otherOutcome {
@@ -359,7 +371,6 @@ func (r *bodyReader) response(site string) wireResponse {
 		}
 		p.Skeleton = r.str()
 		p.Detail = r.str()
-		reply.Profile = p
 	} else if flags&respProfileAttack != 0 {
 		r.fail()
 	}

@@ -60,9 +60,9 @@ type PoolConfig struct {
 	// of up to this many items, amortizing the round trip across them.
 	// Values below 2 (the default) leave every call its own round trip,
 	// and values above MaxBatchItems are clamped to it, so no batch has
-	// more items than a server accepts. The clamp does not bound a
-	// batch's encoded size: a full batch of long queries can still
-	// exceed the server's request byte cap. Requires a server that speaks
+	// more items than a server accepts. A batch also flushes before its
+	// frame would pass DefaultMaxRequestBytes, and a call too large to
+	// share a frame is sent on its own. Requires a server that speaks
 	// the "batch" verb.
 	BatchSize int
 	// BatchLinger is how long the first call in a forming batch waits for
@@ -283,9 +283,14 @@ func (p *Pool) AnalyzeSiteContext(ctx context.Context, site, query string) (*Ana
 	return p.analyzeReq(ctx, withTimeoutBudget(ctx, wireRequest{Query: query, Site: site, Dialect: wireDialect(p.cfg.Dialect)}))
 }
 
+// analyzeReq sends req, through the micro-batcher when there is one. A
+// request too large to share a batch frame goes alone, so if a server
+// refuses it, no other call fails with it.
 func (p *Pool) analyzeReq(ctx context.Context, req wireRequest) (*AnalysisReply, error) {
 	if p.batch != nil {
-		return p.batch.analyze(ctx, req)
+		if n := batchItemBytes(&req); n <= maxBatchBytes {
+			return p.batch.analyze(ctx, req, n)
+		}
 	}
 	resp, err := p.do(ctx, req)
 	if err != nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -120,6 +121,43 @@ func FuzzSkeletonMemo(f *testing.F) {
 				}
 				if sk := profile.SkeletonDialect(d, q); got.Skeleton != sk {
 					t.Fatalf("%s query %q: skeleton %q, want %q", d, q, got.Skeleton, sk)
+				}
+			}
+		}
+
+		// Recycled entries: take each query's memo at a fresh entry's
+		// first hit, churn the cache until that entry is evicted and
+		// reused for another query, then Set. The churned queries' entries
+		// must keep empty memos.
+		cached := pti.NewCached(pti.New(set, pti.WithDialect(d)), pti.CacheQueryAndStructure, 4)
+		var (
+			buf []sqltoken.Token
+			res core.Result
+		)
+		analyze := func(q string, memo *pti.SkeletonMemo) {
+			if _, err := cached.AnalyzeBuf(ctx, q, nil, &buf, memo, nil, &res); err != nil {
+				t.Fatalf("%s query %q: %v", d, q, err)
+			}
+		}
+		churn := make([]string, 32)
+		for j := range churn {
+			churn[j] = fmt.Sprintf("SELECT * FROM posts WHERE id=%d LIMIT 5", j)
+		}
+		for _, q := range queries {
+			for _, r := range churn {
+				analyze(r, nil)
+			}
+			var memo pti.SkeletonMemo
+			analyze(q, nil) // a miss puts q afresh, with an empty memo
+			analyze(q, &memo)
+			for _, r := range churn {
+				analyze(r, nil)
+			}
+			memo.Set(profile.SkeletonDialect(d, q))
+			for j := len(churn) - 1; j >= 0; j-- {
+				var m pti.SkeletonMemo
+				if analyze(churn[j], &m); m.Skeleton() != "" {
+					t.Fatalf("%s: after a recycled memo of %q was set, %q holds memo %q", d, q, churn[j], m.Skeleton())
 				}
 			}
 		}

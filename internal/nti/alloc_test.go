@@ -13,10 +13,11 @@ import (
 // input groups on the stack, so it allocates nothing — one input or a
 // few, rejected by the prefilter or by the matcher. A benign input that
 // does match makes NTI lex the query lazily (unless it matches only
-// digits); lexed into presized storage, that lex allocates nothing either,
-// and the matched spans are built in the check's stack storage, so a
-// matched single input allocates only its label and its marking, whether
-// the check lexes or is handed the tokens.
+// digits); lexed into presized storage, that lex allocates nothing either.
+// The matched spans and the markings gather in the check's stack storage,
+// and a marking keeps the input's source and name apart, so a matched
+// single input allocates only its exact-size markings slice, whether the
+// check lexes or is handed the tokens.
 func TestBenignChecksAllocateNothing(t *testing.T) {
 	const q = "SELECT id, title, body FROM posts WHERE id=42 ORDER BY id DESC"
 	junk := strings.Repeat("x", 40)
@@ -50,7 +51,7 @@ func TestBenignChecksAllocateNothing(t *testing.T) {
 			}
 			want := 0.0
 			if tc.matches {
-				want = 2 // the label and the marking
+				want = 1 // the markings slice
 				toks := a.Dialect().Lex(q)
 				if n := testing.AllocsPerRun(200, func() { _ = a.AnalyzeBuf(ctx, q, toks, &buf, tc.inputs, nil, &res) }); n != want {
 					t.Fatalf("benign NTI check handed the tokens allocates %.1f times, want %.1f", n, want)
@@ -74,17 +75,18 @@ func TestEvidenceSlicesExactSize(t *testing.T) {
 		name    string
 		inputs  []Input
 		reasons int
-		// allocs of a warm check: a label per input, the markings grown
-		// one append at a time, and one exact-size reason slice.
+		// allocs of a warm check: one exact-size markings slice and, for
+		// an attack, the label of each flagging input and one exact-size
+		// reason slice.
 		allocs float64
 	}{
 		{"no inputs", nil, 0, 0},
-		{"benign match", []Input{{Source: "get", Name: "table", Value: "posts"}}, 0, 2},
+		{"benign match", []Input{{Source: "get", Name: "table", Value: "posts"}}, 0, 1},
 		{"one attack input", []Input{{Source: "get", Name: "id", Value: "-1 UNION SELECT user_pass FROM users"}}, 4, 3},
 		{"two attack inputs", []Input{
 			{Source: "get", Name: "id", Value: "-1 UNION SELECT user_pass FROM users"},
 			{Source: "get", Name: "w", Value: "1=1 OR 2=2"},
-		}, 7, 5},
+		}, 7, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res := a.Analyze(q, nil, tc.inputs)

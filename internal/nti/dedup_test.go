@@ -22,7 +22,7 @@ func TestDedupMirroredInputsSingleMarking(t *testing.T) {
 	if len(res.Markings) != 1 {
 		t.Fatalf("markings = %d, want 1 (deduped): %+v", len(res.Markings), res.Markings)
 	}
-	src := res.Markings[0].Source
+	src := res.Markings[0].Label()
 	if !strings.Contains(src, "get:id") || !strings.Contains(src, "cookie:id") {
 		t.Errorf("marking source %q must attribute both keys", src)
 	}
@@ -49,7 +49,7 @@ func TestDedupIdenticalInputRepeated(t *testing.T) {
 	if len(res.Markings) != 1 {
 		t.Fatalf("markings = %d, want 1", len(res.Markings))
 	}
-	if got := res.Markings[0].Source; got != "get:v" {
+	if got := res.Markings[0].Label(); got != "get:v" {
 		t.Errorf("source = %q, want %q", got, "get:v")
 	}
 }
@@ -64,7 +64,7 @@ func TestDedupDistinctValuesKeptSeparate(t *testing.T) {
 	if len(res.Markings) != 2 {
 		t.Fatalf("markings = %d, want 2: %+v", len(res.Markings), res.Markings)
 	}
-	if res.Markings[0].Source == res.Markings[1].Source {
+	if res.Markings[0].Label() == res.Markings[1].Label() {
 		t.Error("distinct values must keep their own attribution")
 	}
 }
@@ -241,7 +241,7 @@ func TestDedupCommaBearingNameEndToEnd(t *testing.T) {
 	if !res.Attack || len(res.Markings) != 1 {
 		t.Fatalf("result = %+v", res)
 	}
-	if got := res.Markings[0].Source; got != "header:x,y,get:x" {
+	if got := res.Markings[0].Label(); got != "header:x,y,get:x" {
 		t.Errorf("marking source = %q", got)
 	}
 }

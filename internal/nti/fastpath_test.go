@@ -20,8 +20,8 @@ func TestExactOccurrencesCoalesceIntoRegions(t *testing.T) {
 		t.Fatalf("markings = %d, want 1 coalesced region: %+v", len(res.Markings), res.Markings)
 	}
 	m := res.Markings[0]
-	if m.Span.Len() != 100 || m.Distance != 0 {
-		t.Errorf("region = %+v, want the full 100-byte stretch at distance 0", m)
+	if q[m.Span.Start:m.Span.End] != strings.Repeat("x", 100) {
+		t.Errorf("region = %+v, want exactly the 100-byte stretch", m)
 	}
 }
 

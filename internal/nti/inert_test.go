@@ -20,7 +20,7 @@ func TestInertMatchSkipsLex(t *testing.T) {
 	buf := sqltoken.Lex(other)
 	var res core.Result
 	err := a.AnalyzeBuf(context.Background(), q, nil, &buf, []Input{{Source: "get", Name: "id", Value: "42"}}, nil, &res)
-	if err != nil || res.Attack || len(res.Markings) != 1 || res.Markings[0].Source != "get:id" {
+	if err != nil || res.Attack || len(res.Markings) != 1 || res.Markings[0].Label() != "get:id" {
 		t.Fatalf("digit input: %+v, %v", res, err)
 	}
 	if !reflect.DeepEqual(buf, sqltoken.Lex(other)) {

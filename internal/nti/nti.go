@@ -71,7 +71,8 @@ type Input struct {
 	Value string
 }
 
-// Key returns the "source:name" identifier used in markings.
+// Key returns the "source:name" identifier that labels the input's
+// markings (core.Marking.Label) and reasons.
 func (in Input) Key() string { return in.Source + ":" + in.Name }
 
 // Analyzer runs negative taint inference. The zero value is not usable;
@@ -254,12 +255,15 @@ func (a *Analyzer) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken
 			len(query), a.maxQueryBytes, core.ErrOverBudget)
 	}
 	cancelable := ctx.Done() != nil
-	// A few inputs (the common hot path) group in these stack buffers.
+	// A few inputs (the common hot path) group in these stack buffers, and
+	// their markings gather in markBuf until they leave it at exact size.
 	var (
 		groupBuf [scanInputs]inputGroup
 		nextBuf  [scanInputs]int
+		markBuf  [stackMarkings]core.Marking
 	)
 	groups, next := dedupInputs(groupBuf[:0], nextBuf[:0], inputs)
+	marks := markBuf[:0]
 	st := checkState{timed: span.Active()}
 	defer st.release()
 	for gi := range groups {
@@ -280,8 +284,9 @@ func (a *Analyzer) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken
 			*res = core.Result{Analyzer: core.AnalyzerNTI}
 			return err
 		}
-		// The attribution is rendered only when a marking or a timed
-		// trace shows it: a benign check never builds it.
+		// The attribution is rendered only when a trace, a reason or a
+		// mirrored value shows it: a benign check of single inputs never
+		// builds it.
 		var label string
 		if st.timed {
 			label = g.sourceLabel(inputs, next)
@@ -315,28 +320,48 @@ func (a *Analyzer) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken
 				span.Lex(time.Since(lexStart))
 			}
 		}
-		if label == "" {
-			label = g.sourceLabel(inputs, next)
-		}
-		for _, sp := range spans {
-			m := core.Marking{
-				Span:     sqltoken.Span{Start: sp.Start, End: sp.End},
-				Source:   label,
-				Distance: sp.Distance,
+		// One input's marking keeps its source and name apart; a mirrored
+		// value's carries the rendered label.
+		var m core.Marking
+		if g.first == g.last {
+			in := &inputs[g.first]
+			m = core.InputMarking(sqltoken.Span{}, in.Source, in.Name)
+		} else {
+			if label == "" {
+				label = g.sourceLabel(inputs, next)
 			}
-			res.Markings = append(res.Markings, m)
-			st.addAttackReasons(toks, m, a.critical)
+			m.Source = label
+		}
+		from := st.reasonCount()
+		for _, sp := range spans {
+			m.Span = sqltoken.Span{Start: sp.Start, End: sp.End}
+			marks = st.addMarking(marks, m)
+			st.addAttackReasons(toks, sp, a.critical)
+		}
+		if st.reasonCount() > from {
+			if label == "" {
+				label = g.sourceLabel(inputs, next)
+			}
+			added := (*st.reasons)[from:]
+			for i := range added {
+				added[i].Input = label
+			}
 		}
 	}
 	if st.timed && st.prefilterNs > 0 {
 		span.NTIPrefilter(time.Duration(st.prefilterNs))
 	}
+	res.Markings = core.ExactCopy(st.markings(marks))
 	if st.reasons != nil {
 		res.Reasons = core.ExactCopy(*st.reasons)
 	}
 	res.Attack = len(res.Reasons) > 0
 	return nil
 }
+
+// stackMarkings is how many markings a check gathers on its stack before
+// moving them to pooled storage.
+const stackMarkings = 8
 
 // scanInputs is the most inputs dedupInputs groups by scanning the groups
 // so far; more get a value index, so a request carrying thousands of
@@ -353,8 +378,9 @@ type inputGroup struct {
 	first, last int
 }
 
-// sourceLabel renders the group's attribution for markings and traces:
-// the "source:name" key of each member, comma-joined.
+// sourceLabel renders the group's attribution for traces, reasons and a
+// mirrored value's markings: the "source:name" key of each member,
+// comma-joined.
 func (g *inputGroup) sourceLabel(inputs []Input, next []int) string {
 	if g.first == g.last {
 		return inputs[g.first].Key()
@@ -569,25 +595,26 @@ func inertSpans(inert *[256]bool, query string, spans []strdist.Match) bool {
 }
 
 // addAttackReasons adds to the check's reasons one per critical token
-// fully contained in the marking, provided the marking covers at least
-// one whole SQL token. With nil toks (an unlexed query) it adds nothing.
-// The reason scratch is taken from its pool at the first reason, so a
-// marking without one costs only the token scan.
-func (st *checkState) addAttackReasons(toks []sqltoken.Token, m core.Marking, critical func(sqltoken.Token) bool) {
-	if !sqltoken.CoversWholeToken(toks, m.Span.Start, m.Span.End) {
+// fully contained in the matched span sp, provided sp covers at least one
+// whole SQL token. With nil toks (an unlexed query) it adds nothing. The
+// reasons leave Input empty for the caller to attribute. The reason
+// scratch is taken from its pool at the first reason, so a match without
+// one costs only the token scan.
+func (st *checkState) addAttackReasons(toks []sqltoken.Token, sp strdist.Match, critical func(sqltoken.Token) bool) {
+	if !sqltoken.CoversWholeToken(toks, sp.Start, sp.End) {
 		return
 	}
+	m := sqltoken.Span{Start: sp.Start, End: sp.End}
 	for _, t := range toks {
-		if critical(t) && m.Span.Contains(t.Span()) {
+		if critical(t) && m.Contains(t.Span()) {
 			if st.reasons == nil {
 				st.reasons = reasonBufs.Get().(*[]core.Reason)
 			}
 			*st.reasons = append(*st.reasons, core.Reason{
 				Token:    t,
 				Kind:     core.ReasonNTI,
-				Input:    m.Source,
-				Distance: m.Distance,
-				Width:    m.Span.Len(),
+				Distance: sp.Distance,
+				Width:    m.Len(),
 			})
 		}
 	}

@@ -134,6 +134,9 @@ type checkState struct {
 	// reasons gathers the check's attack reasons, which leave it at their
 	// exact size; nil until the first reason.
 	reasons *[]core.Reason
+	// marks is the pooled storage the check's markings move to once they
+	// outgrow the check's stack buffer; nil until then.
+	marks *[]core.Marking
 	// timed mirrors span.Active() so the prefilter only pays for clocks on
 	// traced checks.
 	timed bool
@@ -163,18 +166,61 @@ func (st *checkState) release() {
 	if st.reasons != nil {
 		// The reasons hold query text: clear them before pooling.
 		clear(*st.reasons)
-		if *st.reasons = (*st.reasons)[:0]; cap(*st.reasons) <= maxPooledReasons {
+		if *st.reasons = (*st.reasons)[:0]; cap(*st.reasons) <= maxPooledEvidence {
 			reasonBufs.Put(st.reasons)
 		}
 		st.reasons = nil
 	}
+	if st.marks != nil {
+		// So do the markings' sources.
+		clear(*st.marks)
+		if *st.marks = (*st.marks)[:0]; cap(*st.marks) <= maxPooledEvidence {
+			markingBufs.Put(st.marks)
+		}
+		st.marks = nil
+	}
 }
 
-// reasonBufs pools checkState's reason scratch; scratch grown past
-// maxPooledReasons is left to the collector.
-var reasonBufs = sync.Pool{New: func() any { return new([]core.Reason) }}
+// reasonCount returns how many reasons the check has gathered.
+func (st *checkState) reasonCount() int {
+	if st.reasons == nil {
+		return 0
+	}
+	return len(*st.reasons)
+}
 
-const maxPooledReasons = 1024
+// addMarking appends m to the check's markings: to marks, the caller's
+// stack buffer, while it has room, and to the pooled storage *st.marks
+// from then on. It returns the stack part; markings returns them all.
+// The stack buffer is only ever copied from, so it stays on the stack.
+func (st *checkState) addMarking(marks []core.Marking, m core.Marking) []core.Marking {
+	if st.marks == nil {
+		if len(marks) < cap(marks) {
+			return append(marks, m)
+		}
+		st.marks = markingBufs.Get().(*[]core.Marking)
+		*st.marks = append((*st.marks)[:0], marks...)
+	}
+	*st.marks = append(*st.marks, m)
+	return marks
+}
+
+// markings returns the check's markings, given the stack part.
+func (st *checkState) markings(marks []core.Marking) []core.Marking {
+	if st.marks != nil {
+		return *st.marks
+	}
+	return marks
+}
+
+// reasonBufs and markingBufs pool checkState's evidence scratch; scratch
+// grown past maxPooledEvidence is left to the collector.
+var (
+	reasonBufs  = sync.Pool{New: func() any { return new([]core.Reason) }}
+	markingBufs = sync.Pool{New: func() any { return new([]core.Marking) }}
+)
+
+const maxPooledEvidence = 1024
 
 // prefilterReject reports whether value provably cannot produce a
 // qualifying match anywhere in query. Callers have already ruled out

@@ -403,11 +403,7 @@ func (g *Guard) analyzeNTI(ctx context.Context, cmd string, toks []Token, inputs
 		if !coversWholeToken(toks, m.Start, m.End) {
 			continue
 		}
-		res.Markings = append(res.Markings, core.Marking{
-			Span:     spanOf(m.Start, m.End),
-			Source:   in.Key(),
-			Distance: m.Distance,
-		})
+		res.Markings = append(res.Markings, core.InputMarking(spanOf(m.Start, m.End), in.Source, in.Name))
 		for _, t := range toks {
 			if t.Critical() && m.Start <= t.Start && t.End <= m.End {
 				res.Reasons = append(res.Reasons, core.Reason{

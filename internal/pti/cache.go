@@ -47,8 +47,11 @@ type lruEntry[V any] struct {
 }
 
 // lruRef names an entry of a shard, so a later write to its value can
-// take the shard's lock. A ref to an evicted entry stays safe to write:
-// the entry is unreachable from the cache, and the write is lost.
+// take the shard's lock. The entry may be evicted meanwhile, and a put at
+// capacity recycles the evicted entry for another key, so an evicted
+// entry can become reachable again under a different key. A write through
+// a ref must therefore check under the lock that the entry still holds
+// the key the ref was taken for (SkeletonMemo.Set).
 type lruRef[V any] struct {
 	c *lru[V]
 	e *lruEntry[V]
@@ -73,6 +76,24 @@ func (c *lru[V]) find(k lruKey) *lruEntry[V] {
 	return e
 }
 
+// getBytes returns the value of the key whose string is key and hash h,
+// and marks it most recent. The entries of a bucket share its hash, so
+// only the strings compare.
+func (c *lru[V]) getBytes(h uint64, key []byte) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.items[h]
+	for e != nil && e.key.key != string(key) {
+		e = e.chain
+	}
+	if e == nil {
+		var zero V
+		return zero, false
+	}
+	c.moveToFront(e)
+	return e.val, true
+}
+
 // get returns the value of k and a ref to its entry, and marks it most
 // recent.
 func (c *lru[V]) get(k lruKey) (V, lruRef[V], bool) {
@@ -87,8 +108,10 @@ func (c *lru[V]) get(k lruKey) (V, lruRef[V], bool) {
 	return e.val, lruRef[V]{c: c, e: e}, true
 }
 
-// put sets the value of k and marks it most recent, evicting the least
-// recent entry when the cache is over capacity.
+// put sets the value of k and marks it most recent. A new key at
+// capacity evicts the least recent entry and takes it over, so a cache
+// that is full allocates no entry (see lruRef for what that asks of a
+// ref).
 func (c *lru[V]) put(k lruKey, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -97,15 +120,18 @@ func (c *lru[V]) put(k lruKey, val V) {
 		c.moveToFront(e)
 		return
 	}
-	e := &lruEntry[V]{key: k, val: val, chain: c.items[k.h]}
+	var e *lruEntry[V]
+	if c.n < c.cap {
+		e = new(lruEntry[V])
+		c.n++
+	} else {
+		e = c.tail
+		c.unlink(e)
+		c.unchain(e)
+	}
+	*e = lruEntry[V]{key: k, val: val, chain: c.items[k.h]}
 	c.items[k.h] = e
 	c.pushFront(e)
-	if c.n++; c.n > c.cap {
-		evict := c.tail
-		c.unlink(evict)
-		c.unchain(evict)
-		c.n--
-	}
 }
 
 // unchain removes e from the bucket of its key's hash.
@@ -172,7 +198,10 @@ func (c *lru[V]) moveToFront(e *lruEntry[V]) {
 // warm sited check can look its skeleton up without lexing. The zero
 // value holds no entry: Skeleton returns "" and Set does nothing.
 type SkeletonMemo struct {
-	ref      lruRef[string]
+	ref lruRef[string]
+	// key is the entry's key at the hit; Set writes only while the entry
+	// still holds it.
+	key      lruKey
 	skeleton string
 }
 
@@ -180,7 +209,9 @@ type SkeletonMemo struct {
 // the hit; "" when the entry held none.
 func (m *SkeletonMemo) Skeleton() string { return m.skeleton }
 
-// Set memoizes skeleton on the entry unless it already holds one. The
+// Set memoizes skeleton on the entry unless it already holds one, or no
+// longer holds the hit query: an entry evicted since the hit may have
+// been recycled for another query, whose memo it must not take. The
 // caller must pass the entry's skeleton: the profile skeleton of the hit
 // query under the cache's dialect.
 func (m *SkeletonMemo) Set(skeleton string) {
@@ -188,8 +219,8 @@ func (m *SkeletonMemo) Set(skeleton string) {
 		return
 	}
 	m.ref.c.mu.Lock()
-	if m.ref.e.val == "" {
-		m.ref.e.val = skeleton
+	if e := m.ref.e; e.val == "" && e.key == m.key {
+		e.val = skeleton
 	}
 	m.ref.c.mu.Unlock()
 	m.skeleton = skeleton
@@ -346,10 +377,12 @@ func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.T
 	if err := c.analyzer.checkQueryBytes(query); err != nil {
 		return nil, err
 	}
+	var qkey lruKey
 	if c.queries != nil {
-		if sk, ref, ok := c.queries.get(c.dialect, query); ok {
+		qkey = makeKey(c.dialect, query)
+		if sk, ref, ok := c.queries.get(qkey); ok {
 			if memo != nil {
-				*memo = SkeletonMemo{ref: ref, skeleton: sk}
+				*memo = SkeletonMemo{ref: ref, key: qkey, skeleton: sk}
 			}
 			c.queryHits.Add(1)
 			span.SetCacheOutcome(trace.CacheQueryHit)
@@ -358,17 +391,24 @@ func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.T
 		}
 	}
 	// The structure key is injective only while no query byte can forge
-	// its literal markers, so a query carrying a NUL skips the cache.
-	var structKey string
+	// its literal markers, so a query carrying a NUL skips the cache. The
+	// key is built in pooled bytes, and becomes a string only to be put.
+	var (
+		structKey *[]byte
+		structH   uint64
+	)
 	if c.structs != nil && strings.IndexByte(query, 0) < 0 {
 		toks = c.lex(query, toks, buf, span)
-		structKey = sqlparse.StructureKeyTokens(query, toks)
-		if pins, _, ok := c.structs.get(c.dialect, structKey); ok && pinsHold(pins, toks) {
+		structKey = keyBufs.Get().(*[]byte)
+		defer releaseKeyBuf(structKey)
+		*structKey = sqlparse.AppendStructureKey((*structKey)[:0], query, toks)
+		structH = bytesHash(c.dialect, *structKey)
+		if pins, ok := c.structs.getBytes(structH, *structKey); ok && pinsHold(pins, toks) {
 			c.structureHits.Add(1)
 			span.SetCacheOutcome(trace.CacheStructureHit)
 			// Promote into the exact-query cache for next time.
 			if c.queries != nil {
-				c.queries.put(c.dialect, query, "")
+				c.queries.put(qkey, "")
 			}
 			res.Analyzer = core.AnalyzerPTI
 			return toks, nil
@@ -393,13 +433,25 @@ func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.T
 	}
 	if !res.Attack {
 		if c.queries != nil {
-			c.queries.put(c.dialect, query, "")
+			c.queries.put(qkey, "")
 		}
-		if structKey != "" {
-			c.structs.put(c.dialect, structKey, pinsFor(toks, res.Markings))
+		if structKey != nil {
+			c.structs.put(lruKey{h: structH, key: string(*structKey)}, pinsFor(toks, res.Markings))
 		}
 	}
 	return toks, nil
+}
+
+// keyBufs pools the miss path's structure-key bytes; a buffer grown past
+// maxPooledKey is left to the collector.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledKey = 64 << 10
+
+func releaseKeyBuf(b *[]byte) {
+	if cap(*b) <= maxPooledKey {
+		keyBufs.Put(b)
+	}
 }
 
 // lex returns toks, lexing query into *buf (see AnalyzeBuf) first when

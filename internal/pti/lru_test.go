@@ -127,6 +127,39 @@ func TestLRUCollisionChains(t *testing.T) {
 	}
 }
 
+// TestSkeletonMemoRecycledEntry: a put at capacity reuses the evicted
+// entry, so a memo taken before the eviction names an entry that now
+// holds another query. Set must leave that query's memo empty. Once the
+// memo's own query holds the entry again, the write is its own and lands.
+func TestSkeletonMemoRecycledEntry(t *testing.T) {
+	c := newTestLRU[string](1)
+	a, b := ck(sqltoken.MySQL, "a"), ck(sqltoken.MySQL, "b")
+	c.put(a, "")
+	sk, ref, ok := c.get(a)
+	if !ok {
+		t.Fatal("a missing")
+	}
+	memo := SkeletonMemo{ref: ref, key: a, skeleton: sk}
+	c.put(b, "")
+	if c.head != ref.e {
+		t.Fatal("the put at capacity did not reuse the evicted entry")
+	}
+	memo.Set("skeleton of a")
+	if got, _, ok := c.get(b); !ok || got != "" {
+		t.Fatalf("b's memo = %q (present %v), want empty", got, ok)
+	}
+	if memo.Skeleton() != "skeleton of a" {
+		t.Fatalf("the memo serves %q to its own check, want a's skeleton", memo.Skeleton())
+	}
+
+	c.put(a, "")
+	again := SkeletonMemo{ref: ref, key: a}
+	again.Set("skeleton of a")
+	if got, _, _ := c.get(a); got != "skeleton of a" {
+		t.Fatalf("a back in the memo's entry: memo %q, want a's skeleton", got)
+	}
+}
+
 // TestQueryCacheEntrySize pins the query-cache entry in the 64-byte size
 // class.
 func TestQueryCacheEntrySize(t *testing.T) {
@@ -149,51 +182,82 @@ func TestDialectsFitKeyByte(t *testing.T) {
 }
 
 // modelLRU is the reference: a recency list and a map from key to list
-// element, with no hashing of its own.
+// element, with no hashing of its own. Each entry has an id, which a new
+// key at capacity takes over from the entry it evicts, as the lru reuses
+// the evicted entry; a memo names its entry by that id.
 type modelLRU struct {
 	cap   int
-	order *list.List // of modelEntry, most recent first
+	order *list.List // of *modelEntry, most recent first
 	items map[lruKey]*list.Element
+	ids   int
 }
 
 type modelEntry struct {
 	key lruKey
-	val int
+	val string
+	id  int
 }
 
-func (m *modelLRU) get(k lruKey) (int, bool) {
+func (m *modelLRU) get(k lruKey) (*modelEntry, bool) {
 	el, ok := m.items[k]
 	if !ok {
-		return 0, false
+		return nil, false
 	}
 	m.order.MoveToFront(el)
-	return el.Value.(modelEntry).val, true
+	return el.Value.(*modelEntry), true
 }
 
-func (m *modelLRU) put(k lruKey, val int) {
+// put sets k's value and returns its entry's id and whether the entry is
+// new or recycled.
+func (m *modelLRU) put(k lruKey, val string) (id int, fresh bool) {
 	if el, ok := m.items[k]; ok {
-		el.Value = modelEntry{k, val}
+		el.Value.(*modelEntry).val = val
 		m.order.MoveToFront(el)
-		return
+		return el.Value.(*modelEntry).id, false
 	}
-	m.items[k] = m.order.PushFront(modelEntry{k, val})
-	if m.order.Len() > m.cap {
+	if m.order.Len() < m.cap {
+		id = m.ids
+		m.ids++
+	} else {
 		last := m.order.Back()
 		m.order.Remove(last)
-		delete(m.items, last.Value.(modelEntry).key)
+		delete(m.items, last.Value.(*modelEntry).key)
+		id = last.Value.(*modelEntry).id
+	}
+	m.items[k] = m.order.PushFront(&modelEntry{key: k, val: val, id: id})
+	return id, true
+}
+
+// setMemo is SkeletonMemo.Set on the model: a memo taken from entry id
+// while it held key with an empty value writes skeleton only while the
+// entry still holds key and no value.
+func (m *modelLRU) setMemo(id int, key lruKey, skeleton string) {
+	for el := m.order.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*modelEntry); e.id == id && e.key == key && e.val == "" {
+			e.val = skeleton
+		}
 	}
 }
 
-// FuzzLRUModel runs a byte-coded sequence of gets and puts against the
-// lru and the reference model: every get must agree, and after every
-// operation the lru's recency order must equal the model's and its
+// FuzzLRUModel runs a byte-coded sequence of gets, puts and memo writes
+// against the query cache's lru and the reference model: every get must
+// agree, and after every operation the lru's recency order and values
+// must equal the model's, with each entry the same object the model's id
+// names (so a put at capacity reuses the evicted entry), and its
 // structure must hold. The first byte sets the capacity; each later byte
-// is one operation (high bit: put) on one of 16 keys of three lengths,
-// which collide onto two hash values.
+// is one operation on one of 16 keys of three lengths, which collide onto
+// two hash values: a put (high bit; bit 2 picks an empty value or a
+// skeleton), a memo write through the memo of the latest hit (low three
+// bits set), or a get, whose hit takes a memo. A memo whose entry was
+// evicted and recycled for another key must leave that key's value alone.
 func FuzzLRUModel(f *testing.F) {
 	f.Add([]byte{2, 0x80, 0x88, 0x90, 0x00, 0x98, 0x08, 0x80})
 	f.Add([]byte{0, 0x81, 0x82, 0x83, 0x84, 0x01, 0x85})
 	f.Add([]byte{4, 0x80, 0x88, 0x90, 0x98, 0xa0, 0x10, 0x88, 0xa8, 0xb0, 0x00})
+	// Recycled entries: a memo taken at a, a evicted and its entry reused
+	// for b, then the write; and the same with a back in another entry.
+	f.Add([]byte{0, 0x80, 0x00, 0x88, 0x07, 0x08})
+	f.Add([]byte{1, 0x80, 0x88, 0x00, 0x90, 0x98, 0x80, 0x07, 0x00, 0x10, 0x18})
 	keys := make([]lruKey, 16)
 	for i := range keys {
 		keys[i] = ck(sqltoken.MySQL, fmt.Sprintf("%c%*s", 'a'+i, i%3, ""))
@@ -203,26 +267,49 @@ func FuzzLRUModel(f *testing.F) {
 			return
 		}
 		capacity := 1 + int(ops[0]%6)
-		c := newTestLRU[int](capacity)
+		c := newTestLRU[string](capacity)
 		m := &modelLRU{cap: capacity, order: list.New(), items: make(map[lruKey]*list.Element)}
+		entries := make(map[int]*lruEntry[string]) // model id -> the lru's entry
+		var (
+			memo   SkeletonMemo
+			memoID int
+		)
 		for i, op := range ops[1:] {
 			k := keys[(op>>3)&15]
-			if op&0x80 != 0 {
-				c.put(k, i)
-				m.put(k, i)
-			} else {
-				got, _, ok := c.get(k)
+			switch {
+			case op&0x80 != 0:
+				val := ""
+				if op&0x04 != 0 {
+					val = fmt.Sprint("skeleton ", i)
+				}
+				c.put(k, val)
+				id, fresh := m.put(k, val)
+				if e, seen := entries[id]; fresh && seen && e != c.head {
+					t.Fatalf("op %d: put of %v at capacity allocated an entry instead of reusing the evicted one", i, k)
+				}
+				entries[id] = c.head
+			case op&0x07 == 0x07:
+				// Set writes only through a memo taken empty, and once.
+				if memo.ref.e != nil && memo.Skeleton() == "" {
+					m.setMemo(memoID, memo.key, fmt.Sprint("memo ", i))
+				}
+				memo.Set(fmt.Sprint("memo ", i))
+			default:
+				got, ref, ok := c.get(k)
 				want, wantOK := m.get(k)
-				if got != want || ok != wantOK {
-					t.Fatalf("op %d: get %v = %d, %v; model %d, %v", i, k, got, ok, want, wantOK)
+				if ok != wantOK || ok && got != want.val {
+					t.Fatalf("op %d: get %v = %q, %v; model %+v, %v", i, k, got, ok, want, wantOK)
+				}
+				if ok {
+					memo, memoID = SkeletonMemo{ref: ref, key: k, skeleton: got}, want.id
 				}
 			}
 			checkLRU(t, c)
 			e := c.head
 			for el := m.order.Front(); el != nil; el, e = el.Next(), e.next {
-				me := el.Value.(modelEntry)
-				if e == nil || e.key != me.key || e.val != me.val {
-					t.Fatalf("op %d: recency order differs from the model at %v", i, me.key)
+				me := el.Value.(*modelEntry)
+				if e == nil || e != entries[me.id] || e.key != me.key || e.val != me.val {
+					t.Fatalf("op %d: the lru differs from the model at %+v", i, me)
 				}
 			}
 			if e != nil {

@@ -34,8 +34,16 @@ type lruKey struct {
 // makeKey returns the key of s under dialect d. Every sqltoken dialect
 // fits the low byte (TestDialectsFitKeyByte).
 func makeKey(d sqltoken.Dialect, s string) lruKey {
-	return lruKey{h: maphash.String(shardSeed, s)&^0xff | uint64(uint8(d)), key: s}
+	return lruKey{h: withDialect(maphash.String(shardSeed, s), d), key: s}
 }
+
+// bytesHash returns the h of the key whose string is b under dialect d:
+// maphash.Bytes hashes a byte slice as maphash.String hashes its string.
+func bytesHash(d sqltoken.Dialect, b []byte) uint64 {
+	return withDialect(maphash.Bytes(shardSeed, b), d)
+}
+
+func withDialect(h uint64, d sqltoken.Dialect) uint64 { return h&^0xff | uint64(uint8(d)) }
 
 // shardedLRU spreads an LRU cache over N independently locked shards,
 // selected by key hash, so concurrent Cached.Analyze calls on different
@@ -105,27 +113,39 @@ func newShardedLRU[V any](capacity, nShards int) *shardedLRU[V] {
 // query keys and never allocates.
 var shardSeed = maphash.MakeSeed()
 
-// shard returns the shard of k, picked by the hash bits above the
-// dialect byte.
-func (s *shardedLRU[V]) shard(k lruKey) *lruShard[V] {
-	return &s.shards[(k.h>>8)&s.mask]
+// shard returns the shard of the key hashed h, picked by the hash bits
+// above the dialect byte.
+func (s *shardedLRU[V]) shard(h uint64) *lruShard[V] {
+	return &s.shards[(h>>8)&s.mask]
 }
 
-func (s *shardedLRU[V]) get(d sqltoken.Dialect, key string) (V, lruRef[V], bool) {
-	k := makeKey(d, key)
-	sh := s.shard(k)
+// get returns the value of k and a ref to its entry.
+func (s *shardedLRU[V]) get(k lruKey) (V, lruRef[V], bool) {
+	sh := s.shard(k.h)
 	val, ref, ok := sh.lru.get(k)
-	if ok {
+	sh.count(ok)
+	return val, ref, ok
+}
+
+// getBytes returns the value of the key whose string is key and hash h
+// (bytesHash), so a probe that misses builds no string.
+func (s *shardedLRU[V]) getBytes(h uint64, key []byte) (V, bool) {
+	sh := s.shard(h)
+	val, ok := sh.lru.getBytes(h, key)
+	sh.count(ok)
+	return val, ok
+}
+
+func (sh *lruShard[V]) count(hit bool) {
+	if hit {
 		sh.hits.Add(1)
 	} else {
 		sh.misses.Add(1)
 	}
-	return val, ref, ok
 }
 
-func (s *shardedLRU[V]) put(d sqltoken.Dialect, key string, val V) {
-	k := makeKey(d, key)
-	s.shard(k).lru.put(k, val)
+func (s *shardedLRU[V]) put(k lruKey, val V) {
+	s.shard(k.h).lru.put(k, val)
 }
 
 func (s *shardedLRU[V]) len() int {

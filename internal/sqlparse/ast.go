@@ -13,11 +13,7 @@
 //   - the minidb engine executes the AST so testbed exploits really run.
 package sqlparse
 
-import (
-	"strings"
-
-	"joza/internal/sqltoken"
-)
+import "joza/internal/sqltoken"
 
 // Statement is implemented by all top-level SQL statement nodes.
 type Statement interface {
@@ -252,27 +248,32 @@ func StructureKeyDialect(d sqltoken.Dialect, query string) string {
 // StructureKeyTokens is StructureKeyDialect over an existing lex of query,
 // for callers that need the tokens too.
 func StructureKeyTokens(query string, toks []sqltoken.Token) string {
-	var sb strings.Builder
-	sb.Grow(len(query))
+	var stack [256]byte
+	return string(AppendStructureKey(stack[:0], query, toks))
+}
+
+// AppendStructureKey appends the StructureKeyTokens key of query, lexed as
+// toks, to dst and returns the extended buffer, so a caller probing a
+// cache with the key builds no string until it keeps one.
+func AppendStructureKey(dst []byte, query string, toks []sqltoken.Token) []byte {
 	pos := 0
 	for _, t := range toks {
-		sb.WriteString(query[pos:t.Start])
+		dst = append(dst, query[pos:t.Start]...)
 		switch t.Kind {
 		case sqltoken.KindNumber:
-			sb.WriteString("\x00N")
+			dst = append(dst, "\x00N"...)
 		case sqltoken.KindString:
 			// Keep the quote characters: adjacent-coverage of operators
 			// next to a literal depends on the quote byte.
-			sb.WriteByte(query[t.Start])
-			sb.WriteString("\x00S")
+			dst = append(dst, query[t.Start])
+			dst = append(dst, "\x00S"...)
 			if !t.Unterminated {
-				sb.WriteByte(query[t.End-1])
+				dst = append(dst, query[t.End-1])
 			}
 		default:
-			sb.WriteString(t.Text)
+			dst = append(dst, t.Text...)
 		}
 		pos = t.End
 	}
-	sb.WriteString(query[pos:])
-	return sb.String()
+	return append(dst, query[pos:]...)
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"joza/internal/sqltoken"
 )
 
 // TestParseNeverPanics feeds arbitrary strings to the parser: it must
@@ -76,4 +78,60 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b[i:])
+}
+
+// structureKeyBuilder is the strings.Builder rendering StructureKeyTokens
+// had before the append form, kept as the oracle of FuzzStructureKeyAppend.
+func structureKeyBuilder(query string, toks []sqltoken.Token) string {
+	var sb strings.Builder
+	sb.Grow(len(query))
+	pos := 0
+	for _, t := range toks {
+		sb.WriteString(query[pos:t.Start])
+		switch t.Kind {
+		case sqltoken.KindNumber:
+			sb.WriteString("\x00N")
+		case sqltoken.KindString:
+			sb.WriteByte(query[t.Start])
+			sb.WriteString("\x00S")
+			if !t.Unterminated {
+				sb.WriteByte(query[t.End-1])
+			}
+		default:
+			sb.WriteString(t.Text)
+		}
+		pos = t.End
+	}
+	sb.WriteString(query[pos:])
+	return sb.String()
+}
+
+// FuzzStructureKeyAppend: under every dialect, the key AppendStructureKey
+// appends, and StructureKeyTokens returns, is the oracle's, and the bytes
+// already in the buffer stay as they were.
+func FuzzStructureKeyAppend(f *testing.F) {
+	for _, q := range []string{
+		"",
+		"SELECT * FROM t WHERE id = 5 AND name = 'x'",
+		"INSERT INTO comments (post_id, author, body) VALUES (859, 'tellus', 'notes \\' morning')",
+		"SELECT 'unterminated",
+		"SELECT $$dollar$$, \"dq\", `bt` FROM t -- trailing",
+		"SELECT 0x1F, 2.5e3, .5 FROM t /* c */ LIMIT 5",
+		"SELECT '" + strings.Repeat("long ", 80) + "' FROM t WHERE id=" + strings.Repeat("9", 300),
+	} {
+		f.Add(q, "prefix")
+	}
+	f.Fuzz(func(t *testing.T, q, prefix string) {
+		for _, d := range sqltoken.Dialects() {
+			toks := d.Lex(q)
+			want := structureKeyBuilder(q, toks)
+			if got := StructureKeyTokens(q, toks); got != want {
+				t.Fatalf("%s %q: StructureKeyTokens %q, want %q", d, q, got, want)
+			}
+			got := AppendStructureKey([]byte(prefix), q, toks)
+			if string(got[:len(prefix)]) != prefix || string(got[len(prefix):]) != want {
+				t.Fatalf("%s %q: appended %q after %q, want %q", d, q, got[len(prefix):], prefix, want)
+			}
+		}
+	})
 }

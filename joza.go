@@ -66,7 +66,12 @@ type (
 	Verdict = core.Verdict
 	// Result is the outcome of a single analyzer.
 	Result = core.Result
-	// Marking is one taint annotation over a query span.
+	// Marking is one taint annotation over a query span. An NTI marking
+	// of one named input keeps the input's Source and Name apart, and
+	// Label renders "source:name"; otherwise Name is empty and Source is
+	// the whole label (a mirrored value's comma-joined keys, a nameless
+	// input's key, or PTI's fragment text). A match's edit distance is
+	// not on the marking: an attack reason carries it (Reason.Distance).
 	Marking = core.Marking
 	// Reason explains why an analyzer flagged a query.
 	Reason = core.Reason
