@@ -696,22 +696,40 @@ func heaviestLabAttack(b *testing.B, lab *testbed.Lab) (joza.Verdict, []joza.Inp
 
 // BenchmarkLex measures the lexer: "fresh" is Lex, a new token slice per
 // call; "append" lexes into a reused buffer, as the engine's stages do
-// into the check State's pooled storage.
+// into the check State's pooled storage. "insert" and "search" append the
+// wp-write workload's two query shapes: a comment post whose 40-word body
+// is one long string literal, and an advanced search of LIKE terms.
+// Every row reports bytes of query lexed per second.
 func BenchmarkLex(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
+		b.SetBytes(int64(len(benchQuery)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sqltoken.Lex(benchQuery)
 		}
 	})
-	b.Run("append", func(b *testing.B) {
-		buf := sqltoken.MySQL.AppendLex(nil, benchQuery)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf = sqltoken.MySQL.AppendLex(buf[:0], benchQuery)
-		}
-	})
+	site, err := workload.NewSite(1001, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, row := range []struct {
+		name  string
+		query string
+	}{
+		{"append", benchQuery},
+		{"insert", site.NextRequest(workload.Write).Events[2].Query},
+		{"search", site.NextRequest(workload.Search).Events[1].Query},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			buf := sqltoken.MySQL.AppendLex(nil, row.query)
+			b.SetBytes(int64(len(row.query)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = sqltoken.MySQL.AppendLex(buf[:0], row.query)
+			}
+		})
+	}
 }
 
 // BenchmarkSkeleton measures the profile stage's skeleton: "lex" is

@@ -76,6 +76,11 @@ func NewClient(conn net.Conn) *Client {
 // default) disables the deadline.
 func (c *Client) SetTimeout(d time.Duration) {
 	c.mu.Lock()
+	if d <= 0 && c.timeout > 0 {
+		// Round trips leave the deadline armed while a timeout is set;
+		// without one, no later round trip would replace it.
+		_ = c.conn.SetDeadline(time.Time{})
+	}
 	c.timeout = d
 	c.mu.Unlock()
 }
@@ -152,10 +157,16 @@ func (c *Client) roundTrip(ctx context.Context, req wireRequest) (wireResponse, 
 				// deadline and spuriously break a healthy connection on its
 				// next request.
 				<-slammed
+			} else if c.timeout > 0 {
+				return // the next round trip re-arms the deadline
 			}
 			_ = c.conn.SetDeadline(time.Time{})
 		}()
-	} else if !deadline.IsZero() {
+	} else if !deadline.IsZero() && c.timeout <= 0 {
+		// Only ctx set this deadline, and the next round trip may set
+		// none. A client with a timeout leaves its deadline armed, since
+		// every round trip re-arms it before any I/O: one SetDeadline
+		// call per exchange instead of two.
 		defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
 	}
 	var resp wireResponse

@@ -232,3 +232,45 @@ func TestHybridCheckContextPreCanceled(t *testing.T) {
 		t.Error("benign flagged")
 	}
 }
+
+// TestPooledClientIdlesPastItsTimeout: a client with a timeout leaves its
+// connection deadline armed after a round trip, so a pooled connection
+// idles past it. The next round trip re-arms the deadline before any I/O,
+// so both checks succeed on the one connection.
+func TestPooledClientIdlesPastItsTimeout(t *testing.T) {
+	srv := NewServer(newAnalyzer())
+	p := NewPool(func() (net.Conn, error) {
+		clientSide, serverSide := net.Pipe()
+		go srv.ServeConn(serverSide)
+		return clientSide, nil
+	}, PoolConfig{Size: 1, Timeout: 20 * time.Millisecond})
+	defer p.Close()
+	for i := range 2 {
+		if i > 0 {
+			time.Sleep(50 * time.Millisecond)
+		}
+		if _, err := p.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
+			t.Fatalf("check %d: %v", i, err)
+		}
+	}
+	if n := p.Dials(); n != 1 {
+		t.Errorf("pool dialed %d connections, want 1", n)
+	}
+}
+
+// TestClientTimeoutRemovedClearsArmedDeadline: once SetTimeout(0) turns
+// the timeout off, no round trip re-arms the deadline the last one left,
+// so SetTimeout clears it; a later round trip past it still succeeds.
+func TestClientTimeoutRemovedClearsArmedDeadline(t *testing.T) {
+	c, stop := SpawnPipe(newAnalyzer())
+	defer stop()
+	c.SetTimeout(20 * time.Millisecond)
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
+		t.Fatal(err)
+	}
+	c.SetTimeout(0)
+	time.Sleep(50 * time.Millisecond)
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
+		t.Fatalf("round trip after the timeout was removed: %v", err)
+	}
+}

@@ -1,9 +1,6 @@
 package sqltoken
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Dialect selects the SQL grammar family the lexer applies: quote and
 // escape semantics, placeholder syntax, comment rules and the
@@ -65,9 +62,10 @@ func ParseDialect(s string) (Dialect, error) {
 // fuzzing loops.
 func Dialects() []Dialect { return []Dialect{MySQL, Postgres, SQLite} }
 
-// dialectSpec is the complete lexical rule set for one dialect. The lexer
-// consults it through one pointer indirection, so dialect dispatch adds no
-// per-token branching beyond what the shared byte switch already does.
+// dialectSpec is the complete lexical rule set for one dialect. Package
+// init derives its byte-class table from the rule flags and its word table
+// from the vocabulary lists, so most dialect differences cost the lexer a
+// table load rather than a branch.
 type dialectSpec struct {
 	name string
 
@@ -98,8 +96,11 @@ type dialectSpec struct {
 	colonOperator bool // a bare ':' is an operator (Postgres array slices)
 	atOperator    bool // a bare '@' is an operator (Postgres absolute value)
 
-	keywords  map[string]bool
-	functions map[string]bool
+	// The vocabulary, as lists from tables.go.
+	keywords, functions []string
+
+	class [256]uint8 // byte classes and identifier flags (byteClasses)
+	words wordTable  // keywords and functions, one probe per word
 }
 
 // specs is indexed by Dialect. Out-of-range values clamp to MySQL in
@@ -147,6 +148,14 @@ var specs = [numDialects]dialectSpec{
 	},
 }
 
+func init() {
+	for i := range specs {
+		sp := &specs[i]
+		sp.class = sp.byteClasses()
+		sp.words = buildWordTable(sp.keywords, sp.functions)
+	}
+}
+
 func (d Dialect) spec() *dialectSpec {
 	if !d.Valid() {
 		d = MySQL
@@ -170,19 +179,18 @@ func (d Dialect) AppendLex(dst []Token, query string) []Token {
 	if cap(dst) == 0 {
 		dst = make([]Token, 0, len(query)/4+4)
 	}
-	lx := lexer{src: query, sp: d.spec(), toks: dst}
-	return lx.run()
+	return d.spec().lex(dst, query)
 }
 
 // IsKeyword reports whether word (case-insensitive) is a keyword of d.
 func (d Dialect) IsKeyword(word string) bool {
-	return d.spec().keywords[strings.ToUpper(word)]
+	return d.spec().classify(word)&wordKeyword != 0
 }
 
 // IsBuiltinFunction reports whether name (case-insensitive) is a built-in
 // function of d.
 func (d Dialect) IsBuiltinFunction(name string) bool {
-	return d.spec().functions[strings.ToUpper(name)]
+	return d.spec().classify(name)&wordFunction != 0
 }
 
 // ContainsSQLToken reports whether s lexes under d to at least one token

@@ -2,6 +2,7 @@ package sqltoken
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -46,17 +47,15 @@ var seedFunctions = []string{
 }
 
 func TestMySQLVocabularyMatchesSeed(t *testing.T) {
-	check := func(label string, got map[string]bool, want []string) {
+	check := func(label string, got, want []string) {
 		t.Helper()
-		wantSet := make(map[string]bool, len(want))
 		for _, w := range want {
-			wantSet[w] = true
-			if !got[w] {
+			if !slices.Contains(got, w) {
 				t.Errorf("%s: seed word %q missing from MySQL table", label, w)
 			}
 		}
-		for w := range got {
-			if !wantSet[w] {
+		for _, w := range got {
+			if !slices.Contains(want, w) {
 				t.Errorf("%s: MySQL table gained %q, not in the seed table", label, w)
 			}
 		}
@@ -68,7 +67,7 @@ func TestMySQLVocabularyMatchesSeed(t *testing.T) {
 func TestSharedBaseHasNoSeedingLeaks(t *testing.T) {
 	// USERNAME is no dialect's function; it must survive only in the
 	// MySQL delta (seed compatibility) and nowhere else.
-	if baseFunctions["USERNAME"] {
+	if slices.Contains(baseFunctions, "USERNAME") {
 		t.Error("USERNAME leaked into the shared base function table")
 	}
 	if !MySQL.IsBuiltinFunction("username") {
@@ -80,16 +79,16 @@ func TestSharedBaseHasNoSeedingLeaks(t *testing.T) {
 		}
 	}
 	// Every shared word must be visible through every dialect.
-	for w := range baseKeywords {
+	for _, w := range baseKeywords {
 		for _, d := range Dialects() {
 			if !d.IsKeyword(w) {
 				t.Errorf("base keyword %q missing from %s", w, d)
 			}
 		}
 	}
-	for w := range baseFunctions {
+	for _, w := range baseFunctions {
 		for _, d := range Dialects() {
-			if !d.spec().functions[w] {
+			if !d.IsBuiltinFunction(w) {
 				t.Errorf("base function %q missing from %s", w, d)
 			}
 		}

@@ -32,9 +32,9 @@ var inertSets = func() (sets [numDialects]func() *[256]bool) {
 // their own, as a number. The lexer's dispatch decides a token's kind from
 // the bytes at and after its start, never before it, and a token made only
 // of inert bytes starts at one; so the set is sound as long as the bytes
-// after an inert one never turn the dispatch away from lexNumber. Today
-// they cannot, because every dialect dispatches isDigit to lexNumber
-// before identStart and the operators, whatever follows.
+// after an inert one never turn the dispatch away from a number. Today
+// they cannot, because every dialect's byte-class table puts the digits
+// in the number class, whatever follows.
 // TestInertStringsLexAsNumbers checks every two-byte continuation, the
 // whole window the dispatch reads, so a lexer change that broke this fails
 // there.

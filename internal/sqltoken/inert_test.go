@@ -47,10 +47,10 @@ func TestCriticalTokensHoldNonInertByte(t *testing.T) {
 		sp := d.spec()
 		var corpus []string
 		corpus = append(corpus, forms...)
-		for w := range sp.keywords {
+		for _, w := range sp.keywords {
 			corpus = append(corpus, w)
 		}
-		for w := range sp.functions {
+		for _, w := range sp.functions {
 			corpus = append(corpus, w+"(1)")
 		}
 		var two [2]byte

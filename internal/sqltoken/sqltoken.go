@@ -139,426 +139,376 @@ func Lex(query string) []Token {
 	return MySQL.Lex(query)
 }
 
-type lexer struct {
-	src  string
-	pos  int
-	toks []Token
-	sp   *dialectSpec
-}
+// Byte classes of a dialect's dispatch table (dialectSpec.class). Every
+// byte maps to one class in the low bits, plus flags telling whether it
+// may start or continue an unquoted identifier. The table folds each
+// dialect's quoting, comment and identifier rules into one load per
+// token, so the lexer's loop branches on the class alone and tests
+// identifier bytes through the same table.
+const (
+	clsInvalid     uint8 = iota
+	clsSpace             // whitespace between tokens
+	clsString            // ' (and " where it quotes strings)
+	clsQuotedIdent       // " where it quotes identifiers, "" escaping
+	clsBacktick          // ` quoted identifier, no escape
+	clsHashComment       // # line comment
+	clsDash              // - operator, or a -- line comment
+	clsSlash             // / operator, or a /* block comment
+	clsDigit             // number
+	clsDot               // . delimiter, or a number's leading dot
+	clsWord              // identifier, keyword or function name
+	clsE                 // Postgres E'…' escape string, else clsWord
+	clsDollar            // $1, $name, $tag$…$tag$ or an invalid $
+	clsQuestion          // ? placeholder
+	clsColon             // ::, :=, :name, : operator or invalid
+	clsAt                // @var, @@var, @name, @ operator or invalid
+	clsPunct             // ( ) , ;
+	clsOperator          // operator, possibly paired with the next byte
 
-func (l *lexer) run() []Token {
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+	clsMask    = 0x3f
+	identStart = 0x40 // the byte may start an unquoted identifier
+	identByte  = 0x80 // the byte may continue one
+)
+
+// byteClasses builds sp's dispatch table from its rule flags.
+func (sp *dialectSpec) byteClasses() (class [256]uint8) {
+	for i := range class {
+		c := byte(i)
+		var k uint8
 		switch {
 		case isSpaceByte(c):
-			l.pos++
-		case c == '\'':
-			l.lexString(l.pos, '\'', l.sp.backslashEscapes)
+			k = clsSpace
+		case c == '\'', c == '"' && !sp.doubleQuoteIdent:
+			k = clsString
 		case c == '"':
-			if l.sp.doubleQuoteIdent {
-				l.lexQuotedIdent('"', true)
-			} else {
-				l.lexString(l.pos, '"', l.sp.backslashEscapes)
-			}
-		case c == '`' && l.sp.backtickIdent:
-			l.lexQuotedIdent('`', false)
-		case c == '#' && l.sp.hashComment:
-			l.lexLineComment(1)
-		case c == '#' && l.sp.hashOperator:
-			l.lexOperator()
-		case c == '-' && l.peekAt(1) == '-':
+			k = clsQuotedIdent
+		case c == '`' && sp.backtickIdent:
+			k = clsBacktick
+		case c == '#' && sp.hashComment:
+			k = clsHashComment
+		case c == '-':
+			k = clsDash
+		case c == '/':
+			k = clsSlash
+		case isDigit(c):
+			k = clsDigit | identByte
+		case c == '.':
+			k = clsDot
+		case (c == 'E' || c == 'e') && sp.eStrings:
+			k = clsE | identStart | identByte
+		case c == '_', 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', c >= utf8.RuneSelf,
+			c == '$' && sp.dollarIdentStart:
+			k = clsWord | identStart | identByte
+		case c == '$':
+			// Every dialect accepts '$' inside an identifier; only MySQL
+			// lets one start with it.
+			k = clsDollar | identByte
+		case c == '?' && sp.questionPlaceholder:
+			k = clsQuestion
+		case c == ':':
+			k = clsColon
+		case c == '@' && (sp.atVariable || sp.atPlaceholder):
+			k = clsAt
+		case c == '(', c == ')', c == ',', c == ';':
+			k = clsPunct
+		case strings.IndexByte("=<>!+*%|&^~", c) >= 0,
+			c == '#' && sp.hashOperator, c == '?', c == '@' && sp.atOperator:
+			k = clsOperator
+		}
+		class[i] = k
+	}
+	return class
+}
+
+// lex appends the tokens of src to toks. The cursor and the token slice
+// stay in locals: each scanner takes a position and returns the token's
+// end, and the one append at the bottom of the loop emits the token.
+func (sp *dialectSpec) lex(toks []Token, src string) []Token {
+	for pos := 0; pos < len(src); {
+		start, c := pos, src[pos]
+		kind, closed := KindOperator, true
+		switch sp.class[c] & clsMask {
+		case clsSpace:
+			pos++
+			continue
+		case clsString:
+			kind = KindString
+			pos, closed = scanQuoted(src, pos+1, c, true, sp.backslashEscapes)
+		case clsQuotedIdent:
+			kind = KindBacktick
+			pos, closed = scanQuoted(src, pos+1, c, true, false)
+		case clsBacktick:
+			kind = KindBacktick
+			pos, closed = scanQuoted(src, pos+1, c, false, false)
+		case clsHashComment:
+			kind, pos = KindComment, lineEnd(src, pos+1)
+		case clsDash:
 			// MySQL requires whitespace (or end of input) after "--" for a
 			// comment; otherwise it is the minus operator twice. Postgres
 			// and SQLite start the comment unconditionally.
-			if !l.sp.dashDashNeedsSpace || l.pos+2 >= len(l.src) || isSpaceByte(l.src[l.pos+2]) {
-				l.lexLineComment(2)
+			if peek(src, pos+1) == '-' && (!sp.dashDashNeedsSpace || pos+2 >= len(src) ||
+				sp.class[src[pos+2]]&clsMask == clsSpace) {
+				kind, pos = KindComment, lineEnd(src, pos+2)
 			} else {
-				l.lexOperator()
+				pos++
 			}
-		case c == '/' && l.peekAt(1) == '*':
-			l.lexBlockComment(l.sp.nestedBlockComment)
-		case l.sp.eStrings && (c == 'E' || c == 'e') && l.peekAt(1) == '\'':
-			// Postgres escape string: the E prefix is part of the literal
-			// and re-enables backslash escapes.
-			start := l.pos
-			l.pos++
-			l.lexString(start, '\'', true)
-		case isDigit(c), c == '.' && isDigit(l.peekAt(1)):
-			l.lexNumber()
-		case l.identStart(c):
-			l.lexWord()
-		case c == '$':
-			l.lexDollar()
-		case c == '?':
-			l.lexQuestion()
-		case c == ':' && l.peekAt(1) == ':':
-			// The cast operator, one token in every dialect. (It previously
-			// mis-lexed as an invalid byte followed by a named placeholder.)
-			l.emit(KindOperator, l.pos, l.pos+2, false)
-			l.pos += 2
-		case c == ':' && l.peekAt(1) == '=':
-			l.lexOperator()
-		case c == ':' && l.sp.colonPlaceholder && l.identStart(l.peekAt(1)):
-			l.lexNamedPlaceholder()
-		case c == ':' && l.sp.colonOperator:
-			l.lexOperator()
-		case c == '@' && l.sp.atVariable:
-			l.lexVariable()
-		case c == '@' && l.sp.atPlaceholder && l.identByte(l.peekAt(1)):
-			l.lexNamedPlaceholder()
-		case c == '@' && l.sp.atOperator:
-			l.lexOperator()
-		case isPunct(c):
-			l.emit(KindPunct, l.pos, l.pos+1, false)
-			l.pos++
-		case isOperatorByte(c):
-			l.lexOperator()
+		case clsSlash:
+			if peek(src, pos+1) == '*' {
+				kind = KindComment
+				pos, closed = scanBlockComment(src, pos+2, sp.nestedBlockComment)
+			} else {
+				pos++
+			}
+		case clsDigit:
+			kind, pos = KindNumber, numberEnd(src, pos)
+		case clsDot:
+			if isDigit(peek(src, pos+1)) {
+				kind, pos = KindNumber, numberEnd(src, pos)
+			} else {
+				kind, pos = KindPunct, pos+1
+			}
+		case clsE:
+			if peek(src, pos+1) == '\'' {
+				// Postgres escape string: the E prefix is part of the
+				// literal and re-enables backslash escapes.
+				kind = KindString
+				pos, closed = scanQuoted(src, pos+2, '\'', true, true)
+			} else {
+				kind, pos = sp.lexWord(src, pos)
+			}
+		case clsWord:
+			kind, pos = sp.lexWord(src, pos)
+		case clsDollar:
+			kind, pos, closed = sp.lexDollar(src, pos)
+		case clsQuestion:
+			// A positional placeholder, with an optional ?NNN number in
+			// SQLite. (Postgres's ? is an operator.)
+			kind, pos = KindPlaceholder, pos+1
+			if sp.questionNumber {
+				pos = digitsEnd(src, pos)
+			}
+		case clsColon:
+			switch n := peek(src, pos+1); {
+			case n == ':' || n == '=':
+				// The cast operator and :=, one token in every dialect.
+				pos += 2
+			case sp.colonPlaceholder && sp.class[n]&identStart != 0:
+				kind, pos = KindPlaceholder, sp.identEnd(src, pos+1)
+			case sp.colonOperator:
+				pos++
+			default:
+				kind, pos = KindInvalid, pos+1
+			}
+		case clsAt:
+			switch n := peek(src, pos+1); {
+			case sp.atVariable:
+				kind, pos = KindVariable, pos+1
+				if n == '@' {
+					pos++ // system variable @@
+				}
+				pos = sp.identEnd(src, pos)
+			case sp.atPlaceholder && sp.class[n]&identByte != 0:
+				kind, pos = KindPlaceholder, sp.identEnd(src, pos+1)
+			case sp.atOperator:
+				pos++
+			default:
+				kind, pos = KindInvalid, pos+1
+			}
+		case clsPunct:
+			kind, pos = KindPunct, pos+1
+		case clsOperator:
+			pos = operatorEnd(src, pos)
 		default:
-			l.emit(KindInvalid, l.pos, l.pos+1, false)
-			l.pos++
+			kind, pos = KindInvalid, pos+1
 		}
+		toks = append(toks, Token{Kind: kind, Text: src[start:pos], Start: start, End: pos, Unterminated: !closed})
 	}
-	return l.toks
+	return toks
 }
 
-func (l *lexer) peekAt(off int) byte {
-	if l.pos+off < len(l.src) {
-		return l.src[l.pos+off]
+// peek returns src[i], or 0 past the end of src.
+func peek(src string, i int) byte {
+	if i < len(src) {
+		return src[i]
 	}
 	return 0
 }
 
-func (l *lexer) emit(kind Kind, start, end int, unterminated bool) {
-	l.toks = append(l.toks, Token{
-		Kind:         kind,
-		Text:         l.src[start:end],
-		Start:        start,
-		End:          end,
-		Unterminated: unterminated,
-	})
-}
-
-// lexString scans a quoted string whose opening delimiter sits at the
-// cursor; start may precede it to fold a prefix (Postgres E'…') into the
-// token. A doubled quote always escapes; backslash escapes only when the
-// dialect says so.
-func (l *lexer) lexString(start int, quote byte, backslash bool) {
-	l.pos++ // opening quote
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if backslash && c == '\\' && l.pos+1 < len(l.src) {
-			l.pos += 2
-			continue
+// scanQuoted returns the end of a quoted string or identifier whose body
+// starts at pos, and whether its closing quote was found; an unterminated
+// one ends at the end of src. A doubled quote escapes when doubled is
+// set, and a backslash escapes the byte after it when backslash is. The
+// scan jumps with IndexByte from quote to quote, and within that stretch
+// from backslash to backslash.
+func scanQuoted(src string, pos int, quote byte, doubled, backslash bool) (int, bool) {
+	next := -1 // the next quote at or after pos, once found
+	for {
+		if next < pos {
+			i := strings.IndexByte(src[pos:], quote)
+			if i < 0 {
+				return len(src), false
+			}
+			next = pos + i
 		}
-		if c == quote {
-			// Doubled quote is an escaped quote inside the literal.
-			if l.peekAt(1) == quote {
-				l.pos += 2
+		if backslash {
+			if i := strings.IndexByte(src[pos:next], '\\'); i >= 0 {
+				pos += i + 2 // the escaped byte exists: next lies beyond it
 				continue
 			}
-			l.pos++
-			l.emit(KindString, start, l.pos, false)
-			return
 		}
-		l.pos++
-	}
-	l.emit(KindString, start, l.pos, true)
-}
-
-// lexQuotedIdent scans a quoted identifier (`…` or "…"). Postgres and
-// SQLite escape the delimiter by doubling it; MySQL backticks do not.
-func (l *lexer) lexQuotedIdent(quote byte, doubled bool) {
-	start := l.pos
-	l.pos++
-	for l.pos < len(l.src) {
-		if l.src[l.pos] == quote {
-			if doubled && l.peekAt(1) == quote {
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			l.emit(KindBacktick, start, l.pos, false)
-			return
+		pos = next + 1
+		if !doubled || pos >= len(src) || src[pos] != quote {
+			return pos, true
 		}
-		l.pos++
+		pos++
 	}
-	l.emit(KindBacktick, start, l.pos, true)
 }
 
-func (l *lexer) lexLineComment(markerLen int) {
-	start := l.pos
-	l.pos += markerLen
-	for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-		l.pos++
+// lineEnd returns the end of a line comment whose text starts at pos: the
+// next newline, which stays outside the token, or the end of src.
+func lineEnd(src string, pos int) int {
+	if i := strings.IndexByte(src[pos:], '\n'); i >= 0 {
+		return pos + i
 	}
-	l.emit(KindComment, start, l.pos, false)
+	return len(src)
 }
 
-func (l *lexer) lexBlockComment(nested bool) {
-	start := l.pos
-	l.pos += 2
-	depth := 1
-	for l.pos < len(l.src) {
-		if l.src[l.pos] == '*' && l.peekAt(1) == '/' {
-			l.pos += 2
+// scanBlockComment returns the end of a block comment whose body starts
+// at pos and whether it was closed. With nested set (Postgres), each /*
+// inside opens a level that needs its own */.
+func scanBlockComment(src string, pos int, nested bool) (int, bool) {
+	for depth := 1; ; {
+		var i int
+		if nested {
+			i = strings.IndexAny(src[pos:], "*/")
+		} else {
+			i = strings.Index(src[pos:], "*/")
+		}
+		if i < 0 {
+			return len(src), false
+		}
+		pos += i
+		switch n := peek(src, pos+1); {
+		case src[pos] == '*' && n == '/':
+			pos += 2
 			if depth--; depth == 0 {
-				l.emit(KindComment, start, l.pos, false)
-				return
+				return pos, true
 			}
-			continue
-		}
-		if nested && l.src[l.pos] == '/' && l.peekAt(1) == '*' {
-			l.pos += 2
+		case src[pos] == '/' && n == '*':
+			pos += 2
 			depth++
-			continue
+		default:
+			pos++
 		}
-		l.pos++
 	}
-	l.emit(KindComment, start, l.pos, true)
 }
 
-func (l *lexer) lexNumber() {
-	start := l.pos
-	// Hexadecimal literal: 0x...
-	if l.src[l.pos] == '0' && (l.peekAt(1) == 'x' || l.peekAt(1) == 'X') && isHexDigit(l.peekAt(2)) {
-		l.pos += 2
-		for l.pos < len(l.src) && isHexDigit(l.src[l.pos]) {
-			l.pos++
+// numberEnd returns the end of the number at pos: a 0x hexadecimal
+// literal, or digits with an optional fraction and exponent.
+func numberEnd(src string, pos int) int {
+	if src[pos] == '0' && peek(src, pos+1)|0x20 == 'x' && isHexDigit(peek(src, pos+2)) {
+		for pos += 2; pos < len(src) && isHexDigit(src[pos]); pos++ {
 		}
-		l.emit(KindNumber, start, l.pos, false)
-		return
+		return pos
 	}
-	for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-		l.pos++
-	}
-	if l.pos < len(l.src) && l.src[l.pos] == '.' {
-		l.pos++
-		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-			l.pos++
-		}
+	pos = digitsEnd(src, pos)
+	if pos < len(src) && src[pos] == '.' {
+		pos = digitsEnd(src, pos+1)
 	}
 	// Exponent part: 1e10, 2.5E-3.
-	if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
-		next := l.peekAt(1)
-		if isDigit(next) {
-			l.pos += 2
-			for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-				l.pos++
-			}
-		} else if (next == '+' || next == '-') && isDigit(l.peekAt(2)) {
-			l.pos += 3
-			for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-				l.pos++
-			}
+	if pos < len(src) && src[pos]|0x20 == 'e' {
+		switch n := peek(src, pos+1); {
+		case isDigit(n):
+			pos = digitsEnd(src, pos+2)
+		case (n == '+' || n == '-') && isDigit(peek(src, pos+2)):
+			pos = digitsEnd(src, pos+3)
 		}
 	}
-	l.emit(KindNumber, start, l.pos, false)
+	return pos
 }
 
-func (l *lexer) lexWord() {
-	start := l.pos
-	for l.pos < len(l.src) && l.identByte(l.src[l.pos]) {
-		l.pos++
+func digitsEnd(src string, pos int) int {
+	for pos < len(src) && isDigit(src[pos]) {
+		pos++
 	}
-	function, keyword := l.sp.classify(l.src[start:l.pos])
-	// A known function name directly followed by '(' (optionally with
-	// whitespace) is a function token.
-	if function && l.nextNonSpaceIs('(') {
-		l.emit(KindFunction, start, l.pos, false)
-		return
-	}
-	if keyword {
-		l.emit(KindKeyword, start, l.pos, false)
-		return
-	}
-	l.emit(KindIdent, start, l.pos, false)
+	return pos
 }
 
-// wordBufLen bounds the words classify upper-cases on the stack; it
-// exceeds the longest keyword and function name of every dialect.
-const wordBufLen = 32
-
-// classify reports whether word, upper-cased, names a function and a
-// keyword of the dialect. An ASCII word that fits wordBufLen is
-// upper-cased into a stack buffer, which the map probes read without
-// allocating. Any other word takes strings.ToUpper, whose Unicode case
-// mapping can turn a non-ASCII word into a keyword (ſelect is SELECT).
-func (sp *dialectSpec) classify(word string) (function, keyword bool) {
-	if len(word) <= wordBufLen {
-		var buf [wordBufLen]byte
-		ascii := true
-		for i := 0; i < len(word) && ascii; i++ {
-			c := word[i]
-			if 'a' <= c && c <= 'z' {
-				c -= 'a' - 'A'
-			}
-			buf[i] = c
-			ascii = c < utf8.RuneSelf
-		}
-		if ascii {
-			up := buf[:len(word)]
-			return sp.functions[string(up)], sp.keywords[string(up)]
-		}
+// identEnd returns the end of the identifier bytes at pos.
+func (sp *dialectSpec) identEnd(src string, pos int) int {
+	for pos < len(src) && sp.class[src[pos]]&identByte != 0 {
+		pos++
 	}
-	up := strings.ToUpper(word)
-	return sp.functions[up], sp.keywords[up]
+	return pos
 }
 
-func (l *lexer) nextNonSpaceIs(want byte) bool {
-	for i := l.pos; i < len(l.src); i++ {
-		if isSpaceByte(l.src[i]) {
-			continue
+// lexWord scans the word at start and classifies it. A known function
+// name directly followed by '(' (optionally with whitespace) is a
+// function token.
+func (sp *dialectSpec) lexWord(src string, start int) (Kind, int) {
+	end := sp.identEnd(src, start+1)
+	switch word := sp.classify(src[start:end]); {
+	case word&wordFunction != 0 && sp.nextNonSpaceIs(src, end, '('):
+		return KindFunction, end
+	case word&wordKeyword != 0:
+		return KindKeyword, end
+	}
+	return KindIdent, end
+}
+
+func (sp *dialectSpec) nextNonSpaceIs(src string, pos int, want byte) bool {
+	for ; pos < len(src); pos++ {
+		if sp.class[src[pos]]&clsMask != clsSpace {
+			return src[pos] == want
 		}
-		return l.src[i] == want
 	}
 	return false
 }
 
-// lexNamedPlaceholder scans a marker byte (':', '@' or '$') followed by an
-// identifier as one placeholder token.
-func (l *lexer) lexNamedPlaceholder() {
-	start := l.pos
-	l.pos++ // marker
-	for l.pos < len(l.src) && l.identByte(l.src[l.pos]) {
-		l.pos++
-	}
-	l.emit(KindPlaceholder, start, l.pos, false)
-}
-
-func (l *lexer) lexVariable() {
-	start := l.pos
-	l.pos++ // '@'
-	if l.pos < len(l.src) && l.src[l.pos] == '@' {
-		l.pos++ // system variable @@
-	}
-	for l.pos < len(l.src) && l.identByte(l.src[l.pos]) {
-		l.pos++
-	}
-	l.emit(KindVariable, start, l.pos, false)
-}
-
-// lexQuestion scans '?' — a positional placeholder where the dialect has
-// one (with an optional ?NNN number in SQLite), an operator in Postgres.
-func (l *lexer) lexQuestion() {
-	if !l.sp.questionPlaceholder {
-		l.lexOperator()
-		return
-	}
-	start := l.pos
-	l.pos++
-	if l.sp.questionNumber {
-		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-			l.pos++
-		}
-	}
-	l.emit(KindPlaceholder, start, l.pos, false)
-}
-
-// lexDollar handles a '$' that did not start an identifier: Postgres $1
+// lexDollar scans a '$' that did not start an identifier: Postgres $1
 // placeholders and $tag$…$tag$ dollar-quoted strings, SQLite $name
 // placeholders. A lone '$' that fits no dialect form is invalid.
-func (l *lexer) lexDollar() {
-	if l.sp.dollarNumber && isDigit(l.peekAt(1)) {
-		start := l.pos
-		l.pos++
-		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-			l.pos++
+func (sp *dialectSpec) lexDollar(src string, pos int) (Kind, int, bool) {
+	switch n := peek(src, pos+1); {
+	case sp.dollarNumber && isDigit(n):
+		return KindPlaceholder, digitsEnd(src, pos+1), true
+	case sp.dollarName && sp.class[n]&identByte != 0:
+		return KindPlaceholder, sp.identEnd(src, pos+1), true
+	case sp.dollarQuote:
+		// $tag$…$tag$, where the tag may be empty ($$…$$) and is an
+		// identifier without '$'.
+		i := pos + 1
+		for i < len(src) && sp.class[src[i]]&identByte != 0 && src[i] != '$' {
+			i++
 		}
-		l.emit(KindPlaceholder, start, l.pos, false)
-		return
+		if i < len(src) && src[i] == '$' {
+			tag := src[pos : i+1] // "$tag$", both delimiters included
+			if j := strings.Index(src[i+1:], tag); j >= 0 {
+				return KindString, i + 1 + j + len(tag), true
+			}
+			return KindString, len(src), false
+		}
 	}
-	if l.sp.dollarName && l.identByte(l.peekAt(1)) {
-		l.lexNamedPlaceholder()
-		return
-	}
-	if l.sp.dollarQuote && l.lexDollarQuote() {
-		return
-	}
-	l.emit(KindInvalid, l.pos, l.pos+1, false)
-	l.pos++
+	return KindInvalid, pos + 1, true
 }
 
-// lexDollarQuote scans a Postgres dollar-quoted string $tag$…$tag$ (the
-// tag may be empty: $$…$$). It reports false, leaving the cursor in place,
-// when the byte at the cursor does not open a well-formed tag.
-func (l *lexer) lexDollarQuote() bool {
-	i := l.pos + 1
-	for i < len(l.src) && isTagByte(l.src[i]) {
-		i++
-	}
-	if i >= len(l.src) || l.src[i] != '$' {
-		return false
-	}
-	start := l.pos
-	tag := l.src[l.pos : i+1] // "$tag$", both delimiters included
-	body := i + 1
-	if j := strings.Index(l.src[body:], tag); j >= 0 {
-		l.pos = body + j + len(tag)
-		l.emit(KindString, start, l.pos, false)
-		return true
-	}
-	l.pos = len(l.src)
-	l.emit(KindString, start, l.pos, true)
-	return true
-}
-
-func (l *lexer) lexOperator() {
-	start := l.pos
-	// Two-byte operators first.
-	if l.pos+1 < len(l.src) {
-		two := l.src[l.pos : l.pos+2]
-		switch two {
+// operatorEnd returns the end of the operator at pos, which pairs with
+// the next byte into a two-byte operator where one exists.
+func operatorEnd(src string, pos int) int {
+	if pos+1 < len(src) {
+		switch src[pos : pos+2] {
 		case "<=", ">=", "<>", "!=", "||", "&&", ":=", "<<", ">>":
-			l.pos += 2
-			l.emit(KindOperator, start, l.pos, false)
-			return
+			return pos + 2
 		}
 	}
-	l.pos++
-	l.emit(KindOperator, start, l.pos, false)
+	return pos + 1
 }
 
 func isDigit(c byte) bool    { return c >= '0' && c <= '9' }
 func isHexDigit(c byte) bool { return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F') }
 
-// identStart reports whether c can begin an unquoted identifier. Only
-// MySQL lets '$' start one; Postgres and SQLite accept '$' in continuation
-// position only (identByte), which frees the leading '$' for placeholders
-// and dollar-quoting.
-func (l *lexer) identStart(c byte) bool {
-	return c == '_' || (c == '$' && l.sp.dollarIdentStart) ||
-		(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c >= 0x80
-}
-
-// identByte reports whether c can continue an unquoted identifier. All
-// three dialects accept '$' here.
-func (l *lexer) identByte(c byte) bool {
-	return c == '_' || c == '$' || isDigit(c) ||
-		(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c >= 0x80
-}
-
-func isTagByte(c byte) bool {
-	return c == '_' || isDigit(c) || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c >= 0x80
-}
-
 func isSpaceByte(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' || c == '\v'
-}
-
-func isPunct(c byte) bool {
-	switch c {
-	case '(', ')', ',', ';', '.':
-		return true
-	}
-	return false
-}
-
-func isOperatorByte(c byte) bool {
-	switch c {
-	case '=', '<', '>', '!', '+', '-', '*', '/', '%', '|', '&', '^', '~':
-		return true
-	}
-	return false
 }
 
 // CriticalStrict reports whether the token is critical under the strict

@@ -2,6 +2,7 @@ package sqltoken
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -354,7 +355,7 @@ func TestCriticalTokens(t *testing.T) {
 	}
 }
 
-// TestWordClassificationMatchesToUpper pins that the stack-buffer
+// TestWordClassificationMatchesToUpper pins that the word-table
 // classifier agrees with strings.ToUpper on the words it does not
 // upper-case itself: non-ASCII words, whose Unicode case mapping can be
 // ASCII (ſ is S, ı is I), and words longer than its buffer.
@@ -372,9 +373,9 @@ func TestWordClassificationMatchesToUpper(t *testing.T) {
 				up := strings.ToUpper(w)
 				want := KindIdent
 				switch {
-				case q != w && d.spec().functions[up]:
+				case q != w && slices.Contains(d.spec().functions, up):
 					want = KindFunction
-				case d.spec().keywords[up]:
+				case slices.Contains(d.spec().keywords, up):
 					want = KindKeyword
 				}
 				if got := d.Lex(q)[0].Kind; got != want {
@@ -386,11 +387,28 @@ func TestWordClassificationMatchesToUpper(t *testing.T) {
 	if got := Lex("ſelect")[0].Kind; got != KindKeyword {
 		t.Errorf("ſelect lexes as %s, want keyword", got)
 	}
+}
+
+// TestIsKeywordDoesNotAllocate pins that IsKeyword and IsBuiltinFunction
+// classify an ASCII word through the lexer's word table, upper-casing on
+// the stack, and agree with it.
+func TestIsKeywordDoesNotAllocate(t *testing.T) {
 	for _, d := range Dialects() {
-		for _, m := range []map[string]bool{d.spec().keywords, d.spec().functions} {
-			for w := range m {
-				if len(w) > wordBufLen {
-					t.Errorf("%s word %s is longer than wordBufLen %d: its classification would allocate", d, w, wordBufLen)
+		if allocs := testing.AllocsPerRun(100, func() {
+			d.IsKeyword("select")
+			d.IsBuiltinFunction("Concat")
+			d.IsKeyword("wp_posts")
+		}); allocs != 0 {
+			t.Errorf("%s: IsKeyword and IsBuiltinFunction allocate %.1f times, want 0", d, allocs)
+		}
+		for _, w := range slices.Concat(d.spec().keywords, d.spec().functions, []string{"wp_posts", "", "ſelect"}) {
+			for _, v := range []string{w, strings.ToLower(w)} {
+				up := strings.ToUpper(v)
+				if got, want := d.IsKeyword(v), slices.Contains(d.spec().keywords, up); got != want {
+					t.Errorf("%s: IsKeyword(%q) = %v, want %v", d, v, got, want)
+				}
+				if got, want := d.IsBuiltinFunction(v), slices.Contains(d.spec().functions, up); got != want {
+					t.Errorf("%s: IsBuiltinFunction(%q) = %v, want %v", d, v, got, want)
 				}
 			}
 		}

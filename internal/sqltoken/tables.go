@@ -1,5 +1,11 @@
 package sqltoken
 
+import (
+	"slices"
+	"strings"
+	"unicode/utf8"
+)
+
 // Keyword and built-in-function vocabulary, split per dialect.
 //
 // The seed lexer kept one shared table that mixed ANSI vocabulary with
@@ -17,7 +23,7 @@ package sqltoken
 // baseKeywords is the ANSI core plus attack vocabulary meaningful in every
 // dialect (EXEC/CONVERT and friends stay: an injected MSSQL-ism is still
 // worth flagging no matter which backend the guard fronts).
-var baseKeywords = wordSet(
+var baseKeywords = []string{
 	"ADD", "ALL", "ALTER", "AND", "AS", "ASC", "BEGIN", "BETWEEN", "BY",
 	"CASE", "CAST", "COLLATE", "COLUMN", "COMMIT", "CONVERT", "CREATE",
 	"CROSS", "DATABASE", "DEALLOCATE", "DEFAULT", "DELETE", "DESC",
@@ -29,10 +35,10 @@ var baseKeywords = wordSet(
 	"PROCEDURE", "REVOKE", "RIGHT", "ROLLBACK", "SELECT", "SET", "TABLE",
 	"THEN", "TRUE", "TRUNCATE", "UNION", "UNIQUE", "UPDATE", "USING",
 	"VALUES", "WHEN", "WHERE",
-)
+}
 
 // baseFunctions is the function vocabulary shared by all three dialects.
-var baseFunctions = wordSet(
+var baseFunctions = []string{
 	"ABS", "ASCII", "AVG", "CEIL", "CEILING", "CHAR", "COALESCE", "CONCAT",
 	"COUNT", "CURRENT_DATE", "CURRENT_TIME", "CURRENT_TIMESTAMP",
 	"CURRENT_USER", "DATE", "DAY", "EXP", "EXTRACT", "FLOOR", "GREATEST",
@@ -41,16 +47,16 @@ var baseFunctions = wordSet(
 	"POWER", "REPEAT", "REPLACE", "REVERSE", "RIGHT", "ROUND", "RPAD",
 	"RTRIM", "SECOND", "SESSION_USER", "SIGN", "SQRT", "SUBSTR",
 	"SUBSTRING", "SUM", "TRIM", "UPPER", "USER", "VERSION", "WEEK", "YEAR",
-)
+}
 
 // MySQL deltas. The union base ∪ delta reproduces the seed tables exactly
 // (TestMySQLVocabularyMatchesSeed pins this).
-var mysqlKeywords = mergeWords(baseKeywords, wordSet(
+var mysqlKeywords = slices.Concat(baseKeywords, []string{
 	"BINARY", "DIV", "DUMPFILE", "HANDLER", "INFILE", "LOAD", "MOD",
 	"OUTFILE", "REGEXP", "REPLACE", "RLIKE", "SOUNDS", "XOR",
-))
+})
 
-var mysqlFunctions = mergeWords(baseFunctions, wordSet(
+var mysqlFunctions = slices.Concat(baseFunctions, []string{
 	"BENCHMARK", "BIN", "CHAR_LENGTH", "CHARACTER_LENGTH", "CONCAT_WS",
 	"CONNECTION_ID", "CURDATE", "CURTIME", "DATABASE", "DATE_ADD",
 	"DATE_FORMAT", "DATE_SUB", "ELT", "EXTRACTVALUE", "FIELD",
@@ -66,15 +72,15 @@ var mysqlFunctions = mergeWords(baseFunctions, wordSet(
 	// corpora byte-identically while Postgres and SQLite no longer
 	// inherit it.
 	"USERNAME",
-))
+})
 
 // Postgres deltas.
-var postgresKeywords = mergeWords(baseKeywords, wordSet(
+var postgresKeywords = slices.Concat(baseKeywords, []string{
 	"ANALYZE", "CONCURRENTLY", "CONFLICT", "DO", "ILIKE", "LATERAL",
 	"ONLY", "RETURNING", "VACUUM",
-))
+})
 
-var postgresFunctions = mergeWords(baseFunctions, wordSet(
+var postgresFunctions = slices.Concat(baseFunctions, []string{
 	"AGE", "ARRAY_AGG", "ARRAY_TO_STRING", "BTRIM", "CHR",
 	"CURRENT_SETTING", "DBLINK", "DBLINK_CONNECT", "DECODE", "ENCODE",
 	"FORMAT", "GENERATE_SERIES", "INITCAP", "LO_EXPORT", "LO_IMPORT",
@@ -83,40 +89,133 @@ var postgresFunctions = mergeWords(baseFunctions, wordSet(
 	"QUERY_TO_XML", "RANDOM", "REGEXP_MATCHES", "REGEXP_REPLACE",
 	"SET_CONFIG", "SPLIT_PART", "STRING_AGG", "STRPOS", "TO_CHAR",
 	"TO_NUMBER", "TO_TIMESTAMP", "TRANSLATE",
-))
+})
 
 // SQLite deltas.
-var sqliteKeywords = mergeWords(baseKeywords, wordSet(
+var sqliteKeywords = slices.Concat(baseKeywords, []string{
 	"ATTACH", "AUTOINCREMENT", "DETACH", "GLOB", "MATCH", "PRAGMA",
 	"REGEXP", "REINDEX", "VACUUM", "WITHOUT",
-))
+})
 
-var sqliteFunctions = mergeWords(baseFunctions, wordSet(
+var sqliteFunctions = slices.Concat(baseFunctions, []string{
 	"CHANGES", "GLOB", "GROUP_CONCAT", "HEX", "IIF", "IFNULL", "INSTR",
 	"JSON", "JSON_EXTRACT", "LAST_INSERT_ROWID", "LIKELIHOOD", "LIKELY",
 	"LOAD_EXTENSION", "PRINTF", "QUOTE", "RANDOM", "RANDOMBLOB",
 	"SQLITE_SOURCE_ID", "SQLITE_VERSION", "TOTAL", "TOTAL_CHANGES",
 	"TYPEOF", "UNICODE", "UNLIKELY", "ZEROBLOB",
-))
+})
 
-func wordSet(words ...string) map[string]bool {
-	m := make(map[string]bool, len(words))
-	for _, w := range words {
-		m[w] = true
-	}
-	return m
+// The lexer classifies a word with one probe into its dialect's word
+// table: an open-addressing hash table built at package init from the
+// lists above, whose entry holds both the keyword and the function bit.
+const (
+	wordKeyword uint8 = 1 << iota
+	wordFunction
+)
+
+// wordBufLen bounds the words classify upper-cases on the stack. No
+// vocabulary word is longer (buildWordTable panics otherwise), so a word
+// that is still longer once upper-cased names nothing.
+const wordBufLen = 32
+
+// FNV-1a, 32-bit: cheap enough to fold into the upper-casing loop.
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+type wordEntry struct {
+	word  string
+	hash  uint32
+	flags uint8 // wordKeyword | wordFunction; zero marks an empty slot
 }
 
-func mergeWords(sets ...map[string]bool) map[string]bool {
-	n := 0
-	for _, s := range sets {
-		n += len(s)
+// wordTable is a linear-probing table of at most half load, indexed by a
+// word hash's top bits (FNV's best mixed).
+type wordTable struct {
+	slots []wordEntry
+	shift uint32
+}
+
+// buildWordTable builds the table of one dialect's vocabulary. A word on
+// both lists gets both bits.
+func buildWordTable(keywords, functions []string) wordTable {
+	bits := uint32(1)
+	for 1<<bits < 2*(len(keywords)+len(functions)) {
+		bits++
 	}
-	m := make(map[string]bool, n)
-	for _, s := range sets {
-		for w := range s {
-			m[w] = true
+	t := wordTable{slots: make([]wordEntry, 1<<bits), shift: 32 - bits}
+	add := func(words []string, flag uint8) {
+		for _, w := range words {
+			var buf [wordBufLen]byte
+			h, ok := upperHash(&buf, w)
+			if !ok || string(buf[:len(w)]) != w {
+				panic("sqltoken: vocabulary word " + w + " is not upper-case ASCII of at most wordBufLen bytes")
+			}
+			i := h >> t.shift
+			for t.slots[i].flags != 0 && t.slots[i].word != w {
+				i = (i + 1) & (1<<bits - 1)
+			}
+			t.slots[i] = wordEntry{word: w, hash: h, flags: t.slots[i].flags | flag}
 		}
 	}
-	return m
+	add(keywords, wordKeyword)
+	add(functions, wordFunction)
+	return t
+}
+
+// upperASCII maps each byte to its ASCII upper case, so upper-casing a
+// word of mixed case takes no branch per byte.
+var upperASCII = func() (t [256]byte) {
+	for i := range t {
+		t[i] = byte(i)
+		if 'a' <= i && i <= 'z' {
+			t[i] -= 'a' - 'A'
+		}
+	}
+	return t
+}()
+
+// upperHash upper-cases word into buf and returns its hash, or reports
+// false for a word that is not ASCII or does not fit buf.
+func upperHash(buf *[wordBufLen]byte, word string) (uint32, bool) {
+	if len(word) > wordBufLen {
+		return 0, false
+	}
+	h, seen := uint32(fnvOffset32), byte(0)
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		seen |= c
+		c = upperASCII[c]
+		buf[i] = c
+		h = (h ^ uint32(c)) * fnvPrime32
+	}
+	return h, seen < utf8.RuneSelf
+}
+
+// classify returns the vocabulary bits of word, upper-cased. An ASCII
+// word that fits wordBufLen is upper-cased and hashed in one pass into a
+// stack buffer, which the probe reads without allocating. Any other word
+// takes strings.ToUpper, whose Unicode case mapping can turn a non-ASCII
+// word into a keyword (ſelect is SELECT).
+func (sp *dialectSpec) classify(word string) uint8 {
+	var buf [wordBufLen]byte
+	h, ok := upperHash(&buf, word)
+	if !ok {
+		word = strings.ToUpper(word)
+		if h, ok = upperHash(&buf, word); !ok {
+			return 0
+		}
+	}
+	up := buf[:len(word)]
+	t := &sp.words
+	for i := h >> t.shift; ; i = (i + 1) & (uint32(len(t.slots)) - 1) {
+		e := &t.slots[i]
+		if e.flags == 0 {
+			return 0
+		}
+		if e.hash == h && e.word == string(up) {
+			return e.flags
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -145,6 +146,38 @@ func (c jsonOnlyConn) Read(p []byte) (int, error) {
 	return copy(p, bytes.ReplaceAll(p[:n], []byte(`,"binary":true`), nil)), err
 }
 
+// oversizedNeighbour is a HybridClient over a micro-batching Pool that,
+// beside every 8th check, sends a query past the server's request cap
+// through the same pool. The batch carrying the check forms and flushes
+// while the oversized call goes out alone and breaks its connection; the
+// check must still get its verdict, and only the oversized call may fail.
+// (Encoding a megabyte per check would make the sweep ten times slower
+// under the race detector.)
+type oversizedNeighbour struct {
+	*daemon.HybridClient
+	pool           *daemon.Pool
+	query          string
+	checks, failed int // checks seen, and oversized calls that failed
+}
+
+func (n *oversizedNeighbour) Check(ctx context.Context, req joza.Request) (joza.Verdict, error) {
+	n.checks++
+	if n.checks%8 != 1 {
+		return n.HybridClient.Check(ctx, req)
+	}
+	big := make(chan error, 1)
+	go func() {
+		_, err := n.pool.AnalyzeSiteContext(ctx, "", n.query)
+		big <- err
+	}()
+	v, err := n.HybridClient.Check(ctx, req)
+	if <-big == nil {
+		return v, fmt.Errorf("a %d-byte query past the request cap got a verdict", len(n.query))
+	}
+	n.failed++
+	return v, err
+}
+
 // hybridOver returns a HybridClient over transport in dialect d.
 func hybridOver(t *testing.T, transport daemon.Transport, d sqltoken.Dialect) *daemon.HybridClient {
 	t.Helper()
@@ -156,9 +189,11 @@ func hybridOver(t *testing.T, transport daemon.Transport, d sqltoken.Dialect) *d
 // TestPathIndependenceDetectionMatrix runs the detection-matrix corpus —
 // 266 benign and 117 attack cases — through the in-process Guard, through
 // HybridClient→Pool→Server and, in MySQL, through a HybridClient over a
-// micro-batching Pool (the "batch" verb) and one over a 2-shard
-// replicated ShardedPool, all with the same fragments and profiles, and
-// requires the same verdict from every path on every check.
+// micro-batching Pool (the "batch" verb), one over a micro-batching Pool
+// that sends a query past the server's request cap beside the checks,
+// and one over a 2-shard replicated ShardedPool, all with the same
+// fragments and profiles, and requires the same verdict from every path
+// on every check.
 // A Postgres slice repeats the corpus, plus the dialect-evasion payloads,
 // with the Guard and the Pool path in the Postgres dialect.
 func TestPathIndependenceDetectionMatrix(t *testing.T) {
@@ -193,6 +228,17 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		batching := server()
+		beside := server()
+		besidePool := daemon.NewPool(func() (net.Conn, error) {
+			clientSide, serverSide := net.Pipe()
+			go beside.ServeConn(serverSide)
+			return clientSide, nil
+		}, daemon.PoolConfig{Size: 2, BatchSize: 4, MaxAttempts: 1})
+		neighbour := &oversizedNeighbour{
+			HybridClient: hybridOver(t, besidePool, sqltoken.MySQL),
+			pool:         besidePool,
+			query:        "SELECT id FROM posts WHERE title = '" + strings.Repeat("x", daemon.DefaultMaxRequestBytes) + "'",
+		}
 		binaryKinds := &frameKinds{n: map[byte]int{}}
 		jsonKinds := &frameKinds{n: map[byte]int{}}
 		jsonOnly := func(c net.Conn) net.Conn { return jsonOnlyConn{jsonKinds.wrap(c)} }
@@ -202,9 +248,13 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 			{"JSON-only pool", hybridOver(t, pipePool(server(), sqltoken.MySQL, 0, jsonOnly), sqltoken.MySQL)},
 			{"micro-batching pool", hybridOver(t, pipePool(batching, sqltoken.MySQL, 4, nil), sqltoken.MySQL)},
 			{"2-shard fleet", hybridOver(t, fleet, sqltoken.MySQL)},
+			{"micro-batching pool beside an oversized query", neighbour},
 		}}
 		if cases := sweep(t, d); cases != 383 {
 			t.Errorf("swept %d cases, want the matrix's 383", cases)
+		}
+		if neighbour.failed != 48 {
+			t.Errorf("%d oversized calls failed, want one beside every 8th of the 383 cases", neighbour.failed)
 		}
 		for _, p := range d.paths {
 			m := p.Checker.(interface{ Metrics() joza.Metrics }).Metrics()
@@ -227,9 +277,11 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 		if json, bin := binaryKinds.count('{'), binaryKinds.count(1); json > 2 || json+bin != onlyJSON {
 			t.Errorf("pool: %d JSON and %d binary analyze frames, want at most 2 handshakes and %d frames in all", json, bin, onlyJSON)
 		}
-		if st := batching.Stats(); st.DaemonBatchOps == 0 || st.DaemonBatchItems != st.DaemonAnalyzeOps {
-			t.Errorf("micro-batching pool: %d batch frames carried %d of %d checks, want every check batched",
-				st.DaemonBatchOps, st.DaemonBatchItems, st.DaemonAnalyzeOps)
+		for _, srv := range []*daemon.Server{batching, beside} {
+			if st := srv.Stats(); st.DaemonBatchOps == 0 || st.DaemonBatchItems != st.DaemonAnalyzeOps {
+				t.Errorf("micro-batching pool: %d batch frames carried %d of %d checks, want every check batched",
+					st.DaemonBatchOps, st.DaemonBatchItems, st.DaemonAnalyzeOps)
+			}
 		}
 		for _, diff := range d.diffs {
 			t.Error(diff)
