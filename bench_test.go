@@ -13,10 +13,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"joza"
 	"joza/internal/audit"
@@ -415,6 +418,89 @@ func dpCells(run func(maxCells int) error) int {
 	return hi
 }
 
+// BenchmarkAblationNTIPrefilter times one whole NTI check per request
+// shape: 1, 10 and 50 input fields against one content query. sellers is
+// the banded engine without the q-gram prefilter, the configuration that
+// predates both optimizations; default is the prefilter plus the
+// bit-parallel engine. The default rows also report reject-%, the share
+// of input×query pairs the prefilter rejected before any matcher ran.
+func BenchmarkAblationNTIPrefilter(b *testing.B) {
+	engines := []struct {
+		name string
+		opts []nti.Option
+	}{
+		{"sellers", []nti.Option{nti.WithSellersMatcher(), nti.WithoutPrefilter()}},
+		{"default", nil},
+	}
+	for _, shape := range []int{1, 10, 50} {
+		rng := rand.New(rand.NewSource(42 + int64(shape)))
+		sets := make([][]nti.Input, 256)
+		for i := range sets {
+			sets[i] = ntiBenchInputs(rng, shape)
+		}
+		for _, e := range engines {
+			b.Run(fmt.Sprintf("inputs=%d/%s", shape, e.name), func(b *testing.B) {
+				a := nti.New(e.opts...)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if res := a.Analyze(ntiBenchQuery, nil, sets[i%len(sets)]); res.Attack {
+						b.Fatalf("benign inputs flagged: %+v", res.Reasons)
+					}
+				}
+				if st := a.Stats(); st.PrefilterChecks > 0 {
+					b.ReportMetric(100*float64(st.PrefilterRejects)/float64(st.PrefilterChecks), "reject-%")
+				}
+			})
+		}
+	}
+}
+
+// ntiBenchQuery is a representative content query. One input per
+// multi-field check occurs in it verbatim (the slug); the rest are benign
+// fields the prefilter should reject as cheaply as possible.
+const ntiBenchQuery = "SELECT p.id, p.title, p.body, u.display_name FROM posts p " +
+	"JOIN users u ON u.id = p.author_id WHERE p.status = 'publish' " +
+	"AND p.slug = 'spring-garden-checklist' ORDER BY p.created_at DESC LIMIT 10"
+
+// ntiBenignValues are realistic form values that do not occur in
+// ntiBenchQuery.
+var ntiBenignValues = []string{
+	"spring garden checklist ideas",
+	"jane.doe@example.org",
+	"4fa83b1c-9d02-4e31-8f5a-2c7d90e11b42",
+	"Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36",
+	"1717171717",
+	"How do I reset my password?",
+	"+1 (555) 013-7799",
+	"742 Evergreen Terrace, Springfield",
+	"session=9f8e7d6c5b4a;theme=dark;lang=en-US",
+	"the quick brown fox jumps over the lazy dog",
+}
+
+// ntiBenchInputs builds the input list for one check of the given shape.
+func ntiBenchInputs(rng *rand.Rand, shape int) []nti.Input {
+	if shape == 1 {
+		// A single benign field, so the 1-input shape times the matcher
+		// rather than the exact fast path the slug would take.
+		return []nti.Input{{Source: "get", Name: "q",
+			Value: fmt.Sprintf("%s %05d", ntiBenignValues[rng.Intn(len(ntiBenignValues))], rng.Intn(100000))}}
+	}
+	inputs := make([]nti.Input, shape)
+	// One field legitimately reaches the query (the slug): the exact fast
+	// path handles it under every engine.
+	inputs[0] = nti.Input{Source: "get", Name: "slug", Value: "spring-garden-checklist"}
+	for i := 1; i < shape; i++ {
+		v := ntiBenignValues[rng.Intn(len(ntiBenignValues))]
+		// Vary most values so checks do not dedup into a handful of
+		// groups: a real form posts distinct field contents.
+		if i%3 != 0 {
+			v = fmt.Sprintf("%s %05d", v, rng.Intn(100000))
+		}
+		inputs[i] = nti.Input{Source: "post", Name: fmt.Sprintf("f%d", i), Value: v}
+	}
+	return inputs
+}
+
 func BenchmarkAblationTransports(b *testing.B) {
 	site := benchSite(b)
 	analyzer := pti.NewCached(pti.New(site.Fragments), pti.CacheNone, 1)
@@ -457,6 +543,37 @@ func BenchmarkAblationTransports(b *testing.B) {
 		b.ResetTimer()
 		run(b, tr)
 	})
+	// tcp-single and tcp-pool drive a loopback TCP daemon from concurrent
+	// callers (transportCallers per GOMAXPROCS): one shared connection
+	// serializes every round trip on its mutex, a pool of transportCallers
+	// connections runs that many side by side.
+	const transportCallers = 8
+	runParallel := func(b *testing.B, tr daemon.Transport) {
+		b.SetParallelism(transportCallers)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if _, err := tr.AnalyzeSiteContext(context.Background(), "", benchQuery); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	}
+	addr := startTCPDaemon(b, analyzer)
+	b.Run("tcp-single", func(b *testing.B) {
+		tr, err := daemon.Dial(addr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer tr.Close()
+		runParallel(b, tr)
+	})
+	b.Run("tcp-pool", func(b *testing.B) {
+		tr := daemon.DialPool(addr, daemon.PoolConfig{Size: transportCallers})
+		defer tr.Close()
+		runParallel(b, tr)
+	})
 }
 
 // jsonOnlyConn cuts the binary flag from every client frame before the
@@ -467,6 +584,162 @@ type jsonOnlyConn struct{ net.Conn }
 func (c jsonOnlyConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	return copy(p, bytes.ReplaceAll(p[:n], []byte(`,"binary":true`), nil)), err
+}
+
+// startTCPDaemon serves analyzer on a loopback TCP port until b's
+// cleanup and returns the address.
+func startTCPDaemon(b *testing.B, analyzer *pti.Cached) string {
+	b.Helper()
+	srv := daemon.NewServer(analyzer)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	b.Cleanup(func() { _ = srv.Close() })
+	return ln.Addr().String()
+}
+
+// benchMixQueries flattens the Table VI mix (4% writes) into a query
+// stream whose length is a multiple of 16, the largest wire batch.
+func benchMixQueries(site *workload.Site) []string {
+	var queries []string
+	for _, req := range site.GenerateMix(workload.Mix{WriteFraction: 0.04}, 400) {
+		for _, ev := range req.Events {
+			queries = append(queries, ev.Query)
+		}
+	}
+	return queries[:len(queries)/16*16]
+}
+
+// BenchmarkDaemonBatch sends the Table VI mix to a loopback TCP daemon
+// over one connection in wire batches of 1 to 16 checks. The fixed frame
+// cost (encode, syscall pair, decode, scheduler handoff) spreads over the
+// batch, so ns/check falls as the batch grows.
+func BenchmarkDaemonBatch(b *testing.B) {
+	site := benchSite(b)
+	queries := benchMixQueries(site)
+	addr := startTCPDaemon(b, pti.NewCached(pti.New(site.Fragments), pti.CacheQueryAndStructure, 8192))
+	for _, size := range []int{1, 2, 4, 8, 16} {
+		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
+			c, err := daemon.Dial(addr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			ctx := context.Background()
+			check := func(i int) {
+				start := i * size % len(queries)
+				results, err := c.AnalyzeBatch(ctx, queries[start:start+size])
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, r := range results {
+					if r.Err != nil {
+						b.Fatal(r.Err)
+					}
+					if r.Reply.Attack {
+						b.Fatalf("benign query flagged: %+v", r.Reply.Reasons)
+					}
+				}
+			}
+			for i := 0; i < len(queries)/size; i++ { // warm the cache and the connection
+				check(i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				check(i)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/check")
+		})
+	}
+}
+
+// BenchmarkShardScaleOut grows a fleet of loopback daemons from 1 to 4
+// shards behind one ShardedPool. Each shard keeps a budget of 2
+// connections, and every frame is delayed by a simulated 3 ms network
+// round trip. Co-located shards share this machine's CPU, so loopback
+// throughput alone says nothing about fleet scaling; with the delay,
+// throughput is bounded by in-flight capacity (shards × connections),
+// which is what another jozad adds. 64 callers keep every connection busy.
+func BenchmarkShardScaleOut(b *testing.B) {
+	const (
+		rtt        = 3 * time.Millisecond
+		shardConns = 2
+		callers    = 64
+	)
+	site := benchSite(b)
+	queries := benchMixQueries(site)
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			pools := make([]*daemon.Pool, shards)
+			for i := range pools {
+				addr := startTCPDaemon(b, pti.NewCached(pti.New(site.Fragments), pti.CacheQueryAndStructure, 8192))
+				pools[i] = daemon.NewPool(func() (net.Conn, error) {
+					conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+					if err != nil {
+						return nil, err
+					}
+					return &delayConn{Conn: conn, rtt: rtt}, nil
+				}, daemon.PoolConfig{Size: shardConns, Timeout: 30 * time.Second})
+			}
+			// A dense ring (1024 vnodes per shard) splits the keyspace
+			// within a few percent of fair; with the default 128 the
+			// hottest of 2 shards can own ~60% of it, and its connection
+			// budget caps the whole fleet.
+			sp, err := daemon.NewShardedPool(pools, daemon.WithRingReplicas(1024))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sp.Close()
+			drive := func(n int64) error {
+				var next atomic.Int64
+				errs := make(chan error, callers)
+				var wg sync.WaitGroup
+				for w := 0; w < callers; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := next.Add(1) - 1; i < n; i = next.Add(1) - 1 {
+							reply, err := sp.AnalyzeSiteContext(context.Background(), "", queries[i%int64(len(queries))])
+							if err == nil && reply.Attack {
+								err = fmt.Errorf("benign query flagged: %+v", reply.Reasons)
+							}
+							if err != nil {
+								errs <- err
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				close(errs)
+				return <-errs
+			}
+			if err := drive(callers * 4); err != nil { // dial every connection, warm the caches
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			if err := drive(int64(b.N)); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "q/s")
+		})
+	}
+}
+
+// delayConn simulates network distance: each Write stalls for rtt before
+// delivering, so one frame exchange costs one round trip however many
+// checks it carries. Blocked time is not CPU, so a shared-core machine
+// still shows the in-flight-capacity scaling a real fleet has.
+type delayConn struct {
+	net.Conn
+	rtt time.Duration
+}
+
+func (c *delayConn) Write(p []byte) (int, error) {
+	time.Sleep(c.rtt)
+	return c.Conn.Write(p)
 }
 
 func BenchmarkAblationCacheModes(b *testing.B) {
