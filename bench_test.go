@@ -9,7 +9,6 @@
 package joza_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -519,27 +518,9 @@ func BenchmarkAblationTransports(b *testing.B) {
 			}
 		}
 	}
-	// pipe-daemon negotiates binary frames; pipe-daemon-json is the same
-	// pipe to a server that ignores the request (an older daemon), so the
-	// connection stays on JSON.
 	b.Run("pipe-daemon", func(b *testing.B) {
 		tr, stop := daemon.SpawnPipe(analyzer)
 		defer stop()
-		b.ResetTimer()
-		run(b, tr)
-	})
-	b.Run("pipe-daemon-json", func(b *testing.B) {
-		clientSide, serverSide := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			daemon.NewServer(analyzer).ServeConn(jsonOnlyConn{serverSide})
-		}()
-		tr := daemon.NewClient(clientSide)
-		defer func() {
-			_ = tr.Close()
-			<-done
-		}()
 		b.ResetTimer()
 		run(b, tr)
 	})
@@ -574,16 +555,6 @@ func BenchmarkAblationTransports(b *testing.B) {
 		defer tr.Close()
 		runParallel(b, tr)
 	})
-}
-
-// jsonOnlyConn cuts the binary flag from every client frame before the
-// server reads it, so the server never acknowledges binary frames.
-// net.Pipe delivers each client frame in one Read.
-type jsonOnlyConn struct{ net.Conn }
-
-func (c jsonOnlyConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	return copy(p, bytes.ReplaceAll(p[:n], []byte(`,"binary":true`), nil)), err
 }
 
 // startTCPDaemon serves analyzer on a loopback TCP port until b's

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -101,26 +102,23 @@ type batcher struct {
 
 // maxBatchBytes bounds the items of one micro-batch, so its frame stays
 // within the DefaultMaxRequestBytes a server accepts: a larger frame would
-// break the connection and fail every coalesced call. The rest of the
-// request cap is room for the frame's own fields.
+// be refused whole, failing every coalesced call. The rest of the request
+// cap is room for the frame's own fields and the item count.
 const maxBatchBytes = DefaultMaxRequestBytes - 256
 
-// batchItemBytes bounds the bytes req takes as a batch item in either
-// frame encoding. A binary item is smaller than its JSON form, which
-// spends at most 96 bytes on field names, punctuation and the timeout,
-// and escapes a byte into at most six (\u00XX).
+// batchItemBytes is the size of req's encoding as a batch item
+// (appendRequest): the flags byte, the length and bytes of the query and
+// of each other string field that is set, and the timeout's varint.
 func batchItemBytes(req *wireRequest) int {
-	return 96 + escapedBytes(req.Query) + escapedBytes(req.Site) + escapedBytes(req.Dialect) + escapedBytes(req.Version)
-}
-
-// escapedBytes bounds the JSON-escaped length of s: one byte per printable
-// ASCII byte JSON writes verbatim, six per other byte.
-func escapedBytes(s string) int {
-	n := len(s)
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			n += 5
+	var scratch [binary.MaxVarintLen64]byte
+	n := 1 + binary.PutUvarint(scratch[:], uint64(len(req.Query))) + len(req.Query)
+	for _, s := range [...]string{req.Site, req.Dialect, req.Version} {
+		if s != "" {
+			n += binary.PutUvarint(scratch[:], uint64(len(s))) + len(s)
 		}
+	}
+	if req.TimeoutMs != 0 {
+		n += binary.PutVarint(scratch[:], req.TimeoutMs)
 	}
 	return n
 }

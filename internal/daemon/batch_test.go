@@ -3,13 +3,14 @@ package daemon
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"joza/internal/core"
 )
 
 func TestClientAnalyzeBatch(t *testing.T) {
@@ -34,9 +35,7 @@ func TestClientAnalyzeBatch(t *testing.T) {
 	if !results[1].Reply.Attack {
 		t.Error("attack item missed")
 	}
-	// The batch was this connection's first frame, so it latched
-	// no_tokens: no item carries a token stream. A flagless batch frame
-	// is refused whole (TestFlaglessFramesRefused).
+	// No item carries a token stream.
 	for i, r := range results {
 		if len(r.Reply.Tokens) != 0 {
 			t.Errorf("item %d carried tokens to a new client", i)
@@ -380,30 +379,6 @@ func TestBatchEmptyRefused(t *testing.T) {
 	}
 }
 
-// TestBatchNestedOpsRefusedPerItem: control verbs and nested batches
-// inside a batch fail their own slot only.
-func TestBatchNestedOpsRefusedPerItem(t *testing.T) {
-	c, stop := SpawnPipe(newAnalyzer())
-	defer stop()
-	resp, err := c.roundTrip(context.Background(), wireRequest{
-		Op: "batch",
-		Batch: []wireRequest{
-			{Op: "stats"},
-			{Query: benignQuery},
-			{Op: "batch", Batch: []wireRequest{{Query: benignQuery}}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Batch[0].Err == "" || resp.Batch[2].Err == "" {
-		t.Errorf("nested control ops not refused: %+v", resp.Batch)
-	}
-	if resp.Batch[1].Err != "" || resp.Batch[1].Reply == nil {
-		t.Errorf("analyze sibling dragged down: %+v", resp.Batch[1])
-	}
-}
-
 // TestBatchPartialReplyIsProtocolError: a server answering a batch with
 // the wrong item count is a protocol violation — the whole call fails —
 // but the frame itself was well-formed, so the connection is not broken.
@@ -413,15 +388,17 @@ func TestBatchPartialReplyIsProtocolError(t *testing.T) {
 	serveDone := make(chan struct{})
 	go func() {
 		defer close(serveDone)
-		dec := json.NewDecoder(bufio.NewReader(serverSide))
-		enc := json.NewEncoder(serverSide)
+		br := bufio.NewReader(serverSide)
+		reply := appendVerdictResponse([]byte{1}, &core.Verdict{}, "") // an item count of 1, then the item
 		for {
-			var req wireRequest
-			if err := dec.Decode(&req); err != nil {
+			_, n, err := readFrameHead(br)
+			if err == nil {
+				err = discardBody(br, n)
+			}
+			if err != nil {
 				return
 			}
-			resp := wireResponse{Batch: []wireResponse{{Reply: &AnalysisReply{}}}}
-			if err := enc.Encode(resp); err != nil {
+			if _, err := serverSide.Write(finishFrame(append(beginFrame(nil), reply...), frameBatch)); err != nil {
 				return
 			}
 		}
@@ -441,10 +418,10 @@ func TestBatchPartialReplyIsProtocolError(t *testing.T) {
 	}
 }
 
-// TestBatchOversizedFrameBreaksConn: a batch frame exceeding the request
-// byte limit is a framing fault — the server drops the connection, exactly
-// like an oversized single request.
-func TestBatchOversizedFrameBreaksConn(t *testing.T) {
+// TestBatchOversizedFrameRefusedOnHealthyStream: a batch frame exceeding
+// the request byte limit is discarded unread and refused whole, exactly
+// like an oversized single request, and the connection keeps serving.
+func TestBatchOversizedFrameRefusedOnHealthyStream(t *testing.T) {
 	clientSide, serverSide := net.Pipe()
 	srv := NewServer(newAnalyzer(), WithMaxRequestBytes(256))
 	serveDone := make(chan struct{})
@@ -455,126 +432,62 @@ func TestBatchOversizedFrameBreaksConn(t *testing.T) {
 	c := NewClient(clientSide)
 	defer func() {
 		_ = c.Close()
-		_ = serverSide.Close()
+		<-serveDone
 	}()
 	big := strings.Repeat("SELECT * FROM records WHERE ID=5 LIMIT 5; ", 32)
 	_, err := c.AnalyzeBatch(context.Background(), []string{big, big})
-	if err == nil {
-		t.Fatal("oversized batch frame succeeded past the byte limit")
+	if err == nil || !strings.Contains(err.Error(), "exceeds the 256-byte cap") {
+		t.Fatalf("oversized batch frame: %v, want the request cap's refusal", err)
 	}
-	select {
-	case <-serveDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("server kept the connection after an oversized frame")
+	if c.Broken() {
+		t.Fatal("an oversized frame broke the connection; the refusal must ride the healthy stream")
 	}
-	if !c.Broken() {
-		t.Fatal("client still healthy after the server dropped the stream")
+	results, err := c.AnalyzeBatch(context.Background(), []string{benignQuery, attackQuery})
+	if err != nil || results[0].Err != nil || results[1].Err != nil || !results[1].Reply.Attack {
+		t.Fatalf("batch under the cap after the refusal: %+v, %v", results, err)
 	}
-}
-
-// TestWireBackCompatOldClientFrames: single-request frame shapes — no
-// op, no batch field — keep working against the new server once the
-// connection has latched no_tokens, and a new client's single-request
-// frames must stay byte-compatible (no new keys) with old servers.
-func TestWireBackCompatOldClientFrames(t *testing.T) {
-	clientSide, serverSide := net.Pipe()
-	srv := NewServer(newAnalyzer())
-	serveDone := make(chan struct{})
-	go func() {
-		defer close(serveDone)
-		srv.ServeConn(serverSide)
-	}()
-	defer func() {
-		_ = clientSide.Close()
-		_ = serverSide.Close()
-		<-serveDone
-	}()
-	dec := json.NewDecoder(bufio.NewReader(clientSide))
-	type raw map[string]any
-	send := func(frame string) raw {
-		t.Helper()
-		if _, err := clientSide.Write([]byte(frame + "\n")); err != nil {
-			t.Fatal(err)
-		}
-		var resp raw
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	resp := send(`{"query":"` + benignQuery + `","no_tokens":true}`)
-	if resp["error"] != nil || resp["reply"] == nil {
-		t.Fatalf("old-style analyze frame = %v", resp)
-	}
-	resp = send(`{"op":"analyze","query":"` + attackQuery + `","timeout_ms":5000}`)
-	if resp["error"] != nil || resp["reply"].(map[string]any)["attack"] != true {
-		t.Fatalf("old-style analyze with budget = %v", resp)
-	}
-	resp = send(`{"op":"stats"}`)
-	if resp["error"] != nil || resp["stats"] == nil {
-		t.Fatalf("old-style stats frame = %v", resp)
-	}
-
-	// New client, old server: the single-request frame must not have
-	// grown any field an old server would choke on or misread.
-	frame, err := json.Marshal(wireRequest{Query: benignQuery})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys map[string]any
-	if err := json.Unmarshal(frame, &keys); err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 1 || keys["query"] == nil {
-		t.Fatalf("single-request frame = %s; new fields must be omitempty", frame)
+	if st := srv.Stats(); st.DaemonErrors != 1 || st.DaemonBatchItems != 2 {
+		t.Errorf("%d errors and %d batch items, want the one refusal and the 2 items under the cap", st.DaemonErrors, st.DaemonBatchItems)
 	}
 }
 
-// FuzzBatchFrame drives the batch verb with arbitrary queries, item
-// counts, budgets, version pins and raw no_tokens values. The invariant: a
-// well-formed batch frame never panics the server; on a connection that
-// has not latched no_tokens it is refused whole, and otherwise the reply
-// carries exactly one response per item (or a whole-batch error for
-// empty/over-cap batches); no reply carries a token stream; and the stream
-// stays healthy. A mistyped no_tokens value is a malformed frame: the
-// connection ends, and the handler must not wedge.
+// TestBatchItemBytesExact: batchItemBytes is the size of the item's
+// encoding, whichever optional fields are set.
+func TestBatchItemBytesExact(t *testing.T) {
+	for _, req := range []wireRequest{
+		{},
+		{Query: benignQuery},
+		{Query: strings.Repeat("\x00\"<>&", 40), Site: "plugin:a", Dialect: "postgres", Version: "0123456789abcdef", TimeoutMs: -1},
+		{Query: longBenignQuery(20000), TimeoutMs: 1 << 62},
+		{Query: "x", Site: strings.Repeat("s", 200), TimeoutMs: 63},
+	} {
+		if got, want := batchItemBytes(&req), len(appendRequest(nil, &req)); got != want {
+			t.Errorf("batchItemBytes = %d, encoding is %d bytes (%d-byte query)", got, want, len(req.Query))
+		}
+	}
+}
+
+// FuzzBatchFrame drives binary batch frames with arbitrary queries, item
+// counts, budgets, version pins and frame dialects. The invariant: a batch
+// frame never panics the server; the reply carries exactly one response
+// per item, or a whole-batch refusal for an empty, over-cap or oversized
+// batch; against this unversioned server every item of a pinned batch is
+// refused; and the stream stays healthy for the next frame.
 func FuzzBatchFrame(f *testing.F) {
-	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(2), int64(0), "", "true")
-	f.Add("", "x", uint8(0), int64(-1), "", "true")
-	f.Add("SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5", "", uint8(7), int64(1<<62), "deadbeefdeadbeef", "true")
-	f.Add("q", "q", uint8(255), int64(1), "\x00\xffgarbage", "true")
-	f.Add("SELECT 1", "SELECT 1", uint8(3), int64(0), "mixed\ncase", "true")
 	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(2), int64(0), "", "")
-	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(2), int64(0), "", "false")
-	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(2), int64(0), "", `"yes"`)
+	f.Add("", "x", uint8(0), int64(-1), "", "")
+	f.Add("SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5", "", uint8(7), int64(1<<62), "deadbeefdeadbeef", "")
+	f.Add("q", "q", uint8(255), int64(1), "\x00\xffgarbage", "")
+	f.Add("SELECT 1", "SELECT 1", uint8(3), int64(0), "mixed\ncase", "")
+	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(2), int64(0), "", "postgres")
+	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(2), int64(0), "", "oracle")
+	f.Add("SELECT * FROM records WHERE ID=5 LIMIT 5", "SELECT 1", uint8(2), int64(0), "", "mysql")
 	analyzer := newAnalyzer()
-	f.Fuzz(func(t *testing.T, q1, q2 string, n uint8, timeoutMs int64, version, noTokens string) {
-		if len(q1) > 1<<10 || len(q2) > 1<<10 || len(version) > 1<<8 || len(noTokens) > 1<<6 {
+	f.Fuzz(func(t *testing.T, q1, q2 string, n uint8, timeoutMs int64, version, dialect string) {
+		if len(q1) > 1<<10 || len(q2) > 1<<10 || len(version) > 1<<8 || len(dialect) > 1<<6 {
 			t.Skip()
 		}
-		srv := NewServer(analyzer)
-		clientSide, serverSide := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			srv.ServeConn(serverSide)
-		}()
-		defer func() {
-			_ = clientSide.Close()
-			select {
-			case <-done:
-			case <-time.After(5 * time.Second):
-				t.Fatal("connection handler wedged")
-			}
-		}()
-		// Writes run beside the reads: the server answers a frame before it
-		// drains the newline behind it.
-		send := func(frame []byte) {
-			go func() { _, _ = clientSide.Write(append(frame, '\n')) }()
-		}
-		dec := json.NewDecoder(bufio.NewReader(clientSide))
-
+		c := pipeFrames(t, NewServer(analyzer))
 		size := int(n) % 96
 		if n == 255 {
 			size = MaxBatchItems + 1 // one item over the cap
@@ -585,42 +498,14 @@ func FuzzBatchFrame(f *testing.F) {
 				items[i] = wireRequest{Query: q1, TimeoutMs: timeoutMs}
 			} else {
 				// Odd items carry the fuzzed version pin directly; even ones
-				// inherit the frame-level pin. Against this unversioned
-				// server any non-empty pin must yield a per-item refusal on
-				// the healthy stream, never fewer replies than items.
+				// inherit the frame-level pin.
 				items[i] = wireRequest{Query: q2, Version: version}
 			}
 		}
-		frame, err := json.Marshal(wireRequest{Op: "batch", Batch: items, Version: version})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if noTokens != "" {
-			// Splice the raw value in, so the fuzzer reaches wrong types too.
-			frame = append(frame[:len(frame)-1], `,"no_tokens":`+noTokens+`}`...)
-		}
-		send(frame)
-		var latched bool
-		switch noTokens {
-		case "", "false":
-		case "true":
-			latched = true
-		default:
-			return // possibly malformed: only the no-wedge invariant applies
-		}
-		if len(frame) > DefaultMaxRequestBytes {
-			return // over the request cap, which ends the connection
-		}
-		var resp wireResponse
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatalf("batch of %d items: %v", len(items), err)
-		}
+		req := wireRequest{Op: "batch", Batch: items, Version: version, Dialect: dialect}
+		resp := c.send(req)
 		switch {
-		case !latched:
-			if resp.Err != errUnlatched || resp.Batch != nil {
-				t.Fatalf("unlatched batch answered %+v, want the latch refusal", resp)
-			}
-		case len(items) == 0 || len(items) > MaxBatchItems:
+		case len(items) == 0 || len(items) > MaxBatchItems || len(appendBatchRequest(nil, &req)) > DefaultMaxRequestBytes:
 			if resp.Err == "" {
 				t.Fatalf("batch of %d items accepted, want whole-batch refusal", len(items))
 			}
@@ -630,21 +515,14 @@ func FuzzBatchFrame(f *testing.F) {
 			t.Fatalf("%d replies for %d items", len(resp.Batch), len(items))
 		}
 		for i, item := range resp.Batch {
-			if item.Reply != nil && len(item.Reply.Tokens) != 0 {
-				t.Fatalf("item %d carried tokens", i)
+			if version != "" && item.Err == "" {
+				t.Fatalf("item %d pinned to %q answered by an unversioned server: %+v", i, version, item.Reply)
 			}
 		}
-		// The stream survived whatever the batch did, and the latch holds.
-		send([]byte(`{"query":"SELECT * FROM records WHERE ID=5 LIMIT 5"}`))
-		resp = wireResponse{}
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatalf("follow-up request failed: %v", err)
-		}
-		if latched && (resp.Reply == nil || len(resp.Reply.Tokens) != 0) {
-			t.Fatalf("follow-up on a latched connection = %+v, want a token-free reply", resp)
-		}
-		if !latched && resp.Err != errUnlatched {
-			t.Fatalf("follow-up on an unlatched connection = %+v, want the latch refusal", resp)
+		// The stream survived whatever the batch did.
+		resp = c.send(wireRequest{Query: "SELECT * FROM records WHERE ID=5 LIMIT 5"})
+		if resp.Err != "" || resp.Reply == nil || resp.Reply.Attack {
+			t.Fatalf("follow-up request = %+v", resp)
 		}
 	})
 }

@@ -2,53 +2,16 @@ package daemon
 
 import (
 	"bufio"
-	"context"
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
-	"errors"
-	"io"
-	"net"
 	"reflect"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"joza/internal/core"
-	"joza/internal/engine"
-	"joza/internal/nti"
 	"joza/internal/sqltoken"
 	"joza/internal/trace"
 )
-
-// handshake serves one pipe connection from srv, negotiates binary frames
-// with a raw analyze frame, and returns the client end and its reader,
-// positioned just past the JSON acknowledgement.
-func handshake(t testing.TB, srv *Server) (net.Conn, *bufio.Reader, chan struct{}) {
-	t.Helper()
-	clientSide, serverSide := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.ServeConn(serverSide)
-	}()
-	_ = clientSide.SetDeadline(time.Now().Add(5 * time.Second))
-	go func() {
-		_, _ = clientSide.Write([]byte(`{"query":"SELECT 1","no_tokens":true,"binary":true}` + "\n"))
-	}()
-	br := bufio.NewReader(clientSide)
-	ack, err := br.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp wireResponse
-	if err := json.Unmarshal([]byte(ack), &resp); err != nil || !resp.Binary || strings.Contains(ack, `"tokens"`) {
-		t.Fatalf("handshake reply %q: want a token-free acknowledgement", ack)
-	}
-	_ = clientSide.SetDeadline(time.Time{})
-	return clientSide, br, done
-}
 
 // TestBinaryCodecRoundTrip is the codec's round-trip property: a request
 // parses back to itself, and the response appended from a verdict parses
@@ -113,221 +76,60 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// splitNewlineConn delivers a chunk's trailing newline in a Read of its
-// own, the way a peer's JSON encoder newline can arrive after the frame it
-// ends.
-type splitNewlineConn struct {
-	net.Conn
-	held bool
-}
-
-func (c *splitNewlineConn) Read(p []byte) (int, error) {
-	if c.held {
-		c.held = false
-		p[0] = '\n'
-		return 1, nil
-	}
-	n, err := c.Conn.Read(p)
-	if n > 1 && p[n-1] == '\n' {
-		c.held = true
-		n--
-	}
-	return n, err
-}
-
-// kindCounter counts, on the server end of a pipe, the client writes that
-// start a JSON frame and those that start each binary frame kind. net.Pipe
-// delivers each client frame in one Read.
-type kindCounter struct {
-	net.Conn
-	mu    sync.Mutex
-	kinds map[byte]int
-}
-
-func (c *kindCounter) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	if n > 0 {
-		c.mu.Lock()
-		c.kinds[p[0]]++
-		c.mu.Unlock()
-	}
-	return n, err
-}
-
-// TestBinaryNegotiationSwitchesBothEnds: a Client against a current
-// server sends one JSON frame, then only binary frames — control verbs in
-// the JSON envelope — and gets the verdicts a JSON-only connection gets,
-// including when each newline arrives in a Read of its own.
-func TestBinaryNegotiationSwitchesBothEnds(t *testing.T) {
-	for _, split := range []bool{false, true} {
-		srv := NewServer(newAnalyzer())
-		clientSide, serverSide := net.Pipe()
-		counted := &kindCounter{Conn: serverSide, kinds: map[byte]int{}}
-		var sc, cc net.Conn = counted, clientSide
-		if split {
-			sc, cc = &splitNewlineConn{Conn: counted}, &splitNewlineConn{Conn: clientSide}
-		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			srv.ServeConn(sc)
-		}()
-		c := NewClient(cc)
-		ctx := context.Background()
-		for i, q := range []string{benignQuery, attackQuery, benignQuery} {
-			r, err := c.AnalyzeSiteContext(ctx, "", q)
-			if err != nil {
-				t.Fatalf("split=%v analyze %d: %v", split, i, err)
-			}
-			if r.Attack != (q == attackQuery) || r.Tokens != nil {
-				t.Errorf("split=%v analyze %d: attack %v, %d tokens", split, i, r.Attack, len(r.Tokens))
-			}
-		}
-		results, err := c.AnalyzeBatch(ctx, []string{attackQuery, benignQuery})
-		if err != nil || len(results) != 2 || !results[0].Reply.Attack || results[1].Reply.Attack {
-			t.Fatalf("split=%v batch: %+v, %v", split, results, err)
-		}
-		st, err := c.Stats()
-		if err != nil || st.DaemonAnalyzeOps != 5 || st.DaemonBatchOps != 1 {
-			t.Fatalf("split=%v stats: %+v, %v", split, st, err)
-		}
-		if _, err := c.Commit(ctx, ""); err == nil || c.Broken() {
-			t.Errorf("split=%v commit with nothing staged: err %v, broken %v", split, err, c.Broken())
-		}
-		_ = c.Close()
-		<-done
-		want := map[byte]int{'{': 1, frameAnalyze: 2, frameBatch: 1, frameJSON: 2}
-		if !reflect.DeepEqual(counted.kinds, want) {
-			t.Errorf("split=%v: frames by first byte %v, want %v", split, counted.kinds, want)
-		}
-	}
-}
-
-// TestNoAckPeerStaysJSON: a client whose server never acknowledges binary
-// — an old server, simulated by cutting both flags — keeps sending JSON
-// frames, byte-identical to the flagless protocol after the first, and
-// keeps reading JSON replies.
-func TestNoAckPeerStaysJSON(t *testing.T) {
-	srv := NewServer(newAnalyzer())
-	clientSide, serverSide := net.Pipe()
-	rec := &frameLog{Conn: serverSide}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.ServeConn(oldServerConn{rec})
-	}()
-	var tokenReplies atomic.Int64
-	c := NewClient(countingConn{clientSide, &tokenReplies})
-	for i := 0; i < 3; i++ {
-		if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_ = c.Close()
-	<-done
-	flagless := `{"query":"` + benignQuery + `"}` + "\n"
-	want := []string{strings.TrimSuffix(flagless, "}\n") + `,"no_tokens":true,"binary":true}` + "\n", flagless, flagless}
-	if !reflect.DeepEqual(rec.frames, want) {
-		t.Errorf("frames seen by the old server\n got %q\nwant %q", rec.frames, want)
-	}
-	if tokenReplies.Load() != 3 {
-		t.Errorf("%d of 3 replies carried the old server's token stream", tokenReplies.Load())
-	}
-}
-
-// frameLog records every chunk read through it.
-type frameLog struct {
-	net.Conn
-	frames []string
-}
-
-func (c *frameLog) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	if n > 0 {
-		c.frames = append(c.frames, string(p[:n]))
-	}
-	return n, err
-}
-
-// TestBinaryFrameLengthCap: a binary frame whose declared body length is
-// exactly the request cap is served; one byte more ends the connection
-// before any of the body is read.
+// TestBinaryFrameLengthCap: a frame whose declared body length is exactly
+// the request cap is served. One byte more is discarded unread, without an
+// allocation, and refused in a reply of the frame's own kind on the
+// healthy stream, which then serves the next frame. A head declaring a
+// body over the cap that never arrives ends the connection unanswered.
 func TestBinaryFrameLengthCap(t *testing.T) {
 	const limit = 256
 	srv := NewServer(newAnalyzer(), WithMaxRequestBytes(limit))
-	conn, br, done := handshake(t, srv)
-	defer func() {
-		_ = conn.Close()
-		<-done
-	}()
+	c := pipeFrames(t, srv)
 	// flags, a 2-byte length and the query fill the body exactly.
 	req := wireRequest{Query: "SELECT 1 " + strings.Repeat("-", limit-3-9)}
-	frame := finishFrame(appendRequest(beginFrame(nil), &req), frameAnalyze)
-	if n, _ := binary.Uvarint(frame[1:]); n != limit {
-		t.Fatalf("test frame declares %d bytes, want %d", n, limit)
+	atCap := appendRequest(nil, &req)
+	if len(atCap) != limit {
+		t.Fatalf("test body is %d bytes, want %d", len(atCap), limit)
 	}
-	go func() { _, _ = conn.Write(frame) }()
-	kind, n, err := readFrameHead(br)
-	if err != nil || kind != frameAnalyze {
-		t.Fatalf("frame at the cap: kind %d, err %v", kind, err)
-	}
-	body, err := readBody(br, nil, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := parseResponse(kind, body, &req); err != nil || resp.Reply == nil {
+	c.raw(frameAnalyze, atCap)
+	if resp, err := parseResponse(frameAnalyze, c.reply, &req); err != nil || resp.Reply == nil {
 		t.Fatalf("frame at the cap not served: %+v, %v", resp, err)
 	}
 
-	over := binary.AppendUvarint([]byte{frameAnalyze}, limit+1)
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Write(over); err != nil {
-		t.Fatal(err)
+	over := append(atCap, 0)
+	for _, kind := range []byte{frameAnalyze, frameBatch, frameJSON} {
+		c.raw(kind, over)
+		resp, err := parseResponse(kind, c.reply, &wireRequest{})
+		if err != nil || !strings.Contains(resp.Err, "257 bytes exceeds the 256-byte cap") {
+			t.Errorf("kind %d over the cap: %+v, %v; want a refusal", kind, resp, err)
+		}
 	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("a frame over the cap did not end the connection")
+	c.raw(frameAnalyze, atCap)
+	if resp, err := parseResponse(frameAnalyze, c.reply, &req); err != nil || resp.Reply == nil {
+		t.Fatalf("frame at the cap after the refusals: %+v, %v", resp, err)
 	}
-	if _, err := br.ReadByte(); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) {
-		t.Errorf("read after the oversized head: %v, want the connection closed", err)
+	if st := srv.Stats(); st.DaemonErrors != 3 || st.DaemonAnalyzeOps != 2 {
+		t.Errorf("%d errors and %d analyze ops, want 3 refusals and the 2 frames at the cap", st.DaemonErrors, st.DaemonAnalyzeOps)
+	}
+
+	br := bufio.NewReader(zeros{})
+	if n := testing.AllocsPerRun(10, func() { _ = discardBody(br, 1<<20) }); n != 0 {
+		t.Errorf("discarding a 1 MiB body allocates %.1f times, want 0", n)
+	}
+
+	conn := &scriptedConn{in: bytes.NewReader(append(binary.AppendUvarint([]byte{frameAnalyze}, limit+1), atCap[:10]...))}
+	srv.ServeConn(conn)
+	if conn.out.Len() != 0 {
+		t.Errorf("a body over the cap that never arrived was answered: %q", conn.out.Bytes())
 	}
 }
 
-// TestBinaryHybridVerdictsMatchJSON: a HybridClient over a binary
-// connection reaches exactly the verdicts it reaches over a JSON one,
-// with a call site, a profile verdict and a version on every reply.
-func TestBinaryHybridVerdictsMatchJSON(t *testing.T) {
-	hybridOver := func(jsonOnly bool) *HybridClient {
-		clientSide, serverSide := net.Pipe()
-		var sc net.Conn = serverSide
-		if jsonOnly {
-			sc = oldServerConn{serverSide}
-		}
-		go goldenServer().ServeConn(sc)
-		h := NewHybridClient(NewClient(clientSide), nti.MustNew(), core.PolicyTerminate)
-		t.Cleanup(func() { _ = h.Close() })
-		return h
-	}
-	bin, js := hybridOver(false), hybridOver(true)
-	for _, c := range []engine.Request{
-		{Query: benignQuery, Site: "s1", Inputs: []nti.Input{{Source: "get", Name: "id", Value: "5"}}},
-		{Query: attackQuery, Site: "s1", Inputs: []nti.Input{{Source: "get", Name: "id", Value: "-1 UNION SELECT username()"}}},
-		{Query: attackQuery},
-		{Query: ""},
-	} {
-		want, err := js.Check(context.Background(), c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := bin.Check(context.Background(), c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%q: binary verdict\n %+v\nwant %+v", c.Query, got, want)
-		}
-	}
+// zeros is an endless stream of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
 }
 
 // TestParseResponseAllocations pins the decode of an analyze reply: one
@@ -347,5 +149,18 @@ func TestParseResponseAllocations(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { _, _ = parseResponse(frameAnalyze, body, req) }); n != tc.allocs {
 			t.Errorf("%s: parseResponse allocates %.1f times, want %.1f", tc.name, n, tc.allocs)
 		}
+	}
+}
+
+// TestAppendRequestBodyAllocations pins that building an analyze frame
+// allocates nothing: the request stays on its caller's stack, although a
+// control verb's request is marshaled as JSON on another branch.
+func TestAppendRequestBodyAllocations(t *testing.T) {
+	buf := make([]byte, 0, 512)
+	if n := testing.AllocsPerRun(100, func() {
+		req := wireRequest{Query: benignQuery, Site: "plugin:a", TimeoutMs: 250}
+		buf, _, _ = appendRequestBody(buf[:0], &req)
+	}); n != 0 {
+		t.Errorf("appendRequestBody allocates %.1f times per analyze frame, want 0", n)
 	}
 }

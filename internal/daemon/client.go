@@ -2,12 +2,9 @@ package daemon
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -17,7 +14,7 @@ import (
 )
 
 // ErrBroken marks a client whose connection failed mid-exchange. After
-// any encode or decode error the JSON stream may be desynced — a stale or
+// any send or receive error the stream may be desynced — a stale or
 // partial response could still be in flight — so the connection is closed
 // and every later call fails with this error rather than risk returning
 // another request's reply. A Pool replaces broken connections; a bare
@@ -32,18 +29,11 @@ type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	br      *bufio.Reader
-	enc     *json.Encoder
-	dec     *json.Decoder
 	timeout time.Duration
 	dialect sqltoken.Dialect
 	err     error // sticky; set on the first I/O failure or Close
-	// latched records that an analyze or batch frame carrying no_tokens
-	// and binary has been sent on this connection, so the server already
-	// serves its analyze frames and later frames need not repeat the flags.
-	latched bool
-	// binary records the server's acknowledgement: every later frame is a
-	// binary frame, built in out and read from br into in.
-	binary  bool
+	// in and out are the connection's frame buffers: each request is built
+	// in out, and each reply read from br into in.
 	in, out []byte
 }
 
@@ -61,13 +51,7 @@ func Dial(addr string) (*Client, error) {
 // NewClient wraps an established connection (e.g. one side of net.Pipe,
 // the analogue of the paper's anonymous pipes).
 func NewClient(conn net.Conn) *Client {
-	br := bufio.NewReader(conn)
-	return &Client{
-		conn: conn,
-		br:   br,
-		enc:  json.NewEncoder(conn),
-		dec:  json.NewDecoder(br),
-	}
+	return &Client{conn: conn, br: bufio.NewReader(conn)}
 }
 
 // SetTimeout bounds each request round trip (send to receive). A request
@@ -88,7 +72,7 @@ func (c *Client) SetTimeout(d time.Duration) {
 // SetDialect stamps the given SQL dialect on every analyze and batch frame
 // this client sends, so a daemon serving a different dialect refuses the
 // request instead of mis-lexing it. MySQL (the default) is omitted from
-// the wire, keeping frames byte-identical to the pre-dialect protocol.
+// the wire, where an absent dialect means MySQL.
 func (c *Client) SetDialect(d sqltoken.Dialect) {
 	c.mu.Lock()
 	c.dialect = d
@@ -111,10 +95,7 @@ func (c *Client) Broken() bool {
 }
 
 // roundTrip sends one request and reads its response, marking the
-// connection broken on any I/O error. The connection's first analyze or
-// batch frame carries no_tokens and binary, which a current server
-// requires before it analyzes, and a server that acknowledges binary
-// switches both ends to binary frames. ctx bounds the exchange: its
+// connection broken on any I/O error. ctx bounds the exchange: its
 // deadline (when earlier than the client timeout) becomes the connection
 // deadline, and cancellation slams the connection so a blocked read or
 // write returns immediately. An already-done ctx fails before any I/O and
@@ -169,13 +150,7 @@ func (c *Client) roundTrip(ctx context.Context, req wireRequest) (wireResponse, 
 		// call per exchange instead of two.
 		defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
 	}
-	var resp wireResponse
-	var err error
-	if c.binary {
-		resp, err = c.binaryRoundTrip(ctx, &req)
-	} else {
-		resp, err = c.jsonRoundTrip(ctx, req)
-	}
+	resp, err := c.exchange(ctx, &req)
 	if err != nil {
 		return wireResponse{}, err
 	}
@@ -185,52 +160,13 @@ func (c *Client) roundTrip(ctx context.Context, req wireRequest) (wireResponse, 
 	return resp, nil
 }
 
-// jsonRoundTrip sends req as one JSON frame and reads the JSON reply,
-// asking for binary frames on the connection's first analyze or batch
-// frame and switching to them when the reply acknowledges that. Must be
-// called with mu held.
-func (c *Client) jsonRoundTrip(ctx context.Context, req wireRequest) (wireResponse, error) {
-	if !c.latched && (req.Op == "" || req.Op == "analyze" || req.Op == "batch") {
-		req.NoTokens, req.Binary = true, true
-		c.latched = true
-	}
-	if err := c.enc.Encode(req); err != nil {
-		return wireResponse{}, c.broke("send", ctxCause(ctx, err))
-	}
-	var resp wireResponse
-	if err := c.dec.Decode(&resp); err != nil {
-		return wireResponse{}, c.broke("recv", ctxCause(ctx, err))
-	}
-	if resp.Binary {
-		// The server has switched. It sends nothing unasked, so the
-		// decoder can hold nothing past the acknowledgement but its
-		// newline, which the first binary read skips if it is still on
-		// the wire.
-		if rest, _ := io.ReadAll(c.dec.Buffered()); len(bytes.TrimSpace(rest)) != 0 {
-			return wireResponse{}, c.broke("recv", errors.New("unexpected bytes behind the binary acknowledgement"))
-		}
-		c.binary = true
-		c.enc, c.dec = nil, nil // the JSON codec is done with this connection
-	}
-	return resp, nil
-}
-
-// binaryRoundTrip sends req as one binary frame and reads its reply frame,
-// which must be of the same kind. Must be called with mu held.
-func (c *Client) binaryRoundTrip(ctx context.Context, req *wireRequest) (wireResponse, error) {
-	kind := requestKind(req)
-	c.out = beginFrame(c.out)
-	switch kind {
-	case frameAnalyze:
-		c.out = appendRequest(c.out, req)
-	case frameBatch:
-		c.out = appendBatchRequest(c.out, req)
-	default:
-		b, err := json.Marshal(*req)
-		if err != nil {
-			return wireResponse{}, err
-		}
-		c.out = append(c.out, b...)
+// exchange sends req as one frame and reads its reply frame, which must
+// be of the same kind. Must be called with mu held.
+func (c *Client) exchange(ctx context.Context, req *wireRequest) (wireResponse, error) {
+	var kind byte
+	var err error
+	if c.out, kind, err = appendRequestBody(beginFrame(c.out), req); err != nil {
+		return wireResponse{}, err
 	}
 	if _, err := c.conn.Write(finishFrame(c.out, kind)); err != nil {
 		return wireResponse{}, c.broke("send", ctxCause(ctx, err))
@@ -299,8 +235,7 @@ func (c *Client) broke(stage string, cause error) error {
 // AnalyzeSiteContext implements Transport: the round trip observes ctx,
 // and the remaining deadline budget rides in the request so the server
 // abandons work the client will no longer wait for. A non-empty site
-// rides in the request too; old servers ignore it and reply without a
-// profile verdict.
+// rides in the request too.
 func (c *Client) AnalyzeSiteContext(ctx context.Context, site, query string) (*AnalysisReply, error) {
 	resp, err := c.roundTrip(ctx, withTimeoutBudget(ctx, wireRequest{Query: query, Site: site, Dialect: c.wireDialect()}))
 	if err != nil {

@@ -11,15 +11,13 @@ import (
 	"joza/internal/trace"
 )
 
-// This file is the binary frame codec a connection switches to once both
-// ends have negotiated it (DESIGN §8.3). A frame is
+// This file is the binary frame codec every daemon connection speaks from
+// its first byte (DESIGN §8.3). A frame is
 //
 //	kind byte · uvarint body length · body
 //
-// with the kind first, so a reader can skip the newline the JSON encoder
-// wrote behind the handshake reply before the first binary frame. Bodies
-// are built by append code from the request or the verdict and parsed
-// field by field: no reflection, no field names, no quoting.
+// Bodies are built by append code from the request or the verdict and
+// parsed field by field: no reflection, no field names, no quoting.
 
 // Frame kinds. A request and its reply share a kind.
 const (
@@ -91,16 +89,16 @@ func finishFrame(buf []byte, kind byte) []byte {
 	return buf[start:]
 }
 
-// readFrameHead reads a frame's kind and declared body length. One '\n'
-// before the kind is skipped: it is the JSON encoder's newline behind the
-// handshake reply, which may arrive after the reply itself. No kind is a
-// newline, so the skip is unambiguous.
+// readFrameHead reads a frame's kind and declared body length. A kind
+// that is none of the frame kinds is returned with errFrame before any
+// length byte is read, so a reader can answer a peer that opened with
+// something else (a JSON-era client's '{').
 func readFrameHead(br *bufio.Reader) (kind byte, n uint64, err error) {
-	if kind, err = br.ReadByte(); err == nil && kind == '\n' {
-		kind, err = br.ReadByte()
-	}
-	if err != nil {
+	if kind, err = br.ReadByte(); err != nil {
 		return 0, 0, err
+	}
+	if kind < frameAnalyze || kind > frameJSON {
+		return kind, 0, errFrame
 	}
 	n, err = binary.ReadUvarint(br)
 	if err == io.EOF {
@@ -125,6 +123,21 @@ func readBody(r io.Reader, buf []byte, n uint64) ([]byte, error) {
 	buf = buf[:n]
 	_, err := io.ReadFull(r, buf)
 	return buf, err
+}
+
+// discardBody skips an n-byte frame body without buffering it.
+func discardBody(br *bufio.Reader, n uint64) error {
+	for n > 0 {
+		step := int(min(n, 1<<30))
+		if _, err := br.Discard(step); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		n -= uint64(step)
+	}
+	return nil
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -174,12 +187,42 @@ func appendBatchRequest(dst []byte, req *wireRequest) []byte {
 	return dst
 }
 
+// appendRequestBody appends the body of the frame that carries req and
+// returns the frame's kind: an analyze or batch request in its own
+// encoding, and a control verb as a JSON envelope.
+func appendRequestBody(dst []byte, req *wireRequest) ([]byte, byte, error) {
+	switch req.Op {
+	case "", "analyze":
+		return appendRequest(dst, req), frameAnalyze, nil
+	case "batch":
+		return appendBatchRequest(dst, req), frameBatch, nil
+	}
+	// Marshal a copy: passing req itself would move every caller's
+	// request to the heap, analyze requests included.
+	b, err := json.Marshal(*req)
+	return append(dst, b...), frameJSON, err
+}
+
+// appendRefusal appends the response that refuses a whole request frame
+// of kind with msg: an analyze error, a batch's zero count and refusal,
+// or a JSON envelope's error.
+func appendRefusal(dst []byte, kind byte, msg string) []byte {
+	switch kind {
+	case frameAnalyze:
+		return appendString(append(dst, respErr), msg)
+	case frameBatch:
+		return appendString(append(dst, 0), msg)
+	}
+	b, _ := json.Marshal(wireResponse{Err: msg}) // a string field cannot fail
+	return append(dst, b...)
+}
+
 // appendVerdictResponse appends the analyze response for v, or the
 // refusal msg when it is non-empty. It writes exactly what replyFor puts
 // in an AnalysisReply, less the site, which the client already knows.
 func appendVerdictResponse(dst []byte, v *core.Verdict, msg string) []byte {
 	if msg != "" {
-		return appendString(append(dst, respErr), msg)
+		return appendRefusal(dst, frameAnalyze, msg)
 	}
 	var flags byte
 	if v.PTI.Attack || (v.Attack && !v.Profile.Attack) {
@@ -409,17 +452,20 @@ func parseResponse(kind byte, body []byte, req *wireRequest) (wireResponse, erro
 	case frameAnalyze:
 		resp = r.response(req.Site)
 	case frameBatch:
-		n := r.uvarint()
+		// A count other than the request's is the caller's to refuse: the
+		// frame itself parses, and the stream stays in sync.
+		n := r.count(2)
 		if n == 0 {
 			resp.Err = r.str()
 			break
 		}
-		if n != uint64(len(req.Batch)) {
-			return resp, errFrame
-		}
 		resp.Batch = make([]wireResponse, n)
 		for i := range resp.Batch {
-			resp.Batch[i] = r.response(req.Batch[i].Site)
+			var site string
+			if i < len(req.Batch) {
+				site = req.Batch[i].Site
+			}
+			resp.Batch[i] = r.response(site)
 		}
 	case frameJSON:
 		var env wireResponse
@@ -432,15 +478,4 @@ func parseResponse(kind byte, body []byte, req *wireRequest) (wireResponse, erro
 		return wireResponse{}, errFrame
 	}
 	return resp, nil
-}
-
-// requestKind is the frame kind that carries req on a binary connection.
-func requestKind(req *wireRequest) byte {
-	switch req.Op {
-	case "", "analyze":
-		return frameAnalyze
-	case "batch":
-		return frameBatch
-	}
-	return frameJSON
 }

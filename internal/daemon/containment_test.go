@@ -2,9 +2,9 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -132,16 +132,12 @@ func TestServerRefusesHostileOversizedQuery(t *testing.T) {
 }
 
 // TestOversizedQueryRunsNoStage sends a many-token oversized query as a
-// raw JSON frame carrying a call site, to a server with a profile store
+// raw analyze frame carrying a call site, to a server with a profile store
 // and to a learning one. The byte
 // cap must refuse it before any stage runs: a short fail-closed reply with
 // no tokens, no cache lookup, and no skeleton computed or learned.
 func TestOversizedQueryRunsNoStage(t *testing.T) {
 	hostile := "SELECT * FROM records WHERE ID IN (1" + strings.Repeat(",1", 2<<20) + ")"
-	frame, err := json.Marshal(wireRequest{Query: hostile, Site: "plugin:records", NoTokens: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	set := fragments.NewSet([]string{"SELECT * FROM records WHERE ID=", " LIMIT 5"})
 	for _, tc := range []struct {
 		name string
@@ -155,20 +151,16 @@ func TestOversizedQueryRunsNoStage(t *testing.T) {
 			a := pti.NewCached(pti.New(set, pti.WithMaxQueryBytes(1<<20)), pti.CacheQueryAndStructure, 128)
 			snap := NewSnapshot(a, engine.ProfileStage{Store: tc.st, Recorder: tc.rec}, "")
 			srv := NewServer(a, WithSnapshot(snap), WithMaxRequestBytes(16<<20))
-			line := rawConn(t, srv)(string(frame))
-			if len(line) > 1024 {
-				t.Fatalf("reply is %d bytes, want a short refusal", len(line))
+			c := pipeFrames(t, srv)
+			r := c.send(wireRequest{Query: hostile, Site: "plugin:records"}).Reply
+			if len(c.reply) > 1024 {
+				t.Fatalf("reply is %d bytes, want a short refusal", len(c.reply))
 			}
-			var resp wireResponse
-			if err := json.Unmarshal([]byte(line), &resp); err != nil {
-				t.Fatal(err)
-			}
-			r := resp.Reply
 			if r == nil || !r.Attack || len(r.Reasons) != 1 || !strings.Contains(r.Reasons[0].Detail, "budget") {
-				t.Fatalf("reply = %s, want a fail-closed attack naming the budget", line)
+				t.Fatalf("reply = %+v, want a fail-closed attack naming the budget", r)
 			}
 			if len(r.Tokens) != 0 || r.Profile != nil {
-				t.Fatalf("reply = %s, want no tokens and no profile verdict", line)
+				t.Fatalf("reply = %+v, want no tokens and no profile verdict", r)
 			}
 			if tc.rec != nil {
 				if _, n := tc.rec.Len(); n != 0 {
@@ -432,13 +424,9 @@ func TestServerContainsStagePanic(t *testing.T) {
 			t.Fatalf("PanicsRecovered = %d after %d checks", got, i)
 		}
 	}
-	// A raw JSON peer gets the same reply, without a token stream.
-	var resp wireResponse
-	if err := json.Unmarshal([]byte(rawConn(t, srv)(`{"query":"`+benignQuery+`","no_tokens":true}`)), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Reply == nil || !resp.Reply.Attack || len(resp.Reply.Tokens) != 0 {
-		t.Fatalf("raw JSON reply = %+v, want a fail-closed attack with no tokens", resp.Reply)
+	// A raw frame peer gets the same reply, without a token stream.
+	if resp := pipeFrames(t, srv).send(wireRequest{Query: benignQuery}); resp.Reply == nil || !resp.Reply.Attack || len(resp.Reply.Tokens) != 0 {
+		t.Fatalf("raw frame reply = %+v, want a fail-closed attack with no tokens", resp.Reply)
 	}
 	// Installing a sound snapshot heals the same connection.
 	srv.SetSnapshot(NewSnapshot(newAnalyzer(), engine.ProfileStage{}, ""))
@@ -473,13 +461,12 @@ func TestVersionPinHoldsAcrossCommits(t *testing.T) {
 			}
 		}
 	}()
-	send := rawConn(t, srv)
-	frame := `{"query":"` + benignQuery + `","version":"` + pinned + `","no_tokens":true}`
-	refusal := `{"error":"version mismatch: request pinned to snapshot \"` + pinned + `\", daemon serves \"` + other + `\""}` + "\n"
-	answered := `{"reply":{"attack":false,"version":"` + pinned + `"}}` + "\n"
+	c := pipeFrames(t, srv)
+	refusal := wireResponse{Err: `version mismatch: request pinned to snapshot "` + pinned + `", daemon serves "` + other + `"`}
+	answered := wireResponse{Reply: &AnalysisReply{Version: pinned}}
 	for i := 0; i < 2000; i++ {
-		if got := send(frame); got != answered && got != refusal {
-			t.Fatalf("request %d: %s", i, got)
+		if got := c.send(wireRequest{Query: benignQuery, Version: pinned}); !reflect.DeepEqual(got, answered) && !reflect.DeepEqual(got, refusal) {
+			t.Fatalf("request %d: %+v", i, got)
 		}
 	}
 	close(stopFlip)

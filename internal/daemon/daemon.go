@@ -3,15 +3,13 @@
 // intercepted queries, runs the PTI analysis (with its caches), and
 // returns the verdict. The paper's daemon also ships the parsed token
 // stream back so the in-application NTI component can skip its own lex;
-// this one never does. A client tells the daemon once per connection that
-// it lexes for itself (the no_tokens request field), and each side then
-// lexes only when it needs tokens: the daemon on a PTI cache miss, the
-// client when an input matches the query. An analyze or batch frame on a
-// connection that has not done so is refused on the healthy stream. On
-// the same first frame a client asks for binary frames (the binary
-// field); a server that acknowledges it switches the connection from JSON
-// to length-prefixed binary frames that carry only what the peer uses
-// (codec.go).
+// this one never does, and each side lexes only when it needs tokens: the
+// daemon on a PTI cache miss, the client when an input matches the query.
+// Every connection speaks length-prefixed binary frames from its first
+// byte (codec.go), which carry only what the peer uses; the control verbs
+// ride them as JSON envelopes. The daemon and its clients are built from
+// one tree and upgraded together: a client from before binary frames is
+// refused with one JSON error line, never dropped silently.
 //
 // The daemon runs the same pipeline as the in-process Guard: Server and
 // Direct are wire front doors over an engine.Engine serving one
@@ -24,11 +22,9 @@
 //
 // Two transports are provided, mirroring the paper's deployment study:
 //
-//   - Remote: newline-delimited JSON over a net.Conn (named/anonymous
-//     pipes in the paper; TCP or in-memory pipes here), switched to
-//     binary frames after a one-frame handshake with a current server.
-//     This is the
-//     easy-to-deploy user-level daemon. A single connection is a Client;
+//   - Remote: binary frames over a net.Conn (named/anonymous pipes in the
+//     paper; TCP or in-memory pipes here). This is the easy-to-deploy
+//     user-level daemon. A single connection is a Client;
 //     production deployments use a Pool, which multiplexes concurrent
 //     requests over several connections, bounds each round trip with a
 //     deadline, and replaces failed connections with jittered exponential
@@ -60,11 +56,10 @@ type AnalysisReply struct {
 	Attack bool `json:"attack"`
 	// Reasons explains the verdict (uncovered critical tokens).
 	Reasons []ReasonJSON `json:"reasons,omitempty"`
-	// Tokens is the query's token stream as a daemon predating the
-	// no_tokens latch sent it. A current daemon never fills it, so the key
-	// is absent from its replies. The field and TokenStream stay only
-	// because the jozasuite replay binds them; they go when that replay
-	// is retargeted.
+	// Tokens is the query's token stream as the paper's daemon sent it.
+	// No reply fills it: a binary reply has no token field. The field and
+	// TokenStream stay only because the jozasuite replay binds them; they
+	// go when that replay is retargeted.
 	Tokens []TokenJSON `json:"tokens,omitempty"`
 	// Trace is the daemon-side decision trace, present when the daemon
 	// sampled this check. A tracing HybridClient merges it into its own
@@ -76,9 +71,8 @@ type AnalysisReply struct {
 	// costs no extra round trip.
 	Profile *ProfileReply `json:"profile,omitempty"`
 	// Version is the content-derived version of the snapshot that served
-	// this verdict. Absent means an unversioned daemon — old servers'
-	// replies are byte-identical to the pre-version protocol, and clients
-	// treat the empty version as "unknown", never as a mismatch.
+	// this verdict. Empty means an unversioned daemon, which clients treat
+	// as "unknown", never as a mismatch.
 	Version string `json:"version,omitempty"`
 }
 
@@ -119,8 +113,8 @@ func fromTokenJSON(t TokenJSON) sqltoken.Token {
 }
 
 // TokenStream converts the reply's token stream back to lexer tokens. It
-// returns nil for a reply that carries none, which is every reply of a
-// current daemon, so the caller's NTI analyzer lexes for itself.
+// returns nil for a reply that carries none, which is every reply, so the
+// caller's NTI analyzer lexes for itself.
 func (r *AnalysisReply) TokenStream() []sqltoken.Token {
 	if len(r.Tokens) == 0 {
 		return nil
@@ -233,8 +227,8 @@ type Transport interface {
 
 // Direct is the in-process transport (the "PHP extension" estimate): the
 // daemon's pipeline with no wire in between. Its replies carry no token
-// stream: the caller's NTI analyzer lexes for itself, exactly as a current
-// client of the wire transport does.
+// stream: the caller's NTI analyzer lexes for itself, exactly as a client
+// of the wire transport does.
 type Direct struct {
 	eng *engine.Engine
 }
@@ -274,38 +268,36 @@ type StatsReply = metrics.Snapshot
 // tracer's recent and notable rings, the same shape Guard.Traces returns.
 type TracesReply = trace.Dump
 
-// wire framing shared by client and server. Op selects the verb: empty or
-// "analyze" analyzes Query; "batch" analyzes every item in Batch and
-// replies with one response per item; "stats" returns the daemon's
-// counters; "traces" returns the daemon's trace rings; "prepare",
-// "commit" and "abort" drive the two-phase snapshot rollout (old clients
-// that never set op keep working unchanged, and every new field is
-// omitempty so a new client's single-request frames are byte-compatible
-// with old servers).
+// wireRequest is one request of the wire protocol. Op selects the verb and
+// the frame kind that carries it (codec.go): empty or "analyze" analyzes
+// Query; "batch" analyzes every item in Batch and replies with one
+// response per item; "stats" returns the daemon's counters; "traces"
+// returns the daemon's trace rings; "prepare", "commit" and "abort" drive
+// the two-phase snapshot rollout. The control verbs travel as JSON, so
+// every field is omitempty.
 type wireRequest struct {
 	Op    string `json:"op,omitempty"`
 	Query string `json:"query,omitempty"`
 	// TimeoutMs propagates the client's remaining deadline budget: the
 	// server bounds the analysis with a context of this duration, so work
 	// the client will no longer wait for is abandoned server-side too.
-	// Zero (and requests from older clients) means no server-side bound; a
-	// negative value is an already-expired budget and fails immediately.
+	// Zero means no server-side bound; a negative value is an
+	// already-expired budget and fails immediately.
 	// The server clamps absurd budgets to a sane ceiling before deriving a
 	// deadline, so a hostile value cannot overflow into an expired context.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 	// Batch carries the items of a "batch" op: each item is an analyze
 	// request in its own right (Query plus optional TimeoutMs, honored
 	// per item server-side). Item failures ride back per item on a healthy
-	// stream; only framing faults break the connection.
+	// stream; only malformed frames break the connection.
 	Batch []wireRequest `json:"batch,omitempty"`
 	// Site identifies the database call site issuing Query, keying the
-	// query-skeleton profile lookup server-side. Empty (and requests from
-	// older clients) skips the profile stage; old servers ignore the field.
+	// query-skeleton profile lookup server-side. Empty skips the profile
+	// stage.
 	Site string `json:"site,omitempty"`
 	// Dialect names the SQL dialect the client lexes under ("mysql",
-	// "postgres", "sqlite"). Empty (and requests from older clients) means
-	// MySQL, the protocol's original implicit dialect; old servers ignore
-	// the field. The server refuses a request whose dialect is unknown or
+	// "postgres", "sqlite"). Empty means MySQL, the protocol's original
+	// implicit dialect. The server refuses a request whose dialect is unknown or
 	// differs from its analyzer's — boundary bytes mean different things
 	// under different dialects, so a cross-dialect verdict would be wrong
 	// rather than approximate. The refusal rides the healthy stream (per
@@ -316,28 +308,8 @@ type wireRequest struct {
 	// differs (including garbage or unknown values) refuses the request on
 	// the healthy stream — per item inside a batch — instead of answering
 	// from the wrong generation. On "commit" it pins which staged snapshot
-	// may swap in. Empty (and requests from older clients) means
-	// unpinned; old servers ignore the field, so versionless traffic
-	// interops byte-identically in both directions.
+	// may swap in. Empty means unpinned.
 	Version string `json:"version,omitempty"`
-	// NoTokens tells the server that this client lexes for itself. The
-	// server latches it for the life of the connection and serves analyze
-	// and batch frames only once it has: it sends no token stream, and a
-	// peer that expects one would run NTI over no tokens and never flag,
-	// so an unlatched frame is refused instead. A client sets it on the
-	// first analyze or batch frame of each connection only, so every later
-	// frame is byte-identical to the flagless protocol; old servers ignore
-	// the field. The server reads it from top-level frames only, not from
-	// batch items.
-	NoTokens bool `json:"no_tokens,omitempty"`
-	// Binary asks the server to switch the connection to binary frames
-	// (codec.go). A client sets it beside NoTokens, on the same first
-	// frame; a server that acknowledges it answers that frame in JSON with
-	// wireResponse.Binary set, and both ends then speak only binary
-	// frames. Old servers ignore the field and send no acknowledgement, so
-	// the connection stays JSON. It latches the connection as NoTokens
-	// does, and like NoTokens it is read from top-level frames only.
-	Binary bool `json:"binary,omitempty"`
 }
 
 // RolloutReply answers the two-phase rollout verbs. State is "staged"
@@ -350,10 +322,8 @@ type RolloutReply struct {
 	Version string `json:"version,omitempty"`
 }
 
-// wireDialect is the wire spelling of a dialect: empty for MySQL — absent
-// means MySQL on both ends, so a default-dialect client's frames stay
-// byte-identical to the pre-dialect protocol and old servers keep working
-// — and the dialect name otherwise.
+// wireDialect is the wire spelling of a dialect: empty for MySQL, which an
+// absent dialect means on both ends, and the dialect name otherwise.
 func wireDialect(d sqltoken.Dialect) string {
 	if d == sqltoken.MySQL {
 		return ""
@@ -361,18 +331,16 @@ func wireDialect(d sqltoken.Dialect) string {
 	return d.String()
 }
 
-// wireResponse is one JSON reply frame. Reply and Batch come last: the
-// handshake acknowledgement has always been encoded before them.
+// wireResponse is one reply of the wire protocol. The control verbs' replies
+// travel as JSON; analyze and batch replies are decoded from their own
+// frame kinds into Reply and Batch.
 type wireResponse struct {
 	Stats  *StatsReply  `json:"stats,omitempty"`
 	Traces *TracesReply `json:"traces,omitempty"`
 	// Rollout answers the "prepare", "commit" and "abort" verbs.
-	Rollout *RolloutReply `json:"rollout,omitempty"`
-	Err     string        `json:"error,omitempty"`
-	// Binary acknowledges a request's Binary flag: every later frame on
-	// the connection, both ways, is a binary frame.
-	Binary bool           `json:"binary,omitempty"`
-	Reply  *AnalysisReply `json:"reply,omitempty"`
+	Rollout *RolloutReply  `json:"rollout,omitempty"`
+	Err     string         `json:"error,omitempty"`
+	Reply   *AnalysisReply `json:"reply,omitempty"`
 	// Batch answers a "batch" request with exactly one response per item,
 	// in item order. A per-item failure sets that item's Err and leaves
 	// its siblings intact.

@@ -1,15 +1,15 @@
 package daemon
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
-	"joza/internal/engine"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 
 	"joza/internal/core"
+	"joza/internal/engine"
 	"joza/internal/fragments"
 	"joza/internal/nti"
 	"joza/internal/pti"
@@ -84,31 +84,24 @@ func TestRemoteTransportTCP(t *testing.T) {
 	if !reply.Attack {
 		t.Error("attack missed over TCP")
 	}
-	// A current client latched no_tokens on its first frame: the reply
-	// carries no token stream.
+	// The reply carries no token stream.
 	if len(reply.Tokens) != 0 || reply.TokenStream() != nil {
-		t.Errorf("new client received tokens: %+v", reply.Tokens)
+		t.Errorf("client received tokens: %+v", reply.Tokens)
 	}
 
-	// A raw JSON peer that latches no_tokens gets the same verdict, its
-	// evidence positions intact over the round trip, and no token stream.
+	// A raw frame peer gets the same verdict, its evidence positions intact
+	// over the round trip, and no token stream.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte(`{"query":"` + attackQuery + `","no_tokens":true}` + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	var resp wireResponse
-	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := (&frameConn{t: t, conn: conn, br: bufio.NewReader(conn)}).send(wireRequest{Query: attackQuery})
 	if resp.Reply == nil || !resp.Reply.Attack || len(resp.Reply.Tokens) != 0 {
-		t.Fatalf("raw JSON reply = %+v", resp)
+		t.Fatalf("raw frame reply = %+v", resp)
 	}
 	if r := resp.Reply.Reasons; len(r) == 0 || r[0].Token.Text != "-" || r[0].Token.Start != strings.Index(attackQuery, "-") {
-		t.Errorf("raw JSON reasons = %+v", r)
+		t.Errorf("raw frame reasons = %+v", r)
 	}
 }
 

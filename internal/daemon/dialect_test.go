@@ -1,9 +1,7 @@
 package daemon
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"joza/internal/engine"
 	"net"
 	"strings"
@@ -26,9 +24,8 @@ func newDialectAnalyzer(d sqltoken.Dialect) *pti.Cached {
 	return pti.NewCached(pti.New(set, pti.WithDialect(d)), pti.CacheQueryAndStructure, 128)
 }
 
-// TestWireDialectOmitsMySQL pins the wire compatibility rule: the default
-// dialect never appears in a frame, so default clients stay byte-identical
-// to the pre-dialect protocol.
+// TestWireDialectOmitsMySQL pins the wire rule: the default dialect never
+// appears in a frame, where an absent dialect means MySQL.
 func TestWireDialectOmitsMySQL(t *testing.T) {
 	if got := wireDialect(sqltoken.MySQL); got != "" {
 		t.Errorf("wireDialect(MySQL) = %q, want empty", got)
@@ -93,54 +90,27 @@ func TestPostgresDaemonEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWireDialectRawFrames drives raw frames over a pipe — an old client
-// (no dialect field) and corrupt dialect values — and pins that every
-// refusal rides the still-healthy stream.
+// TestWireDialectRawFrames drives raw frames over a pipe — a frame with no
+// dialect field and corrupt dialect values — and pins that every refusal
+// rides the still-healthy stream.
 func TestWireDialectRawFrames(t *testing.T) {
-	clientSide, serverSide := net.Pipe()
-	srv := NewServer(newAnalyzer())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.ServeConn(serverSide)
-	}()
-	defer func() {
-		_ = clientSide.Close()
-		_ = serverSide.Close()
-		<-done
-	}()
-	enc := json.NewEncoder(clientSide)
-	dec := json.NewDecoder(bufio.NewReader(clientSide))
+	c := pipeFrames(t, NewServer(newAnalyzer()))
 
-	roundTrip := func(frame map[string]any) wireResponse {
-		t.Helper()
-		var resp wireResponse
-		errc := make(chan error, 1)
-		go func() { errc <- enc.Encode(frame) }()
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-errc; err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	// An old client's frame has no dialect field at all: it means MySQL and
-	// analyzes normally on a MySQL daemon.
-	if resp := roundTrip(map[string]any{"query": benignQuery, "no_tokens": true}); resp.Err != "" || resp.Reply == nil {
-		t.Fatalf("old-client frame refused: %+v", resp)
+	// A frame with no dialect field means MySQL and analyzes normally on a
+	// MySQL daemon.
+	if resp := c.send(wireRequest{Query: benignQuery}); resp.Err != "" || resp.Reply == nil {
+		t.Fatalf("dialect-less frame refused: %+v", resp)
 	}
 	// Unknown dialect names are refused per request.
-	if resp := roundTrip(map[string]any{"query": benignQuery, "dialect": "oracle"}); resp.Err == "" || !strings.Contains(resp.Err, "oracle") {
+	if resp := c.send(wireRequest{Query: benignQuery, Dialect: "oracle"}); resp.Err == "" || !strings.Contains(resp.Err, "oracle") {
 		t.Fatalf("unknown dialect: %+v", resp)
 	}
 	// A mixed batch: the plain item analyzes, the cross-dialect and unknown
 	// items each fail only their own slot.
-	resp := roundTrip(map[string]any{"op": "batch", "batch": []map[string]any{
-		{"query": benignQuery},
-		{"query": benignQuery, "dialect": "postgres"},
-		{"query": benignQuery, "dialect": "oracle"},
+	resp := c.send(wireRequest{Op: "batch", Batch: []wireRequest{
+		{Query: benignQuery},
+		{Query: benignQuery, Dialect: "postgres"},
+		{Query: benignQuery, Dialect: "oracle"},
 	}})
 	if resp.Err != "" || len(resp.Batch) != 3 {
 		t.Fatalf("batch response = %+v", resp)
@@ -155,14 +125,12 @@ func TestWireDialectRawFrames(t *testing.T) {
 		t.Errorf("unknown-dialect item err = %q", resp.Batch[2].Err)
 	}
 	// An outer-frame dialect is the default for items that set none.
-	resp = roundTrip(map[string]any{"op": "batch", "dialect": "postgres", "batch": []map[string]any{
-		{"query": benignQuery},
-	}})
+	resp = c.send(wireRequest{Op: "batch", Dialect: "postgres", Batch: []wireRequest{{Query: benignQuery}}})
 	if resp.Err != "" || len(resp.Batch) != 1 || !strings.Contains(resp.Batch[0].Err, "dialect mismatch") {
 		t.Fatalf("outer-frame dialect not inherited: %+v", resp)
 	}
 	// The connection survived all of it.
-	if resp := roundTrip(map[string]any{"query": benignQuery}); resp.Err != "" || resp.Reply == nil {
+	if resp := c.send(wireRequest{Query: benignQuery}); resp.Err != "" || resp.Reply == nil {
 		t.Fatalf("stream unhealthy after refusals: %+v", resp)
 	}
 }

@@ -34,7 +34,8 @@ func TestClientBrokenAfterMidResponseClose(t *testing.T) {
 	go func() {
 		buf := make([]byte, 4096)
 		_, _ = serverSide.Read(buf) // consume the request
-		_, _ = serverSide.Write([]byte(`{"reply":{"att`))
+		// The head of a 10-byte analyze reply and two bytes of its body.
+		_, _ = serverSide.Write([]byte{frameAnalyze, 10, 0, 0})
 		_ = serverSide.Close()
 	}()
 	c := NewClient(clientSide)
@@ -97,19 +98,22 @@ func TestClientTimeoutNeverYieldsStaleReply(t *testing.T) {
 	clientSide, serverSide := net.Pipe()
 	defer serverSide.Close()
 	go func() {
-		dec := json.NewDecoder(bufio.NewReader(serverSide))
-		enc := json.NewEncoder(serverSide)
-		var req wireRequest
-		if dec.Decode(&req) != nil {
-			return
+		br := bufio.NewReader(serverSide)
+		for _, attack := range []bool{true, false} {
+			_, n, err := readFrameHead(br)
+			if err == nil {
+				err = discardBody(br, n)
+			}
+			if err != nil {
+				return
+			}
+			if attack {
+				time.Sleep(200 * time.Millisecond) // past the client deadline
+			}
+			// The stale answer for request 1 is flagged, so a mixup is visible.
+			v := core.Verdict{Attack: attack, PTI: core.Result{Attack: attack}}
+			_, _ = serverSide.Write(finishFrame(appendVerdictResponse(beginFrame(nil), &v, ""), frameAnalyze))
 		}
-		time.Sleep(200 * time.Millisecond) // past the client deadline
-		// The stale answer for request 1, flagged so a mixup is visible.
-		_ = enc.Encode(wireResponse{Reply: &AnalysisReply{Attack: true}})
-		if dec.Decode(&req) != nil {
-			return
-		}
-		_ = enc.Encode(wireResponse{Reply: &AnalysisReply{Attack: false}})
 	}()
 	c := NewClient(clientSide)
 	c.SetTimeout(30 * time.Millisecond)
@@ -485,21 +489,53 @@ func TestServerReadTimeoutDropsStalledConn(t *testing.T) {
 	}
 }
 
-// TestServerMaxRequestBytes drops connections whose request exceeds the
-// cap instead of buffering it.
+// TestServerMaxRequestBytes refuses a request that exceeds the cap on the
+// healthy stream instead of buffering it, and the same connection keeps
+// serving.
 func TestServerMaxRequestBytes(t *testing.T) {
 	srv := NewServer(newAnalyzer(), WithMaxRequestBytes(1024))
 	c, stop := spawnOnServer(t, srv)
 	defer stop()
 	huge := strings.Repeat("A", 64<<10)
-	if _, err := c.AnalyzeSiteContext(context.Background(), "", huge); err == nil {
-		t.Fatal("oversized request must break the connection")
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", huge); err == nil || !strings.Contains(err.Error(), "exceeds the 1024-byte cap") {
+		t.Fatalf("oversized request: %v, want the request cap's refusal", err)
 	}
-	// Within the cap still works on a fresh connection.
-	c2, stop2 := spawnOnServer(t, srv)
-	defer stop2()
-	if _, err := c2.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
+	if c.Broken() {
+		t.Fatal("an oversized request broke the connection; the refusal must ride the healthy stream")
+	}
+	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 		t.Fatalf("normal request after oversized one: %v", err)
+	}
+}
+
+// TestPoolOverCapRequestRefused: a query over the server's request cap,
+// sent through a Pool, gets the daemon's refusal after one dial rather
+// than ErrUnavailable after MaxAttempts redials, so it counts as a healthy
+// answer for the circuit breaker; the same pool then serves a normal
+// query on the same connection.
+func TestPoolOverCapRequestRefused(t *testing.T) {
+	srv := NewServer(newAnalyzer())
+	p := NewPool(func() (net.Conn, error) {
+		clientSide, serverSide := net.Pipe()
+		go srv.ServeConn(serverSide)
+		return clientSide, nil
+	}, PoolConfig{Size: 1, Timeout: 30 * time.Second, BackoffMin: time.Millisecond, BreakerThreshold: 1})
+	defer p.Close()
+	_, err := p.AnalyzeSiteContext(context.Background(), "", longBenignQuery(DefaultMaxRequestBytes+1))
+	if err == nil || errors.Is(err, ErrUnavailable) || !strings.Contains(err.Error(), "exceeds the 1048576-byte cap") {
+		t.Fatalf("over-cap query: %v, want the daemon's refusal", err)
+	}
+	if p.Dials() != 1 || p.Exhausted() != 0 {
+		t.Errorf("%d dials and %d exhausted requests, want 1 and 0", p.Dials(), p.Exhausted())
+	}
+	if st := p.BreakerStats(); st.State != "closed" {
+		t.Errorf("breaker %+v after a refusal, want closed", st)
+	}
+	if reply, err := p.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil || reply.Attack {
+		t.Fatalf("normal query after the refusal: %+v, %v", reply, err)
+	}
+	if p.Dials() != 1 {
+		t.Errorf("%d dials, want the one connection kept", p.Dials())
 	}
 }
 

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -10,92 +11,6 @@ import (
 	"testing"
 	"time"
 )
-
-// FuzzServerWire throws arbitrary bytes at the daemon's wire decoder: no
-// input may panic the server or wedge the connection handler. Valid
-// requests embedded in the garbage are answered; everything else ends the
-// connection cleanly. No reply ever carries a token stream, and an
-// analyze or batch frame on a connection that has not latched no_tokens
-// is refused.
-func FuzzServerWire(f *testing.F) {
-	f.Add([]byte("{\"op\":\"analyze\",\"query\":\"SELECT 1\",\"no_tokens\":true}\n"))
-	f.Add([]byte("{\"op\":\"analyze\",\"query\":\"SELECT 1\"}\n"))
-	f.Add([]byte("{\"query\":\"SELECT * FROM records WHERE ID=5 LIMIT 5\",\"no_tokens\":true}\n{\"op\":\"stats\"}\n"))
-	f.Add([]byte("{\"op\":\"traces\"}\n"))
-	f.Add([]byte("{\"op\":\"bogus\"}\n{\"query\":\"x\",\"timeout_ms\":-1,\"no_tokens\":true}\n"))
-	f.Add([]byte("{\"query\":"))
-	f.Add([]byte{0xff, 0xfe, '{', '}', '\n'})
-	// Version-bearing frames: an unknown or garbage version pin must come
-	// back as a refusal on the healthy stream, and the rollout verbs must
-	// answer (or refuse) without desyncing the connection — the follow-up
-	// frames on the same line prove the stream still parses.
-	f.Add([]byte("{\"op\":\"analyze\",\"query\":\"SELECT 1\",\"version\":\"deadbeefdeadbeef\",\"no_tokens\":true}\n{\"query\":\"SELECT 1\"}\n"))
-	f.Add([]byte("{\"op\":\"prepare\"}\n{\"op\":\"commit\",\"version\":\"nope\"}\n{\"op\":\"abort\"}\n{\"op\":\"stats\"}\n"))
-	f.Add([]byte("{\"op\":\"batch\",\"version\":\"\\u0000\\ufffdgarbage\",\"batch\":[{\"query\":\"SELECT 1\"},{\"query\":\"SELECT 1\",\"version\":\"zzz\"}],\"no_tokens\":true}\n{\"op\":\"traces\"}\n"))
-	f.Add([]byte("{\"op\":\"commit\",\"version\":\"aaaaaaaaaaaaaaaa\"}\n{\"op\":\"abort\"}\n{\"query\":\"SELECT 1\"}\n"))
-	// no_tokens frames: true latches the connection, false leaves it
-	// unlatched, and a wrong type is a malformed frame that ends the
-	// connection like any other; the field is ignored on batch items.
-	f.Add([]byte("{\"query\":\"SELECT 1\",\"no_tokens\":true}\n{\"query\":\"SELECT 1\"}\n{\"op\":\"batch\",\"batch\":[{\"query\":\"SELECT 1\"}]}\n"))
-	f.Add([]byte("{\"query\":\"SELECT 1\",\"no_tokens\":false}\n{\"query\":\"SELECT 1\",\"no_tokens\":true}\n{\"op\":\"stats\"}\n"))
-	f.Add([]byte("{\"query\":\"SELECT 1\",\"no_tokens\":\"yes\"}\n{\"query\":\"SELECT 1\"}\n"))
-	f.Add([]byte("{\"op\":\"batch\",\"batch\":[{\"query\":\"SELECT 1\",\"no_tokens\":true}]}\n{\"query\":\"SELECT 1\"}\n"))
-	f.Add([]byte("{\"op\":\"stats\"}\n{\"op\":\"batch\",\"batch\":[{\"query\":\"SELECT 1\"}]}\n{\"query\":\"SELECT 1\",\"binary\":true}\n"))
-	const limit = 1 << 16
-	analyzer := newAnalyzer()
-	f.Fuzz(func(t *testing.T, data []byte) {
-		srv := NewServer(analyzer, WithMaxRequestBytes(limit))
-		conn := &scriptedConn{in: bytes.NewReader(data)}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			srv.ServeConn(conn)
-		}()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("connection handler wedged on fuzz input")
-		}
-		if len(data) > limit {
-			return // the request cap may end the connection mid-stream
-		}
-		// Replay the frames the server decoded, in order, against the
-		// replies it sent: one reply per decodable frame up to the first
-		// malformed one, and JSON only up to the binary acknowledgement.
-		frames := json.NewDecoder(bytes.NewReader(data))
-		replies := json.NewDecoder(&conn.out)
-		latched := false
-		for i := 0; ; i++ {
-			var req wireRequest
-			if frames.Decode(&req) != nil {
-				var extra wireResponse
-				if err := replies.Decode(&extra); err != io.EOF {
-					t.Fatalf("reply %d answers no frame (%v): %+v", i, err, extra)
-				}
-				break
-			}
-			var resp wireResponse
-			if err := replies.Decode(&resp); err != nil {
-				t.Fatalf("frame %d got no reply: %v", i, err)
-			}
-			for _, r := range append([]wireResponse{resp}, resp.Batch...) {
-				if r.Reply != nil && r.Reply.Tokens != nil {
-					t.Fatalf("reply %d carries a token stream: %+v", i, r.Reply)
-				}
-			}
-			latched = latched || req.NoTokens || req.Binary
-			switch req.Op {
-			case "", "analyze", "batch":
-				if !latched && resp.Err != errUnlatched {
-					t.Fatalf("unlatched %q frame answered %+v, want the latch refusal", req.Op, resp)
-				}
-			}
-			if req.Binary {
-				break
-			}
-		}
-	})
-}
 
 // scriptedConn plays a fixed byte stream to the server and records what
 // it writes back. Reads end in io.EOF once the stream is spent, as after a
@@ -112,31 +27,89 @@ func (c *scriptedConn) Write(p []byte) (int, error)     { return c.out.Write(p) 
 func (c *scriptedConn) Close() error                    { return nil }
 func (c *scriptedConn) SetReadDeadline(time.Time) error { return nil }
 
-// FuzzBinaryFrame negotiates binary frames with a real handshake, then
-// throws arbitrary bytes at the binary decoder: no input may panic the
-// server or wedge the connection handler, and a first frame declaring a
-// body over the request cap ends the connection without the client
-// closing it. Each input also drives the request codec's round trip.
+// fuzzLimit is the request cap of the fuzzed server: small, so that
+// over-cap frames are cheap to reach.
+const fuzzLimit = 1 << 12
+
+func fuzzFrame(kind byte, body []byte) []byte {
+	return finishFrame(append(beginFrame(nil), body...), kind)
+}
+
+func analyzeFrame(req wireRequest) []byte {
+	return fuzzFrame(frameAnalyze, appendRequest(nil, &req))
+}
+
+func batchFrame(req wireRequest) []byte {
+	return fuzzFrame(frameBatch, appendBatchRequest(nil, &req))
+}
+
+func envelopeFrame(js string) []byte { return fuzzFrame(frameJSON, []byte(js)) }
+
+func script(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
+
+// FuzzBinaryFrame plays arbitrary bytes to the daemon from the first byte
+// of a connection, seeded with single frames at the edges of the framing:
+// lengths over the cap or past a uvarint, unknown kinds, truncated bodies.
+// fuzzWire states the invariant.
 func FuzzBinaryFrame(f *testing.F) {
-	const limit = 1 << 12
-	frame := func(kind byte, body []byte) []byte {
-		return finishFrame(append(beginFrame(nil), body...), kind)
-	}
-	analyze := frame(frameAnalyze, appendRequest(nil, &wireRequest{Query: "SELECT * FROM records WHERE ID=5 LIMIT 5", Site: "s"}))
-	f.Add(analyze)
-	f.Add(append([]byte{'\n'}, analyze...))
-	f.Add(append(append([]byte{}, analyze...), analyze...))
-	f.Add(frame(frameAnalyze, appendRequest(nil, &wireRequest{Query: "SELECT 1", Dialect: "postgres", Version: "zzz", TimeoutMs: -1})))
-	f.Add(frame(frameBatch, appendBatchRequest(nil, &wireRequest{Version: "v", Batch: []wireRequest{{Query: "SELECT 1"}, {Query: "x", Site: "s"}}})))
-	f.Add(frame(frameBatch, appendBatchRequest(nil, &wireRequest{})))
-	f.Add(frame(frameJSON, []byte(`{"op":"stats"}`)))
-	f.Add(frame(frameJSON, []byte(`{"op":"batch","batch":[{"query":"SELECT 1"}]}`)))
-	f.Add(frame(frameJSON, []byte(`{"op":`)))
-	f.Add(binary.AppendUvarint([]byte{frameAnalyze}, limit+1))
+	records := analyzeFrame(wireRequest{Query: "SELECT * FROM records WHERE ID=5 LIMIT 5", Site: "s"})
+	f.Add(records)
+	f.Add(append([]byte{'\n'}, records...))
+	f.Add(script(records, records))
+	f.Add(analyzeFrame(wireRequest{Query: "SELECT 1", Dialect: "postgres", Version: "zzz", TimeoutMs: -1}))
+	f.Add(batchFrame(wireRequest{Version: "v", Batch: []wireRequest{{Query: "SELECT 1"}, {Query: "x", Site: "s"}}}))
+	f.Add(batchFrame(wireRequest{}))
+	f.Add(envelopeFrame(`{"op":"stats"}`))
+	f.Add(envelopeFrame(`{"op":"batch","batch":[{"query":"SELECT 1"}]}`))
+	f.Add(envelopeFrame(`{"op":`))
+	f.Add(binary.AppendUvarint([]byte{frameAnalyze}, fuzzLimit+1))
 	f.Add([]byte{frameAnalyze, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add([]byte{frameBatch, 3, 0, 0, 0xff})
 	f.Add([]byte{0x7f, 0})
 	f.Add([]byte{'\n', '\n', frameAnalyze, 2, 0, 0})
+	fuzzWire(f)
+}
+
+// FuzzServerWire plays arbitrary bytes to the daemon from the first byte
+// of a connection, seeded with multi-frame scripts: control verbs,
+// refusals and version pins between requests must leave the stream in
+// sync, so the frames behind them are still answered. A raw JSON line
+// must get the JSON-peer refusal. fuzzWire states the invariant.
+func FuzzServerWire(f *testing.F) {
+	records := analyzeFrame(wireRequest{Query: "SELECT * FROM records WHERE ID=5 LIMIT 5", Site: "s"})
+	one := analyzeFrame(wireRequest{Query: "SELECT 1"})
+	f.Add(one)
+	f.Add([]byte("{\"op\":\"analyze\",\"query\":\"SELECT 1\"}\n"))
+	f.Add(script(records, envelopeFrame(`{"op":"stats"}`)))
+	f.Add(envelopeFrame(`{"op":"traces"}`))
+	f.Add(script(envelopeFrame(`{"op":"bogus"}`), analyzeFrame(wireRequest{Query: "x", TimeoutMs: -1})))
+	f.Add(one[:len(one)-3])
+	f.Add([]byte{0xff, 0xfe, '{', '}', '\n'})
+	// An unknown or garbage version pin is refused on the healthy stream,
+	// and the rollout verbs answer (or refuse) without desyncing it: the
+	// frames behind them still parse.
+	f.Add(script(analyzeFrame(wireRequest{Query: "SELECT 1", Version: "deadbeefdeadbeef"}), one))
+	f.Add(script(envelopeFrame(`{"op":"prepare"}`), envelopeFrame(`{"op":"commit","version":"nope"}`), envelopeFrame(`{"op":"abort"}`), envelopeFrame(`{"op":"stats"}`)))
+	f.Add(script(batchFrame(wireRequest{Version: "\x00\ufffdgarbage", Batch: []wireRequest{{Query: "SELECT 1"}, {Query: "SELECT 1", Version: "zzz"}}}), envelopeFrame(`{"op":"traces"}`)))
+	f.Add(script(envelopeFrame(`{"op":"commit","version":"aaaaaaaaaaaaaaaa"}`), envelopeFrame(`{"op":"abort"}`), one))
+	f.Add(script(one, one, batchFrame(wireRequest{Batch: []wireRequest{{Query: "SELECT 1"}}})))
+	f.Add(script(one, []byte("{\"query\":\"SELECT 1\"}\n"), envelopeFrame(`{"op":"stats"}`)))
+	f.Add(script(fuzzFrame(frameAnalyze, append([]byte{0x80}, one[3:]...)), one))
+	f.Add(script(batchFrame(wireRequest{Batch: []wireRequest{{Query: "SELECT 1"}}}), one))
+	f.Add(script(envelopeFrame(`{"op":"stats"}`), fuzzFrame(frameBatch, make([]byte, fuzzLimit+1)), batchFrame(wireRequest{Batch: []wireRequest{{Query: "SELECT 1"}}}), one))
+	fuzzWire(f)
+}
+
+// fuzzWire runs the shared body of the wire fuzzers: no input may panic
+// the server or wedge the connection handler. Replaying the script frame
+// by frame against the server's output, every decodable frame gets exactly
+// one reply of its own kind, in order, that the client codec parses. A
+// frame declaring a body over the request cap is refused once the body
+// has arrived, and ends the connection when it never does. The first
+// incomplete or malformed frame ends the connection unanswered, except one
+// opening with '{', which gets the JSON-peer refusal line. Each input also
+// drives the request codec's round trip.
+func fuzzWire(f *testing.F) {
 	analyzer := newAnalyzer()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req := wireRequest{Query: string(data), Site: string(data[len(data)/2:]), TimeoutMs: int64(len(data)) - 3}
@@ -144,26 +117,65 @@ func FuzzBinaryFrame(f *testing.F) {
 			t.Fatalf("request round trip: %+v, %v", got, err)
 		}
 
-		conn, br, done := handshake(t, NewServer(analyzer, WithMaxRequestBytes(limit)))
-		// Drain replies so the synchronous pipe never blocks the server.
-		go func() { _, _ = io.Copy(io.Discard, br) }()
-		_ = conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-		_, _ = conn.Write(data)
-		head := bytes.TrimPrefix(data, []byte{'\n'})
-		if len(head) > 1 {
-			if n, k := binary.Uvarint(head[1:]); k > 0 && n > limit {
-				select {
-				case <-done:
-				case <-time.After(5 * time.Second):
-					t.Fatal("a frame over the cap did not end the connection")
-				}
-			}
-		}
-		_ = conn.Close()
+		conn := &scriptedConn{in: bytes.NewReader(data)}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			NewServer(analyzer, WithMaxRequestBytes(fuzzLimit)).ServeConn(conn)
+		}()
 		select {
 		case <-done:
 		case <-time.After(5 * time.Second):
 			t.Fatal("connection handler wedged on fuzz input")
+		}
+
+		frames := bufio.NewReader(bytes.NewReader(data))
+		replies := bufio.NewReader(&conn.out)
+		for i := 0; ; i++ {
+			kind, n, err := readFrameHead(frames)
+			over := n > fuzzLimit
+			var body []byte
+			switch {
+			case err != nil:
+			case over:
+				err = discardBody(frames, n)
+			default:
+				body, err = readBody(frames, nil, n)
+			}
+			var req wireRequest
+			if err == nil && !over {
+				if kind == frameJSON {
+					err = json.Unmarshal(body, &req)
+				} else {
+					req, err = parseRequest(kind, body)
+				}
+			}
+			if err != nil {
+				var want string
+				if kind == '{' {
+					want = jsonPeerRefusal
+				}
+				if rest, _ := io.ReadAll(replies); string(rest) != want {
+					t.Fatalf("frame %d (kind %d) does not decode (%v), yet the server sent %q, want %q", i, kind, err, rest, want)
+				}
+				return
+			}
+			got, rn, err := readFrameHead(replies)
+			if err == nil && got != kind {
+				t.Fatalf("frame %d of kind %d answered with kind %d", i, kind, got)
+			}
+			var resp wireResponse
+			if err == nil {
+				if body, err = readBody(replies, nil, rn); err == nil {
+					resp, err = parseResponse(kind, body, &req)
+				}
+			}
+			if err != nil {
+				t.Fatalf("frame %d of kind %d got no reply that parses: %v", i, kind, err)
+			}
+			if over && resp.Err == "" {
+				t.Fatalf("frame %d of %d bytes over the %d-byte cap answered %+v, want a refusal", i, n, fuzzLimit, resp)
+			}
 		}
 	})
 }

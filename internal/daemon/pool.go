@@ -62,8 +62,7 @@ type PoolConfig struct {
 	// and values above MaxBatchItems are clamped to it, so no batch has
 	// more items than a server accepts. A batch also flushes before its
 	// frame would pass DefaultMaxRequestBytes, and a call too large to
-	// share a frame is sent on its own. Requires a server that speaks
-	// the "batch" verb.
+	// share a frame is sent on its own.
 	BatchSize int
 	// BatchLinger is how long the first call in a forming batch waits for
 	// companions before a partial batch is flushed (default 500µs). Only
@@ -73,8 +72,7 @@ type PoolConfig struct {
 	// Dialect is the SQL dialect stamped on the pool's analyze and batch
 	// frames, so a daemon serving a different dialect refuses them instead
 	// of mis-lexing. The zero value is MySQL, which is omitted from the
-	// wire — default-dialect frames stay byte-identical to the pre-dialect
-	// protocol and old servers keep working.
+	// wire, where an absent dialect means MySQL.
 	Dialect sqltoken.Dialect
 }
 

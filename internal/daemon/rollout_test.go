@@ -2,8 +2,8 @@ package daemon
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
 	"strings"
@@ -156,24 +156,13 @@ func TestVersionPinRefusedOnHealthyStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	send := func(frame string) wireResponse {
-		t.Helper()
-		if _, err := conn.Write([]byte(frame + "\n")); err != nil {
-			t.Fatal(err)
-		}
-		var resp wireResponse
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatalf("connection broke after %s: %v", frame, err)
-		}
-		return resp
-	}
+	c := &frameConn{t: t, conn: conn, br: bufio.NewReader(conn)}
 
-	resp := send(`{"op":"analyze","query":"` + benignQuery + `","version":"bogus","no_tokens":true}`)
+	resp := c.send(wireRequest{Op: "analyze", Query: benignQuery, Version: "bogus"})
 	if !strings.Contains(resp.Err, "version mismatch") {
 		t.Fatalf("pinned to bogus version: err = %q, want version mismatch", resp.Err)
 	}
-	resp = send(`{"op":"batch","version":"bogus","batch":[{"query":"` + benignQuery + `"},{"query":"` + benignQuery + `","version":"` + version + `"}]}`)
+	resp = c.send(wireRequest{Op: "batch", Version: "bogus", Batch: []wireRequest{{Query: benignQuery}, {Query: benignQuery, Version: version}}})
 	if resp.Err != "" {
 		t.Fatalf("batch with stale frame pin refused whole: %q", resp.Err)
 	}
@@ -186,24 +175,23 @@ func TestVersionPinRefusedOnHealthyStream(t *testing.T) {
 	if resp.Batch[1].Err != "" || resp.Batch[1].Reply == nil {
 		t.Fatalf("item overriding with the right pin should pass: %+v", resp.Batch[1])
 	}
-	resp = send(`{"query":"` + benignQuery + `"}`)
+	resp = c.send(wireRequest{Query: benignQuery})
 	if resp.Err != "" || resp.Reply == nil {
 		t.Fatalf("unpinned request after refusals: %+v", resp)
 	}
 	if resp.Reply.Version != version {
 		t.Fatalf("reply version = %q, want %q", resp.Reply.Version, version)
 	}
-	resp = send(`{"query":"` + benignQuery + `","version":"` + version + `"}`)
+	resp = c.send(wireRequest{Query: benignQuery, Version: version})
 	if resp.Err != "" || resp.Reply == nil {
 		t.Fatalf("correctly pinned request: %+v", resp)
 	}
 }
 
-// TestVersionlessWireInteropByteIdentical pins the interop contract with
-// pre-versioning peers: a daemon with no snapshot version emits reply
-// frames containing no version (or rollout) field at all, so an old
-// client reading new frames and a new client reading old frames see the
-// same bytes they always did.
+// TestVersionlessWireInteropByteIdentical pins the reply of a daemon with
+// no snapshot version: a benign analyze reply is the flags byte, an empty
+// version and no reasons, byte for byte, and decodes to an empty version,
+// which clients read as "unknown", never as a mismatch.
 func TestVersionlessWireInteropByteIdentical(t *testing.T) {
 	addr, _, _ := startShardServer(t) // plain NewServer: unversioned
 	conn, err := net.Dial("tcp", addr)
@@ -211,20 +199,13 @@ func TestVersionlessWireInteropByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte(`{"query":"` + benignQuery + `","no_tokens":true}` + "\n")); err != nil {
-		t.Fatal(err)
+	c := &frameConn{t: t, conn: conn, br: bufio.NewReader(conn)}
+	resp := c.send(wireRequest{Query: benignQuery})
+	if resp.Reply == nil || resp.Reply.Version != "" {
+		t.Fatalf("analyze frame answered %+v, want an unversioned reply", resp)
 	}
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(line, `"reply"`) {
-		t.Fatalf("analyze frame answered without a reply: %s", line)
-	}
-	for _, field := range []string{`"version"`, `"rollout"`} {
-		if strings.Contains(line, field) {
-			t.Errorf("unversioned reply frame leaks %s: %s", field, line)
-		}
+	if want := []byte{0, 0, 0}; !bytes.Equal(c.reply, want) {
+		t.Errorf("unversioned reply body %q, want %q", c.reply, want)
 	}
 }
 

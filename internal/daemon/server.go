@@ -2,14 +2,11 @@ package daemon
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -25,8 +22,8 @@ import (
 )
 
 // DefaultMaxRequestBytes caps the size of one wire request. A legitimate
-// query never approaches it; a client that exceeds it has its connection
-// dropped rather than letting it balloon the daemon's memory.
+// query never approaches it; a request that exceeds it is discarded unread
+// and refused, rather than letting it balloon the daemon's memory.
 const DefaultMaxRequestBytes = 1 << 20
 
 // MaxBatchItems caps how many items one "batch" request may carry. The
@@ -36,11 +33,11 @@ const DefaultMaxRequestBytes = 1 << 20
 // Pool never coalesces more calls than this into one batch.
 const MaxBatchItems = 4096
 
-// errUnlatched refuses an analyze or batch frame on a connection that has
-// not latched no_tokens. This daemon sends no token stream, and a peer
-// that expects one would run NTI over no tokens and never flag; the
-// refusal lets its degrade policy decide instead.
-const errUnlatched = `no_tokens latch missing: this daemon sends no token stream; send "no_tokens":true on the connection's first analyze or batch frame and lex the query yourself`
+// jsonPeerRefusal is the one line a frame opening with '{' gets before its
+// connection closes. Only a client from before binary frames sends one; it
+// reads a JSON line per frame, so it sees an error, and its degrade policy
+// decides the check, instead of a silent close.
+const jsonPeerRefusal = `{"error":"binary frames only: this daemon no longer speaks newline-delimited JSON; upgrade the client together with jozad"}` + "\n"
 
 // Bounds for the capped exponential backoff Serve applies to transient
 // Accept failures (EMFILE, ECONNABORTED, ...).
@@ -137,7 +134,8 @@ func WithReadTimeout(d time.Duration) ServerOption {
 }
 
 // WithMaxRequestBytes caps the size of one wire request (default
-// DefaultMaxRequestBytes). Oversized requests break the connection.
+// DefaultMaxRequestBytes). An oversized request is discarded unread and
+// refused on the healthy stream.
 func WithMaxRequestBytes(n int64) ServerOption {
 	return func(s *Server) {
 		if n > 0 {
@@ -326,45 +324,80 @@ func (s *Server) track(conn net.Conn) bool {
 
 // ServeConn serves a single established connection until it closes. It is
 // exported so a daemon can be run over a pre-connected pipe (the paper's
-// anonymous-pipe, one-request lifetime mode). Analyze and batch frames are
-// served once a frame carrying no_tokens or binary has latched the
-// connection, and refused before. A frame carrying binary is answered in
-// JSON with the acknowledgement, and the connection then speaks binary
-// frames.
+// anonymous-pipe, one-request lifetime mode). The connection speaks binary
+// frames from its first byte (codec.go). The declared body length is
+// checked against the request cap before any of the body is read: a
+// longer body is discarded unread and the frame refused on the healthy
+// stream. Analyze and batch responses are appended straight from the
+// verdicts into one per-connection buffer and sent with one Write. A
+// malformed frame ends the connection, and one that opens with '{' gets
+// jsonPeerRefusal first.
 func (s *Server) ServeConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
-	lr := &io.LimitedReader{R: conn, N: s.maxRequest}
-	br := bufio.NewReader(lr)
-	dec := json.NewDecoder(br)
-	enc := json.NewEncoder(conn)
-	latched := false
+	br := bufio.NewReader(conn)
+	var in, out []byte
 	for s.awaitRequest(conn) {
-		// Reset the per-request byte budget. The buffered reader may hold
-		// bytes already admitted under an earlier budget; the limit bounds
-		// what one request can pull off the wire, not exact accounting.
-		lr.N = s.maxRequest
-		var req wireRequest
-		if err := dec.Decode(&req); err != nil {
+		kind, n, err := readFrameHead(br)
+		if err != nil {
+			if kind == '{' {
+				s.errorOps.Add(1)
+				_, _ = conn.Write([]byte(jsonPeerRefusal)) // the connection closes either way
+			}
 			s.readFailed(err)
 			return
 		}
-		latched = latched || req.NoTokens || req.Binary
-		resp := s.dispatch(req, latched)
-		resp.Binary = req.Binary
-		if err := enc.Encode(resp); err != nil {
+		out = beginFrame(out)
+		if n > uint64(s.maxRequest) {
+			if err := discardBody(br, n); err != nil {
+				s.readFailed(err)
+				return
+			}
+			s.errorOps.Add(1)
+			out = appendRefusal(out, kind, fmt.Sprintf("request of %d bytes exceeds the %d-byte cap", n, s.maxRequest))
+		} else {
+			if in, err = readBody(br, in, n); err != nil {
+				s.readFailed(err)
+				return
+			}
+			if out, err = s.serveFrame(out, kind, in); err != nil {
+				return
+			}
+		}
+		if _, err := conn.Write(finishFrame(out, kind)); err != nil {
 			s.errorOps.Add(1)
 			return
 		}
-		if req.Binary {
-			// A client waits for the acknowledgement before its first
-			// binary frame, so the JSON decoder can hold nothing past the
-			// handshake frame but its newline.
-			if rest, _ := io.ReadAll(dec.Buffered()); len(bytes.TrimSpace(rest)) == 0 {
-				s.serveBinary(conn, lr, br)
-			}
-			return
-		}
 	}
+}
+
+// serveFrame appends the response to one request frame of kind with body
+// to dst. A body that does not parse returns an error, which ends the
+// connection.
+func (s *Server) serveFrame(dst []byte, kind byte, body []byte) ([]byte, error) {
+	if kind == frameJSON {
+		var req wireRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return dst, err
+		}
+		b, err := json.Marshal(s.control(req))
+		if err != nil {
+			s.errorOps.Add(1)
+			return dst, err
+		}
+		return append(dst, b...), nil
+	}
+	req, err := parseRequest(kind, body)
+	if err != nil {
+		return dst, err
+	}
+	if kind == frameBatch {
+		s.batchOps.Add(1)
+		return s.appendBatch(dst, req), nil
+	}
+	s.analyzeOps.Add(1)
+	var v core.Verdict
+	msg := s.analyze(req, &v)
+	return appendVerdictResponse(dst, &v, msg), nil
 }
 
 // awaitRequest prepares conn for the next request: false when the server
@@ -391,23 +424,12 @@ func (s *Server) readFailed(err error) {
 	}
 }
 
-// dispatch answers one JSON request; latched reports whether the
-// connection has latched no_tokens, without which analyze and batch
-// frames are refused.
-func (s *Server) dispatch(req wireRequest, latched bool) wireResponse {
+// control answers one control verb from a JSON envelope frame. Analyze
+// and batch requests ride frames of their own kinds, so an envelope naming
+// them is an unknown op like any other.
+func (s *Server) control(req wireRequest) wireResponse {
 	var resp wireResponse
-	if !latched && (req.Op == "" || req.Op == "analyze" || req.Op == "batch") {
-		s.errorOps.Add(1)
-		resp.Err = errUnlatched
-		return resp
-	}
 	switch req.Op {
-	case "", "analyze":
-		s.analyzeOps.Add(1)
-		s.handleAnalyze(req, &resp)
-	case "batch":
-		s.batchOps.Add(1)
-		s.handleBatch(req, &resp)
 	case "stats":
 		s.statsOps.Add(1)
 		st := s.Stats()
@@ -427,69 +449,6 @@ func (s *Server) dispatch(req wireRequest, latched bool) wireResponse {
 		resp.Err = fmt.Sprintf("unknown op %q", req.Op)
 	}
 	return resp
-}
-
-// serveBinary serves conn after the binary handshake, reading frames from
-// the connection's buffered reader br. The declared body length is checked
-// against the request cap before any of the body is read. Analyze and
-// batch responses are appended straight from the verdicts into one
-// per-connection buffer and sent with one Write; a malformed or oversized
-// frame ends the connection.
-func (s *Server) serveBinary(conn net.Conn, lr *io.LimitedReader, br *bufio.Reader) {
-	var in, out []byte
-	budget := s.maxRequest + frameHead + 1 // the body, its head and one skipped newline
-	if budget < s.maxRequest {
-		budget = math.MaxInt64
-	}
-	for s.awaitRequest(conn) {
-		lr.N = budget
-		kind, n, err := readFrameHead(br)
-		if err != nil {
-			s.readFailed(err)
-			return
-		}
-		if n > uint64(s.maxRequest) {
-			return
-		}
-		if in, err = readBody(br, in, n); err != nil {
-			s.readFailed(err)
-			return
-		}
-		out = beginFrame(out)
-		switch kind {
-		case frameAnalyze, frameBatch:
-			req, err := parseRequest(kind, in)
-			if err != nil {
-				return
-			}
-			if kind == frameAnalyze {
-				s.analyzeOps.Add(1)
-				var v core.Verdict
-				msg := s.analyze(req, &v)
-				out = appendVerdictResponse(out, &v, msg)
-			} else {
-				s.batchOps.Add(1)
-				out = s.appendBatch(out, req)
-			}
-		case frameJSON:
-			var req wireRequest
-			if json.Unmarshal(in, &req) != nil {
-				return
-			}
-			b, err := json.Marshal(s.dispatch(req, true))
-			if err != nil {
-				s.errorOps.Add(1)
-				return
-			}
-			out = append(out, b...)
-		default:
-			return
-		}
-		if _, err := conn.Write(finishFrame(out, kind)); err != nil {
-			s.errorOps.Add(1)
-			return
-		}
-	}
 }
 
 // parseDialect resolves a wire request's dialect field against the
@@ -574,16 +533,6 @@ func (s *Server) analyze(req wireRequest, v *core.Verdict) string {
 	return ""
 }
 
-// handleAnalyze answers one JSON analyze request.
-func (s *Server) handleAnalyze(req wireRequest, resp *wireResponse) {
-	var v core.Verdict
-	if msg := s.analyze(req, &v); msg != "" {
-		resp.Err = msg
-		return
-	}
-	resp.Reply = replyFor(&v, req.Site)
-}
-
 // admitBatch refuses a batch request that is empty or above the item cap,
 // and otherwise defaults the frame's dialect and version pin onto its
 // items, so a client stamps one field per frame instead of one per item;
@@ -610,39 +559,17 @@ func (s *Server) admitBatch(req wireRequest) string {
 	return ""
 }
 
-// handleBatch runs one JSON "batch" request: every item is an analyze
-// request handled exactly as a standalone one — admission charged per
-// item, the item's own TimeoutMs bounding its analysis, failures recorded
-// per item — and the reply carries one response per item in order. One
-// poisoned item (expired budget, shed, over budget) costs only its own
-// slot; siblings and the connection are unaffected. A batch above the item
-// cap is refused whole, on the still-healthy stream.
-func (s *Server) handleBatch(req wireRequest, resp *wireResponse) {
-	if resp.Err = s.admitBatch(req); resp.Err != "" {
-		return
-	}
-	resp.Batch = make([]wireResponse, len(req.Batch))
-	for i, item := range req.Batch {
-		switch item.Op {
-		case "", "analyze":
-			s.analyzeOps.Add(1)
-			s.handleAnalyze(item, &resp.Batch[i])
-		default:
-			// Nested batches and the control verbs have no per-item merge
-			// semantics; refusing them item-locally keeps the rest of the
-			// batch alive.
-			s.errorOps.Add(1)
-			resp.Batch[i].Err = fmt.Sprintf("op %q not allowed in a batch", item.Op)
-		}
-	}
-}
-
-// appendBatch appends the binary response to a batch frame, whose items
-// are all analyze requests: the item count and one response per item, or
-// a zero count and the whole-batch refusal.
+// appendBatch appends the response to a batch frame: the item count and
+// one response per item, or a zero count and the whole-batch refusal.
+// Every item is an analyze request handled exactly as a standalone one —
+// admission charged per item, the item's own TimeoutMs bounding its
+// analysis, failures recorded per item — so one poisoned item (expired
+// budget, shed, over budget) costs only its own slot. A batch that is
+// empty or above the item cap is refused whole, on the still-healthy
+// stream.
 func (s *Server) appendBatch(dst []byte, req wireRequest) []byte {
 	if msg := s.admitBatch(req); msg != "" {
-		return appendString(append(dst, 0), msg)
+		return appendRefusal(dst, frameBatch, msg)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(req.Batch)))
 	for _, item := range req.Batch {

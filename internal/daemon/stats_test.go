@@ -1,9 +1,7 @@
 package daemon
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"net"
 	"strings"
 	"testing"
@@ -95,39 +93,12 @@ func spawnOn(t *testing.T, srv *Server) (*Client, func()) {
 // an unrecognized verb yields an error response, not a hung or dropped
 // connection, and the connection keeps serving afterwards.
 func TestUnknownOpRejected(t *testing.T) {
-	clientSide, serverSide := net.Pipe()
-	srv := NewServer(newAnalyzer())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.ServeConn(serverSide)
-	}()
-	defer func() {
-		_ = clientSide.Close()
-		_ = serverSide.Close()
-		<-done
-	}()
-	enc := json.NewEncoder(clientSide)
-	dec := json.NewDecoder(bufio.NewReader(clientSide))
-	if err := enc.Encode(wireRequest{Op: "flush"}); err != nil {
-		t.Fatal(err)
-	}
-	var resp wireResponse
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(resp.Err, "unknown op") {
+	c := pipeFrames(t, NewServer(newAnalyzer()))
+	if resp := c.send(wireRequest{Op: "flush"}); !strings.Contains(resp.Err, "unknown op") {
 		t.Errorf("error = %q, want unknown op", resp.Err)
 	}
 	// The connection survives: a normal analyze still works.
-	if err := enc.Encode(wireRequest{Query: benignQuery, NoTokens: true}); err != nil {
-		t.Fatal(err)
-	}
-	resp = wireResponse{}
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != "" || resp.Reply == nil || resp.Reply.Attack {
+	if resp := c.send(wireRequest{Query: benignQuery}); resp.Err != "" || resp.Reply == nil || resp.Reply.Attack {
 		t.Errorf("analyze after unknown op = %+v", resp)
 	}
 }

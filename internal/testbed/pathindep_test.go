@@ -1,10 +1,10 @@
 package testbed
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"reflect"
 	"strings"
@@ -105,9 +105,8 @@ func pipePool(srv *daemon.Server, d sqltoken.Dialect, batch int, wrap func(net.C
 }
 
 // frameKinds counts the frames clients write to the server ends of pipes
-// by their first byte: '{' opens a JSON frame, and a binary frame starts
-// with its kind (1 is analyze, DESIGN §8.3). net.Pipe delivers each
-// client frame in one Read.
+// by their first byte, which is a binary frame's kind (1 is analyze,
+// DESIGN §8.3). net.Pipe delivers each client frame in one Read.
 type frameKinds struct {
 	mu sync.Mutex
 	n  map[byte]int
@@ -115,10 +114,10 @@ type frameKinds struct {
 
 func (k *frameKinds) wrap(c net.Conn) net.Conn { return kindConn{c, k} }
 
-func (k *frameKinds) count(b byte) int {
+func (k *frameKinds) snapshot() map[byte]int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.n[b]
+	return maps.Clone(k.n)
 }
 
 type kindConn struct {
@@ -136,21 +135,11 @@ func (c kindConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// jsonOnlyConn cuts the binary flag from every client frame before the
-// server reads it, as a server that predates binary frames ignores it, so
-// the connection stays on JSON.
-type jsonOnlyConn struct{ net.Conn }
-
-func (c jsonOnlyConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	return copy(p, bytes.ReplaceAll(p[:n], []byte(`,"binary":true`), nil)), err
-}
-
 // oversizedNeighbour is a HybridClient over a micro-batching Pool that,
 // beside every 8th check, sends a query past the server's request cap
 // through the same pool. The batch carrying the check forms and flushes
-// while the oversized call goes out alone and breaks its connection; the
-// check must still get its verdict, and only the oversized call may fail.
+// while the oversized call goes out alone and is refused; the check must
+// still get its verdict, and only the oversized call may fail.
 // (Encoding a megabyte per check would make the sweep ten times slower
 // under the race detector.)
 type oversizedNeighbour struct {
@@ -239,13 +228,10 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 			pool:         besidePool,
 			query:        "SELECT id FROM posts WHERE title = '" + strings.Repeat("x", daemon.DefaultMaxRequestBytes) + "'",
 		}
-		binaryKinds := &frameKinds{n: map[byte]int{}}
-		jsonKinds := &frameKinds{n: map[byte]int{}}
-		jsonOnly := func(c net.Conn) net.Conn { return jsonOnlyConn{jsonKinds.wrap(c)} }
+		kinds := &frameKinds{n: map[byte]int{}}
 		d := &pathDiff{paths: []namedChecker{
 			{"guard", guard},
-			{"pool", hybridOver(t, pipePool(server(), sqltoken.MySQL, 0, binaryKinds.wrap), sqltoken.MySQL)},
-			{"JSON-only pool", hybridOver(t, pipePool(server(), sqltoken.MySQL, 0, jsonOnly), sqltoken.MySQL)},
+			{"pool", hybridOver(t, pipePool(server(), sqltoken.MySQL, 0, kinds.wrap), sqltoken.MySQL)},
 			{"micro-batching pool", hybridOver(t, pipePool(batching, sqltoken.MySQL, 4, nil), sqltoken.MySQL)},
 			{"2-shard fleet", hybridOver(t, fleet, sqltoken.MySQL)},
 			{"micro-batching pool beside an oversized query", neighbour},
@@ -267,15 +253,10 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 				t.Errorf("fleet shard %d served no checks", i)
 			}
 		}
-		// The pool negotiated binary frames: one JSON handshake frame per
-		// connection, then binary analyze frames. The JSON-only pool sent
-		// the same checks and never left JSON.
-		onlyJSON := jsonKinds.count('{')
-		if n := jsonKinds.count(1); n != 0 || onlyJSON < 383 {
-			t.Errorf("JSON-only pool: %d JSON and %d binary analyze frames, want JSON only", onlyJSON, n)
-		}
-		if json, bin := binaryKinds.count('{'), binaryKinds.count(1); json > 2 || json+bin != onlyJSON {
-			t.Errorf("pool: %d JSON and %d binary analyze frames, want at most 2 handshakes and %d frames in all", json, bin, onlyJSON)
+		// The pool spoke binary analyze frames from each connection's
+		// first byte, one per check.
+		if got := kinds.snapshot(); got[1] < 383 || len(got) != 1 {
+			t.Errorf("pool: frames by first byte %v, want only binary analyze frames, at least 383", got)
 		}
 		for _, srv := range []*daemon.Server{batching, beside} {
 			if st := srv.Stats(); st.DaemonBatchOps == 0 || st.DaemonBatchItems != st.DaemonAnalyzeOps {
