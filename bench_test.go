@@ -419,9 +419,9 @@ func dpCells(run func(maxCells int) error) int {
 
 // BenchmarkAblationNTIPrefilter times one whole NTI check per request
 // shape: 1, 10 and 50 input fields against one content query. sellers is
-// the banded engine without the q-gram prefilter, the configuration that
-// predates both optimizations; default is the prefilter plus the
-// bit-parallel engine. The default rows also report reject-%, the share
+// the banded engine without the prefilter, the configuration that
+// predates both optimizations; default is the prefilter (trigram screen
+// and window pass) plus the bit-parallel engine. The default rows also report reject-%, the share
 // of input×query pairs the prefilter rejected before any matcher ran.
 func BenchmarkAblationNTIPrefilter(b *testing.B) {
 	engines := []struct {

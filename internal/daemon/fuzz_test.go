@@ -22,10 +22,11 @@ type scriptedConn struct {
 	out bytes.Buffer
 }
 
-func (c *scriptedConn) Read(p []byte) (int, error)      { return c.in.Read(p) }
-func (c *scriptedConn) Write(p []byte) (int, error)     { return c.out.Write(p) }
-func (c *scriptedConn) Close() error                    { return nil }
-func (c *scriptedConn) SetReadDeadline(time.Time) error { return nil }
+func (c *scriptedConn) Read(p []byte) (int, error)       { return c.in.Read(p) }
+func (c *scriptedConn) Write(p []byte) (int, error)      { return c.out.Write(p) }
+func (c *scriptedConn) Close() error                     { return nil }
+func (c *scriptedConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *scriptedConn) SetWriteDeadline(time.Time) error { return nil }
 
 // fuzzLimit is the request cap of the fuzzed server: small, so that
 // over-cap frames are cheap to reach.

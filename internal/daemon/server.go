@@ -39,6 +39,10 @@ const MaxBatchItems = 4096
 // decides the check, instead of a silent close.
 const jsonPeerRefusal = `{"error":"binary frames only: this daemon no longer speaks newline-delimited JSON; upgrade the client together with jozad"}` + "\n"
 
+// jsonRefusalTimeout bounds the jsonPeerRefusal write on a server with no
+// read timeout.
+const jsonRefusalTimeout = time.Second
+
 // Bounds for the capped exponential backoff Serve applies to transient
 // Accept failures (EMFILE, ECONNABORTED, ...).
 const (
@@ -341,7 +345,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		if err != nil {
 			if kind == '{' {
 				s.errorOps.Add(1)
-				_, _ = conn.Write([]byte(jsonPeerRefusal)) // the connection closes either way
+				s.refuseJSONPeer(conn)
 			}
 			s.readFailed(err)
 			return
@@ -398,6 +402,20 @@ func (s *Server) serveFrame(dst []byte, kind byte, body []byte) ([]byte, error) 
 	var v core.Verdict
 	msg := s.analyze(req, &v)
 	return appendVerdictResponse(dst, &v, msg), nil
+}
+
+// refuseJSONPeer writes jsonPeerRefusal under a deadline: the read
+// timeout, or jsonRefusalTimeout when none is set. A peer still writing a
+// long first line reads nothing until its write returns, so over a
+// synchronous conn (net.Pipe) an unbounded write would hold both sides.
+// The connection closes after it either way.
+func (s *Server) refuseJSONPeer(conn net.Conn) {
+	d := s.readTimeout
+	if d <= 0 {
+		d = jsonRefusalTimeout
+	}
+	_ = conn.SetWriteDeadline(time.Now().Add(d))
+	_, _ = conn.Write([]byte(jsonPeerRefusal))
 }
 
 // awaitRequest prepares conn for the next request: false when the server

@@ -108,6 +108,55 @@ func TestJSONPeerRefused(t *testing.T) {
 	}
 }
 
+// TestJSONPeerLongLineRefusalBounded: a JSON-era peer whose first line is
+// longer than the server's read buffer is still writing, and reads
+// nothing, when the refusal goes out. Over a synchronous net.Pipe the
+// refusal's write gives up at the read timeout, or after
+// jsonRefusalTimeout when none is set, and the connection closes, which
+// ends the peer's write too.
+func TestJSONPeerLongLineRefusalBounded(t *testing.T) {
+	line := []byte(`{"op":"analyze","query":"` + strings.Repeat("x", 64<<10) + `"}` + "\n")
+	for _, tc := range []struct {
+		name  string
+		opts  []ServerOption
+		bound time.Duration
+	}{
+		{"read timeout", []ServerOption{WithReadTimeout(100 * time.Millisecond)}, 100 * time.Millisecond},
+		{"no read timeout", nil, jsonRefusalTimeout},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewServer(newAnalyzer(), tc.opts...)
+			clientSide, serverSide := net.Pipe()
+			defer clientSide.Close()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				srv.ServeConn(serverSide)
+			}()
+			start := time.Now()
+			wrote := make(chan error, 1)
+			go func() {
+				_, err := clientSide.Write(line)
+				wrote <- err
+			}()
+			select {
+			case <-done:
+			case <-time.After(tc.bound + 2*time.Second):
+				t.Fatalf("ServeConn still blocked %v after a %d-byte JSON line", time.Since(start), len(line))
+			}
+			if err := <-wrote; err == nil {
+				t.Error("the peer's write completed against a closed connection")
+			}
+			if el := time.Since(start); el < tc.bound {
+				t.Errorf("refusal gave up after %v, before its %v bound", el, tc.bound)
+			}
+			if st := srv.Stats(); st.DaemonErrors != 1 {
+				t.Errorf("refused JSON peer: %d errors, want 1", st.DaemonErrors)
+			}
+		})
+	}
+}
+
 // TestControlVerbsInEnvelope: the control verbs ride JSON envelope frames
 // and answer there; an envelope naming analyze or batch is an unknown op,
 // refused on the healthy stream.

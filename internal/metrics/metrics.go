@@ -117,8 +117,8 @@ const (
 	StagePTICover
 	// StageNTIMatch is the summed per-input approximate matching.
 	StageNTIMatch
-	// StageNTIPrefilter is the q-gram prefilter portion of NTI matching
-	// (gram-set build plus per-input counting).
+	// StageNTIPrefilter is the prefilter portion of NTI matching
+	// (trigram bitmap build, per-input trigram counting and window pass).
 	StageNTIPrefilter
 	// StageProfile is the query-skeleton profile stage (normalization plus
 	// the per-call-site lookup).
@@ -394,8 +394,10 @@ type Snapshot struct {
 
 	// NTI approximate-matcher activity: total invocations of the
 	// quadratic matcher, how many were abandoned early (threshold band
-	// exhausted or bit-parallel scan miss), and q-gram prefilter traffic —
-	// pairs checked and pairs rejected before any matcher ran.
+	// exhausted, bit-parallel scan miss or a candidate range narrower
+	// than the query), and prefilter traffic — pairs checked and pairs
+	// the trigram screen or the window pass rejected before any matcher
+	// ran.
 	NTIMatcherCalls      uint64 `json:"ntiMatcherCalls"`
 	NTIMatcherEarlyExits uint64 `json:"ntiMatcherEarlyExits"`
 	NTIPrefilterChecks   uint64 `json:"ntiPrefilterChecks"`

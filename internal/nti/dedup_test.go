@@ -4,6 +4,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"joza/internal/strdist"
 )
 
 func TestDedupMirroredInputsSingleMarking(t *testing.T) {
@@ -89,24 +91,49 @@ func TestDedupMatcherRunsOncePerValue(t *testing.T) {
 }
 
 func TestStatsCountsPrefilterRejects(t *testing.T) {
-	// Long junk input against a shorter query passes the cheap pre-prune
-	// (value ≤ query) but is hopeless: with the prefilter on it is
-	// rejected before any matcher runs.
-	a := MustNew()
-	junk := strings.Repeat("x", 40)
-	q := "SELECT id, title, body FROM posts WHERE id=42 ORDER BY id DESC"
-	res := a.Analyze(q, nil, []Input{{Source: "get", Name: "x", Value: junk}})
-	if res.Attack || len(res.Markings) != 0 {
-		t.Fatalf("junk input matched: %+v", res)
-	}
-	st := a.Stats()
-	if st.PrefilterChecks != 1 || st.PrefilterRejects != 1 {
-		t.Errorf("prefilter checks/rejects = %d/%d, want 1/1", st.PrefilterChecks, st.PrefilterRejects)
-	}
-	if st.MatcherCalls != 0 {
-		t.Errorf("MatcherCalls = %d, want 0 (prefilter rejected)", st.MatcherCalls)
+	for _, tc := range []struct {
+		name, query, value string
+		// screened says the trigram screen rejects the pair; otherwise it
+		// passes the screen and the window pass rejects it.
+		screened bool
+	}{
+		// Long junk input against a shorter query passes the cheap
+		// pre-prune (value ≤ query) but is hopeless.
+		{"trigram screen", "SELECT id, title, body FROM posts WHERE id=42 ORDER BY id DESC", strings.Repeat("x", 40), true},
+		// A multi-term search shares its words' trigrams with its LIKE
+		// query, but no n-byte window holds n−k of its bytes.
+		{"window pass", windowSearchQuery, windowSearchValue, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := MustNew()
+			var st checkState
+			k := strdist.MaxQualifyingDistance(len(tc.value), a.threshold, len(tc.query))
+			need := (len(tc.value) - gramQ + 1) - gramQ*k
+			if screened := !st.ensureGrams(tc.query).hasAtLeast(tc.value, need); screened != tc.screened {
+				t.Fatalf("trigram screen rejects: %v, want %v", screened, tc.screened)
+			}
+			st.release()
+			res := a.Analyze(tc.query, nil, []Input{{Source: "get", Name: "x", Value: tc.value}})
+			if res.Attack || len(res.Markings) != 0 {
+				t.Fatalf("input matched: %+v", res)
+			}
+			s := a.Stats()
+			if s.PrefilterChecks != 1 || s.PrefilterRejects != 1 {
+				t.Errorf("prefilter checks/rejects = %d/%d, want 1/1", s.PrefilterChecks, s.PrefilterRejects)
+			}
+			if s.MatcherCalls != 0 {
+				t.Errorf("MatcherCalls = %d, want 0 (prefilter rejected)", s.MatcherCalls)
+			}
+		})
 	}
 }
+
+// windowSearchQuery and windowSearchValue are a wp-write search the
+// trigram screen lets through and the window pass rejects.
+const (
+	windowSearchQuery = "SELECT id, title FROM posts WHERE title LIKE '%security%' OR title LIKE '%coffee%' OR title LIKE '%notes%' LIMIT 10"
+	windowSearchValue = "security coffee notes"
+)
 
 func TestStatsCountsEarlyExits(t *testing.T) {
 	// Same hopeless pair with the prefilter off: the matcher runs once

@@ -12,13 +12,17 @@
 // combined, and short inputs cannot trigger an alarm unless they cover a
 // whole token, both per the paper's false-positive mitigations.
 //
-// Two layers keep the per-check cost sub-quadratic in practice (the
-// Section VI "skip implausible comparisons" optimizations): a q-gram
-// prefilter (prefilter.go) rejects most input×query pairs in O(n), and
-// the default matcher is the bit-parallel engine
+// Filtering, then verifying, keeps the per-check cost sub-quadratic in
+// practice (the Section VI "skip implausible comparisons"
+// optimizations). A pair goes through the exact-occurrence fast path,
+// a length prune, a trigram screen shared by the check's inputs and a
+// per-input window pass (prefilter.go); the two filters reject most
+// pairs with no DP, and the window pass returns the range of query
+// columns that can hold a qualifying match. Only that range is handed
+// to the matcher, by default the bit-parallel engine
 // (strdist.BitParallelThresholdBudgetCtx). Its Myers scan finds the best
-// distance over the whole query and a reverse pass bounds the longest
-// span at that distance, 64 DP cells per word; that decides misses and
+// distance over the range and a reverse pass bounds the longest span at
+// that distance, 64 DP cells per word; that decides misses and
 // near-misses (evasions padded just past the threshold) outright. Only
 // pairs that may match run the cell-at-a-time Sellers DP, and only on
 // the window of query columns that can hold the match.
@@ -82,7 +86,8 @@ type Analyzer struct {
 	// sellers selects the cell-at-a-time Sellers DP instead of the
 	// default bit-parallel engine (WithSellersMatcher).
 	sellers bool
-	// prefilter enables the q-gram reject stage ahead of the matcher.
+	// prefilter enables the trigram screen and the window pass ahead of
+	// the matcher.
 	prefilter bool
 	// critical decides which tokens an attack may not touch; the default
 	// is the paper's pragmatic policy (identifiers allowed).
@@ -112,8 +117,9 @@ type Analyzer struct {
 
 // Stats counts the analyzer's matching activity: how often input×query
 // pairs reached the prefilter and were rejected there, how often the
-// approximate matcher actually ran, and how often it abandoned the
-// comparison early (threshold band exhausted or bit-parallel scan miss).
+// approximate matcher actually ran, and how often it skipped part of the
+// comparison (threshold band exhausted, bit-parallel scan miss, or a
+// candidate range narrower than the query).
 type Stats struct {
 	MatcherCalls     uint64
 	EarlyExits       uint64
@@ -149,8 +155,10 @@ func WithSellersMatcher() Option {
 	return func(a *Analyzer) { a.sellers = true }
 }
 
-// WithoutPrefilter disables the q-gram prefilter, sending every surviving
-// pair straight to the matcher (ablations and benchmarks).
+// WithoutPrefilter disables the prefilter (the trigram screen and the
+// window pass together), sending every surviving pair straight to the
+// matcher on the whole query (ablations, benchmarks and the prefilter's
+// differential tests).
 func WithoutPrefilter() Option {
 	return func(a *Analyzer) { a.prefilter = false }
 }
@@ -168,7 +176,9 @@ func WithMaxQueryBytes(n int) Option {
 // matcher may compute for one input/query pair; a comparison that crosses
 // the cap fails the analysis with an error wrapping core.ErrOverBudget.
 // This bounds the worst-case O(n·m) work a hostile input can demand
-// regardless of deadline. Zero (the default) disables the cap.
+// regardless of deadline. With the prefilter on, the matcher's scans run
+// on, and charge, only the candidate range of query columns the window
+// pass returns. Zero (the default) disables the cap.
 func WithDPCellBudget(n int) Option {
 	return func(a *Analyzer) { a.dpCellBudget = n }
 }
@@ -188,8 +198,8 @@ func WithStrictPolicy() Option {
 	return func(a *Analyzer) { a.critical = sqltoken.Token.CriticalStrict }
 }
 
-// New returns an Analyzer with the default threshold, the q-gram
-// prefilter, and the bit-parallel matching engine.
+// New returns an Analyzer with the default threshold, the prefilter,
+// and the bit-parallel matching engine.
 func New(opts ...Option) *Analyzer {
 	a := &Analyzer{
 		threshold: DefaultThreshold,
@@ -493,8 +503,9 @@ func keyByte(in Input, i int) byte {
 // call. Exact occurrences are marked as coalesced covered regions;
 // otherwise the single best approximate match is considered. The fast
 // path charges its probed bytes against the DP cell budget, the prefilter
-// is O(n), the matcher observes ctx and the budget itself, and an input
-// past maxApproxInputLen never reaches it.
+// is O(n+m) and bounds the matcher to its candidate range, the matcher
+// observes ctx and the budget itself, and an input past
+// maxApproxInputLen never reaches it.
 func (a *Analyzer) matchInput(ctx context.Context, value, query string, st *checkState) ([]strdist.Match, error) {
 	// Fast path: every exact occurrence is a zero-distance match.
 	// Overlapping or adjacent occurrences coalesce into one region — a
@@ -535,17 +546,19 @@ func (a *Analyzer) matchInput(ctx context.Context, value, query string, st *chec
 			return nil, nil
 		}
 	}
+	lo, hi := 0, len(query)
 	if a.prefilter {
 		a.prefilterChecks.Add(1)
 		var t0 time.Time
 		if st.timed {
 			t0 = time.Now()
 		}
-		reject := a.prefilterReject(value, query, st)
+		var ok bool
+		lo, hi, ok = a.candidateRange(value, query, st)
 		if st.timed {
 			st.prefilterNs += int64(time.Since(t0))
 		}
-		if reject {
+		if !ok {
 			a.prefilterRejects.Add(1)
 			st.rejected = true
 			return nil, nil
@@ -560,7 +573,10 @@ func (a *Analyzer) matchInput(ctx context.Context, value, query string, st *chec
 	if a.sellers {
 		match = strdist.SubstringMatchThresholdBudgetCtx
 	}
-	m, found, pruned, err := match(ctx, value, query, a.threshold, a.dpCellBudget)
+	// Every qualifying match lies in the candidate range, and the
+	// matcher's choice among them depends only on the columns it holds,
+	// so matching there returns the whole query's match, offset by lo.
+	m, found, pruned, err := match(ctx, value, query[lo:hi], a.threshold, a.dpCellBudget)
 	if err != nil {
 		if errors.Is(err, strdist.ErrBudget) {
 			return nil, fmt.Errorf("nti: input match against %d-byte query: %w",
@@ -568,10 +584,12 @@ func (a *Analyzer) matchInput(ctx context.Context, value, query string, st *chec
 		}
 		return nil, err
 	}
-	if pruned {
+	if pruned || hi-lo < len(query) {
 		a.earlyExits.Add(1)
 	}
 	if found {
+		m.Start += lo
+		m.End += lo
 		return append(st.spans[:0], m), nil
 	}
 	return nil, nil

@@ -1,19 +1,36 @@
-// The q-gram prefilter: rejecting input×query pairs before any DP.
+// The prefilter: rejecting input×query pairs before any DP, and bounding
+// the matcher to the part of the query that can hold a match.
 //
-// By the q-gram lemma, two strings within edit distance k share at least
-// (n−q+1) − q·k of the shorter string's q-grams: every edit destroys at
-// most q grams. NTI only cares about matches whose difference ratio is
-// strictly below the threshold, which bounds the qualifying distance
-// (strdist.MaxQualifyingDistance); when the input cannot meet the gram
-// quota against the query's gram set, no qualifying span can exist and
-// the pair is rejected in O(n) with no matcher call at all. Counting
-// set membership (rather than multiset occurrences) only over-counts, so
-// the filter never rejects a pair the matcher would have accepted.
+// NTI only cares about matches whose difference ratio is strictly below
+// the threshold, which bounds their edit distance by
+// k = strdist.MaxQualifyingDistance(n, threshold, m) for an n-byte input
+// against an m-byte query. Two stages use that bound, cheapest first:
 //
-// The gram set is built lazily, once per analyzed query — the first
-// input that survives the cheap pre-checks pays the O(m) build, every
-// further input reuses it — and the backing table is pooled so the
-// steady state allocates nothing.
+//   - The trigram screen. By the q-gram lemma, two strings within edit
+//     distance k share at least (n−q+1) − q·k of the shorter string's
+//     q-grams: every edit destroys at most q grams. The query's trigrams
+//     are hashed into a bitmap once per check, by the first input that
+//     reaches the screen, and every input probes it. Set membership and
+//     hash collisions only over-count, so the screen never rejects a pair
+//     the matcher would accept.
+//   - The window pass (windowSpan), per input: the counting filter of
+//     Jokinen, Tarhio and Ukkonen. An alignment of the input with a
+//     substring s at distance S+D+I ≤ k (substitutions, deletions,
+//     insertions) matches n−S−D of the input's bytes, and s is n+I−D
+//     bytes long. So the n-byte query window ending where s ends holds at
+//     least n−S−I ≥ n−k of the input's bytes, counted as a multiset, and
+//     when s is longer than n bytes so does the window of its first n
+//     bytes. A sliding count finds every end column whose window passes.
+//     None rejects the pair; otherwise every substring within distance k
+//     (every qualifying match, and every optimal substring of a column
+//     whose search distance is at most k) lies in
+//     [first passing end − n, last passing end), and the matcher runs on
+//     that range only.
+//
+// The screen runs first because it is shared: the window pass costs
+// O(m) per input, the screen's build O(m) per check and its probe O(n)
+// per input. The bitmap is pooled and cleared on release, so the steady
+// state allocates nothing.
 package nti
 
 import (
@@ -23,93 +40,44 @@ import (
 	"joza/internal/strdist"
 )
 
-// gramQ is the q-gram width. Trigrams pack into 24 bits and are selective
-// enough that benign form fields almost never meet the quota against a
-// SQL statement by accident.
+// gramQ is the q-gram width. Trigrams are selective enough that benign
+// form fields almost never meet the quota against a SQL statement by
+// accident.
 const gramQ = 3
 
-// gramSet is an open-addressing set of packed trigrams. Entries store the
-// packed gram plus one so zero means empty.
-type gramSet struct {
-	table []uint32
-	mask  uint32
+// gramBitsLog is log2 of the screen's bitmap size in bits. 2^14 bits keep
+// a few hundred query trigrams sparse (a few percent of bits set) in 2 KB.
+const gramBitsLog = 14
+
+// gramBits is the trigram screen's bitmap: bit gramHash(g) is set for
+// every trigram g of the query.
+type gramBits [1 << gramBitsLog / 64]uint64
+
+var gramBitsPool = sync.Pool{New: func() any { return new(gramBits) }}
+
+// gramHash mixes the packed trigram abc into a bitmap index (Knuth
+// multiplicative hashing, top bits of the 32-bit product).
+func gramHash(a, b, c byte) uint32 {
+	return (uint32(a)<<16 | uint32(b)<<8 | uint32(c)) * 2654435761 >> (32 - gramBitsLog)
 }
 
-var gramSetPool = sync.Pool{New: func() any { return new(gramSet) }}
-
-func packGram(a, b, c byte) uint32 {
-	return uint32(a)<<16 | uint32(b)<<8 | uint32(c)
-}
-
-// gramSlot mixes the packed gram into a table slot (Knuth multiplicative
-// hashing; the table size is a power of two).
-func (s *gramSet) gramSlot(g uint32) uint32 {
-	return (g * 2654435761) & s.mask
-}
-
-// build fills the set with every trigram of q, reusing the previous
-// table allocation when large enough.
-func (s *gramSet) build(q string) {
-	n := len(q) - gramQ + 1
-	if n < 1 {
-		s.table = s.table[:0]
-		s.mask = 0
-		return
-	}
-	size := 1
-	for size < 2*n {
-		size <<= 1
-	}
-	if cap(s.table) < size {
-		s.table = make([]uint32, size)
-	} else {
-		s.table = s.table[:size]
-		for i := range s.table {
-			s.table[i] = 0
-		}
-	}
-	s.mask = uint32(size - 1)
-	for i := 0; i < n; i++ {
-		g := packGram(q[i], q[i+1], q[i+2])
-		slot := s.gramSlot(g)
-		for {
-			switch s.table[slot] {
-			case 0:
-				s.table[slot] = g + 1
-			case g + 1:
-			default:
-				slot = (slot + 1) & s.mask
-				continue
-			}
-			break
-		}
-	}
-}
-
-func (s *gramSet) contains(g uint32) bool {
-	if len(s.table) == 0 {
-		return false
-	}
-	slot := s.gramSlot(g)
-	for {
-		switch s.table[slot] {
-		case 0:
-			return false
-		case g + 1:
-			return true
-		}
-		slot = (slot + 1) & s.mask
+// build sets the bit of every trigram of q.
+func (s *gramBits) build(q string) {
+	for i := 0; i+gramQ <= len(q); i++ {
+		h := gramHash(q[i], q[i+1], q[i+2])
+		s[h/64] |= 1 << (h % 64)
 	}
 }
 
 // hasAtLeast reports whether at least need trigram positions of value
-// hit the set, aborting as soon as the quota is met or becomes
+// hit the bitmap, aborting as soon as the quota is met or becomes
 // unreachable.
-func (s *gramSet) hasAtLeast(value string, need int) bool {
+func (s *gramBits) hasAtLeast(value string, need int) bool {
 	positions := len(value) - gramQ + 1
 	hits := 0
 	for i := 0; i < positions; i++ {
-		if s.contains(packGram(value[i], value[i+1], value[i+2])) {
+		h := gramHash(value[i], value[i+1], value[i+2])
+		if s[h/64]&(1<<(h%64)) != 0 {
 			if hits++; hits >= need {
 				return true
 			}
@@ -120,8 +88,46 @@ func (s *gramSet) hasAtLeast(value string, need int) bool {
 	return false
 }
 
+// windowSpan is the window pass: it slides a window of n bytes over
+// query (shorter at the query's start) and counts how many of value's n
+// bytes, as a multiset, the window holds. It returns ok false when no
+// window holds n−k of them, and otherwise the range [lo, hi) from the
+// first passing end minus n to the last passing end. Callers need
+// 0 < k < n.
+func windowSpan(value, query string, k int) (lo, hi int, ok bool) {
+	n := len(value)
+	need := n - k
+	// rem[c] is value's count of c minus the window's; have is the
+	// multiset intersection's size.
+	var rem [256]int32
+	for i := 0; i < n; i++ {
+		rem[value[i]]++
+	}
+	have, first := 0, 0
+	for j := 0; j < len(query); j++ {
+		c := query[j]
+		if rem[c] > 0 {
+			have++
+		}
+		rem[c]--
+		if j >= n {
+			c := query[j-n]
+			if rem[c]++; rem[c] > 0 {
+				have--
+			}
+		}
+		if have >= need {
+			if first == 0 {
+				first = j + 1
+			}
+			hi = j + 1
+		}
+	}
+	return max(0, first-n), hi, hi > 0
+}
+
 // checkState is the per-AnalyzeCtx scratch shared across that check's
-// matchInput calls: the span storage, the lazily-built query gram set,
+// matchInput calls: the span storage, the lazily-built trigram screen,
 // the lazily-taken reason scratch and trace bookkeeping. release must run
 // before the check returns.
 type checkState struct {
@@ -129,8 +135,9 @@ type checkState struct {
 	// few-span match keeps them on the check's stack; markings and traces
 	// copy them out.
 	spans [4]strdist.Match
-	grams *gramSet
-	built bool
+	// grams is the query's trigram screen; nil until the first input
+	// reaches it.
+	grams *gramBits
 	// reasons gathers the check's attack reasons, which leave it at their
 	// exact size; nil until the first reason.
 	reasons *[]core.Reason
@@ -140,28 +147,27 @@ type checkState struct {
 	// timed mirrors span.Active() so the prefilter only pays for clocks on
 	// traced checks.
 	timed bool
-	// prefilterNs accumulates prefilter wall time; it is a sub-portion of
-	// the check's NTI match time.
+	// prefilterNs accumulates prefilter wall time (screen and window
+	// pass); it is a sub-portion of the check's NTI match time.
 	prefilterNs int64
 	// rejected reports whether the most recent matchInput call ended at
 	// the prefilter (trace evidence).
 	rejected bool
 }
 
-func (st *checkState) ensureGrams(query string) *gramSet {
-	if !st.built {
-		st.grams = gramSetPool.Get().(*gramSet)
+func (st *checkState) ensureGrams(query string) *gramBits {
+	if st.grams == nil {
+		st.grams = gramBitsPool.Get().(*gramBits)
 		st.grams.build(query)
-		st.built = true
 	}
 	return st.grams
 }
 
 func (st *checkState) release() {
-	if st.built {
-		gramSetPool.Put(st.grams)
+	if st.grams != nil {
+		clear(st.grams[:])
+		gramBitsPool.Put(st.grams)
 		st.grams = nil
-		st.built = false
 	}
 	if st.reasons != nil {
 		// The reasons hold query text: clear them before pooling.
@@ -222,22 +228,24 @@ var (
 
 const maxPooledEvidence = 1024
 
-// prefilterReject reports whether value provably cannot produce a
-// qualifying match anywhere in query. Callers have already ruled out
-// exact occurrences (the fast path runs first).
-func (a *Analyzer) prefilterReject(value, query string, st *checkState) bool {
-	kEff := strdist.MaxQualifyingDistance(len(value), a.threshold, len(query))
-	if kEff <= 0 {
+// candidateRange runs the prefilter on a pair that has no exact
+// occurrence (the fast path runs first): ok is false when value provably
+// cannot produce a qualifying match anywhere in query, and otherwise
+// every qualifying match lies in query[lo:hi].
+func (a *Analyzer) candidateRange(value, query string, st *checkState) (lo, hi int, ok bool) {
+	k := strdist.MaxQualifyingDistance(len(value), a.threshold, len(query))
+	if k <= 0 {
 		// Only exact occurrences could stay under the threshold, and the
 		// fast path found none.
-		return true
+		return 0, 0, false
 	}
-	if len(value) < gramQ {
-		return false
+	if k >= len(value) {
+		// Any window holds the n−k ≤ 0 bytes needed.
+		return 0, len(query), true
 	}
-	need := (len(value) - gramQ + 1) - gramQ*kEff
-	if need <= 0 {
-		return false
+	if need := (len(value) - gramQ + 1) - gramQ*k; need > 0 &&
+		!st.ensureGrams(query).hasAtLeast(value, need) {
+		return 0, 0, false
 	}
-	return !st.ensureGrams(query).hasAtLeast(value, need)
+	return windowSpan(value, query, k)
 }

@@ -24,14 +24,17 @@ func TestAnalyzeTracedRecordsInputEvidence(t *testing.T) {
 	inputs := []Input{
 		{Source: "get", Name: "id", Value: "-1 OR 1=1"},
 		{Source: "get", Name: "page", Value: "zzzzzz-no-match-zzzzzz"},
+		// Its trigrams are all in the query, but no window of the query
+		// holds enough of its bytes: the window pass rejects it.
+		{Source: "get", Name: "s", Value: "LIMIT 5 SELECT * FROM"},
 	}
 	span := tracedSpan(t, tr, query)
 	res, _ := a.AnalyzeCtx(context.Background(), query, nil, inputs, span)
 	if !res.Attack {
 		t.Fatal("tautology must be an attack")
 	}
-	if len(span.Inputs) != 2 {
-		t.Fatalf("span recorded %d inputs, want 2", len(span.Inputs))
+	if len(span.Inputs) != 3 {
+		t.Fatalf("span recorded %d inputs, want 3", len(span.Inputs))
 	}
 	hit := span.Inputs[0]
 	if !hit.Matched || hit.Source != "get:id" {
@@ -48,6 +51,12 @@ func TestAnalyzeTracedRecordsInputEvidence(t *testing.T) {
 	}
 	if !span.Inputs[1].PrefilterRejected {
 		t.Fatal("hopeless input should carry prefilter-reject evidence")
+	}
+	if in := span.Inputs[2]; in.Matched || !in.PrefilterRejected {
+		t.Fatalf("window-rejected input evidence = %+v", in)
+	}
+	if st := a.Stats(); st.PrefilterChecks != 2 || st.PrefilterRejects != 2 {
+		t.Fatalf("prefilter checks/rejects = %d/%d, want 2/2", st.PrefilterChecks, st.PrefilterRejects)
 	}
 	if span.NTIPrefilterNs <= 0 {
 		t.Fatal("prefilter duration not accumulated")

@@ -1,6 +1,9 @@
 package sqltoken
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Dialect selects the SQL grammar family the lexer applies: quote and
 // escape semantics, placeholder syntax, comment rules and the
@@ -165,16 +168,35 @@ func (d Dialect) spec() *dialectSpec {
 
 // Lex tokenizes query under dialect d. Like Lex, it never fails: malformed
 // input produces Unterminated or KindInvalid tokens, because a defense must
-// be able to reason about queries an attacker deliberately malformed.
+// be able to reason about queries an attacker deliberately malformed. The
+// result is one allocation of exactly the stream's length: the lex runs in
+// pooled scratch, which is cleared before it is pooled again because the
+// tokens hold query text.
 func (d Dialect) Lex(query string) []Token {
-	return d.AppendLex(nil, query)
+	p := lexScratch.Get().(*[]Token)
+	toks := d.AppendLex((*p)[:0], query)
+	out := make([]Token, len(toks))
+	copy(out, toks)
+	clear(toks)
+	if cap(toks) <= maxPooledLex {
+		*p = toks[:0]
+		lexScratch.Put(p)
+	}
+	return out
 }
+
+// lexScratch holds Lex's scratch streams; one grown past maxPooledLex
+// tokens is left to the collector.
+var lexScratch = sync.Pool{New: func() any { return new([]Token) }}
+
+const maxPooledLex = 4096
 
 // AppendLex appends the tokens of query under d to dst and returns the
 // extended slice, so a caller holding a buffer (a pooled per-check state,
 // say) lexes without allocating once the buffer is big enough. With a
-// zero-capacity dst it sizes one new slice for the query, as Lex does.
-// The result is never nil, so nil can mean "not lexed".
+// zero-capacity dst it sizes one new slice for the query with headroom
+// (len(query)/4+4 tokens). The result is never nil, so nil can mean "not
+// lexed".
 func (d Dialect) AppendLex(dst []Token, query string) []Token {
 	if cap(dst) == 0 {
 		dst = make([]Token, 0, len(query)/4+4)

@@ -2,9 +2,11 @@ package sqltoken
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // seedKeywords and seedFunctions are verbatim copies of the single shared
@@ -427,5 +429,49 @@ func TestDialectContainsSQLToken(t *testing.T) {
 	// And the free function stays MySQL.
 	if ContainsSQLToken("$$x$$") {
 		t.Error("ContainsSQLToken must keep MySQL semantics")
+	}
+}
+
+// TestLexAllocatesExactSize pins Lex's one allocation at the stream's
+// length: wp-write's 352-byte comment INSERT lexes to 18 tokens, and a
+// lex sized for the query's bytes would hold 92. AppendLex into a
+// caller's zero-capacity buffer keeps that headroom.
+func TestLexAllocatesExactSize(t *testing.T) {
+	q := "INSERT INTO comments (post_id, author, body) VALUES (17, 'tellus', '" +
+		strings.Repeat("lorem travel notes security coffee ", 9)[:282] + "')"
+	if len(q) != 352 {
+		t.Fatalf("query is %d bytes, want 352", len(q))
+	}
+	for _, d := range Dialects() {
+		toks := d.Lex(q)
+		if len(toks) != 18 || cap(toks) != len(toks) {
+			t.Fatalf("%s: Lex returned len %d cap %d, want 18 and 18", d, len(toks), cap(toks))
+		}
+		if !reflect.DeepEqual(toks, d.AppendLex(nil, q)) {
+			t.Fatalf("%s: Lex and AppendLex disagree", d)
+		}
+		if got, want := cap(d.AppendLex(nil, q)), len(q)/4+4; got != want {
+			t.Fatalf("%s: AppendLex into a nil buffer has cap %d, want %d", d, got, want)
+		}
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = MySQL.Lex(q) }); n != 1 {
+		t.Fatalf("Lex allocates %.1f times, want 1", n)
+	}
+	// The one allocation is the 18-token slice, rounded up to its size
+	// class at most.
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		_ = MySQL.Lex(q)
+	}
+	runtime.ReadMemStats(&after)
+	exact := 18 * int(unsafe.Sizeof(Token{}))
+	if per := int(after.TotalAlloc-before.TotalAlloc) / runs; per < exact || per > exact+exact/8 {
+		t.Fatalf("Lex allocates %d bytes per call, want %d (18 tokens) up to its size class", per, exact)
 	}
 }

@@ -67,7 +67,7 @@ func putWords(p *[]uint64) { wordPool.Put(p) }
 // d < threshold·n/(1−threshold); and L ≤ m caps d < threshold·m. Any
 // candidate above the returned bound provably cannot satisfy the
 // threshold — the pruning fact behind both the bit-parallel scan cap and
-// NTI's q-gram prefilter. A result of 0 means only exact occurrences can
+// NTI's prefilter. A result of 0 means only exact occurrences can
 // qualify.
 func MaxQualifyingDistance(n int, threshold float64, m int) int {
 	if n == 0 || m == 0 || threshold <= 0 {

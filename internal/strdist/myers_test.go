@@ -381,3 +381,26 @@ func min3(a, b, c int) int {
 	}
 	return a
 }
+
+// BenchmarkBitParallelShortInput is the single-word scan on the shape
+// most NTI matcher calls take: a short form value that misses a query a
+// hundred-odd bytes long, so the call is the scan and its setup.
+func BenchmarkBitParallelShortInput(b *testing.B) {
+	const (
+		input = "garden ideas" // 12 bytes
+		query = "SELECT ID, title FROM wp_posts WHERE post_type = 'post' " +
+			"AND post_status = 'publish' AND post_title LIKE '%gd%'" // 110 bytes
+	)
+	if len(input) != 12 || len(query) != 110 {
+		b.Fatalf("shape %d×%d, want 12×110", len(input), len(query))
+	}
+	ctx := context.Background()
+	b.Run("n=12/m=110", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, found, _, _ := BitParallelThresholdBudgetCtx(ctx, input, query, 0.2, 0); found {
+				b.Fatal("unexpected match")
+			}
+		}
+	})
+}

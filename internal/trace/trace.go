@@ -40,8 +40,9 @@ type InputMatch struct {
 	MatchNs int64 `json:"matchNs"`
 	// Matched reports whether a span under the threshold was found.
 	Matched bool `json:"matched"`
-	// PrefilterRejected reports that the q-gram prefilter proved no
-	// qualifying match could exist, so no matcher ran for this input.
+	// PrefilterRejected reports that the prefilter (trigram screen or
+	// window pass) proved no qualifying match could exist, so no matcher
+	// ran for this input.
 	PrefilterRejected bool `json:"prefilterRejected,omitempty"`
 	// Start and End delimit the tainted span of the query when Matched.
 	Start int `json:"start,omitempty"`
@@ -95,8 +96,8 @@ type Span struct {
 	PTICoverNs int64 `json:"ptiCoverNs,omitempty"`
 	// NTIMatchNs is the summed per-input approximate-match time.
 	NTIMatchNs int64 `json:"ntiMatchNs,omitempty"`
-	// NTIPrefilterNs is the portion of NTIMatchNs spent in the q-gram
-	// prefilter (gram-set build plus per-input counting).
+	// NTIPrefilterNs is the portion of NTIMatchNs spent in the prefilter
+	// (trigram bitmap build, per-input trigram counting and window pass).
 	NTIPrefilterNs int64 `json:"ntiPrefilterNs,omitempty"`
 	// ProfileNs is time spent in the query-skeleton profile stage
 	// (skeleton normalization plus the profile lookup).
@@ -174,8 +175,8 @@ func (s *Span) NTIMatch(d time.Duration) {
 	s.NTIMatchNs += int64(d)
 }
 
-// NTIPrefilter adds q-gram prefilter time (a sub-portion of the match
-// time recorded via AddInput).
+// NTIPrefilter adds prefilter time (a sub-portion of the match time
+// recorded via AddInput).
 func (s *Span) NTIPrefilter(d time.Duration) {
 	if s == nil {
 		return
