@@ -123,8 +123,8 @@ type State struct {
 	// so pooled States build skeletons without allocating.
 	skeletonBuf []byte
 
-	// memo is the skeleton memo of the PTI query-cache entry this check
-	// hit; zero on a miss, a structure-cache hit, or without a PTI stage.
+	// memo is the skeleton memo of the PTI cache entry this check hit;
+	// zero on a miss or without a PTI stage.
 	// reset clears it, so a pooled State pins no cache entry.
 	memo pti.SkeletonMemo
 }

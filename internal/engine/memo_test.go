@@ -15,8 +15,14 @@ import (
 	"joza/internal/sqltoken"
 )
 
-// memoFragments covers the test queries, so PTI caches them as safe.
-var memoFragments = []string{"SELECT * FROM posts WHERE id=", " LIMIT 5", "SELECT title FROM posts WHERE id IN ("}
+// memoFragments covers the test queries, so PTI caches them as safe: a
+// post lookup, an IN-list, and the shapes of a comment INSERT and a
+// title search.
+var memoFragments = []string{
+	"SELECT * FROM posts WHERE id=", " LIMIT 5", "SELECT title FROM posts WHERE id IN (",
+	"INSERT INTO comments (post_id, author, body) VALUES (", ", '", "', '", "')",
+	"SELECT id, title FROM posts WHERE title LIKE '%", "%' LIMIT 10",
+}
 
 // tokensSeen returns a stage that records the token stream earlier stages
 // published, standing in for NTI: nil means no stage lexed.
@@ -70,10 +76,53 @@ func TestProfileStageSkeletonMemo(t *testing.T) {
 	check("hit, learning", "learned", true)
 }
 
+// TestStructureHitSkeletonMemo walks the memo through a structure-cache
+// entry: comment INSERTs that differ only in their values. The first
+// misses; the second hits the structure, finds its memo empty and fills
+// it, and the query entry its hit promoted, which got no skeleton, fills
+// its own at its first hit. The third hits the filled structure memo, and
+// the query entry it promotes carries it, so that entry's first hit
+// answers without a lex.
+func TestStructureHitSkeletonMemo(t *testing.T) {
+	const site = "wp:comment-insert"
+	insert := func(id int, author, body string) string {
+		return fmt.Sprintf("INSERT INTO comments (post_id, author, body) VALUES (%d, '%s', '%s')", id, author, body)
+	}
+	first, second, third := insert(768, "dolor", "tellus notes"), insert(789, "update", "vitae morning coffee"), insert(5, "amet", "x")
+	want := profile.SkeletonDialect(sqltoken.MySQL, first)
+	rec := profile.NewRecorder()
+	rec.Record(site, first)
+	cached := pti.NewCached(pti.New(fragments.NewSet(memoFragments)), pti.CacheQueryAndStructure, 16)
+	var toks []sqltoken.Token
+	e := New(&Snapshot{PTI: cached, Analyzers: []Analyzer{PTIStage{Analyzer: cached}, ProfileStage{Store: rec.Store()}, tokensSeen(&toks)}})
+	check := func(step, query string, wantLex bool) {
+		t.Helper()
+		v, err := e.Check(context.Background(), Request{Query: query, Site: site})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Skeleton != want || v.ProfileOutcome != "seen" {
+			t.Fatalf("%s: skeleton %q (%s), want %q (seen)", step, v.Skeleton, v.ProfileOutcome, want)
+		}
+		if lexed := toks != nil; lexed != wantLex {
+			t.Fatalf("%s: lexed %v, want %v", step, lexed, wantLex)
+		}
+	}
+	check("miss", first, true)
+	check("structure hit, memo empty", second, true)
+	check("promoted entry's first hit, memo empty", second, true)
+	check("promoted entry's second hit", second, false)
+	check("structure hit, memo set", third, true)
+	check("promoted entry carrying the memo", third, false)
+	if st := cached.Stats(); st.StructureHits != 2 || st.QueryHits != 3 || st.Misses != 1 {
+		t.Fatalf("cache stats %+v, want 2 structure hits, 3 query hits, 1 miss", st)
+	}
+}
+
 // FuzzSkeletonMemo runs newline-separated query sequences, twice, through
 // a sited pipeline with both PTI caches (the Guard's default), four
-// entries each, so structure hits occur and evictions fall between a
-// memo's fill and its reads. Every verdict's attack bit and
+// entries each, so structure hits occur, hand out the structure entry's
+// memo, and evictions fall between a memo's fill and its reads. Every verdict's attack bit and
 // profile evidence must equal those of a pipeline without a query cache
 // (and so without memos), and every served skeleton must be
 // profile.SkeletonDialect of its query. The store is trained on the
@@ -83,6 +132,23 @@ func FuzzSkeletonMemo(f *testing.F) {
 	f.Add(uint8(0), "SELECT title FROM posts WHERE id IN (1, 2)\nSELECT title FROM posts WHERE id IN (1, 2, 3)\nSELECT * FROM posts WHERE id=1 OR 1=1 LIMIT 5")
 	f.Add(uint8(1), "SELECT * FROM posts WHERE id=$$x$$ LIMIT 5\nSELECT * FROM posts WHERE id='a' LIMIT 5")
 	f.Add(uint8(2), "SELECT * FROM posts WHERE id=\"x\" LIMIT 5\n\nSELECT * FROM posts WHERE id=1 LIMIT 5")
+	// Same-structure runs, whose later lines hit the structure cache: wp
+	// comment INSERTs, title searches, and an IN-list whose length changes
+	// the structure but not the skeleton.
+	f.Add(uint8(0), "INSERT INTO comments (post_id, author, body) VALUES (768, 'dolor', 'tellus notes')\n"+
+		"INSERT INTO comments (post_id, author, body) VALUES (789, 'update', 'vitae morning')\n"+
+		"INSERT INTO comments (post_id, author, body) VALUES (585, 'coffee', 'integer security')\n"+
+		"INSERT INTO comments (post_id, author, body) VALUES (768, 'dolor', 'tellus notes')")
+	f.Add(uint8(0), "SELECT id, title FROM posts WHERE title LIKE '%elit%' LIMIT 10\n"+
+		"SELECT id, title FROM posts WHERE title LIKE '%amet%' LIMIT 10\n"+
+		"SELECT id, title FROM posts WHERE title LIKE '%x' OR 1=1 -- %' LIMIT 10\n"+
+		"SELECT id, title FROM posts WHERE title LIKE '%lorem%' LIMIT 10")
+	f.Add(uint8(1), "INSERT INTO comments (post_id, author, body) VALUES (1, 'a', 'b')\n"+
+		"INSERT INTO comments (post_id, author, body) VALUES (2, E'c', 'd')\n"+
+		"INSERT INTO comments (post_id, author, body) VALUES (3, 'e', $$f$$)\n"+
+		"INSERT INTO comments (post_id, author, body) VALUES (4, 'g', 'h')")
+	f.Add(uint8(2), "SELECT title FROM posts WHERE id IN (1, 2)\nSELECT title FROM posts WHERE id IN (3, 4)\n"+
+		"SELECT title FROM posts WHERE id IN (5)\nSELECT title FROM posts WHERE id IN (6)")
 	f.Fuzz(func(t *testing.T, dialect uint8, seq string) {
 		ds := sqltoken.Dialects()
 		d := ds[int(dialect)%len(ds)]
@@ -206,5 +272,54 @@ func TestSkeletonMemoConcurrent(t *testing.T) {
 	wg.Wait()
 	if cached.Stats().QueryHits == 0 {
 		t.Fatal("no check hit the query cache")
+	}
+}
+
+// TestCacheCountersAgree runs a scripted mix of misses, query hits,
+// structure hits, attacks and evictions through a sited pipeline, and
+// requires every counter view to agree: the cache's query hits are the
+// sum of its query shards' hits; its hits and misses add up to the
+// checks the collector recorded; and one check in 16 (the collector's
+// sampling stride), starting
+// with the first, is timed.
+func TestCacheCountersAgree(t *testing.T) {
+	const site = "wp:comment-insert"
+	rec := profile.NewRecorder()
+	cached := pti.NewCached(pti.New(fragments.NewSet(memoFragments)), pti.CacheQueryAndStructure, 8)
+	e := New(&Snapshot{PTI: cached, Analyzers: []Analyzer{PTIStage{Analyzer: cached}, ProfileStage{Store: rec.Store()}}})
+	var script []string
+	for i := 0; i < 40; i++ {
+		script = append(script,
+			fmt.Sprintf("INSERT INTO comments (post_id, author, body) VALUES (%d, 'a%d', 'b')", i%12, i%12), // structure hits, then query hits
+			"SELECT * FROM posts WHERE id=7 LIMIT 5",                                                        // query hits
+			fmt.Sprintf("SELECT * FROM posts WHERE id=%d OR 1=1 LIMIT 5", i),                                // attacks: never cached
+			"SELECT * FROM posts WHERE id=\x00 LIMIT 5",                                                     // a NUL skips the structure cache
+		)
+	}
+	for _, q := range script {
+		if _, err := e.Check(context.Background(), Request{Query: q, Site: site}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := cached.Stats()
+	shards, _ := cached.ShardStats()
+	var shardHits, shardMisses uint64
+	for _, sh := range shards {
+		shardHits += sh.Hits
+		shardMisses += sh.Misses
+	}
+	checks := e.Collector().Snapshot()
+	n := uint64(len(script))
+	if st.QueryHits != shardHits || shardHits+shardMisses != n {
+		t.Fatalf("query hits %d, shard hits %d and misses %d over %d checks", st.QueryHits, shardHits, shardMisses, n)
+	}
+	if st.QueryHits+st.StructureHits+st.Misses != n || checks.Checks != n {
+		t.Fatalf("cache %+v adds up to %d, collector counted %d, script ran %d", st, st.QueryHits+st.StructureHits+st.Misses, checks.Checks, n)
+	}
+	if st.QueryHits == 0 || st.StructureHits == 0 || st.Misses == 0 {
+		t.Fatalf("cache %+v: the mix must hit both caches and miss", st)
+	}
+	if want := (n + 15) / 16; checks.LatencyCount != want {
+		t.Fatalf("%d checks timed of %d, want %d", checks.LatencyCount, n, want)
 	}
 }

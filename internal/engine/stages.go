@@ -12,13 +12,14 @@ import (
 )
 
 // PTIStage runs cached positive taint inference. It publishes the lex it
-// produces (on cache misses, into the State's token storage) so later
-// stages reuse the token stream instead of lexing again. A query-cache
-// hit publishes no tokens; it hands the State the hit entry's skeleton
-// memo instead, which the profile stage reads and fills, and NTI lexes
-// lazily only if an input's match could hold a critical token. A
-// structure-cache hit hands no memo: its key normalizes the query
-// differently from the skeleton.
+// produces (on structure-cache hits and misses, into the State's token
+// storage) so later stages reuse the token stream instead of lexing
+// again. A hit of either cache hands the State the hit entry's skeleton
+// memo, which the profile stage reads and fills: a structure entry's
+// skeleton serves every query of its structure, because the skeleton is
+// a function of the dialect and the structure key (pti.SkeletonMemo). A
+// query-cache hit publishes no tokens, and NTI lexes lazily only if an
+// input's match could hold a critical token.
 type PTIStage struct {
 	Analyzer *pti.Cached
 }
@@ -85,9 +86,9 @@ func hasInputValues(inputs []nti.Input) bool {
 // identity is the profile key, and the stage cannot say anything without
 // one.
 //
-// In enforcement under the request's dialect, a PTI query-cache hit
-// answers the skeleton from the entry's memo: the lookup runs against the
-// current store with no lex and no skeleton build. A memo may outlive a
+// In enforcement under the request's dialect, a PTI cache hit (query or
+// structure) answers the skeleton from the entry's memo: the lookup runs
+// against the current store with no lex and no skeleton build. A memo may outlive a
 // store swap, because skeleton text does not depend on the store. Without
 // a memo, the stage builds its skeleton from the token stream an earlier
 // stage published, or lexes into the State's token storage and publishes

@@ -157,7 +157,6 @@ type Collector struct {
 	panics         atomic.Uint64
 	overBudget     atomic.Uint64
 	shed           atomic.Uint64
-	sampleTick     atomic.Uint64
 	latency        Histogram
 	stages         [numStages]Histogram
 }
@@ -176,8 +175,11 @@ const sampleEvery = 16
 // on µs-scale hot paths bracket the check with a clock read only when it
 // returns true and pass a negative duration to RecordCheck otherwise;
 // callers whose per-request cost dwarfs the clock just time every request.
+// The stride reads the recorded-check count, which RecordCheck advances
+// anyway, so sampling costs a load and no read-modify-write; checks
+// running at once may share a count and so a decision.
 func (c *Collector) SampleLatency() bool {
-	return (c.sampleTick.Add(1)-1)%sampleEvery == 0
+	return c.checks.Load()%sampleEvery == 0
 }
 
 // RecordCheck records one completed check, attributing the attack bit per

@@ -511,31 +511,8 @@ func (a *Analyzer) matchInput(ctx context.Context, value, query string, st *chec
 	// Overlapping or adjacent occurrences coalesce into one region — a
 	// 1-byte value against a repetitive query marks covered stretches, not
 	// one marking per position.
-	if idx := strings.Index(query, value); idx >= 0 {
-		budget := a.dpCellBudget
-		out := append(st.spans[:0], strdist.Match{Start: idx, End: idx + len(value)})
-		for from := idx; ; {
-			nxt := strings.Index(query[from+1:], value)
-			if nxt < 0 {
-				break
-			}
-			if budget > 0 {
-				if budget -= nxt + len(value); budget <= 0 {
-					return nil, fmt.Errorf("nti: exact-occurrence scan against %d-byte query: %w",
-						len(query), core.ErrOverBudget)
-				}
-			}
-			from = from + 1 + nxt
-			if last := &out[len(out)-1]; from <= last.End {
-				last.End = from + len(value)
-				continue
-			}
-			if len(out) >= maxExactRegions {
-				break
-			}
-			out = append(out, strdist.Match{Start: from, End: from + len(value)})
-		}
-		return out, nil
+	if p0 := strings.Index(query, value); p0 >= 0 {
+		return exactSpans(value, query, p0, a.dpCellBudget, st.spans[:0])
 	}
 	// Pruning heuristic: if even a full-length match of the whole query
 	// cannot get the ratio under threshold (input much longer than query),
@@ -613,18 +590,15 @@ func inertSpans(inert *[256]bool, query string, spans []strdist.Match) bool {
 }
 
 // addAttackReasons adds to the check's reasons one per critical token
-// fully contained in the matched span sp, provided sp covers at least one
-// whole SQL token. With nil toks (an unlexed query) it adds nothing. The
+// fully contained in the matched span sp; a span containing no whole SQL
+// token adds none. With nil toks (an unlexed query) it adds nothing. The
 // reasons leave Input empty for the caller to attribute. The reason
 // scratch is taken from its pool at the first reason, so a match without
-// one costs only the token scan.
+// one costs only a binary search and the tokens inside the span.
 func (st *checkState) addAttackReasons(toks []sqltoken.Token, sp strdist.Match, critical func(sqltoken.Token) bool) {
-	if !sqltoken.CoversWholeToken(toks, sp.Start, sp.End) {
-		return
-	}
-	m := sqltoken.Span{Start: sp.Start, End: sp.End}
-	for _, t := range toks {
-		if critical(t) && m.Contains(t.Span()) {
+	width := sp.End - sp.Start
+	for _, t := range sqltoken.TokensWithin(toks, sp.Start, sp.End) {
+		if critical(t) {
 			if st.reasons == nil {
 				st.reasons = reasonBufs.Get().(*[]core.Reason)
 			}
@@ -632,7 +606,7 @@ func (st *checkState) addAttackReasons(toks []sqltoken.Token, sp strdist.Match, 
 				Token:    t,
 				Kind:     core.ReasonNTI,
 				Distance: sp.Distance,
-				Width:    m.Len(),
+				Width:    width,
 			})
 		}
 	}

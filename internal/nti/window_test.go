@@ -2,6 +2,7 @@ package nti
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -160,4 +161,26 @@ func FuzzWindowFilter(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReleasedScreenIsZero builds the trigram screen over random queries
+// of many lengths and requires release to hand the bitmap back to its
+// pool all zero, so the next check's screen holds only its own query.
+func TestReleasedScreenIsZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const alphabet = "SELECT *FROMWHERE=',()abcdefghijklmnopqrstuvwxyz0123456789 "
+	for i := 0; i < 500; i++ {
+		q := make([]byte, rng.Intn(600))
+		for j := range q {
+			q[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		var st checkState
+		g := st.ensureGrams(string(q))
+		st.release()
+		for w, bits := range g {
+			if bits != 0 {
+				t.Fatalf("%d-byte query: released screen word %d = %#x, want 0", len(q), w, bits)
+			}
+		}
+	}
 }

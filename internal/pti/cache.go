@@ -16,9 +16,10 @@ import (
 )
 
 // lru is a minimal thread-safe LRU map from composite (dialect, string)
-// keys to a value of type V. The query cache holds V = string, the
-// entry's skeleton memo ("" until one is set); the structure cache holds
-// V = []valuePin, the literal values a verdict depends on (nil for none).
+// keys to a value of type V, each entry also carrying a skeleton memo
+// (SkeletonMemo). The query cache holds V = struct{}: an entry's key is
+// its whole verdict. The structure cache holds V = []valuePin, the
+// literal values a verdict depends on (nil for none).
 //
 // The map is keyed by the key's hash (lruKey.h), computed once by the
 // caller. The entries whose keys share a hash hang off its bucket along
@@ -33,28 +34,21 @@ type lru[V any] struct {
 	tail  *lruEntry[V]            // least recent
 }
 
-// lruEntry is one cached key. The query cache's entry (V = string) fills
-// the 64-byte size class exactly: key 24 B, value 16 B, prev/next 16 B,
-// chain 8 B; the structure cache's (V = []valuePin) takes 72 B of the
-// 80-byte class. Every field is read and written under the owning lru's
+// lruEntry is one cached key. The query cache's entry (V = struct{}) fills
+// the 64-byte size class exactly: key 24 B, skeleton 16 B, prev/next 16 B,
+// chain 8 B; the structure cache's (V = []valuePin) takes 88 B of the
+// 96-byte class. Every field is read and written under the owning lru's
 // mutex.
 type lruEntry[V any] struct {
-	key        lruKey
-	val        V
+	key lruKey
+	val V
+	// skeleton is the entry's skeleton memo: the profile skeleton of every
+	// query the key stands for, "" until a hit's SkeletonMemo sets it. A
+	// put to the key keeps it; a recycled entry starts over.
+	skeleton   string
 	prev, next *lruEntry[V]
 	// chain is the next entry in the bucket of this entry's key hash.
 	chain *lruEntry[V]
-}
-
-// lruRef names an entry of a shard, so a later write to its value can
-// take the shard's lock. The entry may be evicted meanwhile, and a put at
-// capacity recycles the evicted entry for another key, so an evicted
-// entry can become reachable again under a different key. A write through
-// a ref must therefore check under the lock that the entry still holds
-// the key the ref was taken for (SkeletonMemo.Set).
-type lruRef[V any] struct {
-	c *lru[V]
-	e *lruEntry[V]
 }
 
 // init readies an empty lru holding at most capacity entries (1024 when
@@ -76,10 +70,20 @@ func (c *lru[V]) find(k lruKey) *lruEntry[V] {
 	return e
 }
 
+// memo writes the SkeletonMemo of e, which holds k, to *m unless m is
+// nil; the caller holds the lock. The memo goes straight to where the
+// caller keeps it: returned by value it would cost every hit a copy.
+func (c *lru[V]) memo(e *lruEntry[V], k lruKey, m *SkeletonMemo) {
+	if m != nil {
+		*m = SkeletonMemo{mu: &c.mu, slot: &e.skeleton, held: &e.key, key: k, skeleton: e.skeleton}
+	}
+}
+
 // getBytes returns the value of the key whose string is key and hash h,
-// and marks it most recent. The entries of a bucket share its hash, so
-// only the strings compare.
-func (c *lru[V]) getBytes(h uint64, key []byte) (V, bool) {
+// writes its SkeletonMemo to *m (see memo), and marks it most recent. The
+// entries of a bucket share its hash, so only the strings compare; the
+// memo names the entry by its own key, so the probe builds no string.
+func (c *lru[V]) getBytes(h uint64, key []byte, m *SkeletonMemo) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.items[h]
@@ -91,32 +95,37 @@ func (c *lru[V]) getBytes(h uint64, key []byte) (V, bool) {
 		return zero, false
 	}
 	c.moveToFront(e)
+	c.memo(e, e.key, m)
 	return e.val, true
 }
 
-// get returns the value of k and a ref to its entry, and marks it most
-// recent.
-func (c *lru[V]) get(k lruKey) (V, lruRef[V], bool) {
+// get returns the value of k, writes its SkeletonMemo to *m (see memo),
+// and marks it most recent.
+func (c *lru[V]) get(k lruKey, m *SkeletonMemo) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.find(k)
 	if e == nil {
 		var zero V
-		return zero, lruRef[V]{}, false
+		return zero, false
 	}
 	c.moveToFront(e)
-	return e.val, lruRef[V]{c: c, e: e}, true
+	c.memo(e, k, m)
+	return e.val, true
 }
 
-// put sets the value of k and marks it most recent. A new key at
-// capacity evicts the least recent entry and takes it over, so a cache
-// that is full allocates no entry (see lruRef for what that asks of a
-// ref).
-func (c *lru[V]) put(k lruKey, val V) {
+// put sets the value of k, memoizes skeleton on it unless it holds one
+// ("" sets none), and marks it most recent. A new key at capacity evicts
+// the least recent entry and takes it over, so a cache that is full
+// allocates no entry (see SkeletonMemo for what that asks of a memo).
+func (c *lru[V]) put(k lruKey, val V, skeleton string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e := c.find(k); e != nil {
 		e.val = val
+		if e.skeleton == "" {
+			e.skeleton = skeleton
+		}
 		c.moveToFront(e)
 		return
 	}
@@ -129,7 +138,7 @@ func (c *lru[V]) put(k lruKey, val V) {
 		c.unlink(e)
 		c.unchain(e)
 	}
-	*e = lruEntry[V]{key: k, val: val, chain: c.items[k.h]}
+	*e = lruEntry[V]{key: k, val: val, skeleton: skeleton, chain: c.items[k.h]}
 	c.items[k.h] = e
 	c.pushFront(e)
 }
@@ -192,16 +201,30 @@ func (c *lru[V]) moveToFront(e *lruEntry[V]) {
 	c.pushFront(e)
 }
 
-// SkeletonMemo is the query-skeleton memo of one query-cache entry, which
-// AnalyzeBuf hands out on a query-cache hit. The skeleton is a function
-// of the entry's key, (dialect, query) — profile.SkeletonDialect — so a
-// warm sited check can look its skeleton up without lexing. The zero
-// value holds no entry: Skeleton returns "" and Set does nothing.
+// SkeletonMemo is the query-skeleton memo of the cache entry a hit found,
+// which AnalyzeBuf hands out on a query-cache or structure-cache hit, so a
+// warm sited check can look its skeleton up without lexing.
+//
+// A query-cache entry's skeleton is a function of its key, (dialect,
+// query): it is profile.SkeletonDialect of the query. A structure-cache
+// entry's is one only because the skeleton is also a function of
+// (dialect, structure key): the key keeps every token that is not a
+// literal verbatim, and the skeleton reduces every literal to a marker by
+// its kind alone (FuzzSkeletonIsFunctionOfStructureKey).
+//
+// The memo names its entry by pointers into it, whatever the cache's
+// value type. The entry may be evicted after the hit, and a put at
+// capacity recycles the evicted entry for another key, so an evicted
+// entry can become reachable again under a different key: Set therefore
+// checks under the shard's lock that the entry still holds the key it
+// held at the hit.
+//
+// The zero value holds no entry: Skeleton returns "" and Set does nothing.
 type SkeletonMemo struct {
-	ref lruRef[string]
-	// key is the entry's key at the hit; Set writes only while the entry
-	// still holds it.
-	key      lruKey
+	mu       *sync.Mutex // the entry's shard lock
+	slot     *string     // the entry's skeleton
+	held     *lruKey     // the entry's key
+	key      lruKey      // the key the entry held at the hit
 	skeleton string
 }
 
@@ -210,19 +233,18 @@ type SkeletonMemo struct {
 func (m *SkeletonMemo) Skeleton() string { return m.skeleton }
 
 // Set memoizes skeleton on the entry unless it already holds one, or no
-// longer holds the hit query: an entry evicted since the hit may have
-// been recycled for another query, whose memo it must not take. The
-// caller must pass the entry's skeleton: the profile skeleton of the hit
-// query under the cache's dialect.
+// longer holds the hit's key: an entry evicted since the hit may have
+// been recycled for another key, whose memo it must not take. The caller
+// must pass the hit query's profile skeleton under the cache's dialect.
 func (m *SkeletonMemo) Set(skeleton string) {
-	if m.ref.e == nil || m.skeleton != "" {
+	if m.slot == nil || m.skeleton != "" {
 		return
 	}
-	m.ref.c.mu.Lock()
-	if e := m.ref.e; e.val == "" && e.key == m.key {
-		e.val = skeleton
+	m.mu.Lock()
+	if *m.slot == "" && *m.held == m.key {
+		*m.slot = skeleton
 	}
-	m.ref.c.mu.Unlock()
+	m.mu.Unlock()
 	m.skeleton = skeleton
 }
 
@@ -274,10 +296,12 @@ type Cached struct {
 	analyzer *Analyzer
 	mode     CacheMode
 	dialect  sqltoken.Dialect
-	queries  *shardedLRU[string]
+	queries  *shardedLRU[struct{}]
 	structs  *shardedLRU[[]valuePin]
 
-	queryHits     atomic.Uint64
+	// The query cache's hits are its shards' hit counts (Stats); a
+	// structure probe also hits when its pins fail, so structure hits
+	// keep their own count.
 	structureHits atomic.Uint64
 	misses        atomic.Uint64
 }
@@ -287,7 +311,7 @@ func NewCached(analyzer *Analyzer, mode CacheMode, capacity int) *Cached {
 	c := &Cached{analyzer: analyzer, mode: mode, dialect: analyzer.Dialect()}
 	nShards := defaultShardCount()
 	if mode == CacheQuery || mode == CacheQueryAndStructure {
-		c.queries = newShardedLRU[string](capacity, nShards)
+		c.queries = newShardedLRU[struct{}](capacity, nShards)
 	}
 	if mode == CacheQueryAndStructure {
 		c.structs = newShardedLRU[[]valuePin](capacity, nShards)
@@ -353,8 +377,9 @@ func (c *Cached) AnalyzeLazyCtx(ctx context.Context, query string, toks []sqltok
 // never handed back as a lex.
 //
 // memo, when not nil, receives the hit entry's SkeletonMemo on a
-// query-cache hit and is left alone otherwise: a structure-cache hit or a
-// miss has no entry for the query, and a put never memoizes.
+// query-cache or structure-cache hit and is left alone on a miss, which
+// puts entries without memoizing. A structure hit promotes the query into
+// the query cache with the structure entry's skeleton, when it holds one.
 //
 // When span is non-nil it records the cache outcome (query-hit,
 // structure-hit, miss), the lazy-lex and fragment-cover durations, and
@@ -380,11 +405,7 @@ func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.T
 	var qkey lruKey
 	if c.queries != nil {
 		qkey = makeKey(c.dialect, query)
-		if sk, ref, ok := c.queries.get(qkey); ok {
-			if memo != nil {
-				*memo = SkeletonMemo{ref: ref, key: qkey, skeleton: sk}
-			}
-			c.queryHits.Add(1)
+		if _, ok := c.queries.get(qkey, memo); ok {
 			span.SetCacheOutcome(trace.CacheQueryHit)
 			res.Analyzer = core.AnalyzerPTI
 			return toks, nil
@@ -403,12 +424,17 @@ func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.T
 		defer releaseKeyBuf(structKey)
 		*structKey = sqlparse.AppendStructureKey((*structKey)[:0], query, toks)
 		structH = bytesHash(c.dialect, *structKey)
-		if pins, ok := c.structs.getBytes(structH, *structKey); ok && pinsHold(pins, toks) {
+		var m SkeletonMemo
+		if pins, ok := c.structs.getBytes(structH, *structKey, &m); ok && pinsHold(pins, toks) {
 			c.structureHits.Add(1)
 			span.SetCacheOutcome(trace.CacheStructureHit)
-			// Promote into the exact-query cache for next time.
+			// Promote into the exact-query cache for next time, with the
+			// skeleton memo the entry holds.
 			if c.queries != nil {
-				c.queries.put(qkey, "")
+				c.queries.put(qkey, struct{}{}, m.skeleton)
+			}
+			if memo != nil {
+				*memo = m
 			}
 			res.Analyzer = core.AnalyzerPTI
 			return toks, nil
@@ -433,10 +459,10 @@ func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.T
 	}
 	if !res.Attack {
 		if c.queries != nil {
-			c.queries.put(qkey, "")
+			c.queries.put(qkey, struct{}{}, "")
 		}
 		if structKey != nil {
-			c.structs.put(lruKey{h: structH, key: string(*structKey)}, pinsFor(toks, res.Markings))
+			c.structs.put(lruKey{h: structH, key: string(*structKey)}, pinsFor(toks, res.Markings), "")
 		}
 	}
 	return toks, nil
@@ -562,13 +588,17 @@ func pinsHold(pins []valuePin, toks []sqltoken.Token) bool {
 	return true
 }
 
-// Stats returns a snapshot of cache counters.
+// Stats returns a snapshot of cache counters. QueryHits sums the query
+// cache's shard hit counters, which count exactly its hits.
 func (c *Cached) Stats() CacheStats {
-	return CacheStats{
-		QueryHits:     c.queryHits.Load(),
+	st := CacheStats{
 		StructureHits: c.structureHits.Load(),
 		Misses:        c.misses.Load(),
 	}
+	if c.queries != nil {
+		st.QueryHits = c.queries.hits()
+	}
+	return st
 }
 
 // ShardStats returns per-shard hit/miss/occupancy counters for the query

@@ -24,19 +24,19 @@ func newTestLRU[V any](capacity int) *lru[V] {
 
 func TestLRUBasics(t *testing.T) {
 	c := newTestLRU[[]valuePin](2)
-	c.put(mk("a"), nil)
-	c.put(mk("b"), nil)
-	if _, _, ok := c.get(mk("a")); !ok {
+	c.put(mk("a"), nil, "")
+	c.put(mk("b"), nil, "")
+	if _, ok := c.get(mk("a"), nil); !ok {
 		t.Error("a missing")
 	}
-	c.put(mk("c"), nil) // evicts b (a was touched)
-	if _, _, ok := c.get(mk("b")); ok {
+	c.put(mk("c"), nil, "") // evicts b (a was touched)
+	if _, ok := c.get(mk("b"), nil); ok {
 		t.Error("b should be evicted")
 	}
-	if _, _, ok := c.get(mk("a")); !ok {
+	if _, ok := c.get(mk("a"), nil); !ok {
 		t.Error("a should remain")
 	}
-	if _, _, ok := c.get(mk("c")); !ok {
+	if _, ok := c.get(mk("c"), nil); !ok {
 		t.Error("c should remain")
 	}
 	if c.len() != 2 {
@@ -44,8 +44,8 @@ func TestLRUBasics(t *testing.T) {
 	}
 	// Overwrite updates value.
 	pins := []valuePin{{text: "5"}}
-	c.put(mk("a"), pins)
-	if v, _, ok := c.get(mk("a")); !ok || len(v) != 1 {
+	c.put(mk("a"), pins, "")
+	if v, ok := c.get(mk("a"), nil); !ok || len(v) != 1 {
 		t.Error("overwrite failed")
 	}
 }
@@ -53,7 +53,7 @@ func TestLRUBasics(t *testing.T) {
 func TestLRUDefaultCapacity(t *testing.T) {
 	c := newTestLRU[[]valuePin](0)
 	for i := 0; i < 2000; i++ {
-		c.put(mk(fmt.Sprintf("k%d", i)), nil)
+		c.put(mk(fmt.Sprintf("k%d", i)), nil, "")
 	}
 	if c.len() != 1024 {
 		t.Errorf("len = %d, want 1024", c.len())
@@ -69,8 +69,8 @@ func TestLRUConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := mk(fmt.Sprintf("k%d", (seed+i)%100))
-				c.put(key, nil)
-				c.get(key)
+				c.put(key, nil, "")
+				c.get(key, nil)
 			}
 		}(g)
 	}

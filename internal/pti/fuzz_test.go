@@ -31,10 +31,12 @@ var fuzzFragments = []string{
 // guards against — a case-folding structure key let a covered lowercase
 // query certify its uncovered uppercase twin as safe.
 //
-// The skeleton memo rides along as the profile stage drives it: only a
-// query-cache hit hands one out, a memo served on a hit must equal
-// profile.SkeletonDialect of the query, and an empty one is filled with
-// it. The small capacity puts evictions between fill and read.
+// The skeleton memo rides along as the profile stage drives it: a hit of
+// either cache, and only a hit, hands one out, a memo served on a hit
+// must equal profile.SkeletonDialect of the query (for a structure hit,
+// the skeleton some other query of its structure filled in), and an
+// empty one is filled with it. The small capacity puts evictions between
+// fill and read.
 func FuzzCacheSoundness(f *testing.F) {
 	f.Add(uint8(0), "select * from records where id=1\nSELECT * FROM records WHERE ID=1\nSELECT * FROM RECORDS WHERE ID=1")
 	f.Add(uint8(0), "SELECT * FROM records WHERE ID=5 LIMIT 5\nSELECT * FROM records WHERE ID=-1 UNION SELECT 1 LIMIT 5\nSELECT * FROM records WHERE ID=6 LIMIT 5")
@@ -58,7 +60,7 @@ func FuzzCacheSoundness(f *testing.F) {
 			for pass := 0; pass < 2; pass++ {
 				for _, q := range queries {
 					var memo SkeletonMemo
-					hits := c.Stats().QueryHits
+					before := c.Stats()
 					var got core.Result
 					_, err := c.AnalyzeBuf(context.Background(), q, nil, &buf, &memo, nil, &got)
 					want := oracle.Analyze(q, nil)
@@ -66,8 +68,10 @@ func FuzzCacheSoundness(f *testing.F) {
 						t.Fatalf("%s %s pass %d, query %q: cached attack=%v reasons=%v err=%v, uncached attack=%v reasons=%v",
 							d, mode, pass, q, got.Attack, got.Reasons, err, want.Attack, want.Reasons)
 					}
-					if hit := c.Stats().QueryHits > hits; hit != (memo.ref.e != nil) {
-						t.Fatalf("%s %s query %q: query-cache hit %v, memo handed %v", d, mode, q, hit, memo.ref.e != nil)
+					after := c.Stats()
+					hit := after.QueryHits > before.QueryHits || after.StructureHits > before.StructureHits
+					if handed := memo != (SkeletonMemo{}); hit != handed {
+						t.Fatalf("%s %s query %q: cache hit %v, memo handed %v", d, mode, q, hit, handed)
 					}
 					sk := profile.SkeletonDialect(d, q)
 					if served := memo.Skeleton(); served != "" && served != sk {

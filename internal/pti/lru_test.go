@@ -67,25 +67,25 @@ func TestLRUCollisionChains(t *testing.T) {
 	pgA := ck(sqltoken.Postgres, "a")                                  // same text, other dialect
 	t.Run("get and update", func(t *testing.T) {
 		c := newTestLRU[int](8)
-		c.put(a, 1)
-		c.put(b, 2)
-		c.put(c3, 3)
-		c.put(pgA, 4)
+		c.put(a, 1, "")
+		c.put(b, 2, "")
+		c.put(c3, 3, "")
+		c.put(pgA, 4, "")
 		for k, want := range map[lruKey]int{a: 1, b: 2, c3: 3, pgA: 4} {
-			if got, _, ok := c.get(k); !ok || got != want {
+			if got, ok := c.get(k, nil); !ok || got != want {
 				t.Fatalf("get %v = %d, %v; want %d", k, got, ok, want)
 			}
 		}
 		for _, k := range []lruKey{ck(my, "e"), d} {
-			if _, _, ok := c.get(k); ok {
+			if _, ok := c.get(k, nil); ok {
 				t.Fatalf("get %v hit a colliding key", k)
 			}
 		}
-		c.put(b, 20)
-		if got, _, ok := c.get(b); !ok || got != 20 || c.len() != 4 {
+		c.put(b, 20, "")
+		if got, ok := c.get(b, nil); !ok || got != 20 || c.len() != 4 {
 			t.Fatalf("update: get b = %d, %v; len %d", got, ok, c.len())
 		}
-		if got, _, _ := c.get(a); got != 1 {
+		if got, _ := c.get(a, nil); got != 1 {
 			t.Fatalf("update of b changed a to %d", got)
 		}
 		checkLRU(t, c)
@@ -104,19 +104,19 @@ func TestLRUCollisionChains(t *testing.T) {
 	} {
 		t.Run("evict "+tc.name, func(t *testing.T) {
 			c := newTestLRU[int](3)
-			c.put(a, 1)
-			c.put(b, 2)
-			c.put(c3, 3)
+			c.put(a, 1, "")
+			c.put(b, 2, "")
+			c.put(c3, 3, "")
 			for _, k := range tc.touch {
-				c.get(k)
+				c.get(k, nil)
 			}
-			c.put(d, 4)
+			c.put(d, 4, "")
 			checkLRU(t, c)
-			if _, _, ok := c.get(tc.victim); ok {
+			if _, ok := c.get(tc.victim, nil); ok {
 				t.Fatalf("%v survived eviction", tc.victim)
 			}
 			for i, k := range append(tc.touch, d) {
-				if _, _, ok := c.get(k); !ok {
+				if _, ok := c.get(k, nil); !ok {
 					t.Fatalf("key %d (%v) evicted instead of %v", i, k, tc.victim)
 				}
 			}
@@ -129,42 +129,87 @@ func TestLRUCollisionChains(t *testing.T) {
 
 // TestSkeletonMemoRecycledEntry: a put at capacity reuses the evicted
 // entry, so a memo taken before the eviction names an entry that now
-// holds another query. Set must leave that query's memo empty. Once the
-// memo's own query holds the entry again, the write is its own and lands.
+// holds another key. The recycled entry must not hand out the evicted
+// key's skeleton, and the stale memo's Set must leave the new key's memo
+// empty. Once the memo's own key holds the entry again, the write is its
+// own and lands. Query entries and structure entries (probed by bytes, as
+// a structure hit does) behave alike.
 func TestSkeletonMemoRecycledEntry(t *testing.T) {
-	c := newTestLRU[string](1)
+	t.Run("query entry", func(t *testing.T) {
+		c := newTestLRU[struct{}](1)
+		checkRecycledMemo(t, c, func(k lruKey) (m SkeletonMemo, ok bool) {
+			_, ok = c.get(k, &m)
+			return m, ok
+		})
+	})
+	t.Run("structure entry", func(t *testing.T) {
+		c := newTestLRU[[]valuePin](1)
+		checkRecycledMemo(t, c, func(k lruKey) (m SkeletonMemo, ok bool) {
+			_, ok = c.getBytes(k.h, []byte(k.key), &m)
+			return m, ok
+		})
+	})
+}
+
+// checkRecycledMemo runs TestSkeletonMemoRecycledEntry on the one-entry
+// lru c, whose hits hit returns with the memo they hand out.
+func checkRecycledMemo[V any](t *testing.T, c *lru[V], hit func(lruKey) (SkeletonMemo, bool)) {
+	t.Helper()
+	var val V
 	a, b := ck(sqltoken.MySQL, "a"), ck(sqltoken.MySQL, "b")
-	c.put(a, "")
-	sk, ref, ok := c.get(a)
+	skeleton := func(k lruKey) (string, bool) {
+		m, ok := hit(k)
+		return m.Skeleton(), ok
+	}
+	c.put(a, val, "")
+	filled, ok := hit(a)
 	if !ok {
 		t.Fatal("a missing")
 	}
-	memo := SkeletonMemo{ref: ref, key: a, skeleton: sk}
-	c.put(b, "")
-	if c.head != ref.e {
-		t.Fatal("the put at capacity did not reuse the evicted entry")
+	filled.Set("skeleton of a")
+	if sk, _ := skeleton(a); sk != "skeleton of a" {
+		t.Fatalf("a's memo = %q after Set, want a's skeleton", sk)
 	}
-	memo.Set("skeleton of a")
-	if got, _, ok := c.get(b); !ok || got != "" {
-		t.Fatalf("b's memo = %q (present %v), want empty", got, ok)
-	}
-	if memo.Skeleton() != "skeleton of a" {
-		t.Fatalf("the memo serves %q to its own check, want a's skeleton", memo.Skeleton())
+	c.put(b, val, "")
+	if sk, ok := skeleton(b); !ok || sk != "" {
+		t.Fatalf("b in a's recycled entry: memo %q (present %v), want empty", sk, ok)
 	}
 
-	c.put(a, "")
-	again := SkeletonMemo{ref: ref, key: a}
+	c.put(a, val, "")
+	stale, _ := hit(a)
+	again := stale // an unwritten copy, for when a holds the entry again
+	c.put(b, val, "")
+	if stale.slot != &c.head.skeleton {
+		t.Fatal("the put at capacity did not reuse the evicted entry")
+	}
+	stale.Set("skeleton of a")
+	if sk, ok := skeleton(b); !ok || sk != "" {
+		t.Fatalf("b's memo = %q (present %v) after a stale Set, want empty", sk, ok)
+	}
+	if stale.Skeleton() != "skeleton of a" {
+		t.Fatalf("the memo serves %q to its own check, want a's skeleton", stale.Skeleton())
+	}
+
+	c.put(a, val, "")
 	again.Set("skeleton of a")
-	if got, _, _ := c.get(a); got != "skeleton of a" {
-		t.Fatalf("a back in the memo's entry: memo %q, want a's skeleton", got)
+	if sk, _ := skeleton(a); sk != "skeleton of a" {
+		t.Fatalf("a back in the memo's entry: memo %q, want a's skeleton", sk)
 	}
 }
 
 // TestQueryCacheEntrySize pins the query-cache entry in the 64-byte size
 // class.
 func TestQueryCacheEntrySize(t *testing.T) {
-	if n := unsafe.Sizeof(lruEntry[string]{}); n > 64 {
+	if n := unsafe.Sizeof(lruEntry[struct{}]{}); n > 64 {
 		t.Fatalf("query-cache entry is %d bytes, want at most 64", n)
+	}
+}
+
+// TestSkeletonMemoSize pins the memo a hit copies into the check's
+// State at 64 bytes, which the compiler still copies inline.
+func TestSkeletonMemoSize(t *testing.T) {
+	if n := unsafe.Sizeof(SkeletonMemo{}); n > 64 {
+		t.Fatalf("SkeletonMemo is %d bytes, want at most 64", n)
 	}
 }
 
@@ -194,7 +239,7 @@ type modelLRU struct {
 
 type modelEntry struct {
 	key lruKey
-	val string
+	val string // the skeleton memo
 	id  int
 }
 
@@ -207,11 +252,13 @@ func (m *modelLRU) get(k lruKey) (*modelEntry, bool) {
 	return el.Value.(*modelEntry), true
 }
 
-// put sets k's value and returns its entry's id and whether the entry is
-// new or recycled.
+// put memoizes val on k's entry unless it holds a memo, and returns its
+// entry's id and whether the entry is new or recycled.
 func (m *modelLRU) put(k lruKey, val string) (id int, fresh bool) {
 	if el, ok := m.items[k]; ok {
-		el.Value.(*modelEntry).val = val
+		if e := el.Value.(*modelEntry); e.val == "" {
+			e.val = val
+		}
 		m.order.MoveToFront(el)
 		return el.Value.(*modelEntry).id, false
 	}
@@ -229,8 +276,8 @@ func (m *modelLRU) put(k lruKey, val string) (id int, fresh bool) {
 }
 
 // setMemo is SkeletonMemo.Set on the model: a memo taken from entry id
-// while it held key with an empty value writes skeleton only while the
-// entry still holds key and no value.
+// while it held key with an empty memo writes skeleton only while the
+// entry still holds key and no memo.
 func (m *modelLRU) setMemo(id int, key lruKey, skeleton string) {
 	for el := m.order.Front(); el != nil; el = el.Next() {
 		if e := el.Value.(*modelEntry); e.id == id && e.key == key && e.val == "" {
@@ -241,13 +288,13 @@ func (m *modelLRU) setMemo(id int, key lruKey, skeleton string) {
 
 // FuzzLRUModel runs a byte-coded sequence of gets, puts and memo writes
 // against the query cache's lru and the reference model: every get must
-// agree, and after every operation the lru's recency order and values
+// agree, and after every operation the lru's recency order and memos
 // must equal the model's, with each entry the same object the model's id
 // names (so a put at capacity reuses the evicted entry), and its
 // structure must hold. The first byte sets the capacity; each later byte
 // is one operation on one of 16 keys of three lengths, which collide onto
-// two hash values: a put (high bit; bit 2 picks an empty value or a
-// skeleton), a memo write through the memo of the latest hit (low three
+// two hash values: a put (high bit; bit 2 picks an empty memo or a
+// skeleton, which a put to a memoized key leaves alone), a memo write through the memo of the latest hit (low three
 // bits set), or a get, whose hit takes a memo. A memo whose entry was
 // evicted and recycled for another key must leave that key's value alone.
 func FuzzLRUModel(f *testing.F) {
@@ -267,9 +314,9 @@ func FuzzLRUModel(f *testing.F) {
 			return
 		}
 		capacity := 1 + int(ops[0]%6)
-		c := newTestLRU[string](capacity)
+		c := newTestLRU[struct{}](capacity)
 		m := &modelLRU{cap: capacity, order: list.New(), items: make(map[lruKey]*list.Element)}
-		entries := make(map[int]*lruEntry[string]) // model id -> the lru's entry
+		entries := make(map[int]*lruEntry[struct{}]) // model id -> the lru's entry
 		var (
 			memo   SkeletonMemo
 			memoID int
@@ -282,7 +329,7 @@ func FuzzLRUModel(f *testing.F) {
 				if op&0x04 != 0 {
 					val = fmt.Sprint("skeleton ", i)
 				}
-				c.put(k, val)
+				c.put(k, struct{}{}, val)
 				id, fresh := m.put(k, val)
 				if e, seen := entries[id]; fresh && seen && e != c.head {
 					t.Fatalf("op %d: put of %v at capacity allocated an entry instead of reusing the evicted one", i, k)
@@ -290,25 +337,27 @@ func FuzzLRUModel(f *testing.F) {
 				entries[id] = c.head
 			case op&0x07 == 0x07:
 				// Set writes only through a memo taken empty, and once.
-				if memo.ref.e != nil && memo.Skeleton() == "" {
+				if memo.slot != nil && memo.Skeleton() == "" {
 					m.setMemo(memoID, memo.key, fmt.Sprint("memo ", i))
 				}
 				memo.Set(fmt.Sprint("memo ", i))
 			default:
-				got, ref, ok := c.get(k)
+				var hit SkeletonMemo
+				_, ok := c.get(k, &hit)
+				got := hit.Skeleton()
 				want, wantOK := m.get(k)
 				if ok != wantOK || ok && got != want.val {
 					t.Fatalf("op %d: get %v = %q, %v; model %+v, %v", i, k, got, ok, want, wantOK)
 				}
 				if ok {
-					memo, memoID = SkeletonMemo{ref: ref, key: k, skeleton: got}, want.id
+					memo, memoID = hit, want.id
 				}
 			}
 			checkLRU(t, c)
 			e := c.head
 			for el := m.order.Front(); el != nil; el, e = el.Next(), e.next {
 				me := el.Value.(*modelEntry)
-				if e == nil || e != entries[me.id] || e.key != me.key || e.val != me.val {
+				if e == nil || e != entries[me.id] || e.key != me.key || e.skeleton != me.val {
 					t.Fatalf("op %d: the lru differs from the model at %+v", i, me)
 				}
 			}

@@ -119,19 +119,20 @@ func (s *shardedLRU[V]) shard(h uint64) *lruShard[V] {
 	return &s.shards[(h>>8)&s.mask]
 }
 
-// get returns the value of k and a ref to its entry.
-func (s *shardedLRU[V]) get(k lruKey) (V, lruRef[V], bool) {
+// get returns the value of k and writes its SkeletonMemo to *m, unless m
+// is nil.
+func (s *shardedLRU[V]) get(k lruKey, m *SkeletonMemo) (V, bool) {
 	sh := s.shard(k.h)
-	val, ref, ok := sh.lru.get(k)
+	val, ok := sh.lru.get(k, m)
 	sh.count(ok)
-	return val, ref, ok
+	return val, ok
 }
 
-// getBytes returns the value of the key whose string is key and hash h
-// (bytesHash), so a probe that misses builds no string.
-func (s *shardedLRU[V]) getBytes(h uint64, key []byte) (V, bool) {
+// getBytes is get for the key whose string is key and hash h (bytesHash),
+// so a probe that misses builds no string.
+func (s *shardedLRU[V]) getBytes(h uint64, key []byte, m *SkeletonMemo) (V, bool) {
 	sh := s.shard(h)
-	val, ok := sh.lru.getBytes(h, key)
+	val, ok := sh.lru.getBytes(h, key, m)
 	sh.count(ok)
 	return val, ok
 }
@@ -144,8 +145,17 @@ func (sh *lruShard[V]) count(hit bool) {
 	}
 }
 
-func (s *shardedLRU[V]) put(k lruKey, val V) {
-	s.shard(k.h).lru.put(k, val)
+func (s *shardedLRU[V]) put(k lruKey, val V, skeleton string) {
+	s.shard(k.h).lru.put(k, val, skeleton)
+}
+
+// hits returns the hits counted over all shards.
+func (s *shardedLRU[V]) hits() uint64 {
+	var n uint64
+	for i := range s.shards {
+		n += s.shards[i].hits.Load()
+	}
+	return n
 }
 
 func (s *shardedLRU[V]) len() int {

@@ -28,17 +28,17 @@ func TestShardedLRUBasics(t *testing.T) {
 		t.Fatalf("shards = %d", len(s.shards))
 	}
 	for i := 0; i < 32; i++ {
-		s.put(makeKey(sqltoken.MySQL, fmt.Sprintf("key-%d", i)), nil)
+		s.put(makeKey(sqltoken.MySQL, fmt.Sprintf("key-%d", i)), nil, "")
 	}
 	if s.len() != 32 {
 		t.Errorf("len = %d, want 32", s.len())
 	}
 	for i := 0; i < 32; i++ {
-		if _, _, ok := s.get(makeKey(sqltoken.MySQL, fmt.Sprintf("key-%d", i))); !ok {
+		if _, ok := s.get(makeKey(sqltoken.MySQL, fmt.Sprintf("key-%d", i)), nil); !ok {
 			t.Errorf("key-%d missing", i)
 		}
 	}
-	if _, _, ok := s.get(makeKey(sqltoken.MySQL, "absent")); ok {
+	if _, ok := s.get(makeKey(sqltoken.MySQL, "absent"), nil); ok {
 		t.Error("absent key found")
 	}
 	var hits, misses uint64
@@ -54,7 +54,7 @@ func TestShardedLRUBasics(t *testing.T) {
 func TestShardedLRUDistributesKeys(t *testing.T) {
 	s := newShardedLRU[[]valuePin](4096, 8)
 	for i := 0; i < 4000; i++ {
-		s.put(makeKey(sqltoken.MySQL, fmt.Sprintf("SELECT * FROM t WHERE id=%d", i)), nil)
+		s.put(makeKey(sqltoken.MySQL, fmt.Sprintf("SELECT * FROM t WHERE id=%d", i)), nil, "")
 	}
 	occupied := 0
 	for _, st := range s.stats() {
@@ -72,7 +72,7 @@ func TestShardedLRUCapacitySplit(t *testing.T) {
 	// capacity must keep the total bounded by capacity (+rounding).
 	s := newShardedLRU[[]valuePin](64, 8)
 	for i := 0; i < 10000; i++ {
-		s.put(makeKey(sqltoken.MySQL, fmt.Sprintf("key-%d", i)), nil)
+		s.put(makeKey(sqltoken.MySQL, fmt.Sprintf("key-%d", i)), nil, "")
 	}
 	if got := s.len(); got > 64 {
 		t.Errorf("len = %d exceeds total capacity 64", got)
@@ -83,8 +83,8 @@ func TestShardedLRUEvictionPerShard(t *testing.T) {
 	// One-entry shards: any second key hashing to the same shard evicts
 	// the first.
 	s := newShardedLRU[[]valuePin](8, 8)
-	s.put(makeKey(sqltoken.MySQL, "a"), nil)
-	s.put(makeKey(sqltoken.MySQL, "b"), nil)
+	s.put(makeKey(sqltoken.MySQL, "a"), nil, "")
+	s.put(makeKey(sqltoken.MySQL, "b"), nil, "")
 	if s.len() > 8 {
 		t.Errorf("len = %d", s.len())
 	}
@@ -104,9 +104,9 @@ func TestShardedLRUConcurrentChurn(t *testing.T) {
 				key := fmt.Sprintf("key-%d", (seed*13+i)%100)
 				d := sqltoken.Dialect(seed % 3)
 				if i%3 == 0 {
-					s.put(makeKey(d, key), nil)
+					s.put(makeKey(d, key), nil, "")
 				} else {
-					s.get(makeKey(d, key))
+					s.get(makeKey(d, key), nil)
 				}
 			}
 		}(g)
@@ -180,19 +180,19 @@ func TestHashKeySpread(t *testing.T) {
 func TestShardedLRUDialectNamespaces(t *testing.T) {
 	s := newShardedLRU[[]valuePin](256, 8)
 	key := "SELECT * FROM t WHERE a = $q$x$q$"
-	s.put(makeKey(sqltoken.MySQL, key), nil)
-	if _, _, ok := s.get(makeKey(sqltoken.Postgres, key)); ok {
+	s.put(makeKey(sqltoken.MySQL, key), nil, "")
+	if _, ok := s.get(makeKey(sqltoken.Postgres, key), nil); ok {
 		t.Fatal("Postgres lookup served a MySQL-cached verdict")
 	}
-	if _, _, ok := s.get(makeKey(sqltoken.SQLite, key)); ok {
+	if _, ok := s.get(makeKey(sqltoken.SQLite, key), nil); ok {
 		t.Fatal("SQLite lookup served a MySQL-cached verdict")
 	}
-	if _, _, ok := s.get(makeKey(sqltoken.MySQL, key)); !ok {
+	if _, ok := s.get(makeKey(sqltoken.MySQL, key), nil); !ok {
 		t.Fatal("MySQL entry lost")
 	}
 	// Same string under all three dialects: three independent entries.
-	s.put(makeKey(sqltoken.Postgres, key), nil)
-	s.put(makeKey(sqltoken.SQLite, key), nil)
+	s.put(makeKey(sqltoken.Postgres, key), nil, "")
+	s.put(makeKey(sqltoken.SQLite, key), nil, "")
 	if got := s.len(); got != 3 {
 		t.Fatalf("len = %d, want 3 independent entries", got)
 	}

@@ -548,11 +548,28 @@ func ContainsSQLToken(s string) bool {
 // tokens are toks fully contains at least one whole token. NTI requires a
 // matched input to cover at least one whole SQL token before its markings
 // can indicate an attack, to suppress false positives from very short inputs.
+// toks must be a lex of the query, as TokensWithin requires.
 func CoversWholeToken(toks []Token, start, end int) bool {
-	for _, t := range toks {
-		if t.Start >= start && t.End <= end {
-			return true
+	return len(TokensWithin(toks, start, end)) > 0
+}
+
+// TokensWithin returns the run of toks that lie wholly inside the span
+// [start, end), in lex order. toks must be a lex of the query: tokens in
+// ascending, non-overlapping order, so their ends ascend with their
+// starts. A binary search finds the first token starting at or after
+// start; the run ends at the first token ending past end.
+func TokensWithin(toks []Token, start, end int) []Token {
+	lo, hi := 0, len(toks)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); toks[m].Start < start {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	return false
+	hi = lo
+	for hi < len(toks) && toks[hi].End <= end {
+		hi++
+	}
+	return toks[lo:hi]
 }

@@ -271,6 +271,48 @@ func TestCoversWholeToken(t *testing.T) {
 	}
 }
 
+// FuzzTokensWithin is the differential test of the bounded token scans:
+// over every span of the query, lexed under each dialect, TokensWithin
+// must return exactly the tokens a scan of the whole stream finds inside
+// the span, in order, and CoversWholeToken must agree with that scan.
+func FuzzTokensWithin(f *testing.F) {
+	for _, q := range []string{
+		"SELECT id FROM t WHERE id=-1 OR 1=1",
+		"INSERT INTO comments (post_id, author, body) VALUES (768, 'dolor', 'tellus dolor')",
+		"SELECT * FROM t WHERE a = 'x' /* c */ AND b = $$y$$ -- tail",
+		"SELECT 1e5, 0x1F, `a b`, \"q\" FROM t WHERE s = E'a\\'b'",
+		"'unterminated",
+		"",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		if len(q) > 96 {
+			q = q[:96]
+		}
+		for _, d := range Dialects() {
+			toks := d.Lex(q)
+			for start := 0; start <= len(q)+1; start++ {
+				for end := start - 1; end <= len(q)+1; end++ {
+					var want []Token
+					for _, tok := range toks {
+						if tok.Start >= start && tok.End <= end {
+							want = append(want, tok)
+						}
+					}
+					got := TokensWithin(toks, start, end)
+					if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s %q [%d,%d): TokensWithin %v, full scan %v", d, q, start, end, got, want)
+					}
+					if CoversWholeToken(toks, start, end) != (len(want) > 0) {
+						t.Fatalf("%s %q [%d,%d): CoversWholeToken disagrees with the full scan", d, q, start, end)
+					}
+				}
+			}
+		}
+	})
+}
+
 func TestSpanOps(t *testing.T) {
 	a := Span{Start: 2, End: 10}
 	if !a.Contains(Span{Start: 3, End: 9}) || !a.Contains(a) {

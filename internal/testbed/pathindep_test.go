@@ -62,15 +62,22 @@ func (d *pathDiff) Authorize(ctx context.Context, req joza.Request) error {
 
 // verdictDiff compares the parts of a verdict that must not depend on the
 // path a check took: the attack bit, each analyzer's attribution and
-// reasons, and the NTI markings, which both paths compute in process. Not
-// compared: the PTI cover markings, evidence the analyze reply does not
-// carry, and snapshot versions, since the test daemon is unversioned.
+// reasons, the NTI markings, which every path computes in process, and
+// the profile evidence (the query's skeleton and the lookup outcome),
+// which a cache hit may answer from a skeleton memo. Not compared: the PTI
+// cover markings, evidence the analyze reply does not carry and a cache
+// hit does not recompute, and snapshot versions, since the test daemon is
+// unversioned.
 func verdictDiff(want, got core.Verdict) string {
 	if !reflect.DeepEqual(want.NTI.Markings, got.NTI.Markings) {
-		return fmt.Sprintf("NTI markings\n  in process:   %+v\n  over the wire: %+v", want.NTI.Markings, got.NTI.Markings)
+		return fmt.Sprintf("NTI markings\n  first path: %+v\n  this path:  %+v", want.NTI.Markings, got.NTI.Markings)
 	}
 	if want.Attack != got.Attack {
-		return fmt.Sprintf("attack %v in process, %v over the wire", want.Attack, got.Attack)
+		return fmt.Sprintf("attack %v on the first path, %v on this one", want.Attack, got.Attack)
+	}
+	if want.Skeleton != got.Skeleton || want.ProfileOutcome != got.ProfileOutcome {
+		return fmt.Sprintf("profile evidence %q (%s) on the first path, %q (%s) on this one",
+			want.Skeleton, want.ProfileOutcome, got.Skeleton, got.ProfileOutcome)
 	}
 	for _, r := range []struct {
 		name      string
@@ -81,10 +88,10 @@ func verdictDiff(want, got core.Verdict) string {
 		{core.AnalyzerProfile, want.Profile, got.Profile},
 	} {
 		if r.want.Attack != r.got.Attack {
-			return fmt.Sprintf("%s attack %v in process, %v over the wire", r.name, r.want.Attack, r.got.Attack)
+			return fmt.Sprintf("%s attack %v on the first path, %v on this one", r.name, r.want.Attack, r.got.Attack)
 		}
 		if len(r.want.Reasons)+len(r.got.Reasons) > 0 && !reflect.DeepEqual(r.want.Reasons, r.got.Reasons) {
-			return fmt.Sprintf("%s reasons\n  in process:   %+v\n  over the wire: %+v", r.name, r.want.Reasons, r.got.Reasons)
+			return fmt.Sprintf("%s reasons\n  first path: %+v\n  this path:  %+v", r.name, r.want.Reasons, r.got.Reasons)
 		}
 	}
 	return ""
@@ -177,7 +184,8 @@ func hybridOver(t *testing.T, transport daemon.Transport, d sqltoken.Dialect) *d
 
 // TestPathIndependenceDetectionMatrix runs the detection-matrix corpus —
 // 266 benign and 117 attack cases — through the in-process Guard, through
-// HybridClient→Pool→Server and, in MySQL, through a HybridClient over a
+// an uncached Guard (CacheNone: no cache hit, so no skeleton memo, on any
+// check), through HybridClient→Pool→Server and, in MySQL, through a HybridClient over a
 // micro-batching Pool (the "batch" verb), one over a micro-batching Pool
 // that sends a query past the server's request cap beside the checks,
 // and one over a 2-shard replicated ShardedPool, all with the same
@@ -228,9 +236,14 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 			pool:         besidePool,
 			query:        "SELECT id FROM posts WHERE title = '" + strings.Repeat("x", daemon.DefaultMaxRequestBytes) + "'",
 		}
+		uncached, err := joza.New(joza.WithFragmentSet(lab.Fragments), joza.WithProfileStore(store), joza.WithCacheMode(joza.CacheNone, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
 		kinds := &frameKinds{n: map[byte]int{}}
 		d := &pathDiff{paths: []namedChecker{
 			{"guard", guard},
+			{"uncached guard", uncached},
 			{"pool", hybridOver(t, pipePool(server(), sqltoken.MySQL, 0, kinds.wrap), sqltoken.MySQL)},
 			{"micro-batching pool", hybridOver(t, pipePool(batching, sqltoken.MySQL, 4, nil), sqltoken.MySQL)},
 			{"2-shard fleet", hybridOver(t, fleet, sqltoken.MySQL)},
@@ -274,9 +287,14 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		uncached, err := joza.New(joza.WithFragmentSet(lab.Fragments), joza.WithDialect(joza.DialectPostgres), joza.WithCacheMode(joza.CacheNone, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
 		analyzer := pti.NewCached(pti.New(lab.Fragments, pti.WithDialect(sqltoken.Postgres)), pti.CacheQueryAndStructure, 4096)
 		d := &pathDiff{paths: []namedChecker{
 			{"guard", guard},
+			{"uncached guard", uncached},
 			{"pool", hybridOver(t, pipePool(daemon.NewServer(analyzer), sqltoken.Postgres, 0, nil), sqltoken.Postgres)},
 		}}
 		if cases := sweep(t, d); cases != 383 {
