@@ -66,7 +66,8 @@ func commentInsert(n int) (string, []joza.Input) {
 // matches, and nothing otherwise. NTI keeps a matched input's source and
 // name apart instead of rendering a label, and gathers markings on its
 // stack; PTI probes the structure cache with a pooled key, and a put into
-// a full cache reuses the entry it evicts.
+// a full cache either records the query's first sighting in the ghost the
+// cache allocated when it filled, or reuses the entry it evicts.
 func TestWarmCheckAllocationBudget(t *testing.T) {
 	const (
 		readSite  = "wp:post"
@@ -101,8 +102,9 @@ func TestWarmCheckAllocationBudget(t *testing.T) {
 
 	// Fill the query cache with comment posts, every one past the first a
 	// structure-cache hit promoted into it, so that each further promotion
-	// evicts. Twice the capacity fills every shard. The measured posts
-	// come after them: each is new, so each hits the structure cache.
+	// meets a full cache, which turns the new query away. Twice the
+	// capacity fills every shard. The measured posts come after them: each
+	// is new, so each hits the structure cache.
 	posts := make([]joza.Request, 2*wpCacheCapacity+runs+1)
 	for i := range posts {
 		q, in := commentInsert(i)

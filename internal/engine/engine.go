@@ -289,7 +289,7 @@ func (s *Snapshot) FillMetrics(m *metrics.Snapshot) {
 		if shards, _ := s.PTI.ShardStats(); len(shards) > 0 {
 			m.CacheShards = make([]metrics.CacheShard, len(shards))
 			for i, sh := range shards {
-				m.CacheShards[i] = metrics.CacheShard{Hits: sh.Hits, Misses: sh.Misses, Entries: sh.Entries}
+				m.CacheShards[i] = metrics.CacheShard{Hits: sh.Hits, Misses: sh.Misses, Entries: sh.Entries, Rejected: sh.Rejected}
 			}
 		}
 	}

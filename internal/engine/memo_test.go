@@ -194,7 +194,8 @@ func FuzzSkeletonMemo(f *testing.F) {
 		// Recycled entries: take each query's memo at a fresh entry's
 		// first hit, churn the cache until that entry is evicted and
 		// reused for another query, then Set. The churned queries' entries
-		// must keep empty memos.
+		// must keep empty memos. A full cache admits a query only on its
+		// second sighting, so each query is checked twice to get in.
 		cached := pti.NewCached(pti.New(set, pti.WithDialect(d)), pti.CacheQueryAndStructure, 4)
 		var (
 			buf []sqltoken.Token
@@ -205,19 +206,23 @@ func FuzzSkeletonMemo(f *testing.F) {
 				t.Fatalf("%s query %q: %v", d, q, err)
 			}
 		}
+		admit := func(q string) {
+			analyze(q, nil)
+			analyze(q, nil)
+		}
 		churn := make([]string, 32)
 		for j := range churn {
 			churn[j] = fmt.Sprintf("SELECT * FROM posts WHERE id=%d LIMIT 5", j)
 		}
 		for _, q := range queries {
 			for _, r := range churn {
-				analyze(r, nil)
+				admit(r)
 			}
 			var memo pti.SkeletonMemo
-			analyze(q, nil) // a miss puts q afresh, with an empty memo
+			admit(q) // a miss puts q afresh, with an empty memo
 			analyze(q, &memo)
 			for _, r := range churn {
-				analyze(r, nil)
+				admit(r)
 			}
 			memo.Set(profile.SkeletonDialect(d, q))
 			for j := len(churn) - 1; j >= 0; j-- {

@@ -331,6 +331,9 @@ type CacheShard struct {
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
 	Entries uint64 `json:"entries"`
+	// Rejected counts the puts the full shard turned away on their key's
+	// first sighting.
+	Rejected uint64 `json:"rejected"`
 }
 
 // StageLatency is the snapshot of one pipeline stage's histogram. Stage

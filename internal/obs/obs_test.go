@@ -28,6 +28,7 @@ func testSnapshot() metrics.Snapshot {
 	s.NTIPrefilterRejects = 5
 	s.CacheQueryHits = 7
 	s.CacheMisses = 2
+	s.CacheShards = []metrics.CacheShard{{Hits: 4, Entries: 2, Rejected: 3}, {Hits: 3, Entries: 2, Rejected: 2}}
 	s.DaemonAnalyzeOps = 9
 	s.DaemonStatsOps = 1
 	return s
@@ -70,6 +71,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"joza_attacks_total 1",
 		"joza_degraded_checks_total 1",
 		`joza_pti_cache_lookups_total{outcome="query_hit"} 7`,
+		"joza_pti_cache_admission_rejects_total 5",
 		`joza_daemon_ops_total{op="analyze"} 9`,
 		"# TYPE joza_check_duration_seconds histogram",
 		`joza_check_duration_seconds_bucket{le="+Inf"} 2`,

@@ -25,6 +25,10 @@ import (
 // caller. The entries whose keys share a hash hang off its bucket along
 // their chain links, and a probe walks the chain comparing whole keys, so
 // a collision costs a compare, never a wrong hit.
+//
+// A full lru admits a new key only on its second sighting (see admit), so
+// a stream of keys that never recur, such as the INSERTs of comment
+// posts, does not evict the entries that are hit.
 type lru[V any] struct {
 	mu    sync.Mutex
 	cap   int
@@ -32,6 +36,11 @@ type lru[V any] struct {
 	items map[uint64]*lruEntry[V] // bucket heads by key hash
 	head  *lruEntry[V]            // most recent
 	tail  *lruEntry[V]            // least recent
+	// ghost holds the tags of keys a full lru turned away, one per slot
+	// (ghostSlot); nil until a put first finds the lru full, so a cache
+	// that never fills allocates none.
+	ghost    []uint32
+	rejected uint64 // puts turned away by admit
 }
 
 // lruEntry is one cached key. The query cache's entry (V = struct{}) fills
@@ -115,9 +124,10 @@ func (c *lru[V]) get(k lruKey, m *SkeletonMemo) (V, bool) {
 }
 
 // put sets the value of k, memoizes skeleton on it unless it holds one
-// ("" sets none), and marks it most recent. A new key at capacity evicts
-// the least recent entry and takes it over, so a cache that is full
-// allocates no entry (see SkeletonMemo for what that asks of a memo).
+// ("" sets none), and marks it most recent. A new key at capacity that
+// admit lets in evicts the least recent entry and takes it over, so a
+// cache that is full allocates no entry (see SkeletonMemo for what that
+// asks of a memo); one it turns away changes no entry.
 func (c *lru[V]) put(k lruKey, val V, skeleton string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -134,6 +144,10 @@ func (c *lru[V]) put(k lruKey, val V, skeleton string) {
 		e = new(lruEntry[V])
 		c.n++
 	} else {
+		if !c.admit(k.h) {
+			c.rejected++
+			return
+		}
 		e = c.tail
 		c.unlink(e)
 		c.unchain(e)
@@ -141,6 +155,36 @@ func (c *lru[V]) put(k lruKey, val V, skeleton string) {
 	*e = lruEntry[V]{key: k, val: val, skeleton: skeleton, chain: c.items[k.h]}
 	c.items[k.h] = e
 	c.pushFront(e)
+}
+
+// admit reports whether the key hashed h, which the full lru does not
+// hold, may take an entry: only when its tag waits in its ghost slot,
+// which the admission clears. Otherwise the tag takes the slot, and the
+// key gets in if it comes back before another key's tag overwrites it.
+// This is the doorkeeper of TinyLFU (Einziger et al., 2017) and the ghost
+// queue of S3-FIFO (Yang et al., SOSP 2023), one tag per entry.
+func (c *lru[V]) admit(h uint64) bool {
+	if c.ghost == nil {
+		c.ghost = make([]uint32, ceilPow2(c.cap))
+	}
+	i, tag := ghostSlot(h, len(c.ghost))
+	if c.ghost[i] == tag {
+		c.ghost[i] = 0
+		return true
+	}
+	c.ghost[i] = tag
+	return false
+}
+
+// ghostSlot returns the ghost slot of the key hashed h in a ghost of size
+// slots (a power of two), and its tag. The slot comes from the hash bits
+// above the dialect byte and the shard bits (h>>8, at most 8 bits, see
+// shardedLRU.shard), which are the same for every key of a shard; the
+// tag from the top 32 bits, with its low bit set so it never reads as an
+// empty slot. A ghost of over 2^16 slots shares bits with the tag, which
+// only weakens the tag.
+func ghostSlot(h uint64, size int) (int, uint32) {
+	return int(h>>16) & (size - 1), uint32(h>>32) | 1
 }
 
 // unchain removes e from the bucket of its key's hash.
@@ -165,6 +209,13 @@ func (c *lru[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.n
+}
+
+// counts returns the entry count and the puts admit turned away.
+func (c *lru[V]) counts() (entries int, rejected uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n, c.rejected
 }
 
 func (c *lru[V]) pushFront(e *lruEntry[V]) {
@@ -290,8 +341,9 @@ type CacheStats struct {
 // caching them would let a poisoned entry suppress detection details.
 //
 // Both caches are sharded by key hash (one mutex per shard, GOMAXPROCS
-// rounded to a power of two shards) so concurrent Analyze calls on a
-// multicore host do not serialize on a single cache lock.
+// rounded to a power of two shards, but no more shards than entries) so
+// concurrent Analyze calls on a multicore host do not serialize on a
+// single cache lock.
 type Cached struct {
 	analyzer *Analyzer
 	mode     CacheMode
@@ -380,6 +432,9 @@ func (c *Cached) AnalyzeLazyCtx(ctx context.Context, query string, toks []sqltok
 // query-cache or structure-cache hit and is left alone on a miss, which
 // puts entries without memoizing. A structure hit promotes the query into
 // the query cache with the structure entry's skeleton, when it holds one.
+// A full cache admits a put's key only on its second sighting (lru.admit),
+// so a one-shot query promoted by its structure hit, or put by its miss,
+// evicts no live entry.
 //
 // When span is non-nil it records the cache outcome (query-hit,
 // structure-hit, miss), the lazy-lex and fragment-cover durations, and
@@ -429,7 +484,8 @@ func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.T
 			c.structureHits.Add(1)
 			span.SetCacheOutcome(trace.CacheStructureHit)
 			// Promote into the exact-query cache for next time, with the
-			// skeleton memo the entry holds.
+			// skeleton memo the entry holds; a full cache takes the query
+			// only if it has seen it before.
 			if c.queries != nil {
 				c.queries.put(qkey, struct{}{}, m.skeleton)
 			}
@@ -601,8 +657,9 @@ func (c *Cached) Stats() CacheStats {
 	return st
 }
 
-// ShardStats returns per-shard hit/miss/occupancy counters for the query
-// and structure caches (nil when the respective cache is disabled).
+// ShardStats returns per-shard hit, miss, occupancy and admission-reject
+// counters for the query and structure caches (nil when the respective
+// cache is disabled).
 func (c *Cached) ShardStats() (query, structure []ShardStat) {
 	if c.queries != nil {
 		query = c.queries.stats()

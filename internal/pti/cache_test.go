@@ -22,6 +22,14 @@ func newTestLRU[V any](capacity int) *lru[V] {
 	return c
 }
 
+// putAdmitted puts k twice. A full lru turns a new key away on its first
+// sighting and admits it on the second, so a test that churns a full lru
+// to evict or recycle an entry puts each churn key through this.
+func putAdmitted[V any](c *lru[V], k lruKey, val V, skeleton string) {
+	c.put(k, val, skeleton)
+	c.put(k, val, skeleton)
+}
+
 func TestLRUBasics(t *testing.T) {
 	c := newTestLRU[[]valuePin](2)
 	c.put(mk("a"), nil, "")
@@ -29,7 +37,7 @@ func TestLRUBasics(t *testing.T) {
 	if _, ok := c.get(mk("a"), nil); !ok {
 		t.Error("a missing")
 	}
-	c.put(mk("c"), nil, "") // evicts b (a was touched)
+	putAdmitted(c, mk("c"), nil, "") // evicts b (a was touched)
 	if _, ok := c.get(mk("b"), nil); ok {
 		t.Error("b should be evicted")
 	}
@@ -69,7 +77,7 @@ func TestLRUConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := mk(fmt.Sprintf("k%d", (seed+i)%100))
-				c.put(key, nil, "")
+				putAdmitted(c, key, nil, "")
 				c.get(key, nil)
 			}
 		}(g)

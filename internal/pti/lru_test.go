@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"joza/internal/core"
+	"joza/internal/fragments"
 	"joza/internal/sqltoken"
 )
 
@@ -110,7 +111,7 @@ func TestLRUCollisionChains(t *testing.T) {
 			for _, k := range tc.touch {
 				c.get(k, nil)
 			}
-			c.put(d, 4, "")
+			putAdmitted(c, d, 4, "")
 			checkLRU(t, c)
 			if _, ok := c.get(tc.victim, nil); ok {
 				t.Fatalf("%v survived eviction", tc.victim)
@@ -125,6 +126,69 @@ func TestLRUCollisionChains(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLRUSecondSightingAdmission pins the admission rule of a full lru: a
+// new key's first sighting is turned away and evicts nothing; its second
+// evicts the least recent entry and takes it over; a put to a key the lru
+// holds always updates it; and the ghost is allocated once, when a put
+// first finds the lru full, after which churn allocates nothing.
+func TestLRUSecondSightingAdmission(t *testing.T) {
+	c := newTestLRU[int](2)
+	a, b, x := mk("a"), mk("b"), mk("x")
+	c.put(a, 1, "")
+	c.put(b, 2, "")
+	if c.ghost != nil {
+		t.Fatal("the ghost was allocated before the lru filled")
+	}
+	entryA, entryB := c.tail, c.head
+
+	c.put(x, 3, "")
+	if _, ok := c.get(x, nil); ok || c.head != entryB || c.tail != entryA || c.len() != 2 || c.rejected != 1 {
+		t.Fatalf("first sighting of x: present %v, %d entries, %d rejected, order changed %v",
+			ok, c.len(), c.rejected, c.head != entryB || c.tail != entryA)
+	}
+	if len(c.ghost) != 2 {
+		t.Fatalf("ghost of %d slots for 2 entries, want 2", len(c.ghost))
+	}
+	checkLRU(t, c)
+
+	c.put(x, 3, "")
+	if got, ok := c.get(x, nil); !ok || got != 3 || c.head != entryA || c.rejected != 1 {
+		t.Fatalf("second sighting of x: get = %d, %v; took over the tail's entry %v; %d rejected",
+			got, ok, c.head == entryA, c.rejected)
+	}
+	if _, ok := c.get(a, nil); ok {
+		t.Fatal("the least recent entry, a, survived x's admission")
+	}
+	checkLRU(t, c)
+
+	c.put(b, 20, "skeleton of b")
+	if got, ok := c.get(b, nil); !ok || got != 20 || c.head != entryB || c.find(b).skeleton != "skeleton of b" || c.rejected != 1 {
+		t.Fatalf("put to the held key b: get = %d, %v; %d rejected", got, ok, c.rejected)
+	}
+
+	ghost := &c.ghost[0]
+	keys := make([]lruKey, 64)
+	for i := range keys {
+		keys[i] = mk(fmt.Sprint("churn ", i))
+	}
+	churn := func() {
+		for _, k := range keys {
+			c.put(k, 0, "")
+		}
+		for _, k := range keys {
+			putAdmitted(c, k, 0, "")
+		}
+	}
+	churn() // also lets the map settle on its size
+	if n := testing.AllocsPerRun(50, churn); n != 0 {
+		t.Errorf("churning a full lru allocates %.1f times per run, want 0", n)
+	}
+	if &c.ghost[0] != ghost {
+		t.Error("the ghost was reallocated")
+	}
+	checkLRU(t, c)
 }
 
 // TestSkeletonMemoRecycledEntry: a put at capacity reuses the evicted
@@ -170,15 +234,15 @@ func checkRecycledMemo[V any](t *testing.T, c *lru[V], hit func(lruKey) (Skeleto
 	if sk, _ := skeleton(a); sk != "skeleton of a" {
 		t.Fatalf("a's memo = %q after Set, want a's skeleton", sk)
 	}
-	c.put(b, val, "")
+	putAdmitted(c, b, val, "")
 	if sk, ok := skeleton(b); !ok || sk != "" {
 		t.Fatalf("b in a's recycled entry: memo %q (present %v), want empty", sk, ok)
 	}
 
-	c.put(a, val, "")
+	putAdmitted(c, a, val, "")
 	stale, _ := hit(a)
 	again := stale // an unwritten copy, for when a holds the entry again
-	c.put(b, val, "")
+	putAdmitted(c, b, val, "")
 	if stale.slot != &c.head.skeleton {
 		t.Fatal("the put at capacity did not reuse the evicted entry")
 	}
@@ -190,7 +254,7 @@ func checkRecycledMemo[V any](t *testing.T, c *lru[V], hit func(lruKey) (Skeleto
 		t.Fatalf("the memo serves %q to its own check, want a's skeleton", stale.Skeleton())
 	}
 
-	c.put(a, val, "")
+	putAdmitted(c, a, val, "")
 	again.Set("skeleton of a")
 	if sk, _ := skeleton(a); sk != "skeleton of a" {
 		t.Fatalf("a back in the memo's entry: memo %q, want a's skeleton", sk)
@@ -229,12 +293,16 @@ func TestDialectsFitKeyByte(t *testing.T) {
 // modelLRU is the reference: a recency list and a map from key to list
 // element, with no hashing of its own. Each entry has an id, which a new
 // key at capacity takes over from the entry it evicts, as the lru reuses
-// the evicted entry; a memo names its entry by that id.
+// the evicted entry; a memo names its entry by that id. Its admission
+// ghost is a map from the lru's ghost slot (ghostSlot) to the tag that
+// waits there.
 type modelLRU struct {
-	cap   int
-	order *list.List // of *modelEntry, most recent first
-	items map[lruKey]*list.Element
-	ids   int
+	cap      int
+	order    *list.List // of *modelEntry, most recent first
+	items    map[lruKey]*list.Element
+	ids      int
+	ghost    map[int]uint32
+	rejected uint64
 }
 
 type modelEntry struct {
@@ -253,26 +321,35 @@ func (m *modelLRU) get(k lruKey) (*modelEntry, bool) {
 }
 
 // put memoizes val on k's entry unless it holds a memo, and returns its
-// entry's id and whether the entry is new or recycled.
-func (m *modelLRU) put(k lruKey, val string) (id int, fresh bool) {
+// entry's id and whether the entry is new or recycled; admitted is false
+// when the model is full and turns k away, k's first sighting since its
+// slot last held its tag.
+func (m *modelLRU) put(k lruKey, val string) (id int, fresh, admitted bool) {
 	if el, ok := m.items[k]; ok {
 		if e := el.Value.(*modelEntry); e.val == "" {
 			e.val = val
 		}
 		m.order.MoveToFront(el)
-		return el.Value.(*modelEntry).id, false
+		return el.Value.(*modelEntry).id, false, true
 	}
 	if m.order.Len() < m.cap {
 		id = m.ids
 		m.ids++
 	} else {
+		slot, tag := ghostSlot(k.h, ceilPow2(m.cap))
+		if m.ghost[slot] != tag {
+			m.ghost[slot] = tag
+			m.rejected++
+			return 0, false, false
+		}
+		delete(m.ghost, slot)
 		last := m.order.Back()
 		m.order.Remove(last)
 		delete(m.items, last.Value.(*modelEntry).key)
 		id = last.Value.(*modelEntry).id
 	}
 	m.items[k] = m.order.PushFront(&modelEntry{key: k, val: val, id: id})
-	return id, true
+	return id, true, true
 }
 
 // setMemo is SkeletonMemo.Set on the model: a memo taken from entry id
@@ -290,13 +367,15 @@ func (m *modelLRU) setMemo(id int, key lruKey, skeleton string) {
 // against the query cache's lru and the reference model: every get must
 // agree, and after every operation the lru's recency order and memos
 // must equal the model's, with each entry the same object the model's id
-// names (so a put at capacity reuses the evicted entry), and its
-// structure must hold. The first byte sets the capacity; each later byte
-// is one operation on one of 16 keys of three lengths, which collide onto
-// two hash values: a put (high bit; bit 2 picks an empty memo or a
-// skeleton, which a put to a memoized key leaves alone), a memo write through the memo of the latest hit (low three
-// bits set), or a get, whose hit takes a memo. A memo whose entry was
-// evicted and recycled for another key must leave that key's value alone.
+// names (so a put at capacity reuses the evicted entry), its count of
+// turned-away puts must equal the model's, and its structure must hold.
+// The first byte sets the capacity; each later byte is one operation on
+// one of 16 keys of three lengths, which collide onto eight hash values,
+// and so also onto ghost slots and tags: a put (high bit; bit 2 picks an
+// empty memo or a skeleton, which a put to a memoized key leaves alone),
+// a memo write through the memo of the latest hit (low three bits set),
+// or a get, whose hit takes a memo. A memo whose entry was evicted and
+// recycled for another key must leave that key's value alone.
 func FuzzLRUModel(f *testing.F) {
 	f.Add([]byte{2, 0x80, 0x88, 0x90, 0x00, 0x98, 0x08, 0x80})
 	f.Add([]byte{0, 0x81, 0x82, 0x83, 0x84, 0x01, 0x85})
@@ -305,9 +384,17 @@ func FuzzLRUModel(f *testing.F) {
 	// for b, then the write; and the same with a back in another entry.
 	f.Add([]byte{0, 0x80, 0x00, 0x88, 0x07, 0x08})
 	f.Add([]byte{1, 0x80, 0x88, 0x00, 0x90, 0x98, 0x80, 0x07, 0x00, 0x10, 0x18})
+	// Second sightings: a full lru admits a key put twice in a row, and a
+	// key whose tag another key's sighting overwrote only when it comes
+	// back twice more; keys 0 and 8 share a hash, 0 and 2 a slot.
+	f.Add([]byte{0, 0x80, 0x88, 0x88, 0x80, 0x90, 0x80, 0x80, 0x00, 0xc0, 0xc0, 0x40})
+	f.Add([]byte{1, 0x80, 0x88, 0x90, 0x98, 0x90, 0x98, 0x98, 0x08, 0x10, 0x18})
 	keys := make([]lruKey, 16)
 	for i := range keys {
+		// Bits 16 and 33 of the hash reach the ghost's slot and tag, so
+		// the keys of one hash value share both and the others need not.
 		keys[i] = ck(sqltoken.MySQL, fmt.Sprintf("%c%*s", 'a'+i, i%3, ""))
+		keys[i].h |= uint64(i&1)<<16 | uint64(i>>1&1)<<33
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 || len(ops) > 512 {
@@ -315,7 +402,7 @@ func FuzzLRUModel(f *testing.F) {
 		}
 		capacity := 1 + int(ops[0]%6)
 		c := newTestLRU[struct{}](capacity)
-		m := &modelLRU{cap: capacity, order: list.New(), items: make(map[lruKey]*list.Element)}
+		m := &modelLRU{cap: capacity, order: list.New(), items: make(map[lruKey]*list.Element), ghost: make(map[int]uint32)}
 		entries := make(map[int]*lruEntry[struct{}]) // model id -> the lru's entry
 		var (
 			memo   SkeletonMemo
@@ -330,7 +417,10 @@ func FuzzLRUModel(f *testing.F) {
 					val = fmt.Sprint("skeleton ", i)
 				}
 				c.put(k, struct{}{}, val)
-				id, fresh := m.put(k, val)
+				id, fresh, admitted := m.put(k, val)
+				if !admitted {
+					break
+				}
 				if e, seen := entries[id]; fresh && seen && e != c.head {
 					t.Fatalf("op %d: put of %v at capacity allocated an entry instead of reusing the evicted one", i, k)
 				}
@@ -364,6 +454,9 @@ func FuzzLRUModel(f *testing.F) {
 			if e != nil {
 				t.Fatalf("op %d: lru holds more entries than the model", i)
 			}
+			if c.rejected != m.rejected {
+				t.Fatalf("op %d: the lru turned %d puts away, the model %d", i, c.rejected, m.rejected)
+			}
 		}
 	})
 }
@@ -391,4 +484,50 @@ func BenchmarkCachedQueryHit(b *testing.B) {
 	if c.Stats().QueryHits < uint64(b.N) {
 		b.Fatalf("%d query hits over %d checks", c.Stats().QueryHits, b.N)
 	}
+}
+
+// BenchmarkCachedWriteChurn times the checks of a write-heavy stream
+// through a full query+structure cache: one-shot comment INSERTs, each a
+// structure hit whose query never recurs, alternate with reads of a
+// working set half the cache's size. It reports the fraction of checks
+// the query cache answered, which the one-shot promotions would cut if
+// they evicted the reads.
+func BenchmarkCachedWriteChurn(b *testing.B) {
+	const capacity = 1024
+	c := NewCached(New(fragments.NewSet(fuzzFragments)), CacheQueryAndStructure, capacity)
+	reads := make([]string, capacity/2)
+	for i := range reads {
+		reads[i] = fmt.Sprintf("SELECT * FROM records WHERE ID=%d LIMIT 5", i)
+	}
+	// Four times the cache in distinct INSERTs, so an INSERT comes back
+	// only after its sighting has long been overwritten.
+	inserts := make([]string, 4*capacity)
+	for i := range inserts {
+		inserts[i] = fmt.Sprintf("INSERT INTO posts (title, body) VALUES (%d, 'comment %d')", i, i)
+	}
+	ctx := context.Background()
+	var (
+		buf []sqltoken.Token
+		res core.Result
+	)
+	check := func(i int) {
+		q := reads[i/2%len(reads)]
+		if i%2 == 1 {
+			q = inserts[i/2%len(inserts)]
+		}
+		if _, err := c.AnalyzeBuf(ctx, q, nil, &buf, nil, nil, &res); err != nil || res.Attack {
+			b.Fatalf("%q: %+v, %v", q, res, err)
+		}
+	}
+	for i := 0; i < 2*len(inserts); i++ {
+		check(i)
+	}
+	before := c.Stats().QueryHits
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		check(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(c.Stats().QueryHits-before)/float64(b.N), "query-hits/op")
 }

@@ -81,6 +81,11 @@ func defaultShardCount() int {
 		n = maxShards
 	}
 	// Round up to a power of two so shard selection is a mask.
+	return ceilPow2(n)
+}
+
+// ceilPow2 returns the least power of two not below n.
+func ceilPow2(n int) int {
 	p := 1
 	for p < n {
 		p <<= 1
@@ -89,15 +94,19 @@ func defaultShardCount() int {
 }
 
 // newShardedLRU builds a sharded cache with total capacity split evenly
-// across nShards shards (nShards must be a power of two).
+// across at most nShards shards (nShards must be a power of two). The
+// shard count is capped at the largest power of two not above capacity,
+// so every shard holds at least one entry and a capacity that is a
+// multiple of the shard count is never exceeded, whatever the host's
+// GOMAXPROCS.
 func newShardedLRU[V any](capacity, nShards int) *shardedLRU[V] {
 	if capacity < 1 {
 		capacity = 1024
 	}
-	perShard := (capacity + nShards - 1) / nShards
-	if perShard < 1 {
-		perShard = 1
+	for nShards > capacity {
+		nShards >>= 1
 	}
+	perShard := (capacity + nShards - 1) / nShards
 	s := &shardedLRU[V]{
 		shards: make([]lruShard[V], nShards),
 		mask:   uint64(nShards - 1),
@@ -171,16 +180,21 @@ type ShardStat struct {
 	Hits    uint64
 	Misses  uint64
 	Entries uint64
+	// Rejected counts the puts of keys the full shard turned away on
+	// their first sighting.
+	Rejected uint64
 }
 
 // stats returns one ShardStat per shard.
 func (s *shardedLRU[V]) stats() []ShardStat {
 	out := make([]ShardStat, len(s.shards))
 	for i := range s.shards {
+		entries, rejected := s.shards[i].lru.counts()
 		out[i] = ShardStat{
-			Hits:    s.shards[i].hits.Load(),
-			Misses:  s.shards[i].misses.Load(),
-			Entries: uint64(s.shards[i].lru.len()),
+			Hits:     s.shards[i].hits.Load(),
+			Misses:   s.shards[i].misses.Load(),
+			Entries:  uint64(entries),
+			Rejected: rejected,
 		}
 	}
 	return out

@@ -77,13 +77,44 @@ func TestShardedLRUCapacitySplit(t *testing.T) {
 	if got := s.len(); got > 64 {
 		t.Errorf("len = %d exceeds total capacity 64", got)
 	}
+	// The full shards turned the one-shot keys away.
+	var rejected uint64
+	for _, st := range s.stats() {
+		rejected += st.Rejected
+	}
+	if rejected == 0 || rejected > 10000-64 {
+		t.Errorf("%d puts turned away of 10000 distinct keys into 64 entries", rejected)
+	}
+
+	// The shard count is capped at the largest power of two not above
+	// the capacity, so a small cache holds what it was configured to
+	// hold, not one entry per shard of a many-core host.
+	for _, tc := range []struct{ capacity, shards, want int }{
+		{1, 256, 1}, {4, 16, 4}, {8, 16, 8}, {64, 16, 16}, {64, 4, 4},
+	} {
+		s := newShardedLRU[[]valuePin](tc.capacity, tc.shards)
+		if len(s.shards) != tc.want {
+			t.Errorf("capacity %d over %d shards: %d shards, want %d", tc.capacity, tc.shards, len(s.shards), tc.want)
+			continue
+		}
+		for i := 0; i < 2000; i++ {
+			k := makeKey(sqltoken.MySQL, fmt.Sprintf("key-%d", i))
+			s.put(k, nil, "")
+			s.put(k, nil, "")
+		}
+		if got := s.len(); got != tc.capacity {
+			t.Errorf("capacity %d over %d shards holds %d entries", tc.capacity, tc.want, got)
+		}
+	}
 }
 
 func TestShardedLRUEvictionPerShard(t *testing.T) {
 	// One-entry shards: any second key hashing to the same shard evicts
-	// the first.
+	// the first, once put twice (a full shard admits it on its second
+	// sighting).
 	s := newShardedLRU[[]valuePin](8, 8)
 	s.put(makeKey(sqltoken.MySQL, "a"), nil, "")
+	s.put(makeKey(sqltoken.MySQL, "b"), nil, "")
 	s.put(makeKey(sqltoken.MySQL, "b"), nil, "")
 	if s.len() > 8 {
 		t.Errorf("len = %d", s.len())
@@ -92,8 +123,9 @@ func TestShardedLRUEvictionPerShard(t *testing.T) {
 
 func TestShardedLRUConcurrentChurn(t *testing.T) {
 	// Tiny capacity forces constant eviction while goroutines hammer
-	// overlapping key ranges; run under -race this exercises promote and
-	// evict under contention.
+	// overlapping key ranges, putting each key twice so a full shard
+	// admits it; run under -race this exercises promote and evict under
+	// contention.
 	s := newShardedLRU[[]valuePin](32, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -104,6 +136,7 @@ func TestShardedLRUConcurrentChurn(t *testing.T) {
 				key := fmt.Sprintf("key-%d", (seed*13+i)%100)
 				d := sqltoken.Dialect(seed % 3)
 				if i%3 == 0 {
+					s.put(makeKey(d, key), nil, "")
 					s.put(makeKey(d, key), nil, "")
 				} else {
 					s.get(makeKey(d, key), nil)

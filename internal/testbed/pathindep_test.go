@@ -185,7 +185,9 @@ func hybridOver(t *testing.T, transport daemon.Transport, d sqltoken.Dialect) *d
 // TestPathIndependenceDetectionMatrix runs the detection-matrix corpus —
 // 266 benign and 117 attack cases — through the in-process Guard, through
 // an uncached Guard (CacheNone: no cache hit, so no skeleton memo, on any
-// check), through HybridClient→Pool→Server and, in MySQL, through a HybridClient over a
+// check), through a Guard whose caches are small enough to fill, so their
+// admission turns first sightings away and admits second ones, through
+// HybridClient→Pool→Server and, in MySQL, through a HybridClient over a
 // micro-batching Pool (the "batch" verb), one over a micro-batching Pool
 // that sends a query past the server's request cap beside the checks,
 // and one over a 2-shard replicated ShardedPool, all with the same
@@ -240,10 +242,12 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		small := smallCacheGuard(t, lab, joza.WithProfileStore(store))
 		kinds := &frameKinds{n: map[byte]int{}}
 		d := &pathDiff{paths: []namedChecker{
 			{"guard", guard},
 			{"uncached guard", uncached},
+			{"small-cache guard", small},
 			{"pool", hybridOver(t, pipePool(server(), sqltoken.MySQL, 0, kinds.wrap), sqltoken.MySQL)},
 			{"micro-batching pool", hybridOver(t, pipePool(batching, sqltoken.MySQL, 4, nil), sqltoken.MySQL)},
 			{"2-shard fleet", hybridOver(t, fleet, sqltoken.MySQL)},
@@ -277,6 +281,7 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 					st.DaemonBatchOps, st.DaemonBatchItems, st.DaemonAnalyzeOps)
 			}
 		}
+		checkAdmission(t, small)
 		for _, diff := range d.diffs {
 			t.Error(diff)
 		}
@@ -292,9 +297,11 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		analyzer := pti.NewCached(pti.New(lab.Fragments, pti.WithDialect(sqltoken.Postgres)), pti.CacheQueryAndStructure, 4096)
+		small := smallCacheGuard(t, lab, joza.WithDialect(joza.DialectPostgres))
 		d := &pathDiff{paths: []namedChecker{
 			{"guard", guard},
 			{"uncached guard", uncached},
+			{"small-cache guard", small},
 			{"pool", hybridOver(t, pipePool(daemon.NewServer(analyzer), sqltoken.Postgres, 0, nil), sqltoken.Postgres)},
 		}}
 		if cases := sweep(t, d); cases != 383 {
@@ -306,10 +313,40 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 				t.Errorf("%s: payload %q passed the Postgres guard", c.Class, c.Payload)
 			}
 		}
+		checkAdmission(t, small)
 		for _, diff := range d.diffs {
 			t.Error(diff)
 		}
 	})
+}
+
+// smallCacheGuard returns a Guard over the lab's fragments whose PTI
+// caches hold 16 entries each, so the sweep fills them and every later
+// new query goes through the admission of a full cache.
+func smallCacheGuard(t *testing.T, lab *Lab, opts ...joza.Option) *joza.Guard {
+	t.Helper()
+	g, err := joza.New(append([]joza.Option{joza.WithFragmentSet(lab.Fragments), joza.WithCacheMode(joza.CacheQueryAndStructure, 16)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// checkAdmission requires that g's query cache filled and then turned
+// queries away on their first sighting, so the sweep compared verdicts
+// on the refused and the admitted paths.
+func checkAdmission(t *testing.T, g *joza.Guard) {
+	t.Helper()
+	m := g.Metrics()
+	var rejected, entries uint64
+	for _, sh := range m.CacheShards {
+		rejected += sh.Rejected
+		entries += sh.Entries
+	}
+	if rejected == 0 || entries != 16 || m.CacheQueryHits == 0 {
+		t.Errorf("small-cache guard: %d puts turned away, %d entries, %d query hits; want a full cache that refused puts and hit",
+			rejected, entries, m.CacheQueryHits)
+	}
 }
 
 // sweepMatrix replays the whole detection-matrix corpus through an app
