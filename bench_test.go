@@ -525,8 +525,8 @@ func BenchmarkAblationTransports(b *testing.B) {
 		run(b, tr)
 	})
 	// tcp-single and tcp-pool drive a loopback TCP daemon from concurrent
-	// callers (transportCallers per GOMAXPROCS): one shared connection
-	// serializes every round trip on its mutex, a pool of transportCallers
+	// callers (transportCallers per GOMAXPROCS): a pool of one connection
+	// serializes every round trip on it, a pool of transportCallers
 	// connections runs that many side by side.
 	const transportCallers = 8
 	runParallel := func(b *testing.B, tr daemon.Transport) {
@@ -543,10 +543,7 @@ func BenchmarkAblationTransports(b *testing.B) {
 	}
 	addr := startTCPDaemon(b, analyzer)
 	b.Run("tcp-single", func(b *testing.B) {
-		tr, err := daemon.Dial(addr)
-		if err != nil {
-			b.Fatal(err)
-		}
+		tr := daemon.DialPool(addr, daemon.PoolConfig{Size: 1})
 		defer tr.Close()
 		runParallel(b, tr)
 	})
@@ -572,7 +569,7 @@ func startTCPDaemon(b *testing.B, analyzer *pti.Cached) string {
 }
 
 // benchMixQueries flattens the Table VI mix (4% writes) into a query
-// stream whose length is a multiple of 16, the largest wire batch.
+// stream.
 func benchMixQueries(site *workload.Site) []string {
 	var queries []string
 	for _, req := range site.GenerateMix(workload.Mix{WriteFraction: 0.04}, 400) {
@@ -580,50 +577,61 @@ func benchMixQueries(site *workload.Site) []string {
 			queries = append(queries, ev.Query)
 		}
 	}
-	return queries[:len(queries)/16*16]
+	return queries
 }
 
 // BenchmarkDaemonBatch sends the Table VI mix to a loopback TCP daemon
-// over one connection in wire batches of 1 to 16 checks. The fixed frame
-// cost (encode, syscall pair, decode, scheduler handoff) spreads over the
-// batch, so ns/check falls as the batch grows.
+// over one pooled connection from batch=N concurrent callers, with the
+// pool's micro-batcher coalescing up to N checks per wire frame (a
+// BatchSize below 2, the batch=1 row, leaves it off: one caller, one
+// frame per check). The fixed frame cost (encode, syscall pair, decode,
+// scheduler handoff) spreads over the batch, so ns/check falls as the
+// batch grows.
 func BenchmarkDaemonBatch(b *testing.B) {
 	site := benchSite(b)
 	queries := benchMixQueries(site)
 	addr := startTCPDaemon(b, pti.NewCached(pti.New(site.Fragments), pti.CacheQueryAndStructure, 8192))
 	for _, size := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			c, err := daemon.Dial(addr)
-			if err != nil {
+			p := daemon.DialPool(addr, daemon.PoolConfig{Size: 1, BatchSize: size})
+			defer p.Close()
+			if err := driveChecks(p, size, int64(len(queries)), queries); err != nil { // warm the cache and the connection
 				b.Fatal(err)
 			}
-			defer c.Close()
-			ctx := context.Background()
-			check := func(i int) {
-				start := i * size % len(queries)
-				results, err := c.AnalyzeBatch(ctx, queries[start:start+size])
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range results {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-					if r.Reply.Attack {
-						b.Fatalf("benign query flagged: %+v", r.Reply.Reasons)
-					}
-				}
-			}
-			for i := 0; i < len(queries)/size; i++ { // warm the cache and the connection
-				check(i)
-			}
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				check(i)
+			if err := driveChecks(p, size, int64(b.N), queries); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/check")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/check")
 		})
 	}
+}
+
+// driveChecks runs n checks of the benign queries through tr, shared
+// among that many concurrent callers, and returns the first failure.
+func driveChecks(tr daemon.Transport, callers int, n int64, queries []string) error {
+	var next atomic.Int64
+	errs := make(chan error, callers)
+	var wg sync.WaitGroup
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < n; i = next.Add(1) - 1 {
+				reply, err := tr.AnalyzeSiteContext(context.Background(), "", queries[i%int64(len(queries))])
+				if err == nil && reply.Attack {
+					err = fmt.Errorf("benign query flagged: %+v", reply.Reasons)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	return <-errs
 }
 
 // BenchmarkShardScaleOut grows a fleet of loopback daemons from 1 to 4
@@ -663,35 +671,11 @@ func BenchmarkShardScaleOut(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer sp.Close()
-			drive := func(n int64) error {
-				var next atomic.Int64
-				errs := make(chan error, callers)
-				var wg sync.WaitGroup
-				for w := 0; w < callers; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for i := next.Add(1) - 1; i < n; i = next.Add(1) - 1 {
-							reply, err := sp.AnalyzeSiteContext(context.Background(), "", queries[i%int64(len(queries))])
-							if err == nil && reply.Attack {
-								err = fmt.Errorf("benign query flagged: %+v", reply.Reasons)
-							}
-							if err != nil {
-								errs <- err
-								return
-							}
-						}
-					}()
-				}
-				wg.Wait()
-				close(errs)
-				return <-errs
-			}
-			if err := drive(callers * 4); err != nil { // dial every connection, warm the caches
+			if err := driveChecks(sp, callers, callers*4, queries); err != nil { // dial every connection, warm the caches
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			if err := drive(int64(b.N)); err != nil {
+			if err := driveChecks(sp, callers, int64(b.N), queries); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "q/s")

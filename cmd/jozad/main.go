@@ -415,13 +415,8 @@ func parseCacheMode(s string) (pti.CacheMode, error) {
 // probe exercises a freshly started self-test daemon once, speaking the
 // same dialect the daemon serves.
 func probe(addr string, dialect sqltoken.Dialect) {
-	c, err := daemon.Dial(addr)
-	if err != nil {
-		log.Printf("selftest dial: %v", err)
-		return
-	}
+	c := daemon.DialPool(addr, daemon.PoolConfig{Size: 1, Dialect: dialect})
 	defer c.Close()
-	c.SetDialect(dialect)
 	for _, q := range []string{
 		"SELECT * FROM records WHERE ID=5 LIMIT 5",
 		"SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5",

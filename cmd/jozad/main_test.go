@@ -58,10 +58,7 @@ func TestSigtermDrainsAndExitsCleanly(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not come up")
 	}
-	c, err := daemon.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := daemon.DialPool(addr, daemon.PoolConfig{Size: 1})
 	if _, err := c.AnalyzeSiteContext(context.Background(), "", "SELECT * FROM records WHERE ID=5 LIMIT 5"); err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +105,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	// Analyze through the wire so /metrics has deterministic traffic on
 	// top of the probe's.
-	c, err := daemon.Dial(daemonAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := daemon.DialPool(daemonAddr, daemon.PoolConfig{Size: 1})
 	defer c.Close()
 	if _, err := c.AnalyzeSiteContext(context.Background(), "", "SELECT * FROM records WHERE ID=5 LIMIT 5"); err != nil {
 		t.Fatal(err)

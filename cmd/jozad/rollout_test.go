@@ -56,10 +56,7 @@ func sigtermAndWait(t *testing.T, runErr chan error) {
 
 func daemonVersion(t *testing.T, addr string) string {
 	t.Helper()
-	c, err := daemon.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := daemon.DialPool(addr, daemon.PoolConfig{Size: 1})
 	defer c.Close()
 	st, err := c.Stats()
 	if err != nil {
@@ -133,10 +130,7 @@ $q2 = "SELECT name FROM users WHERE uid=$uid";`), 0o644); err != nil {
 		t.Fatal("fragment change did not change the content-derived version")
 	}
 	// The reloaded fragments really serve.
-	c, err := daemon.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := daemon.DialPool(addr, daemon.PoolConfig{Size: 1})
 	defer c.Close()
 	reply, err := c.AnalyzeSiteContext(context.Background(), "", "SELECT name FROM users WHERE uid=7")
 	if err != nil {
@@ -187,10 +181,7 @@ func TestReadyzFlipsBeforeDrainStopsAccepting(t *testing.T) {
 		t.Fatal("/readyz never flipped to 503 after SIGTERM")
 	}
 	// ...while the daemon still accepts brand-new connections.
-	c, err := daemon.Dial(addr)
-	if err != nil {
-		t.Fatalf("dial during ready-grace: %v", err)
-	}
+	c := daemon.DialPool(addr, daemon.PoolConfig{Size: 1})
 	if _, err := c.AnalyzeSiteContext(context.Background(), "", "SELECT * FROM records WHERE ID=5 LIMIT 5"); err != nil {
 		t.Fatalf("analyze during ready-grace: %v", err)
 	}
@@ -217,10 +208,7 @@ func TestLearnCheckpointPersistsPeriodically(t *testing.T) {
 		"-selftest", "-addr", "127.0.0.1:0",
 		"-learn", learnPath, "-checkpoint", "50ms", "-drain", "5s")
 
-	c, err := daemon.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := daemon.DialPool(addr, daemon.PoolConfig{Size: 1})
 	defer c.Close()
 	ctx := context.Background()
 	if _, err := c.AnalyzeSiteContext(ctx, "app.php:2", "SELECT * FROM records WHERE ID=5 LIMIT 5"); err != nil {
@@ -405,10 +393,7 @@ func TestRolloutChaosKillMidPrepare(t *testing.T) {
 	if got := daemonVersion(t, a.addr); got != v0 {
 		t.Fatalf("survivor serves %q after aborted rollout, want %q kept", got, v0)
 	}
-	c, err := daemon.Dial(a.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := daemon.DialPool(a.addr, daemon.PoolConfig{Size: 1})
 	if _, err := c.AnalyzeSiteContext(context.Background(), "", "SELECT * FROM records WHERE ID=5 LIMIT 5"); err != nil {
 		t.Fatalf("survivor shed a check: %v", err)
 	}
@@ -473,10 +458,7 @@ func TestRolloutChaosKillMidCommit(t *testing.T) {
 	if got := daemonVersion(t, a.addr); got != vNew {
 		t.Fatalf("committed shard rolled back to %q, want %q", got, vNew)
 	}
-	c, err := daemon.Dial(a.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := daemon.DialPool(a.addr, daemon.PoolConfig{Size: 1})
 	if _, err := c.AnalyzeSiteContext(context.Background(), "", "SELECT name FROM users WHERE uid=7"); err != nil {
 		t.Fatalf("committed shard shed a check: %v", err)
 	}

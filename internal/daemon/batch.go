@@ -10,78 +10,11 @@ import (
 )
 
 // This file implements the client side of the wire protocol's "batch"
-// verb: explicit AnalyzeBatch calls on Client and Pool, and the opt-in
-// micro-batcher that transparently coalesces concurrent AnalyzeSiteContext
-// calls into batch frames (see PoolConfig.BatchSize). Batching amortizes
-// the per-frame round trip — the dominant cost of the remote deployment
-// once the analysis itself is cache-hit microseconds — across N checks.
-
-// batchRequest builds the wire frame for one batch of queries, stamping
-// ctx's remaining deadline budget on every item so the server bounds each
-// analysis the same way it would a standalone request. The dialect rides
-// once on the outer frame (empty for MySQL) and defaults into every item
-// server-side.
-func batchRequest(ctx context.Context, dialect string, queries []string) wireRequest {
-	req := wireRequest{Op: "batch", Dialect: dialect, Batch: make([]wireRequest, len(queries))}
-	for i, q := range queries {
-		req.Batch[i] = withTimeoutBudget(ctx, wireRequest{Query: q})
-	}
-	return req
-}
-
-// batchResults converts a batch response into per-item results. A reply
-// whose item count does not match the request is a protocol violation by
-// the server: the frame itself was well-formed (the stream stays in sync),
-// but no item outcome can be trusted, so the whole call fails.
-func batchResults(resp wireResponse, want int) ([]BatchResult, error) {
-	if len(resp.Batch) != want {
-		return nil, fmt.Errorf("daemon: batch reply has %d items, want %d", len(resp.Batch), want)
-	}
-	out := make([]BatchResult, want)
-	for i := range resp.Batch {
-		item := &resp.Batch[i]
-		switch {
-		case item.Err != "":
-			out[i].Err = fmt.Errorf("daemon: %s", item.Err)
-		case item.Reply == nil:
-			out[i].Err = errors.New("daemon: batch item returned no payload")
-		default:
-			out[i].Reply = item.Reply
-		}
-	}
-	return out, nil
-}
-
-// AnalyzeBatch analyzes queries in one wire round trip. The returned slice
-// has one result per query, in order; per-item failures (expired budget,
-// shed by admission control, over budget) ride in BatchResult.Err while
-// their siblings carry replies. A transport or framing failure fails the
-// whole call instead.
-func (c *Client) AnalyzeBatch(ctx context.Context, queries []string) ([]BatchResult, error) {
-	if len(queries) == 0 {
-		return nil, nil
-	}
-	resp, err := c.roundTrip(ctx, batchRequest(ctx, c.wireDialect(), queries))
-	if err != nil {
-		return nil, err
-	}
-	return batchResults(resp, len(queries))
-}
-
-// AnalyzeBatch analyzes queries in one pooled wire round trip, with the
-// same per-item semantics as Client.AnalyzeBatch. A broken connection is
-// replaced and the whole batch retried, exactly like a single pooled
-// request.
-func (p *Pool) AnalyzeBatch(ctx context.Context, queries []string) ([]BatchResult, error) {
-	if len(queries) == 0 {
-		return nil, nil
-	}
-	resp, err := p.do(ctx, batchRequest(ctx, wireDialect(p.cfg.Dialect), queries))
-	if err != nil {
-		return nil, err
-	}
-	return batchResults(resp, len(queries))
-}
+// verb: the opt-in micro-batcher that transparently coalesces concurrent
+// AnalyzeSiteContext calls into batch frames (see PoolConfig.BatchSize).
+// Batching amortizes the per-frame round trip — the dominant cost of the
+// remote deployment once the analysis itself is cache-hit microseconds —
+// across N checks.
 
 // batcher coalesces concurrent single-query AnalyzeSiteContext calls into
 // batch frames: a call joins the forming batch and the batch flushes when

@@ -13,55 +13,6 @@ import (
 	"joza/internal/core"
 )
 
-func TestClientAnalyzeBatch(t *testing.T) {
-	c, stop := SpawnPipe(newAnalyzer())
-	defer stop()
-	queries := []string{benignQuery, attackQuery, benignQuery}
-	results, err := c.AnalyzeBatch(context.Background(), queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(queries) {
-		t.Fatalf("%d results for %d queries", len(results), len(queries))
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("item %d: %v", i, r.Err)
-		}
-	}
-	if results[0].Reply.Attack || results[2].Reply.Attack {
-		t.Error("benign items flagged")
-	}
-	if !results[1].Reply.Attack {
-		t.Error("attack item missed")
-	}
-	// No item carries a token stream.
-	for i, r := range results {
-		if len(r.Reply.Tokens) != 0 {
-			t.Errorf("item %d carried tokens to a new client", i)
-		}
-	}
-
-	// Empty batch is a client-side no-op, not a wire request.
-	results, err = c.AnalyzeBatch(context.Background(), nil)
-	if err != nil || results != nil {
-		t.Fatalf("empty batch = (%v, %v), want (nil, nil)", results, err)
-	}
-}
-
-func TestPoolAnalyzeBatch(t *testing.T) {
-	addr := startTCPServer(t, newAnalyzer())
-	p := DialPool(addr, PoolConfig{Size: 2, Timeout: 5 * time.Second})
-	defer p.Close()
-	results, err := p.AnalyzeBatch(context.Background(), []string{attackQuery, benignQuery})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !results[0].Reply.Attack || results[1].Reply.Attack {
-		t.Fatalf("verdicts out of order: %+v", results)
-	}
-}
-
 // TestMicroBatcherCoalesces proves BatchSize actually batches: concurrent
 // AnalyzeSiteContext calls must reach the server inside "batch" frames, not as
 // individual analyze requests.
@@ -101,6 +52,9 @@ func TestMicroBatcherCoalesces(t *testing.T) {
 				q = attackQuery
 			}
 			reply, err := p.AnalyzeSiteContext(context.Background(), "", q)
+			if err == nil && len(reply.Tokens) != 0 {
+				err = errors.New("batch item carried a token stream")
+			}
 			if err != nil {
 				errs[i] = err
 				return
@@ -194,9 +148,9 @@ func TestMicroBatcherClampsToServerCap(t *testing.T) {
 	for i := range queries {
 		queries[i] = benignQuery
 	}
-	for i, err := range concurrentChecks(p, queries) {
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
+	for i, out := range concurrentChecks(p, queries) {
+		if out.err != nil {
+			t.Fatalf("call %d: %v", i, out.err)
 		}
 	}
 	if st := srv.Stats(); st.DaemonErrors != 0 || st.DaemonBatchItems != calls {
@@ -220,19 +174,19 @@ func pipePool(srv *Server, batchSize int) *Pool {
 }
 
 // concurrentChecks runs one AnalyzeSiteContext call per query at once
-// through p and returns each call's error.
-func concurrentChecks(p *Pool, queries []string) []error {
-	errs := make([]error, len(queries))
+// through tr and returns each call's outcome.
+func concurrentChecks(tr Transport, queries []string) []batchOut {
+	outs := make([]batchOut, len(queries))
 	var wg sync.WaitGroup
 	for i, q := range queries {
 		wg.Add(1)
 		go func(i int, q string) {
 			defer wg.Done()
-			_, errs[i] = p.AnalyzeSiteContext(context.Background(), "", q)
+			outs[i].reply, outs[i].err = tr.AnalyzeSiteContext(context.Background(), "", q)
 		}(i, q)
 	}
 	wg.Wait()
-	return errs
+	return outs
 }
 
 // longBenignQuery returns a benign query of n bytes (n > 39): a number
@@ -257,9 +211,9 @@ func TestMicroBatcherBoundsFrameBytes(t *testing.T) {
 	for i := range queries {
 		queries[i] = q
 	}
-	for i, err := range concurrentChecks(p, queries) {
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
+	for i, out := range concurrentChecks(p, queries) {
+		if out.err != nil {
+			t.Fatalf("call %d: %v", i, out.err)
 		}
 	}
 	if st := srv.Stats(); st.DaemonErrors != 0 || st.DaemonBatchItems != 4096 || st.DaemonBatchOps < 2 {
@@ -281,9 +235,9 @@ func TestMicroBatcherSendsOverCapQueryAlone(t *testing.T) {
 	}
 	const big = 32
 	queries[big] = longBenignQuery(DefaultMaxRequestBytes + 1)
-	for i, err := range concurrentChecks(p, queries) {
-		if (err != nil) != (i == big) {
-			t.Errorf("call %d (%d bytes): error %v", i, len(queries[i]), err)
+	for i, out := range concurrentChecks(p, queries) {
+		if (out.err != nil) != (i == big) {
+			t.Errorf("call %d (%d bytes): error %v", i, len(queries[i]), out.err)
 		}
 	}
 	if st := srv.Stats(); st.DaemonBatchItems != 64 {
@@ -294,7 +248,7 @@ func TestMicroBatcherSendsOverCapQueryAlone(t *testing.T) {
 // TestBatchPoisonedItemIsolated: one item with an expired budget fails
 // alone; its siblings carry replies and the connection stays healthy.
 func TestBatchPoisonedItemIsolated(t *testing.T) {
-	c, stop := SpawnPipe(newAnalyzer())
+	c, stop := spawnOnServer(t, NewServer(newAnalyzer()))
 	defer stop()
 	resp, err := c.roundTrip(context.Background(), wireRequest{
 		Op: "batch",
@@ -320,7 +274,7 @@ func TestBatchPoisonedItemIsolated(t *testing.T) {
 		t.Errorf("healthy sibling 2 = %+v", resp.Batch[2])
 	}
 	// The stream survived: a follow-up single request works.
-	reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
+	reply, err := c.analyze(context.Background(), benignQuery)
 	if err != nil {
 		t.Fatalf("connection unhealthy after poisoned batch item: %v", err)
 	}
@@ -332,43 +286,41 @@ func TestBatchPoisonedItemIsolated(t *testing.T) {
 // TestBatchItemCapRefusedOnHealthyStream: a batch above the item cap is
 // refused whole, and the connection survives.
 func TestBatchItemCapRefusedOnHealthyStream(t *testing.T) {
-	clientSide, serverSide := net.Pipe()
-	srv := NewServer(newAnalyzer())
-	serveDone := make(chan struct{})
-	go func() {
-		defer close(serveDone)
-		srv.ServeConn(serverSide)
-	}()
-	c := NewClient(clientSide)
-	defer func() {
-		_ = c.Close()
-		_ = serverSide.Close()
-		<-serveDone
-	}()
+	c, stop := spawnOnServer(t, NewServer(newAnalyzer()))
+	defer stop()
 	over := make([]string, MaxBatchItems+1)
 	for i := range over {
 		over[i] = benignQuery
 	}
-	_, err := c.AnalyzeBatch(context.Background(), over)
+	_, err := c.roundTrip(context.Background(), batchOf(over...))
 	if err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("over-cap batch error = %v, want item-cap refusal", err)
 	}
 	if c.Broken() {
 		t.Fatal("connection broken by an over-cap batch; the refusal must ride the healthy stream")
 	}
-	results, err := c.AnalyzeBatch(context.Background(), []string{benignQuery, attackQuery})
+	resp, err := c.roundTrip(context.Background(), batchOf(benignQuery, attackQuery))
 	if err != nil {
 		t.Fatalf("batch under the cap after a refusal: %v", err)
 	}
-	if results[0].Err != nil || results[1].Err != nil || !results[1].Reply.Attack {
-		t.Fatalf("results = %+v", results)
+	if len(resp.Batch) != 2 || resp.Batch[0].Err != "" || resp.Batch[1].Err != "" || !resp.Batch[1].Reply.Attack {
+		t.Fatalf("batch reply = %+v", resp.Batch)
 	}
+}
+
+// batchOf builds a batch frame of one analyze item per query.
+func batchOf(queries ...string) wireRequest {
+	req := wireRequest{Op: "batch", Batch: make([]wireRequest, len(queries))}
+	for i, q := range queries {
+		req.Batch[i].Query = q
+	}
+	return req
 }
 
 // TestBatchEmptyRefused: an explicit empty batch frame is a protocol error
 // answered on the healthy stream.
 func TestBatchEmptyRefused(t *testing.T) {
-	c, stop := SpawnPipe(newAnalyzer())
+	c, stop := spawnOnServer(t, NewServer(newAnalyzer()))
 	defer stop()
 	_, err := c.roundTrip(context.Background(), wireRequest{Op: "batch"})
 	if err == nil || !strings.Contains(err.Error(), "empty batch") {
@@ -380,41 +332,42 @@ func TestBatchEmptyRefused(t *testing.T) {
 }
 
 // TestBatchPartialReplyIsProtocolError: a server answering a batch with
-// the wrong item count is a protocol violation — the whole call fails —
-// but the frame itself was well-formed, so the connection is not broken.
+// the wrong item count is a protocol violation — every call in the batch
+// fails — but the frame itself was well-formed, so the connection is
+// kept: the next batch rides it without a redial.
 func TestBatchPartialReplyIsProtocolError(t *testing.T) {
-	clientSide, serverSide := net.Pipe()
 	// A fake daemon that answers every batch with a single-item reply.
-	serveDone := make(chan struct{})
-	go func() {
-		defer close(serveDone)
-		br := bufio.NewReader(serverSide)
-		reply := appendVerdictResponse([]byte{1}, &core.Verdict{}, "") // an item count of 1, then the item
-		for {
-			_, n, err := readFrameHead(br)
-			if err == nil {
-				err = discardBody(br, n)
+	p := NewPool(func() (net.Conn, error) {
+		clientSide, serverSide := net.Pipe()
+		go func() {
+			defer serverSide.Close()
+			br := bufio.NewReader(serverSide)
+			reply := appendVerdictResponse([]byte{1}, &core.Verdict{}, "") // an item count of 1, then the item
+			for {
+				_, n, err := readFrameHead(br)
+				if err == nil {
+					err = discardBody(br, n)
+				}
+				if err != nil {
+					return
+				}
+				if _, err := serverSide.Write(finishFrame(append(beginFrame(nil), reply...), frameBatch)); err != nil {
+					return
+				}
 			}
-			if err != nil {
-				return
-			}
-			if _, err := serverSide.Write(finishFrame(append(beginFrame(nil), reply...), frameBatch)); err != nil {
-				return
+		}()
+		return clientSide, nil
+	}, PoolConfig{Size: 1, Timeout: 30 * time.Second, BatchSize: 2, BatchLinger: 30 * time.Second})
+	defer p.Close()
+	for range 2 {
+		for i, out := range concurrentChecks(p, []string{benignQuery, attackQuery}) {
+			if out.err == nil || !strings.Contains(out.err.Error(), "batch reply has 1 items, want 2") {
+				t.Fatalf("call %d: short reply error = %v", i, out.err)
 			}
 		}
-	}()
-	c := NewClient(clientSide)
-	defer func() {
-		_ = c.Close()
-		_ = serverSide.Close()
-		<-serveDone
-	}()
-	_, err := c.AnalyzeBatch(context.Background(), []string{benignQuery, attackQuery})
-	if err == nil || !strings.Contains(err.Error(), "batch reply has 1 items, want 2") {
-		t.Fatalf("short reply error = %v", err)
 	}
-	if c.Broken() {
-		t.Fatal("count mismatch broke the connection; the stream itself was in sync")
+	if p.Dials() != 1 {
+		t.Fatalf("%d dials: the count mismatch broke the connection, though the stream itself was in sync", p.Dials())
 	}
 }
 
@@ -422,29 +375,20 @@ func TestBatchPartialReplyIsProtocolError(t *testing.T) {
 // the request byte limit is discarded unread and refused whole, exactly
 // like an oversized single request, and the connection keeps serving.
 func TestBatchOversizedFrameRefusedOnHealthyStream(t *testing.T) {
-	clientSide, serverSide := net.Pipe()
 	srv := NewServer(newAnalyzer(), WithMaxRequestBytes(256))
-	serveDone := make(chan struct{})
-	go func() {
-		defer close(serveDone)
-		srv.ServeConn(serverSide)
-	}()
-	c := NewClient(clientSide)
-	defer func() {
-		_ = c.Close()
-		<-serveDone
-	}()
+	c, stop := spawnOnServer(t, srv)
+	defer stop()
 	big := strings.Repeat("SELECT * FROM records WHERE ID=5 LIMIT 5; ", 32)
-	_, err := c.AnalyzeBatch(context.Background(), []string{big, big})
+	_, err := c.roundTrip(context.Background(), batchOf(big, big))
 	if err == nil || !strings.Contains(err.Error(), "exceeds the 256-byte cap") {
 		t.Fatalf("oversized batch frame: %v, want the request cap's refusal", err)
 	}
 	if c.Broken() {
 		t.Fatal("an oversized frame broke the connection; the refusal must ride the healthy stream")
 	}
-	results, err := c.AnalyzeBatch(context.Background(), []string{benignQuery, attackQuery})
-	if err != nil || results[0].Err != nil || results[1].Err != nil || !results[1].Reply.Attack {
-		t.Fatalf("batch under the cap after the refusal: %+v, %v", results, err)
+	resp, err := c.roundTrip(context.Background(), batchOf(benignQuery, attackQuery))
+	if err != nil || len(resp.Batch) != 2 || resp.Batch[0].Err != "" || resp.Batch[1].Err != "" || !resp.Batch[1].Reply.Attack {
+		t.Fatalf("batch under the cap after the refusal: %+v, %v", resp.Batch, err)
 	}
 	if st := srv.Stats(); st.DaemonErrors != 1 || st.DaemonBatchItems != 2 {
 		t.Errorf("%d errors and %d batch items, want the one refusal and the 2 items under the cap", st.DaemonErrors, st.DaemonBatchItems)

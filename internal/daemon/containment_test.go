@@ -49,9 +49,8 @@ func TestServerAdmissionSheds(t *testing.T) {
 		defer close(done)
 		srv.ServeConn(serverSide)
 	}()
-	c := NewClient(clientSide)
-	c.SetTimeout(5 * time.Second)
-	_, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
+	c := newClient(clientSide, 5*time.Second)
+	_, err := c.analyze(context.Background(), benignQuery)
 	if err == nil || !strings.Contains(err.Error(), "overloaded") {
 		t.Fatalf("err = %v, want overloaded", err)
 	}
@@ -63,7 +62,7 @@ func TestServerAdmissionSheds(t *testing.T) {
 	}
 	// Releasing the slot restores service on the same connection.
 	srv.gate.Release()
-	reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
+	reply, err := c.analyze(context.Background(), benignQuery)
 	if err != nil || reply.Attack {
 		t.Fatalf("after release: reply=%+v err=%v", reply, err)
 	}
@@ -94,7 +93,7 @@ func TestServerRefusesHostileOversizedQuery(t *testing.T) {
 				defer close(done)
 				srv.ServeConn(serverSide)
 			}()
-			c := NewClient(clientSide)
+			c := newClient(clientSide, testTimeout)
 			defer func() {
 				_ = c.Close()
 				<-done
@@ -102,7 +101,7 @@ func TestServerRefusesHostileOversizedQuery(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			start := time.Now()
-			reply, err := c.AnalyzeSiteContext(ctx, "", hostile)
+			reply, err := c.analyze(ctx, hostile)
 			if err != nil {
 				t.Fatalf("over-budget query: %v, want a fail-closed reply", err)
 			}
@@ -123,7 +122,7 @@ func TestServerRefusesHostileOversizedQuery(t *testing.T) {
 				t.Fatalf("the oversized query reached the cache (%d misses); the cap must refuse it first", st.CacheMisses)
 			}
 			// The same connection still serves real traffic.
-			reply, err = c.AnalyzeSiteContext(context.Background(), "", benignQuery)
+			reply, err = c.analyze(context.Background(), benignQuery)
 			if err != nil || reply.Attack {
 				t.Fatalf("after refusal: reply=%+v err=%v", reply, err)
 			}
@@ -189,11 +188,11 @@ func TestServerAdmissionShedHonorsRequestBudget(t *testing.T) {
 		defer close(done)
 		srv.ServeConn(serverSide)
 	}()
-	c := NewClient(clientSide)
+	c := newClient(clientSide, testTimeout)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.AnalyzeSiteContext(ctx, "", benignQuery)
+	_, err := c.analyze(ctx, benignQuery)
 	if err == nil {
 		t.Fatal("expected an error with the slot held")
 	}
@@ -213,10 +212,7 @@ func TestServerShutdownDrains(t *testing.T) {
 	srv := NewServer(newAnalyzer(), WithReadTimeout(time.Minute))
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
-	c, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialPool(ln.Addr().String(), PoolConfig{Size: 1})
 	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 		t.Fatal(err)
 	}
@@ -262,10 +258,10 @@ func TestServerShutdownWaitsForInFlight(t *testing.T) {
 		defer srv.wg.Done()
 		srv.ServeConn(serverSide)
 	}()
-	c := NewClient(clientSide)
+	c := newClient(clientSide, testTimeout)
 	replied := make(chan error, 1)
 	go func() {
-		_, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
+		_, err := c.analyze(context.Background(), benignQuery)
 		replied <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the request reach the gate
@@ -407,10 +403,10 @@ func TestServerContainsStagePanic(t *testing.T) {
 		},
 	}}
 	srv := NewServer(newAnalyzer(), WithSnapshot(snap))
-	c, stop := spawnOn(t, srv)
+	c, stop := spawnOnServer(t, srv)
 	defer stop()
 	for i := 1; i <= 2; i++ {
-		reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
+		reply, err := c.analyze(context.Background(), benignQuery)
 		if err != nil {
 			t.Fatalf("check %d: %v, want a fail-closed reply", i, err)
 		}
@@ -430,7 +426,7 @@ func TestServerContainsStagePanic(t *testing.T) {
 	}
 	// Installing a sound snapshot heals the same connection.
 	srv.SetSnapshot(NewSnapshot(newAnalyzer(), engine.ProfileStage{}, ""))
-	if reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil || reply.Attack {
+	if reply, err := c.analyze(context.Background(), benignQuery); err != nil || reply.Attack {
 		t.Fatalf("after the swap: reply=%+v err=%v", reply, err)
 	}
 }

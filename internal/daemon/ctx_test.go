@@ -38,11 +38,11 @@ func stallConn(t *testing.T) net.Conn {
 }
 
 func TestClientPreCanceledLeavesConnHealthy(t *testing.T) {
-	c, stop := SpawnPipe(newAnalyzer())
+	c, stop := spawnOnServer(t, NewServer(newAnalyzer()))
 	defer stop()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.AnalyzeSiteContext(ctx, "", benignQuery); !errors.Is(err, context.Canceled) {
+	if _, err := c.analyze(ctx, benignQuery); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if c.Broken() {
@@ -50,7 +50,7 @@ func TestClientPreCanceledLeavesConnHealthy(t *testing.T) {
 	}
 	// The same connection still serves requests: no bytes were written, so
 	// the stream stayed in sync.
-	reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
+	reply, err := c.analyze(context.Background(), benignQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestClientPreCanceledLeavesConnHealthy(t *testing.T) {
 }
 
 func TestClientCancelMidRoundTripSurfacesCtxError(t *testing.T) {
-	c := NewClient(stallConn(t))
+	c := newClient(stallConn(t), testTimeout)
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.AnalyzeSiteContext(ctx, "", benignQuery)
+		_, err := c.analyze(ctx, benignQuery)
 		errc <- err
 	}()
 	// Let the request get in flight, then abandon it.
@@ -85,10 +85,10 @@ func TestClientCancelMidRoundTripSurfacesCtxError(t *testing.T) {
 }
 
 func TestClientDeadlineSurfacesCtxError(t *testing.T) {
-	c := NewClient(stallConn(t))
+	c := newClient(stallConn(t), testTimeout)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := c.AnalyzeSiteContext(ctx, "", benignQuery)
+	_, err := c.analyze(ctx, benignQuery)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -100,18 +100,8 @@ func TestServerHonorsWireDeadline(t *testing.T) {
 	// The server must refuse the work, report the context error, and count
 	// a timeout; the wire protocol itself stays healthy.
 	srv := NewServer(newAnalyzer())
-	clientSide, serverSide := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.ServeConn(serverSide)
-	}()
-	c := NewClient(clientSide)
-	defer func() {
-		_ = c.Close()
-		_ = serverSide.Close()
-		<-done
-	}()
+	c, stop := spawnOnServer(t, srv)
+	defer stop()
 
 	_, err := c.roundTrip(context.Background(), wireRequest{Query: benignQuery, TimeoutMs: -1})
 	if err == nil || !strings.Contains(err.Error(), "deadline") {
@@ -124,7 +114,7 @@ func TestServerHonorsWireDeadline(t *testing.T) {
 		t.Errorf("DaemonTimeouts = %d, want 1", got)
 	}
 	// A request with budget to spare sails through on the same connection.
-	reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
+	reply, err := c.analyze(context.Background(), benignQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +223,8 @@ func TestHybridCheckContextPreCanceled(t *testing.T) {
 	}
 }
 
-// TestPooledClientIdlesPastItsTimeout: a client with a timeout leaves its
-// connection deadline armed after a round trip, so a pooled connection
+// TestPooledClientIdlesPastItsTimeout: a round trip leaves its
+// connection deadline armed, so a pooled connection
 // idles past it. The next round trip re-arms the deadline before any I/O,
 // so both checks succeed on the one connection.
 func TestPooledClientIdlesPastItsTimeout(t *testing.T) {
@@ -255,22 +245,5 @@ func TestPooledClientIdlesPastItsTimeout(t *testing.T) {
 	}
 	if n := p.Dials(); n != 1 {
 		t.Errorf("pool dialed %d connections, want 1", n)
-	}
-}
-
-// TestClientTimeoutRemovedClearsArmedDeadline: once SetTimeout(0) turns
-// the timeout off, no round trip re-arms the deadline the last one left,
-// so SetTimeout clears it; a later round trip past it still succeeds.
-func TestClientTimeoutRemovedClearsArmedDeadline(t *testing.T) {
-	c, stop := SpawnPipe(newAnalyzer())
-	defer stop()
-	c.SetTimeout(20 * time.Millisecond)
-	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
-		t.Fatal(err)
-	}
-	c.SetTimeout(0)
-	time.Sleep(50 * time.Millisecond)
-	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
-		t.Fatalf("round trip after the timeout was removed: %v", err)
 	}
 }

@@ -24,11 +24,11 @@
 //
 //   - Remote: binary frames over a net.Conn (named/anonymous pipes in the
 //     paper; TCP or in-memory pipes here). This is the easy-to-deploy
-//     user-level daemon. A single connection is a Client;
-//     production deployments use a Pool, which multiplexes concurrent
-//     requests over several connections, bounds each round trip with a
-//     deadline, and replaces failed connections with jittered exponential
-//     backoff.
+//     user-level daemon. Its one client is the Pool, which multiplexes
+//     concurrent requests over Size connections (one for the paper's
+//     single pipe), bounds each round trip with a deadline, replaces
+//     failed connections with jittered exponential backoff, and with
+//     BatchSize coalesces concurrent checks into batch frames.
 //   - Direct: an in-process call with no serialization, the stand-in for
 //     the "PHP extension" deployment whose overhead the paper estimates
 //     by excluding spawn and communication time.
@@ -345,13 +345,4 @@ type wireResponse struct {
 	// in item order. A per-item failure sets that item's Err and leaves
 	// its siblings intact.
 	Batch []wireResponse `json:"batch,omitempty"`
-}
-
-// BatchResult is the client-side outcome of one item of a batch: either a
-// reply or that item's error from the healthy stream. A transport failure
-// fails the whole batch instead, through the returned error of
-// AnalyzeBatch.
-type BatchResult struct {
-	Reply *AnalysisReply
-	Err   error
 }

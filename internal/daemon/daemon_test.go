@@ -3,6 +3,7 @@ package daemon
 import (
 	"bufio"
 	"context"
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -72,10 +73,7 @@ func startTCPServer(t *testing.T, analyzer *pti.Cached) string {
 
 func TestRemoteTransportTCP(t *testing.T) {
 	addr := startTCPServer(t, newAnalyzer())
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialPool(addr, PoolConfig{Size: 1})
 	defer c.Close()
 	reply, err := c.AnalyzeSiteContext(context.Background(), "", attackQuery)
 	if err != nil {
@@ -130,10 +128,7 @@ func TestTransportsAgree(t *testing.T) {
 	pipe, stop := SpawnPipe(newAnalyzer())
 	defer stop()
 	addr := startTCPServer(t, newAnalyzer())
-	remote, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote := DialPool(addr, PoolConfig{Size: 1})
 	defer remote.Close()
 	for _, q := range queries {
 		want, err := direct.AnalyzeSiteContext(context.Background(), "", q)
@@ -227,11 +222,7 @@ func TestServerConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(addr)
-			if err != nil {
-				errs <- err
-				return
-			}
+			c := DialPool(addr, PoolConfig{Size: 1})
 			defer c.Close()
 			for i := 0; i < 50; i++ {
 				reply, err := c.AnalyzeSiteContext(context.Background(), "", attackQuery)
@@ -272,8 +263,10 @@ func TestServerCloseIdempotent(t *testing.T) {
 }
 
 func TestDialError(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1"); err == nil {
-		t.Error("Dial to closed port should fail")
+	p := DialPool("127.0.0.1:1", PoolConfig{Size: 1, MaxAttempts: 1})
+	defer p.Close()
+	if _, err := p.AnalyzeSiteContext(context.Background(), "", benignQuery); !errors.Is(err, ErrUnavailable) {
+		t.Errorf("check against a closed port: err = %v, want ErrUnavailable", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"joza/internal/core"
 	"joza/internal/fragments"
@@ -39,17 +40,16 @@ func TestWireDialectOmitsMySQL(t *testing.T) {
 // Postgres-stamped request to a MySQL daemon fails with a per-request
 // error, and the same connection keeps serving matched requests.
 func TestClientDialectMismatchRidesHealthyStream(t *testing.T) {
-	c, stop := SpawnPipe(newAnalyzer())
+	c, stop := spawnOnServer(t, NewServer(newAnalyzer()))
 	defer stop()
-	c.SetDialect(sqltoken.Postgres)
-	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err == nil || !strings.Contains(err.Error(), "dialect mismatch") {
+	postgres := wireRequest{Query: benignQuery, Dialect: wireDialect(sqltoken.Postgres)}
+	if _, err := c.roundTrip(context.Background(), postgres); err == nil || !strings.Contains(err.Error(), "dialect mismatch") {
 		t.Fatalf("cross-dialect analyze error = %v, want dialect mismatch", err)
 	}
 	if c.Broken() {
 		t.Fatal("dialect refusal broke the connection")
 	}
-	c.SetDialect(sqltoken.MySQL)
-	reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
+	reply, err := c.analyze(context.Background(), benignQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,31 +61,20 @@ func TestClientDialectMismatchRidesHealthyStream(t *testing.T) {
 // TestPostgresDaemonEndToEnd runs a matched Postgres client/daemon pair
 // and pins that a default (MySQL) client is refused by it.
 func TestPostgresDaemonEndToEnd(t *testing.T) {
-	clientSide, serverSide := net.Pipe()
 	srv := NewServer(newDialectAnalyzer(sqltoken.Postgres))
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.ServeConn(serverSide)
-	}()
-	c := NewClient(clientSide)
-	defer func() {
-		_ = c.Close()
-		_ = serverSide.Close()
-		<-done
-	}()
+	c, stop := spawnOnServer(t, srv)
+	defer stop()
 
 	// Default client: absent dialect means MySQL, which this daemon refuses.
-	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err == nil || !strings.Contains(err.Error(), "dialect mismatch") {
+	if _, err := c.analyze(context.Background(), benignQuery); err == nil || !strings.Contains(err.Error(), "dialect mismatch") {
 		t.Fatalf("MySQL request to Postgres daemon: err = %v", err)
 	}
 
-	c.SetDialect(sqltoken.Postgres)
-	reply, err := c.AnalyzeSiteContext(context.Background(), "", "SELECT * FROM records WHERE ID=$1 LIMIT 5")
+	resp, err := c.roundTrip(context.Background(), wireRequest{Query: "SELECT * FROM records WHERE ID=$1 LIMIT 5", Dialect: wireDialect(sqltoken.Postgres)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Attack {
+	if reply := resp.Reply; reply.Attack {
 		t.Errorf("benign $1 query flagged by Postgres daemon: %+v", reply.Reasons)
 	}
 }
@@ -146,13 +135,12 @@ func TestPoolDialect(t *testing.T) {
 	if _, err := pool.AnalyzeSiteContext(context.Background(), "", "SELECT * FROM records WHERE ID=$1 LIMIT 5"); err != nil {
 		t.Fatalf("matched pool analyze: %v", err)
 	}
-	results, err := pool.AnalyzeBatch(t.Context(), []string{benignQuery, benignQuery})
-	if err != nil {
-		t.Fatalf("matched pool batch: %v", err)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Errorf("batch item %d: %v", i, r.Err)
+	batched := NewPool(func() (net.Conn, error) { return net.Dial("tcp", addr) },
+		PoolConfig{Size: 1, Dialect: sqltoken.Postgres, BatchSize: 2, BatchLinger: 30 * time.Second})
+	defer batched.Close()
+	for i, out := range concurrentChecks(batched, []string{benignQuery, benignQuery}) {
+		if out.err != nil {
+			t.Errorf("matched pool batch item %d: %v", i, out.err)
 		}
 	}
 
@@ -173,21 +161,14 @@ func TestPoolDialect(t *testing.T) {
 // Postgres traffic passes while the daemon refusal path degrades per the
 // configured policy.
 func TestHybridClientDialect(t *testing.T) {
-	clientSide, serverSide := net.Pipe()
 	srv := NewServer(newDialectAnalyzer(sqltoken.Postgres))
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.ServeConn(serverSide)
-	}()
-	c := NewClient(clientSide)
-	c.SetDialect(sqltoken.Postgres)
-	defer func() {
-		_ = serverSide.Close()
-		<-done
-	}()
+	p := NewPool(func() (net.Conn, error) {
+		clientSide, serverSide := net.Pipe()
+		go srv.ServeConn(serverSide)
+		return clientSide, nil
+	}, PoolConfig{Size: 1, Dialect: sqltoken.Postgres})
 
-	h := NewHybridClient(c, nti.MustNew(nti.WithDialect(sqltoken.Postgres)), core.PolicyTerminate,
+	h := NewHybridClient(p, nti.MustNew(nti.WithDialect(sqltoken.Postgres)), core.PolicyTerminate,
 		WithDialect(sqltoken.Postgres))
 	defer h.Close()
 	v, err := h.Check(context.Background(), engine.Request{

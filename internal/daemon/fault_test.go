@@ -38,11 +38,11 @@ func TestClientBrokenAfterMidResponseClose(t *testing.T) {
 		_, _ = serverSide.Write([]byte{frameAnalyze, 10, 0, 0})
 		_ = serverSide.Close()
 	}()
-	c := NewClient(clientSide)
-	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err == nil {
+	c := newClient(clientSide, testTimeout)
+	if _, err := c.analyze(context.Background(), benignQuery); err == nil {
 		t.Fatal("truncated response must error")
 	}
-	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); !errors.Is(err, ErrBroken) {
+	if _, err := c.analyze(context.Background(), benignQuery); !errors.Is(err, ErrBroken) {
 		t.Fatalf("client after mid-response close: err = %v, want ErrBroken", err)
 	}
 	if !c.Broken() {
@@ -65,11 +65,11 @@ func TestClientPartialWriteBreaksConnection(t *testing.T) {
 			}
 		}
 	}()
-	c := NewClient(fc)
-	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err == nil {
+	c := newClient(fc, testTimeout)
+	if _, err := c.analyze(context.Background(), benignQuery); err == nil {
 		t.Fatal("partial write must error")
 	}
-	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); !errors.Is(err, ErrBroken) {
+	if _, err := c.analyze(context.Background(), benignQuery); !errors.Is(err, ErrBroken) {
 		t.Fatalf("second call: err = %v, want ErrBroken", err)
 	}
 	_ = serverSide.Close()
@@ -115,12 +115,11 @@ func TestClientTimeoutNeverYieldsStaleReply(t *testing.T) {
 			_, _ = serverSide.Write(finishFrame(appendVerdictResponse(beginFrame(nil), &v, ""), frameAnalyze))
 		}
 	}()
-	c := NewClient(clientSide)
-	c.SetTimeout(30 * time.Millisecond)
-	if _, err := c.AnalyzeSiteContext(context.Background(), "", "request one"); err == nil {
+	c := newClient(clientSide, 30*time.Millisecond)
+	if _, err := c.analyze(context.Background(), "request one"); err == nil {
 		t.Fatal("want deadline error on stalled response")
 	}
-	reply, err := c.AnalyzeSiteContext(context.Background(), "", "request two")
+	reply, err := c.analyze(context.Background(), "request two")
 	if err == nil {
 		t.Fatalf("desynced client returned a reply (stale Attack=%v)", reply.Attack)
 	}
@@ -434,10 +433,7 @@ func TestServerAcceptRetriesTemporaryErrors(t *testing.T) {
 		_ = srv.Close()
 		<-done
 	})
-	c, err := Dial(inner.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialPool(inner.Addr().String(), PoolConfig{Size: 1, MaxAttempts: 1})
 	defer c.Close()
 	reply, err := c.AnalyzeSiteContext(context.Background(), "", attackQuery)
 	if err != nil {
@@ -497,13 +493,13 @@ func TestServerMaxRequestBytes(t *testing.T) {
 	c, stop := spawnOnServer(t, srv)
 	defer stop()
 	huge := strings.Repeat("A", 64<<10)
-	if _, err := c.AnalyzeSiteContext(context.Background(), "", huge); err == nil || !strings.Contains(err.Error(), "exceeds the 1024-byte cap") {
+	if _, err := c.analyze(context.Background(), huge); err == nil || !strings.Contains(err.Error(), "exceeds the 1024-byte cap") {
 		t.Fatalf("oversized request: %v, want the request cap's refusal", err)
 	}
 	if c.Broken() {
 		t.Fatal("an oversized request broke the connection; the refusal must ride the healthy stream")
 	}
-	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
+	if _, err := c.analyze(context.Background(), benignQuery); err != nil {
 		t.Fatalf("normal request after oversized one: %v", err)
 	}
 }
@@ -546,11 +542,11 @@ func TestServerPerOpCounters(t *testing.T) {
 	c, stop := spawnOnServer(t, srv)
 	defer stop()
 	for i := 0; i < 3; i++ {
-		if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
+		if _, err := c.analyze(context.Background(), benignQuery); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Stats(); err != nil {
+	if _, err := c.roundTrip(context.Background(), wireRequest{Op: "stats"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.roundTrip(context.Background(), wireRequest{Op: "flush"}); err == nil {
@@ -566,8 +562,11 @@ func TestServerPerOpCounters(t *testing.T) {
 	}
 }
 
+// testTimeout bounds each round trip of a test's bare connection.
+const testTimeout = time.Minute
+
 // spawnOnServer connects a pipe client to an existing server.
-func spawnOnServer(t *testing.T, srv *Server) (*Client, func()) {
+func spawnOnServer(t *testing.T, srv *Server) (*client, func()) {
 	t.Helper()
 	clientSide, serverSide := net.Pipe()
 	done := make(chan struct{})
@@ -575,9 +574,19 @@ func spawnOnServer(t *testing.T, srv *Server) (*Client, func()) {
 		defer close(done)
 		srv.ServeConn(serverSide)
 	}()
-	return NewClient(clientSide), func() {
+	return newClient(clientSide, testTimeout), func() {
 		_ = clientSide.Close()
 		_ = serverSide.Close()
 		<-done
 	}
+}
+
+// analyze sends one analyze request for query over c, stamped with ctx's
+// deadline budget as a pool slot's request is.
+func (c *client) analyze(ctx context.Context, query string) (*AnalysisReply, error) {
+	resp, err := c.roundTrip(ctx, withTimeoutBudget(ctx, wireRequest{Query: query}))
+	if err != nil {
+		return nil, err
+	}
+	return resp.Reply, nil
 }

@@ -121,7 +121,7 @@ func WithStrictProfiles() HybridOption {
 // WithDialect sets the SQL dialect the hybrid's checks run under (default
 // MySQL). It stamps every request that names no dialect, so the
 // pipeline's dialect backstop holds, and should match the transport's
-// configured dialect (Client.SetDialect, PoolConfig.Dialect) and the
+// configured dialect (PoolConfig.Dialect) and the
 // daemon's analyzer — a disagreement surfaces as a per-check daemon
 // refusal, resolved by the degradation policy. The NTI analyzer passed to NewHybridClient must be
 // built with nti.WithDialect to match: it lexes queries itself, so every

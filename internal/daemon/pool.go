@@ -31,8 +31,10 @@ type PoolConfig struct {
 	// free connection instead of serializing on a single one.
 	Size int
 	// Timeout bounds one request round trip, send to receive (default
-	// 2s). A connection that misses its deadline is discarded: its reply
-	// may still arrive later, and a later request must never read it.
+	// 2s); a connection re-arms its deadline lazily, so a round trip may
+	// run up to an eighth longer. A connection that misses its deadline
+	// is discarded: its reply may still arrive later, and a later request
+	// must never read it.
 	Timeout time.Duration
 	// DialTimeout bounds one dial (default: Timeout).
 	DialTimeout time.Duration
@@ -104,19 +106,19 @@ func (cfg PoolConfig) withDefaults() PoolConfig {
 	return cfg
 }
 
-// Pool is a Remote transport over a fixed-size set of connections:
+// Pool is the Remote transport, over a fixed-size set of connections:
 // concurrent Analyze calls proceed in parallel instead of serializing on
-// one connection's mutex, every round trip carries a deadline, and failed
-// connections are replaced with jittered exponential backoff. Dialing is
-// lazy, so a pool can be built while the daemon is still coming up — and
-// a daemon restart heals on the next request instead of poisoning the
-// transport.
+// one connection, every round trip carries a deadline, and failed
+// connections are replaced with jittered exponential backoff. A pool of
+// Size 1 is the paper's one-pipe mode. Dialing is lazy, so a pool can be
+// built while the daemon is still coming up — and a daemon restart heals
+// on the next request instead of poisoning the transport.
 type Pool struct {
 	dial func() (net.Conn, error)
 	cfg  PoolConfig
 	// slots holds the pool's connections; a nil entry is an empty slot
 	// dialed on first use or after its connection broke.
-	slots   chan *Client
+	slots   chan *client
 	done    chan struct{}
 	once    sync.Once
 	breaker *guardrail.Breaker
@@ -145,7 +147,7 @@ func NewPool(dial func() (net.Conn, error), cfg PoolConfig) *Pool {
 	p := &Pool{
 		dial:    dial,
 		cfg:     cfg,
-		slots:   make(chan *Client, cfg.Size),
+		slots:   make(chan *client, cfg.Size),
 		done:    make(chan struct{}),
 		breaker: guardrail.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 	}
@@ -200,7 +202,7 @@ func (p *Pool) BreakerStats() guardrail.BreakerStats { return p.breaker.Stats() 
 // request: waiting for a free slot, each round trip, and the backoff
 // sleeps between attempts all abort with ctx's error.
 func (p *Pool) roundTrips(ctx context.Context, req wireRequest) (wireResponse, error) {
-	var slot *Client
+	var slot *client
 	select {
 	case slot = <-p.slots:
 	case <-p.done:
@@ -236,8 +238,7 @@ func (p *Pool) roundTrips(ctx context.Context, req wireRequest) (wireResponse, e
 				continue
 			}
 			p.dials.Add(1)
-			slot = NewClient(conn)
-			slot.SetTimeout(p.cfg.Timeout)
+			slot = newClient(conn, p.cfg.Timeout)
 		}
 		resp, err := slot.roundTrip(ctx, req)
 		if err == nil {
@@ -300,19 +301,21 @@ func (p *Pool) analyzeReq(ctx context.Context, req wireRequest) (*AnalysisReply,
 	return resp.Reply, nil
 }
 
-// Prepare drives the daemon's rollout phase one through the pool (see
-// Client.Prepare).
+// Prepare drives phase one of the two-phase rollout: the daemon loads,
+// builds and self-tests its next snapshot generation without swapping it
+// in, and reports the staged version.
 func (p *Pool) Prepare(ctx context.Context) (*RolloutReply, error) {
 	return p.rolloutReq(ctx, wireRequest{Op: "prepare"})
 }
 
-// Commit drives the daemon's rollout phase two through the pool (see
-// Client.Commit). A non-empty version pins which staged snapshot may swap.
+// Commit drives phase two: the daemon swaps its staged snapshot in as the
+// serving one. A non-empty version pins which staged snapshot may swap;
+// mismatches are refused with the staged state kept.
 func (p *Pool) Commit(ctx context.Context, version string) (*RolloutReply, error) {
 	return p.rolloutReq(ctx, wireRequest{Op: "commit", Version: version})
 }
 
-// Abort discards the daemon's staged snapshot through the pool. Idempotent.
+// Abort discards the daemon's staged snapshot, if any. Idempotent.
 func (p *Pool) Abort(ctx context.Context) (*RolloutReply, error) {
 	return p.rolloutReq(ctx, wireRequest{Op: "abort"})
 }
@@ -328,7 +331,7 @@ func (p *Pool) rolloutReq(ctx context.Context, req wireRequest) (*RolloutReply, 
 	return resp.Rollout, nil
 }
 
-// Stats fetches the daemon's counter snapshot through the pool.
+// Stats requests the daemon's counter snapshot via the "stats" verb.
 func (p *Pool) Stats() (*StatsReply, error) {
 	resp, err := p.do(context.Background(), wireRequest{Op: "stats"})
 	if err != nil {
@@ -340,7 +343,7 @@ func (p *Pool) Stats() (*StatsReply, error) {
 	return resp.Stats, nil
 }
 
-// Traces fetches the daemon's trace rings through the pool.
+// Traces requests the daemon's trace rings via the "traces" verb.
 func (p *Pool) Traces() (*TracesReply, error) {
 	resp, err := p.do(context.Background(), wireRequest{Op: "traces"})
 	if err != nil {

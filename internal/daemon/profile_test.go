@@ -21,10 +21,7 @@ func trainedStore() *profile.Store {
 
 func TestServerProfileOutcomes(t *testing.T) {
 	ln, srv := startServerWithOptions(t, WithProfiles(trainedStore()))
-	c, err := Dial(ln)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialPool(ln, PoolConfig{Size: 1})
 	defer c.Close()
 	_ = srv
 	ctx := context.Background()
@@ -69,10 +66,7 @@ func TestServerProfileOutcomes(t *testing.T) {
 func TestServerProfileLearning(t *testing.T) {
 	rec := profile.NewRecorder()
 	ln, _ := startServerWithOptions(t, WithSnapshot(NewSnapshot(newAnalyzer(), engine.ProfileStage{Recorder: rec}, "")))
-	c, err := Dial(ln)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialPool(ln, PoolConfig{Size: 1})
 	defer c.Close()
 
 	reply, err := c.AnalyzeSiteContext(context.Background(), "plugin:records", benignQuery)
@@ -93,10 +87,7 @@ func TestServerProfileLearning(t *testing.T) {
 
 func TestServerSetProfilesHotSwap(t *testing.T) {
 	ln, srv := startServerWithOptions(t)
-	c, err := Dial(ln)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialPool(ln, PoolConfig{Size: 1})
 	defer c.Close()
 	ctx := context.Background()
 

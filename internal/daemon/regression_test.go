@@ -10,40 +10,88 @@ import (
 	"time"
 )
 
-// cancelOnReadConn cancels a context as soon as one read delivers data —
-// i.e. exactly between the server's reply arriving and the client's
-// deferred AfterFunc stop — then yields long enough for the AfterFunc to
-// run. It reproduces the window where a context fires after a successful
-// exchange: the AfterFunc slams the connection deadline into the past, and
-// an unfixed client leaves that poisoned deadline in place.
-type cancelOnReadConn struct {
+// slamHoldConn reproduces the window where a context fires after a
+// successful exchange. The first read that delivers data cancels the
+// context and returns only once the context's AfterFunc is slamming the
+// deadline into the past, so the round trip's deferred stop finds it
+// started. The wrapper holds that slam until the connection is next used
+// — a SetDeadline or a Write — and lands it right after, or lands it on
+// its own after slamHold. A round trip that returns without waiting out
+// the slam thus has it land on the next round trip's I/O.
+type slamHoldConn struct {
 	net.Conn
-	mu     sync.Mutex
-	cancel context.CancelFunc
+	cancel   context.CancelFunc // fired by the first read that delivers data
+	slamming chan struct{}      // closed when the slam reaches SetDeadline
+	release  chan struct{}      // closed by the next use while the slam is held
+	landed   chan struct{}      // closed once the slam is applied
+	mu       sync.Mutex
+	held     bool
 }
 
-func (c *cancelOnReadConn) Read(p []byte) (int, error) {
+const slamHold = 100 * time.Millisecond
+
+func newSlamHoldConn(conn net.Conn, cancel context.CancelFunc) *slamHoldConn {
+	return &slamHoldConn{Conn: conn, cancel: cancel, slamming: make(chan struct{}),
+		release: make(chan struct{}), landed: make(chan struct{})}
+}
+
+func (c *slamHoldConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	c.mu.Lock()
-	cancel := c.cancel
-	c.cancel = nil
-	c.mu.Unlock()
-	if cancel != nil && n > 0 {
+	if cancel := c.cancel; cancel != nil && n > 0 {
+		c.cancel = nil
 		cancel()
-		// Give the context's AfterFunc goroutine time to start (and slam
-		// the deadline) before the client's deferred stop() runs.
-		time.Sleep(20 * time.Millisecond)
+		select {
+		case <-c.slamming:
+		case <-time.After(5 * time.Second):
+		}
 	}
 	return n, err
+}
+
+func (c *slamHoldConn) SetDeadline(t time.Time) error {
+	if !t.Before(time.Now()) {
+		err := c.Conn.SetDeadline(t)
+		c.use()
+		return err
+	}
+	c.mu.Lock()
+	c.held = true
+	c.mu.Unlock()
+	close(c.slamming)
+	select {
+	case <-c.release:
+	case <-time.After(slamHold):
+	}
+	err := c.Conn.SetDeadline(t)
+	close(c.landed)
+	return err
+}
+
+func (c *slamHoldConn) Write(p []byte) (int, error) {
+	c.use()
+	return c.Conn.Write(p)
+}
+
+// use lands a held slam before the caller's I/O goes on.
+func (c *slamHoldConn) use() {
+	c.mu.Lock()
+	held := c.held
+	c.held = false
+	c.mu.Unlock()
+	if held {
+		close(c.release)
+		<-c.landed
+	}
 }
 
 // TestClientCancelAfterReplyKeepsConnHealthy is the regression test for
 // the deadline-slam race: ctx canceled between a successful reply decode
 // and the deferred AfterFunc stop must not poison the connection for the
-// next request. Before the fix, a timeout-less client never cleared the
-// slammed deadline (set to time.Unix(1, 0) by the AfterFunc), so the next
-// round trip failed instantly with an i/o timeout and broke a perfectly
-// healthy connection.
+// next request. The round trip waits out a started slam (a deadline of
+// time.Unix(1, 0)) before it returns and forgets its armed deadline, so
+// the next one arms a fresh deadline after the slam. Without the wait the
+// slam lands on the next round trip's I/O and breaks a healthy
+// connection.
 func TestClientCancelAfterReplyKeepsConnHealthy(t *testing.T) {
 	clientSide, serverSide := net.Pipe()
 	srv := NewServer(newAnalyzer())
@@ -54,8 +102,8 @@ func TestClientCancelAfterReplyKeepsConnHealthy(t *testing.T) {
 	}()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	wrapped := &cancelOnReadConn{Conn: clientSide, cancel: cancel}
-	c := NewClient(wrapped)
+	wrapped := newSlamHoldConn(clientSide, cancel)
+	c := newClient(wrapped, testTimeout)
 	defer func() {
 		_ = c.Close()
 		_ = serverSide.Close()
@@ -65,18 +113,23 @@ func TestClientCancelAfterReplyKeepsConnHealthy(t *testing.T) {
 	// First request: the reply arrives, the wrapper cancels ctx, and the
 	// AfterFunc fires after the decode already succeeded. The call itself
 	// must succeed — no bytes were lost.
-	reply, err := c.AnalyzeSiteContext(ctx, "", benignQuery)
+	reply, err := c.analyze(ctx, benignQuery)
 	if err != nil {
 		t.Fatalf("first analyze: %v", err)
 	}
 	if reply.Attack {
 		t.Fatal("benign flagged")
 	}
+	select {
+	case <-wrapped.landed:
+	default:
+		t.Fatal("first round trip returned before its slam landed")
+	}
 
-	// Second request on the same connection: with the poisoned deadline
-	// left in place this fails immediately with an i/o timeout and marks
-	// the connection broken.
-	reply, err = c.AnalyzeSiteContext(context.Background(), "", benignQuery)
+	// Second request on the same connection: a slam landing on it, or a
+	// poisoned deadline left in place, fails it with an i/o timeout and
+	// marks the connection broken.
+	reply, err = c.analyze(context.Background(), benignQuery)
 	if err != nil {
 		t.Fatalf("second analyze after post-reply cancellation: %v (connection poisoned by stale deadline)", err)
 	}
@@ -85,6 +138,65 @@ func TestClientCancelAfterReplyKeepsConnHealthy(t *testing.T) {
 	}
 	if c.Broken() {
 		t.Fatal("connection marked broken after a healthy exchange")
+	}
+}
+
+// deadlineCountConn counts the deadlines set on a connection.
+type deadlineCountConn struct {
+	net.Conn
+	sets int
+}
+
+func (c *deadlineCountConn) SetDeadline(t time.Time) error {
+	c.sets++
+	return c.Conn.SetDeadline(t)
+}
+
+// TestClientArmsDeadlineLazily pins the lazy re-arm: back-to-back round
+// trips share one timeout deadline instead of setting one each (every
+// SetDeadline on a net.Pipe starts two timers), a shorter ctx deadline
+// is armed exactly, and the round trip after it arms the timeout again —
+// a ctx deadline never outlives its round trip.
+func TestClientArmsDeadlineLazily(t *testing.T) {
+	clientSide, serverSide := net.Pipe()
+	srv := NewServer(newAnalyzer())
+	serveDone := make(chan struct{})
+	go func() {
+		defer close(serveDone)
+		srv.ServeConn(serverSide)
+	}()
+	counted := &deadlineCountConn{Conn: clientSide}
+	c := newClient(counted, testTimeout)
+	defer func() {
+		_ = c.Close()
+		_ = serverSide.Close()
+		<-serveDone
+	}()
+	analyze := func(ctx context.Context) {
+		t.Helper()
+		if _, err := c.analyze(ctx, benignQuery); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		analyze(context.Background())
+	}
+	if counted.sets != 1 {
+		t.Fatalf("20 back-to-back round trips set %d deadlines, want 1", counted.sets)
+	}
+	if !c.armed.After(time.Now().Add(testTimeout)) {
+		t.Fatalf("armed deadline %v grants less than the timeout %v", time.Until(c.armed), testTimeout)
+	}
+	short, cancel := context.WithTimeout(context.Background(), testTimeout/2)
+	defer cancel()
+	want, _ := short.Deadline()
+	analyze(short)
+	if counted.sets != 2 || !c.armed.Equal(want) {
+		t.Fatalf("after a short ctx deadline: %d sets, armed %v, want 2 and the ctx deadline", counted.sets, c.armed)
+	}
+	analyze(context.Background())
+	if counted.sets != 3 || !c.armed.After(time.Now().Add(testTimeout)) {
+		t.Fatalf("after the ctx round trip: %d sets, armed in %v, want 3 and the full timeout", counted.sets, time.Until(c.armed))
 	}
 }
 
@@ -108,19 +220,9 @@ func TestTimeoutBudgetOverflowClamped(t *testing.T) {
 
 	// End to end over the wire: a frame carrying the hostile budget must
 	// be analyzed, not rejected.
-	clientSide, serverSide := net.Pipe()
 	srv := NewServer(newAnalyzer())
-	serveDone := make(chan struct{})
-	go func() {
-		defer close(serveDone)
-		srv.ServeConn(serverSide)
-	}()
-	c := NewClient(clientSide)
-	defer func() {
-		_ = c.Close()
-		_ = serverSide.Close()
-		<-serveDone
-	}()
+	c, stop := spawnOnServer(t, srv)
+	defer stop()
 	resp, err := c.roundTrip(context.Background(), wireRequest{
 		Query:     benignQuery,
 		TimeoutMs: math.MaxInt64,

@@ -27,10 +27,7 @@ func TestSetAnalyzerHotSwap(t *testing.T) {
 		<-done
 	})
 
-	c, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialPool(ln.Addr().String(), PoolConfig{Size: 1})
 	defer c.Close()
 
 	// A query from a newly installed plugin is initially untrusted.
@@ -96,10 +93,7 @@ func TestServerRejectsGarbageBytes(t *testing.T) {
 	_, _ = raw.Read(buf) // server closes; read unblocks
 	_ = raw.Close()
 
-	c, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialPool(ln.Addr().String(), PoolConfig{Size: 1})
 	defer c.Close()
 	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 		t.Fatalf("server wedged after garbage client: %v", err)

@@ -37,10 +37,7 @@ func TestRolloutVerbsSingleDaemon(t *testing.T) {
 		WithSnapshot(testSnapshot("aaaaaaaaaaaaaaaa")),
 		WithReloader(staticReloader(next, nil)),
 	)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialPool(addr, PoolConfig{Size: 1})
 	defer c.Close()
 	ctx := context.Background()
 
@@ -120,10 +117,7 @@ func TestPrepareRefusalsKeepServing(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := append([]ServerOption{WithSnapshot(testSnapshot("aaaaaaaaaaaaaaaa"))}, tc.opts...)
 			addr, srv, _ := startShardServer(t, opts...)
-			c, err := Dial(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := DialPool(addr, PoolConfig{Size: 1})
 			defer c.Close()
 			ctx := context.Background()
 			if _, err := c.Prepare(ctx); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -479,7 +473,7 @@ func TestSkewRefuseMixedRefusesPerCheck(t *testing.T) {
 	const v1, v2 = "aaaaaaaaaaaaaaaa", "3333333333333333"
 	addr0, srv0, _ := startShardServer(t, WithSnapshot(testSnapshot(v1)))
 	addr1, _, _ := startShardServer(t, WithSnapshot(testSnapshot(v1)))
-	sp, err := DialShardedPool([]string{addr0, addr1}, fastShardConfig(), WithSkewPolicy(SkewRefuseMixed))
+	sp, err := DialShardedPool([]string{addr0, addr1}, batchingShardConfig(), WithSkewPolicy(SkewRefuseMixed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,16 +491,13 @@ func TestSkewRefuseMixedRefusesPerCheck(t *testing.T) {
 	if _, err := sp.AnalyzeSiteContext(context.Background(), "", qs[1]); !errors.Is(err, ErrVersionSkew) {
 		t.Fatalf("stale shard check: got %v, want ErrVersionSkew", err)
 	}
-	// Batches refuse exactly the stale items.
-	results, err := sp.AnalyzeBatch(context.Background(), qs)
-	if err != nil {
-		t.Fatal(err)
+	// Concurrent checks, batched per shard, refuse exactly the stale items.
+	outs := concurrentChecks(sp, append(qs, qs...))
+	if outs[0].err != nil || outs[0].reply == nil || outs[2].err != nil {
+		t.Fatalf("current shard's batch item refused: %+v", outs)
 	}
-	if results[0].Err != nil || results[0].Reply == nil {
-		t.Fatalf("current shard's batch item refused: %+v", results[0])
-	}
-	if !errors.Is(results[1].Err, ErrVersionSkew) {
-		t.Fatalf("stale shard's batch item: got %v, want ErrVersionSkew", results[1].Err)
+	if !errors.Is(outs[1].err, ErrVersionSkew) || !errors.Is(outs[3].err, ErrVersionSkew) {
+		t.Fatalf("stale shard's batch items: got %+v, want ErrVersionSkew", outs)
 	}
 }
 

@@ -239,59 +239,6 @@ func (sp *ShardedPool) AnalyzeSiteContext(ctx context.Context, site, query strin
 	return reply, nil
 }
 
-// AnalyzeBatch analyzes queries across the fleet: items group by owning
-// shard, each group rides one per-shard batch frame (the groups run
-// concurrently), and the results reassemble in input order. A shard
-// failure fails only its own items — their BatchResult.Err carries the
-// shard's error while items on healthy shards return normally — so a dead
-// shard mid-batch degrades exactly its keyspace, like single checks.
-func (sp *ShardedPool) AnalyzeBatch(ctx context.Context, queries []string) ([]BatchResult, error) {
-	if len(queries) == 0 {
-		return nil, nil
-	}
-	groups := make([][]int, len(sp.pools))
-	for i, q := range queries {
-		s := sp.ring.Owner(q)
-		groups[s] = append(groups[s], i)
-	}
-	out := make([]BatchResult, len(queries))
-	var wg sync.WaitGroup
-	for s, idxs := range groups {
-		if len(idxs) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int, idxs []int) {
-			defer wg.Done()
-			qs := make([]string, len(idxs))
-			for j, i := range idxs {
-				qs[j] = queries[i]
-			}
-			results, err := sp.pools[s].AnalyzeBatch(ctx, qs)
-			if err != nil {
-				shardErr := fmt.Errorf("shard %s: %w", sp.names[s], err)
-				for _, i := range idxs {
-					out[i] = BatchResult{Err: shardErr}
-				}
-				return
-			}
-			for j, i := range idxs {
-				out[i] = results[j]
-				if r := results[j].Reply; r != nil {
-					// Skew refusals are per item: a stale shard poisons
-					// only the items it answered, exactly like its other
-					// healthy-stream failures.
-					if err := sp.checkSkew(s, qs[j], r); err != nil {
-						out[i] = BatchResult{Err: err}
-					}
-				}
-			}
-		}(s, idxs)
-	}
-	wg.Wait()
-	return out, nil
-}
-
 // shardHealth snapshots one shard's transport-side health: its breaker
 // and its pool's dial/exhaustion counters.
 func (sp *ShardedPool) shardHealth(s int) metrics.ShardHealth {

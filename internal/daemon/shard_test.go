@@ -113,32 +113,38 @@ func TestShardedPoolRoutesAndAnalyzes(t *testing.T) {
 }
 
 func TestShardedPoolBatchPreservesOrder(t *testing.T) {
-	addr0, _, _ := startShardServer(t)
-	addr1, _, _ := startShardServer(t)
-	sp, err := DialShardedPool([]string{addr0, addr1}, fastShardConfig())
+	addr0, srv0, _ := startShardServer(t)
+	addr1, srv1, _ := startShardServer(t)
+	sp, err := DialShardedPool([]string{addr0, addr1}, batchingShardConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sp.Close()
 	// Interleave shard-0 and shard-1 keys with an attack in the middle;
-	// results must come back in input order despite per-shard regrouping.
+	// each concurrent caller must get its own verdict back although each
+	// shard's micro-batcher regroups them into its own batch frames.
 	perShard := queriesForShards(t, sp)
 	queries := []string{perShard[0], perShard[1], attackQuery, perShard[1], perShard[0]}
-	results, err := sp.AnalyzeBatch(context.Background(), queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(queries) {
-		t.Fatalf("%d results for %d queries", len(results), len(queries))
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("item %d: %v", i, r.Err)
+	for i, out := range concurrentChecks(sp, queries) {
+		if out.err != nil {
+			t.Fatalf("item %d: %v", i, out.err)
 		}
-		if want := i == 2; r.Reply.Attack != want {
-			t.Fatalf("item %d attack=%v, want %v — reassembly scrambled order", i, r.Reply.Attack, want)
+		if want := i == 2; out.reply.Attack != want {
+			t.Fatalf("item %d attack=%v, want %v — reassembly scrambled order", i, out.reply.Attack, want)
 		}
 	}
+	if srv0.Stats().DaemonBatchOps == 0 || srv1.Stats().DaemonBatchOps == 0 {
+		t.Fatal("a shard received no batch frame")
+	}
+}
+
+// batchingShardConfig is fastShardConfig with the micro-batcher on, its
+// linger long enough for concurrent callers to share a frame.
+func batchingShardConfig() PoolConfig {
+	cfg := fastShardConfig()
+	cfg.BatchSize = 64
+	cfg.BatchLinger = 20 * time.Millisecond
+	return cfg
 }
 
 // TestShardedPoolDeadShardDegradesOnlyItsKeyspace is the sharded
@@ -148,7 +154,7 @@ func TestShardedPoolBatchPreservesOrder(t *testing.T) {
 func TestShardedPoolDeadShardDegradesOnlyItsKeyspace(t *testing.T) {
 	addr0, _, kill0 := startShardServer(t)
 	addr1, _, _ := startShardServer(t)
-	sp, err := DialShardedPool([]string{addr0, addr1}, fastShardConfig())
+	sp, err := DialShardedPool([]string{addr0, addr1}, batchingShardConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,18 +179,14 @@ func TestShardedPoolDeadShardDegradesOnlyItsKeyspace(t *testing.T) {
 		t.Error("benign flagged")
 	}
 
-	// Batch spanning both shards: dead shard's items fail individually,
-	// survivors reply.
-	queries := []string{perShard[1], perShard[0], perShard[1]}
-	results, err := sp.AnalyzeBatch(context.Background(), queries)
-	if err != nil {
-		t.Fatal(err)
+	// Concurrent checks spanning both shards, batched per shard: the dead
+	// shard's items fail individually, survivors reply.
+	outs := concurrentChecks(sp, []string{perShard[1], perShard[0], perShard[1]})
+	if outs[0].err != nil || outs[2].err != nil {
+		t.Fatalf("surviving items failed: %+v", outs)
 	}
-	if results[0].Err != nil || results[2].Err != nil {
-		t.Fatalf("surviving items failed: %+v", results)
-	}
-	if results[1].Err == nil || !errors.Is(results[1].Err, ErrUnavailable) {
-		t.Fatalf("dead-shard item = %+v, want ErrUnavailable", results[1])
+	if !errors.Is(outs[1].err, ErrUnavailable) {
+		t.Fatalf("dead-shard item = %+v, want ErrUnavailable", outs[1])
 	}
 }
 

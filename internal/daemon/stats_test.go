@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"context"
-	"net"
 	"strings"
 	"testing"
 
@@ -52,8 +51,8 @@ func TestStatsVerbOverPipe(t *testing.T) {
 // counters while the cache fields follow the new analyzer.
 func TestStatsVerbCountersSurviveSwap(t *testing.T) {
 	srv := NewServer(newAnalyzer())
-	c, stop := spawnOn(t, srv)
-	defer stop()
+	c := pipePool(srv, 0)
+	defer c.Close()
 	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 		t.Fatal(err)
 	}
@@ -71,21 +70,6 @@ func TestStatsVerbCountersSurviveSwap(t *testing.T) {
 	if st.CacheQueryHits != 0 || st.CacheMisses != 0 {
 		t.Errorf("fresh analyzer cache = hits %d / misses %d, want 0/0",
 			st.CacheQueryHits, st.CacheMisses)
-	}
-}
-
-func spawnOn(t *testing.T, srv *Server) (*Client, func()) {
-	t.Helper()
-	clientSide, serverSide := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.ServeConn(serverSide)
-	}()
-	return NewClient(clientSide), func() {
-		_ = clientSide.Close()
-		_ = serverSide.Close()
-		<-done
 	}
 }
 

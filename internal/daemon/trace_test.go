@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"context"
+	"errors"
 	"joza/internal/engine"
 	"net"
 	"strings"
@@ -27,10 +28,7 @@ func startTracedTCPServer(t *testing.T) (addr string, srv *Server) {
 
 func TestTracesVerb(t *testing.T) {
 	addr, _ := startTracedTCPServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialPool(addr, PoolConfig{Size: 1})
 	defer c.Close()
 	if _, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery); err != nil {
 		t.Fatal(err)
@@ -58,10 +56,7 @@ func TestTracesVerb(t *testing.T) {
 
 func TestTracesVerbWithoutTracer(t *testing.T) {
 	addr := startTCPServer(t, newAnalyzer())
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialPool(addr, PoolConfig{Size: 1})
 	defer c.Close()
 	d, err := c.Traces()
 	if err != nil {
@@ -74,10 +69,7 @@ func TestTracesVerbWithoutTracer(t *testing.T) {
 
 func TestAnalyzeReplyCarriesTrace(t *testing.T) {
 	addr, _ := startTracedTCPServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialPool(addr, PoolConfig{Size: 1})
 	defer c.Close()
 	reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
 	if err != nil {
@@ -102,10 +94,7 @@ func TestAnalyzeReplyCarriesTrace(t *testing.T) {
 
 func TestUntracedServerOmitsReplyTrace(t *testing.T) {
 	addr := startTCPServer(t, newAnalyzer())
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialPool(addr, PoolConfig{Size: 1})
 	defer c.Close()
 	reply, err := c.AnalyzeSiteContext(context.Background(), "", benignQuery)
 	if err != nil {
@@ -121,10 +110,7 @@ func TestUntracedServerOmitsReplyTrace(t *testing.T) {
 // timing from this process and lex/cache/cover evidence from the daemon.
 func TestHybridClientMergesDaemonTrace(t *testing.T) {
 	addr, _ := startTracedTCPServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialPool(addr, PoolConfig{Size: 1})
 	h := NewHybridClient(c, nti.MustNew(), 0,
 		WithTracing(trace.Config{SampleEvery: 1, RingSize: 8}))
 	defer h.Close()
@@ -166,10 +152,8 @@ func TestHybridClientMergesDaemonTrace(t *testing.T) {
 // TestHybridClientTraceDegraded checks that an outage under fail-open is
 // visible in the trace and lands in the notable ring.
 func TestHybridClientTraceDegraded(t *testing.T) {
-	clientSide, serverSide := net.Pipe()
-	_ = serverSide.Close()
-	_ = clientSide.Close()
-	h := NewHybridClient(NewClient(clientSide), nti.MustNew(), 0,
+	down := NewPool(func() (net.Conn, error) { return nil, errors.New("daemon down") }, PoolConfig{Size: 1, MaxAttempts: 1})
+	h := NewHybridClient(down, nti.MustNew(), 0,
 		WithDegradeMode(DegradeFailOpen),
 		WithTracing(trace.Config{SampleEvery: 1, RingSize: 8}))
 	v, err := h.Check(context.Background(), engine.Request{Query: benignQuery})
@@ -187,10 +171,7 @@ func TestHybridClientTraceDegraded(t *testing.T) {
 
 func TestStatsCountTracesOps(t *testing.T) {
 	addr, srv := startTracedTCPServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := DialPool(addr, PoolConfig{Size: 1})
 	defer c.Close()
 	if _, err := c.Traces(); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 )
 
 // frameConn writes requests to a daemon as raw binary frames and reads
-// their replies, with no Client in between.
+// their replies, with no pool in between.
 type frameConn struct {
 	t     testing.TB
 	conn  net.Conn
@@ -212,8 +212,8 @@ func (c *kindCounter) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestClientFramesBinaryFromFirstByte: a Client's first frame, and every
-// one after it, is a binary frame of its request's kind, control verbs in
+// TestClientFramesBinaryFromFirstByte: a pooled connection's first frame,
+// and every one after it, is a binary frame of its request's kind, control verbs in
 // the JSON envelope.
 func TestClientFramesBinaryFromFirstByte(t *testing.T) {
 	srv := NewServer(newAnalyzer())
@@ -224,21 +224,21 @@ func TestClientFramesBinaryFromFirstByte(t *testing.T) {
 		defer close(done)
 		srv.ServeConn(counted)
 	}()
-	c := NewClient(clientSide)
+	c := newClient(clientSide, testTimeout)
 	ctx := context.Background()
 	for i, q := range []string{benignQuery, attackQuery} {
-		if r, err := c.AnalyzeSiteContext(ctx, "", q); err != nil || r.Attack != (q == attackQuery) || r.Tokens != nil {
+		if r, err := c.analyze(ctx, q); err != nil || r.Attack != (q == attackQuery) || r.Tokens != nil {
 			t.Fatalf("analyze %d: %+v, %v", i, r, err)
 		}
 	}
-	results, err := c.AnalyzeBatch(ctx, []string{attackQuery, benignQuery})
-	if err != nil || len(results) != 2 || !results[0].Reply.Attack || results[1].Reply.Attack {
-		t.Fatalf("batch: %+v, %v", results, err)
+	resp, err := c.roundTrip(ctx, batchOf(attackQuery, benignQuery))
+	if err != nil || len(resp.Batch) != 2 || !resp.Batch[0].Reply.Attack || resp.Batch[1].Reply.Attack {
+		t.Fatalf("batch: %+v, %v", resp.Batch, err)
 	}
-	if st, err := c.Stats(); err != nil || st.DaemonAnalyzeOps != 4 || st.DaemonBatchOps != 1 {
-		t.Fatalf("stats: %+v, %v", st, err)
+	if resp, err := c.roundTrip(ctx, wireRequest{Op: "stats"}); err != nil || resp.Stats.DaemonAnalyzeOps != 4 || resp.Stats.DaemonBatchOps != 1 {
+		t.Fatalf("stats: %+v, %v", resp.Stats, err)
 	}
-	if _, err := c.Commit(ctx, ""); err == nil || c.Broken() {
+	if _, err := c.roundTrip(ctx, wireRequest{Op: "commit"}); err == nil || c.Broken() {
 		t.Errorf("commit with nothing staged: err %v, broken %v", err, c.Broken())
 	}
 	_ = c.Close()

@@ -275,8 +275,21 @@ func (s *Snapshot) dialectMismatch(d sqltoken.Dialect) string {
 	return ""
 }
 
+// cacheShards converts one PTI cache's shard counters (nil when that
+// cache is off).
+func cacheShards(shards []pti.ShardStat) []metrics.CacheShard {
+	if len(shards) == 0 {
+		return nil
+	}
+	out := make([]metrics.CacheShard, len(shards))
+	for i, sh := range shards {
+		out[i] = metrics.CacheShard{Hits: sh.Hits, Misses: sh.Misses, Entries: sh.Entries, Rejected: sh.Rejected}
+	}
+	return out
+}
+
 // FillMetrics fills the snapshot-derived fields of m: the version, the
-// PTI cache totals and query-cache shards, the NTI matcher counters, and
+// PTI cache totals and both caches' shards, the NTI matcher counters, and
 // the size of the profile store (or of the learning recorder). Every front
 // door's metrics call shares it.
 func (s *Snapshot) FillMetrics(m *metrics.Snapshot) {
@@ -286,12 +299,8 @@ func (s *Snapshot) FillMetrics(m *metrics.Snapshot) {
 		m.CacheQueryHits = st.QueryHits
 		m.CacheStructureHits = st.StructureHits
 		m.CacheMisses = st.Misses
-		if shards, _ := s.PTI.ShardStats(); len(shards) > 0 {
-			m.CacheShards = make([]metrics.CacheShard, len(shards))
-			for i, sh := range shards {
-				m.CacheShards[i] = metrics.CacheShard{Hits: sh.Hits, Misses: sh.Misses, Entries: sh.Entries, Rejected: sh.Rejected}
-			}
-		}
+		query, structure := s.PTI.ShardStats()
+		m.CacheShards, m.CacheStructureShards = cacheShards(query), cacheShards(structure)
 	}
 	if s.NTI != nil {
 		st := s.NTI.Stats()

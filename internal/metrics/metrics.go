@@ -429,11 +429,13 @@ type Snapshot struct {
 	// owner from its ShardedPool; empty for single-daemon deployments.
 	Shards []ShardHealth `json:"shards,omitempty"`
 
-	// PTI cache totals and per-shard breakdown of the query cache.
-	CacheQueryHits     uint64       `json:"cacheQueryHits"`
-	CacheStructureHits uint64       `json:"cacheStructureHits"`
-	CacheMisses        uint64       `json:"cacheMisses"`
-	CacheShards        []CacheShard `json:"cacheShards,omitempty"`
+	// PTI cache totals and the per-shard breakdowns of the query and the
+	// structure cache.
+	CacheQueryHits       uint64       `json:"cacheQueryHits"`
+	CacheStructureHits   uint64       `json:"cacheStructureHits"`
+	CacheMisses          uint64       `json:"cacheMisses"`
+	CacheShards          []CacheShard `json:"cacheShards,omitempty"`
+	CacheStructureShards []CacheShard `json:"cacheStructureShards,omitempty"`
 
 	// Check latency, bucket-quantized upper bounds in nanoseconds, plus
 	// the raw bucket counts so exporters (Prometheus text format) can
@@ -496,6 +498,7 @@ func Merge(snaps ...Snapshot) Snapshot {
 		out.CacheStructureHits += s.CacheStructureHits
 		out.CacheMisses += s.CacheMisses
 		out.CacheShards = append(out.CacheShards, s.CacheShards...)
+		out.CacheStructureShards = append(out.CacheStructureShards, s.CacheStructureShards...)
 		latency.add(s.LatencyBuckets, s.LatencyCount, s.LatencySumNs)
 		for _, st := range s.Stages {
 			sm, ok := stages[st.Stage]

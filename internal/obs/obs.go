@@ -195,11 +195,17 @@ func WritePrometheus(b *strings.Builder, s metrics.Snapshot) {
 	fmt.Fprintf(b, "joza_pti_cache_lookups_total{outcome=\"query_hit\"} %d\n", s.CacheQueryHits)
 	fmt.Fprintf(b, "joza_pti_cache_lookups_total{outcome=\"structure_hit\"} %d\n", s.CacheStructureHits)
 	fmt.Fprintf(b, "joza_pti_cache_lookups_total{outcome=\"miss\"} %d\n", s.CacheMisses)
-	var rejected uint64
-	for _, sh := range s.CacheShards {
-		rejected += sh.Rejected
+	fmt.Fprintf(b, "# HELP joza_pti_cache_admission_rejects_total Puts a full PTI cache turned away on their key's first sighting, by cache.\n# TYPE joza_pti_cache_admission_rejects_total counter\n")
+	for _, c := range []struct {
+		name   string
+		shards []metrics.CacheShard
+	}{{"query", s.CacheShards}, {"structure", s.CacheStructureShards}} {
+		var rejected uint64
+		for _, sh := range c.shards {
+			rejected += sh.Rejected
+		}
+		fmt.Fprintf(b, "joza_pti_cache_admission_rejects_total{cache=%q} %d\n", c.name, rejected)
 	}
-	counter("joza_pti_cache_admission_rejects_total", "Puts the full PTI query cache turned away on their query's first sighting.", rejected)
 
 	if s.DaemonAnalyzeOps+s.DaemonBatchOps+s.DaemonStatsOps+s.DaemonTracesOps+s.DaemonErrors+s.DaemonTimeouts > 0 {
 		fmt.Fprintf(b, "# HELP joza_daemon_ops_total Daemon wire requests by verb.\n# TYPE joza_daemon_ops_total counter\n")

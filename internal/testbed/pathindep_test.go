@@ -187,12 +187,15 @@ func hybridOver(t *testing.T, transport daemon.Transport, d sqltoken.Dialect) *d
 // an uncached Guard (CacheNone: no cache hit, so no skeleton memo, on any
 // check), through a Guard whose caches are small enough to fill, so their
 // admission turns first sightings away and admits second ones, through
-// HybridClient→Pool→Server and, in MySQL, through a HybridClient over a
-// micro-batching Pool (the "batch" verb), one over a micro-batching Pool
-// that sends a query past the server's request cap beside the checks,
-// and one over a 2-shard replicated ShardedPool, all with the same
-// fragments and profiles, and requires the same verdict from every path
-// on every check.
+// HybridClient→Pool→Server and, in MySQL, through a HybridClient over
+// the in-process Direct transport, one over a micro-batching Pool (the
+// "batch" verb), one over a micro-batching Pool that sends a query past
+// the server's request cap beside the checks, one over a 2-shard
+// replicated ShardedPool and one over a 2-shard ShardedPool of
+// micro-batching Pools, all with the same fragments and profiles, and
+// requires the same verdict from every path on every check. A second
+// MySQL slice compares a HybridClient over SpawnPipe's one-pipe Pool,
+// whose daemon has no profiles, with a Guard that has none either.
 // A Postgres slice repeats the corpus, plus the dialect-evasion payloads,
 // with the Guard and the Pool path in the Postgres dialect.
 func TestPathIndependenceDetectionMatrix(t *testing.T) {
@@ -226,6 +229,13 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		batchShards := []*daemon.Server{server(), server()}
+		batchFleet, err := daemon.NewShardedPool([]*daemon.Pool{pipePool(batchShards[0], sqltoken.MySQL, 4, nil), pipePool(batchShards[1], sqltoken.MySQL, 4, nil)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct := daemon.NewDirect(pti.NewCached(pti.New(lab.Fragments), pti.CacheQueryAndStructure, 4096))
+		direct.SetProfiles(store)
 		batching := server()
 		beside := server()
 		besidePool := daemon.NewPool(func() (net.Conn, error) {
@@ -248,9 +258,11 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 			{"guard", guard},
 			{"uncached guard", uncached},
 			{"small-cache guard", small},
+			{"direct", hybridOver(t, direct, sqltoken.MySQL)},
 			{"pool", hybridOver(t, pipePool(server(), sqltoken.MySQL, 0, kinds.wrap), sqltoken.MySQL)},
 			{"micro-batching pool", hybridOver(t, pipePool(batching, sqltoken.MySQL, 4, nil), sqltoken.MySQL)},
 			{"2-shard fleet", hybridOver(t, fleet, sqltoken.MySQL)},
+			{"2-shard fleet of micro-batching pools", hybridOver(t, batchFleet, sqltoken.MySQL)},
 			{"micro-batching pool beside an oversized query", neighbour},
 		}}
 		if cases := sweep(t, d); cases != 383 {
@@ -270,6 +282,12 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 				t.Errorf("fleet shard %d served no checks", i)
 			}
 		}
+		for i, srv := range batchShards {
+			if st := srv.Stats(); st.DaemonBatchOps == 0 || st.DaemonBatchItems != st.DaemonAnalyzeOps {
+				t.Errorf("micro-batching fleet shard %d: %d batch frames carried %d of %d checks, want every check batched",
+					i, st.DaemonBatchOps, st.DaemonBatchItems, st.DaemonAnalyzeOps)
+			}
+		}
 		// The pool spoke binary analyze frames from each connection's
 		// first byte, one per check.
 		if got := kinds.snapshot(); got[1] < 383 || len(got) != 1 {
@@ -282,6 +300,27 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 			}
 		}
 		checkAdmission(t, small)
+		for _, diff := range d.diffs {
+			t.Error(diff)
+		}
+	})
+
+	// SpawnPipe's daemon serves no profiles, so its one-pipe pool is
+	// compared with a Guard that has none.
+	t.Run("mysql-spawned-pipe", func(t *testing.T) {
+		guard, err := joza.New(joza.WithFragmentSet(lab.Fragments))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spawned, stop := daemon.SpawnPipe(pti.NewCached(pti.New(lab.Fragments), pti.CacheQueryAndStructure, 4096))
+		t.Cleanup(stop)
+		d := &pathDiff{paths: []namedChecker{
+			{"guard", guard},
+			{"one-pipe spawned pool", hybridOver(t, spawned, sqltoken.MySQL)},
+		}}
+		if cases := sweep(t, d); cases != 383 {
+			t.Errorf("swept %d cases, want the matrix's 383", cases)
+		}
 		for _, diff := range d.diffs {
 			t.Error(diff)
 		}

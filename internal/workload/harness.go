@@ -68,7 +68,9 @@ func (c *clientCache) lookup(query string) bool {
 		return true
 	}
 	if c.structure != nil && c.structure[sqlparse.StructureKey(query)] {
-		c.queries[query] = true
+		if len(c.queries) < c.cap {
+			c.queries[query] = true
+		}
 		return true
 	}
 	return false
@@ -142,9 +144,7 @@ func NewProtection(name string, site *Site, v PTIVariant, withNTI bool) (prot *P
 		// perRequestSpawner.
 		transport = nil
 	case v.Remote:
-		client, s := daemon.SpawnPipe(analyzer)
-		transport = client
-		stop = s
+		transport, stop = daemon.SpawnPipe(analyzer)
 	default:
 		transport = daemon.NewDirect(analyzer)
 	}
@@ -155,8 +155,7 @@ func NewProtection(name string, site *Site, v PTIVariant, withNTI bool) (prot *P
 	}
 	if v.SpawnPerRequest {
 		p.spawner = func() (daemon.Transport, func()) {
-			c, s := daemon.SpawnPipe(analyzer)
-			return c, s
+			return daemon.SpawnPipe(analyzer)
 		}
 	}
 	if withNTI {
@@ -249,65 +248,65 @@ func RunRequests(site *Site, reqs []*Request, prot *Protection) (Timing, error) 
 	start := time.Now()
 	for _, req := range reqs {
 		tm.Requests++
-		transport := daemon.Transport(nil)
-		requestStop := func() {}
-		if prot != nil {
-			transport = prot.Transport
-			if prot.spawner != nil {
-				t0 := time.Now()
-				transport, requestStop = prot.spawner()
-				tm.PTI += time.Since(t0) // daemon spawn is PTI-side cost
-			}
+		if err := runRequest(site, req, prot, &tm); err != nil {
+			return tm, err
 		}
-		for _, ev := range req.Events {
-			tm.Queries++
-			if prot != nil && transport != nil {
-				t0 := time.Now()
-				if prot.cache.lookup(ev.Query) {
-					tm.CacheHits++
-				} else {
-					reply, err := transport.AnalyzeSiteContext(context.Background(), "", ev.Query)
-					if err != nil {
-						requestStop()
-						return tm, fmt.Errorf("pti: %w", err)
-					}
-					if reply.Attack {
-						return tm, fmt.Errorf("benign workload flagged: %q", ev.Query)
-					}
-					prot.cache.store(ev.Query)
-				}
-				tm.PTI += time.Since(t0)
-				if prot.NTI != nil {
-					// The paper's NTI reuses the daemon's token stream
-					// (Section IV-D). Replies here carry none, so NTI lexes
-					// for itself, and only when an input matches the query.
-					t1 := time.Now()
-					res := prot.NTI.Analyze(ev.Query, nil, ev.Inputs)
-					tm.NTI += time.Since(t1)
-					if res.Attack {
-						return tm, fmt.Errorf("benign workload flagged by NTI: %q", ev.Query)
-					}
-				}
-			} else if prot != nil && prot.NTI != nil {
-				t1 := time.Now()
-				res := prot.NTI.Analyze(ev.Query, nil, ev.Inputs)
-				tm.NTI += time.Since(t1)
-				if res.Attack {
-					return tm, fmt.Errorf("benign workload flagged by NTI: %q", ev.Query)
-				}
-			}
-			t2 := time.Now()
-			if _, err := site.DB.Exec(ev.Query); err != nil {
-				requestStop()
-				return tm, fmt.Errorf("db: %w", err)
-			}
-			tm.DB += time.Since(t2)
-		}
-		requestStop()
 		tm.Render += simulateRender(site.RenderIters)
 	}
 	tm.Total = time.Since(start)
 	return tm, nil
+}
+
+// runRequest runs one request's queries under prot, adding their costs to
+// tm. A daemon spawned for the request is torn down however it ends.
+func runRequest(site *Site, req *Request, prot *Protection, tm *Timing) error {
+	var transport daemon.Transport
+	if prot != nil {
+		transport = prot.Transport
+		if prot.spawner != nil {
+			t0 := time.Now()
+			var stop func()
+			transport, stop = prot.spawner()
+			defer stop()
+			tm.PTI += time.Since(t0) // daemon spawn is PTI-side cost
+		}
+	}
+	for _, ev := range req.Events {
+		tm.Queries++
+		if transport != nil {
+			t0 := time.Now()
+			if prot.cache.lookup(ev.Query) {
+				tm.CacheHits++
+			} else {
+				reply, err := transport.AnalyzeSiteContext(context.Background(), "", ev.Query)
+				if err != nil {
+					return fmt.Errorf("pti: %w", err)
+				}
+				if reply.Attack {
+					return fmt.Errorf("benign workload flagged: %q", ev.Query)
+				}
+				prot.cache.store(ev.Query)
+			}
+			tm.PTI += time.Since(t0)
+		}
+		if prot != nil && prot.NTI != nil {
+			// The paper's NTI reuses the daemon's token stream (Section
+			// IV-D). Replies here carry none, so NTI lexes for itself, and
+			// only when an input matches the query.
+			t1 := time.Now()
+			res := prot.NTI.Analyze(ev.Query, nil, ev.Inputs)
+			tm.NTI += time.Since(t1)
+			if res.Attack {
+				return fmt.Errorf("benign workload flagged by NTI: %q", ev.Query)
+			}
+		}
+		t2 := time.Now()
+		if _, err := site.DB.Exec(ev.Query); err != nil {
+			return fmt.Errorf("db: %w", err)
+		}
+		tm.DB += time.Since(t2)
+	}
+	return nil
 }
 
 // GenerateRequests produces n requests of a fixed kind.

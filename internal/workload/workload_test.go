@@ -1,10 +1,13 @@
 package workload
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"joza/internal/nti"
 	"joza/internal/pti"
 )
 
@@ -272,5 +275,54 @@ func TestSpawnPerRequestVariant(t *testing.T) {
 	}
 	if best[0] <= best[1]/2 {
 		t.Errorf("spawn-per-request PTI %v unexpectedly cheaper than long-lived %v", best[0], best[1])
+	}
+}
+
+// TestSpawnPerRequestFlaggedQueryStopsDaemon: a request whose query the
+// guard flags ends the run with an error, and the daemon spawned for that
+// request is torn down with it: no server goroutine outlives the run,
+// whichever analyzer flagged the query.
+func TestSpawnPerRequestFlaggedQueryStopsDaemon(t *testing.T) {
+	site := newSite(t)
+	for _, tc := range []struct {
+		name    string
+		withNTI bool
+		ev      QueryEvent
+		want    string
+	}{
+		{"pti", false, QueryEvent{Query: "SELECT id, title, body FROM posts WHERE id=-1 OR 1=1"}, "benign workload flagged:"},
+		{"nti", true, QueryEvent{
+			Query:  "SELECT id, title, body FROM posts WHERE id=5",
+			Inputs: []nti.Input{{Source: "get", Name: "q", Value: "SELECT id, title, body FROM posts"}},
+		}, "flagged by NTI"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prot, stop := NewProtection("spawn", site, PTIVariant{SpawnPerRequest: true, Cache: pti.CacheNone}, tc.withNTI)
+			defer stop()
+			_, err := RunRequests(site, []*Request{{Kind: Read, Events: []QueryEvent{tc.ev}}}, prot)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+			buf := make([]byte, 1<<20)
+			if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "(*Server).ServeConn") {
+				t.Fatalf("the flagged request's daemon still serves:\n%s", stacks)
+			}
+		})
+	}
+}
+
+// TestClientCacheStructureHitRespectsCap: a structure hit promotes its
+// query into the exact cache only while that cache has room, as store
+// does, so a stream of distinct writes cannot grow it without bound.
+func TestClientCacheStructureHitRespectsCap(t *testing.T) {
+	c := newClientCache(pti.CacheQueryAndStructure, 2)
+	c.store("SELECT id, title, body FROM posts WHERE id=1")
+	for i := 2; i < 10; i++ {
+		if q := fmt.Sprintf("SELECT id, title, body FROM posts WHERE id=%d", i); !c.lookup(q) {
+			t.Fatalf("%q missed the structure cache", q)
+		}
+	}
+	if n := len(c.queries); n != 2 {
+		t.Errorf("exact cache holds %d queries, want its capacity 2", n)
 	}
 }

@@ -47,8 +47,8 @@ func TestGuardMetricsCounts(t *testing.T) {
 	if snap.CacheQueryHits < 2 {
 		t.Errorf("cache query hits = %d, want >= 2", snap.CacheQueryHits)
 	}
-	if len(snap.CacheShards) == 0 {
-		t.Error("no cache shard stats")
+	if len(snap.CacheShards) == 0 || len(snap.CacheStructureShards) == 0 {
+		t.Errorf("cache shard stats: %d query-cache shards, %d structure-cache shards", len(snap.CacheShards), len(snap.CacheStructureShards))
 	}
 	var shardHits uint64
 	for _, sh := range snap.CacheShards {

@@ -18,15 +18,14 @@ import (
 
 type (
 	// DaemonTransport is the application's view of the PTI analysis,
-	// independent of deployment (single connection, pool, or in-process).
+	// independent of deployment (pool, sharded fleet, or in-process).
 	DaemonTransport = daemon.Transport
-	// DaemonClient is the Remote transport over a single connection.
-	DaemonClient = daemon.Client
-	// DaemonPool is the production Remote transport: a fixed-size
-	// connection pool with per-request deadlines and jittered-backoff
-	// reconnection.
+	// DaemonPool is the Remote transport: a fixed-size connection pool
+	// (Size 1 is the paper's single pipe) with per-request deadlines,
+	// jittered-backoff reconnection and opt-in micro-batching.
 	DaemonPool = daemon.Pool
-	// DaemonPoolConfig tunes a DaemonPool (size, timeout, backoff).
+	// DaemonPoolConfig tunes a DaemonPool (size, timeout, backoff, batch
+	// size).
 	DaemonPoolConfig = daemon.PoolConfig
 	// DegradeMode selects fail-open/fail-closed behaviour when the
 	// daemon is unreachable.
@@ -38,9 +37,6 @@ type (
 	RemoteGuardOption = daemon.HybridOption
 	// AnalysisReply is the daemon's answer for one query.
 	AnalysisReply = daemon.AnalysisReply
-	// BatchResult is one query's outcome inside an AnalyzeBatch call:
-	// either a reply or a per-item error, while siblings stand alone.
-	BatchResult = daemon.BatchResult
 	// DaemonShardedPool consistent-hash-routes checks across a fleet of
 	// jozad daemons, with a per-shard breaker so one dead shard degrades
 	// only its own keyspace.
@@ -73,8 +69,8 @@ const (
 	// SkewWarn serves stale verdicts but counts and (optionally) traces
 	// them — availability over coherence (default).
 	SkewWarn = daemon.SkewWarn
-	// SkewRefuseMixed refuses verdicts from stale shards per check (per
-	// item in batches) with ErrVersionSkew on the healthy stream.
+	// SkewRefuseMixed refuses verdicts from stale shards per check with
+	// ErrVersionSkew on the healthy stream.
 	SkewRefuseMixed = daemon.SkewRefuseMixed
 )
 
@@ -92,13 +88,10 @@ const (
 	DegradeFailOpen = daemon.DegradeFailOpen
 )
 
-// DialDaemon connects one client to a PTI daemon at a TCP address (the
-// paper's single-pipe mode; use DialDaemonPool for concurrent traffic).
-func DialDaemon(addr string) (*DaemonClient, error) { return daemon.Dial(addr) }
-
 // DialDaemonPool returns a connection pool to a PTI daemon at a TCP
-// address. Dialing is lazy: the pool can be built before the daemon is
-// up, and a daemon restart heals on the next request.
+// address; a Size of 1 is the paper's single-pipe mode. Dialing is lazy:
+// the pool can be built before the daemon is up, and a daemon restart
+// heals on the next request.
 func DialDaemonPool(addr string, cfg DaemonPoolConfig) *DaemonPool {
 	return daemon.DialPool(addr, cfg)
 }

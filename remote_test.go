@@ -109,14 +109,11 @@ func TestRemoteGuardFailOpenOutage(t *testing.T) {
 
 func TestRemoteGuardDialDaemonSingleConn(t *testing.T) {
 	addr := startDaemon(t)
-	c, err := joza.DialDaemon(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := joza.DialDaemonPool(addr, joza.DaemonPoolConfig{Size: 1})
 	g := joza.NewRemoteGuard(c, joza.WithoutRemoteNTI(),
 		joza.WithRemotePolicy(joza.PolicyErrorVirtualize))
 	defer g.Close()
-	err = g.Authorize(context.Background(), joza.Request{Query: "SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5"})
+	err := g.Authorize(context.Background(), joza.Request{Query: "SELECT * FROM records WHERE ID=-1 UNION SELECT username() LIMIT 5"})
 	if err == nil {
 		t.Fatal("attack authorized")
 	}
