@@ -417,12 +417,18 @@ func dpCells(run func(maxCells int) error) int {
 	return hi
 }
 
-// BenchmarkAblationNTIPrefilter times one whole NTI check per request
-// shape: 1, 10 and 50 input fields against one content query. sellers is
-// the banded engine without the prefilter, the configuration that
-// predates both optimizations; default is the prefilter (trigram screen
-// and window pass) plus the bit-parallel engine. The default rows also report reject-%, the share
-// of input×query pairs the prefilter rejected before any matcher ran.
+// BenchmarkAblationNTIPrefilter times whole NTI checks per request shape.
+// The inputs=N rows run 1, 10 and 50 input fields against one content
+// query, one check per op. The wp-comment rows run a wp-write comment
+// post's fields (p, author and a 40-word comment of about 300 bytes)
+// against the options, post and count queries of its request, and the
+// wp-search rows a search term against the options query: the short
+// absent inputs the partition filter rejects, one op per request. sellers
+// is the banded engine without the prefilter, the configuration that
+// predates both optimizations; default is the prefilter (partition
+// filter, trigram screen and window pass) plus the bit-parallel engine.
+// The default rows also report reject-%, the share of input×query pairs
+// the prefilter rejected before any matcher ran.
 func BenchmarkAblationNTIPrefilter(b *testing.B) {
 	engines := []struct {
 		name string
@@ -431,19 +437,16 @@ func BenchmarkAblationNTIPrefilter(b *testing.B) {
 		{"sellers", []nti.Option{nti.WithSellersMatcher(), nti.WithoutPrefilter()}},
 		{"default", nil},
 	}
-	for _, shape := range []int{1, 10, 50} {
-		rng := rand.New(rand.NewSource(42 + int64(shape)))
-		sets := make([][]nti.Input, 256)
-		for i := range sets {
-			sets[i] = ntiBenchInputs(rng, shape)
-		}
+	run := func(name string, ops [][]workload.QueryEvent) {
 		for _, e := range engines {
-			b.Run(fmt.Sprintf("inputs=%d/%s", shape, e.name), func(b *testing.B) {
+			b.Run(name+"/"+e.name, func(b *testing.B) {
 				a := nti.New(e.opts...)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if res := a.Analyze(ntiBenchQuery, nil, sets[i%len(sets)]); res.Attack {
-						b.Fatalf("benign inputs flagged: %+v", res.Reasons)
+					for _, ev := range ops[i%len(ops)] {
+						if res := a.Analyze(ev.Query, nil, ev.Inputs); res.Attack {
+							b.Fatalf("benign inputs flagged: %+v", res.Reasons)
+						}
 					}
 				}
 				if st := a.Stats(); st.PrefilterChecks > 0 {
@@ -451,6 +454,37 @@ func BenchmarkAblationNTIPrefilter(b *testing.B) {
 				}
 			})
 		}
+	}
+	for _, shape := range []int{1, 10, 50} {
+		rng := rand.New(rand.NewSource(42 + int64(shape)))
+		ops := make([][]workload.QueryEvent, 256)
+		for i := range ops {
+			ops[i] = []workload.QueryEvent{{Query: ntiBenchQuery, Inputs: ntiBenchInputs(rng, shape)}}
+		}
+		run(fmt.Sprintf("inputs=%d", shape), ops)
+	}
+	site, err := workload.NewSite(300, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, shape := range []struct {
+		name string
+		kind workload.RequestKind
+		// keep selects the request's queries the row analyzes.
+		keep func(query string) bool
+	}{
+		{"wp-comment", workload.Write, func(q string) bool { return !strings.HasPrefix(q, "INSERT") }},
+		{"wp-search", workload.Search, func(q string) bool { return strings.HasPrefix(q, "SELECT name, value FROM options") }},
+	} {
+		ops := make([][]workload.QueryEvent, 256)
+		for i := range ops {
+			for _, ev := range site.NextRequest(shape.kind).Events {
+				if shape.keep(ev.Query) {
+					ops[i] = append(ops[i], ev)
+				}
+			}
+		}
+		run(shape.name, ops)
 	}
 }
 
@@ -586,7 +620,9 @@ func benchMixQueries(site *workload.Site) []string {
 // BatchSize below 2, the batch=1 row, leaves it off: one caller, one
 // frame per check). The fixed frame cost (encode, syscall pair, decode,
 // scheduler handoff) spreads over the batch, so ns/check falls as the
-// batch grows.
+// batch grows. Each row drives b.N checks rounded up to a whole number of
+// batches, so no partial last batch waits out the batcher's linger, and
+// reports ns/check over the checks it drove.
 func BenchmarkDaemonBatch(b *testing.B) {
 	site := benchSite(b)
 	queries := benchMixQueries(site)
@@ -598,11 +634,12 @@ func BenchmarkDaemonBatch(b *testing.B) {
 			if err := driveChecks(p, size, int64(len(queries)), queries); err != nil { // warm the cache and the connection
 				b.Fatal(err)
 			}
+			checks := (b.N + size - 1) / size * size
 			b.ResetTimer()
-			if err := driveChecks(p, size, int64(b.N), queries); err != nil {
+			if err := driveChecks(p, size, int64(checks), queries); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/check")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(checks), "ns/check")
 		})
 	}
 }

@@ -118,7 +118,8 @@ const (
 	// StageNTIMatch is the summed per-input approximate matching.
 	StageNTIMatch
 	// StageNTIPrefilter is the prefilter portion of NTI matching
-	// (trigram bitmap build, per-input trigram counting and window pass).
+	// (partition filter, trigram bitmap build, per-input trigram counting
+	// and window pass).
 	StageNTIPrefilter
 	// StageProfile is the query-skeleton profile stage (normalization plus
 	// the per-call-site lookup).
@@ -401,8 +402,8 @@ type Snapshot struct {
 	// quadratic matcher, how many were abandoned early (threshold band
 	// exhausted, bit-parallel scan miss or a candidate range narrower
 	// than the query), and prefilter traffic — pairs checked and pairs
-	// the trigram screen or the window pass rejected before any matcher
-	// ran.
+	// the partition filter, the trigram screen or the window pass
+	// rejected before any matcher ran.
 	NTIMatcherCalls      uint64 `json:"ntiMatcherCalls"`
 	NTIMatcherEarlyExits uint64 `json:"ntiMatcherEarlyExits"`
 	NTIPrefilterChecks   uint64 `json:"ntiPrefilterChecks"`

@@ -93,21 +93,38 @@ func TestDedupMatcherRunsOncePerValue(t *testing.T) {
 func TestStatsCountsPrefilterRejects(t *testing.T) {
 	for _, tc := range []struct {
 		name, query, value string
-		// screened says the trigram screen rejects the pair; otherwise it
-		// passes the screen and the window pass rejects it.
-		screened bool
+		// partitioned says the partition filter rejects the pair, and
+		// screened that the trigram screen does; when neither does, the
+		// window pass rejects it.
+		partitioned, screened bool
 	}{
+		// A two-word search against the options query of its request: the
+		// trigram screen would let it through, but none of its k+1 = 4
+		// pieces occurs in the query, so the check never builds the screen.
+		{"partition filter", "SELECT name, value FROM options WHERE name='siteurl'", "lorem travel", true, false},
 		// Long junk input against a shorter query passes the cheap
-		// pre-prune (value ≤ query) but is hopeless.
-		{"trigram screen", "SELECT id, title, body FROM posts WHERE id=42 ORDER BY id DESC", strings.Repeat("x", 40), true},
+		// pre-prune (value ≤ query) but is hopeless. Its k+1 = 11 pieces
+		// are past maxPieces, so the partition filter does not run.
+		{"trigram screen", "SELECT id, title, body FROM posts WHERE id=42 ORDER BY id DESC", strings.Repeat("x", 40), false, true},
 		// A multi-term search shares its words' trigrams with its LIKE
-		// query, but no n-byte window holds n−k of its bytes.
-		{"window pass", windowSearchQuery, windowSearchValue, false},
+		// query, and its piece "sec" occurs there verbatim, but no n-byte
+		// window holds n−k of its bytes.
+		{"window pass", windowSearchQuery, windowSearchValue, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := MustNew()
 			var st checkState
 			k := strdist.MaxQualifyingDistance(len(tc.value), a.threshold, len(tc.query))
+			if partitioned := k+1 <= maxPieces && !pieceOccurs(tc.value, tc.query, k+1); partitioned != tc.partitioned {
+				t.Fatalf("partition filter rejects: %v, want %v", partitioned, tc.partitioned)
+			}
+			if _, _, ok := a.candidateRange(tc.value, tc.query, &st); ok {
+				t.Fatal("prefilter passed the pair")
+			}
+			if built := st.grams != nil; built == tc.partitioned {
+				t.Fatalf("trigram screen built: %v, want %v", built, !tc.partitioned)
+			}
+			st.release()
 			need := (len(tc.value) - gramQ + 1) - gramQ*k
 			if screened := !st.ensureGrams(tc.query).hasAtLeast(tc.value, need); screened != tc.screened {
 				t.Fatalf("trigram screen rejects: %v, want %v", screened, tc.screened)

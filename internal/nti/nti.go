@@ -15,8 +15,9 @@
 // Filtering, then verifying, keeps the per-check cost sub-quadratic in
 // practice (the Section VI "skip implausible comparisons"
 // optimizations). A pair goes through the exact-occurrence fast path,
-// a length prune, a trigram screen shared by the check's inputs and a
-// per-input window pass (prefilter.go); the two filters reject most
+// a length prune, then a partition filter that looks for one of the
+// input's pieces verbatim, a trigram screen shared by the check's inputs
+// and a per-input window pass (prefilter.go); the filters reject most
 // pairs with no DP, and the window pass returns the range of query
 // columns that can hold a qualifying match. Only that range is handed
 // to the matcher, by default the bit-parallel engine
@@ -86,8 +87,8 @@ type Analyzer struct {
 	// sellers selects the cell-at-a-time Sellers DP instead of the
 	// default bit-parallel engine (WithSellersMatcher).
 	sellers bool
-	// prefilter enables the trigram screen and the window pass ahead of
-	// the matcher.
+	// prefilter enables the partition filter, the trigram screen and the
+	// window pass ahead of the matcher.
 	prefilter bool
 	// critical decides which tokens an attack may not touch; the default
 	// is the paper's pragmatic policy (identifiers allowed).
@@ -155,10 +156,10 @@ func WithSellersMatcher() Option {
 	return func(a *Analyzer) { a.sellers = true }
 }
 
-// WithoutPrefilter disables the prefilter (the trigram screen and the
-// window pass together), sending every surviving pair straight to the
-// matcher on the whole query (ablations, benchmarks and the prefilter's
-// differential tests).
+// WithoutPrefilter disables the prefilter (the partition filter, the
+// trigram screen and the window pass together), sending every surviving
+// pair straight to the matcher on the whole query (ablations, benchmarks
+// and the prefilter's differential tests).
 func WithoutPrefilter() Option {
 	return func(a *Analyzer) { a.prefilter = false }
 }

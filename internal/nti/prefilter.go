@@ -4,8 +4,15 @@
 // NTI only cares about matches whose difference ratio is strictly below
 // the threshold, which bounds their edit distance by
 // k = strdist.MaxQualifyingDistance(n, threshold, m) for an n-byte input
-// against an m-byte query. Two stages use that bound, cheapest first:
+// against an m-byte query. Three stages use that bound:
 //
+//   - The partition filter (pieceOccurs), for k+1 ≤ maxPieces: the
+//     pigeonhole filter of Wu and Manber. Cut the input into k+1
+//     contiguous pieces; a substitution, a deletion or an insertion inside
+//     a piece changes that piece only, and an insertion between two pieces
+//     changes neither, so a substring within distance k holds one piece
+//     verbatim. When no piece occurs in the query the pair is rejected.
+//     It costs at most maxPieces substring searches and no state.
 //   - The trigram screen. By the q-gram lemma, two strings within edit
 //     distance k share at least (n−q+1) − q·k of the shorter string's
 //     q-grams: every edit destroys at most q grams. The query's trigrams
@@ -27,13 +34,21 @@
 //     [first passing end − n, last passing end), and the matcher runs on
 //     that range only.
 //
-// The screen runs first because it is shared: the window pass costs
-// O(m) per input, the screen's build O(m) per check and its probe O(n)
-// per input. The bitmap is pooled and cleared on release, so the steady
-// state allocates nothing.
+// The cheapest test runs first. The screen's build costs O(m) once per
+// check and its probe O(n) per input; the partition filter costs up to
+// k+1 scans of the query per input, and the window pass O(m) per input.
+// So the partition filter runs only while the check has not built the
+// screen, and a short absent input then never builds it; once built, the
+// screen's probe is the cheaper test, and a partition filter behind it
+// rejected no pair on any workload of the suite. The screen stays for
+// the inputs the partition filter does not take (long inputs, whose k+1
+// exceeds maxPieces) and for a many-field form, which pays its build
+// once and probes it per field. The bitmap is pooled and cleared on
+// release, so the steady state allocates nothing.
 package nti
 
 import (
+	"strings"
 	"sync"
 
 	"joza/internal/core"
@@ -44,6 +59,24 @@ import (
 // form fields almost never meet the quota against a SQL statement by
 // accident.
 const gramQ = 3
+
+// maxPieces is the most pieces the partition filter cuts an input into:
+// past it the pieces grow short enough to occur in most queries by
+// accident, and the scans cost more than the trigram screen's probe.
+const maxPieces = 8
+
+// pieceOccurs reports whether one of value's p contiguous pieces, as equal
+// in length as they can be, occurs verbatim in query. Callers need
+// 0 < p ≤ len(value).
+func pieceOccurs(value, query string, p int) bool {
+	n := len(value)
+	for i := 0; i < p; i++ {
+		if strings.Contains(query, value[i*n/p:(i+1)*n/p]) {
+			return true
+		}
+	}
+	return false
+}
 
 // gramBitsLog is log2 of the screen's bitmap size in bits. 2^14 bits keep
 // a few hundred query trigrams sparse (a few percent of bits set) in 2 KB.
@@ -147,8 +180,9 @@ type checkState struct {
 	// timed mirrors span.Active() so the prefilter only pays for clocks on
 	// traced checks.
 	timed bool
-	// prefilterNs accumulates prefilter wall time (screen and window
-	// pass); it is a sub-portion of the check's NTI match time.
+	// prefilterNs accumulates prefilter wall time (partition filter,
+	// screen and window pass); it is a sub-portion of the check's NTI
+	// match time.
 	prefilterNs int64
 	// rejected reports whether the most recent matchInput call ended at
 	// the prefilter (trace evidence).
@@ -242,6 +276,11 @@ func (a *Analyzer) candidateRange(value, query string, st *checkState) (lo, hi i
 	if k >= len(value) {
 		// Any window holds the n−k ≤ 0 bytes needed.
 		return 0, len(query), true
+	}
+	if st.grams == nil && k+1 <= maxPieces && !pieceOccurs(value, query, k+1) {
+		// No screen to probe yet, and the pieces cost less than building
+		// it: a rejection here never builds it.
+		return 0, 0, false
 	}
 	if need := (len(value) - gramQ + 1) - gramQ*k; need > 0 &&
 		!st.ensureGrams(query).hasAtLeast(value, need) {

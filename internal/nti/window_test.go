@@ -27,7 +27,9 @@ var engines = []struct {
 
 // windowSeeds are the pairs FuzzWindowFilter starts from: wp-write's near
 // misses (multi-term searches against their LIKE query, author words and
-// comment bodies against the other queries of a post), the lab's NTI
+// comment bodies against the other queries of a post), its absent short
+// fields (an author against the options query, a multi-word search
+// against its LIKE query and the options query), the lab's NTI
 // evasion mutants against the escaped queries they reach, and long
 // inputs from 1 to 8 KB.
 func windowSeeds() [][2]string {
@@ -38,6 +40,9 @@ func windowSeeds() [][2]string {
 		{"SELECT name, value FROM options WHERE name='siteurl'", "sagittis"},
 		{"SELECT id, title, body FROM posts WHERE id=17", "consectetur"},
 		{"SELECT COUNT(*) FROM comments WHERE post_id=17", "release"},
+		{"SELECT name, value FROM options WHERE name='siteurl'", "tellus"},
+		{"SELECT name, value FROM options WHERE name='siteurl'", "lorem travel"},
+		{"SELECT id, title FROM posts WHERE title LIKE '%vitae%' OR title LIKE '%blog%' LIMIT 10", "vitae blog"},
 		{"INSERT INTO comments (post_id, author, body) VALUES (17, 'tellus', '" + body + "')", "tellus " + body},
 		{"SELECT id, title, body FROM posts WHERE id=17", body},
 		{"SELECT * FROM users WHERE name='admin\\' OR 1=1 -- '", "admin' OR 1=1 -- "},
@@ -72,8 +77,8 @@ func windowSeeds() [][2]string {
 }
 
 // FuzzWindowFilter holds the prefilter exact under both matcher engines:
-// no pair the trigram screen or the window pass rejects has a match under
-// the threshold, every match the whole-query matcher finds lies in the
+// no pair the partition filter, the trigram screen or the window pass
+// rejects has a match under the threshold, every match the whole-query matcher finds lies in the
 // candidate range, matching that range alone returns the same decision
 // and, bit for bit, the same Match, and an analyzer with the prefilter
 // returns what one without it returns.
@@ -98,6 +103,7 @@ func FuzzWindowFilter(f *testing.F) {
 			lo, hi, ok := a.candidateRange(value, query, &st)
 			n := len(value)
 			k := strdist.MaxQualifyingDistance(n, threshold, len(query))
+			partitioned := k > 0 && k < n && k+1 <= maxPieces && !pieceOccurs(value, query, k+1)
 			screened := k > 0 && k < n && (n-gramQ+1)-gramQ*k > 0 &&
 				!st.ensureGrams(query).hasAtLeast(value, (n-gramQ+1)-gramQ*k)
 			windowed := false
@@ -115,6 +121,8 @@ func FuzzWindowFilter(f *testing.F) {
 					t.Fatalf("%s: %v", e.name, err)
 				}
 				switch {
+				case found && partitioned:
+					t.Fatalf("%s: partition filter rejected a match %+v (value %q, query %q, th %v)", e.name, full, value, query, threshold)
 				case found && screened:
 					t.Fatalf("%s: trigram screen rejected a match %+v (value %q, query %q, th %v)", e.name, full, value, query, threshold)
 				case found && windowed:

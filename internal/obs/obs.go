@@ -189,7 +189,7 @@ func WritePrometheus(b *strings.Builder, s metrics.Snapshot) {
 	counter("joza_nti_matcher_calls_total", "Invocations of the approximate matcher.", s.NTIMatcherCalls)
 	counter("joza_nti_matcher_early_exits_total", "Matcher runs abandoned early (threshold band or scan miss).", s.NTIMatcherEarlyExits)
 	counter("joza_nti_prefilter_checks_total", "Input-query pairs examined by the NTI prefilter.", s.NTIPrefilterChecks)
-	counter("joza_nti_prefilter_rejects_total", "Pairs rejected by the NTI prefilter (trigram screen or window pass) before any matcher ran.", s.NTIPrefilterRejects)
+	counter("joza_nti_prefilter_rejects_total", "Pairs rejected by the NTI prefilter (partition filter, trigram screen or window pass) before any matcher ran.", s.NTIPrefilterRejects)
 
 	fmt.Fprintf(b, "# HELP joza_pti_cache_lookups_total PTI cache lookups by outcome.\n# TYPE joza_pti_cache_lookups_total counter\n")
 	fmt.Fprintf(b, "joza_pti_cache_lookups_total{outcome=\"query_hit\"} %d\n", s.CacheQueryHits)

@@ -210,27 +210,31 @@ func (a *Analyzer) analyzeParseFirst(query string, toks []sqltoken.Token, span *
 		if !a.critical(t) {
 			continue
 		}
-		c, ok := a.mruCover(query, t)
+		id, start, fromMRU := a.mruCover(query, t)
+		ok := fromMRU
 		if !ok {
 			if tbl.long == nil {
 				tbl = a.newCoverTable(query, &sc.cover)
 			}
-			c, ok = tbl.cover(a.set, t)
+			id, start, ok = tbl.cover(a.set, t)
 			if ok && a.mru != nil {
-				a.mru.Touch(c.FragmentID)
+				a.mru.Touch(id)
 			}
 		}
 		if !ok {
 			sc.reasons = append(sc.reasons, uncovered(t, span))
 			continue
 		}
+		frag := a.set.Fragment(id)
 		sc.markings = append(sc.markings, core.Marking{
-			Span:   sqltoken.Span{Start: c.FragStart, End: c.FragEnd},
-			Source: a.set.Fragment(c.FragmentID),
+			Span:   sqltoken.Span{Start: start, End: start + len(frag)},
+			Source: frag,
 		})
 		if span.Active() {
-			c.Token, c.TokenStart, c.TokenEnd = t.Text, t.Start, t.End
-			span.AddCover(c)
+			span.AddCover(trace.Cover{
+				Token: t.Text, TokenStart: t.Start, TokenEnd: t.End,
+				FragmentID: id, FragStart: start, FragEnd: start + len(frag), MRU: fromMRU,
+			})
 		}
 	}
 	return core.Result{
@@ -271,18 +275,19 @@ func (sc *parseScratch) release() {
 	parseScratches.Put(sc)
 }
 
-// mruCover probes the MRU fragments for an occurrence containing t.
-func (a *Analyzer) mruCover(query string, t sqltoken.Token) (trace.Cover, bool) {
+// mruCover probes the MRU fragments for an occurrence containing t and
+// returns its fragment and start.
+func (a *Analyzer) mruCover(query string, t sqltoken.Token) (id, start int, ok bool) {
 	if a.mru == nil {
-		return trace.Cover{}, false
+		return 0, 0, false
 	}
 	for _, id := range a.mru.IDs() {
 		if at, ok := a.set.CoverAt(query, id, t.Start, t.End); ok {
 			a.mru.Touch(id)
-			return trace.Cover{FragmentID: id, FragStart: at, FragEnd: at + len(a.set.Fragment(id)), MRU: true}, true
+			return id, at, true
 		}
 	}
-	return trace.Cover{}, false
+	return 0, 0, false
 }
 
 // coverTable answers PTI's question for every critical token of one
@@ -316,22 +321,22 @@ func (a *Analyzer) newCoverTable(query string, buf *[]int32) coverTable {
 	return tbl
 }
 
-// cover returns the occurrence the table assigns to t, if it contains t.
-func (tbl coverTable) cover(set *fragments.Set, t sqltoken.Token) (trace.Cover, bool) {
+// cover returns the fragment and start of the occurrence the table
+// assigns to t, if it contains t.
+func (tbl coverTable) cover(set *fragments.Set, t sqltoken.Token) (id, start int, ok bool) {
 	if t.End <= 0 || t.End > len(tbl.best) {
-		return trace.Cover{}, false
+		return 0, 0, false
 	}
 	last := tbl.best[t.End-1]
 	if last < 0 {
-		return trace.Cover{}, false
+		return 0, 0, false
 	}
-	id := int(tbl.long[last])
-	end := int(last) + 1
-	start := end - len(set.Fragment(id))
+	id = int(tbl.long[last])
+	start = int(last) + 1 - len(set.Fragment(id))
 	if start > t.Start {
-		return trace.Cover{}, false
+		return 0, 0, false
 	}
-	return trace.Cover{FragmentID: id, FragStart: start, FragEnd: end}, true
+	return id, start, true
 }
 
 // uncovered records t as a critical token no trusted fragment contains.

@@ -40,9 +40,9 @@ type InputMatch struct {
 	MatchNs int64 `json:"matchNs"`
 	// Matched reports whether a span under the threshold was found.
 	Matched bool `json:"matched"`
-	// PrefilterRejected reports that the prefilter (trigram screen or
-	// window pass) proved no qualifying match could exist, so no matcher
-	// ran for this input.
+	// PrefilterRejected reports that the prefilter (partition filter,
+	// trigram screen or window pass) proved no qualifying match could
+	// exist, so no matcher ran for this input.
 	PrefilterRejected bool `json:"prefilterRejected,omitempty"`
 	// Start and End delimit the tainted span of the query when Matched.
 	Start int `json:"start,omitempty"`
@@ -97,7 +97,8 @@ type Span struct {
 	// NTIMatchNs is the summed per-input approximate-match time.
 	NTIMatchNs int64 `json:"ntiMatchNs,omitempty"`
 	// NTIPrefilterNs is the portion of NTIMatchNs spent in the prefilter
-	// (trigram bitmap build, per-input trigram counting and window pass).
+	// (partition filter, trigram bitmap build, per-input trigram counting
+	// and window pass).
 	NTIPrefilterNs int64 `json:"ntiPrefilterNs,omitempty"`
 	// ProfileNs is time spent in the query-skeleton profile stage
 	// (skeleton normalization plus the profile lookup).
