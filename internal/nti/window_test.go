@@ -78,10 +78,10 @@ func windowSeeds() [][2]string {
 
 // FuzzWindowFilter holds the prefilter exact under both matcher engines:
 // no pair the partition filter, the trigram screen or the window pass
-// rejects has a match under the threshold, every match the whole-query matcher finds lies in the
-// candidate range, matching that range alone returns the same decision
-// and, bit for bit, the same Match, and an analyzer with the prefilter
-// returns what one without it returns.
+// rejects has a match under the threshold, every match the whole-query
+// matcher finds lies in the candidate range, matching that range alone
+// returns the same decision and, bit for bit, the same Match, and an
+// analyzer with the prefilter returns what one without it returns.
 func FuzzWindowFilter(f *testing.F) {
 	for _, s := range windowSeeds() {
 		f.Add(s[0], s[1], uint8(2))
