@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"joza"
+	"joza/internal/daemon"
+	"joza/internal/fragments"
+	"joza/internal/pti"
 	"joza/internal/workload"
 )
 
@@ -144,5 +147,37 @@ func TestWarmCheckAllocationBudget(t *testing.T) {
 	}
 	if hits := g.Metrics().CacheStructureHits - hitsBefore; hits != runs+1 {
 		t.Errorf("%d structure-cache hits while measuring, want one per measured comment post (%d)", hits, runs+1)
+	}
+}
+
+// TestRemoteCachedCheckAllocatesNothing pins the hit path of a
+// RemoteGuard's verdict cache: a repeated benign check answered in the
+// application, NTI included, allocates nothing and sends no frame.
+func TestRemoteCachedCheckAllocatesNothing(t *testing.T) {
+	const query = "SELECT * FROM records WHERE ID=5 LIMIT 5"
+	analyzer := pti.NewCached(pti.New(fragments.NewSet([]string{"SELECT * FROM records WHERE ID=", " LIMIT 5"})), pti.CacheQueryAndStructure, 128)
+	pool, stop := daemon.SpawnPipe(analyzer)
+	defer stop()
+	g := joza.NewRemoteGuard(pool)
+	ctx := context.Background()
+	req := joza.Request{Site: "plugin:records", Query: query, Inputs: []joza.Input{{Source: "post", Name: "author", Value: "tellus"}}}
+	var (
+		v   joza.Verdict
+		err error
+	)
+	for i := 0; i < 2; i++ { // the miss that fills the entry, then a hit
+		if v, err = g.Check(ctx, req); err != nil || v.Attack {
+			t.Fatalf("warm-up check %d: %+v, %v", i, v, err)
+		}
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	const runs = 200
+	if got := testing.AllocsPerRun(runs, func() { v, err = g.Check(ctx, req) }); got != 0 || err != nil || v.Attack {
+		t.Errorf("a cached remote check allocates %.2f times (verdict %+v, %v), want 0", got, v, err)
+	}
+	if m := g.Metrics(); m.ClientCacheMisses != 1 || m.ClientCacheHits != runs+2 {
+		t.Errorf("%d hits and %d misses, want every check after the first answered from the cache", m.ClientCacheHits, m.ClientCacheMisses)
 	}
 }

@@ -588,6 +588,54 @@ func BenchmarkAblationTransports(b *testing.B) {
 	})
 }
 
+// BenchmarkHybridClient measures one RemoteGuard check over SpawnPipe's
+// one-pipe pool. cached repeats a few benign queries, so every timed
+// check is answered by the client's verdict cache and NTI alone; wire
+// sends a distinct query per iteration, so every check pays the round
+// trip to the daemon, whose own PTI cache answers it from the structure
+// key.
+func BenchmarkHybridClient(b *testing.B) {
+	analyzer := pti.NewCached(pti.New(fragments.NewSet([]string{"SELECT * FROM records WHERE ID=", " LIMIT 5"})), pti.CacheQueryAndStructure, 4096)
+	inputs := []joza.Input{{Source: "get", Name: "id", Value: "5"}}
+	// run checks warm once each (dialing the pool), then queries.
+	run := func(b *testing.B, warm, queries []string) {
+		pool, stop := daemon.SpawnPipe(analyzer)
+		defer stop()
+		g := joza.NewRemoteGuard(pool)
+		ctx := context.Background()
+		for _, q := range warm {
+			if _, err := g.Check(ctx, joza.Request{Query: q, Inputs: inputs}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v, err := g.Check(ctx, joza.Request{Query: queries[i%len(queries)], Inputs: inputs})
+			if err != nil || v.Attack {
+				b.Fatalf("benign check: %+v, %v", v, err)
+			}
+		}
+		b.StopTimer()
+		m := g.Metrics()
+		b.ReportMetric(float64(m.ClientCacheHits)/float64(m.ClientCacheHits+m.ClientCacheMisses), "hit-frac")
+	}
+	b.Run("cached", func(b *testing.B) {
+		queries := make([]string, 8)
+		for i := range queries {
+			queries[i] = fmt.Sprintf("SELECT * FROM records WHERE ID=%d LIMIT 5", i)
+		}
+		run(b, queries, queries)
+	})
+	b.Run("wire", func(b *testing.B) {
+		queries := make([]string, b.N+1)
+		for i := range queries {
+			queries[i] = fmt.Sprintf("SELECT * FROM records WHERE ID=%d LIMIT 5", 1000+i)
+		}
+		run(b, queries[:1], queries[1:])
+	})
+}
+
 // startTCPDaemon serves analyzer on a loopback TCP port until b's
 // cleanup and returns the address.
 func startTCPDaemon(b *testing.B, analyzer *pti.Cached) string {

@@ -55,11 +55,21 @@ func (m DegradeMode) String() string {
 // degradation policy) followed by the standard NTI stage — so metrics,
 // tracing and audit recording are the engine's single post-verdict path,
 // the same operator surface the in-process Guard provides.
+//
+// As in the paper, the query cache lives in the application: a safe
+// daemon reply is kept for its (dialect, site, query), so a repeated
+// benign check skips the round trip while NTI still runs on it. Attacks,
+// learning checks and transport failures are never kept. Entries carry
+// the snapshot version that filled them, a reply from another version
+// flushes them, and so does a rollout the transport commits; a lease
+// renewed by every reply bounds how long they serve without one.
 type HybridClient struct {
 	transport Transport
 	eng       *engine.Engine
 	policy    core.Policy
 	tracer    *trace.Tracer
+	// cache answers repeated safe checks without asking the transport.
+	cache *verdictCache
 
 	// construction-time configuration consumed by NewHybridClient.
 	nti            *nti.Analyzer
@@ -148,8 +158,12 @@ func NewHybridClient(transport Transport, ntiAnalyzer *nti.Analyzer, policy core
 	for _, o := range opts {
 		o(h)
 	}
+	h.cache = newVerdictCache()
+	if c, ok := transport.(interface{ onCommit(func()) }); ok {
+		c.onCommit(h.cache.flushRollout)
+	}
 	snap := &engine.Snapshot{NTI: h.nti, Dialect: h.dialect}
-	snap.Analyzers = append(snap.Analyzers, remotePTIStage{transport: transport, degrade: h.degrade})
+	snap.Analyzers = append(snap.Analyzers, remotePTIStage{transport: transport, degrade: h.degrade, cache: h.cache})
 	// The profile stage converts the verdict the daemon attached to the
 	// analyze reply; it costs nothing when no reply carries one (no site
 	// sent, or a daemon without profiles).
@@ -178,13 +192,16 @@ func NewHybridClient(transport Transport, ntiAnalyzer *nti.Analyzer, policy core
 	return h
 }
 
-// remotePTIStage is the engine stage for daemon-backed PTI: one transport
-// round trip and the degradation policy applied to transport failures. It
-// publishes no token stream: the NTI stage lexes under its own dialect,
-// and only when an input matches the query.
+// remotePTIStage is the engine stage for daemon-backed PTI: an answer from
+// the client's verdict cache, or one transport round trip with the
+// degradation policy applied to transport failures. Either way the
+// verdict carries the snapshot version of the daemon reply that decided
+// it. It publishes no token stream: the NTI stage lexes under its own
+// dialect, and only when an input matches the query.
 type remotePTIStage struct {
 	transport Transport
 	degrade   DegradeMode
+	cache     *verdictCache
 }
 
 // Name implements engine.Analyzer.
@@ -192,6 +209,14 @@ func (s remotePTIStage) Name() string { return core.AnalyzerPTI }
 
 // Analyze implements engine.Analyzer.
 func (s remotePTIStage) Analyze(ctx context.Context, req *engine.Request, st *engine.State, res *core.Result) error {
+	if e := s.cache.get(req.Dialect, req.Site, req.Query); e != nil {
+		// A safe reply: the PTI slot stays the clean result the engine
+		// filled, and the profile stage reads the cached evidence.
+		st.Span().SetCacheOutcome("client-hit")
+		st.SetAux(&e.reply)
+		st.SetVersion(e.reply.Version)
+		return nil
+	}
 	reply, err := s.transport.AnalyzeSiteContext(ctx, req.Site, req.Query)
 	if err == nil {
 		// Fold the daemon's view of this check into our span: its lex and
@@ -200,7 +225,9 @@ func (s remotePTIStage) Analyze(ctx context.Context, req *engine.Request, st *en
 		// profile verdict without a second round trip.
 		st.Span().Merge(reply.Trace)
 		st.SetAux(reply)
+		st.SetVersion(reply.Version)
 		*res = reply.Result()
+		s.cache.put(req.Dialect, req.Site, req.Query, reply)
 		return nil
 	}
 	if cerr := ctx.Err(); cerr != nil {
@@ -299,13 +326,16 @@ func (h *HybridClient) CheckContextAt(ctx context.Context, site, query string, i
 }
 
 // Metrics returns a snapshot of the client's counters: checks, attacks
-// per analyzer, degraded checks, containment events and latency quantiles
-// — the operator view Guard.Metrics provides, for remote deployments.
-// When the transport carries a circuit breaker (a Pool with
-// BreakerThreshold set), its state and counters ride along. PTI cache
-// fields stay zero here; the daemon's "stats" verb reports those.
+// per analyzer, degraded checks, containment events, latency quantiles
+// and the verdict cache's activity — the operator view Guard.Metrics
+// provides, for remote deployments. When the transport carries a circuit
+// breaker (a Pool with BreakerThreshold set), its state and counters ride
+// along. PTI cache fields stay zero here; the daemon's "stats" verb
+// reports those, for the checks that crossed the wire.
 func (h *HybridClient) Metrics() metrics.Snapshot {
 	snap := h.eng.Collector().Snapshot()
+	snap.ClientCacheHits, snap.ClientCacheMisses, snap.ClientCacheRejected,
+		snap.ClientCacheFlushes, snap.ClientCacheLeaseLapses = h.cache.counts()
 	if bp, ok := h.transport.(interface{ BreakerStats() guardrail.BreakerStats }); ok {
 		if st := bp.BreakerStats(); st.State != "" && st.State != "disabled" {
 			snap.BreakerState = st.State
@@ -329,11 +359,12 @@ func (h *HybridClient) Traces() trace.Dump { return h.tracer.Dump() }
 // observability server (nil without WithTracing).
 func (h *HybridClient) Tracer() *trace.Tracer { return h.tracer }
 
-// Close flushes the audit logger (a no-op for synchronous loggers) and
-// releases the underlying transport.
+// Close flushes the audit logger (a no-op for synchronous loggers), stops
+// the verdict cache's lease timer and releases the underlying transport.
 func (h *HybridClient) Close() error {
 	if h.audit != nil {
 		_ = h.audit.Close()
 	}
+	h.cache.lease.stop()
 	return h.transport.Close()
 }

@@ -128,9 +128,38 @@ type Pool struct {
 
 	dials     atomic.Uint64
 	exhausted atomic.Uint64
+
+	// commits holds the verdict-cache flushes of the HybridClients over
+	// this pool, run after a Commit succeeds.
+	commits commitHooks
 }
 
 var _ Transport = (*Pool)(nil)
+
+// commitHooks are the functions a transport runs after a rollout commit
+// it drove: each HybridClient over the transport registers the flush of
+// its verdict cache, so no client answers from the superseded snapshot.
+type commitHooks struct {
+	mu  sync.Mutex
+	fns []func()
+}
+
+func (c *commitHooks) add(f func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.fns = append(c.fns, f)
+}
+
+func (c *commitHooks) run() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, f := range c.fns {
+		f()
+	}
+}
+
+// onCommit registers f to run after each successful Commit.
+func (p *Pool) onCommit(f func()) { p.commits.add(f) }
 
 // DialPool returns a pool of connections to a daemon at a TCP address.
 func DialPool(addr string, cfg PoolConfig) *Pool {
@@ -310,9 +339,14 @@ func (p *Pool) Prepare(ctx context.Context) (*RolloutReply, error) {
 
 // Commit drives phase two: the daemon swaps its staged snapshot in as the
 // serving one. A non-empty version pins which staged snapshot may swap;
-// mismatches are refused with the staged state kept.
+// mismatches are refused with the staged state kept. A successful commit
+// flushes the verdict cache of every HybridClient over this pool.
 func (p *Pool) Commit(ctx context.Context, version string) (*RolloutReply, error) {
-	return p.rolloutReq(ctx, wireRequest{Op: "commit", Version: version})
+	r, err := p.rolloutReq(ctx, wireRequest{Op: "commit", Version: version})
+	if err == nil {
+		p.commits.run()
+	}
+	return r, err
 }
 
 // Abort discards the daemon's staged snapshot, if any. Idempotent.

@@ -72,6 +72,10 @@ type ShardedPool struct {
 	shardVer    []string
 	current     string
 	staleServed []uint64
+
+	// commits holds the verdict-cache flushes of the HybridClients over
+	// this fleet, run once a Rollout's commit round ends.
+	commits commitHooks
 }
 
 var _ Transport = (*ShardedPool)(nil)
@@ -155,6 +159,10 @@ func DialShardedPool(addrs []string, cfg PoolConfig, opts ...ShardedPoolOption) 
 	}
 	return NewShardedPool(pools, append([]ShardedPoolOption{WithShardNames(addrs)}, opts...)...)
 }
+
+// onCommit registers f to run after each Rollout that reaches its commit
+// round.
+func (sp *ShardedPool) onCommit(f func()) { sp.commits.add(f) }
 
 // Shards returns the fleet size.
 func (sp *ShardedPool) Shards() int { return len(sp.pools) }
@@ -364,7 +372,8 @@ type RolloutReport struct {
 //     re-running Rollout after the restart is a cheap no-op re-converge.
 //
 // The report always describes every shard, error or not, so callers can
-// render exactly which shard did what.
+// render exactly which shard did what. Once the commit round ends, the
+// verdict cache of every HybridClient over this fleet is flushed.
 func (sp *ShardedPool) Rollout(ctx context.Context) (*RolloutReport, error) {
 	report := &RolloutReport{Shards: make([]ShardRollout, len(sp.pools))}
 	var wg sync.WaitGroup
@@ -425,6 +434,9 @@ func (sp *ShardedPool) Rollout(ctx context.Context) (*RolloutReport, error) {
 		}(s)
 	}
 	wg.Wait()
+	// Even a partial commit moved some shards on: every client's cached
+	// verdicts are from the superseded snapshot.
+	sp.commits.run()
 	var commitErrs []error
 	failed.Range(func(s, err any) bool {
 		commitErrs = append(commitErrs, fmt.Errorf("shard %s: %w", sp.names[s.(int)], err.(error)))

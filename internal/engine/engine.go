@@ -162,6 +162,12 @@ func (st *State) MarkDegraded() {
 	st.span.SetDegraded()
 }
 
+// SetVersion labels the verdict with the snapshot version that decided
+// it, for a stage whose analysis ran elsewhere: a remote PTI stage stamps
+// the version its daemon reported, where the engine stamped its own
+// snapshot's.
+func (st *State) SetVersion(v string) { st.v.Version = v }
+
 // SetProfile records the profile stage's evidence for the verdict and
 // the span: the call site, the query's skeleton and the lookup outcome.
 func (st *State) SetProfile(site, skeleton, outcome string) {

@@ -398,6 +398,17 @@ type Snapshot struct {
 	BreakerRejects uint64 `json:"breakerRejects,omitempty"`
 	BreakerProbes  uint64 `json:"breakerProbes,omitempty"`
 
+	// A HybridClient's verdict cache, filled by the client (zero
+	// elsewhere): checks answered in the application, checks that crossed
+	// the wire, puts a full shard turned away on their key's first
+	// sighting, flushes (a reply from another snapshot version, or a
+	// rollout the transport committed) and lapses of the lease.
+	ClientCacheHits        uint64 `json:"clientCacheHits,omitempty"`
+	ClientCacheMisses      uint64 `json:"clientCacheMisses,omitempty"`
+	ClientCacheRejected    uint64 `json:"clientCacheRejected,omitempty"`
+	ClientCacheFlushes     uint64 `json:"clientCacheFlushes,omitempty"`
+	ClientCacheLeaseLapses uint64 `json:"clientCacheLeaseLapses,omitempty"`
+
 	// NTI approximate-matcher activity: total invocations of the
 	// quadratic matcher, how many were abandoned early (threshold band
 	// exhausted, bit-parallel scan miss or a candidate range narrower
@@ -617,6 +628,10 @@ func (s Snapshot) Format() string {
 	if s.BreakerState != "" && s.BreakerState != "disabled" {
 		fmt.Fprintf(&b, "breaker %s: %d trips, %d rejects, %d probes\n",
 			s.BreakerState, s.BreakerTrips, s.BreakerRejects, s.BreakerProbes)
+	}
+	if s.ClientCacheHits+s.ClientCacheMisses > 0 {
+		fmt.Fprintf(&b, "client verdict cache: %d hits, %d misses, %d rejected, %d flushes, %d lease lapses\n",
+			s.ClientCacheHits, s.ClientCacheMisses, s.ClientCacheRejected, s.ClientCacheFlushes, s.ClientCacheLeaseLapses)
 	}
 	if s.DaemonAnalyzeOps+s.DaemonBatchOps+s.DaemonStatsOps+s.DaemonTracesOps+s.DaemonErrors+s.DaemonTimeouts > 0 {
 		fmt.Fprintf(&b, "daemon ops: %d analyze, %d batch (%d items), %d stats, %d traces, %d errors, %d timeouts\n",

@@ -186,6 +186,14 @@ func WritePrometheus(b *strings.Builder, s metrics.Snapshot) {
 		}
 		fmt.Fprintf(b, "# HELP joza_breaker_open Whether the daemon-transport breaker is open or half-open.\n# TYPE joza_breaker_open gauge\njoza_breaker_open %d\n", open)
 	}
+	if s.ClientCacheHits+s.ClientCacheMisses > 0 {
+		fmt.Fprintf(b, "# HELP joza_client_cache_lookups_total Remote checks by whether the client's verdict cache answered them (hit) or the daemon did (miss).\n# TYPE joza_client_cache_lookups_total counter\n")
+		fmt.Fprintf(b, "joza_client_cache_lookups_total{outcome=\"hit\"} %d\n", s.ClientCacheHits)
+		fmt.Fprintf(b, "joza_client_cache_lookups_total{outcome=\"miss\"} %d\n", s.ClientCacheMisses)
+		counter("joza_client_cache_admission_rejects_total", "Puts a full client verdict cache turned away on their key's first sighting.", s.ClientCacheRejected)
+		counter("joza_client_cache_flushes_total", "Client verdict cache flushes on a snapshot version change or a committed rollout.", s.ClientCacheFlushes)
+		counter("joza_client_cache_lease_lapses_total", "Lapses of the client verdict cache's lease after a term without a daemon reply.", s.ClientCacheLeaseLapses)
+	}
 	counter("joza_nti_matcher_calls_total", "Invocations of the approximate matcher.", s.NTIMatcherCalls)
 	counter("joza_nti_matcher_early_exits_total", "Matcher runs abandoned early (threshold band or scan miss).", s.NTIMatcherEarlyExits)
 	counter("joza_nti_prefilter_checks_total", "Input-query pairs examined by the NTI prefilter.", s.NTIPrefilterChecks)

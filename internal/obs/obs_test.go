@@ -32,6 +32,8 @@ func testSnapshot() metrics.Snapshot {
 	s.CacheStructureShards = []metrics.CacheShard{{Hits: 1, Entries: 2, Rejected: 4}, {Entries: 1, Rejected: 7}}
 	s.DaemonAnalyzeOps = 9
 	s.DaemonStatsOps = 1
+	s.ClientCacheHits, s.ClientCacheMisses, s.ClientCacheRejected = 12, 4, 3
+	s.ClientCacheFlushes, s.ClientCacheLeaseLapses = 2, 1
 	return s
 }
 
@@ -85,6 +87,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		`joza_stage_duration_seconds_count{stage="nti_prefilter"} 1`,
 		"joza_nti_prefilter_checks_total 6",
 		"joza_nti_prefilter_rejects_total 5",
+		`joza_client_cache_lookups_total{outcome="hit"} 12`,
+		`joza_client_cache_lookups_total{outcome="miss"} 4`,
+		"joza_client_cache_admission_rejects_total 3",
+		"joza_client_cache_flushes_total 2",
+		"joza_client_cache_lease_lapses_total 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q\n%s", want, body)

@@ -14,6 +14,7 @@ import (
 	"joza"
 	"joza/internal/core"
 	"joza/internal/daemon"
+	"joza/internal/engine"
 	"joza/internal/nti"
 	"joza/internal/pti"
 	"joza/internal/sqltoken"
@@ -174,6 +175,28 @@ func (n *oversizedNeighbour) Check(ctx context.Context, req joza.Request) (joza.
 	return v, err
 }
 
+// versionedPath is a HybridClient whose daemon labels its snapshot with
+// version. It counts the verdicts that report another version, and the
+// checks whose daemon half, PTI and the profile stage, passed.
+type versionedPath struct {
+	*daemon.HybridClient
+	version           string
+	wrong, remoteSafe int
+}
+
+func (p *versionedPath) Check(ctx context.Context, req joza.Request) (joza.Verdict, error) {
+	v, err := p.HybridClient.Check(ctx, req)
+	if err == nil {
+		if v.Version != p.version {
+			p.wrong++
+		}
+		if !v.PTI.Attack && !v.Profile.Attack {
+			p.remoteSafe++
+		}
+	}
+	return v, err
+}
+
 // hybridOver returns a HybridClient over transport in dialect d.
 func hybridOver(t *testing.T, transport daemon.Transport, d sqltoken.Dialect) *daemon.HybridClient {
 	t.Helper()
@@ -191,9 +214,13 @@ func hybridOver(t *testing.T, transport daemon.Transport, d sqltoken.Dialect) *d
 // the in-process Direct transport, one over a micro-batching Pool (the
 // "batch" verb), one over a micro-batching Pool that sends a query past
 // the server's request cap beside the checks, one over a 2-shard
-// replicated ShardedPool and one over a 2-shard ShardedPool of
-// micro-batching Pools, all with the same fragments and profiles, and
-// requires the same verdict from every path on every check. A second
+// replicated ShardedPool, one over a 2-shard ShardedPool of
+// micro-batching Pools, and one over a Pool to a daemon whose snapshot
+// carries the Guard's version, all with the same fragments and profiles,
+// and requires the same verdict from every path on every check, and the
+// Guard's version from the versioned path. The matrix then runs a second
+// time through the Guard and the versioned path, whose client answers
+// every check the daemon passed from its verdict cache. A second
 // MySQL slice compares a HybridClient over SpawnPipe's one-pipe Pool,
 // whose daemon has no profiles, with a Guard that has none either.
 // A Postgres slice repeats the corpus, plus the dialect-evasion payloads,
@@ -254,6 +281,12 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 		}
 		small := smallCacheGuard(t, lab, joza.WithProfileStore(store))
 		kinds := &frameKinds{n: map[byte]int{}}
+		versionedAnalyzer := pti.NewCached(pti.New(lab.Fragments), pti.CacheQueryAndStructure, 4096)
+		versionedSnap := daemon.NewSnapshot(versionedAnalyzer, engine.ProfileStage{Store: store}, guard.SnapshotVersion())
+		versioned := &versionedPath{
+			HybridClient: hybridOver(t, pipePool(daemon.NewServer(versionedAnalyzer, daemon.WithSnapshot(versionedSnap)), sqltoken.MySQL, 0, nil), sqltoken.MySQL),
+			version:      guard.SnapshotVersion(),
+		}
 		d := &pathDiff{paths: []namedChecker{
 			{"guard", guard},
 			{"uncached guard", uncached},
@@ -264,9 +297,27 @@ func TestPathIndependenceDetectionMatrix(t *testing.T) {
 			{"2-shard fleet", hybridOver(t, fleet, sqltoken.MySQL)},
 			{"2-shard fleet of micro-batching pools", hybridOver(t, batchFleet, sqltoken.MySQL)},
 			{"micro-batching pool beside an oversized query", neighbour},
+			{"versioned pool", versioned},
 		}}
 		if cases := sweep(t, d); cases != 383 {
 			t.Errorf("swept %d cases, want the matrix's 383", cases)
+		}
+		first := versioned.Metrics()
+		versioned.remoteSafe = 0
+		again := &pathDiff{paths: []namedChecker{{"guard", guard}, {"versioned pool, second pass", versioned}}}
+		if cases := sweep(t, again); cases != 383 {
+			t.Errorf("second pass swept %d cases, want the matrix's 383", cases)
+		}
+		d.diffs = append(d.diffs, again.diffs...)
+		// A lapse of the lease sends one check over the wire.
+		second := versioned.Metrics()
+		hits, lapses := second.ClientCacheHits-first.ClientCacheHits, second.ClientCacheLeaseLapses-first.ClientCacheLeaseLapses
+		if hits > uint64(versioned.remoteSafe) || hits+lapses < uint64(versioned.remoteSafe) || hits == 0 {
+			t.Errorf("second pass: %d checks answered from the cache (%d lease lapses), want each of the %d the daemon passed",
+				hits, lapses, versioned.remoteSafe)
+		}
+		if versioned.wrong != 0 {
+			t.Errorf("versioned pool: %d verdicts without the Guard's version %s", versioned.wrong, guard.SnapshotVersion())
 		}
 		if neighbour.failed != 48 {
 			t.Errorf("%d oversized calls failed, want one beside every 8th of the 383 cases", neighbour.failed)

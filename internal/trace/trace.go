@@ -126,7 +126,9 @@ type Span struct {
 	VersionSkew string `json:"versionSkew,omitempty"`
 
 	// CacheOutcome is the PTI cache verdict: query-hit, structure-hit or
-	// miss (empty when PTI is disabled).
+	// miss (empty when PTI is disabled). A remote check a HybridClient
+	// answered from its own verdict cache reads client-hit: no daemon saw
+	// it, so no daemon span is merged.
 	CacheOutcome string `json:"cacheOutcome,omitempty"`
 
 	// Site is the call-site key the profile stage evaluated (empty when
