@@ -25,12 +25,12 @@
 // reply.
 //
 // Snapshots are versioned: the daemon hashes the fragment corpus, the
-// profile store, the dialect and the analysis limits into a
-// content-derived version (every replica of one fleet generation reports
-// the same one), stamps it on replies and stats, and serves the two-phase
-// rollout verbs — prepare (rebuild + self-test without swapping), commit,
-// abort — that daemon.ShardedPool.Rollout coordinates fleet-wide. Every
-// daemon of a fleet serves the whole corpus.
+// profile store, the dialect, the enabled stages and the analysis limits
+// into a content-derived version (every replica of one fleet generation
+// reports the same one), stamps it on replies and stats, and serves the
+// two-phase rollout verbs — prepare (rebuild + self-test without
+// swapping), commit, abort — that daemon.ShardedPool.Rollout coordinates
+// fleet-wide. Every daemon of a fleet serves the whole corpus.
 package main
 
 import (
@@ -124,79 +124,50 @@ $q = "SELECT * FROM records WHERE ID=$id LIMIT 5";`))
 	if err != nil {
 		return err
 	}
-	ptiOpts := []pti.Option{pti.WithDialect(dialect)}
-	if *maxQueryBytes > 0 {
-		ptiOpts = append(ptiOpts, pti.WithMaxQueryBytes(*maxQueryBytes))
-	}
-	if *maxTokens > 0 {
-		ptiOpts = append(ptiOpts, pti.WithMaxTokens(*maxTokens))
-	}
 	var recorder *profile.Recorder
 	if *learnPath != "" {
 		recorder = profile.NewRecorderDialect(dialect)
 		log.Printf("profile learning: will write %s on shutdown", *learnPath)
 	}
-	// buildSnapshot turns the corpus into the snapshot the daemon serves
-	// whole: the analyzer, the profile store (or the learning recorder),
-	// and the content-derived snapshot version.
-	limitsTag := fmt.Sprintf("q%d:t%d", *maxQueryBytes, *maxTokens)
-	buildSnapshot := func(corpus *fragments.Set) (*engine.Snapshot, error) {
-		if corpus.Len() == 0 {
-			return nil, fmt.Errorf("no SQL-bearing fragments found")
-		}
-		profiles := engine.ProfileStage{Recorder: recorder}
-		if recorder == nil && *profilesPath != "" {
-			store, err := profile.Load(*profilesPath)
-			if err != nil {
-				return nil, err
-			}
-			// Skeletons only compare within one dialect: refuse a store
-			// trained under another rather than serve verdicts computed
-			// across lexers.
-			if err := store.ForDialect(dialect); err != nil {
-				return nil, fmt.Errorf("%s: %w", *profilesPath, err)
-			}
-			profiles.Store = store
-		}
-		analyzer := pti.NewCached(pti.New(corpus, ptiOpts...), mode, *cacheCap)
-		return daemon.NewSnapshot(analyzer, profiles, engine.ComputeVersion(corpus, profiles.Store, dialect, limitsTag)), nil
+	// gen builds the snapshot the daemon serves whole — the PTI analyzer,
+	// the profile store (or the learning recorder) and the content-derived
+	// version — and rebuilds it from the sources of record: re-extracted
+	// fragments AND a fresh profile load, so a generation can never pair
+	// fragments from one with profiles from another.
+	spec := engine.Spec{
+		Set:           set,
+		Dialect:       dialect,
+		NoNTI:         true,
+		Limits:        engine.Limits{MaxQueryBytes: *maxQueryBytes, PTITokens: *maxTokens},
+		Recorder:      recorder,
+		CacheMode:     mode,
+		CacheCapacity: *cacheCap,
 	}
-	tracer := trace.New(trace.Config{
-		SampleEvery:   *traceSample,
-		RingSize:      *traceRing,
-		SlowThreshold: *traceSlow,
-	})
-	srvOpts := []daemon.ServerOption{
-		daemon.WithReadTimeout(*readTimeout),
-		daemon.WithMaxRequestBytes(*maxRequest),
-		daemon.WithAdmission(*maxInflight, *admissionWait),
-		daemon.WithTracer(tracer),
+	if recorder == nil {
+		spec.ProfileFile = *profilesPath
 	}
-	snap, err := buildSnapshot(set)
+	gen := engine.NewRefresher(spec, ins)
+	snap, err := gen.Build()
 	if err != nil {
 		return err
 	}
 	if snap.Profiles != nil {
 		log.Printf("profiles loaded: %d sites, %d skeletons", snap.Profiles.Sites(), snap.Profiles.Skeletons())
 	}
-	srvOpts = append(srvOpts,
+	tracer := trace.New(trace.Config{
+		SampleEvery:   *traceSample,
+		RingSize:      *traceRing,
+		SlowThreshold: *traceSlow,
+	})
+	srv := daemon.NewServer(snap.PTI,
+		daemon.WithReadTimeout(*readTimeout),
+		daemon.WithMaxRequestBytes(*maxRequest),
+		daemon.WithAdmission(*maxInflight, *admissionWait),
+		daemon.WithTracer(tracer),
 		daemon.WithSnapshot(snap),
-		// prepare rebuilds the whole snapshot from the sources of record —
-		// re-extracted fragments AND a fresh profile load — so a committed
-		// rollout can never pair fragments from one generation with
-		// profiles from another.
-		daemon.WithReloader(func(ctx context.Context) (*engine.Snapshot, error) {
-			if ins != nil {
-				if _, err := ins.Refresh(); err != nil {
-					return nil, err
-				}
-				return buildSnapshot(ins.Set())
-			}
-			return buildSnapshot(set)
-		}),
+		daemon.WithReloader(func(context.Context) (*engine.Snapshot, error) { return gen.Build() }),
 		daemon.WithRolloutHook(testPhaseSleep),
 	)
-	srv := daemon.NewServer(snap.PTI, srvOpts...)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -231,56 +202,20 @@ $q = "SELECT * FROM records WHERE ID=$id LIMIT 5";`))
 		testReady(ln.Addr().String(), boundObs)
 	}
 
-	watchProfiles := *learnPath == "" && *profilesPath != ""
-	if *watch > 0 && (ins != nil || watchProfiles) {
-		// Preprocessing loop, unified across inputs: fragment re-extraction
-		// and profile-store reload feed ONE rebuild and ONE swap, so the
-		// daemon can never install fragments from one generation alongside
-		// profiles from another. The sticky contract survives the merge: a
-		// failed rebuild keeps the prior snapshot serving, and every later
-		// tick retries until one succeeds.
+	if *watch > 0 && (ins != nil || spec.ProfileFile != "") {
+		// The preprocessing loop: a fragment change and a profile-store
+		// change feed one rebuild and one swap, and a failed rebuild keeps
+		// the prior snapshot serving until a later tick's retry succeeds.
 		go func() {
 			ticker := time.NewTicker(*watch)
 			defer ticker.Stop()
-			var lastMod time.Time
-			if watchProfiles {
-				if fi, err := os.Stat(*profilesPath); err == nil {
-					lastMod = fi.ModTime()
-				}
-			}
-			pending := false
 			for range ticker.C {
-				rebuild := pending
-				if ins != nil {
-					changed, err := ins.Refresh()
-					if err != nil {
-						log.Printf("refresh: %v", err)
-						continue
-					}
-					rebuild = rebuild || changed
-				}
-				if watchProfiles {
-					if fi, err := os.Stat(*profilesPath); err == nil && fi.ModTime().After(lastMod) {
-						lastMod = fi.ModTime()
-						rebuild = true
-					}
-				}
-				if !rebuild {
-					continue
-				}
-				full := set
-				if ins != nil {
-					full = ins.Set()
-				}
-				next, err := buildSnapshot(full)
-				if err != nil {
-					pending = true
+				if _, err := gen.Refresh(func(next *engine.Snapshot) {
+					srv.SetSnapshot(next)
+					log.Printf("snapshot reloaded: %d fragments, version %s", next.Set.Len(), next.Version)
+				}); err != nil {
 					log.Printf("reload: %v (keeping prior snapshot)", err)
-					continue
 				}
-				pending = false
-				srv.SetSnapshot(next)
-				log.Printf("snapshot reloaded: %d fragments, version %s", full.Len(), next.Version)
 			}
 		}()
 	}

@@ -471,3 +471,25 @@ func TestRolloutChaosKillMidCommit(t *testing.T) {
 		t.Fatalf("restarted shard serves %q, want convergence on %q", got, vNew)
 	}
 }
+
+// TestVersionCoversLimitFlags: the query byte and token limits change
+// verdicts (an over-limit query fails closed), so daemons started with
+// different -max-query-bytes or -max-tokens serve different versions.
+func TestVersionCoversLimitFlags(t *testing.T) {
+	dir := writeChaosCorpus(t)
+	seen := map[string]string{}
+	for _, flags := range [][]string{
+		nil,
+		{"-max-query-bytes", "1024"},
+		{"-max-tokens", "64"},
+	} {
+		addr, _, runErr := bootInProcess(t, append([]string{"-src", dir, "-addr", "127.0.0.1:0", "-drain", "5s"}, flags...)...)
+		v := daemonVersion(t, addr)
+		sigtermAndWait(t, runErr)
+		name := strings.Join(flags, " ")
+		if prev, dup := seen[v]; dup {
+			t.Errorf("%q shares version %s with %q", name, v, prev)
+		}
+		seen[v] = name
+	}
+}

@@ -84,9 +84,16 @@ func TestServerRefusesHostileOversizedQuery(t *testing.T) {
 	}
 	for name, hostile := range payloads {
 		t.Run(name, func(t *testing.T) {
-			set := fragments.NewSet([]string{"SELECT * FROM records WHERE ID=", " LIMIT 5"})
-			budgeted := pti.NewCached(pti.New(set, pti.WithMaxQueryBytes(1<<20)), pti.CacheQueryAndStructure, 128)
-			srv := NewServer(budgeted, WithMaxRequestBytes(16<<20))
+			budgeted, err := engine.Build(engine.Spec{
+				Set:       fragments.NewSet([]string{"SELECT * FROM records WHERE ID=", " LIMIT 5"}),
+				NoNTI:     true,
+				Limits:    engine.Limits{MaxQueryBytes: 1 << 20},
+				CacheMode: pti.CacheQueryAndStructure, CacheCapacity: 128,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := NewServer(budgeted.PTI, WithSnapshot(budgeted), WithMaxRequestBytes(16<<20))
 			clientSide, serverSide := net.Pipe()
 			done := make(chan struct{})
 			go func() {
@@ -147,9 +154,15 @@ func TestOversizedQueryRunsNoStage(t *testing.T) {
 		{name: "learning", rec: profile.NewRecorder()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a := pti.NewCached(pti.New(set, pti.WithMaxQueryBytes(1<<20)), pti.CacheQueryAndStructure, 128)
-			snap := NewSnapshot(a, engine.ProfileStage{Store: tc.st, Recorder: tc.rec}, "")
-			srv := NewServer(a, WithSnapshot(snap), WithMaxRequestBytes(16<<20))
+			snap, err := engine.Build(engine.Spec{
+				Set: set, NoNTI: true, Limits: engine.Limits{MaxQueryBytes: 1 << 20},
+				Profiles: tc.st, Recorder: tc.rec,
+				CacheMode: pti.CacheQueryAndStructure, CacheCapacity: 128,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := NewServer(snap.PTI, WithSnapshot(snap), WithMaxRequestBytes(16<<20))
 			c := pipeFrames(t, srv)
 			r := c.send(wireRequest{Query: hostile, Site: "plugin:records"}).Reply
 			if len(c.reply) > 1024 {

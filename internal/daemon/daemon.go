@@ -138,12 +138,13 @@ func (r *AnalysisReply) Result() core.Result {
 	return res
 }
 
-// NewSnapshot assembles the engine snapshot a daemon serves: the PTI stage
-// over analyzer, then the profile stage when it holds a store or a
-// learning recorder, labeled with version ("" for unversioned). Server and
-// Direct run every check over such a snapshot with engine.Check, so the
-// daemon shares the in-process Guard's pipeline, containment and
-// recording.
+// NewSnapshot wraps a caller-built analyzer in the snapshot a daemon
+// serves: the PTI stage over analyzer, then the profile stage when it
+// holds a store or a learning recorder, labeled with version ("" for
+// unversioned) and with no limits. A versioned generation is built by
+// engine.Build instead, which also owns its limits. Server and Direct run
+// every check over such a snapshot with engine.Check, so the daemon
+// shares the in-process Guard's pipeline, containment and recording.
 func NewSnapshot(analyzer *pti.Cached, profiles engine.ProfileStage, version string) *engine.Snapshot {
 	return withProfiles(&engine.Snapshot{
 		Analyzers: []engine.Analyzer{engine.PTIStage{Analyzer: analyzer}},
@@ -170,18 +171,6 @@ func withProfiles(snap *engine.Snapshot, profiles engine.ProfileStage) *engine.S
 	}
 	next.Profiles = profiles.Store
 	return &next
-}
-
-// newEngine returns the engine a Server or Direct runs snap on. A query
-// over the analyzer's byte cap is refused before any stage runs — no cache
-// lookup, lex, skeleton or profile learning — as the in-process Guard
-// refuses it. The cap is read once: every snapshot swapped in later is
-// built with the same analyzer options.
-func newEngine(snap *engine.Snapshot, opts ...engine.Option) *engine.Engine {
-	if snap.PTI != nil {
-		opts = append(opts, engine.WithLimits(engine.Limits{MaxQueryBytes: snap.PTI.MaxQueryBytes()}))
-	}
-	return engine.New(snap, opts...)
 }
 
 // replyFor turns the verdict of a check on site into its wire reply; Server
@@ -237,7 +226,7 @@ var _ Transport = (*Direct)(nil)
 
 // NewDirect returns a Direct transport over analyzer.
 func NewDirect(analyzer *pti.Cached) *Direct {
-	return &Direct{eng: newEngine(NewSnapshot(analyzer, engine.ProfileStage{}, ""))}
+	return &Direct{eng: engine.New(NewSnapshot(analyzer, engine.ProfileStage{}, ""))}
 }
 
 // SetProfiles installs the query-skeleton profile store consulted by

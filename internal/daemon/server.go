@@ -168,10 +168,10 @@ func WithProfiles(st *profile.Store) ServerOption {
 	}
 }
 
-// WithSnapshot replaces the initial snapshot whole (see NewSnapshot).
+// WithSnapshot replaces the initial snapshot whole (see engine.Build).
 // Owners that version their snapshots construct with this, so the version
 // labels exactly the state served; the NewServer analyzer is then unused,
-// and the byte cap of snap's analyzer applies.
+// and snap's limits apply, as do those of every snapshot swapped in later.
 func WithSnapshot(snap *engine.Snapshot) ServerOption {
 	return func(s *Server) { s.initial = snap }
 }
@@ -211,7 +211,7 @@ func NewServer(analyzer *pti.Cached, opts ...ServerOption) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	s.eng = newEngine(s.initial, engine.WithTracer(s.tracer))
+	s.eng = engine.New(s.initial, engine.WithTracer(s.tracer))
 	s.initial = nil
 	return s
 }

@@ -128,8 +128,7 @@ func TestLimitsQueryBytes(t *testing.T) {
 		ran = true
 		return core.Result{Analyzer: core.AnalyzerPTI}, nil
 	}}
-	e := New(&Snapshot{Analyzers: []Analyzer{probe}},
-		WithLimits(Limits{MaxQueryBytes: 1 << 20}))
+	e := New(&Snapshot{Analyzers: []Analyzer{probe}, Limits: Limits{MaxQueryBytes: 1 << 20}})
 	hostile := "SELECT '" + strings.Repeat("A", 4<<20) + "'" // the 4 MB input
 	v, err := e.Check(context.Background(), Request{Query: hostile})
 	if err != nil {
@@ -151,8 +150,8 @@ func TestLimitsQueryBytes(t *testing.T) {
 }
 
 func TestLimitsInputBytes(t *testing.T) {
-	e := New(&Snapshot{Analyzers: []Analyzer{okStage(core.AnalyzerPTI)}},
-		WithLimits(Limits{MaxInputBytes: 1024}), WithFailureMode(FailOpen))
+	e := New(&Snapshot{Analyzers: []Analyzer{okStage(core.AnalyzerPTI)}, Limits: Limits{MaxInputBytes: 1024}},
+		WithFailureMode(FailOpen))
 	v, err := e.Check(context.Background(), Request{
 		Query:  "SELECT 1",
 		Inputs: []nti.Input{{Source: "post", Name: "blob", Value: strings.Repeat("x", 4096)}},

@@ -254,6 +254,11 @@ type Snapshot struct {
 	// ProfileStage; nil without one. Exposed for stats endpoints.
 	Profiles *profile.Store
 
+	// Limits bounds the work of one check. The engine refuses a request
+	// over MaxQueryBytes or MaxInputBytes before any stage runs; the
+	// analyzers Build makes enforce NTIDPCells and PTITokens themselves.
+	Limits Limits
+
 	// Version is the content-derived version of this snapshot (see
 	// ComputeVersion); empty for unversioned snapshots. Stamped on every
 	// verdict the snapshot produces so each check is attributable to
@@ -353,14 +358,22 @@ func (m FailureMode) String() string {
 	return "fail-closed"
 }
 
-// Limits bounds the work one check may demand before any stage runs.
-// Zero fields are unlimited.
+// Limits caps the work one check may cost, defending the detector itself
+// against hostile over-sized inputs (a 4 MB "query" must not stall every
+// other request). A zero field disables that cap; the zero value disables
+// them all. A check that blows a limit resolves through the failure mode
+// and is counted in the metrics snapshot's OverBudgetChecks.
 type Limits struct {
-	// MaxQueryBytes fails checks whose query exceeds this size.
+	// MaxQueryBytes rejects queries longer than this before any analysis.
 	MaxQueryBytes int
-	// MaxInputBytes fails checks whose captured input values sum to more
-	// than this many bytes.
+	// MaxInputBytes rejects requests whose summed input values exceed this
+	// before any analysis.
 	MaxInputBytes int
+	// NTIDPCells bounds the dynamic-programming cells one NTI check may
+	// fill across all inputs.
+	NTIDPCells int
+	// PTITokens bounds how many tokens a query may lex into for PTI.
+	PTITokens int
 }
 
 // stagePanic carries a recovered analyzer panic out of runStage so Check
@@ -386,7 +399,6 @@ type Engine struct {
 	auditLog  *audit.Logger
 	policy    core.Policy
 	failMode  FailureMode
-	limits    Limits
 }
 
 // Option configures an Engine.
@@ -419,12 +431,6 @@ func WithPolicy(p core.Policy) Option {
 // a blown cost budget — resolve (default FailClosed).
 func WithFailureMode(m FailureMode) Option {
 	return func(e *Engine) { e.failMode = m }
-}
-
-// WithLimits bounds per-check work before any stage runs; over-limit
-// checks resolve through the failure mode and count as over-budget.
-func WithLimits(l Limits) Option {
-	return func(e *Engine) { e.limits = l }
 }
 
 // New builds an Engine over the initial snapshot.
@@ -467,11 +473,11 @@ func (e *Engine) FailureMode() FailureMode { return e.failMode }
 // verdict recorded. Callers without deadlines pass context.Background().
 //
 // Analysis failures are contained rather than propagated: a stage that
-// panics or exceeds a cost budget (Limits, or an analyzer's own budget
-// surfacing core.ErrOverBudget) resolves through the configured
-// FailureMode — fail-closed synthesizes an attack verdict for that stage,
-// fail-open serves the remaining stages' verdict — with the event counted
-// in the collector and captured in a notable trace span.
+// panics or exceeds a cost budget (the snapshot's Limits, or an
+// analyzer's own budget surfacing core.ErrOverBudget) resolves through the
+// configured FailureMode — fail-closed synthesizes an attack verdict for
+// that stage, fail-open serves the remaining stages' verdict — with the
+// event counted in the collector and captured in a notable trace span.
 func (e *Engine) Check(ctx context.Context, req Request) (v core.Verdict, err error) {
 	err = e.CheckInto(ctx, req, &v)
 	return v, err
@@ -515,7 +521,7 @@ func (e *Engine) check(ctx context.Context, st *State) error {
 	v.NTI.Analyzer = core.AnalyzerNTI
 	v.PTI.Analyzer = core.AnalyzerPTI
 	v.Version = snap.Version
-	detail := e.overLimits(req)
+	detail := snap.overLimits(req)
 	if detail == "" {
 		detail = snap.dialectMismatch(req.Dialect)
 	}
@@ -591,19 +597,19 @@ func (e *Engine) runStage(ctx context.Context, a Analyzer, st *State, res *core.
 	return a.Analyze(ctx, &st.req, st, res)
 }
 
-// overLimits reports why req exceeds the engine's pre-analysis limits, or
-// "" when it is within them. With zero Limits this is two compares.
-func (e *Engine) overLimits(req *Request) string {
-	if e.limits.MaxQueryBytes > 0 && len(req.Query) > e.limits.MaxQueryBytes {
-		return fmt.Sprintf("over budget: query %d bytes exceeds limit %d", len(req.Query), e.limits.MaxQueryBytes)
+// overLimits reports why req exceeds the snapshot's pre-analysis limits,
+// or "" when it is within them. With zero Limits this is two compares.
+func (s *Snapshot) overLimits(req *Request) string {
+	if s.Limits.MaxQueryBytes > 0 && len(req.Query) > s.Limits.MaxQueryBytes {
+		return fmt.Sprintf("over budget: query %d bytes exceeds limit %d", len(req.Query), s.Limits.MaxQueryBytes)
 	}
-	if e.limits.MaxInputBytes > 0 {
+	if s.Limits.MaxInputBytes > 0 {
 		total := 0
 		for _, in := range req.Inputs {
 			total += len(in.Value)
 		}
-		if total > e.limits.MaxInputBytes {
-			return fmt.Sprintf("over budget: inputs %d bytes exceed limit %d", total, e.limits.MaxInputBytes)
+		if total > s.Limits.MaxInputBytes {
+			return fmt.Sprintf("over budget: inputs %d bytes exceed limit %d", total, s.Limits.MaxInputBytes)
 		}
 	}
 	return ""

@@ -4,16 +4,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"sort"
 
-	"joza/internal/fragments"
 	"joza/internal/profile"
-	"joza/internal/sqltoken"
 )
 
-// versionHeader namespaces the snapshot-version hash so a future change to
-// the hashed layout produces versions that cannot collide with today's.
-const versionHeader = "joza-snapshot-v1"
+// versionHeader namespaces the snapshot-version hash; it changes with the
+// hashed layout, so versions of two layouts cannot collide.
+const versionHeader = "joza-snapshot-v2"
 
 // VersionLen is the length of a snapshot version string: the leading hex
 // of a SHA-256 over the snapshot's analysis inputs. 16 hex characters (64
@@ -22,18 +21,22 @@ const versionHeader = "joza-snapshot-v1"
 // frames.
 const VersionLen = 16
 
-// ComputeVersion derives the content-addressed version of an analysis
-// snapshot: a stable hash over everything that changes what the pipeline
-// decides — the trusted fragment set, the query-skeleton profile store,
-// the SQL dialect, and the pre-analysis limits (passed as an opaque tag by
-// the owner, since limit knobs differ per front door).
+// ComputeVersion derives the content-addressed version of the snapshot
+// Build makes from spec, whose profile source resolved to profiles: a
+// stable hash over every input that can change a verdict — the trusted
+// fragment set, the profile store and whether unknown sites are blocked,
+// the dialect, which of the PTI and NTI stages run, the NTI threshold,
+// the strict policy and all four limits. Settings that only change how
+// fast a verdict is reached — the PTI cache mode and capacity and the
+// analyzer option slices — are left out, so front doors that differ only
+// in them agree on the version.
 //
 // The hash is order-insensitive over fragments (two sets holding the same
 // texts version identically regardless of extraction order) and treats a
 // nil set or store as empty. Every replica of a fleet built from one
-// extraction hashes the same inputs, so the fleet agrees on its version
-// without a coordinator.
-func ComputeVersion(set *fragments.Set, profiles *profile.Store, d sqltoken.Dialect, limitsTag string) string {
+// extraction with one configuration hashes the same inputs, so the fleet
+// agrees on its version without a coordinator.
+func ComputeVersion(spec Spec, profiles *profile.Store) string {
 	h := sha256.New()
 	var n [8]byte
 	write := func(b []byte) {
@@ -42,10 +45,11 @@ func ComputeVersion(set *fragments.Set, profiles *profile.Store, d sqltoken.Dial
 		h.Write(b)
 	}
 	write([]byte(versionHeader))
-	write([]byte(d.String()))
-	write([]byte(limitsTag))
-	if set != nil {
-		frags := set.Fragments()
+	write([]byte(spec.Dialect.String()))
+	write(fmt.Appendf(nil, "pti-off=%t nti-off=%t threshold=%v strict=%t strict-profiles=%t %+v",
+		spec.NoPTI, spec.NoNTI, spec.Threshold, spec.StrictPolicy, spec.StrictProfiles, spec.Limits))
+	if spec.Set != nil {
+		frags := spec.Set.Fragments()
 		sort.Strings(frags)
 		binary.LittleEndian.PutUint64(n[:], uint64(len(frags)))
 		h.Write(n[:])

@@ -10,21 +10,6 @@ import (
 	"joza/internal/core"
 )
 
-func TestMaxQueryBytesOverBudget(t *testing.T) {
-	a := MustNew(WithMaxQueryBytes(1024))
-	query := "SELECT * FROM t WHERE a = '" + strings.Repeat("x", 4096) + "'"
-	_, err := a.AnalyzeCtx(context.Background(), query, nil,
-		[]Input{{Source: "get", Name: "a", Value: "zz"}}, nil)
-	if !errors.Is(err, core.ErrOverBudget) {
-		t.Fatalf("err = %v, want core.ErrOverBudget", err)
-	}
-	// Under the cap: analysis proceeds normally.
-	if _, err := a.AnalyzeCtx(context.Background(), "SELECT 1", nil,
-		[]Input{{Source: "get", Name: "a", Value: "zz"}}, nil); err != nil {
-		t.Fatalf("under cap: %v", err)
-	}
-}
-
 func TestDPCellBudgetOverBudget(t *testing.T) {
 	a := MustNew(WithDPCellBudget(1000))
 	// No exact occurrence, similar lengths so the prune heuristic does not

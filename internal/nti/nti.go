@@ -93,9 +93,6 @@ type Analyzer struct {
 	// critical decides which tokens an attack may not touch; the default
 	// is the paper's pragmatic policy (identifiers allowed).
 	critical func(sqltoken.Token) bool
-	// maxQueryBytes caps the query size AnalyzeCtx will analyze; longer
-	// queries fail with core.ErrOverBudget. Zero disables the cap.
-	maxQueryBytes int
 	// dpCellBudget caps the DP cells one input/query pair may compute in
 	// the approximate matcher; exceeding it fails the analysis with
 	// core.ErrOverBudget. Zero disables the cap. The exact-occurrence
@@ -162,15 +159,6 @@ func WithSellersMatcher() Option {
 // and the prefilter's differential tests).
 func WithoutPrefilter() Option {
 	return func(a *Analyzer) { a.prefilter = false }
-}
-
-// WithMaxQueryBytes caps the query size the analyzer accepts: AnalyzeCtx
-// fails a longer query with an error wrapping core.ErrOverBudget, which
-// the engine resolves through its failure mode. Zero (the default)
-// disables the cap. Budgets are enforced on the context-aware path only —
-// the legacy error-free entry points cannot report them.
-func WithMaxQueryBytes(n int) Option {
-	return func(a *Analyzer) { a.maxQueryBytes = n }
 }
 
 // WithDPCellBudget caps the dynamic-programming cells the approximate
@@ -261,10 +249,6 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, query string, toks []sqltoken
 // checks are free and the function fails only on a configured budget.
 func (a *Analyzer) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.Token, buf *[]sqltoken.Token, inputs []Input, span *trace.Span, res *core.Result) error {
 	*res = core.Result{Analyzer: core.AnalyzerNTI}
-	if a.maxQueryBytes > 0 && len(query) > a.maxQueryBytes {
-		return fmt.Errorf("nti: query %d bytes exceeds cap %d: %w",
-			len(query), a.maxQueryBytes, core.ErrOverBudget)
-	}
 	cancelable := ctx.Done() != nil
 	// A few inputs (the common hot path) group in these stack buffers, and
 	// their markings gather in markBuf until they leave it at exact size.

@@ -382,9 +382,6 @@ func (c *Cached) Dialect() sqltoken.Dialect { return c.dialect }
 // Set returns the fragment set the wrapped analyzer covers queries with.
 func (c *Cached) Set() *fragments.Set { return c.analyzer.Set() }
 
-// MaxQueryBytes returns the wrapped analyzer's query byte cap (0 for none).
-func (c *Cached) MaxQueryBytes() int { return c.analyzer.maxQueryBytes }
-
 // NumShards returns the shard count of the query cache (0 when caching is
 // disabled).
 func (c *Cached) NumShards() int {
@@ -440,9 +437,8 @@ func (c *Cached) AnalyzeLazyCtx(ctx context.Context, query string, toks []sqltok
 // structure-hit, miss), the lazy-lex and fragment-cover durations, and
 // the per-token cover evidence from the underlying analyzer; a nil span
 // means no clock reads and no allocations. An already-canceled or expired
-// ctx, or a query over the analyzer's byte cap, fails before any cache
-// lookup; a cache miss runs the underlying analysis through its
-// checkpoints. Cache hits never fail once past the entry checks. With
+// ctx fails before any cache lookup; a cache miss runs the underlying
+// analysis through its checkpoints. Cache hits never fail once past the entry checks. With
 // context.Background() the checks are free.
 func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.Token, buf *[]sqltoken.Token, memo *SkeletonMemo, span *trace.Span, res *core.Result) ([]sqltoken.Token, error) {
 	*res = core.Result{}
@@ -450,12 +446,6 @@ func (c *Cached) AnalyzeBuf(ctx context.Context, query string, toks []sqltoken.T
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-	}
-	// The cap is checked here, not only in the analyzer: a miss would
-	// otherwise compute the structure key and lex the whole oversized
-	// query before the analyzer refused it.
-	if err := c.analyzer.checkQueryBytes(query); err != nil {
-		return nil, err
 	}
 	var qkey lruKey
 	if c.queries != nil {

@@ -46,11 +46,10 @@ type Analyzer struct {
 	// critical decides which tokens must be fragment-covered; the default
 	// is the paper's pragmatic policy (identifiers allowed).
 	critical func(sqltoken.Token) bool
-	// maxQueryBytes caps the query size AnalyzeCtx accepts; maxTokens caps
-	// the lexed token count it will scan. Zero disables either cap; both
-	// fail with core.ErrOverBudget on the context-aware path.
-	maxQueryBytes int
-	maxTokens     int
+	// maxTokens caps the lexed token count AnalyzeCtx will scan; zero
+	// disables it. It fails with core.ErrOverBudget on the context-aware
+	// path.
+	maxTokens int
 	// dialect governs internal lexing when callers pass nil tokens. The
 	// zero value is sqltoken.MySQL, preserving historical behavior.
 	dialect sqltoken.Dialect
@@ -83,19 +82,10 @@ func WithoutParseFirst() Option {
 	return func(a *Analyzer) { a.parseFirst = false }
 }
 
-// WithMaxQueryBytes caps the query size the analyzer accepts: AnalyzeCtx
-// fails a longer query with an error wrapping core.ErrOverBudget before
-// lexing it. Zero (the default) disables the cap. Budgets apply on the
-// context-aware path only — the legacy error-free entry points cannot
-// report them.
-func WithMaxQueryBytes(n int) Option {
-	return func(a *Analyzer) { a.maxQueryBytes = n }
-}
-
 // WithMaxTokens caps the lexed token count AnalyzeCtx will cover-check; a
 // longer stream fails with an error wrapping core.ErrOverBudget. This
 // bounds the cover scan on machine-generated token floods that stay under
-// the byte cap. Zero (the default) disables the cap.
+// the engine's query byte limit. Zero (the default) disables the cap.
 func WithMaxTokens(n int) Option {
 	return func(a *Analyzer) { a.maxTokens = n }
 }
@@ -163,9 +153,6 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, query string, toks []sqltoken
 			return core.Result{}, err
 		}
 	}
-	if err := a.checkQueryBytes(query); err != nil {
-		return core.Result{}, err
-	}
 	if toks == nil {
 		toks = a.dialect.Lex(query)
 		if cancelable {
@@ -179,15 +166,6 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, query string, toks []sqltoken
 			len(toks), a.maxTokens, core.ErrOverBudget)
 	}
 	return a.analyze(query, toks, span), nil
-}
-
-// checkQueryBytes refuses a query over the byte cap, before any work on it.
-func (a *Analyzer) checkQueryBytes(query string) error {
-	if a.maxQueryBytes > 0 && len(query) > a.maxQueryBytes {
-		return fmt.Errorf("pti: query %d bytes exceeds cap %d: %w",
-			len(query), a.maxQueryBytes, core.ErrOverBudget)
-	}
-	return nil
 }
 
 // analyze runs the configured cover strategy over a lexed query.

@@ -100,10 +100,11 @@ type Table5Result struct {
 }
 
 // RunTable5 measures read/write request overhead under the paper's cache
-// configurations: no cache, query cache, query+structure cache, and the
-// in-process "extension estimate" (query+structure cache with no daemon
-// transport; here both use Direct, the daemon variants are exercised in
-// Figure 7 and the transport ablation).
+// configurations. The three daemon rows (no cache, query cache,
+// query+structure cache) run Remote: every cache miss crosses an
+// in-memory pipe to a daemon started by SpawnPipe. The "extension
+// estimate" row keeps the query+structure cache and calls the analysis
+// in process through Direct, with no transport.
 func RunTable5(site *Site, nRequests int) (*Table5Result, error) {
 	reads := site.GenerateRequests(Read, nRequests)
 	writes := site.GenerateRequests(Write, nRequests)

@@ -39,7 +39,6 @@ package joza
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -48,6 +47,7 @@ import (
 	"joza/internal/core"
 	"joza/internal/engine"
 	"joza/internal/fragments"
+	"joza/internal/installer"
 	"joza/internal/metrics"
 	"joza/internal/nti"
 	"joza/internal/obs"
@@ -204,35 +204,22 @@ type Guard struct {
 	dialect   sqltoken.Dialect
 	obsServer *obs.Server
 	audit     *audit.Logger
-	// buildSnap rebuilds the analysis snapshot over a new fragment set
-	// using the Guard's original configuration; the Manager drives it on
-	// Refresh.
-	buildSnap func(set *fragments.Set) (*engine.Snapshot, error)
+	// gen rebuilds the analysis snapshot from the Guard's sources; the
+	// Manager drives it on Refresh.
+	gen *engine.Refresher
 }
 
 type config struct {
+	// spec is what the Guard's snapshots are built from; the analysis
+	// options write into it.
+	spec          engine.Spec
 	fragmentTexts []string
-	set           *fragments.Set
-	threshold     float64
-	cacheMode     pti.CacheMode
-	cacheCapacity int
 	policy        core.Policy
-	ptiOptions    []pti.Option
-	ntiOptions    []nti.Option
-	disableNTI    bool
-	disablePTI    bool
 	auditWriter   io.Writer
 	auditAsync    bool
 	auditDepth    int
 	obs           *ObservabilityConfig
 	failMode      engine.FailureMode
-	budgets       Budgets
-	dialect       sqltoken.Dialect
-
-	profileStore    *profile.Store
-	profilePath     string
-	profileRecorder *profile.Recorder
-	profileStrict   bool
 }
 
 // Option configures a Guard.
@@ -248,7 +235,7 @@ func WithFragments(texts []string) Option {
 // WithFragmentSet supplies a prebuilt fragment set, overriding
 // WithFragments.
 func WithFragmentSet(set *fragments.Set) Option {
-	return func(c *config) { c.set = set }
+	return func(c *config) { c.spec.Set = set }
 }
 
 // WithDialect sets the SQL dialect the Guard tokenizes under (default
@@ -260,20 +247,20 @@ func WithFragmentSet(set *fragments.Set) Option {
 // WithProfileStore/WithProfileFile must have been trained under the same
 // dialect; New (and every Manager.Refresh rebuild) fails on a mismatch.
 func WithDialect(d Dialect) Option {
-	return func(c *config) { c.dialect = d }
+	return func(c *config) { c.spec.Dialect = d }
 }
 
 // WithNTIThreshold sets the NTI difference-ratio threshold (default 0.20).
 func WithNTIThreshold(t float64) Option {
-	return func(c *config) { c.threshold = t }
+	return func(c *config) { c.spec.Threshold = t }
 }
 
 // WithCacheMode selects the PTI cache configuration (default
 // CacheQueryAndStructure) and capacity (default 4096 entries per cache).
 func WithCacheMode(mode CacheMode, capacity int) Option {
 	return func(c *config) {
-		c.cacheMode = mode
-		c.cacheCapacity = capacity
+		c.spec.CacheMode = mode
+		c.spec.CacheCapacity = capacity
 	}
 }
 
@@ -282,25 +269,28 @@ func WithPolicy(p Policy) Option {
 	return func(c *config) { c.policy = p }
 }
 
-// WithPTIOptions forwards extra options to the PTI analyzer (ablation
-// switches such as the naive matcher).
+// WithPTIOptions forwards extra options to the PTI analyzer: ablation
+// switches such as the naive matcher, which keep verdicts and so leave
+// the snapshot version alone.
 func WithPTIOptions(opts ...pti.Option) Option {
-	return func(c *config) { c.ptiOptions = append(c.ptiOptions, opts...) }
+	return func(c *config) { c.spec.PTIOptions = append(c.spec.PTIOptions, opts...) }
 }
 
-// WithNTIOptions forwards extra options to the NTI analyzer.
+// WithNTIOptions forwards extra options to the NTI analyzer: ablation
+// switches such as the Sellers matcher, which keep verdicts and so leave
+// the snapshot version alone.
 func WithNTIOptions(opts ...nti.Option) Option {
-	return func(c *config) { c.ntiOptions = append(c.ntiOptions, opts...) }
+	return func(c *config) { c.spec.NTIOptions = append(c.spec.NTIOptions, opts...) }
 }
 
 // WithoutNTI disables the NTI component (used to evaluate PTI alone).
 func WithoutNTI() Option {
-	return func(c *config) { c.disableNTI = true }
+	return func(c *config) { c.spec.NoNTI = true }
 }
 
 // WithoutPTI disables the PTI component (used to evaluate NTI alone).
 func WithoutPTI() Option {
-	return func(c *config) { c.disablePTI = true }
+	return func(c *config) { c.spec.NoPTI = true }
 }
 
 // WithProfileStore enables the query-skeleton profile stage in
@@ -308,16 +298,17 @@ func WithoutPTI() Option {
 // seen from its call site during training is flagged as the third
 // analyzer vote. Only checks whose Request carries a Site consult it.
 func WithProfileStore(st *ProfileStore) Option {
-	return func(c *config) { c.profileStore = st }
+	return func(c *config) { c.spec.Profiles = st }
 }
 
 // WithProfileFile is WithProfileStore loading the serialized store at
-// path — at construction and again on every Manager.Refresh, so a
-// retrained profile deploys with the same atomic swap as fragments. A
+// path — at construction and again on every Manager.Refresh that finds
+// its modification time moved, so a retrained profile deploys with the
+// same atomic swap as fragments, with or without a source change. A
 // corrupt file fails the rebuild, and Refresh keeps serving the prior
 // snapshot (sticky-pending), exactly like a failed fragment reload.
 func WithProfileFile(path string) Option {
-	return func(c *config) { c.profilePath = path }
+	return func(c *config) { c.spec.ProfileFile = path }
 }
 
 // WithProfileLearning puts the profile stage in learning mode: checks
@@ -325,14 +316,14 @@ func WithProfileFile(path string) Option {
 // votes. Serialize r.Store() after exercising benign traffic, then deploy
 // it with WithProfileStore or WithProfileFile.
 func WithProfileLearning(r *ProfileRecorder) Option {
-	return func(c *config) { c.profileRecorder = r }
+	return func(c *config) { c.spec.Recorder = r }
 }
 
 // WithProfileStrict makes enforcement also flag queries from call sites
 // that have no training profile at all. Off by default, so a training
 // coverage gap degrades to "no opinion" instead of blocking the site.
 func WithProfileStrict() Option {
-	return func(c *config) { c.profileStrict = true }
+	return func(c *config) { c.spec.StrictProfiles = true }
 }
 
 // WithStrictPolicy enforces the strict (Ray–Ligatti-style) attack
@@ -341,10 +332,7 @@ func WithProfileStrict() Option {
 // permits them because common applications — advanced search in
 // particular — pass field names through input legitimately.
 func WithStrictPolicy() Option {
-	return func(c *config) {
-		c.ntiOptions = append(c.ntiOptions, nti.WithStrictPolicy())
-		c.ptiOptions = append(c.ptiOptions, pti.WithStrictPolicy())
-	}
+	return func(c *config) { c.spec.StrictPolicy = true }
 }
 
 // FailureMode selects how a Guard resolves a check the pipeline could not
@@ -371,25 +359,16 @@ func WithFailureMode(m FailureMode) Option {
 
 // Budgets caps the work one check may cost, defending the detector itself
 // against hostile over-sized inputs (a 4 MB "query" must not stall every
-// other request). A zero field disables that cap; the zero value disables
-// them all. A check that blows a budget resolves via the failure mode and
-// is counted in the metrics snapshot's OverBudgetChecks.
-type Budgets struct {
-	// MaxQueryBytes rejects queries longer than this before any analysis.
-	MaxQueryBytes int
-	// MaxInputBytes rejects requests whose summed input values exceed this
-	// before any analysis.
-	MaxInputBytes int
-	// NTIDPCells bounds the dynamic-programming cells one NTI check may
-	// fill across all inputs.
-	NTIDPCells int
-	// PTITokens bounds how many tokens a query may lex into for PTI.
-	PTITokens int
-}
+// other request): MaxQueryBytes, MaxInputBytes, NTIDPCells and PTITokens.
+// A zero field disables that cap; the zero value disables them all. A
+// check that blows a budget resolves via the failure mode and is counted
+// in the metrics snapshot's OverBudgetChecks. Budgets are part of the
+// snapshot, so they are hashed into its version.
+type Budgets = engine.Limits
 
 // WithBudgets enforces per-check cost budgets (default: none).
 func WithBudgets(b Budgets) Option {
-	return func(c *config) { c.budgets = b }
+	return func(c *config) { c.spec.Limits = b }
 }
 
 // ObservabilityConfig tunes the optional observability surface enabled by
@@ -430,116 +409,42 @@ func WithObservability(cfg ObservabilityConfig) Option {
 	return func(c *config) { c.obs = &cfg }
 }
 
-// ErrNoFragments is returned by New when PTI is enabled but no fragment
-// source was provided.
-var ErrNoFragments = errors.New("joza: PTI requires fragments; use WithFragments, WithFragmentSet or WithoutPTI")
+// ErrNoFragments is returned (wrapped) by New when PTI is enabled but no
+// SQL-bearing fragment was provided: use WithFragments, WithFragmentSet
+// or WithoutPTI.
+var ErrNoFragments = engine.ErrNoFragments
 
 // New constructs a Guard.
 func New(opts ...Option) (*Guard, error) {
+	return newGuard(nil, opts...)
+}
+
+// newGuard constructs a Guard whose fragment set ins extracts and
+// re-extracts (nil: the options supply it).
+func newGuard(ins *installer.Installer, opts ...Option) (*Guard, error) {
 	cfg := config{
-		threshold:     nti.DefaultThreshold,
-		cacheMode:     pti.CacheQueryAndStructure,
-		cacheCapacity: 4096,
-		policy:        core.PolicyTerminate,
+		spec: engine.Spec{
+			Threshold:     nti.DefaultThreshold,
+			CacheMode:     pti.CacheQueryAndStructure,
+			CacheCapacity: 4096,
+		},
+		policy: core.PolicyTerminate,
 	}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if !cfg.dialect.Valid() {
-		return nil, fmt.Errorf("joza: invalid dialect %v", cfg.dialect)
+	if cfg.spec.Set == nil && cfg.spec.Dialect.Valid() {
+		cfg.spec.Set = fragments.NewSetDialect(cfg.spec.Dialect, cfg.fragmentTexts)
 	}
-	if cfg.dialect != sqltoken.MySQL {
-		// Thread the dialect into both analyzers via the option slices so
-		// refresh rebuilds re-apply it. MySQL appends nothing: the default
-		// path stays byte-identical to pre-dialect builds.
-		cfg.ntiOptions = append(cfg.ntiOptions, nti.WithDialect(cfg.dialect))
-		cfg.ptiOptions = append(cfg.ptiOptions, pti.WithDialect(cfg.dialect))
-	}
-	// Analyzer-side budgets ride the option slices so refresh rebuilds
-	// (buildSnap below) re-apply them to every fresh snapshot.
-	if cfg.budgets.MaxQueryBytes > 0 {
-		cfg.ntiOptions = append(cfg.ntiOptions, nti.WithMaxQueryBytes(cfg.budgets.MaxQueryBytes))
-		cfg.ptiOptions = append(cfg.ptiOptions, pti.WithMaxQueryBytes(cfg.budgets.MaxQueryBytes))
-	}
-	if cfg.budgets.NTIDPCells > 0 {
-		cfg.ntiOptions = append(cfg.ntiOptions, nti.WithDPCellBudget(cfg.budgets.NTIDPCells))
-	}
-	if cfg.budgets.PTITokens > 0 {
-		cfg.ptiOptions = append(cfg.ptiOptions, pti.WithMaxTokens(cfg.budgets.PTITokens))
-	}
-	set := cfg.set
-	if set == nil {
-		set = fragments.NewSetDialect(cfg.dialect, cfg.fragmentTexts)
-	}
-	profileConfigured := cfg.profileStore != nil || cfg.profilePath != "" || cfg.profileRecorder != nil
-	if cfg.disableNTI && cfg.disablePTI && !profileConfigured {
-		return nil, errors.New("joza: both analyzers disabled")
-	}
-	// buildSnap validates and assembles an analysis snapshot over a
-	// fragment set with this Guard's configuration; Manager.Refresh swaps
-	// in its result for fresh sets.
-	buildSnap := func(set *fragments.Set) (*engine.Snapshot, error) {
-		if !cfg.disablePTI && set.Len() == 0 {
-			return nil, ErrNoFragments
-		}
-		snap := &engine.Snapshot{Set: set, Dialect: cfg.dialect}
-		if !cfg.disablePTI {
-			cached := pti.NewCached(pti.New(set, cfg.ptiOptions...), cfg.cacheMode, cfg.cacheCapacity)
-			snap.PTI = cached
-			snap.Analyzers = append(snap.Analyzers, engine.PTIStage{Analyzer: cached})
-		}
-		if !cfg.disableNTI {
-			ntiOpts := append([]nti.Option{nti.WithThreshold(cfg.threshold)}, cfg.ntiOptions...)
-			snap.NTI = nti.New(ntiOpts...)
-		}
-		switch {
-		case cfg.profileRecorder != nil:
-			if got := cfg.profileRecorder.Dialect(); got != cfg.dialect {
-				return nil, fmt.Errorf("joza: profile recorder computes %s-dialect skeletons, guard runs %s", got, cfg.dialect)
-			}
-			snap.Analyzers = append(snap.Analyzers, engine.ProfileStage{Recorder: cfg.profileRecorder})
-		case cfg.profilePath != "":
-			// Loaded inside buildSnap so Manager.Refresh picks up retrained
-			// profiles, and a corrupt file fails the rebuild (the manager
-			// keeps serving the prior snapshot).
-			st, err := profile.Load(cfg.profilePath)
-			if err != nil {
-				return nil, err
-			}
-			if err := st.ForDialect(cfg.dialect); err != nil {
-				return nil, fmt.Errorf("joza: %w", err)
-			}
-			snap.Profiles = st
-			snap.Analyzers = append(snap.Analyzers, engine.ProfileStage{Store: st, BlockUnknownSites: cfg.profileStrict})
-		case cfg.profileStore != nil:
-			if err := cfg.profileStore.ForDialect(cfg.dialect); err != nil {
-				return nil, fmt.Errorf("joza: %w", err)
-			}
-			snap.Profiles = cfg.profileStore
-			snap.Analyzers = append(snap.Analyzers, engine.ProfileStage{Store: cfg.profileStore, BlockUnknownSites: cfg.profileStrict})
-		}
-		// NTI runs last: it lexes only when an input matches the query, and
-		// then reuses the tokens PTI or the profile stage published. The
-		// verdict is an OR over stages, so the order does not change it.
-		if snap.NTI != nil {
-			snap.Analyzers = append(snap.Analyzers, engine.NTIStage{Analyzer: snap.NTI})
-		}
-		snap.Version = engine.ComputeVersion(set, snap.Profiles, cfg.dialect,
-			fmt.Sprintf("q%d:i%d", cfg.budgets.MaxQueryBytes, cfg.budgets.MaxInputBytes))
-		return snap, nil
-	}
-	snap, err := buildSnap(set)
+	gen := engine.NewRefresher(cfg.spec, ins)
+	snap, err := gen.Build()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("joza: %w", err)
 	}
-	g := &Guard{policy: cfg.policy, dialect: cfg.dialect, buildSnap: buildSnap}
+	g := &Guard{policy: cfg.policy, dialect: cfg.spec.Dialect, gen: gen}
 	engOpts := []engine.Option{
 		engine.WithPolicy(cfg.policy),
 		engine.WithFailureMode(cfg.failMode),
-		engine.WithLimits(engine.Limits{
-			MaxQueryBytes: cfg.budgets.MaxQueryBytes,
-			MaxInputBytes: cfg.budgets.MaxInputBytes,
-		}),
 	}
 	if cfg.auditWriter != nil {
 		if cfg.auditAsync {
@@ -563,19 +468,6 @@ func New(opts ...Option) (*Guard, error) {
 		g.obsServer = srv
 	}
 	return g, nil
-}
-
-// swapFragmentSet rebuilds the analysis snapshot over set with the Guard's
-// original configuration and swaps it in atomically. In-flight checks
-// finish on the snapshot they started with; metrics counters, tracer and
-// the observability listener carry over. Used by Manager.Refresh.
-func (g *Guard) swapFragmentSet(set *fragments.Set) error {
-	snap, err := g.buildSnap(set)
-	if err != nil {
-		return err
-	}
-	g.eng.Swap(snap)
-	return nil
 }
 
 // FragmentsFromDir extracts trusted fragment texts from all source files
@@ -606,8 +498,8 @@ func (g *Guard) FragmentCount() int { return g.eng.Snapshot().Set.Len() }
 func (g *Guard) SampleFragments(n int) []string { return g.eng.Snapshot().Set.Sample(n) }
 
 // SnapshotVersion returns the content-derived version of the analysis
-// snapshot currently serving checks: a stable hash over the fragment set,
-// profile store, dialect and limits. Every Verdict carries the version of
+// snapshot currently serving checks: a stable hash over every input that
+// can change a verdict (engine.ComputeVersion lists them). Every Verdict carries the version of
 // the snapshot that produced it, so a verdict's Version matching this
 // value proves it came from the current policy generation.
 func (g *Guard) SnapshotVersion() string { return g.eng.Snapshot().Version }

@@ -2,7 +2,6 @@ package joza
 
 import (
 	"fmt"
-	"sync"
 
 	"joza/internal/installer"
 )
@@ -22,12 +21,6 @@ import (
 type Manager struct {
 	ins   *installer.Installer
 	guard *Guard
-
-	// mu serializes Refresh; pending records that the source tree changed
-	// but the rebuild failed, so the next Refresh retries instead of
-	// leaving the old snapshot serving stale fragments forever.
-	mu      sync.Mutex
-	pending bool
 }
 
 // NewManager installs over dir (extracting from files with the given
@@ -43,9 +36,9 @@ func NewManager(dir string, exts []string, opts ...Option) (*Manager, error) {
 	if err != nil {
 		return nil, fmt.Errorf("joza: install: %w", err)
 	}
-	g, err := New(append([]Option{WithFragmentSet(ins.Set())}, opts...)...)
+	g, err := newGuard(ins, opts...)
 	if err != nil {
-		return nil, fmt.Errorf("joza: rebuild guard: %w", err)
+		return nil, err
 	}
 	return &Manager{ins: ins, guard: g}, nil
 }
@@ -68,28 +61,18 @@ func (m *Manager) Metrics() Metrics { return m.guard.Metrics() }
 func (m *Manager) SnapshotVersion() string { return m.guard.SnapshotVersion() }
 
 // Refresh rescans the source tree; when files were added, modified or
-// removed — or an earlier rebuild failed and is still owed — it rebuilds
-// the analysis snapshot and swaps it into the engine. It reports whether
-// a swap happened.
+// removed, the WithProfileFile store was rewritten, or an earlier rebuild
+// failed and is still owed, it rebuilds the analysis snapshot and swaps it
+// into the engine. It reports whether a swap happened.
 //
 // A failed rebuild keeps the change pending: the old snapshot stays in
 // service (fail-open on stale fragments rather than taking the
 // application down), and every subsequent Refresh retries the rebuild
 // until it succeeds, even if the source tree does not change again.
 func (m *Manager) Refresh() (bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	changed, err := m.ins.Refresh()
+	swapped, err := m.guard.gen.Refresh(m.guard.eng.Swap)
 	if err != nil {
 		return false, fmt.Errorf("joza: refresh: %w", err)
 	}
-	if !changed && !m.pending {
-		return false, nil
-	}
-	m.pending = true
-	if err := m.guard.swapFragmentSet(m.ins.Set()); err != nil {
-		return false, fmt.Errorf("joza: rebuild guard: %w", err)
-	}
-	m.pending = false
-	return true, nil
+	return swapped, nil
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"joza"
 )
@@ -210,5 +211,55 @@ func TestManagerRefreshCorruptProfileSticky(t *testing.T) {
 	}
 	if v, _ := m.Guard().CheckContextAt(ctx, "plugin:records", attack, nil); !v.Profile.Attack {
 		t.Error("refreshed snapshot does not enforce profiles")
+	}
+}
+
+// TestManagerRefreshReloadsRewrittenProfileFile: a retrained profile file
+// deploys on the next Refresh even when no source file changed — the
+// same generation contract jozad -watch keeps. The retrained store
+// learns a skeleton the first one flags, so the swap shows in verdicts.
+func TestManagerRefreshReloadsRewrittenProfileFile(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "app.php"), []byte(demoSource), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	profPath := filepath.Join(t.TempDir(), "profiles")
+	rec := joza.NewProfileRecorder()
+	rec.Record("plugin:records", "SELECT * FROM records WHERE ID=5 LIMIT 5")
+	if err := os.WriteFile(profPath, rec.Store().Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := joza.NewManager(dir, nil, joza.WithProfileFile(profPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const newShape = "SELECT title FROM records WHERE ID=5"
+	if v, _ := m.Guard().CheckContextAt(ctx, "plugin:records", newShape, nil); !v.Profile.Attack {
+		t.Fatal("the first store does not flag a skeleton it never saw")
+	}
+	before := m.SnapshotVersion()
+
+	rec.Record("plugin:records", newShape)
+	if err := os.WriteFile(profPath, rec.Store().Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A later modification time, whatever the file system's clock
+	// granularity.
+	later := time.Now().Add(time.Hour)
+	if err := os.Chtimes(profPath, later, later); err != nil {
+		t.Fatal(err)
+	}
+	if changed, err := m.Refresh(); err != nil || !changed {
+		t.Fatalf("Refresh after retraining = (%v, %v), want (true, nil)", changed, err)
+	}
+	if m.SnapshotVersion() == before {
+		t.Fatal("the retrained store did not change the snapshot version")
+	}
+	if v, _ := m.Guard().CheckContextAt(ctx, "plugin:records", newShape, nil); v.Profile.Attack {
+		t.Fatal("the retrained skeleton is still flagged after Refresh")
+	}
+	if changed, err := m.Refresh(); err != nil || changed {
+		t.Fatalf("steady-state Refresh = (%v, %v), want (false, nil)", changed, err)
 	}
 }

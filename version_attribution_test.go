@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"joza"
+	"joza/internal/nti"
+	"joza/internal/pti"
 )
 
 // TestVerdictVersionAttributionUnderConcurrentRefresh hammers
@@ -109,5 +111,67 @@ func TestVerdictVersionAttributionUnderConcurrentRefresh(t *testing.T) {
 	// generations too.
 	if got := m.SnapshotVersion(); got != versionA && got != versionB {
 		t.Fatalf("final SnapshotVersion = %q", got)
+	}
+}
+
+// TestSnapshotVersionCoversVerdictInputs: a verdict is a function of the
+// request and the snapshot version, so two Guards whose configurations
+// can decide a request differently must report different versions, and
+// Guards that differ only in how fast they decide must share one. A
+// 3-token PTI budget is the witness: it fails the benign query closed
+// where the default Guard passes it.
+func TestSnapshotVersionCoversVerdictInputs(t *testing.T) {
+	frags := joza.WithFragments([]string{"SELECT * FROM t WHERE id=", " LIMIT "})
+	version := func(opts ...joza.Option) string {
+		t.Helper()
+		g, err := joza.New(append([]joza.Option{frags}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.SnapshotVersion()
+	}
+	tiny, err := joza.New(frags, joza.WithBudgets(joza.Budgets{PTITokens: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := tiny.Check(context.Background(), joza.Request{Query: "SELECT * FROM t WHERE id=1 LIMIT 5"}); err != nil || !v.Attack || !v.Failed {
+		t.Fatalf("3-token budget: verdict %+v, err %v; want a fail-closed attack", v, err)
+	}
+
+	base := version()
+	differ := map[string][]joza.Option{
+		"PTITokens":         {joza.WithBudgets(joza.Budgets{PTITokens: 3})},
+		"NTIDPCells":        {joza.WithBudgets(joza.Budgets{NTIDPCells: 1000})},
+		"MaxQueryBytes":     {joza.WithBudgets(joza.Budgets{MaxQueryBytes: 16})},
+		"MaxInputBytes":     {joza.WithBudgets(joza.Budgets{MaxInputBytes: 16})},
+		"WithNTIThreshold":  {joza.WithNTIThreshold(0.3)},
+		"WithoutNTI":        {joza.WithoutNTI()},
+		"WithoutPTI":        {joza.WithoutPTI()},
+		"WithStrictPolicy":  {joza.WithStrictPolicy()},
+		"WithProfileStrict": {joza.WithProfileStore(joza.NewProfileRecorder().Store()), joza.WithProfileStrict()},
+	}
+	seen := map[string]string{base: "default"}
+	for name, opts := range differ {
+		v := version(opts...)
+		if prev, dup := seen[v]; dup {
+			t.Errorf("%s shares version %s with %s", name, v, prev)
+		}
+		seen[v] = name
+	}
+	if lenient, strict := version(joza.WithProfileStore(joza.NewProfileRecorder().Store())),
+		version(joza.WithProfileStore(joza.NewProfileRecorder().Store()), joza.WithProfileStrict()); lenient == strict {
+		t.Errorf("WithProfileStrict did not change the version of a profiled Guard")
+	}
+
+	same := map[string][]joza.Option{
+		"WithCacheMode":    {joza.WithCacheMode(joza.CacheNone, 0)},
+		"pti.WithMRU":      {joza.WithPTIOptions(pti.WithMRU(8))},
+		"WithNaiveMatcher": {joza.WithPTIOptions(pti.WithNaiveMatcher())},
+		"WithSellers":      {joza.WithNTIOptions(nti.WithSellersMatcher())},
+	}
+	for name, opts := range same {
+		if v := version(opts...); v != base {
+			t.Errorf("%s changed the version (%s, default %s)", name, v, base)
+		}
 	}
 }
